@@ -163,7 +163,7 @@ class CommunitySimulator:
 
         # Provenance: one recorder shared by every node (lineage itself
         # lives per-claim inside each node's shared history).  ``None``
-        # when off — nodes then keep their seed-identical fast paths.
+        # when off.
         self.provenance: Optional[ProvenanceRecorder] = (
             ProvenanceRecorder(obs=self.obs) if provenance else None
         )
@@ -179,6 +179,10 @@ class CommunitySimulator:
             for pid in trace.peers
         }
         self.online: Set[int] = set()
+        # The gossip round's iteration base: ``sorted(online)``, re-sorted
+        # only when membership differs from the round before.
+        self._gossip_members: Set[int] = set()
+        self._gossip_order: List[int] = []
         self.swarms: Dict[int, SwarmState] = {
             sid: SwarmState(spec) for sid, spec in trace.swarms.items()
         }
@@ -708,7 +712,10 @@ class CommunitySimulator:
 
     def _gossip_round_body(self) -> None:
         now = self.engine.now
-        for pid in self._gossip_rng.shuffled(sorted(self.online)):
+        if self.online != self._gossip_members:
+            self._gossip_members = set(self.online)
+            self._gossip_order = sorted(self.online)
+        for pid in self._gossip_rng.shuffled(self._gossip_order):
             if not self.is_online(pid):
                 continue
             self.pss.tick(pid, now)

@@ -10,8 +10,10 @@ own private history.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterator, List, Tuple
+from math import inf
+from typing import Dict, Hashable, Iterator, List, Optional, Set, Tuple
 
 __all__ = ["TransferTotals", "PrivateHistory"]
 
@@ -48,7 +50,9 @@ class PrivateHistory:
     Mutations go through :meth:`record_upload` / :meth:`record_download` /
     :meth:`touch`; reads expose per-peer totals and the two selections the
     BarterCast message protocol needs (top uploaders to the owner, most
-    recently seen peers).
+    recently seen peers).  Both selections are served from state that is
+    repaired only where a mutation touched it (DESIGN.md, "Gossip hot
+    path"); their results equal a full stable sort of the ledger.
 
     Parameters
     ----------
@@ -61,6 +65,20 @@ class PrivateHistory:
         self._records: Dict[PeerId, TransferTotals] = {}
         self._total_up = 0.0
         self._total_down = 0.0
+        # peer -> (-last_seen, repr(peer), insertion seq, peer): the key the
+        # peer is filed under in ``_recent``.  The unique ``seq`` makes plain
+        # tuple order the stable sort by ``(-last_seen, repr)`` and keeps
+        # the peer ids themselves from ever being compared.
+        self._keys: Dict[PeerId, Tuple[float, str, int, PeerId]] = {}
+        self._recent: List[Tuple[float, str, int, PeerId]] = []
+        # Peers whose ``last_seen`` may differ from their filed key.
+        self._moved: Set[PeerId] = set()
+        # Top-uploader ranking; ``None`` after a ``record_download``, the
+        # only mutation that can reorder it.
+        self._top: Optional[List[PeerId]] = None
+        #: Wire records last built by :func:`repro.core.messages.select_records`,
+        #: per counterparty (owned by that function; opaque here).
+        self.wire_records: Dict[PeerId, object] = {}
 
     # ------------------------------------------------------------------
     # Mutation
@@ -72,6 +90,7 @@ class PrivateHistory:
         rec.uploaded += float(nbytes)
         rec.last_seen = max(rec.last_seen, float(now))
         self._total_up += float(nbytes)
+        self._moved.add(peer)
 
     def record_download(self, peer: PeerId, nbytes: float, now: float) -> None:
         """Record that the owner downloaded ``nbytes`` from ``peer`` at ``now``."""
@@ -80,6 +99,8 @@ class PrivateHistory:
         rec.downloaded += float(nbytes)
         rec.last_seen = max(rec.last_seen, float(now))
         self._total_down += float(nbytes)
+        self._moved.add(peer)
+        self._top = None
 
     def touch(self, peer: PeerId, now: float) -> None:
         """Record an interaction with ``peer`` (e.g. a gossip exchange)
@@ -88,18 +109,23 @@ class PrivateHistory:
             raise ValueError("a peer cannot interact with itself")
         rec = self._get_or_create(peer)
         rec.last_seen = max(rec.last_seen, float(now))
+        self._moved.add(peer)
 
     def _validate(self, peer: PeerId, nbytes: float) -> None:
         if peer == self.owner:
             raise ValueError("a peer cannot transfer data with itself")
-        if nbytes < 0:
-            raise ValueError(f"transfer size must be non-negative, got {nbytes}")
+        if not 0 <= nbytes < inf:  # also false for NaN
+            raise ValueError(
+                f"transfer size must be finite and non-negative, got {nbytes}"
+            )
 
     def _get_or_create(self, peer: PeerId) -> TransferTotals:
         rec = self._records.get(peer)
         if rec is None:
             rec = TransferTotals()
             self._records[peer] = rec
+            key = self._keys[peer] = (0.0, repr(peer), len(self._keys), peer)
+            insort(self._recent, key)
         return rec
 
     # ------------------------------------------------------------------
@@ -115,6 +141,13 @@ class PrivateHistory:
         if rec is None:
             return TransferTotals()
         return TransferTotals(rec.uploaded, rec.downloaded, rec.last_seen)
+
+    def totals(self, peer: PeerId) -> TransferTotals:
+        """The live totals with a known counterparty (do not mutate).
+
+        Raises ``KeyError`` for a peer never interacted with.
+        """
+        return self._records[peer]
 
     def __contains__(self, peer: PeerId) -> bool:
         return peer in self._records
@@ -157,19 +190,33 @@ class PrivateHistory:
         """
         if n <= 0:
             return []
-        ranked = sorted(
-            self._records.items(), key=lambda kv: (-kv[1].downloaded, repr(kv[0]))
-        )
-        return [peer for peer, rec in ranked[:n] if rec.downloaded > 0]
+        top = self._top
+        if top is None:
+            keys = self._keys
+            ranked = sorted(
+                (-rec.downloaded, *keys[peer][1:])
+                for peer, rec in self._records.items()
+                if rec.downloaded > 0
+            )
+            top = self._top = [key[3] for key in ranked]
+        return top[:n]
 
     def most_recent(self, n: int) -> List[PeerId]:
         """The ``n`` most recently seen peers (newest first)."""
         if n <= 0:
             return []
-        ranked = sorted(
-            self._records.items(), key=lambda kv: (-kv[1].last_seen, repr(kv[0]))
-        )
-        return [peer for peer, _ in ranked[:n]]
+        recent = self._recent
+        if self._moved:
+            keys, records = self._keys, self._records
+            for peer in self._moved:
+                old = keys[peer]
+                neg_seen = -records[peer].last_seen
+                if neg_seen != old[0]:
+                    del recent[bisect_left(recent, old)]
+                    key = keys[peer] = (neg_seen, *old[1:])
+                    insort(recent, key)
+            self._moved.clear()
+        return [key[3] for key in recent[:n]]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -15,11 +15,12 @@ counterparty supersedes the older one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import Hashable, List, Sequence
 
 from repro.core.history import PrivateHistory
 
-__all__ = ["HistoryRecord", "BarterCastMessage", "select_records"]
+__all__ = ["HistoryRecord", "BarterCastMessage", "select_records", "make_message"]
 
 PeerId = Hashable
 
@@ -43,15 +44,15 @@ class HistoryRecord:
     downloaded: float
 
     def is_sane(self) -> bool:
-        """Basic well-formedness: finite, non-negative totals."""
-        return (
-            self.uploaded >= 0.0
-            and self.downloaded >= 0.0
-            and self.uploaded == self.uploaded  # not NaN
-            and self.downloaded == self.downloaded
-            and self.uploaded != float("inf")
-            and self.downloaded != float("inf")
-        )
+        """Basic well-formedness: finite, non-negative totals and a
+        hashable counterparty.  Never raises, whatever a peer sent."""
+        try:
+            hash(self.counterparty)
+            # The chained comparisons are also false for NaN.
+            return 0.0 <= self.uploaded < inf and 0.0 <= self.downloaded < inf
+        except (TypeError, ValueError):
+            # Non-numeric or array-valued total, unhashable counterparty.
+            return False
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,8 +105,9 @@ class BarterCastMessage:
     def sane_records(self) -> List[HistoryRecord]:
         """The subset of records that pass basic validation.
 
-        Receivers drop malformed records (negative or non-finite totals,
-        self-referential counterparties) rather than rejecting the whole
+        Receivers drop malformed records (negative, non-finite or
+        non-numeric totals, unhashable or self-referential counterparties,
+        foreign objects) rather than rejecting the whole
         message, mirroring the defensive parsing of the deployed client.
         """
         return [
@@ -128,26 +130,29 @@ def select_records(
     owner and the ``n_recent`` most recently seen peers, preserving the
     top-uploader-first order and deduplicating.
     """
-    chosen: List[PeerId] = []
-    seen = set()
-    for peer in history.top_uploaders(n_highest):
-        if peer not in seen:
-            seen.add(peer)
-            chosen.append(peer)
-    for peer in history.most_recent(n_recent):
-        if peer not in seen:
-            seen.add(peer)
-            chosen.append(peer)
+    chosen = history.top_uploaders(n_highest)
+    seen = set(chosen)
+    chosen += [peer for peer in history.most_recent(n_recent) if peer not in seen]
+    # One immutable record per counterparty is reused until its totals
+    # move; checking the totals on every use means no mutation of the
+    # ledger can leave a stale record behind.
+    cache = history.wire_records
+    totals_of = history.totals
     records = []
     for peer in chosen:
-        totals = history.get(peer)
-        records.append(
-            HistoryRecord(
+        totals = totals_of(peer)
+        record = cache.get(peer)
+        if (
+            record is None
+            or record.uploaded != totals.uploaded
+            or record.downloaded != totals.downloaded
+        ):
+            record = cache[peer] = HistoryRecord(
                 counterparty=peer,
                 uploaded=totals.uploaded,
                 downloaded=totals.downloaded,
             )
-        )
+        records.append(record)
     return records
 
 

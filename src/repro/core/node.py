@@ -244,12 +244,12 @@ class BarterCastNode:
     def record_upload(self, peer: PeerId, nbytes: float, now: float) -> None:
         """Account ``nbytes`` uploaded to ``peer`` at time ``now``."""
         self.history.record_upload(peer, nbytes, now)
-        self.graph.set_transfer(self.peer_id, peer, self.history.get(peer).uploaded)
+        self.graph.set_transfer(self.peer_id, peer, self.history.totals(peer).uploaded)
 
     def record_download(self, peer: PeerId, nbytes: float, now: float) -> None:
         """Account ``nbytes`` downloaded from ``peer`` at time ``now``."""
         self.history.record_download(peer, nbytes, now)
-        self.graph.set_transfer(peer, self.peer_id, self.history.get(peer).downloaded)
+        self.graph.set_transfer(peer, self.peer_id, self.history.totals(peer).downloaded)
 
     def note_seen(self, peer: PeerId, now: float) -> None:
         """Mark ``peer`` as seen now (affects the ``Nr`` selection)."""

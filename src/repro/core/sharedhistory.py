@@ -84,9 +84,9 @@ class SubjectiveSharedHistory:
         Optional :class:`~repro.obs.provenance.ProvenanceRecorder`.  When
         enabled, every live claim carries a :class:`ClaimLineage` and
         lineage events (record/supersede/redelivery/stale/forget) are
-        counted.  Defaults to the no-op :data:`NULL_PROVENANCE`; every
-        hot-path hook is guarded by a cached boolean so a provenance-off
-        store behaves byte-identically to the seed implementation.
+        counted.  Defaults to the no-op :data:`NULL_PROVENANCE`; the
+        hooks only observe, so a provenance-on store makes exactly the
+        state transitions and graph writes of a provenance-off one.
 
     Notes
     -----
@@ -108,13 +108,6 @@ class SubjectiveSharedHistory:
         self._graph = graph
         self._prov = provenance if provenance is not None else NULL_PROVENANCE
         self._prov_on = self._prov.enabled
-        # Bound-method cache: record_claim fires once per applied claim on
-        # the gossip hot path.
-        self._prov_record_claim = self._prov.record_claim
-        # Per-ingest delivery context (msg id + receipt time), stashed here
-        # so the claim-update hot path keeps its seed signature.
-        self._msg_id: Hashable = None
-        self._received_at = 0.0
         # (src, dst) -> {reporter: _Claim}
         self._claims: Dict[Tuple[PeerId, PeerId], Dict[PeerId, _Claim]] = {}
         self._messages_seen = 0
@@ -154,201 +147,121 @@ class SubjectiveSharedHistory:
         ``now`` is the simulated receipt time, recorded into claim lineage
         when provenance is on (the delaying channel of :mod:`repro.faults`
         makes it differ from ``message.created_at``).  When omitted, the
-        creation time is used.
+        creation time is used.  A malformed record (not a
+        :class:`HistoryRecord`, :meth:`~HistoryRecord.is_sane` false,
+        naming the sender or the owner) is dropped and counted, never
+        raised on; the rest of the message still applies.
 
         Raises
         ------
         ValueError
             If the message claims to be from the owner itself.
         """
-        if message.sender == self.owner:
+        reporter = message.sender
+        owner = self.owner
+        if reporter == owner:
             raise ValueError("a node cannot ingest its own message")
         self._messages_seen += 1
+        rts = float(message.created_at)
         if self._prov_on:
-            self._msg_id = (
-                message.msg_id
-                if message.msg_id is not None
-                else (message.sender, message.created_at)
-            )
-            self._received_at = float(
-                message.created_at if now is None else now
-            )
-        sane = message.sane_records()
-        self._records_dropped += message.num_records - len(sane)
-        if self._prov_on:
-            applied = 0
-            for record in sane:
-                if self._apply_record(message.sender, record, message.created_at):
-                    applied += 1
-                else:
-                    self._records_dropped += 1
+            prov = self._prov
+            record_claim = prov.record_claim
+            msg_id = message.msg_id
+            if msg_id is None:
+                msg_id = (reporter, message.created_at)
+            received_at = rts if now is None else float(now)
         else:
-            applied = self._ingest_fast(message.sender, sane, message.created_at)
-        if self._m_applied is not None:
-            self._m_applied.inc(applied)
-            self._m_dropped.inc(message.num_records - applied)
-        if self._tr_merge is not None and self._tr_merge.sample():
-            self._tr_merge.emit_sampled(
-                "ingest",
-                sim_time=message.created_at,
-                attrs={
-                    "owner": self.owner,
-                    "reporter": message.sender,
-                    "records": message.num_records,
-                    "applied": applied,
-                },
-            )
-        return applied
-
-    def _ingest_fast(self, reporter, records, reported_at) -> int:
-        """Provenance-off ingest: the claim-update + materialize pipeline of
-        :meth:`_apply_record` fused into one loop.
-
-        Gossip ingest is the write hot path of every simulation, and with
-        lineage recording off the per-claim work is small enough that the
-        method-call and allocation overhead of the layered path dominates.
-        This loop produces the **same observable state transitions** —
-        identical claim values/timestamps, identical graph writes in
-        identical order (so versions, listener events, and stamp touches
-        match), identical applied/dropped counts; the only shortcuts are
-        unobservable ones (claims are mutated in place instead of
-        reallocated, and the single-claim materialize skips the max scan).
-        The provenance-on path keeps the layered implementation untouched.
-        """
-        owner = self.owner
+            prov = lineage = None
         claims_map = self._claims
         g_set = self._graph.set_transfer
-        rts = float(reported_at)
         applied = 0
-        dropped = 0
-        for record in records:
+        # One pass over the records: validate, supersede-check, write.
+        # Ingest is the write hot path of every simulation.
+        for record in message.records:
+            if not isinstance(record, HistoryRecord) or not record.is_sane():
+                continue
             c = record.counterparty
-            if c == owner:
+            if c == owner or c == reporter:
                 # Edges incident to the owner come from the private
-                # history only.
-                dropped += 1
+                # history only; a reporter has no edge to itself.
                 continue
             changed = False
-            for e0, e1, value in (
-                (reporter, c, record.uploaded),
-                (c, reporter, record.downloaded),
+            # reporter -> c is the reporter's claimed upload, c -> reporter
+            # its claimed download.
+            for edge, value in (
+                ((reporter, c), record.uploaded),
+                ((c, reporter), record.downloaded),
             ):
-                edge = (e0, e1)
                 claims = claims_map.get(edge)
                 if claims is None:
                     claims = claims_map[edge] = {}
                     existing = None
                 else:
                     existing = claims.get(reporter)
-                if existing is not None:
+                if existing is None:
+                    if prov is not None:
+                        lineage = (msg_id, received_at, 0)
+                        record_claim(owner, edge, reporter, lineage, False)
+                    claims[reporter] = _Claim(float(value), rts, lineage)
+                else:
                     ets = existing.reported_at
                     if ets > rts:
-                        continue  # stale
+                        if prov is not None:
+                            prov.record_stale(owner, edge, reporter)
+                        continue
                     if ets == rts and value <= existing.value:
-                        continue  # redelivery / reorder of an equal-ts copy
+                        # Redelivered or reordered copy of an equal-timestamp
+                        # message: the tie rule keeps the max value, so the
+                        # view is independent of arrival order (delivery
+                        # idempotency).  Lineage likewise stays put.
+                        if prov is not None:
+                            prov.record_redelivery(owner, edge, reporter)
+                        continue
+                    existing.reported_at = rts
+                    if prov is not None:
+                        # Lineage moves to the replacing — or merely
+                        # confirming — message; ``superseded`` counts every
+                        # predecessor (a claim that predates provenance
+                        # recording counts as one of unknown history).
+                        old = existing.lineage
+                        existing.lineage = lineage = (
+                            msg_id,
+                            received_at,
+                            old[2] + 1 if old is not None else 1,
+                        )
+                        record_claim(owner, edge, reporter, lineage, True)
                     if existing.value == value:
-                        existing.reported_at = rts
                         continue  # fresher confirmation of the same total
                     existing.value = float(value)
-                    existing.reported_at = rts
-                else:
-                    claims[reporter] = _Claim(
-                        value=float(value), reported_at=rts
-                    )
                 if len(claims) == 1:
                     m = float(value)
                 else:
                     m = max(cl.value for cl in claims.values())
-                # set_transfer ensures both nodes exist and silently
-                # no-ops when the capacity is unchanged — the exact
-                # behaviour _materialize gets from its capacity()
-                # pre-check, minus one graph lookup per claim.
-                g_set(e0, e1, m)
+                # set_transfer registers both endpoints and no-ops when the
+                # capacity is unchanged (a second reporter's lower claim
+                # leaves the graph version, and every cache, alone).
+                g_set(edge[0], edge[1], m)
                 changed = True
             if changed:
                 applied += 1
-            else:
-                dropped += 1
+        dropped = len(message.records) - applied
         self._records_applied += applied
         self._records_dropped += dropped
-        return applied
-
-    def _apply_record(
-        self, reporter: PeerId, record: HistoryRecord, reported_at: float
-    ) -> bool:
-        c = record.counterparty
-        if c == self.owner or reporter == self.owner:
-            # Edges incident to the owner come from the private history only.
-            return False
-        changed = False
-        # reporter -> counterparty: reporter's claimed upload.
-        if self._update_claim((reporter, c), reporter, record.uploaded, reported_at):
-            changed = True
-        # counterparty -> reporter: reporter's claimed download.
-        if self._update_claim((c, reporter), reporter, record.downloaded, reported_at):
-            changed = True
-        if changed:
-            self._records_applied += 1
-        return changed
-
-    def _update_claim(
-        self,
-        edge: Tuple[PeerId, PeerId],
-        reporter: PeerId,
-        value: float,
-        reported_at: float,
-    ) -> bool:
-        claims = self._claims.setdefault(edge, {})
-        existing = claims.get(reporter)
-        if existing is not None:
-            if existing.reported_at > reported_at:
-                if self._prov_on:
-                    self._prov.record_stale(self.owner, edge, reporter)
-                return False  # stale
-            if existing.reported_at == reported_at and value <= existing.value:
-                # Redelivered or reordered copy of an equal-timestamp
-                # message: the tie rule keeps the max value, so the view
-                # is independent of arrival order (delivery idempotency).
-                # Lineage likewise stays put — the live claim is unchanged.
-                if self._prov_on:
-                    self._prov.record_redelivery(self.owner, edge, reporter)
-                return False
-            if existing.value == value:
-                existing.reported_at = reported_at
-                if self._prov_on:
-                    # A fresher message confirmed the same total: refresh
-                    # the lineage to the confirming message (superseded
-                    # counts every replaced/confirmed predecessor; a claim
-                    # that predates provenance recording counts as one
-                    # predecessor of unknown history).
-                    old = existing.lineage
-                    existing.lineage = lineage = (
-                        self._msg_id,
-                        self._received_at,
-                        old[2] + 1 if old is not None else 1,
-                    )
-                    self._prov_record_claim(self.owner, edge, reporter, lineage, True)
-                return False  # no change
-        if self._prov_on:
-            if existing is None:
-                lineage = (self._msg_id, self._received_at, 0)
-            else:
-                old = existing.lineage
-                lineage = (
-                    self._msg_id,
-                    self._received_at,
-                    old[2] + 1 if old is not None else 1,
-                )
-            self._prov_record_claim(
-                self.owner, edge, reporter, lineage, existing is not None
+        if self._m_applied is not None:
+            self._m_applied.inc(applied)
+            self._m_dropped.inc(dropped)
+        if self._tr_merge is not None and self._tr_merge.sample():
+            self._tr_merge.emit_sampled(
+                "ingest",
+                sim_time=message.created_at,
+                attrs={
+                    "owner": owner,
+                    "reporter": reporter,
+                    "records": len(message.records),
+                    "applied": applied,
+                },
             )
-        else:
-            lineage = None
-        claims[reporter] = _Claim(
-            value=float(value), reported_at=float(reported_at), lineage=lineage
-        )
-        self._materialize(edge)
-        return True
+        return applied
 
     def _materialize(self, edge: Tuple[PeerId, PeerId]) -> None:
         claims = self._claims.get(edge, {})

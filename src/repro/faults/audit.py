@@ -12,7 +12,7 @@ no matter how peers churn, a peer's subjective view must stay inside the
    (totals only grow, so a late copy carries a smaller-or-equal total)
    but can never inflate it.  This is exactly the property the
    equal-timestamp tie rule in
-   :meth:`~repro.core.sharedhistory.SubjectiveSharedHistory._update_claim`
+   :meth:`~repro.core.sharedhistory.SubjectiveSharedHistory.ingest`
    protects: ties keep the max, so arrival order cannot matter.
 2. **Owner-incident edges come only from private history.**  Whatever
    the fault schedule does, an edge touching the view's owner must equal

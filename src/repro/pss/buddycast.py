@@ -20,7 +20,7 @@ if the view holds no live contacts.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Optional, Set
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.sim.rng import RngStream
 
@@ -95,7 +95,10 @@ class BuddyCastPSS(PeerSamplingService):
         self.bootstrap_size = int(bootstrap_size)
         # peer -> {contact: freshness_time}
         self._views: Dict[PeerId, Dict[PeerId, float]] = {}
+        # Every peer ever registered, in registration order (bootstrap
+        # draws index into it); survives ``forget``.
         self._all_peers: List[PeerId] = []
+        self._known: Set[PeerId] = set()
         self._exchanges = 0
 
     # ------------------------------------------------------------------
@@ -118,7 +121,8 @@ class BuddyCastPSS(PeerSamplingService):
                 if contact != peer:
                     self._views[peer][contact] = now
                     self._insert(contact, peer, now)
-        if peer not in self._all_peers:
+        if peer not in self._known:
+            self._known.add(peer)
             self._all_peers.append(peer)
 
     def forget(self, peer: PeerId) -> None:
@@ -148,35 +152,47 @@ class BuddyCastPSS(PeerSamplingService):
 
     # ------------------------------------------------------------------
     def _exchange(self, a: PeerId, b: PeerId, now: float) -> None:
-        """Symmetric view merge between ``a`` and ``b``."""
+        """Symmetric view merge between ``a`` and ``b``: each learns of the
+        other at ``now``, then of the other's view as it stood before."""
         va, vb = self._views[a], self._views[b]
-        snapshot_a = list(va.items())
-        snapshot_b = list(vb.items())
-        self._insert(a, b, now)
-        self._insert(b, a, now)
-        for contact, fresh in snapshot_b:
-            if contact != a:
-                self._insert(a, contact, fresh)
-        for contact, fresh in snapshot_a:
-            if contact != b:
-                self._insert(b, contact, fresh)
+        from_a = [(a, now), *va.items()]
+        from_b = [(b, now), *vb.items()]
+        self._merge(va, from_b, a)
+        self._merge(vb, from_a, b)
         self._exchanges += 1
 
     def _insert(self, owner: PeerId, contact: PeerId, freshness: float) -> None:
-        view = self._views.setdefault(owner, {})
-        if contact in view:
-            view[contact] = max(view[contact], freshness)
-        else:
+        self._merge(self._views.setdefault(owner, {}), ((contact, freshness),), owner)
+
+    def _merge(
+        self,
+        view: Dict[PeerId, float],
+        entries: Iterable[Tuple[PeerId, float]],
+        owner: PeerId,
+    ) -> None:
+        """Insert ``entries`` into ``owner``'s ``view`` one after the other.
+
+        The resulting dict *order* matters as much as its content:
+        :meth:`sample` draws by position, so every step keeps the order
+        sequential insertion gives (a refresh keeps its slot, a newcomer
+        goes last).
+        """
+        view_size = self.view_size
+        for contact, freshness in entries:
+            if contact == owner:
+                continue
+            known = view.get(contact)
+            if known is not None:
+                if freshness > known:
+                    view[contact] = freshness
+                continue
+            if len(view) >= view_size:
+                # Evict the stalest entry (the first such in view order)
+                # *before* the newcomer goes in: evicting the contact being
+                # inserted would make the insert a silent no-op and lock
+                # the view's membership.
+                del view[min(view, key=view.__getitem__)]
             view[contact] = freshness
-            if len(view) > self.view_size:
-                # Evict the stalest entry *other than* the contact being
-                # inserted: evicting the newcomer itself would make the
-                # insert a silent no-op and lock the view's membership.
-                stalest = min(
-                    (kv for kv in view.items() if kv[0] != contact),
-                    key=lambda kv: kv[1],
-                )[0]
-                del view[stalest]
 
 
 class OraclePSS(PeerSamplingService):

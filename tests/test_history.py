@@ -61,6 +61,19 @@ class TestRecording:
         with pytest.raises(ValueError):
             h.record_upload("p", -1.0, now=0.0)
 
+    @pytest.mark.parametrize("nbytes", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_size_rejected(self, nbytes):
+        # ``nan < 0`` is false: a NaN that got through would poison the
+        # totals, the selection keys and the wire record for good.
+        h = PrivateHistory("me")
+        h.record_download("p", 5.0, now=1.0)
+        for record in (h.record_upload, h.record_download):
+            with pytest.raises(ValueError):
+                record("p", nbytes, now=2.0)
+        assert h.total_uploaded == 0.0 and h.total_downloaded == 5.0
+        assert h.get("p").downloaded == 5.0 and h.get("p").last_seen == 1.0
+        assert h.top_uploaders(10) == ["p"]
+
     def test_get_returns_copy(self):
         h = PrivateHistory("me")
         h.record_upload("p", 10.0, now=0.0)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.history import PrivateHistory
@@ -27,6 +28,13 @@ class TestHistoryRecord:
 
     def test_inf_insane(self):
         assert not HistoryRecord("p", math.inf, 0.0).is_sane()
+
+    def test_non_numeric_or_unhashable_is_insane_not_an_error(self):
+        assert not HistoryRecord("p", None, 0.0).is_sane()
+        assert not HistoryRecord("p", 0.0, "x").is_sane()
+        assert not HistoryRecord("p", [1.0], 0.0).is_sane()
+        assert not HistoryRecord("p", np.array([1.0, 2.0]), 0.0).is_sane()
+        assert not HistoryRecord(["p"], 1.0, 0.0).is_sane()
 
     def test_frozen(self):
         rec = HistoryRecord("p", 1.0, 2.0)

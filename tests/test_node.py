@@ -6,6 +6,7 @@ from repro.core.adversary import Ignorer, SelfishLiar
 from repro.core.messages import BarterCastMessage, HistoryRecord
 from repro.core.node import BarterCastConfig, BarterCastNode
 from repro.core.reputation import MB, ReputationMetric
+from repro.obs.provenance import ProvenanceRecorder
 
 
 class TestTransferAccounting:
@@ -56,6 +57,27 @@ class TestGossip:
         msg = BarterCastMessage("me", 1.0)
         with pytest.raises(ValueError):
             n.receive_message(msg)
+
+    @pytest.mark.parametrize("provenance", [None, "on"])
+    def test_hostile_records_are_dropped_and_counted(self, provenance):
+        # Non-numeric totals and an unhashable counterparty used to raise
+        # TypeError straight out of receive_message; on both ingest paths
+        # they are malformed records like any other.
+        recorder = ProvenanceRecorder() if provenance else None
+        n = BarterCastNode("me", provenance=recorder)
+        hostile = (
+            HistoryRecord("c", None, 1.0),
+            HistoryRecord("c", 1.0, "x"),
+            HistoryRecord(["c"], 1.0, 1.0),
+            HistoryRecord({"c": 1}, 1.0, 1.0),
+            HistoryRecord("d", 10.0, 3.0),
+        )
+        applied = n.receive_message(BarterCastMessage("r", 1.0, records=hostile))
+        assert applied == 1
+        assert n.shared.records_applied == 1
+        assert n.shared.records_dropped == 4
+        assert n.graph.capacity("r", "d") == 10.0
+        assert n.graph.capacity("r", "c") == 0.0
 
     def test_private_history_beats_gossip_about_self(self):
         n = BarterCastNode("me")
