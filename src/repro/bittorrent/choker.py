@@ -20,10 +20,10 @@ carries zero bytes — the standard flow-level simplification).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set
+from typing import Callable, List, Optional, Sequence, Set
 
 from repro.bittorrent.config import BitTorrentConfig
-from repro.bittorrent.swarm import MemberState, SwarmState
+from repro.bittorrent.swarm import MemberState
 from repro.core.node import BarterCastNode
 from repro.core.policies import ReputationPolicy
 from repro.obs import Observability
@@ -33,49 +33,44 @@ __all__ = ["select_unchokes", "interested_candidates"]
 
 
 def interested_candidates(
-    swarm: SwarmState,
     uploader: MemberState,
-    is_online: Callable[[int], bool],
+    online_leechers: Sequence[int],
     can_connect: Callable[[int, int], bool],
 ) -> List[int]:
-    """Peers that could accept data from ``uploader`` this round."""
+    """Peers that could accept data from ``uploader`` this round: the
+    ``online_leechers`` it can connect to.  That list is the same for every
+    uploader of a swarm, so the caller derives it once per round."""
     if uploader.bitfield.num_have == 0:
         return []
-    out: List[int] = []
-    for pid, member in swarm.members.items():
-        if pid == uploader.peer_id or not member.is_leecher:
-            continue
-        if not is_online(pid):
-            continue
-        if not can_connect(uploader.peer_id, pid):
-            continue
-        out.append(pid)
-    return out
+    up = uploader.peer_id
+    return [pid for pid in online_leechers if pid != up and can_connect(up, pid)]
 
 
 def select_unchokes(
-    swarm: SwarmState,
     uploader: MemberState,
+    online_leechers: Sequence[int],
     *,
     policy: ReputationPolicy,
     node: Optional[BarterCastNode],
     rng: RngStream,
     round_idx: int,
     config: BitTorrentConfig,
-    is_online: Callable[[int], bool],
     can_connect: Callable[[int, int], bool],
     obs: Optional[Observability] = None,
 ) -> Set[int]:
     """The set of peers ``uploader`` sends data to this round.
 
     Combines the tit-for-tat regular slots with the (policy-ordered)
-    optimistic slot; banned peers are excluded everywhere.  When ``obs``
+    optimistic slot; banned peers are excluded everywhere.  A call that
+    finds no candidate clears the optimistic target and draws nothing
+    from ``rng`` — so a caller holding an empty ``online_leechers`` may
+    do the former itself and skip the call.  When ``obs``
     is passed (only ever an *enabled* bundle — callers keep the disabled
     default as ``None`` so this path stays branch-free), every call
     bumps ``choke.calls`` and policy-banned candidates bump
     ``choke.banned``.
     """
-    candidates = interested_candidates(swarm, uploader, is_online, can_connect)
+    candidates = interested_candidates(uploader, online_leechers, can_connect)
     if not candidates:
         uploader.optimistic_peer = None
         return set()

@@ -8,8 +8,6 @@ the number of *active connections*, not in peers × pieces.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 import numpy as np
 
 __all__ = ["Bitfield", "pick_rarest"]
@@ -63,15 +61,14 @@ class Bitfield:
         return True
 
     def add_many(self, pieces: np.ndarray) -> int:
-        """Mark several pieces; returns how many were new."""
+        """Mark several pieces; returns how many were new (an index
+        repeated in ``pieces`` counts once)."""
         if len(pieces) == 0:
             return 0
-        new = ~self.have[pieces]
-        count = int(new.sum())
-        if count:
-            self.have[pieces[new]] = True
-            self._num_have += count
-        return count
+        before = self._num_have
+        self.have[pieces] = True
+        self._num_have = int(np.count_nonzero(self.have))
+        return self._num_have - before
 
     def missing_mask(self) -> np.ndarray:
         """Boolean mask of pieces not yet held (a fresh array)."""
@@ -91,26 +88,17 @@ class Bitfield:
         return f"<Bitfield {self._num_have}/{self.have.shape[0]}>"
 
 
-def pick_rarest(
-    availability: np.ndarray,
-    uploader_have: Optional[np.ndarray],
-    receiver_have: np.ndarray,
-    in_flight: np.ndarray,
-    k: int,
-) -> np.ndarray:
-    """Select up to ``k`` rarest pieces the receiver can get from the uploader.
+def pick_rarest(availability: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
+    """Select up to ``k`` rarest pieces among ``candidates``.
 
     Parameters
     ----------
     availability:
         Integer per-piece copy counts in the swarm (the rarest-first key).
-    uploader_have:
-        The uploader's possession mask, or ``None`` for a seeder (has all).
-    receiver_have:
-        The receiver's possession mask.
-    in_flight:
-        Mask of pieces the receiver is already fetching this round from
-        another connection (avoids duplicate downloads).
+    candidates:
+        Boolean mask of the pieces the receiver can get over this link:
+        held by the uploader, not yet by the receiver.  The transfer path
+        builds it once per link to size the transfer and passes it on.
     k:
         Maximum number of pieces to select.
 
@@ -122,17 +110,12 @@ def pick_rarest(
     """
     if k <= 0:
         return np.empty(0, dtype=np.int64)
-    candidates = ~(receiver_have | in_flight)
-    if uploader_have is not None:
-        candidates &= uploader_have
-    idx = np.flatnonzero(candidates)
+    idx = candidates.nonzero()[0]
     if idx.size == 0:
         return idx
-    if idx.size <= k:
-        order = np.argsort(availability[idx], kind="stable")
-        return idx[order]
     counts = availability[idx]
-    part = np.argpartition(counts, k - 1)[:k]
-    chosen = idx[part]
-    order = np.argsort(availability[chosen], kind="stable")
-    return chosen[order]
+    if idx.size > k:
+        part = np.argpartition(counts, k - 1)[:k]
+        idx = idx[part]
+        counts = counts[part]
+    return idx[np.argsort(counts, kind="stable")]

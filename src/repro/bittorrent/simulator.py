@@ -40,7 +40,7 @@ from repro.bittorrent.config import BitTorrentConfig
 from repro.bittorrent.piece import pick_rarest
 from repro.bittorrent.roles import Role, RoleAssignment
 from repro.bittorrent.stats import StatsCollector
-from repro.bittorrent.swarm import SwarmState
+from repro.bittorrent.swarm import MemberState, SwarmState
 from repro.core.node import BarterCastConfig, BarterCastNode
 from repro.core.policies import NoPolicy, ReputationPolicy
 from repro.faults import ChannelModel, ChurnInjector, FaultConfig
@@ -193,6 +193,9 @@ class CommunitySimulator:
             metrics=metrics if metrics.enabled else None,
         )
         self.round_idx = 0
+        # Members whose ``*_last_round`` dicts hold bytes from the previous
+        # round: the only ones ``_update_rates`` has to reset.
+        self._rated: List[MemberState] = []
         # Origin seeders are infrastructure (a private community keeps its
         # torrents seeded); they serve everyone and never apply the
         # reputation policy.  An origin seeder never downloads, so under
@@ -526,20 +529,18 @@ class CommunitySimulator:
             links = self._collect_links_timed()
             transfers = self._allocate_bandwidth(links, dt)
             completed = self._execute_transfers(transfers, now)
-        self._update_rates(transfers)
+        self._update_rates()
         self._account_leech_time(now, dt)
         self._handle_completions(completed)
 
     def _expire_seeders(self, now: float) -> None:
         seed_time = self.config.seed_time
+        role_of = self.roles.role_of
         for sid, swarm in self.swarms.items():
             expired = [
-                m.peer_id
-                for m in swarm.members.values()
-                if m.is_seeder
-                and self.roles.role_of(m.peer_id) == Role.SHARER
-                and m.completed_at is not None
-                and now >= m.completed_at + seed_time
+                pid
+                for pid, m in swarm.seeder_roster.items()
+                if now >= m.completed_at + seed_time and role_of(pid) == Role.SHARER
             ]
             for pid in expired:
                 self._leave(sid, pid)
@@ -552,24 +553,32 @@ class CommunitySimulator:
 
     def _collect_links(self) -> List[Tuple[int, int, SwarmState]]:
         links: List[Tuple[int, int, SwarmState]] = []
+        is_online = self.is_online
         for swarm in self.swarms.values():
             if len(swarm.members) < 2:
                 continue
-            swarm.clear_in_flight()
+            online_leechers = [pid for pid in swarm.leecher_roster if is_online(pid)]
+            if not online_leechers:
+                # Nobody to serve: the choker would only clear each online
+                # member's optimistic target (an empty candidate list draws
+                # no randomness), so do that here and stay out of it.
+                for member in swarm.members.values():
+                    if member.optimistic_peer is not None and is_online(member.peer_id):
+                        member.optimistic_peer = None
+                continue
             for member in swarm.members.values():
                 pid = member.peer_id
-                if not self.is_online(pid):
+                if not is_online(pid):
                     continue
                 is_origin = self.roles.role_of(pid) == Role.ORIGIN
                 unchoked = select_unchokes(
-                    swarm,
                     member,
+                    online_leechers,
                     policy=self._origin_policy if is_origin else self.policy,
                     node=self.nodes[pid],
                     rng=self._choke_rng,
                     round_idx=self.round_idx,
                     config=self.config,
-                    is_online=self.is_online,
                     can_connect=self.can_connect,
                     obs=self._choker_obs,
                 )
@@ -583,21 +592,20 @@ class CommunitySimulator:
         """Split uplinks equally across links; cap by receiver downlinks."""
         if not links:
             return []
-        n_links = Counter(up for up, _, _ in links)
-        intended = [
-            (up, down, swarm, self.trace.peers[up].uplink_bps * dt / n_links[up])
-            for up, down, swarm in links
-        ]
-        incoming: Dict[int, float] = defaultdict(float)
-        for up, down, _, b in intended:
-            incoming[down] += b
+        peers = self.trace.peers
+        n_links = Counter([up for up, _, _ in links])
+        share = {up: peers[up].uplink_bps * dt / n for up, n in n_links.items()}
+        # Each receiver's offered bytes, summed in link order.
+        incoming: Dict[int, float] = {}
+        for up, down, _ in links:
+            incoming[down] = incoming.get(down, 0.0) + share[up]
         scale = {
-            down: min(1.0, self.trace.peers[down].downlink_bps * dt / total)
+            down: min(1.0, peers[down].downlink_bps * dt / total)
             for down, total in incoming.items()
             if total > 0
         }
         return [
-            (up, down, swarm, b * scale.get(down, 1.0)) for up, down, swarm, b in intended
+            (up, down, swarm, share[up] * scale.get(down, 1.0)) for up, down, swarm in links
         ]
 
     def _execute_transfers(
@@ -614,8 +622,7 @@ class CommunitySimulator:
                 recv[up] = recv.get(up, 0.0) + moved
                 sent = self._sent_acc[(sid, up)]
                 sent[down] = sent.get(down, 0.0) + moved
-                member = swarm.members.get(down)
-                if member is not None and member.bitfield.is_complete:
+                if down in swarm.seeder_roster:
                     completed.append((swarm, down))
         return completed
 
@@ -625,14 +632,14 @@ class CommunitySimulator:
         if budget <= 0:
             return 0.0
         um = swarm.members.get(up)
-        dm = swarm.members.get(down)
-        if um is None or dm is None or dm.bitfield.is_complete:
+        dm = swarm.leecher_roster.get(down)
+        if um is None or dm is None:
             return 0.0
         piece_size = swarm.spec.piece_size
-        uploader_have = None if um.bitfield.is_complete else um.bitfield.have
-        candidates = ~(dm.bitfield.have | dm.in_flight)
-        if uploader_have is not None:
-            candidates &= uploader_have
+        # What this link can carry: sizes the transfer, then feeds the picker.
+        candidates = ~dm.bitfield.have
+        if not um.bitfield.is_complete:
+            candidates &= um.bitfield.have
         n_candidates = int(np.count_nonzero(candidates))
         if n_candidates == 0:
             return 0.0
@@ -645,10 +652,7 @@ class CommunitySimulator:
         n_complete = int(total // piece_size)
         dm.carry[up] = total - n_complete * piece_size
         if n_complete > 0:
-            pieces = pick_rarest(
-                swarm.availability, uploader_have, dm.bitfield.have, dm.in_flight, n_complete
-            )
-            swarm.grant_pieces(dm, pieces, now)
+            swarm.grant_pieces(dm, pick_rarest(swarm.availability, candidates, n_complete), now)
         # BarterCast + measurement accounting (both directions, real bytes).
         self.nodes[up].record_upload(down, actual, now)
         self.nodes[down].record_download(up, actual, now)
@@ -672,20 +676,31 @@ class CommunitySimulator:
             )
         return actual
 
-    def _update_rates(self, transfers: List[Tuple[int, int, SwarmState, float]]) -> None:
-        """Roll this round's per-link byte counts into the tit-for-tat state."""
-        for swarm in self.swarms.values():
-            sid = swarm.spec.swarm_id
-            for member in swarm.members.values():
-                member.received_last_round = self._recv_acc.get((sid, member.peer_id), {})
-                member.sent_last_round = self._sent_acc.get((sid, member.peer_id), {})
+    def _update_rates(self) -> None:
+        """Roll this round's per-link byte counts into the tit-for-tat state
+        of the members that moved bytes this round or last; everyone
+        else's ``*_last_round`` dicts are empty already."""
+        for member in self._rated:
+            member.received_last_round = {}
+            member.sent_last_round = {}
+        rated = self._rated = []
+        swarms = self.swarms
+        for (sid, pid), received in self._recv_acc.items():
+            member = swarms[sid].members.get(pid)
+            if member is not None:
+                member.received_last_round = received
+                rated.append(member)
+        for (sid, pid), sent in self._sent_acc.items():
+            member = swarms[sid].members.get(pid)
+            if member is not None:
+                member.sent_last_round = sent
+                rated.append(member)
 
     def _account_leech_time(self, now: float, dt: float) -> None:
-        leeching: Set[int] = set()
-        for swarm in self.swarms.values():
-            for member in swarm.members.values():
-                if member.is_leecher and self.is_online(member.peer_id):
-                    leeching.add(member.peer_id)
+        is_online = self.is_online
+        leeching = {
+            pid for swarm in self.swarms.values() for pid in swarm.leecher_roster if is_online(pid)
+        }
         for pid in leeching:
             self.stats.record_leech_time(pid, dt, now)
 

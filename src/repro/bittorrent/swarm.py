@@ -38,9 +38,6 @@ class MemberState:
     sent_last_round:
         ``{downloader_id: bytes}`` sent in the previous round — the
         ranking key for seeders (serve the fastest downloaders).
-    in_flight:
-        Mask of pieces currently assigned to some connection this round
-        (avoids duplicate piece fetches across connections).
     optimistic_peer / optimistic_chosen_round:
         Current optimistic-unchoke target and when it was chosen.
     carry:
@@ -54,7 +51,6 @@ class MemberState:
     completed_at: Optional[float] = None
     received_last_round: Dict[int, float] = field(default_factory=dict)
     sent_last_round: Dict[int, float] = field(default_factory=dict)
-    in_flight: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
     optimistic_peer: Optional[int] = None
     optimistic_chosen_round: int = -(10**9)
     carry: Dict[int, float] = field(default_factory=dict)
@@ -83,6 +79,12 @@ class SwarmState:
         self.spec = spec
         self.num_pieces = spec.num_pieces
         self.members: Dict[int, MemberState] = {}
+        #: Members still downloading / holding the whole file, maintained by
+        #: ``join``, ``grant_pieces`` (completion) and ``leave`` so a round
+        #: never rescans ``members``; the leecher roster iterates in
+        #: ``members`` order.  Read-only for callers.
+        self.leecher_roster: Dict[int, MemberState] = {}
+        self.seeder_roster: Dict[int, MemberState] = {}
         #: Per-piece copy counts among current members (rarest-first key).
         self.availability = np.zeros(self.num_pieces, dtype=np.int32)
         self.completions = 0
@@ -104,11 +106,13 @@ class SwarmState:
             bitfield=bitfield,
             joined_at=now,
             completed_at=now if complete else None,
-            in_flight=np.zeros(self.num_pieces, dtype=bool),
         )
         self.members[peer_id] = member
         if complete:
+            self.seeder_roster[peer_id] = member
             self.availability += 1
+        else:
+            self.leecher_roster[peer_id] = member
         return member
 
     def leave(self, peer_id: int) -> None:
@@ -116,6 +120,8 @@ class SwarmState:
         member = self.members.pop(peer_id, None)
         if member is None:
             return
+        if self.leecher_roster.pop(peer_id, None) is None:
+            del self.seeder_roster[peer_id]
         if member.bitfield.num_have:
             self.availability -= member.bitfield.have.astype(np.int32)
 
@@ -127,14 +133,18 @@ class SwarmState:
     # Piece bookkeeping
     # ------------------------------------------------------------------
     def grant_pieces(self, member: MemberState, pieces: np.ndarray, now: float) -> bool:
-        """Mark ``pieces`` as completed by ``member``; returns True if the
-        download just finished."""
-        new = member.bitfield.add_many(pieces)
-        if new:
-            self.availability[pieces] += 1
-        if member.completed_at is None and member.bitfield.is_complete:
+        """Mark ``pieces`` as completed by ``member`` (a current member);
+        returns True if the download just finished — the one place a
+        leecher moves to the seeder roster.  Only pieces it did not hold
+        yet count towards ``availability``."""
+        bitfield = member.bitfield
+        new = pieces[~bitfield.have[pieces]]
+        if bitfield.add_many(new):
+            self.availability[new] += 1
+        if member.completed_at is None and bitfield.is_complete:
             member.completed_at = now
             self.completions += 1
+            self.seeder_roster[member.peer_id] = self.leecher_roster.pop(member.peer_id)
             return True
         return False
 
@@ -142,17 +152,12 @@ class SwarmState:
     # Views
     # ------------------------------------------------------------------
     def leechers(self) -> List[MemberState]:
-        """Members still downloading."""
-        return [m for m in self.members.values() if m.is_leecher]
+        """Members still downloading, in ``members`` order."""
+        return list(self.leecher_roster.values())
 
     def seeders(self) -> List[MemberState]:
-        """Members holding the complete file."""
-        return [m for m in self.members.values() if m.is_seeder]
-
-    def clear_in_flight(self) -> None:
-        """Reset all members' in-flight piece masks (start of a round)."""
-        for member in self.members.values():
-            member.in_flight[:] = False
+        """Members holding the complete file, in ``members`` order."""
+        return [m for pid, m in self.members.items() if pid in self.seeder_roster]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

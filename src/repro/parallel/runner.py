@@ -250,25 +250,34 @@ class ParallelRunner:
 
         try:
             while work or inflight:
+                rebuild = False
                 while work and len(inflight) < max_inflight:
                     index, task, attempt = work.popleft()
                     if executor is None:
                         executor = self._make_executor()
-                    fut = executor.submit(
-                        _worker_run,
-                        task.with_attempt(attempt),
-                        with_metrics,
-                        ts_config,
-                        with_profile,
-                        heartbeat_dir,
-                        diss_config,
-                    )
+                    try:
+                        fut = executor.submit(
+                            _worker_run,
+                            task.with_attempt(attempt),
+                            with_metrics,
+                            ts_config,
+                            with_profile,
+                            heartbeat_dir,
+                            diss_config,
+                        )
+                    except BrokenExecutor:
+                        # A worker died since the last wait and the pool
+                        # takes no new work.  Keep the task (no attempt
+                        # spent); the dead worker's futures are still in
+                        # ``inflight`` and trigger the rebuild below.
+                        work.appendleft((index, task, attempt))
+                        rebuild = not inflight
+                        break
                     inflight[fut] = _Inflight(index, task, attempt, time.monotonic())
                 wait_timeout = None if self.timeout_s is None else _POLL_S
                 done, _ = futures_wait(
                     set(inflight), timeout=wait_timeout, return_when=FIRST_COMPLETED
                 )
-                rebuild = False
                 for fut in done:
                     item = inflight.pop(fut)
                     try:

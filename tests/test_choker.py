@@ -34,29 +34,36 @@ ALWAYS_ONLINE = lambda pid: True
 ALWAYS_CONNECT = lambda a, b: True
 
 
+def online_leechers(swarm, is_online=ALWAYS_ONLINE):
+    """What the simulator hands the choker: once per swarm and round."""
+    return [pid for pid in swarm.leecher_roster if is_online(pid)]
+
+
 class TestInterestedCandidates:
     def test_seeder_sees_all_leechers(self):
         swarm = make_swarm(3)
         seeder = swarm.members[100]
-        cands = interested_candidates(swarm, seeder, ALWAYS_ONLINE, ALWAYS_CONNECT)
+        cands = interested_candidates(seeder, online_leechers(swarm), ALWAYS_CONNECT)
         assert set(cands) == {0, 1, 2}
 
     def test_empty_leecher_attracts_no_interest(self):
         swarm = make_swarm(3)
         leecher = swarm.members[0]  # has no pieces
-        assert interested_candidates(swarm, leecher, ALWAYS_ONLINE, ALWAYS_CONNECT) == []
+        assert interested_candidates(leecher, online_leechers(swarm), ALWAYS_CONNECT) == []
 
     def test_offline_peers_excluded(self):
         swarm = make_swarm(3)
         seeder = swarm.members[100]
-        cands = interested_candidates(swarm, seeder, lambda p: p != 1, ALWAYS_CONNECT)
+        cands = interested_candidates(
+            seeder, online_leechers(swarm, lambda p: p != 1), ALWAYS_CONNECT
+        )
         assert set(cands) == {0, 2}
 
     def test_unconnectable_pairs_excluded(self):
         swarm = make_swarm(3)
         seeder = swarm.members[100]
         cands = interested_candidates(
-            swarm, seeder, ALWAYS_ONLINE, lambda a, b: b != 2
+            seeder, online_leechers(swarm), lambda a, b: b != 2
         )
         assert set(cands) == {0, 1}
 
@@ -64,7 +71,7 @@ class TestInterestedCandidates:
         swarm = make_swarm(2)
         swarm.join(200, now=0.0, complete=True)
         seeder = swarm.members[100]
-        cands = interested_candidates(swarm, seeder, ALWAYS_ONLINE, ALWAYS_CONNECT)
+        cands = interested_candidates(seeder, online_leechers(swarm), ALWAYS_CONNECT)
         assert 200 not in cands
 
 
@@ -73,8 +80,8 @@ class TestSelectUnchokes:
         swarm = make_swarm(6)
         seeder = swarm.members[100]
         unchoked = select_unchokes(
-            swarm, seeder, policy=NoPolicy(), node=None, rng=rng, round_idx=1,
-            config=config, is_online=ALWAYS_ONLINE, can_connect=ALWAYS_CONNECT,
+            seeder, online_leechers(swarm), policy=NoPolicy(), node=None, rng=rng, round_idx=1,
+            config=config, can_connect=ALWAYS_CONNECT,
         )
         assert len(unchoked) == config.regular_slots + 1
 
@@ -82,8 +89,8 @@ class TestSelectUnchokes:
         swarm = make_swarm(0)
         seeder = swarm.members[100]
         unchoked = select_unchokes(
-            swarm, seeder, policy=NoPolicy(), node=None, rng=rng, round_idx=1,
-            config=config, is_online=ALWAYS_ONLINE, can_connect=ALWAYS_CONNECT,
+            seeder, online_leechers(swarm), policy=NoPolicy(), node=None, rng=rng, round_idx=1,
+            config=config, can_connect=ALWAYS_CONNECT,
         )
         assert unchoked == set()
 
@@ -93,8 +100,8 @@ class TestSelectUnchokes:
         leecher.bitfield.add(0)  # has something to offer
         leecher.received_last_round = {1: 1000.0, 2: 500.0, 3: 50.0}
         unchoked = select_unchokes(
-            swarm, leecher, policy=NoPolicy(), node=None, rng=rng, round_idx=1,
-            config=config, is_online=ALWAYS_ONLINE, can_connect=ALWAYS_CONNECT,
+            leecher, online_leechers(swarm), policy=NoPolicy(), node=None, rng=rng, round_idx=1,
+            config=config, can_connect=ALWAYS_CONNECT,
         )
         assert {1, 2} <= unchoked  # the top-2 reciprocators hold regular slots
 
@@ -103,8 +110,8 @@ class TestSelectUnchokes:
         seeder = swarm.members[100]
         seeder.sent_last_round = {4: 9000.0, 3: 8000.0}
         unchoked = select_unchokes(
-            swarm, seeder, policy=NoPolicy(), node=None, rng=rng, round_idx=1,
-            config=config, is_online=ALWAYS_ONLINE, can_connect=ALWAYS_CONNECT,
+            seeder, online_leechers(swarm), policy=NoPolicy(), node=None, rng=rng, round_idx=1,
+            config=config, can_connect=ALWAYS_CONNECT,
         )
         assert {3, 4} <= unchoked
 
@@ -115,13 +122,13 @@ class TestSelectUnchokes:
         # into them by a tie-break shuffle between rounds.
         seeder.sent_last_round = {6: 9000.0, 7: 8000.0}
         select_unchokes(
-            swarm, seeder, policy=NoPolicy(), node=None, rng=rng, round_idx=1,
-            config=config, is_online=ALWAYS_ONLINE, can_connect=ALWAYS_CONNECT,
+            seeder, online_leechers(swarm), policy=NoPolicy(), node=None, rng=rng, round_idx=1,
+            config=config, can_connect=ALWAYS_CONNECT,
         )
         first = seeder.optimistic_peer
         select_unchokes(
-            swarm, seeder, policy=NoPolicy(), node=None, rng=rng, round_idx=2,
-            config=config, is_online=ALWAYS_ONLINE, can_connect=ALWAYS_CONNECT,
+            seeder, online_leechers(swarm), policy=NoPolicy(), node=None, rng=rng, round_idx=2,
+            config=config, can_connect=ALWAYS_CONNECT,
         )
         # Rotation period is 3 rounds (30s / 10s): unchanged at round 2.
         assert seeder.optimistic_peer == first
@@ -132,9 +139,9 @@ class TestSelectUnchokes:
         choices = set()
         for round_idx in range(1, 40):
             select_unchokes(
-                swarm, seeder, policy=NoPolicy(), node=None, rng=rng,
+                seeder, online_leechers(swarm), policy=NoPolicy(), node=None, rng=rng,
                 round_idx=round_idx, config=config,
-                is_online=ALWAYS_ONLINE, can_connect=ALWAYS_CONNECT,
+                can_connect=ALWAYS_CONNECT,
             )
             choices.add(seeder.optimistic_peer)
         assert len(choices) >= 3  # rotates over the population
@@ -149,30 +156,30 @@ class TestSelectUnchokes:
         seeder = swarm.members[100]
         seeder.sent_last_round = {6: 9000.0, 7: 8000.0}
         select_unchokes(
-            swarm, seeder, policy=NoPolicy(), node=None, rng=rng, round_idx=1,
-            config=config, is_online=ALWAYS_ONLINE, can_connect=ALWAYS_CONNECT,
+            seeder, online_leechers(swarm), policy=NoPolicy(), node=None, rng=rng, round_idx=1,
+            config=config, can_connect=ALWAYS_CONNECT,
         )
         assert seeder.optimistic_chosen_round == 1
         promoted = seeder.optimistic_peer
         # Round 2: the optimistic target now tops the tit-for-tat ranking.
         seeder.sent_last_round = {promoted: 9000.0, 7: 8000.0}
         unchoked = select_unchokes(
-            swarm, seeder, policy=NoPolicy(), node=None, rng=rng, round_idx=2,
-            config=config, is_online=ALWAYS_ONLINE, can_connect=ALWAYS_CONNECT,
+            seeder, online_leechers(swarm), policy=NoPolicy(), node=None, rng=rng, round_idx=2,
+            config=config, can_connect=ALWAYS_CONNECT,
         )
         assert promoted in unchoked  # holds a regular slot now
         assert seeder.optimistic_peer != promoted  # re-picked
         assert seeder.optimistic_chosen_round == 1  # clock NOT reset
         # Round 3: period is 3 rounds, so still no rotation.
         select_unchokes(
-            swarm, seeder, policy=NoPolicy(), node=None, rng=rng, round_idx=3,
-            config=config, is_online=ALWAYS_ONLINE, can_connect=ALWAYS_CONNECT,
+            seeder, online_leechers(swarm), policy=NoPolicy(), node=None, rng=rng, round_idx=3,
+            config=config, can_connect=ALWAYS_CONNECT,
         )
         assert seeder.optimistic_chosen_round == 1
         # Round 4: rotation lands on schedule, 3 rounds after round 1.
         select_unchokes(
-            swarm, seeder, policy=NoPolicy(), node=None, rng=rng, round_idx=4,
-            config=config, is_online=ALWAYS_ONLINE, can_connect=ALWAYS_CONNECT,
+            seeder, online_leechers(swarm), policy=NoPolicy(), node=None, rng=rng, round_idx=4,
+            config=config, can_connect=ALWAYS_CONNECT,
         )
         assert seeder.optimistic_chosen_round == 4
 
@@ -182,8 +189,8 @@ class TestSelectUnchokes:
         node = BarterCastNode(100)
         node.record_upload(0, 900 * MB, now=1.0)  # peer 0 deep in debt
         unchoked = select_unchokes(
-            swarm, seeder, policy=BanPolicy(-0.5), node=node, rng=rng, round_idx=1,
-            config=config, is_online=ALWAYS_ONLINE, can_connect=ALWAYS_CONNECT,
+            seeder, online_leechers(swarm), policy=BanPolicy(-0.5), node=node, rng=rng, round_idx=1,
+            config=config, can_connect=ALWAYS_CONNECT,
         )
         assert 0 not in unchoked
 
@@ -195,8 +202,8 @@ class TestSelectUnchokes:
         # No tit-for-tat signal: all ranks equal, optimistic slot decides.
         cfg = BitTorrentConfig(round_interval=10.0, regular_slots=0, optimistic_interval=30.0)
         unchoked = select_unchokes(
-            swarm, seeder, policy=RankPolicy(), node=node, rng=rng, round_idx=1,
-            config=cfg, is_online=ALWAYS_ONLINE, can_connect=ALWAYS_CONNECT,
+            seeder, online_leechers(swarm), policy=RankPolicy(), node=node, rng=rng, round_idx=1,
+            config=cfg, can_connect=ALWAYS_CONNECT,
         )
         assert unchoked == {2}
 
@@ -204,12 +211,12 @@ class TestSelectUnchokes:
         swarm = make_swarm(4)
         seeder = swarm.members[100]
         select_unchokes(
-            swarm, seeder, policy=NoPolicy(), node=None, rng=rng, round_idx=1,
-            config=config, is_online=ALWAYS_ONLINE, can_connect=ALWAYS_CONNECT,
+            seeder, online_leechers(swarm), policy=NoPolicy(), node=None, rng=rng, round_idx=1,
+            config=config, can_connect=ALWAYS_CONNECT,
         )
         target = seeder.optimistic_peer
         unchoked = select_unchokes(
-            swarm, seeder, policy=NoPolicy(), node=None, rng=rng, round_idx=2,
-            config=config, is_online=lambda p: p != target, can_connect=ALWAYS_CONNECT,
+            seeder, online_leechers(swarm, lambda p: p != target), policy=NoPolicy(),
+            node=None, rng=rng, round_idx=2, config=config, can_connect=ALWAYS_CONNECT,
         )
         assert target not in unchoked

@@ -145,6 +145,35 @@ class TestCrashIsolation:
         ]
         assert runner.last_run_info["pool_rebuilds"] >= 1
 
+    @pytest.mark.parametrize("fail_on", [1, 3])
+    def test_submit_into_a_pool_that_just_broke_requeues(self, fail_on):
+        # Regression: when a worker died between wait() and the next
+        # submit(), submit raised BrokenProcessPool straight out of run()
+        # (test_crashing_worker_is_retried failed about one run in five).
+        # The refused task must be kept without spending an attempt.
+        from concurrent.futures.process import BrokenProcessPool
+
+        class RefusesOnce(ParallelRunner):
+            submits = 0
+
+            def _make_executor(self):
+                executor = super()._make_executor()
+                submit = executor.submit
+
+                def flaky_submit(*args, **kwargs):
+                    RefusesOnce.submits += 1
+                    if RefusesOnce.submits == fail_on:
+                        raise BrokenProcessPool("simulated: a worker just died")
+                    return submit(*args, **kwargs)
+
+                executor.submit = flaky_submit
+                return executor
+
+        runner = RefusesOnce(jobs=2, retries=0)
+        payloads = [r.payload for r in runner.run(echo_tasks(6))]
+        assert payloads == [{"i": i} for i in range(6)]
+        assert runner.last_run_info["retries"] == 0
+
     def test_permanent_crash_raises_sweep_error(self):
         bad = [
             SweepTask(

@@ -78,11 +78,29 @@ class TestPieces:
         assert [m.peer_id for m in swarm.seeders()] == [99]
         assert [m.peer_id for m in swarm.leechers()] == [1]
 
-    def test_clear_in_flight(self, swarm):
+    def test_views_keep_members_order_across_completion(self, swarm):
+        swarm.join(99, now=0.0, complete=True)
+        a, b, c = (swarm.join(pid, now=0.0) for pid in (1, 2, 3))
+        swarm.grant_pieces(c, np.arange(10), now=1.0)
+        swarm.grant_pieces(a, np.arange(10), now=2.0)
+        # Completion order was 3 then 1; the view is in join order.
+        assert [m.peer_id for m in swarm.seeders()] == [99, 1, 3]
+        assert [m.peer_id for m in swarm.leechers()] == [2]
+        swarm.leave(1)
+        swarm.join(1, now=3.0)
+        assert [m.peer_id for m in swarm.seeders()] == [99, 3]
+        assert [m.peer_id for m in swarm.leechers()] == [2, 1]
+
+    def test_regrant_does_not_inflate_availability(self, swarm):
+        # Regression: granting [0, 1] to a member that already held 0 used
+        # to bump availability[0] again, for good.
         m = swarm.join(1, now=0.0)
-        m.in_flight[2] = True
-        swarm.clear_in_flight()
-        assert not m.in_flight.any()
+        swarm.grant_pieces(m, np.array([0]), now=1.0)
+        swarm.grant_pieces(m, np.array([0, 1, 1]), now=2.0)
+        assert list(swarm.availability[:3]) == [1, 1, 0]
+        assert m.bitfield.num_have == 2
+        swarm.leave(1)
+        assert (swarm.availability == 0).all()
 
     def test_num_pieces_matches_spec(self, swarm):
         assert swarm.num_pieces == 10
