@@ -21,21 +21,9 @@ def pytest_addoption(parser):
         choices=("tiny", "fast", "paper"),
         help="scenario scale for the figure benchmarks",
     )
-    parser.addoption(
-        "--bench-smoke",
-        action="store_true",
-        default=False,
-        help="run marker-gated benches at a tiny CI-sized scale",
-    )
 
 
 @pytest.fixture(scope="session")
 def scenario(request) -> ScenarioConfig:
     """The scenario profile all figure benches share."""
     return ScenarioConfig.named(request.config.getoption("--profile"), seed=42)
-
-
-@pytest.fixture(scope="session")
-def bench_smoke(request) -> bool:
-    """Whether ``--bench-smoke`` was passed (shrink workloads for CI)."""
-    return bool(request.config.getoption("--bench-smoke"))

@@ -252,18 +252,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--seed", type=int, default=42, help="root random seed")
     add_obs(pw)
     ps = sub.add_parser(
-        "scalability",
-        help="subjective-view scaling up to 100k peers (columnar backend)",
+        "scalability", help="subjective-view scaling up to 100k peers"
     )
     ps.add_argument("--peers", type=int, default=100_000, help="largest view size")
     ps.add_argument("--seed", type=int, default=42, help="root random seed")
-    ps.add_argument(
-        "--backend",
-        choices=("dict", "columnar"),
-        default="columnar",
-        help="subjective-graph storage backend (results are bit-identical; "
-        "columnar is the one that scales to 100k peers)",
-    )
     add_obs(ps)
     pf = sub.add_parser(
         "faults", help="reputation quality vs gossip-plane fault level"
@@ -829,8 +821,7 @@ def _whitewash(seed: int, manifest: ManifestBuilder, runner=None) -> None:
 
 
 def _scalability(
-    peers: int, seed: int, manifest: ManifestBuilder, runner=None,
-    backend: str = "columnar",
+    peers: int, seed: int, manifest: ManifestBuilder, runner=None
 ) -> None:
     from repro.analysis.ascii_plot import render_table
     from repro.experiments import run_scalability
@@ -845,11 +836,11 @@ def _scalability(
             from repro.parallel import run_sweep, scalability_task
 
             result = run_sweep(
-                [scalability_task(tuple(sizes), seed, backend)], runner=runner
+                [scalability_task(tuple(sizes), seed)], runner=runner
             )[0]
         else:
-            result = run_scalability(sizes=tuple(sizes), seed=seed, backend=backend)
-    print(f"== Scalability of the subjective view ({backend} backend) ==")
+            result = run_scalability(sizes=tuple(sizes), seed=seed)
+    print("== Scalability of the subjective view ==")
     print(render_table(
         ["known peers", "edges", "query us", "batch us", "warm us", "ingest us/record"],
         [
@@ -1041,7 +1032,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             elif args.command == "whitewash":
                 _whitewash(args.seed, manifest, runner)
             elif args.command == "scalability":
-                _scalability(args.peers, args.seed, manifest, runner, args.backend)
+                _scalability(args.peers, args.seed, manifest, runner)
             else:
                 scenario = ScenarioConfig.named(args.profile, seed=args.seed)
                 if getattr(args, "provenance", False):

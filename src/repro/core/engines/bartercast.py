@@ -1,7 +1,7 @@
 """The paper's mechanism as an engine: a facade over the native node path.
 
-The maxflow machinery — dirty-set caches, columnar stamp cache, batched
-two-hop kernel — lives in :class:`~repro.core.node.BarterCastNode`
+The maxflow machinery — the dirty-set cache and the batched two-hop
+kernel — lives in :class:`~repro.core.node.BarterCastNode`
 itself and predates the engine interface.  Rather than duplicate it (or
 regress its performance behind a generic memo), this engine forwards to
 the node's ``_native_*`` methods.  Forwarding to the *native* entry

@@ -18,10 +18,10 @@ instead of the whole cache.  For the default ``two_hop`` kernel,
 ``y`` — unless the edge touches the owner ``i`` itself, in which case
 every cached value depends on it and the cache is cleared.  Non-default
 kernels (which route flow through longer paths) conservatively clear on
-every change.  ``cache_mode`` selects ``"dirty"`` (default),
-``"wholesale"`` (the historical behaviour: clear whenever
-``graph.version`` moved — kept for baseline benchmarking), or ``"off"``
-(no memoization; the oracle the staleness tests compare against).
+every change.  ``cache_mode`` selects ``"dirty"`` (default) or ``"off"``
+(no memoization; the oracle the staleness tests compare against).  This
+one cache serves every ``graph_backend``: both graph classes fire the
+same edge-change events in the same order.
 
 Batch path: :meth:`reputations_of` (and through it
 :meth:`rank_by_reputation` and the policy ``prewarm`` hook) evaluates all
@@ -36,8 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
-
-import numpy as np
 
 from repro.core.adversary import HonestBehavior, MessageBehavior
 from repro.core.engines import make_engine
@@ -60,7 +58,7 @@ __all__ = [
 PeerId = Hashable
 
 #: Valid values of ``BarterCastNode(cache_mode=...)``.
-CACHE_MODES = ("dirty", "wholesale", "off")
+CACHE_MODES = ("dirty", "off")
 
 #: Valid values of ``BarterCastNode(graph_backend=...)``.
 GRAPH_BACKENDS = ("dict", "columnar")
@@ -99,20 +97,14 @@ class BarterCastNode:
         Message behaviour; defaults to :class:`HonestBehavior`.
     cache_mode:
         Reputation-cache discipline: ``"dirty"`` (event-driven dirty-set
-        invalidation, default), ``"wholesale"`` (version-keyed full
-        clears), or ``"off"`` (no memoization).
+        invalidation, default) or ``"off"`` (no memoization).
     graph_backend:
         Subjective-graph storage: ``"dict"`` (the reference
         :class:`~repro.graph.transfer_graph.TransferGraph`, default) or
         ``"columnar"`` (the flat :class:`~repro.graph.columnar
-        .ColumnarTransferGraph`, built for large populations).  Reputations
-        are bit-identical between backends.  With ``"columnar"`` and the
-        default two-hop metric, dirty-mode caching switches from the
-        edge-listener dict cache to a vectorized *stamp cache*: cached
-        values and their graph-version stamps live in flat arrays indexed
-        by interned peer id, and freshness is checked lazily against the
-        graph's per-node last-touch versions — same exactness argument,
-        no per-edge python callback on the ingest path.
+        .ColumnarTransferGraph`).  It picks the storage class and nothing
+        else: reputations, cache behaviour and the telemetry counters are
+        identical between backends.
     obs:
         Observability bundle.  When enabled the node counts message
         traffic (``bc.messages_*``), times kernel evaluations
@@ -166,10 +158,8 @@ class BarterCastNode:
         self.config = config if config is not None else BarterCastConfig()
         self.behavior: MessageBehavior = behavior if behavior is not None else HonestBehavior()
         self.cache_mode = cache_mode
-        self.graph_backend = graph_backend
         self.obs = obs if obs is not None else NULL_OBS
         self.provenance = provenance
-        self._prov_on = provenance is not None and provenance.enabled
         self.history = PrivateHistory(peer_id)
         self.graph = (
             ColumnarTransferGraph() if graph_backend == "columnar" else TransferGraph()
@@ -195,7 +185,6 @@ class BarterCastNode:
         self._tr_msg = tracer.category("bc.message") if tracer.enabled else None
         self._tr_kernel = tracer.category("rep.kernel") if tracer.enabled else None
         self._rep_cache: Dict[PeerId, float] = {}
-        self._rep_cache_version = -1
         #: Telemetry: cache lookups answered from the cache.
         self.rep_cache_hits = 0
         #: Telemetry: cache lookups that required a kernel evaluation.
@@ -211,28 +200,7 @@ class BarterCastNode:
         # graph write: whether the configured kernel admits exact dirty-set
         # invalidation.  The kernel is fixed at construction time.
         self._dirty_exact = bool(self.config.metric.supports_dirty_invalidation)
-        # Columnar + dirty + two-hop metric: lazy stamp cache instead of an
-        # eager edge listener (class docstring).  Everything else keeps the
-        # listener/dict cache, which works on either backend.
-        self._columnar_stamps = (
-            graph_backend == "columnar" and cache_mode == "dirty" and self._dirty_exact
-        )
-        if self._columnar_stamps:
-            # The owner is usually not interned yet at construction (the
-            # graph starts empty); _owner_touch() re-resolves lazily.
-            self._owner_idx = self.graph.peer_index(peer_id)
-            self._c_val = np.zeros(16)
-            self._c_stamp = np.full(16, -1, dtype=np.int64)
-            # Never-interned peers have no stamp slot; their (zero)
-            # reputations live in a side dict whose entries go stale only
-            # when an owner-incident edge changes — exactly when the dict
-            # backend's listener would have full-cleared them away.
-            self._c_unknown: Dict[PeerId, Tuple[float, int]] = {}
-            self._stamp_idx_key: Optional[List[PeerId]] = None
-            self._stamp_idx: Optional[np.ndarray] = None
-            self._uniq_key: Optional[List[PeerId]] = None
-            self._uniq_val: Optional[List[PeerId]] = None
-        elif cache_mode == "dirty":
+        if cache_mode == "dirty":
             self.graph.subscribe(self._on_edge_change)
         if self._engine_dispatch is not None:
             self._engine_dispatch.attach(self)
@@ -363,80 +331,31 @@ class BarterCastNode:
         self.rep_cache_invalidations += len(cache)
         cache.clear()
 
-    def _sync_cache_epoch(self) -> None:
-        """Wholesale mode: clear the cache if the graph version moved."""
-        if self.cache_mode != "wholesale":
-            return
-        if self._rep_cache_version != self.graph.version:
-            self.rep_cache_invalidations += len(self._rep_cache)
-            self._rep_cache.clear()
-            self._rep_cache_version = self.graph.version
-
     def invalidate_cache(self) -> None:
         """Drop every cached reputation (forces cold re-evaluation).
 
-        Used by benchmarks and the scalability experiment to measure
-        cold-cache query cost; normal operation never needs it.  With a
-        rival engine attached its memo is dropped too.
+        Cold-cache measurements use it; normal operation never needs it.
+        With a rival engine attached its memo is dropped too.
         """
         if self._engine_dispatch is not None:
             self._engine_dispatch.invalidate_cache()
         self._native_invalidate_cache()
 
     def _native_invalidate_cache(self) -> None:
-        if self._columnar_stamps:
-            self.rep_cache_invalidations += int((self._c_stamp >= 0).sum())
-            self._c_stamp.fill(-1)
-            self.rep_cache_invalidations += len(self._c_unknown)
-            self._c_unknown.clear()
         self.rep_cache_invalidations += len(self._rep_cache)
         self._rep_cache.clear()
-        self._rep_cache_version = -1
 
     @property
     def rep_cache_size(self) -> int:
         """Number of currently memoized reputations.
 
-        For the columnar stamp cache this counts *stored* entries; some may
-        be stale (they are re-checked lazily at lookup, not evicted
-        eagerly).  With a rival engine attached this is its memo size (the
-        native cache sees no traffic then).
+        With a rival engine attached this is its memo size (the native
+        cache sees no traffic then).
         """
         eng = self._engine_dispatch
         if eng is not None:
             return getattr(eng, "cache_size", 0)
-        if self._columnar_stamps:
-            return int((self._c_stamp >= 0).sum()) + len(self._c_unknown)
         return len(self._rep_cache)
-
-    def _owner_touch(self) -> int:
-        """Last-touch version of the owner's graph node, or -1 if the owner
-        has no edges yet.
-
-        The owner index is resolved lazily: the graph is empty at node
-        construction, so the interned index only exists after the first
-        own-history edge is written.  Interned indices are permanent, so
-        once resolved the lookup never repeats.
-        """
-        oi = self._owner_idx
-        if oi < 0:
-            oi = self._owner_idx = self.graph.peer_index(self.peer_id)
-            if oi < 0:
-                return -1
-        return self.graph.node_touch(oi)
-
-    def _grow_stamps(self) -> None:
-        """Size the stamp arrays to the graph interner (capacity-doubled)."""
-        n = len(self.graph.interner)
-        if self._c_stamp.shape[0] >= n:
-            return
-        cap = max(2 * self._c_stamp.shape[0], n)
-        val = np.zeros(cap)
-        val[: self._c_val.shape[0]] = self._c_val
-        stamp = np.full(cap, -1, dtype=np.int64)
-        stamp[: self._c_stamp.shape[0]] = self._c_stamp
-        self._c_val = val
-        self._c_stamp = stamp
 
     # ------------------------------------------------------------------
     # Reputation
@@ -445,7 +364,7 @@ class BarterCastNode:
         """The subjective reputation ``R_self(peer)``.
 
         With the default engine this is Equation 1 served through the
-        maxflow caches; a rival engine takes over the whole surface
+        dirty-set cache; a rival engine takes over the whole surface
         (same contract: never rates self, never NaN).
         """
         if self._engine_dispatch is not None:
@@ -456,13 +375,9 @@ class BarterCastNode:
         """The maxflow path: cache-served when provably fresh."""
         if peer == self.peer_id:
             raise ValueError("a node does not rate itself")
-        if self._columnar_stamps:
-            return self._reputation_stamped(peer)
         if self.cache_mode == "off":
             self.rep_cache_misses += 1
             return self._evaluate_scalar(peer)
-        if self.cache_mode == "wholesale":
-            self._sync_cache_epoch()
         cached = self._rep_cache.get(peer)
         if cached is not None:
             self.rep_cache_hits += 1
@@ -470,43 +385,6 @@ class BarterCastNode:
         self.rep_cache_misses += 1
         value = self._evaluate_scalar(peer)
         self._rep_cache[peer] = value
-        return value
-
-    def _reputation_stamped(self, peer: PeerId) -> float:
-        """Scalar lookup through the columnar stamp cache.
-
-        A stored value is fresh iff its stamp is at least the last-touch
-        version of both the owner and the target — the same dirty-set
-        condition the listener enforces eagerly on the dict backend.
-        """
-        graph = self.graph
-        ji = graph.peer_index(peer)
-        if 0 <= ji < self._c_stamp.shape[0]:
-            st = self._c_stamp[ji]
-            if (
-                st >= 0
-                and st >= self._owner_touch()
-                and st >= graph.node_touch(ji)
-            ):
-                self.rep_cache_hits += 1
-                return float(self._c_val[ji])
-        elif ji < 0:
-            entry = self._c_unknown.get(peer)
-            if entry is not None and entry[1] >= self._owner_touch():
-                self.rep_cache_hits += 1
-                return entry[0]
-        self.rep_cache_misses += 1
-        value = self._evaluate_scalar(peer)
-        if ji >= 0:
-            self._grow_stamps()
-            self._c_val[ji] = value
-            self._c_stamp[ji] = graph.version
-        else:
-            # Never-interned peers cannot be stamp-indexed; the side dict
-            # mirrors the dict backend's cache for them (a non-owner edge
-            # change can never evict them — neither endpoint is this peer —
-            # so freshness only depends on the owner's last touch).
-            self._c_unknown[peer] = (value, graph.version)
         return value
 
     def _evaluate_scalar(self, peer: PeerId) -> float:
@@ -537,37 +415,13 @@ class BarterCastNode:
         return self._native_reputations_of(peers)
 
     def _native_reputations_of(self, peers: Iterable[PeerId]) -> Dict[PeerId, float]:
-        if self._columnar_stamps and isinstance(peers, list):
-            # A choke round ranks the same candidate list every time; the
-            # dedupe result is memoised against a defensive copy, so an
-            # in-place mutation of the caller's list misses the memo.
-            if self._uniq_key is not None and peers == self._uniq_key:
-                unique = self._uniq_val
-            else:
-                unique = list(
-                    dict.fromkeys(p for p in peers if p != self.peer_id)
-                )
-                self._uniq_key = list(peers)
-                self._uniq_val = unique
-            if not unique:
-                return {}
-            return self._reputations_stamped(unique)
-        unique: List[PeerId] = []
-        seen = set()
-        for p in peers:
-            if p != self.peer_id and p not in seen:
-                seen.add(p)
-                unique.append(p)
+        unique = [p for p in dict.fromkeys(peers) if p != self.peer_id]
         if not unique:
             return {}
-        if self._columnar_stamps:
-            return self._reputations_stamped(unique)
         values: Dict[PeerId, float] = {}
         if self.cache_mode == "off":
             missing = unique
         else:
-            if self.cache_mode == "wholesale":
-                self._sync_cache_epoch()
             cache_get = self._rep_cache.get
             missing = []
             for p in unique:
@@ -598,94 +452,6 @@ class BarterCastNode:
                 self._rep_cache.update(fresh)
             values.update(fresh)
         return {p: values[p] for p in unique}
-
-    def _reputations_stamped(self, unique: List[PeerId]) -> Dict[PeerId, float]:
-        """Batch lookup through the columnar stamp cache.
-
-        Freshness of all targets is checked with a handful of array ops
-        (gather stamps, gather last-touch versions, compare); misses go
-        through one batched kernel pass and are scattered back with the
-        current graph version as their stamp.
-        """
-        graph = self.graph
-        m = len(unique)
-        if self._stamp_idx_key is unique or (
-            self._stamp_idx_key is not None and self._stamp_idx_key == unique
-        ):
-            # Interned indices are stable for the lifetime of the graph
-            # (interner contract: never reused, never remapped, survive
-            # churn wipes), so a repeated candidate list — the choke-round
-            # steady state — can reuse the previous gather.
-            idx = self._stamp_idx
-        else:
-            pi = graph.peer_index
-            idx = np.fromiter((pi(p) for p in unique), dtype=np.int64, count=m)
-            if m and int(idx.min()) >= 0:
-                # Only all-known lists are memoised: a -1 (unknown peer)
-                # could become a real index after later gossip.  The list
-                # itself is the key — callers never mutate it (it is either
-                # the dedupe memo's value or a fresh local), so the cheap
-                # identity check above hits on repeated candidate lists.
-                self._stamp_idx_key = unique
-                self._stamp_idx = idx
-        self._grow_stamps()
-        owner_touch = self._owner_touch()
-        known = idx >= 0
-        safe = np.where(known, idx, 0)
-        stamps = self._c_stamp[safe]
-        valid = (
-            known
-            & (stamps >= 0)
-            & (stamps >= owner_touch)
-            & (stamps >= graph.touch_array(safe))
-        )
-        out = self._c_val[safe]
-        if not known.all():
-            # Side-dict lookups for never-interned targets (scalar path
-            # comment): fresh iff stored at or after the owner's last touch.
-            cu_get = self._c_unknown.get
-            for k in np.flatnonzero(~known).tolist():
-                entry = cu_get(unique[k])
-                if entry is not None and entry[1] >= owner_touch:
-                    valid[k] = True
-                    out[k] = entry[0]
-        n_valid = int(valid.sum())
-        if n_valid == m:
-            self.rep_cache_hits += m
-            return dict(zip(unique, out.tolist()))
-        self.rep_cache_hits += n_valid
-        miss_pos = np.flatnonzero(~valid)
-        missing = [unique[k] for k in miss_pos.tolist()]
-        self.rep_cache_misses += len(missing)
-        if self._t_kernel is not None:
-            with self._t_kernel:
-                fresh = self.config.metric.reputation_batch(
-                    graph, self.peer_id, missing
-                )
-            self._m_kernel_calls.inc()
-            self._m_kernel_targets.inc(len(missing))
-        else:
-            fresh = self.config.metric.reputation_batch(
-                graph, self.peer_id, missing
-            )
-        if self._tr_kernel is not None and self._tr_kernel.sample():
-            self._tr_kernel.emit_sampled(
-                "batch", attrs={"owner": self.peer_id, "targets": len(missing)}
-            )
-        vals = np.fromiter(
-            (fresh[p] for p in missing), dtype=np.float64, count=len(missing)
-        )
-        out[miss_pos] = vals
-        miss_idx = idx[miss_pos]
-        stored = miss_idx >= 0
-        if stored.any():
-            self._c_val[miss_idx[stored]] = vals[stored]
-            self._c_stamp[miss_idx[stored]] = graph.version
-        if not stored.all():
-            version = graph.version
-            for k in np.flatnonzero(~stored).tolist():
-                self._c_unknown[missing[k]] = (float(vals[k]), version)
-        return dict(zip(unique, out.tolist()))
 
     def rank_by_reputation(self, peers: Iterable[PeerId]) -> List[PeerId]:
         """Peers sorted by descending subjective reputation (batched).

@@ -61,10 +61,6 @@ class ScalabilityPoint:
     ingest_us: float
     batch_query_us: float = 0.0
     warm_query_us: float = 0.0
-    #: One-time CSR materialization cost at this size (columnar backend
-    #: only; 0.0 on the dict backend).  Paid once per graph change burst,
-    #: amortized over every following batch.
-    csr_build_ms: float = 0.0
 
 
 @dataclass
@@ -122,21 +118,17 @@ def run_scalability(
     degree: int = 10,
     queries: int = 200,
     seed: int = 0,
-    backend: str = "dict",
 ) -> ScalabilityResult:
     """Measure query/ingest cost as the subjective view grows to ``sizes``.
 
     ``degree`` mirrors the bounded message size (``Nh + Nr`` records per
     gossip message keep per-peer degree roughly constant in deployment).
-    ``backend`` selects the subjective-graph storage (``"dict"`` or
-    ``"columnar"``); the measured reputations are bit-identical either
-    way, only the costs differ.
     """
     if not sizes or list(sizes) != sorted(sizes):
         raise ValueError("sizes must be a non-empty increasing sequence")
     rng = RngRegistry(seed).stream("scalability")
     gen = rng.generator
-    node = BarterCastNode(-1, graph_backend=backend)
+    node = BarterCastNode(-1)
     # Give the evaluator a realistic own history (its direct partners).
     for pid in range(min(50, sizes[0])):
         node.record_download(pid, float(gen.uniform(10, 1000)) * MB, now=float(pid))
@@ -159,15 +151,7 @@ def run_scalability(
             t_scalar += time.perf_counter() - t0
         query_us = t_scalar / queries * 1e6
         # The same targets through the batched kernel (cold), then again
-        # against the warm cache (the choke-round steady state).  On the
-        # columnar backend the CSR snapshot is materialized first — timed
-        # separately — so the cold batch takes the array-kernel path.
-        csr_build_ms = 0.0
-        build = getattr(node.graph, "build_csr", None)
-        if build is not None:
-            t0 = time.perf_counter()
-            build()
-            csr_build_ms = (time.perf_counter() - t0) * 1e3
+        # against the warm cache (the choke-round steady state).
         node.invalidate_cache()
         t0 = time.perf_counter()
         node.reputations_of(targets)
@@ -183,7 +167,6 @@ def run_scalability(
                 ingest_us=ingest_us,
                 batch_query_us=batch_query_us,
                 warm_query_us=warm_query_us,
-                csr_build_ms=csr_build_ms,
             )
         )
     lookups = node.rep_cache_hits + node.rep_cache_misses

@@ -27,7 +27,7 @@ Two interchangeable graph backends:
   reference oracle every property test compares against;
 * :class:`~repro.graph.columnar.ColumnarTransferGraph` — flat columnar
   edge-slot log with numpy CSR materialization and a vectorized batch
-  kernel, bit-identical to the oracle and built for 100k-peer scale.
+  kernel, bit-identical to the oracle and slower than it (DESIGN.md §13).
 """
 
 from repro.graph.transfer_graph import TransferGraph

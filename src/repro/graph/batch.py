@@ -17,18 +17,14 @@ order (insertion order of the underlying adjacency dicts) — so a batched
 reputation equals the scalar one *bitwise*, not just approximately.  The
 property tests in ``tests/test_reputation_cache.py`` pin this.
 
-Columnar dispatch: when the graph is a :class:`~repro.graph.columnar
-.ColumnarTransferGraph`, large batches are routed to the vectorized array
-kernel (:func:`~repro.graph.columnar.two_hop_batch_arrays`), which is
-bit-identical by construction (same branch choices, same summation order —
-see that module's docstring).  Small batches — a handful of cache misses
-per choke round — go to the row-direct loop
-(:func:`~repro.graph.columnar.two_hop_batch_rows`) instead: the array
-kernel's fixed numpy overhead dominates at that size, and skipping it also
-avoids rebuilding a structurally-stale CSR for a few lookups.  The generic
-dict loop below still runs unmodified on either backend (the columnar
-graph's ``successors``/``predecessors`` return snapshot dicts in the same
-iteration order); it remains the oracle the columnar twins are pinned to.
+One loop serves both graph classes (the columnar graph's ``successors`` /
+``predecessors`` return snapshot dicts in the same iteration order).  The
+only other route: a :class:`~repro.graph.columnar.ColumnarTransferGraph`
+whose CSR snapshot is already fresh (``graph.csr_fresh`` — ``build_csr()``
+was called and nothing was written since) hands the batch to the vectorized
+:func:`~repro.graph.columnar.two_hop_batch_arrays`, which is bit-identical
+by construction (same branch choices, same summation order — see that
+module's docstring).  A stale snapshot is never rebuilt from here.
 """
 
 from __future__ import annotations
@@ -36,12 +32,7 @@ from __future__ import annotations
 import time as _time
 from typing import Dict, Hashable, Iterable, Tuple
 
-from repro.graph.columnar import (
-    ARRAY_MIN_TARGETS,
-    ColumnarTransferGraph,
-    two_hop_batch_arrays,
-    two_hop_batch_rows,
-)
+from repro.graph.columnar import ColumnarTransferGraph, two_hop_batch_arrays
 from repro.graph.maxflow import KERNEL_INVOCATIONS, _two_hop_paths
 from repro.graph.transfer_graph import TransferGraph
 from repro.obs import profile as _profile
@@ -53,7 +44,6 @@ PeerId = Hashable
 KERNEL_INVOCATIONS.setdefault("maxflow_two_hop_batch", 0)
 KERNEL_INVOCATIONS.setdefault("maxflow_two_hop_batch_targets", 0)
 KERNEL_INVOCATIONS.setdefault("maxflow_two_hop_batch_columnar", 0)
-KERNEL_INVOCATIONS.setdefault("maxflow_two_hop_batch_rows", 0)
 
 
 def maxflow_two_hop_batch(
@@ -129,36 +119,18 @@ def _two_hop_batch_impl(
         KERNEL_INVOCATIONS["maxflow_two_hop_batch_targets"] += len(results)
         return results
 
-    if isinstance(graph, ColumnarTransferGraph):
+    if isinstance(graph, ColumnarTransferGraph) and graph.csr_fresh:
+        # A fresh CSR is free to reuse (a query burst after ``build_csr``);
+        # a stale one is left alone — the loop below costs O(degree) per
+        # target, a rebuild O(E).
         uniq = [j for j in dict.fromkeys(targets) if j != owner]
-        # A stale CSR costs O(E) to rebuild while the dict-view loop costs
-        # O(degree) per target, so rebuilding only pays off when the batch
-        # is a sizable fraction of the edge count.  A fresh CSR is free to
-        # reuse — bulk-loaded graphs and repeated cold sweeps take this
-        # branch (see ColumnarTransferGraph.build_csr).
-        if graph.csr_fresh or (
-            len(uniq) >= ARRAY_MIN_TARGETS
-            and len(uniq) * 128 >= graph.num_edges
-        ):
-            KERNEL_INVOCATIONS["maxflow_two_hop_batch_columnar"] += 1
-            if prof is None:
-                results = two_hop_batch_arrays(graph, owner, uniq)
-            else:
-                t0 = _time.perf_counter()
-                results = two_hop_batch_arrays(graph, owner, uniq)
-                prof.observe_kernel(
-                    "two_hop_batch_arrays", _time.perf_counter() - t0
-                )
+        KERNEL_INVOCATIONS["maxflow_two_hop_batch_columnar"] += 1
+        if prof is None:
+            results = two_hop_batch_arrays(graph, owner, uniq)
         else:
-            KERNEL_INVOCATIONS["maxflow_two_hop_batch_rows"] += 1
-            if prof is None:
-                results = two_hop_batch_rows(graph, owner, uniq)
-            else:
-                t0 = _time.perf_counter()
-                results = two_hop_batch_rows(graph, owner, uniq)
-                prof.observe_kernel(
-                    "two_hop_batch_rows", _time.perf_counter() - t0
-                )
+            t0 = _time.perf_counter()
+            results = two_hop_batch_arrays(graph, owner, uniq)
+            prof.observe_kernel("two_hop_batch_arrays", _time.perf_counter() - t0)
         KERNEL_INVOCATIONS["maxflow_two_hop_batch_targets"] += len(results)
         return results
 

@@ -46,23 +46,11 @@ import numpy as np
 
 from repro.graph.interner import PeerInterner
 
-__all__ = [
-    "ColumnarTransferGraph",
-    "two_hop_batch_arrays",
-    "two_hop_batch_rows",
-    "ARRAY_MIN_TARGETS",
-]
+__all__ = ["ColumnarTransferGraph", "two_hop_batch_arrays"]
 
 PeerId = Hashable
 
 EdgeListener = Callable[[PeerId, PeerId], None]
-
-#: Batch size at which the dispatcher in :mod:`repro.graph.batch` switches
-#: from the dict-view loop to the array kernel.  Small batches (a few
-#: cache misses per choke round) are faster through the plain loop because
-#: the array kernel's fixed numpy call overhead dominates; the threshold
-#: also bounds how often a structurally-stale CSR is rebuilt.
-ARRAY_MIN_TARGETS = 32
 
 #: Compaction trigger: tombstoned slots are dropped from the log once they
 #: outnumber live slots (and there are enough of them to matter).
@@ -130,13 +118,6 @@ class ColumnarTransferGraph:
         self._total_bytes = 0.0
         self._version = 0
         self._listeners: List[EdgeListener] = []
-        #: Per-interned-index version of the last effective incident edge
-        #: change (-1 = never touched).  The reputation stamp-cache
-        #: compares cached-at stamps against this instead of subscribing a
-        #: per-edge listener.  A python list, not a numpy array: the write
-        #: path updates two entries per edge change, and scalar numpy
-        #: stores are several times the cost of list stores.
-        self._touch: List[int] = []
         # Lazily materialized CSR snapshot, keyed by version.
         self._csr: _CSR = None
         self._csr_version = -1
@@ -164,7 +145,7 @@ class ColumnarTransferGraph:
             listener(src, dst)
 
     # ------------------------------------------------------------------
-    # Interning / stamp support
+    # Interning
     # ------------------------------------------------------------------
     @property
     def interner(self) -> PeerInterner:
@@ -175,24 +156,8 @@ class ColumnarTransferGraph:
         """Interned index of ``peer`` (-1 if never seen)."""
         return self._interner.lookup(peer)
 
-    def node_touch(self, index: int) -> int:
-        """Version of the last effective edge change incident to ``index``
-        (-1 if none ever happened)."""
-        return self._touch[index]
-
-    def touch_array(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`node_touch` gather."""
-        touch = self._touch
-        return np.fromiter(
-            (touch[i] for i in indices.tolist()),
-            dtype=np.int64,
-            count=indices.shape[0],
-        )
-
     def _intern_node(self, peer: PeerId) -> int:
         idx = self._interner.intern(peer)
-        while len(self._touch) <= idx:
-            self._touch.append(-1)
         if self._rows_ready:
             while len(self._out_rows) <= idx:
                 self._out_rows.append([])
@@ -257,9 +222,9 @@ class ColumnarTransferGraph:
         Raises
         ------
         ValueError
-            If ``nbytes`` is negative or ``src == dst``.
+            If ``nbytes`` is negative or NaN, or ``src == dst``.
         """
-        if nbytes < 0:
+        if not nbytes >= 0:  # negative or NaN
             raise ValueError(f"transfer size must be non-negative, got {nbytes}")
         if src == dst:
             raise ValueError(f"self-transfer rejected for node {src!r}")
@@ -277,10 +242,7 @@ class ColumnarTransferGraph:
         else:
             self._slot_val[slot] = self._slot_val[slot] + amount
         self._total_bytes += amount
-        self._version = v = self._version + 1
-        touch = self._touch
-        touch[si] = v
-        touch[di] = v
+        self._version += 1
         if self._listeners:
             self._notify(src, dst)
 
@@ -290,7 +252,7 @@ class ColumnarTransferGraph:
         Writing the stored value is a no-op (no version bump, no listener),
         exactly like the dict backend.
         """
-        if nbytes < 0:
+        if not nbytes >= 0:  # negative or NaN
             raise ValueError(f"transfer size must be non-negative, got {nbytes}")
         if src == dst:
             raise ValueError(f"self-transfer rejected for node {src!r}")
@@ -319,9 +281,7 @@ class ColumnarTransferGraph:
         else:
             # Kill the slot: tombstone in the log, drop from the edge map
             # and both rows so a later re-add appends at the row end
-            # (matching dict delete + re-insert order).  Eager row pruning
-            # keeps ``len(row)`` equal to the live degree, which the batch
-            # kernels' scan-the-smaller-side branch choice depends on.
+            # (matching dict delete + re-insert order).
             self._slot_val[slot] = 0.0
             del self._edge_slot[key]
             self._out_rows[si].remove(slot)
@@ -329,10 +289,7 @@ class ColumnarTransferGraph:
             self._dead_slots += 1
             self._maybe_compact()
         self._total_bytes += new - old
-        self._version = v = self._version + 1
-        touch = self._touch
-        touch[si] = v
-        touch[di] = v
+        self._version += 1
         if self._listeners:
             self._notify(src, dst)
 
@@ -355,7 +312,7 @@ class ColumnarTransferGraph:
         idx = self._interner.lookup(node)
         vals = self._slot_val
         peer = self._interner.peer
-        touched: List[Tuple[PeerId, PeerId, int]] = []
+        touched: List[Tuple[PeerId, PeerId]] = []
         # Out-edges first, then in-edges, each in row (slot) order — the
         # same notification order as the dict backend's pop loops.
         for slot in self._out_rows[idx]:
@@ -369,7 +326,7 @@ class ColumnarTransferGraph:
             self._in_rows[di].remove(slot)
             self._dead_slots += 1
             self._total_bytes -= w
-            touched.append((node, other, di))
+            touched.append((node, other))
         self._out_rows[idx] = []
         for slot in self._in_rows[idx]:
             w = vals[slot]
@@ -382,16 +339,12 @@ class ColumnarTransferGraph:
             self._out_rows[si].remove(slot)
             self._dead_slots += 1
             self._total_bytes -= w
-            touched.append((other, node, si))
+            touched.append((other, node))
         self._in_rows[idx] = []
         del self._live[node]
         self._version += 1
-        v = self._version
-        self._touch[idx] = v
-        for _, _, other in touched:
-            self._touch[other] = v
         self._maybe_compact()
-        for a, b, _ in touched:
+        for a, b in touched:
             self._notify(a, b)
 
     # ------------------------------------------------------------------
@@ -458,11 +411,11 @@ class ColumnarTransferGraph:
     def build_csr(self) -> None:
         """Materialize the CSR snapshot now (idempotent).
 
-        The batch dispatcher only amortizes a rebuild over large target
-        batches; callers that know a burst of queries is coming on a graph
-        that will not change in between — the scalability experiment, a
-        cold sweep after a bulk load — can pay the O(E) sort once here and
-        have every following batch take the array-kernel path.
+        :func:`repro.graph.batch.maxflow_two_hop_batch` never rebuilds a
+        stale snapshot; callers that know a burst of queries is coming on a
+        graph that will not change in between — a cold sweep after a bulk
+        load — pay the O(E) sort once here and every following batch takes
+        the array-kernel path until the next write.
         """
         self._ensure_csr()
 
@@ -676,11 +629,10 @@ class ColumnarTransferGraph:
     ) -> "ColumnarTransferGraph":
         """Bulk-load a graph over int peers ``0..num_peers-1`` from arrays.
 
-        The 100k-peer / 10M-edge scalability bench point uses this to skip
-        per-edge python overhead entirely: the arrays become the slot log
-        directly (array order = slot order = summation order), and the
-        python-side row/slot-map structures are materialized lazily only
-        if the graph is later mutated.
+        Skips per-edge python overhead entirely: the arrays become the slot
+        log directly (array order = slot order = summation order), and the
+        python-side row/slot-map structures are materialized lazily, only
+        if the graph is later mutated or read row by row.
 
         ``(src, dst)`` pairs must be unique, self-loop free, with strictly
         positive weights — the caller's synthetic generator guarantees it
@@ -701,7 +653,6 @@ class ColumnarTransferGraph:
         g = cls()
         g._interner.extend(range(num_peers))
         g._live = dict.fromkeys(range(num_peers))
-        g._touch = [1] * num_peers
         g._rows_ready = False
         g._lazy = (src, dst, val)
         g._total_bytes = float(val.sum())
@@ -737,90 +688,6 @@ def _concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     shift = np.concatenate(([0], np.cumsum(lens[:-1])))
     return np.arange(total, dtype=np.int64) + np.repeat(starts - shift, lens)
-
-
-def two_hop_batch_rows(
-    graph: ColumnarTransferGraph, owner: PeerId, targets: List[PeerId]
-) -> Dict[PeerId, Tuple[float, float]]:
-    """Row-direct twin of the dict-view batch loop for small batches.
-
-    ``targets`` must already be deduplicated and owner-free, and ``owner``
-    must be present in the graph (the dispatcher guarantees both).  This
-    is the same scan as the generic loop in :mod:`repro.graph.batch` —
-    identical branch choices (row length equals snapshot length), the same
-    per-term order (row order is dict insertion order), and the same
-    arithmetic — but it walks the slot rows with interned-index keys
-    instead of materializing peer-keyed snapshot dicts per target, which
-    is what makes a cache-miss handful cheap enough to skip the O(E) CSR
-    rebuild entirely.
-    """
-    if not graph._rows_ready:
-        graph._ensure_rows()
-    lookup = graph._interner.lookup
-    live = graph._live
-    out_rows = graph._out_rows
-    in_rows = graph._in_rows
-    s_src = graph._slot_src
-    s_dst = graph._slot_dst
-    s_val = graph._slot_val
-    es_get = graph._edge_slot.get
-    oi = lookup(owner)
-    out_i_idx = {s_dst[s]: s_val[s] for s in out_rows[oi]}
-    in_i_idx = {s_src[s]: s_val[s] for s in in_rows[oi]}
-    len_out_i = len(out_i_idx)
-    len_in_i = len(in_i_idx)
-    out_i_get = out_i_idx.get
-    in_i_get = in_i_idx.get
-
-    results: Dict[PeerId, Tuple[float, float]] = {}
-    for j in targets:
-        ji = lookup(j)
-        if ji < 0 or j not in live:
-            results[j] = (0.0, 0.0)
-            continue
-
-        out_row_j = out_rows[ji]
-        slot = es_get((j, owner))
-        inflow = s_val[slot] if slot is not None else 0.0
-        if len(out_row_j) <= len_in_i:
-            for s in out_row_j:
-                v = s_dst[s]
-                if v == oi:
-                    continue
-                c_vt = in_i_get(v)
-                if c_vt:
-                    inflow += min(s_val[s], c_vt)
-        else:
-            out_j_idx = {s_dst[s]: s_val[s] for s in out_row_j}
-            for v, c_vt in in_i_idx.items():
-                if v == ji:
-                    continue
-                c_sv = out_j_idx.get(v)
-                if c_sv:
-                    inflow += min(c_sv, c_vt)
-
-        in_row_j = in_rows[ji]
-        slot = es_get((owner, j))
-        outflow = s_val[slot] if slot is not None else 0.0
-        if len_out_i <= len(in_row_j):
-            in_j_idx = {s_src[s]: s_val[s] for s in in_row_j}
-            for v, c_sv in out_i_idx.items():
-                if v == ji:
-                    continue
-                c_vt = in_j_idx.get(v)
-                if c_vt:
-                    outflow += min(c_sv, c_vt)
-        else:
-            for s in in_row_j:
-                v = s_src[s]
-                if v == oi:
-                    continue
-                c_sv = out_i_get(v)
-                if c_sv:
-                    outflow += min(c_sv, s_val[s])
-
-        results[j] = (inflow, outflow)
-    return results
 
 
 def two_hop_batch_arrays(

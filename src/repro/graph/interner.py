@@ -11,9 +11,8 @@ Stability contract
 An index, once assigned, is **never reused and never remapped**: churn
 (``remove_node``, ``forget_reporter`` wipes) and edge-log compaction leave
 the interner untouched.  Consumers may therefore hold interned indices
-across arbitrary graph mutations — the reputation stamp-cache in
-:class:`~repro.core.node.BarterCastNode` and the CSR snapshots both rely
-on this.  The tests in ``tests/test_columnar.py`` pin the contract.
+across arbitrary graph mutations — the CSR snapshots rely on this.  The
+tests in ``tests/test_columnar.py`` pin the contract.
 """
 
 from __future__ import annotations

@@ -100,10 +100,10 @@ class TransferGraph:
         Raises
         ------
         ValueError
-            If ``nbytes`` is negative or ``src == dst`` (self-transfers
-            carry no reputation information and are rejected).
+            If ``nbytes`` is negative or NaN, or ``src == dst``
+            (self-transfers carry no reputation information and are rejected).
         """
-        if nbytes < 0:
+        if not nbytes >= 0:  # negative or NaN
             raise ValueError(f"transfer size must be non-negative, got {nbytes}")
         if src == dst:
             raise ValueError(f"self-transfer rejected for node {src!r}")
@@ -127,7 +127,7 @@ class TransferGraph:
         Writing the value already stored is a no-op: the version counter
         does not move and no listener fires.
         """
-        if nbytes < 0:
+        if not nbytes >= 0:  # negative or NaN
             raise ValueError(f"transfer size must be non-negative, got {nbytes}")
         if src == dst:
             raise ValueError(f"self-transfer rejected for node {src!r}")

@@ -620,6 +620,11 @@ class DisseminationRecorder:
         entries: List[dict] = []
         claims = [claim] if claim is not None else self.claims()
         survivors: Dict[PeerId, Set[ClaimKey]] = {}
+        # Event rows bucketed by receiver, in log order: one pass here, so
+        # each missing pair scans only its own receiver's rows.
+        rows_to: Dict[PeerId, List[tuple]] = {}
+        for row in self._iter_events():
+            rows_to.setdefault(row[4], []).append(row)
         for ck in claims:
             mids = claim_msgs.get(ck, set())
             receivers = (
@@ -639,11 +644,11 @@ class DisseminationRecorder:
                 cut: List[str] = []
                 delivered: List[float] = []
                 wipes: List[float] = []
-                for kind, t, mid, _, dst, detail in self._iter_events():
-                    if kind == "wipe" and dst == p:
+                for kind, t, mid, _, _, detail in rows_to.get(p, ()):
+                    if kind == "wipe":
                         wipes.append(t)
                         continue
-                    if mid not in mids or dst != p:
+                    if mid not in mids:
                         continue
                     if kind == "send":
                         attempts += 1

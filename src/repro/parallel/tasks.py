@@ -188,12 +188,7 @@ def _exec_whitewash(task: SweepTask, obs: Observability) -> Any:
 def _exec_scalability(task: SweepTask, obs: Observability) -> Any:
     from repro.experiments.scalability import run_scalability
 
-    p = task.params
-    return run_scalability(
-        sizes=tuple(p["sizes"]),
-        seed=task.seed,
-        backend=p.get("backend", "dict"),
-    )
+    return run_scalability(sizes=tuple(task.params["sizes"]), seed=task.seed)
 
 
 # -- test/bench fixtures (cheap, deterministic, crash/hang injectable) --
@@ -359,14 +354,12 @@ def whitewash_tasks(seed: int, kinds=("trusted", "static", "adaptive")):
     ]
 
 
-def scalability_task(sizes, seed: int, backend: str = "dict") -> SweepTask:
+def scalability_task(sizes, seed: int) -> SweepTask:
     """The scalability assessment as one task (its sizes grow one view
-    incrementally, so the experiment is internally sequential).  ``backend``
-    picks the subjective-graph storage; results are bit-identical across
-    backends, so it only changes the measured costs."""
+    incrementally, so the experiment is internally sequential)."""
     return SweepTask(
         task_id="scalability",
         experiment="scalability",
-        params={"sizes": tuple(int(s) for s in sizes), "backend": backend},
+        params={"sizes": tuple(int(s) for s in sizes)},
         seed=int(seed),
     )

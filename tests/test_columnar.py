@@ -2,11 +2,10 @@
 
 The dict-backed :class:`~repro.graph.transfer_graph.TransferGraph` is the
 semantic oracle; every test here pins the columnar backend — storage,
-events, both batch-kernel twins, and node-level behaviour — to it
-bit-for-bit.  The interner contract (indices never reused, never remapped,
-surviving churn wipes and log compaction) is what the stamp cache and the
-memoised index gathers in :mod:`repro.core.node` rely on, so it gets its
-own section.
+events, the array kernel, and node-level behaviour — to it bit-for-bit.
+The interner contract (indices never reused, never remapped, surviving
+churn wipes and log compaction) is what the CSR snapshots rely on, so it
+gets its own section.
 """
 
 import random
@@ -18,13 +17,9 @@ from repro.core.messages import BarterCastMessage, HistoryRecord
 from repro.core.node import BarterCastNode
 from repro.core.reputation import MB
 from repro.graph.batch import maxflow_two_hop_batch
-from repro.graph.columnar import (
-    ColumnarTransferGraph,
-    two_hop_batch_arrays,
-    two_hop_batch_rows,
-)
+from repro.graph.columnar import ColumnarTransferGraph, two_hop_batch_arrays
 from repro.graph.interner import PeerInterner
-from repro.graph.maxflow import KERNEL_INVOCATIONS
+from repro.graph.maxflow import KERNEL_INVOCATIONS, maxflow_two_hop
 from repro.graph.transfer_graph import TransferGraph
 
 
@@ -146,12 +141,12 @@ def test_op_stream_equivalence_with_dict_oracle(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_batch_kernels_bit_identical(seed):
-    """Both columnar kernel twins (array and row-direct) against the
-    generic dict-view loop on the dict oracle, ghost targets included."""
+    """Array kernel ≡ dict loop on the columnar graph ≡ dict loop on the
+    dict oracle ≡ scalar kernel, ghost targets included."""
     ops = _random_op_stream(seed)
-    g1, g2 = TransferGraph(), ColumnarTransferGraph()
-    _apply(g1, ops, [])
-    _apply(g2, ops, [])
+    g1, g2, g3 = TransferGraph(), ColumnarTransferGraph(), ColumnarTransferGraph()
+    for g in (g1, g2, g3):
+        _apply(g, ops, [])
     live = list(g1.nodes())
     if not live:
         pytest.skip("empty stream")
@@ -159,10 +154,16 @@ def test_batch_kernels_bit_identical(seed):
         targets = [p for p in live if p != owner] + ["ghost"]
         ref = maxflow_two_hop_batch(g1, owner, targets)
         arr = two_hop_batch_arrays(g2, owner, targets)
-        rows = two_hop_batch_rows(g2, owner, targets)
+        assert not g3.csr_fresh  # never built: the dispatcher must not build it
+        loop = maxflow_two_hop_batch(g3, owner, targets)
+        assert not g3.csr_fresh
         for j in targets:
             assert ref[j] == arr[j], (owner, j)
-            assert ref[j] == rows[j], (owner, j)
+            assert ref[j] == loop[j], (owner, j)
+            assert ref[j] == (
+                maxflow_two_hop(g1, j, owner).value,
+                maxflow_two_hop(g1, owner, j).value,
+            ), (owner, j)
 
 
 def test_dispatch_uses_array_kernel_when_csr_fresh():
@@ -174,16 +175,6 @@ def test_dispatch_uses_array_kernel_when_csr_fresh():
     before = KERNEL_INVOCATIONS["maxflow_two_hop_batch_columnar"]
     maxflow_two_hop_batch(g, "p0", [f"p{i}" for i in range(1, 5)])
     assert KERNEL_INVOCATIONS["maxflow_two_hop_batch_columnar"] == before + 1
-
-
-def test_dispatch_uses_row_kernel_on_stale_csr_small_batch():
-    g = ColumnarTransferGraph()
-    for i in range(40):
-        g.add_transfer(f"p{i}", f"p{(i + 3) % 40}", float(i + 1))
-    assert not g.csr_fresh
-    before = KERNEL_INVOCATIONS["maxflow_two_hop_batch_rows"]
-    maxflow_two_hop_batch(g, "p0", ["p1", "p2"])
-    assert KERNEL_INVOCATIONS["maxflow_two_hop_batch_rows"] == before + 1
 
 
 def test_record_paths_works_on_columnar():
@@ -258,14 +249,23 @@ def test_node_backend_equivalence_including_churn(seed):
     nc = BarterCastNode(0, cache_mode="dirty", graph_backend="columnar")
     candidates = list(range(1, 40))
     rows_d, rows_c = [], []
+
+    def same_cache_state():
+        # One cache on both backends: evictions are counted eagerly and the
+        # same entries are held after every step.
+        assert nd.rep_cache_invalidations == nc.rep_cache_invalidations
+        assert nd.rep_cache_size == nc.rep_cache_size
+
     for k, msg in enumerate(msgs):
         for n, rows in ((nd, rows_d), (nc, rows_c)):
             n.receive_message(msg)
             reps = n.reputations_of(candidates)
             rows.append(tuple(reps[c] for c in candidates))
+        same_cache_state()
         if k == len(msgs) // 2:
             # Mid-run hard restart: both backends wipe identically.
             assert nd.wipe_shared_history() == nc.wipe_shared_history()
+            same_cache_state()
     assert rows_d == rows_c
     assert nd.rep_cache_hits == nc.rep_cache_hits
     assert nd.rep_cache_misses == nc.rep_cache_misses
@@ -302,7 +302,19 @@ def test_columnar_kernel_byte_identical_across_runs():
     b1 = np.array([r1[t] for t in targets]).tobytes()
     b2 = np.array([r2[t] for t in targets]).tobytes()
     assert b1 == b2
-    # The row-direct twin agrees byte-for-byte as well.
-    r3 = two_hop_batch_rows(g2, 0, targets)
-    b3 = np.array([r3[t] for t in targets]).tobytes()
-    assert b1 == b3
+    # Stale CSR, small batch: a write after the build sends the next batch
+    # through the dict loop (no rebuild), which must equal the scalar kernel
+    # byte for byte — on the changed edge's endpoints and on the rest.
+    g2.add_transfer(3, 0, 7.25)
+    assert not g2.csr_fresh
+    calls = KERNEL_INVOCATIONS["maxflow_two_hop_batch_columnar"]
+    small = [3, 4, 5]
+    r3 = maxflow_two_hop_batch(g2, 0, small)
+    assert KERNEL_INVOCATIONS["maxflow_two_hop_batch_columnar"] == calls
+    assert not g2.csr_fresh
+    want = [
+        (maxflow_two_hop(g2, t, 0).value, maxflow_two_hop(g2, 0, t).value)
+        for t in small
+    ]
+    assert np.array([r3[t] for t in small]).tobytes() == np.array(want).tobytes()
+    assert r3[3] != r1[3] and (r3[4], r3[5]) == (r1[4], r1[5])

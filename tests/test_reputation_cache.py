@@ -9,17 +9,14 @@ Three families:
 * **Dirty-set staleness oracle** — a ``cache_mode="dirty"`` node replaying
   a random stream of transfers, gossip, claim retractions and node
   removals must answer every reputation query exactly like a cache-free
-  oracle node (and like the wholesale-invalidation node).
-* **Telemetry / cache-mode plumbing** — hit/miss/invalidation counters and
-  the version-neutrality of no-op writes.
+  oracle node, through the batched and the scalar lookup alike.
+* **Telemetry / cache-mode plumbing** — hit/miss/invalidation counters,
+  the version-neutrality of no-op writes, and whole-run counter pins.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import math
-import sys
-from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -28,10 +25,13 @@ from hypothesis import strategies as st
 
 from repro.core.messages import BarterCastMessage, HistoryRecord
 from repro.core.node import BarterCastNode
+from repro.core.policies import BanPolicy, RankPolicy
 from repro.core.reputation import MB, ReputationMetric
+from repro.experiments.scenario import ScenarioConfig, build_simulation
 from repro.graph.batch import maxflow_two_hop_batch
 from repro.graph.maxflow import maxflow_two_hop
 from repro.graph.transfer_graph import TransferGraph
+from tests.test_bt_round_hot_path import _busy  # tiny, but the policies really query
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -195,20 +195,24 @@ class TestDirtySetNeverStale:
     @given(ops=op_streams())
     @settings(max_examples=60, deadline=None)
     def test_dirty_and_wholesale_match_oracle(self, ops):
-        dirty = BarterCastNode(0, cache_mode="dirty")
-        wholesale = BarterCastNode(0, cache_mode="wholesale")
+        """Dirty-batched vs dirty-scalar vs ``"off"``.  (The id predates the
+        removal of the wholesale mode; the scalar node sits where the
+        wholesale one did, so the scalar-against-batch cross-check stays.)"""
+        batched = BarterCastNode(0, cache_mode="dirty")
+        scalar = BarterCastNode(0, cache_mode="dirty")
         oracle = BarterCastNode(0, cache_mode="off")
         targets = list(range(1, 10))
         now = 0.0
         for op in ops:
             now += 1.0
-            for node in (dirty, wholesale, oracle):
+            for node in (batched, scalar, oracle):
                 _apply(node, op, now)
             want = {p: oracle.reputation_of(p) for p in targets}
-            # Batched lookup on the dirty node, scalar on the wholesale one:
-            # every path must agree with the cache-free oracle, bitwise.
-            assert dirty.reputations_of(targets) == want
-            assert {p: wholesale.reputation_of(p) for p in targets} == want
+            # Batched lookup on one dirty node, scalar on the other: both
+            # kernels behind the one cache must agree with the cache-free
+            # oracle, bitwise.
+            assert batched.reputations_of(targets) == want
+            assert {p: scalar.reputation_of(p) for p in targets} == want
 
     @given(ops=op_streams())
     @settings(max_examples=30, deadline=None)
@@ -286,8 +290,9 @@ class TestCacheTelemetry:
         assert n.rep_cache_size == 0
 
     def test_invalid_cache_mode_rejected(self):
-        with pytest.raises(ValueError):
-            BarterCastNode("me", cache_mode="bogus")
+        for mode in ("bogus", "wholesale"):  # wholesale: removed, not renamed
+            with pytest.raises(ValueError):
+                BarterCastNode("me", cache_mode=mode)
 
     def test_invalidate_cache_forces_cold(self):
         n = BarterCastNode("me")
@@ -313,35 +318,30 @@ class TestCacheTelemetry:
 
 
 # ---------------------------------------------------------------------------
-# Bench smoke (tier-1 guard for the benchmark harness)
+# Whole-run counter pins (literals recorded while the stamp cache and the
+# wholesale mode still existed: the one path left does the same lookups)
 # ---------------------------------------------------------------------------
 
 
-def test_reputation_cache_bench_smoke(tmp_path):
-    """The perf bench's workload must keep running (and stay bit-identical
-    across engine variants) at smoke scale."""
-    bench_path = (
-        Path(__file__).resolve().parent.parent
-        / "benchmarks"
-        / "bench_reputation_cache.py"
-    )
-    spec = importlib.util.spec_from_file_location("bench_reputation_cache", bench_path)
-    mod = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = mod  # dataclasses resolve annotations via sys.modules
-    try:
-        spec.loader.exec_module(mod)
-    finally:
-        sys.modules.pop(spec.name, None)
-    payload = mod.run_bench(mod.SMOKE)
-    out = tmp_path / "BENCH_reputation.json"
-    mod.write_results(payload, out)
-    assert out.exists()
-    assert payload["identical_reputations"]
-    assert set(payload["variants"]) == {
-        "wholesale_scalar",
-        "wholesale_batch",
-        "dirty_scalar",
-        "dirty_batch",
-        "columnar_batch",
-    }
-    assert all(v["seconds"] > 0 for v in payload["variants"].values())
+@pytest.mark.parametrize(
+    "make_scenario, make_policy, seed, want",
+    [
+        (ScenarioConfig.tiny, lambda: BanPolicy(-0.5), 3, (8, 8, 8)),
+        (ScenarioConfig.tiny, lambda: BanPolicy(-0.5), 11, (0, 0, 0)),
+        (ScenarioConfig.tiny, RankPolicy, 3, (0, 8, 8)),
+        (ScenarioConfig.tiny, RankPolicy, 11, (0, 0, 0)),
+        (_busy, lambda: BanPolicy(-0.5), 3, (2091, 1407, 1407)),
+        (_busy, RankPolicy, 3, (190, 1280, 1280)),
+    ],
+    ids=["tiny-ban-3", "tiny-ban-11", "tiny-rank-3", "tiny-rank-11", "busy-ban-3", "busy-rank-3"],
+)
+def test_whole_run_cache_counters_pinned(make_scenario, make_policy, seed, want):
+    """Summed (hits, misses, invalidations) over every node of a run."""
+    sim = build_simulation(make_scenario(seed), policy=make_policy())
+    sim.run()
+    nodes = sim.nodes.values()
+    assert (
+        sum(n.rep_cache_hits for n in nodes),
+        sum(n.rep_cache_misses for n in nodes),
+        sum(n.rep_cache_invalidations for n in nodes),
+    ) == want

@@ -33,18 +33,3 @@ class TestScalability:
     def test_single_size_growth_factor_one(self):
         result = run_scalability(sizes=(300,), degree=5, queries=20, seed=1)
         assert result.query_growth_factor() == 1.0
-
-    def test_columnar_backend_smoke(self):
-        """The columnar backend runs the same experiment and lands on the
-        same subjective view; the CSR build cost is reported on it only."""
-        dict_r = run_scalability(sizes=(400,), degree=6, queries=25, seed=5)
-        col_r = run_scalability(
-            sizes=(400,), degree=6, queries=25, seed=5, backend="columnar"
-        )
-        assert col_r.points[-1].num_edges == dict_r.points[-1].num_edges
-        assert col_r.points[-1].csr_build_ms > 0.0
-        assert dict_r.points[-1].csr_build_ms == 0.0
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            run_scalability(sizes=(300,), backend="sqlite")

@@ -1,7 +1,10 @@
 """Unit tests for the transfer graph."""
 
+import math
+
 import pytest
 
+from repro.graph.columnar import ColumnarTransferGraph
 from repro.graph.transfer_graph import TransferGraph
 
 
@@ -64,6 +67,27 @@ class TestMutation:
         g = TransferGraph()
         with pytest.raises(ValueError):
             g.set_transfer("a", "b", -5.0)
+
+    @pytest.mark.parametrize("graph_cls", [TransferGraph, ColumnarTransferGraph])
+    @pytest.mark.parametrize("write", ["set_transfer", "add_transfer"])
+    def test_nan_transfer_rejected_and_changes_nothing(self, graph_cls, write):
+        """NaN used to slip past ``nbytes < 0``: ``set_transfer`` raised
+        KeyError / TypeError on an absent edge and silently deleted a
+        present one (``total_bytes`` turned NaN), ``add_transfer`` stored a
+        NaN capacity.  It is rejected like a negative size, before any
+        state is touched."""
+        g = graph_cls()
+        events = []
+        g.subscribe(lambda s, d: events.append((s, d)))
+        g.add_transfer("a", "b", 100.0)
+        version, seen = g.version, list(events)
+        for src, dst in (("a", "b"), ("b", "c")):  # present edge, absent edge
+            with pytest.raises(ValueError):
+                getattr(g, write)(src, dst, math.nan)
+        assert g.capacity("a", "b") == 100.0
+        assert g.total_bytes == 100.0
+        assert g.num_edges == 1 and not g.has_node("c")
+        assert g.version == version and events == seen
 
     def test_total_bytes_tracks_set_and_add(self):
         g = TransferGraph()
