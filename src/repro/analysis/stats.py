@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = ["cdf", "pearson_r", "spearman_r", "summarize", "Summary"]
 
@@ -33,19 +32,38 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
     return float(np.corrcoef(x, y)[0, 1])
 
 
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """Ranks from 1; tied values share the mean of the ranks they span."""
+    order = np.argsort(a, kind="stable")
+    ordered = a[order]
+    first = np.r_[True, ordered[1:] != ordered[:-1]]
+    # Tie group g covers sorted positions [bounds[g], bounds[g + 1]).
+    bounds = np.r_[np.flatnonzero(first), a.size]
+    group = np.cumsum(first) - 1
+    ranks = np.empty(a.size)
+    ranks[order] = 0.5 * (bounds[group] + bounds[group + 1] + 1)
+    return ranks
+
+
 def spearman_r(x: Sequence[float], y: Sequence[float]) -> float:
     """Spearman rank correlation (NaN for degenerate inputs).
 
     The natural consistency measure for Figure 1(b): the paper's claim is
     that reputation *orders* peers like net contribution does, not that
     the relationship is linear (arctan is deliberately nonlinear).
+
+    Pearson correlation of the average ranks, computed the way
+    ``scipy.stats.spearmanr`` computes it, so the result is the same bits
+    (pinned by ``tests/test_analysis.py``) without importing scipy.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 2 or np.std(x) == 0 or np.std(y) == 0:
         return float("nan")
-    rho, _ = sps.spearmanr(x, y)
-    return float(rho)
+    if np.isnan(x).any() or np.isnan(y).any():
+        return float("nan")
+    ranks = np.column_stack((_average_ranks(x), _average_ranks(y)))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 @dataclass

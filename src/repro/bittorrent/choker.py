@@ -74,10 +74,7 @@ def select_unchokes(
     if not candidates:
         uploader.optimistic_peer = None
         return set()
-    # One batched reputation pass per round; the per-candidate allows()
-    # checks below (and the optimistic ordering) then hit the warm cache.
-    policy.prewarm(node, candidates)
-    allowed = [c for c in candidates if policy.allows(node, c)]
+    allowed = policy.allowed(node, candidates)
     if obs is not None and obs.metrics.enabled:
         metrics = obs.metrics
         metrics.counter("choke.calls").inc()

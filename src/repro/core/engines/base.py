@@ -118,11 +118,6 @@ class ReputationEngine:
         scored.sort(key=lambda t: (t[0], t[1]))
         return [p for _, _, p in scored]
 
-    def prewarm(self, peers: List[PeerId]) -> None:
-        """Policy hook: batch-evaluate before per-peer ``allows`` calls."""
-        if peers:
-            self.reputations_of(peers)
-
     def invalidate_cache(self) -> None:
         """Drop any memoized scores (forces cold re-evaluation)."""
 

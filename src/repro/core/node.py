@@ -24,10 +24,12 @@ one cache serves every ``graph_backend``: both graph classes fire the
 same edge-change events in the same order.
 
 Batch path: :meth:`reputations_of` (and through it
-:meth:`rank_by_reputation` and the policy ``prewarm`` hook) evaluates all
-cache-missing targets with one :func:`~repro.graph.batch
-.maxflow_two_hop_batch` pass, which hoists the owner's neighbourhood
-lookups out of the per-target loop.  Telemetry counters
+:meth:`rank_by_reputation` and the policies' once-per-round
+``allowed`` / ``order_optimistic``) evaluates all cache-missing targets
+with one :func:`~repro.graph.batch.maxflow_two_hop_batch` pass, which
+hoists the owner's neighbourhood lookups out of the per-target loop.  A
+single miss (:meth:`reputation_of`) goes straight to the same closed form
+through :func:`~repro.graph.maxflow.maxflow_two_hop_pair`.  Telemetry counters
 (``rep_cache_hits`` / ``rep_cache_misses`` / ``rep_cache_invalidations``)
 instrument every lookup.
 """

@@ -15,9 +15,12 @@ Plus the implicit baseline: plain BitTorrent with no reputation at all
 
 The BitTorrent choker consults the policy at two points:
 
-``allows(node, peer)``
-    May ``peer`` receive *any* upload slot (regular or optimistic)?  The
-    ban policy answers ``False`` below δ; rank and baseline always allow.
+``allowed(node, peers)``
+    Which of ``peers`` may receive *any* upload slot (regular or
+    optimistic)?  The ban policy drops those below δ, reading every score
+    from one batched :meth:`~repro.core.node.BarterCastNode.reputations_of`
+    pass; rank and baseline keep everyone and evaluate nothing.
+    ``allows(node, peer)`` is the same rule for one peer.
 
 ``order_optimistic(node, interested, rng)``
     In what order should optimistic-unchoke candidates be considered?  The
@@ -28,7 +31,7 @@ The BitTorrent choker consults the policy at two points:
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional
+from typing import Dict, Hashable, List, Optional
 
 from repro.core.node import BarterCastNode
 from repro.sim.rng import RngStream
@@ -54,29 +57,35 @@ class ReputationPolicy:
     #: Optional stranger policy consulted for reputation lookups.
     stranger_policy = None
 
-    #: Whether the policy reads reputations at all (drives ``prewarm``).
-    uses_reputation = False
-
     def _reputation(self, node: BarterCastNode, peer: PeerId) -> float:
         if self.stranger_policy is not None:
             return self.stranger_policy.effective_reputation(node, peer)
         return node.reputation_of(peer)
 
-    def prewarm(self, node: Optional[BarterCastNode], peers: List[PeerId]) -> None:
-        """Batch-evaluate the reputations of ``peers`` before per-peer calls.
-
-        The choker calls this once per round with the full candidate list;
-        reputation-reading policies answer it with one batched kernel pass
-        (:meth:`BarterCastNode.reputations_of`), so the subsequent
-        ``allows`` / ``order_optimistic`` lookups are cache hits.  Policies
-        that ignore reputation inherit the no-op.
-        """
-        if self.uses_reputation and node is not None and peers:
-            node.reputations_of(peers)
+    def _reputations(
+        self, node: BarterCastNode, peers: List[PeerId]
+    ) -> Dict[PeerId, float]:
+        """:meth:`_reputation` of every peer from one batched kernel pass
+        (the stranger policy, when there is one, then reads warm scores)."""
+        reps = node.reputations_of(peers)
+        if self.stranger_policy is None:
+            return reps
+        effective = self.stranger_policy.effective_reputation
+        return {p: effective(node, p) for p in reps}
 
     def allows(self, node: Optional[BarterCastNode], peer: PeerId) -> bool:
         """Whether ``peer`` may receive an upload slot from ``node``'s owner."""
         raise NotImplementedError
+
+    def allowed(
+        self, node: Optional[BarterCastNode], peers: List[PeerId]
+    ) -> List[PeerId]:
+        """The peers that may receive an upload slot, in the order given.
+
+        What the choker asks once per round.  A policy whose ``allows``
+        reads a score overrides this to read them all at once.
+        """
+        return [p for p in peers if self.allows(node, p)]
 
     def order_optimistic(
         self,
@@ -116,7 +125,6 @@ class RankPolicy(ReputationPolicy):
     """
 
     name = "rank"
-    uses_reputation = True
 
     def __init__(self, stranger_policy=None) -> None:
         self.stranger_policy = stranger_policy
@@ -130,13 +138,12 @@ class RankPolicy(ReputationPolicy):
         interested: List[PeerId],
         rng: RngStream,
     ) -> List[PeerId]:
-        if node is None:
-            return rng.shuffled(interested)
         shuffled = rng.shuffled(interested)
-        # One batched kernel pass warms the cache; the sort key then reads
-        # cache hits (via the stranger policy when one is configured).
-        self.prewarm(node, shuffled)
-        shuffled.sort(key=lambda p: -self._reputation(node, p))
+        if node is not None:
+            # The only scores this policy ever reads: the peers outside
+            # the regular slots, when the optimistic slot is re-picked.
+            reps = self._reputations(node, shuffled)
+            shuffled.sort(key=lambda p: -reps[p])
         return shuffled
 
 
@@ -156,7 +163,6 @@ class BanPolicy(ReputationPolicy):
     """
 
     name = "ban"
-    uses_reputation = True
 
     def __init__(self, delta: float = -0.5, stranger_policy=None) -> None:
         if not -1.0 <= delta <= 0.0:
@@ -169,15 +175,22 @@ class BanPolicy(ReputationPolicy):
             return True
         return self._reputation(node, peer) >= self.delta
 
+    def allowed(
+        self, node: Optional[BarterCastNode], peers: List[PeerId]
+    ) -> List[PeerId]:
+        if node is None:
+            return list(peers)
+        reps = self._reputations(node, peers)
+        delta = self.delta
+        return [p for p in peers if reps[p] >= delta]
+
     def order_optimistic(
         self,
         node: Optional[BarterCastNode],
         interested: List[PeerId],
         rng: RngStream,
     ) -> List[PeerId]:
-        self.prewarm(node, interested)
-        allowed = [p for p in interested if self.allows(node, p)]
-        return rng.shuffled(allowed)
+        return rng.shuffled(self.allowed(node, interested))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<BanPolicy delta={self.delta}>"

@@ -40,6 +40,7 @@ from repro.graph.maxflow import (
     bounded_ford_fulkerson,
     ford_fulkerson,
     maxflow_two_hop,
+    maxflow_two_hop_pair,
 )
 from repro.graph.transfer_graph import TransferGraph
 
@@ -151,8 +152,11 @@ class ReputationMetric:
         """
         if i == j:
             raise ValueError("a peer has no reputation at itself")
-        inflow = self.maxflow(graph, j, i)
-        outflow = self.maxflow(graph, i, j)
+        if self.kernel == "two_hop":
+            inflow, outflow = maxflow_two_hop_pair(graph, i, j)
+        else:
+            inflow = self.maxflow(graph, j, i)
+            outflow = self.maxflow(graph, i, j)
         return self.scale(inflow - outflow)
 
     def reputation_batch(
@@ -187,7 +191,7 @@ class ReputationMetric:
         metric.
 
         True only for the ``two_hop`` kernel, where ``R_i(j)`` depends
-        exclusively on edges incident to ``i`` or ``j`` (see DESIGN.md,
+        exclusively on edges incident to ``i`` or ``j`` (see DESIGN.md §6,
         "Cache discipline").  The iterative kernels can route flow through
         longer paths, so their consumers must fall back to full
         invalidation on any edge change.

@@ -27,7 +27,10 @@ as capacities:
     ``v->s``) would require an earlier augmenting path ending in ``s``,
     which does not exist.  Hence the bounded problem decomposes per
     intermediate node and the closed form is exact.  This is O(min in/out
-    degree) per query and is the kernel BarterCast uses online.
+    degree) per query and is the kernel BarterCast uses online.  It is
+    written down once, in :func:`two_hop_flow`; the scalar kernel, the
+    batch kernel (:mod:`repro.graph.batch`) and the path-recording form
+    all call that one function.
 
 All kernels return a :class:`FlowResult` carrying the flow value and, for
 the iterative kernels, the per-edge flow assignment for inspection.
@@ -43,8 +46,8 @@ because distinct ≤2-hop paths are edge-disjoint (module docstring), the
 recorded path flows always sum to the flow value and removing one
 intermediary's path gives the exact flow of the graph without it —
 leave-one-out deltas need no re-solve (:func:`leave_one_out_values`).
-Recording is off by default and the flag-off code paths are untouched,
-so the online kernels stay byte-identical to the seed implementation.
+Recording is off by default; the 2-hop value is computed by the same
+function either way, so it is the same bits with or without paths.
 """
 
 from __future__ import annotations
@@ -62,6 +65,9 @@ __all__ = [
     "ford_fulkerson",
     "bounded_ford_fulkerson",
     "maxflow_two_hop",
+    "maxflow_two_hop_pair",
+    "two_hop_flow",
+    "two_hop_paths",
     "leave_one_out_values",
     "kernel_invocations",
     "snapshot_kernel_invocations",
@@ -411,6 +417,64 @@ def bounded_ford_fulkerson(
         prof.observe_kernel("bounded_ford_fulkerson", _time.perf_counter() - t0)
 
 
+def two_hop_flow(
+    out_s: Mapping[PeerId, float],
+    in_t: Mapping[PeerId, float],
+    sink: PeerId,
+    via: Optional[List[PeerId]] = None,
+) -> float:
+    """The closed form, defined once: ``c(s,t) + Σ_v min(c(s,v), c(v,t))``.
+
+    ``out_s`` is ``successors(s)`` and ``in_t`` is ``predecessors(t)``;
+    both are empty for an absent node, which makes the flow 0.0.  The
+    intermediaries are exactly the keys the two views share: a graph
+    stores no self-edge, so neither ``s`` nor ``t`` is among them, and no
+    zero-weight edge, so every shared key carries flow — one C-level hash
+    intersection finds them all.  Float addition is not associative, so
+    two or more terms are added in the iteration order of the smaller
+    view (``out_s`` on a tie); every caller gets the same bits.
+
+    ``via``, when given, receives the intermediaries in summation order.
+    """
+    total = out_s.get(sink, 0.0)
+    common = out_s.keys() & in_t.keys()
+    if common:
+        if len(common) > 1:
+            walk = out_s if len(out_s) <= len(in_t) else in_t
+            common = [v for v in walk if v in common]
+        for v in common:
+            c_sv = out_s[v]
+            c_vt = in_t[v]
+            total += min(c_sv, c_vt)
+        if via is not None:
+            via.extend(common)
+    return total
+
+
+def maxflow_two_hop_pair(
+    graph: TransferGraph, owner: PeerId, peer: PeerId
+) -> Tuple[float, float]:
+    """``(maxflow2(peer → owner), maxflow2(owner → peer))``: the two
+    :func:`maxflow_two_hop` calls behind one reputation, without their
+    :class:`FlowResult` wrappers.  Counted as those two calls, and made
+    as those two calls while a profiler is timing kernel invocations.
+    """
+    if owner == peer:
+        raise ValueError("source and sink must differ")
+    if _profile.ACTIVE is not None:
+        return (
+            maxflow_two_hop(graph, peer, owner).value,
+            maxflow_two_hop(graph, owner, peer).value,
+        )
+    KERNEL_INVOCATIONS["maxflow_two_hop"] += 2
+    successors = graph.successors
+    predecessors = graph.predecessors
+    return (
+        two_hop_flow(successors(peer), predecessors(owner), owner),
+        two_hop_flow(successors(owner), predecessors(peer), peer),
+    )
+
+
 def maxflow_two_hop(
     graph: TransferGraph,
     source: PeerId,
@@ -420,75 +484,42 @@ def maxflow_two_hop(
 ) -> FlowResult:
     """Closed-form 2-hop bounded maxflow (BarterCast's online kernel).
 
-    Evaluates ``c(s,t) + sum_v min(c(s,v), c(v,t))`` by scanning the smaller
-    of the source's out-neighbourhood and the sink's in-neighbourhood.
-
-    ``record_paths`` additionally returns the (unique, exact) 2-hop path
-    decomposition; the flag-off fast path is untouched.
+    :func:`two_hop_flow` over the source's out-neighbourhood and the
+    sink's in-neighbourhood.  ``record_paths`` additionally returns the
+    (unique, exact) 2-hop path decomposition; the value is the same bits
+    either way.
     """
     if source == sink:
         raise ValueError("source and sink must differ")
     KERNEL_INVOCATIONS["maxflow_two_hop"] += 1
     prof = _profile.ACTIVE
-    if prof is not None:
-        t0 = _time.perf_counter()
-        try:
-            return _two_hop_impl(graph, source, sink, record_paths)
-        finally:
-            prof.observe_kernel("maxflow_two_hop", _time.perf_counter() - t0)
-    return _two_hop_impl(graph, source, sink, record_paths)
-
-
-def _two_hop_impl(
-    graph: TransferGraph, source: PeerId, sink: PeerId, record_paths: bool
-) -> FlowResult:
-    if not graph.has_node(source) or not graph.has_node(sink):
-        return FlowResult(value=0.0, source=source, sink=sink)
+    t0 = _time.perf_counter() if prof is not None else 0.0
     if record_paths:
-        total, paths = _two_hop_paths(graph, source, sink)
-        return FlowResult(
-            value=total,
-            source=source,
-            sink=sink,
-            augmenting_paths=len(paths),
-            paths=paths,
-        )
-    out_s = graph.successors(source)
-    in_t = graph.predecessors(sink)
-    total = out_s.get(sink, 0.0)
-    # Scan the smaller neighbourhood for the intersection.
-    if len(out_s) <= len(in_t):
-        for v, c_sv in out_s.items():
-            if v == sink:
-                continue
-            c_vt = in_t.get(v)
-            if c_vt:
-                total += min(c_sv, c_vt)
+        value, paths = two_hop_paths(graph, source, sink)
     else:
-        for v, c_vt in in_t.items():
-            if v == source:
-                continue
-            c_sv = out_s.get(v)
-            if c_sv:
-                total += min(c_sv, c_vt)
-    return FlowResult(value=total, source=source, sink=sink)
+        value = two_hop_flow(graph.successors(source), graph.predecessors(sink), sink)
+        paths = ()
+    if prof is not None:
+        prof.observe_kernel("maxflow_two_hop", _time.perf_counter() - t0)
+    return FlowResult(
+        value=value, source=source, sink=sink, augmenting_paths=len(paths), paths=paths
+    )
 
 
-def _two_hop_paths(
+def two_hop_paths(
     graph: TransferGraph, source: PeerId, sink: PeerId
 ) -> Tuple[float, Tuple[FlowPath, ...]]:
-    """The recording twin of the closed form: ``(value, paths)``.
-
-    Mirrors the scalar kernel's branch choice and accumulation order
-    exactly, so the recorded value is bit-identical to the flag-off call
-    (floating-point addition order matters).  Shared by the scalar and
-    batch kernels; callers maintain the invocation counters.
+    """``(value, paths)``: :func:`two_hop_flow` plus the decomposition it
+    summed — the direct edge first, then one path per intermediary in
+    summation order.  Shared by the scalar and batch kernels; callers
+    maintain the invocation counters.
     """
     out_s = graph.successors(source)
     in_t = graph.predecessors(sink)
+    via: List[PeerId] = []
+    value = two_hop_flow(out_s, in_t, sink, via)
     paths: List[FlowPath] = []
     c_st = out_s.get(sink, 0.0)
-    total = c_st
     if c_st:
         # The direct edge always routes its full capacity.
         paths.append(
@@ -499,36 +530,19 @@ def _two_hop_paths(
                 residuals=(0.0,),
             )
         )
-    if len(out_s) <= len(in_t):
-        for v, c_sv in out_s.items():
-            if v == sink:
-                continue
-            c_vt = in_t.get(v)
-            if c_vt:
-                f = min(c_sv, c_vt)
-                total += f
-                paths.append(
-                    FlowPath(
-                        nodes=(source, v, sink),
-                        flow=f,
-                        bottleneck=(source, v) if c_sv <= c_vt else (v, sink),
-                        residuals=(c_sv - f, c_vt - f),
-                    )
-                )
-    else:
-        for v, c_vt in in_t.items():
-            if v == source:
-                continue
-            c_sv = out_s.get(v)
-            if c_sv:
-                f = min(c_sv, c_vt)
-                total += f
-                paths.append(
-                    FlowPath(
-                        nodes=(source, v, sink),
-                        flow=f,
-                        bottleneck=(source, v) if c_sv <= c_vt else (v, sink),
-                        residuals=(c_sv - f, c_vt - f),
-                    )
-                )
-    return total, tuple(paths)
+    for v in via:
+        c_sv = out_s[v]
+        c_vt = in_t[v]
+        if c_sv <= c_vt:
+            f, bottleneck = c_sv, (source, v)
+        else:
+            f, bottleneck = c_vt, (v, sink)
+        paths.append(
+            FlowPath(
+                nodes=(source, v, sink),
+                flow=f,
+                bottleneck=bottleneck,
+                residuals=(c_sv - f, c_vt - f),
+            )
+        )
+    return value, tuple(paths)

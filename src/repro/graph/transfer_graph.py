@@ -216,8 +216,9 @@ class TransferGraph:
         """Monotone counter bumped on every *effective* mutation.
 
         Writes that leave the stored state unchanged (e.g. ``set_transfer``
-        to the current value) do not move it.  Wholesale reputation caches
-        key on this; dirty-set caches subscribe to edge events instead.
+        to the current value) do not move it.  The rival engines' score
+        memo keys on this; the node's dirty-set cache subscribes to edge
+        events instead.
         """
         return self._version
 

@@ -19,7 +19,6 @@ divergence in the series.
 from __future__ import annotations
 
 import dataclasses
-import importlib
 import json
 import platform
 import subprocess
@@ -72,13 +71,16 @@ def describe(obj):
 def dependency_versions() -> dict:
     """Versions of the numeric dependencies that can change results or
     performance (the columnar backend leans on numpy); ``None`` for
-    packages absent from the environment."""
+    packages absent from the environment.  Read from the installed
+    distributions' metadata: scipy and networkx are test-only
+    dependencies and are not imported to be described."""
+    from importlib import metadata  # not needed unless a manifest is written
+
     versions = {}
     for name in ("numpy", "scipy", "networkx"):
         try:
-            module = importlib.import_module(name)
-            versions[name] = getattr(module, "__version__", None)
-        except ImportError:
+            versions[name] = metadata.version(name)
+        except metadata.PackageNotFoundError:
             versions[name] = None
     return versions
 

@@ -17,8 +17,9 @@ The disabled default is :data:`NULL_METRICS`, a :class:`NullMetricsRegistry`
 whose instruments are shared no-op singletons.  Hot paths additionally
 guard instrumentation behind ``registry.enabled`` (or a cached ``None``)
 so that a disabled run executes *no* instrumentation calls at all — the
-only residue is one attribute check per guarded block.  The benchmark
-``benchmarks/bench_reputation_cache.py`` pins this overhead.
+only residue is one attribute check per guarded block.  The
+``gossip_fast`` / ``gossip_fast_obs`` pair of ``benchmarks/e2e`` measures
+the run with every instrument off against the run with every one on.
 
 Determinism
 -----------

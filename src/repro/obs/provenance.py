@@ -39,7 +39,8 @@ shared :data:`NULL_PROVENANCE` recorder answers ``enabled = False`` and
 every hot path guards on a cached boolean, so a provenance-off run
 executes no recording code and is byte-identical to the seed behaviour
 (pinned by ``tests/test_provenance.py``); the overhead of provenance-on
-is measured by ``benchmarks/bench_reputation_cache.py``.
+is part of what the ``gossip_fast_obs`` workload of ``benchmarks/e2e``
+measures.
 
 Like the maxflow kernel counters, the module keeps process-wide totals
 (:data:`PROVENANCE_TOTALS`) so the CLI can report lineage activity of a

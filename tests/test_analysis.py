@@ -43,6 +43,49 @@ class TestCorrelation:
         assert math.isnan(pearson_r([1, 1, 1], [1, 2, 3]))
         assert math.isnan(spearman_r([1, 1, 1], [1, 2, 3]))
 
+    @pytest.mark.parametrize(
+        "x, y, want",
+        [
+            # untied
+            ([0.3, -1.2, 2.5, 0.9, 1.1, -0.4, 3.3], [1.0, -0.7, 0.2, 2.9, 1.4, -2.0, 0.6],
+             "0x1.924924924924bp-2"),
+            # ties in both samples
+            ([1, 2, 2, 3, 3, 3, 4], [2, 1, 2, 5, 3, 3, 0], "0x1.5f3aa673fa911p-4"),
+            # n = 2: one ulp short of -1 / +1, as scipy's corrcoef step leaves it
+            ([1, 2], [2, 1], "-0x1.fffffffffffffp-1"),
+            ([1, 2], [1, 2], "0x1.fffffffffffffp-1"),
+        ],
+        ids=["untied", "tied", "n2-reversed", "n2-same"],
+    )
+    def test_spearman_pinned_bits(self, x, y, want):
+        """Literals recorded from ``scipy.stats.spearmanr`` (1.17.1); the
+        rank sums of samples this small are exact, so they do not depend
+        on the BLAS underneath ``np.corrcoef``."""
+        assert spearman_r(x, y).hex() == want
+
+    def test_spearman_constant_or_nan_input_is_nan(self):
+        assert math.isnan(spearman_r([2.5, 2.5, 2.5, 2.5], [1, 2, 3, 4]))
+        assert math.isnan(spearman_r([1, 2, 3, 4], [7, 7, 7, 7]))
+        assert math.isnan(spearman_r([1.0, float("nan"), 3.0], [3.0, 2.0, 1.0]))
+
+    def test_spearman_equals_scipy_bit_for_bit(self):
+        """The numpy-only implementation is scipy's, step for step."""
+        sps = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(20)
+        for trial in range(300):
+            n = int(rng.integers(2, 120))
+            if trial % 3 == 0:  # untied
+                x, y = rng.normal(size=n), rng.normal(size=n)
+            elif trial % 3 == 1:  # heavily tied
+                x = rng.integers(0, 4, size=n).astype(float)
+                y = rng.integers(0, 6, size=n).astype(float)
+            else:  # correlated, ties on one side
+                x = rng.normal(size=n)
+                y = np.round(x + rng.normal(size=n), 1)
+            if np.std(x) == 0 or np.std(y) == 0:
+                continue
+            assert spearman_r(x, y) == float(sps.spearmanr(x, y)[0])
+
 
 class TestSummarize:
     def test_basic(self):

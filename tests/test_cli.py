@@ -196,3 +196,29 @@ class TestChromeTraceSubcommand:
     def test_missing_trace_errors(self, capsys, tmp_path):
         assert cli.main(["chrome-trace", str(tmp_path / "missing.jsonl")]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def test_fresh_interpreter_needs_neither_scipy_nor_networkx():
+    """``import repro.cli`` and a whole figure run pull in numpy alone:
+    scipy (0.7 s and 74 MiB per process when ``analysis.stats`` imported
+    it) and networkx stay out of ``sys.modules``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = (
+        "import sys\n"
+        "import repro.cli\n"
+        "heavy = lambda: sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'networkx'))\n"
+        "assert heavy() == [], ('after import', heavy())\n"
+        "assert repro.cli.main(['fig1', '--profile', 'tiny']) == 0\n"
+        "assert heavy() == [], ('after fig1', heavy())\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Figure 1(a)" in done.stdout

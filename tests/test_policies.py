@@ -103,3 +103,67 @@ class TestBanPolicy:
         # -0.95 is beyond what 800 MB imbalance produces: still allowed.
         assert node.reputation_of("bad") > -0.95
         assert strict_threshold.allows(node, "bad")
+
+
+def _stranger_policies():
+    from repro.core.whitewashing import (
+        AdaptiveStrangerPenalty,
+        StaticStrangerPenalty,
+        TrustedIdentities,
+    )
+
+    return [
+        None,
+        TrustedIdentities(),
+        StaticStrangerPenalty(-0.6),
+        AdaptiveStrangerPenalty(initial=-0.7),
+    ]
+
+
+class TestAllowedAsksOnce:
+    """``allowed`` — what the choker calls — is ``allows`` over the list,
+    answered from a single ``reputations_of`` pass."""
+
+    PEERS = ["bad", "stranger", "good", "ghost", "bad", "meh"]
+
+    @pytest.fixture
+    def busy_node(self, node):
+        node.record_upload("meh", 60 * MB, now=2.0)  # mildly negative, above -0.5
+        return node
+
+    def _policies(self):
+        yield NoPolicy()
+        for stranger in _stranger_policies():
+            yield RankPolicy(stranger_policy=stranger)
+            for delta in (-0.5, -0.1, 0.0, -1.0):
+                yield BanPolicy(delta, stranger_policy=stranger)
+
+    def test_equals_per_peer_allows(self, busy_node):
+        for policy in self._policies():
+            for who in (busy_node, None):
+                want = [p for p in self.PEERS if policy.allows(who, p)]
+                assert policy.allowed(who, self.PEERS) == want, (policy, policy.stranger_policy)
+            assert policy.allowed(busy_node, []) == []
+
+    def test_ban_really_filters_here(self, busy_node):
+        assert BanPolicy(-0.5).allowed(busy_node, self.PEERS) == ["stranger", "good", "ghost", "meh"]
+        strict = BanPolicy(-0.5, stranger_policy=_stranger_policies()[2])
+        assert strict.allowed(busy_node, self.PEERS) == ["good", "meh"]
+
+    def test_ban_is_one_batched_lookup(self, busy_node, monkeypatch):
+        calls = []
+        batch = busy_node.reputations_of
+        monkeypatch.setattr(busy_node, "reputations_of", lambda peers: calls.append(list(peers)) or batch(peers))
+        monkeypatch.setattr(busy_node, "reputation_of", lambda peer: pytest.fail("asked per peer"))
+        BanPolicy(-0.5).allowed(busy_node, self.PEERS)
+        assert calls == [self.PEERS]
+
+    def test_rank_and_baseline_evaluate_nothing(self, busy_node):
+        for policy in (NoPolicy(), RankPolicy()):
+            assert policy.allowed(busy_node, self.PEERS) == self.PEERS
+        assert busy_node.rep_cache_misses == busy_node.rep_cache_hits == 0
+
+    def test_rank_order_reads_each_score_once(self, busy_node, rng):
+        order = RankPolicy().order_optimistic(busy_node, ["bad", "meh", "good", "stranger"], rng)
+        assert order == ["good", "stranger", "meh", "bad"]
+        assert (busy_node.rep_cache_hits, busy_node.rep_cache_misses) == (0, 4)

@@ -318,20 +318,26 @@ class TestCacheTelemetry:
 
 
 # ---------------------------------------------------------------------------
-# Whole-run counter pins (literals recorded while the stamp cache and the
-# wholesale mode still existed: the one path left does the same lookups)
+# Whole-run counter pins.  The four seed-3 literals were re-recorded when
+# the policies began to ask once per round (``policy.allowed`` reading one
+# ``reputations_of`` dict): under ban the kernel work is what it was —
+# misses and invalidations (8, 8) and (1407, 1407) as before — and only the
+# guaranteed hits of the per-candidate ``allows`` lookups are gone (8 -> 0,
+# 2091 -> 342); under rank only the peers whose order is read are scored
+# (tiny: (0, 8, 8) -> nothing; busy: 1280 evaluations -> 95, and the 190
+# hits of the sort key's second lookup -> 0, it reads the dict).
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
     "make_scenario, make_policy, seed, want",
     [
-        (ScenarioConfig.tiny, lambda: BanPolicy(-0.5), 3, (8, 8, 8)),
+        (ScenarioConfig.tiny, lambda: BanPolicy(-0.5), 3, (0, 8, 8)),
         (ScenarioConfig.tiny, lambda: BanPolicy(-0.5), 11, (0, 0, 0)),
-        (ScenarioConfig.tiny, RankPolicy, 3, (0, 8, 8)),
+        (ScenarioConfig.tiny, RankPolicy, 3, (0, 0, 0)),
         (ScenarioConfig.tiny, RankPolicy, 11, (0, 0, 0)),
-        (_busy, lambda: BanPolicy(-0.5), 3, (2091, 1407, 1407)),
-        (_busy, RankPolicy, 3, (190, 1280, 1280)),
+        (_busy, lambda: BanPolicy(-0.5), 3, (342, 1407, 1407)),
+        (_busy, RankPolicy, 3, (0, 95, 95)),
     ],
     ids=["tiny-ban-3", "tiny-ban-11", "tiny-rank-3", "tiny-rank-11", "busy-ban-3", "busy-rank-3"],
 )
