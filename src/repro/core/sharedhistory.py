@@ -17,6 +17,12 @@ larger claim is the fresher information when both parties are honest, and
 when they disagree the maxflow bound (not edge arbitration) is the paper's
 defense against inflation.
 
+The unit of storage is the unit of gossip: one record per (reporter,
+counterparty) holding both totals and the one ``reported_at`` they share —
+the two directions are only ever written together, by the same record.
+The claim about edge ``(x, y)`` by *x* is the ``uploaded`` of x's record
+about y; the one by *y* is the ``downloaded`` of y's record about x.
+
 Two hard rules protect the owner:
 
 * records *about the owner* (counterparty == owner) are ignored — edges
@@ -28,14 +34,14 @@ Supersede semantics: a reporter's newer message replaces its older claims
 about the same counterparty (records carry totals, not deltas).  Stale
 messages — older than the newest already seen from that reporter about that
 counterparty — are dropped.  Equal-timestamp ties deterministically keep
-the **maximum** value, so duplicated or reordered deliveries of the same
-message can never make the view depend on arrival order (the unreliable
-channel of :mod:`repro.faults` relies on this).
+the **maximum** value, per direction, so duplicated or reordered deliveries
+of the same message can never make the view depend on arrival order (the
+unreliable channel of :mod:`repro.faults` relies on this).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import inf
 from typing import Dict, Hashable, Iterator, Optional, Set, Tuple
 
 from repro.core.messages import BarterCastMessage, HistoryRecord
@@ -48,22 +54,24 @@ __all__ = ["SubjectiveSharedHistory"]
 PeerId = Hashable
 
 
-@dataclass(slots=True)
-class _Claim:
-    """A reporter's latest claim about one directed edge.
+class _Report:
+    """A reporter's latest record about one counterparty.
 
-    ``lineage`` is ``None`` unless provenance recording is enabled, in
-    which case it is the compact raw tuple ``(msg_id, received_at,
-    superseded_count)`` describing the message that delivered the live
-    value.  The full :class:`repro.obs.provenance.ClaimLineage` view is
-    synthesized lazily by :meth:`SubjectiveSharedHistory.lineage_of`
-    (the other fields — reporter, value, reported_at — already live on
-    the claim), keeping the ingest hot path to one tuple allocation.
+    ``up_lineage`` / ``down_lineage`` are ``None`` unless provenance is
+    on; then each is the raw ``(msg_id, received_at, superseded_count)`` of
+    the message that delivered that direction's live value (they differ
+    only after an equal-timestamp tie one direction won).  The full
+    :class:`~repro.obs.provenance.ClaimLineage` is synthesized by
+    :meth:`SubjectiveSharedHistory.lineage_of`.
     """
 
-    value: float
-    reported_at: float
-    lineage: Optional[Tuple[Hashable, float, int]] = None
+    __slots__ = ("uploaded", "downloaded", "reported_at", "up_lineage", "down_lineage")
+
+    def __init__(self, uploaded, downloaded, reported_at, lineage) -> None:
+        self.uploaded = uploaded
+        self.downloaded = downloaded
+        self.reported_at = reported_at
+        self.up_lineage = self.down_lineage = lineage
 
 
 class SubjectiveSharedHistory:
@@ -84,17 +92,17 @@ class SubjectiveSharedHistory:
         Optional :class:`~repro.obs.provenance.ProvenanceRecorder`.  When
         enabled, every live claim carries a :class:`ClaimLineage` and
         lineage events (record/supersede/redelivery/stale/forget) are
-        counted.  Defaults to the no-op :data:`NULL_PROVENANCE`; the
-        hooks only observe, so a provenance-on store makes exactly the
-        state transitions and graph writes of a provenance-off one.
+        counted, one fold per message.  Defaults to the no-op
+        :data:`NULL_PROVENANCE`; the hooks only observe, so a
+        provenance-on store makes exactly the state transitions and graph
+        writes of a provenance-off one.
 
     Notes
     -----
-    The class maintains, for every directed pair ``(x, y)`` with
-    ``owner ∉ {x, y}``, a small dict of claims keyed by reporter.  Edge
-    materialization takes the max over live claims and writes it through to
-    ``graph`` incrementally, so reputation queries never trigger a full
-    rebuild.
+    The class maintains ``reporter -> {counterparty: record}`` for every
+    pair with ``owner ∉ {reporter, counterparty}``.  An edge is the max of
+    its (at most two) live claims, written through to ``graph`` only when
+    a total moves, so reputation queries never trigger a full rebuild.
     """
 
     def __init__(
@@ -108,8 +116,8 @@ class SubjectiveSharedHistory:
         self._graph = graph
         self._prov = provenance if provenance is not None else NULL_PROVENANCE
         self._prov_on = self._prov.enabled
-        # (src, dst) -> {reporter: _Claim}
-        self._claims: Dict[Tuple[PeerId, PeerId], Dict[PeerId, _Claim]] = {}
+        # reporter -> {counterparty: _Report}; never holds an empty dict.
+        self._reports: Dict[PeerId, Dict[PeerId, _Report]] = {}
         self._messages_seen = 0
         self._records_applied = 0
         self._records_dropped = 0
@@ -150,7 +158,9 @@ class SubjectiveSharedHistory:
         creation time is used.  A malformed record (not a
         :class:`HistoryRecord`, :meth:`~HistoryRecord.is_sane` false,
         naming the sender or the owner) is dropped and counted, never
-        raised on; the rest of the message still applies.
+        raised on; the rest of the message still applies.  A message whose
+        ``created_at`` is not a finite real is dropped whole: an infinite
+        timestamp would shadow every later honest message of its sender.
 
         Raises
         ------
@@ -162,22 +172,33 @@ class SubjectiveSharedHistory:
         if reporter == owner:
             raise ValueError("a node cannot ingest its own message")
         self._messages_seen += 1
-        rts = float(message.created_at)
-        if self._prov_on:
-            prov = self._prov
-            record_claim = prov.record_claim
+        created = message.created_at
+        try:
+            # The chained comparison is also false for NaN.
+            rts = float(created) if -inf < created < inf else None
+        except (TypeError, ValueError):
+            rts = None
+        records = message.records if rts is not None else ()
+        prov_on = self._prov_on
+        if prov_on:
             msg_id = message.msg_id
             if msg_id is None:
-                msg_id = (reporter, message.created_at)
-            received_at = rts if now is None else float(now)
+                msg_id = (reporter, created)
+            seen_at = rts if now is None else float(now)
+            fresh = (msg_id, seen_at, 0)
+            trace_claim = self._prov.trace_claim
         else:
-            prov = lineage = None
-        claims_map = self._claims
+            fresh = None
+        reports = self._reports
+        # A new reporter's dict is filed by its first valid record.
+        mine = reports.get(reporter) or {}
         g_set = self._graph.set_transfer
-        applied = 0
-        # One pass over the records: validate, supersede-check, write.
-        # Ingest is the write hot path of every simulation.
-        for record in message.records:
+        applied = first = superseded = redelivered = stale = 0
+        # One pass over the records, one probe per record: validate, settle
+        # stale / tie / newer for both directions from the one timestamp,
+        # and leave when neither total moved.  Ingest is the write hot path
+        # of every simulation and ~88 % of records only restate a total.
+        for record in records:
             if not isinstance(record, HistoryRecord) or not record.is_sane():
                 continue
             c = record.counterparty
@@ -185,65 +206,72 @@ class SubjectiveSharedHistory:
                 # Edges incident to the owner come from the private
                 # history only; a reporter has no edge to itself.
                 continue
-            changed = False
-            # reporter -> c is the reporter's claimed upload, c -> reporter
-            # its claimed download.
-            for edge, value in (
-                ((reporter, c), record.uploaded),
-                ((c, reporter), record.downloaded),
-            ):
-                claims = claims_map.get(edge)
-                if claims is None:
-                    claims = claims_map[edge] = {}
-                    existing = None
+            up = record.uploaded
+            down = record.downloaded
+            rec = mine.get(c)
+            if rec is None:
+                if not mine:
+                    reports[reporter] = mine
+                rec = mine[c] = _Report(float(up), float(down), rts, fresh)
+                first += 1
+                up_moved = down_moved = True
+            else:
+                ets = rec.reported_at
+                if ets > rts:
+                    stale += 2
+                    continue
+                if ets == rts:
+                    # Redelivered or reordered copy of an equal-timestamp
+                    # message: the tie rule keeps the max value per direction,
+                    # so the view is independent of arrival order (delivery
+                    # idempotency).  Lineage moves only on a direction that won.
+                    up_new = bool(up > rec.uploaded)
+                    down_new = bool(down > rec.downloaded)
+                    superseded += up_new + down_new
+                    redelivered += 2 - up_new - down_new
                 else:
-                    existing = claims.get(reporter)
-                if existing is None:
-                    if prov is not None:
-                        lineage = (msg_id, received_at, 0)
-                        record_claim(owner, edge, reporter, lineage, False)
-                    claims[reporter] = _Claim(float(value), rts, lineage)
-                else:
-                    ets = existing.reported_at
-                    if ets > rts:
-                        if prov is not None:
-                            prov.record_stale(owner, edge, reporter)
-                        continue
-                    if ets == rts and value <= existing.value:
-                        # Redelivered or reordered copy of an equal-timestamp
-                        # message: the tie rule keeps the max value, so the
-                        # view is independent of arrival order (delivery
-                        # idempotency).  Lineage likewise stays put.
-                        if prov is not None:
-                            prov.record_redelivery(owner, edge, reporter)
-                        continue
-                    existing.reported_at = rts
-                    if prov is not None:
-                        # Lineage moves to the replacing — or merely
-                        # confirming — message; ``superseded`` counts every
-                        # predecessor (a claim that predates provenance
-                        # recording counts as one of unknown history).
-                        old = existing.lineage
-                        existing.lineage = lineage = (
-                            msg_id,
-                            received_at,
-                            old[2] + 1 if old is not None else 1,
-                        )
-                        record_claim(owner, edge, reporter, lineage, True)
-                    if existing.value == value:
-                        continue  # fresher confirmation of the same total
-                    existing.value = float(value)
-                if len(claims) == 1:
-                    m = float(value)
-                else:
-                    m = max(cl.value for cl in claims.values())
-                # set_transfer registers both endpoints and no-ops when the
-                # capacity is unchanged (a second reporter's lower claim
-                # leaves the graph version, and every cache, alone).
-                g_set(edge[0], edge[1], m)
-                changed = True
-            if changed:
-                applied += 1
+                    rec.reported_at = rts
+                    up_new = down_new = True
+                    superseded += 2
+                if prov_on:
+                    # Lineage moves to the replacing — or merely
+                    # confirming — message and counts every predecessor.
+                    if up_new:
+                        rec.up_lineage = (msg_id, seen_at, rec.up_lineage[2] + 1)
+                    if down_new:
+                        rec.down_lineage = (msg_id, seen_at, rec.down_lineage[2] + 1)
+                up_moved = up_new and up != rec.uploaded
+                down_moved = down_new and down != rec.downloaded
+                if not (up_moved or down_moved):
+                    continue  # fresher confirmation of the same totals
+                if up_moved:
+                    rec.uploaded = float(up)
+                if down_moved:
+                    rec.downloaded = float(down)
+            # A total moved (~12 % of records): the edge is the max of this
+            # claim and the counterparty's counter-claim, if it made one.
+            # set_transfer registers both endpoints and no-ops on an unchanged
+            # capacity (a claim below the other party's moves no version).
+            theirs = reports.get(c)
+            counter = theirs.get(reporter) if theirs is not None else None
+            if up_moved:
+                if prov_on:
+                    trace_claim(owner, reporter, c, reporter, rec.up_lineage)
+                value = rec.uploaded
+                if counter is not None and counter.downloaded > value:
+                    value = counter.downloaded
+                g_set(reporter, c, value)
+            if down_moved:
+                if prov_on:
+                    trace_claim(owner, c, reporter, reporter, rec.down_lineage)
+                value = rec.downloaded
+                if counter is not None and counter.uploaded > value:
+                    value = counter.uploaded
+                g_set(c, reporter, value)
+            applied += 1
+        if prov_on:
+            recorded = 2 * first + superseded
+            self._prov.fold(recorded, superseded, redelivered, stale)
         dropped = len(message.records) - applied
         self._records_applied += applied
         self._records_dropped += dropped
@@ -253,7 +281,7 @@ class SubjectiveSharedHistory:
         if self._tr_merge is not None and self._tr_merge.sample():
             self._tr_merge.emit_sampled(
                 "ingest",
-                sim_time=message.created_at,
+                sim_time=created,
                 attrs={
                     "owner": owner,
                     "reporter": reporter,
@@ -263,19 +291,9 @@ class SubjectiveSharedHistory:
             )
         return applied
 
-    def _materialize(self, edge: Tuple[PeerId, PeerId]) -> None:
-        claims = self._claims.get(edge, {})
-        value = max((c.value for c in claims.values()), default=0.0)
-        # A claim that does not move the max (e.g. a second reporter making
-        # a lower claim) leaves the materialized edge as-is: skip the write
-        # so the graph version stays put and no cache invalidation fires.
-        # The endpoints are still registered — a zero-value claim marks the
-        # peers as known even though it stores no edge.
-        if value == self._graph.capacity(edge[0], edge[1]):
-            self._graph.add_node(edge[0])
-            self._graph.add_node(edge[1])
-            return
-        self._graph.set_transfer(edge[0], edge[1], value)
+    def _report(self, reporter: PeerId, counterparty: PeerId) -> Optional[_Report]:
+        mine = self._reports.get(reporter)
+        return None if mine is None else mine.get(counterparty)
 
     # ------------------------------------------------------------------
     def claimed(self, src: PeerId, dst: PeerId) -> float:
@@ -284,37 +302,43 @@ class SubjectiveSharedHistory:
 
     def claim_of(self, reporter: PeerId, src: PeerId, dst: PeerId) -> Optional[float]:
         """``reporter``'s own live claim about edge ``(src, dst)``, if any."""
-        claims = self._claims.get((src, dst))
-        if claims is None:
-            return None
-        claim = claims.get(reporter)
-        return None if claim is None else claim.value
+        if reporter == src:
+            rec = self._report(src, dst)
+            return None if rec is None else rec.uploaded
+        rec = self._report(dst, src) if reporter == dst else None
+        return None if rec is None else rec.downloaded
 
     def known_edges(self) -> Iterator[Tuple[PeerId, PeerId]]:
         """Directed pairs for which at least one claim is stored."""
-        return iter(self._claims)
+        reports = self._reports
+        for reporter, mine in reports.items():
+            for c in mine:
+                yield (reporter, c)
+                # (c, reporter) is c's upload edge when c reported it too.
+                if c not in reports or reporter not in reports[c]:
+                    yield (c, reporter)
 
     def reporters(self) -> Set[PeerId]:
         """Every peer with at least one live claim in this view."""
-        seen: Set[PeerId] = set()
-        for claims in self._claims.values():
-            seen.update(claims)
-        return seen
+        return set(self._reports)
 
     def forget_reporter(self, reporter: PeerId) -> int:
         """Drop all claims made by ``reporter``; returns how many edges changed.
 
         Used by failure-injection tests and by future eviction policies.
+        Each edge falls back to the counterparty's counter-claim (or to
+        nothing), in the order of the reporter's records.
         """
-        changed = 0
-        for edge, claims in list(self._claims.items()):
-            if reporter in claims:
-                del claims[reporter]
-                self._materialize(edge)
-                changed += 1
-                if not claims:
-                    del self._claims[edge]
-        if self._prov_on and changed:
+        mine = self._reports.pop(reporter, None)
+        if mine is None:
+            return 0
+        g_set = self._graph.set_transfer
+        for c in mine:
+            counter = self._report(c, reporter)
+            g_set(reporter, c, 0.0 if counter is None else counter.downloaded)
+            g_set(c, reporter, 0.0 if counter is None else counter.uploaded)
+        changed = 2 * len(mine)
+        if self._prov_on:
             self._prov.record_forget(self.owner, reporter, changed)
         return changed
 
@@ -324,34 +348,34 @@ class SubjectiveSharedHistory:
         """Whether live claims carry lineage records."""
         return self._prov_on
 
-    def lineage_of(
-        self, src: PeerId, dst: PeerId
-    ) -> Dict[PeerId, ClaimLineage]:
+    def lineage_of(self, src: PeerId, dst: PeerId) -> Dict[PeerId, ClaimLineage]:
         """Lineage of every live claim about edge ``(src, dst)``.
 
         Keyed by reporter; empty when provenance is off or nothing is
-        known about the pair.  Claims ingested before provenance was
-        enabled carry no lineage and are omitted.
+        known about the pair.
         """
-        claims = self._claims.get((src, dst))
-        if not claims:
-            return {}
-        return {
-            reporter: ClaimLineage(
-                reporter=reporter,
-                msg_id=claim.lineage[0],
-                value=claim.value,
-                reported_at=claim.reported_at,
-                received_at=claim.lineage[1],
-                hops=1,
-                superseded=claim.lineage[2],
-            )
-            for reporter, claim in claims.items()
-            if claim.lineage is not None
-        }
+        out: Dict[PeerId, ClaimLineage] = {}
+        for reporter, rec, is_up in (
+            (src, self._report(src, dst), True),
+            (dst, self._report(dst, src), False),
+        ):
+            if rec is None:
+                continue
+            lineage = rec.up_lineage if is_up else rec.down_lineage
+            if lineage is not None:
+                out[reporter] = ClaimLineage(
+                    reporter=reporter,
+                    msg_id=lineage[0],
+                    value=rec.uploaded if is_up else rec.downloaded,
+                    reported_at=rec.reported_at,
+                    received_at=lineage[1],
+                    hops=1,
+                    superseded=lineage[2],
+                )
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<SubjectiveSharedHistory owner={self.owner!r} "
-            f"edges={len(self._claims)} msgs={self._messages_seen}>"
+            f"reporters={len(self._reports)} msgs={self._messages_seen}>"
         )

@@ -39,6 +39,7 @@ append-only, so a recording run is bit-identical to an unrecorded one
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 from array import array
@@ -185,6 +186,9 @@ class DisseminationRecorder:
         self._put_dst = self._ev_dst.append
         self._put_detail = self._ev_detail.append
         self._population: List[PeerId] = []
+        # Derived views (claim index, claim_stats, to_dict), each stored
+        # with the log lengths it was built from; see _cached.
+        self._memo: Dict[str, tuple] = {}
 
     # -- wiring --------------------------------------------------------
 
@@ -449,12 +453,43 @@ class DisseminationRecorder:
                 seen.add((sender, counterparty))
         return sorted(seen, key=lambda c: (_sort_key(c[0]), _sort_key(c[1])))
 
+    def _cached(self, name: str, build):
+        """``build()``, rebuilt only after the log grew.  The post-run
+        consumers (manifest summary, export, the worker boundary) all read
+        the same finished log; callers treat the result as read-only.
+
+        The cyclic collector is paused for the build: the views are
+        millions of acyclic atom-only tuples and sets that all survive, so
+        the generational passes they trigger (over the whole simulation's
+        heap, again and again) find nothing and cost up to two thirds of
+        the build.
+        """
+        key = (len(self._msg_index), len(self._ev_kind), len(self._population))
+        hit = self._memo.get(name)
+        if hit is None or hit[0] != key:
+            paused = gc.isenabled()
+            gc.disable()
+            try:
+                hit = self._memo[name] = (key, build())
+            finally:
+                if paused:
+                    gc.enable()
+        return hit[1]
+
     def _claim_messages(self) -> Dict[ClaimKey, Set[Hashable]]:
         """claim -> msg_ids that carried it."""
+        return self._cached("claim_messages", self._build_claim_messages)
+
+    def _build_claim_messages(self) -> Dict[ClaimKey, Set[Hashable]]:
         out: Dict[ClaimKey, Set[Hashable]] = {}
         for mid, (sender, _, _, _, records) in self._materialize().items():
             for counterparty, _, _ in records:
-                out.setdefault((sender, counterparty), set()).add(mid)
+                claim = (sender, counterparty)
+                mids = out.get(claim)
+                if mids is None:
+                    out[claim] = {mid}
+                else:
+                    mids.add(mid)
         return out
 
     def claim_dag(self, claim: ClaimKey) -> dict:
@@ -490,6 +525,9 @@ class DisseminationRecorder:
 
     def claim_stats(self) -> List[dict]:
         """Per-claim coverage/redundancy digest, deterministically ordered."""
+        return self._cached("claim_stats", self._build_claim_stats)
+
+    def _build_claim_stats(self) -> List[dict]:
         claim_msgs = self._claim_messages()
         first: Dict[ClaimKey, Dict[PeerId, float]] = {}
         copies: Dict[ClaimKey, int] = {}
@@ -504,7 +542,7 @@ class DisseminationRecorder:
                 # Deliveries to the claim's own parties don't count: the
                 # reporter never ingests its own record and records about
                 # the receiver are rejected on ingest.
-                if dst in (claim[0], claim[1]):
+                if dst == claim[1] or dst == claim[0]:
                     continue
                 copies[claim] = copies.get(claim, 0) + 1
                 per = first.setdefault(claim, {})
@@ -544,23 +582,11 @@ class DisseminationRecorder:
 
     def redundancy_factor(self) -> Optional[float]:
         """Copies delivered per unique (claim, receiver) delivery."""
-        mid_claims: Dict[Hashable, List[ClaimKey]] = {}
-        for claim, mids in self._claim_messages().items():
-            for mid in mids:
-                mid_claims.setdefault(mid, []).append(claim)
-        total = 0
-        unique: Set[Tuple[PeerId, PeerId, PeerId]] = set()
-        for kind, _, mid, _, dst, _ in self._iter_events():
-            if kind != "deliver" and kind != "gossip":
-                continue
-            for claim in mid_claims.get(mid, ()):
-                if dst in (claim[0], claim[1]):
-                    continue
-                total += 1
-                unique.add((claim[0], claim[1], dst))
+        stats = self.claim_stats()
+        unique = sum(s["reached"] for s in stats)
         if not unique:
             return None
-        return total / len(unique)
+        return sum(s["copies"] for s in stats) / unique
 
     # -- lineage replay (the auditor cross-check) ----------------------
 
@@ -573,8 +599,13 @@ class DisseminationRecorder:
         match ``SubjectiveSharedHistory`` exactly — any divergence means
         the event log is incomplete.
         """
+        return self._replay(receiver, self._iter_events())
+
+    def _replay(self, receiver: PeerId, rows) -> Dict[tuple, float]:
+        """:meth:`replay_claims` over ``rows`` (the whole log, or the rows
+        a caller already bucketed by receiver)."""
         state: Dict[tuple, Tuple[float, float]] = {}
-        for kind, _, mid, _, dst, detail in self._iter_events():
+        for kind, _, mid, _, dst, _ in rows:
             if dst != receiver:
                 continue
             if kind == "wipe":
@@ -635,7 +666,7 @@ class DisseminationRecorder:
                     continue
                 if p not in survivors:
                     alive: Set[ClaimKey] = set()
-                    for rep, src, dsn in self.replay_claims(p):
+                    for rep, src, dsn in self._replay(p, rows_to.get(p, ())):
                         alive.add((rep, dsn if src == rep else src))
                     survivors[p] = alive
                 if ck in survivors[p]:
@@ -715,15 +746,19 @@ class DisseminationRecorder:
         """JSON-safe snapshot: digest + per-claim stats + attributions.
 
         This is what crosses the worker boundary and what export
-        serializes, so it must be deterministic for a given event log.
+        serializes, so it must be deterministic for a given event log —
+        and is built once per finished log.
         """
-        return {
-            "schema": DISSEMINATION_SCHEMA,
-            "label": self.label,
-            "summary": self.summary(),
-            "claims": self.claim_stats(),
-            "undelivered": self.explain_missing(),
-        }
+        return self._cached(
+            "to_dict",
+            lambda: {
+                "schema": DISSEMINATION_SCHEMA,
+                "label": self.label,
+                "summary": self.summary(),
+                "claims": self.claim_stats(),
+                "undelivered": self.explain_missing(),
+            },
+        )
 
 
 def render_attribution(entry: dict) -> str:
@@ -806,7 +841,8 @@ class DisseminationCollector:
         """Manifest digest: one entry per recorded run."""
         return {
             "coverage_fractions": list(self.config.coverage_fractions),
-            "runs": [snap["summary"] for snap in self.series()],
+            "runs": [snap["summary"] for snap in self._snapshots]
+            + [r.summary() for r in self._recorders],
         }
 
     def export(self, directory: Union[str, Path]) -> List[Path]:

@@ -27,20 +27,23 @@ compact lineage tuple
 * ``superseded`` — how many earlier claims by the same reporter about
   the same edge this entry replaced (a freshness/stability signal).
 
-Lineage is maintained through every mutation path of the store: newer
-messages supersede (``superseded`` increments), equal-timestamp
-redeliveries are ignored exactly like the value tie-break ignores them
-(the view — and its lineage — stays independent of arrival order),
-stale copies are dropped, and ``forget_reporter`` churn wipes remove
-the lineage together with the claims.
+Lineage is stored per direction on the store's (reporter, counterparty)
+record and maintained through every mutation path: newer messages
+supersede (``superseded`` increments), equal-timestamp redeliveries are
+ignored exactly like the value tie-break ignores them (the view — and
+its lineage — stays independent of arrival order), stale copies are
+dropped, and ``forget_reporter`` churn wipes remove it with the claims.
+The store counts these events in locals and folds them in once per
+message: the totals count *every* claim, while a ``prov.claim`` trace
+event means *a claim that changed a value* — a first claim or a moved
+total, the ones that reach the graph write.
 
 Null-object discipline (PR 2): provenance is **off by default**.  The
 shared :data:`NULL_PROVENANCE` recorder answers ``enabled = False`` and
-every hot path guards on a cached boolean, so a provenance-off run
-executes no recording code and is byte-identical to the seed behaviour
-(pinned by ``tests/test_provenance.py``); the overhead of provenance-on
-is part of what the ``gossip_fast_obs`` workload of ``benchmarks/e2e``
-measures.
+the store guards on a cached boolean, so a provenance-off run is
+byte-identical to the seed behaviour (pinned by
+``tests/test_provenance.py``); what provenance-on costs is part of what
+the ``gossip_fast_obs`` workload of ``benchmarks/e2e`` measures.
 
 Like the maxflow kernel counters, the module keeps process-wide totals
 (:data:`PROVENANCE_TOTALS`) so the CLI can report lineage activity of a
@@ -129,85 +132,73 @@ class ProvenanceRecorder:
     is stored per-claim inside each node's shared history; the recorder
     is the aggregation/emission point).  When the obs bundle has live
     metrics the recorder maintains ``prov.*`` counters; when tracing is
-    live it emits sampled ``prov.claim`` events.  Neither leg is
-    required — a bare ``ProvenanceRecorder()`` still counts locally and
-    into :data:`PROVENANCE_TOTALS`.
+    live it emits sampled ``prov.claim`` events for the claims that
+    changed a value.  Neither leg is required — a bare
+    ``ProvenanceRecorder()`` still counts locally and into
+    :data:`PROVENANCE_TOTALS`.
     """
 
     enabled = True
+    # This recorder's lineage-event totals (an instance shadows the zeros).
+    claims_recorded = claims_superseded = redeliveries_ignored = 0
+    stale_dropped = claims_forgotten = 0
 
     def __init__(self, obs=None) -> None:
         from repro.obs import NULL_OBS
 
         obs = obs if obs is not None else NULL_OBS
-        self.claims_recorded = 0
-        self.claims_superseded = 0
-        self.redeliveries_ignored = 0
-        self.stale_dropped = 0
-        self.claims_forgotten = 0
         metrics = obs.metrics
-        if metrics.enabled:
-            self._m_recorded = metrics.counter("prov.claims_recorded")
-            self._m_superseded = metrics.counter("prov.claims_superseded")
-            self._m_redelivered = metrics.counter("prov.redeliveries_ignored")
-            self._m_stale = metrics.counter("prov.stale_dropped")
-            self._m_forgotten = metrics.counter("prov.claims_forgotten")
-        else:
-            self._m_recorded = None
-            self._m_superseded = None
-            self._m_redelivered = None
-            self._m_stale = None
-            self._m_forgotten = None
+        counter = metrics.counter if metrics.enabled else lambda name: None
+        self._m_recorded = counter("prov.claims_recorded")
+        self._m_superseded = counter("prov.claims_superseded")
+        self._m_redelivered = counter("prov.redeliveries_ignored")
+        self._m_stale = counter("prov.stale_dropped")
+        self._m_forgotten = counter("prov.claims_forgotten")
         tracer = obs.tracer
         self._tr_claim = tracer.category("prov.claim") if tracer.enabled else None
 
     # ------------------------------------------------------------------
-    def record_claim(
-        self, owner: PeerId, edge, reporter: PeerId, lineage, superseded: bool
+    def fold(
+        self, recorded: int, superseded: int, redelivered: int, stale: int
     ) -> None:
-        """A claim was applied (``superseded``: it replaced an older one).
+        """One message's lineage events, counted per direction: claims
+        applied (``superseded`` of them replacing or confirming an older
+        one), equal-timestamp redeliveries ignored, stale copies dropped.
+        """
+        self.claims_recorded += recorded
+        self.claims_superseded += superseded
+        self.redeliveries_ignored += redelivered
+        self.stale_dropped += stale
+        PROVENANCE_TOTALS["claims_recorded"] += recorded
+        PROVENANCE_TOTALS["claims_superseded"] += superseded
+        PROVENANCE_TOTALS["redeliveries_ignored"] += redelivered
+        PROVENANCE_TOTALS["stale_dropped"] += stale
+        if self._m_recorded is not None:
+            self._m_recorded.inc(recorded)
+            self._m_superseded.inc(superseded)
+            self._m_redelivered.inc(redelivered)
+            self._m_stale.inc(stale)
+
+    def trace_claim(self, owner: PeerId, src, dst, reporter: PeerId, lineage) -> None:
+        """A claim about edge ``(src, dst)`` changed a value: offer it to
+        the ``prov.claim`` sampler (a restated total never gets here).
 
         ``lineage`` is the raw ``(msg_id, received_at, superseded_count)``
-        tuple the shared history stores on the claim — this method rides
-        the gossip hot path, so it takes the cheap representation rather
-        than a materialized :class:`ClaimLineage`.
+        tuple the shared history stores for that direction.
         """
-        self.claims_recorded += 1
-        PROVENANCE_TOTALS["claims_recorded"] += 1
-        if superseded:
-            self.claims_superseded += 1
-            PROVENANCE_TOTALS["claims_superseded"] += 1
-        if self._m_recorded is not None:
-            self._m_recorded.inc()
-            if superseded:
-                self._m_superseded.inc()
         cat = self._tr_claim
         if cat is not None and cat.sample():
             cat.emit_sampled(
-                "supersede" if superseded else "record",
+                "supersede" if lineage[2] else "record",
                 sim_time=lineage[1],
                 attrs={
                     "owner": owner,
-                    "edge": list(edge),
+                    "edge": [src, dst],
                     "reporter": reporter,
                     "msg_id": _json_safe(lineage[0]),
                     "superseded": lineage[2],
                 },
             )
-
-    def record_redelivery(self, owner: PeerId, edge, reporter: PeerId) -> None:
-        """An equal-timestamp redelivered copy was (correctly) ignored."""
-        self.redeliveries_ignored += 1
-        PROVENANCE_TOTALS["redeliveries_ignored"] += 1
-        if self._m_redelivered is not None:
-            self._m_redelivered.inc()
-
-    def record_stale(self, owner: PeerId, edge, reporter: PeerId) -> None:
-        """An out-of-order older copy was dropped."""
-        self.stale_dropped += 1
-        PROVENANCE_TOTALS["stale_dropped"] += 1
-        if self._m_stale is not None:
-            self._m_stale.inc()
 
     def record_forget(self, owner: PeerId, reporter: PeerId, removed: int) -> None:
         """``removed`` claims by ``reporter`` were wiped (churn path)."""
@@ -221,13 +212,7 @@ class ProvenanceRecorder:
     # ------------------------------------------------------------------
     def summary(self) -> Dict[str, int]:
         """The lineage-event totals of this recorder (manifest section)."""
-        return {
-            "claims_recorded": self.claims_recorded,
-            "claims_superseded": self.claims_superseded,
-            "redeliveries_ignored": self.redeliveries_ignored,
-            "stale_dropped": self.stale_dropped,
-            "claims_forgotten": self.claims_forgotten,
-        }
+        return {key: getattr(self, key) for key in PROVENANCE_TOTALS}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -242,26 +227,16 @@ class NullProvenanceRecorder(ProvenanceRecorder):
     enabled = False
 
     def __init__(self) -> None:  # pylint: disable=super-init-not-called
-        self.claims_recorded = 0
-        self.claims_superseded = 0
-        self.redeliveries_ignored = 0
-        self.stale_dropped = 0
-        self.claims_forgotten = 0
-
-    def record_claim(self, owner, edge, reporter, lineage, superseded) -> None:
         pass
 
-    def record_redelivery(self, owner, edge, reporter) -> None:
+    def fold(self, recorded, superseded, redelivered, stale) -> None:
         pass
 
-    def record_stale(self, owner, edge, reporter) -> None:
+    def trace_claim(self, owner, src, dst, reporter, lineage) -> None:
         pass
 
     def record_forget(self, owner, reporter, removed) -> None:
         pass
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<NullProvenanceRecorder>"
 
 
 #: Shared disabled recorder — the default everywhere.

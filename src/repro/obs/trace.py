@@ -211,6 +211,9 @@ class TraceEmitter:
             self._fh = self.path.open("w")
             self._owns_fh = True
         self._closed = False
+        # One encoder for the emitter's lifetime: ``json.dumps`` with a
+        # ``default`` builds a fresh ``JSONEncoder`` per call.
+        self._encode = json.JSONEncoder(default=_json_default).encode
         header = {
             "schema": TRACE_SCHEMA,
             "created_unix": time.time(),
@@ -261,7 +264,7 @@ class TraceEmitter:
         }
         if attrs:
             record["attrs"] = attrs
-        self._fh.write(json.dumps(record, default=_json_default) + "\n")
+        self._fh.write(self._encode(record) + "\n")
 
     def flush(self) -> None:
         if not self._closed:

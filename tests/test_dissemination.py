@@ -99,6 +99,31 @@ class TestRecorderSynthetic:
         assert rec.redundancy_factor() == 2.0
         assert rec.hop_histogram() == {"1": 2}
 
+    def test_derived_views_are_built_once_and_follow_the_log(self):
+        rec, m1, _ = self._recorder()
+        snap = rec.to_dict()
+        # One build per finished log: the same objects serve the manifest
+        # summary, export and the worker boundary.
+        assert rec.to_dict() is snap and rec.claim_stats() is snap["claims"]
+        assert snap["summary"] == rec.summary()
+        # The log grows (a gossip-path message, then an explicit event):
+        # every view is rebuilt and equals a recorder fed the whole log.
+        m3 = _msg("D", 200.0, [HistoryRecord("B", 1.0, 0.0)], msg_id=("D", 1))
+        rec.record_gossip(m3, "C", 200.0)
+        assert rec.claims() == [("A", "B"), ("D", "B")]
+        assert [e["copies"] for e in rec.claim_stats()] == [2, 1]
+        rec.record_deliver(m1, "D", 300.0)
+        whole, _, _ = self._recorder()
+        whole.record_gossip(m3, "C", 200.0)
+        whole.record_deliver(m1, "D", 300.0)
+        assert rec.to_dict() == whole.to_dict() and rec.to_dict() is not snap
+        assert rec.redundancy_factor() == 4 / 3  # 4 copies, 3 (claim, receiver)
+
+        collector = DisseminationCollector()
+        collector.attach(rec)
+        assert collector.summary()["runs"] == [rec.to_dict()["summary"]]
+        assert collector.series() == [rec.to_dict()]
+
     def test_replay_supersedes_by_created_at(self):
         rec, _, _ = self._recorder()
         # m2 (created_at 100) supersedes m1 for both directed edges.

@@ -3,11 +3,15 @@
 Each optimised piece is checked against a reference that is the code it
 replaced, kept here verbatim: the full stable sorts of
 ``PrivateHistory.top_uploaders`` / ``most_recent``, BuddyCast's sequential
-``_insert``, and the layered ``_apply_record`` / ``_update_claim`` ingest
-path that the one-loop ``SubjectiveSharedHistory.ingest`` absorbed.
+``_insert``, and the per-edge claim store with its layered
+``_apply_record`` / ``_update_claim`` ingest path and per-claim recorder
+hooks, which the per-record store and its one-loop, one-fold
+``SubjectiveSharedHistory.ingest`` replaced.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Hashable, Optional, Tuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,9 +20,9 @@ from repro.core.adversary import HonestBehavior, SelfishLiar
 from repro.core.history import PrivateHistory
 from repro.core.messages import BarterCastMessage, HistoryRecord, select_records
 from repro.core.node import BarterCastNode
-from repro.core.sharedhistory import SubjectiveSharedHistory, _Claim
+from repro.core.sharedhistory import SubjectiveSharedHistory
 from repro.graph.transfer_graph import TransferGraph
-from repro.obs.provenance import ProvenanceRecorder
+from repro.obs.provenance import ClaimLineage, ProvenanceRecorder
 from repro.pss.buddycast import BuddyCastPSS
 from repro.sim.rng import RngRegistry
 
@@ -158,24 +162,80 @@ def test_view_merge_equals_sequential_insert(va, vb, view_size, now):
 
 
 # ---------------------------------------------------------------------------
-# (c) one-loop ingest == layered path, provenance off and on
+# (c) per-record store, one-loop ingest == per-edge store, layered path;
+#     provenance off and on
 # ---------------------------------------------------------------------------
 
-class LayeredIngest(SubjectiveSharedHistory):
-    """The provenance-on ingest path as it was before the fusion:
-    ``sane_records()``, then ``_apply_record`` -> ``_update_claim`` ->
-    ``_materialize`` per record."""
+@dataclass(slots=True)
+class _Claim:
+    """The per-edge store's unit: one reporter's claim about one directed
+    edge, with the raw ``(msg_id, received_at, superseded)`` lineage."""
+
+    value: float
+    reported_at: float
+    lineage: Optional[Tuple[Hashable, float, int]] = None
+
+
+class RefRecorder:
+    """The per-claim recorder hooks the fold replaced, counters only."""
+
+    def __init__(self):
+        self.claims_recorded = 0
+        self.claims_superseded = 0
+        self.redeliveries_ignored = 0
+        self.stale_dropped = 0
+        self.claims_forgotten = 0
+
+    def record_claim(self, owner, edge, reporter, lineage, superseded):
+        self.claims_recorded += 1
+        if superseded:
+            self.claims_superseded += 1
+
+    def record_redelivery(self, owner, edge, reporter):
+        self.redeliveries_ignored += 1
+
+    def record_stale(self, owner, edge, reporter):
+        self.stale_dropped += 1
+
+    def record_forget(self, owner, reporter, removed):
+        if removed > 0:
+            self.claims_forgotten += removed
+
+    def summary(self):
+        return {
+            "claims_recorded": self.claims_recorded,
+            "claims_superseded": self.claims_superseded,
+            "redeliveries_ignored": self.redeliveries_ignored,
+            "stale_dropped": self.stale_dropped,
+            "claims_forgotten": self.claims_forgotten,
+        }
+
+
+class LayeredIngest:
+    """The store as it was before the per-record rewrite, self-contained:
+    the per-edge claim map ``_claims[(src, dst)][reporter] -> _Claim`` with
+    its accessors, ``forget_reporter`` and ``_materialize`` verbatim, fed by
+    the provenance-on ingest path as it was before the one-loop fusion
+    (``sane_records()``, then ``_apply_record`` -> ``_update_claim`` ->
+    ``_materialize`` per record)."""
 
     def __init__(self, owner, graph, provenance):
-        super().__init__(owner, graph, provenance=provenance)
+        self.owner = owner
+        self._graph = graph
+        self._prov = provenance
+        self._prov_on = True
         self._prov_record_claim = self._prov.record_claim
+        self._claims = {}
+        self.messages_seen = 0
+        self.records_applied = 0
+        self.records_dropped = 0
         self._msg_id = None
         self._received_at = 0.0
 
     def ingest(self, message, now=None):
         if message.sender == self.owner:
             raise ValueError("a node cannot ingest its own message")
-        self._messages_seen += 1
+        self.messages_seen += 1
         if self._prov_on:
             self._msg_id = (
                 message.msg_id
@@ -186,13 +246,13 @@ class LayeredIngest(SubjectiveSharedHistory):
                 message.created_at if now is None else now
             )
         sane = message.sane_records()
-        self._records_dropped += message.num_records - len(sane)
+        self.records_dropped += message.num_records - len(sane)
         applied = 0
         for record in sane:
             if self._apply_record(message.sender, record, message.created_at):
                 applied += 1
             else:
-                self._records_dropped += 1
+                self.records_dropped += 1
         return applied
 
     def _apply_record(self, reporter, record, reported_at):
@@ -208,7 +268,7 @@ class LayeredIngest(SubjectiveSharedHistory):
         if self._update_claim((c, reporter), reporter, record.downloaded, reported_at):
             changed = True
         if changed:
-            self._records_applied += 1
+            self.records_applied += 1
         return changed
 
     def _update_claim(self, edge, reporter, value, reported_at):
@@ -255,6 +315,62 @@ class LayeredIngest(SubjectiveSharedHistory):
         self._materialize(edge)
         return True
 
+    def _materialize(self, edge):
+        claims = self._claims.get(edge, {})
+        value = max((c.value for c in claims.values()), default=0.0)
+        if value == self._graph.capacity(edge[0], edge[1]):
+            self._graph.add_node(edge[0])
+            self._graph.add_node(edge[1])
+            return
+        self._graph.set_transfer(edge[0], edge[1], value)
+
+    def claim_of(self, reporter, src, dst):
+        claims = self._claims.get((src, dst))
+        if claims is None:
+            return None
+        claim = claims.get(reporter)
+        return None if claim is None else claim.value
+
+    def known_edges(self):
+        return iter(self._claims)
+
+    def reporters(self):
+        seen = set()
+        for claims in self._claims.values():
+            seen.update(claims)
+        return seen
+
+    def forget_reporter(self, reporter):
+        changed = 0
+        for edge, claims in list(self._claims.items()):
+            if reporter in claims:
+                del claims[reporter]
+                self._materialize(edge)
+                changed += 1
+                if not claims:
+                    del self._claims[edge]
+        if self._prov_on and changed:
+            self._prov.record_forget(self.owner, reporter, changed)
+        return changed
+
+    def lineage_of(self, src, dst):
+        claims = self._claims.get((src, dst))
+        if not claims:
+            return {}
+        return {
+            reporter: ClaimLineage(
+                reporter=reporter,
+                msg_id=claim.lineage[0],
+                value=claim.value,
+                reported_at=claim.reported_at,
+                received_at=claim.lineage[1],
+                hops=1,
+                superseded=claim.lineage[2],
+            )
+            for reporter, claim in claims.items()
+            if claim.lineage is not None
+        }
+
 
 OWNER = "me"
 REPORTERS = ["r0", "r1"]
@@ -277,55 +393,170 @@ hostile_record = st.one_of(
     st.builds(HistoryRecord, any_counterparty, any_totals, any_totals),
     st.sampled_from([None, "junk", ("c0", 1.0, 2.0)]),
 )
-message_st = st.builds(
-    BarterCastMessage,
-    sender=st.sampled_from(REPORTERS),
-    created_at=st.sampled_from([1.0, 2.0, 2.0, 3.0]),
-    records=st.lists(st.one_of(good_record, good_record, hostile_record), max_size=5),
-    msg_id=st.sampled_from([None, ("r0", 1), ("r1", 7)]),
+
+
+def messages(created_at):
+    return st.builds(
+        BarterCastMessage,
+        sender=st.sampled_from(REPORTERS),
+        created_at=created_at,
+        records=st.lists(
+            st.one_of(good_record, good_record, hostile_record), max_size=5
+        ),
+        msg_id=st.sampled_from([None, ("r0", 1), ("r1", 7)]),
+    )
+
+
+message_st = messages(st.sampled_from([1.0, 2.0, 2.0, 3.0]))
+receipt_st = st.sampled_from([None, 4.0, 9.5])
+# A step is a delivery or a churn-style forget of one reporter ("c0" never
+# reported anything: the no-op case).
+step_st = st.one_of(
+    st.tuples(message_st, receipt_st),
+    st.tuples(message_st, receipt_st),
+    st.tuples(st.just("forget"), st.sampled_from(REPORTERS + ["c0"])),
 )
-delivery_st = st.tuples(message_st, st.sampled_from([None, 4.0, 9.5]))
+PARTIES = REPORTERS + ["c0", OWNER]
 
 
 def _state(store):
+    """Everything the store shows through its public surface (lineage
+    apart: a provenance-off store has none)."""
     graph = store._graph
+    edges = list(store.known_edges())
+    assert len(edges) == len(set(edges))
     return {
         "applied": store.records_applied,
         "dropped": store.records_dropped,
         "seen": store.messages_seen,
-        "claims": [
-            (edge, [(r, c.value, c.reported_at) for r, c in claims.items()])
-            for edge, claims in store._claims.items()
-        ],
+        "known_edges": set(edges),
+        "reporters": store.reporters(),
+        "claims": {
+            (reporter, edge): store.claim_of(reporter, *edge)
+            for edge in edges
+            for reporter in PARTIES
+        },
         "edges": list(graph.edges()),
         "nodes": list(graph.nodes()),
         "version": graph.version,
     }
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(delivery_st, max_size=10))
-def test_one_loop_ingest_equals_layered_path(deliveries):
-    layered = LayeredIngest(OWNER, TransferGraph(), ProvenanceRecorder())
+def _lineage(store):
+    return {edge: store.lineage_of(*edge) for edge in store.known_edges()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(step_st, max_size=12))
+def test_one_loop_ingest_equals_layered_path(steps):
+    layered = LayeredIngest(OWNER, TransferGraph(), RefRecorder())
     prov_on = SubjectiveSharedHistory(
         OWNER, TransferGraph(), provenance=ProvenanceRecorder()
     )
     prov_off = SubjectiveSharedHistory(OWNER, TransferGraph())
     assert prov_on.provenance_enabled and not prov_off.provenance_enabled
-    for message, received_at in deliveries:
-        expected = layered.ingest(message, now=received_at)
-        assert prov_on.ingest(message, now=received_at) == expected
-        assert prov_off.ingest(message, now=received_at) == expected
+    for step in steps:
+        if step[0] == "forget":
+            expected = layered.forget_reporter(step[1])
+            assert prov_on.forget_reporter(step[1]) == expected
+            assert prov_off.forget_reporter(step[1]) == expected
+        else:
+            message, received_at = step
+            expected = layered.ingest(message, now=received_at)
+            assert prov_on.ingest(message, now=received_at) == expected
+            assert prov_off.ingest(message, now=received_at) == expected
         assert _state(prov_on) == _state(prov_off) == _state(layered)
-    # Lineage and the recorder's event counts are part of the on path.
-    assert prov_on._prov.summary() == layered._prov.summary()
-    for src, dst in layered.known_edges():
-        assert prov_on.lineage_of(src, dst) == layered.lineage_of(src, dst)
-        assert prov_off.lineage_of(src, dst) == {}
-        for reporter in REPORTERS:
-            assert prov_off.claim_of(reporter, src, dst) == layered.claim_of(
-                reporter, src, dst
-            )
+        # Lineage and the recorder's event counts are part of the on path.
+        assert _lineage(prov_on) == _lineage(layered)
+        assert prov_on._prov.summary() == layered._prov.summary()
+    assert not any(_lineage(prov_off).values())
+
+
+def _wipe(store):
+    """``BarterCastNode.wipe_shared_history``'s loop."""
+    return sum(
+        store.forget_reporter(reporter)
+        for reporter in sorted(store.reporters(), key=repr)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(message_st, receipt_st), max_size=8),
+    st.lists(st.tuples(message_st, receipt_st), max_size=8),
+    st.booleans(),
+)
+def test_wipe_then_replay_equals_fresh_store(before, after, provenance):
+    def make():
+        recorder = ProvenanceRecorder() if provenance else None
+        return SubjectiveSharedHistory(OWNER, TransferGraph(), provenance=recorder)
+
+    wiped, fresh = make(), make()
+    for message, received_at in before:
+        wiped.ingest(message, now=received_at)
+    claims = sum(
+        wiped.claim_of(reporter, *edge) is not None
+        for edge in wiped.known_edges()
+        for reporter in PARTIES
+    )
+    assert _wipe(wiped) == claims
+    assert wiped.reporters() == set() and list(wiped.known_edges()) == []
+    assert list(wiped._graph.edges()) == []
+    if provenance:
+        assert wiped._prov.claims_forgotten == claims
+    for message, received_at in after:
+        assert wiped.ingest(message, now=received_at) == fresh.ingest(
+            message, now=received_at
+        )
+    # Counters and node registration (hence edge order) remember the first
+    # life; the view, its claims and their lineage do not.
+    a, b = _state(wiped), _state(fresh)
+    for key in ("known_edges", "reporters", "claims"):
+        assert a[key] == b[key]
+    assert set(a["edges"]) == set(b["edges"])
+    assert _lineage(wiped) == _lineage(fresh)
+
+
+# Whatever a peer puts in ``created_at``: only a finite real is a timestamp.
+hostile_created_at = st.one_of(
+    st.sampled_from([None, "x", "7", [1], (2.0,), {}, math.nan, math.inf, -math.inf]),
+    st.text(max_size=3),
+    st.lists(st.floats(), max_size=2),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(message_st, receipt_st), max_size=4),
+    messages(hostile_created_at),
+    receipt_st,
+    st.booleans(),
+)
+def test_hostile_created_at_drops_the_message(history, forged, received_at, provenance):
+    recorder = ProvenanceRecorder() if provenance else None
+    node = BarterCastNode(OWNER, provenance=recorder)
+    for message, at in history:
+        node.receive_message(message, now=at)
+    store = node.shared
+    before, lineage, summary = _state(store), _lineage(store), store._prov.summary()
+    assert node.receive_message(forged, now=received_at) == 0  # never raises
+    after = _state(store)
+    assert after.pop("seen") == before.pop("seen") + 1
+    assert after.pop("dropped") == before.pop("dropped") + len(forged.records)
+    assert after == before
+    assert _lineage(store) == lineage and store._prov.summary() == summary
+
+
+def test_forged_infinite_timestamp_does_not_shadow_later_messages():
+    for recorder in (None, ProvenanceRecorder()):
+        node = BarterCastNode(OWNER, provenance=recorder)
+        record = lambda total: (HistoryRecord("c0", total, 0.0),)
+        node.receive_message(BarterCastMessage("r0", 1.0, record(3.0)))
+        assert node.receive_message(BarterCastMessage("r0", math.inf, record(5.0))) == 0
+        assert node.shared.claim_of("r0", "r0", "c0") == 3.0
+        assert node.receive_message(BarterCastMessage("r0", 2.0, record(9.0))) == 1
+        assert node.shared.claim_of("r0", "r0", "c0") == 9.0
+        assert node.graph.capacity("r0", "c0") == 9.0
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,40 @@ class TestTrace:
         assert lines[1]["dur"] is not None
         assert lines[1]["dur"] >= 0.0
 
+    def test_kept_encoder_writes_json_dumps_bytes(self):
+        """One encoder per emitter, the bytes of a ``json.dumps`` per event."""
+        from repro.obs.trace import _json_default
+
+        class Opaque:
+            def __repr__(self):
+                return "<opaque>"
+
+        events = [
+            ("prov.claim", "record", 1.5, {"edge": [(1, "a"), 2], "msg_id": (3, 7)}, None),
+            ("bc.msg", "send", 1e-7, {"bytes": 0.1 + 0.2, "big": 1e300, "nan": math.nan}, 0.25),
+            ("x", "numpy", None, {"v": np.float64(2.5), "i": np.int64(4)}, None),
+            ("x", "opaque", math.inf, {"o": Opaque(), "s": {1, 2}, "ü": "é"}, None),
+            ("x", "bare", 3, None, 1 / 3),
+        ]
+        buf = io.StringIO()
+        tracer = TraceEmitter(buf)
+        for cat, name, sim, attrs, dur in events:
+            tracer._write(cat, name, sim, attrs, dur)
+        lines = buf.getvalue().splitlines()[1:]
+        assert len(lines) == len(events)
+        for seq, (line, (cat, name, sim, attrs, dur)) in enumerate(zip(lines, events), 1):
+            record = {
+                "seq": seq,
+                "cat": cat,
+                "name": name,
+                "wall": json.loads(line)["wall"],
+                "sim": sim,
+                "dur": round(dur, 6) if dur is not None else None,
+            }
+            if attrs:
+                record["attrs"] = attrs
+            assert line == json.dumps(record, default=_json_default)
+
     def test_sampling_deterministic(self):
         def kept(seed):
             tracer = TraceEmitter(io.StringIO(), default_rate=0.3, seed=seed)

@@ -143,7 +143,8 @@ class TestClaimLineage:
     def test_null_recorder_is_inert(self):
         assert not NULL_PROVENANCE.enabled
         assert isinstance(NULL_PROVENANCE, NullProvenanceRecorder)
-        NULL_PROVENANCE.record_claim("me", ("a", "b"), "a", (None, 0.0, 0), False)
+        NULL_PROVENANCE.fold(2, 1, 1, 1)
+        NULL_PROVENANCE.trace_claim("me", "a", "b", "a", (None, 0.0, 0))
         NULL_PROVENANCE.record_forget("me", "a", 5)
         assert NULL_PROVENANCE.claims_recorded == 0
         assert NULL_PROVENANCE.claims_forgotten == 0
@@ -450,6 +451,100 @@ class TestProvenanceBitIdentity:
         assert sim.provenance is None
         node = next(iter(sim.nodes.values()))
         assert not node.shared.provenance_enabled
+
+
+# ---------------------------------------------------------------------------
+# The recorder rule: totals count every claim, prov.claim traces the ones
+# that changed a value
+# ---------------------------------------------------------------------------
+class _SpyGraph:
+    """Stands in for a shared history's graph: logs every write the store
+    attempts, with the edge's lineage as it is at that moment."""
+
+    def __init__(self, shared, log):
+        self._shared, self._graph, self._log = shared, shared._graph, log
+
+    def set_transfer(self, src, dst, value):
+        lineage = self._shared.lineage_of(src, dst)
+        self._log.append((self._shared.owner, src, dst, lineage))
+        self._graph.set_transfer(src, dst, value)
+
+    def __getattr__(self, name):
+        return getattr(self._graph, name)
+
+
+class TestClaimTraceRule:
+    # fig1 ``tiny`` at seed 3, as ``repro fig1 --provenance`` reports it.
+    TOTALS = {
+        "claims_recorded": 163_246,
+        "claims_superseded": 157_902,
+        "redeliveries_ignored": 15_296,
+    }
+
+    @staticmethod
+    def traced(path, rate=1.0):
+        from repro.obs import make_observability
+
+        return make_observability(
+            metrics=True, trace_path=path, trace_sample=rate, seed=3
+        )
+
+    def test_one_event_per_ingest_driven_graph_write(self, tmp_path):
+        from repro.core.policies import NoPolicy
+        from repro.obs import read_trace
+        from repro.obs.provenance import _json_safe
+
+        base = snapshot_provenance_totals()
+        obs = self.traced(tmp_path / "run.jsonl")
+        sim = build_simulation(
+            ScenarioConfig.tiny(seed=3).with_provenance(), policy=NoPolicy(), obs=obs
+        )
+        writes = []
+        for node in sim.nodes.values():
+            node.shared._graph = _SpyGraph(node.shared, writes)
+        sim.run()
+        obs.close()
+        _, events = read_trace(tmp_path / "run.jsonl")
+        claims = [e for e in events if e["cat"] == "prov.claim"]
+        counters = {
+            name: int(snap["value"])
+            for name, snap in obs.metrics.snapshot().items()
+            if snap["type"] == "counter"
+        }
+
+        # Every claim is counted, wherever the totals are read ...
+        summary = sim.provenance.summary()
+        assert {k: v for k, v in summary.items() if v} == self.TOTALS
+        assert provenance_totals_delta(base) == self.TOTALS
+        assert {k: counters[f"prov.{k}"] for k in summary} == summary
+        # ... and only those that reached the graph write are traced.
+        assert len(claims) == len(writes) == 5500
+        assert len(claims) <= 2 * counters["bc.records_applied"]
+        assert len(claims) < summary["claims_recorded"] // 20
+        for event, (owner, src, dst, lineage) in zip(claims, writes):
+            attrs = event["attrs"]
+            entry = lineage[attrs["reporter"]]
+            assert attrs["owner"] == owner and attrs["edge"] == [src, dst]
+            assert attrs["reporter"] in (src, dst)
+            assert attrs["msg_id"] == _json_safe(entry.msg_id)
+            assert attrs["superseded"] == entry.superseded
+            assert event["sim"] == entry.received_at
+            assert event["name"] == ("supersede" if entry.superseded else "record")
+
+    def test_same_seed_runs_write_identical_streams(self, tmp_path):
+        from repro.experiments import run_fig1
+        from repro.obs import read_trace
+
+        def run(path):
+            obs = self.traced(path, rate=0.5)
+            run_fig1(ScenarioConfig.tiny(seed=3).with_provenance(), obs=obs)
+            obs.close()
+            _, events = read_trace(path)
+            return [(e["cat"], e["name"], e["sim"], e.get("attrs")) for e in events]
+
+        first = run(tmp_path / "a.jsonl")
+        assert first == run(tmp_path / "b.jsonl")
+        assert any(cat == "prov.claim" for cat, _, _, _ in first)
 
 
 # ---------------------------------------------------------------------------
