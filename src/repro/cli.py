@@ -13,7 +13,6 @@ Usage::
     python -m repro.cli explain --peer I [--subject J] [--profile ...]
     python -m repro.cli all  [--profile ...] [--fig4-peers N]
     python -m repro.cli report PATH          # re-render a stored manifest
-    python -m repro.cli monitor [DIR]        # watch a running --jobs sweep
     python -m repro.cli chrome-trace TRACE   # convert a JSONL trace for Perfetto
 
 Each subcommand regenerates one figure of the paper and prints the series
@@ -74,9 +73,6 @@ Observability flags (available on every subcommand):
     prints propagation analytics (time-to-coverage, hop counts,
     redundancy) plus fault attribution for undelivered claims;
     exported as CSV + JSON beside the run manifest.
-``--monitor-dir DIR``
-    Spool directory for live ``--jobs`` sweep monitoring (see ``repro
-    monitor``); defaults to a per-user temp directory.
 
 When ``--export DIR`` or ``--trace`` is given, a ``run_manifest.json``
 capturing config, seed, code revision, per-phase wall time, and the final
@@ -87,20 +83,30 @@ changes results: an instrumented run is bit-identical to a plain one.
 from __future__ import annotations
 
 import argparse
-import math
+import json
 import sys
 import time
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence
 
-from repro.experiments import (
-    ScenarioConfig,
-    report,
-    run_fig2,
-    run_fig3,
+from repro.analysis import export as series
+from repro.analysis.ascii_plot import render_table
+from repro.experiments import ScenarioConfig, report
+from repro.experiments.faults import assemble_faults, fault_tasks
+from repro.experiments.fig2 import assemble_fig2, fig2_tasks
+from repro.experiments.fig3 import assemble_fig3, fig3_tasks
+from repro.faults import FaultConfig
+from repro.obs import ManifestBuilder, describe, make_observability, render_attribution
+from repro.parallel import (
+    ParallelRunner,
+    fig1_task,
+    fig4_task,
+    run_sweep,
+    scalability_task,
+    whitewash_tasks,
 )
-from repro.obs import ManifestBuilder, Observability, make_observability
-from repro.obs.report import render_report
 
 __all__ = ["main"]
 
@@ -112,7 +118,90 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_obs(p: argparse.ArgumentParser) -> None:
+    # Flag groups: every subcommand is a name, a help line and the groups
+    # it takes (plus whatever only it has).
+    def scale(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--profile",
+            choices=("tiny", "fast", "paper"),
+            default="fast",
+            help="scenario scale: 'fast' (seconds) or 'paper' (full scale, minutes)",
+        )
+
+    def seed(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--seed", type=int, default=42, help="root random seed")
+
+    def export(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--export",
+            metavar="DIR",
+            default=None,
+            help="also write the series as TSV files into DIR",
+        )
+
+    def copies(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--dup",
+            type=float,
+            default=0.0,
+            metavar="P",
+            help="per-copy gossip duplication probability (0 = exactly-once)",
+        )
+        p.add_argument(
+            "--delay",
+            type=float,
+            default=0.0,
+            metavar="SECONDS",
+            help="maximum random gossip delivery delay (0 = instant; "
+            "independent delays reorder messages)",
+        )
+
+    def faults(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--loss",
+            type=float,
+            default=0.0,
+            metavar="P",
+            help="per-message gossip drop probability (0 = reliable channel)",
+        )
+        copies(p)
+        p.add_argument(
+            "--churn",
+            type=float,
+            default=0.0,
+            metavar="RATE",
+            help="abrupt peer restarts per peer per simulated day "
+            "(0 = no churn)",
+        )
+
+    def mechanism(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--engine",
+            default="bartercast",
+            metavar="E1,E2,...",
+            help="comma-separated reputation mechanisms, run on identical "
+            "seeded schedules: bartercast, gossip, ratio (DESIGN.md §15).  "
+            "'explain' replays under the first and, given more than one, "
+            "adds a side-by-side comparison (why did mechanism A ban this "
+            "peer when B didn't)",
+        )
+        p.add_argument(
+            "--delta",
+            type=float,
+            default=-0.5,
+            help="ban threshold: of the ban policy, of the false-ban "
+            "measure and of the per-mechanism verdicts",
+        )
+
+    def provenance(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--provenance",
+            action="store_true",
+            help="record claim lineage during the run (for 'explain'; "
+            "never changes results)",
+        )
+
+    def obs(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--metrics",
             action="store_true",
@@ -162,116 +251,36 @@ def _build_parser() -> argparse.ArgumentParser:
             help="record per-claim dissemination DAGs (propagation "
             "analytics + fault attribution; never changes results)",
         )
-        p.add_argument(
-            "--monitor-dir",
-            metavar="DIR",
-            default=None,
-            help="spool directory for live sweep monitoring "
-            "('repro monitor'; default: per-user temp dir)",
-        )
 
-    def add_faults(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--loss",
-            type=float,
-            default=0.0,
-            metavar="P",
-            help="per-message gossip drop probability (0 = reliable channel)",
-        )
-        p.add_argument(
-            "--dup",
-            type=float,
-            default=0.0,
-            metavar="P",
-            help="per-copy gossip duplication probability (0 = exactly-once)",
-        )
-        p.add_argument(
-            "--delay",
-            type=float,
-            default=0.0,
-            metavar="SECONDS",
-            help="maximum random gossip delivery delay (0 = instant; "
-            "independent delays reorder messages)",
-        )
-        p.add_argument(
-            "--churn",
-            type=float,
-            default=0.0,
-            metavar="RATE",
-            help="abrupt peer restarts per peer per simulated day "
-            "(0 = no churn)",
-        )
+    def command(name: str, help: str, *groups) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        for group in groups:
+            group(p)
+        return p
 
-    def add_provenance(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--provenance",
-            action="store_true",
-            help="record claim lineage during the run (for 'explain'; "
-            "never changes results)",
-        )
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--profile",
-            choices=("tiny", "fast", "paper"),
-            default="fast",
-            help="scenario scale: 'fast' (seconds) or 'paper' (full scale, minutes)",
-        )
-        p.add_argument("--seed", type=int, default=42, help="root random seed")
-        p.add_argument(
-            "--export",
-            metavar="DIR",
-            default=None,
-            help="also write the figure series as TSV files into DIR",
-        )
-        add_faults(p)
-        add_provenance(p)
-        add_obs(p)
-
-    add_common(sub.add_parser("fig1", help="contribution vs reputation"))
-    add_common(sub.add_parser("fig2", help="rank/ban policy effectiveness"))
-    p3 = sub.add_parser("fig3", help="disobeying the message protocol")
-    add_common(p3)
+    figure = (scale, seed, export, faults, provenance, obs)
+    command("fig1", "contribution vs reputation", *figure)
+    command("fig2", "rank/ban policy effectiveness", *figure)
+    p3 = command("fig3", "disobeying the message protocol", *figure)
     p3.add_argument(
         "--kind",
         choices=("ignore", "lie", "both"),
         default="both",
         help="manipulation type (panel a: ignore, panel b: lie)",
     )
-    p4 = sub.add_parser("fig4", help="deployment measurement")
+    p4 = command("fig4", "deployment measurement", seed, export, obs)
     p4.add_argument("--peers", type=int, default=5000, help="population size")
-    p4.add_argument("--seed", type=int, default=42, help="root random seed")
-    p4.add_argument(
-        "--export",
-        metavar="DIR",
-        default=None,
-        help="also write the figure series as TSV files into DIR",
-    )
-    add_obs(p4)
-    pw = sub.add_parser("whitewash", help="stranger-policy trade-off (paper 3.5)")
-    pw.add_argument("--seed", type=int, default=42, help="root random seed")
-    add_obs(pw)
-    ps = sub.add_parser(
-        "scalability", help="subjective-view scaling up to 100k peers"
+    command("whitewash", "stranger-policy trade-off (paper 3.5)", seed, obs)
+    ps = command(
+        "scalability", "subjective-view scaling up to 100k peers", seed, obs
     )
     ps.add_argument("--peers", type=int, default=100_000, help="largest view size")
-    ps.add_argument("--seed", type=int, default=42, help="root random seed")
-    add_obs(ps)
-    pf = sub.add_parser(
-        "faults", help="reputation quality vs gossip-plane fault level"
-    )
-    pf.add_argument(
-        "--profile",
-        choices=("tiny", "fast", "paper"),
-        default="fast",
-        help="scenario scale: 'fast' (seconds) or 'paper' (full scale, minutes)",
-    )
-    pf.add_argument("--seed", type=int, default=42, help="root random seed")
-    pf.add_argument(
-        "--export",
-        metavar="DIR",
-        default=None,
-        help="also write the sweep series as TSV files into DIR",
+    # The fault sweep's --loss / --churn are ladders, not the figure
+    # commands' single rates; --dup / --delay apply at every sweep point.
+    pf = command(
+        "faults",
+        "reputation quality vs gossip-plane fault level",
+        scale, seed, export, copies, mechanism, provenance, obs,
     )
     pf.add_argument(
         "--losses",
@@ -296,34 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "one-rate sweep",
     )
     pf.add_argument(
-        "--engine",
-        default="bartercast",
-        metavar="E1,E2,...",
-        help="comma-separated reputation mechanisms to compare on "
-        "identical seeded schedules: bartercast, gossip, ratio "
-        "(DESIGN.md §15)",
-    )
-    pf.add_argument(
-        "--dup",
-        type=float,
-        default=0.0,
-        metavar="P",
-        help="per-copy duplication probability, applied at every sweep point",
-    )
-    pf.add_argument(
-        "--delay",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="maximum random delivery delay, applied at every sweep point",
-    )
-    pf.add_argument(
-        "--delta",
-        type=float,
-        default=-0.5,
-        help="ban threshold used for the false-ban measure",
-    )
-    pf.add_argument(
         "--top-k",
         type=int,
         default=0,
@@ -332,14 +313,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "reputation/contribution digests (0 = off; implies per-point "
         "provenance recording)",
     )
-    add_provenance(pf)
-    add_obs(pf)
-    pd = sub.add_parser(
+    pd = command(
         "dissemination",
-        help="trace per-claim gossip dissemination under faults "
+        "trace per-claim gossip dissemination under faults "
         "(propagation DAGs, coverage, fault attribution)",
+        *figure,
     )
-    add_common(pd)
     pd.add_argument(
         "--attributions",
         type=int,
@@ -348,9 +327,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="how many undelivered claims to attribute to exact "
         "drop/wipe events (0 = all)",
     )
-    pe = sub.add_parser(
+    pe = command(
         "explain",
-        help="decompose one subjective reputation into paths and claim lineage",
+        "decompose one subjective reputation into paths and claim lineage",
+        scale, seed, faults, mechanism, obs,
     )
     pe.add_argument(
         "--peer", type=int, required=True, metavar="I",
@@ -372,82 +352,27 @@ def _build_parser() -> argparse.ArgumentParser:
         help="reputation policy active during the replayed run",
     )
     pe.add_argument(
-        "--delta", type=float, default=-0.5,
-        help="ban threshold (only with --policy ban)",
-    )
-    pe.add_argument(
-        "--engine",
-        default="bartercast",
-        metavar="E1,E2,...",
-        help="reputation mechanism(s) to explain under: bartercast, "
-        "gossip, ratio.  More than one adds a side-by-side comparison "
-        "(why did mechanism A ban this peer when B didn't); the first "
-        "named engine drives the replayed run",
-    )
-    pe.add_argument(
-        "--profile",
-        choices=("tiny", "fast", "paper"),
-        default="fast",
-        help="scenario scale: 'fast' (seconds) or 'paper' (full scale, minutes)",
-    )
-    pe.add_argument("--seed", type=int, default=42, help="root random seed")
-    pe.add_argument(
         "--export",
         metavar="PATH",
         default=None,
         help="also write the explanation(s) as a JSON document to PATH",
     )
-    add_faults(pe)
-    add_obs(pe)
-    pall = sub.add_parser("all", help="regenerate every figure")
-    add_common(pall)
+    pall = command("all", "regenerate every figure", *figure)
     pall.add_argument(
         "--fig4-peers",
         type=int,
         default=None,
         help="fig4 population size (default: 1000, or 5000 for --profile paper)",
     )
-    pr = sub.add_parser(
-        "report", help="re-render the summary of a stored run manifest"
-    )
+    pr = command("report", "re-render the summary of a stored run manifest")
     pr.add_argument(
         "path",
         metavar="PATH",
         help="an export directory or a run_manifest.json path",
     )
-    pm = sub.add_parser(
-        "monitor", help="watch a running --jobs sweep from another terminal"
-    )
-    pm.add_argument(
-        "dir",
-        nargs="?",
-        default=None,
-        metavar="DIR",
-        help="sweep spool directory (default: REPRO_MONITOR_DIR or the "
-        "per-user temp spool)",
-    )
-    pm.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="refresh interval",
-    )
-    pm.add_argument(
-        "--once",
-        action="store_true",
-        help="print the current status once and exit",
-    )
-    pm.add_argument(
-        "--stall-after",
-        type=float,
-        default=120.0,
-        metavar="SECONDS",
-        help="flag a worker as stalled after this long without a heartbeat",
-    )
-    pc = sub.add_parser(
+    pc = command(
         "chrome-trace",
-        help="convert a JSONL trace to Chrome trace-event JSON (Perfetto)",
+        "convert a JSONL trace to Chrome trace-event JSON (Perfetto)",
     )
     pc.add_argument("trace", metavar="TRACE", help="JSONL trace written by --trace")
     pc.add_argument(
@@ -460,156 +385,203 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _maybe_export(tables, export_dir) -> None:
-    if export_dir is None:
-        return
-    from repro.analysis.export import write_series
+# ----------------------------------------------------------------------
+# Task-shaped commands: panels walked serially or through one pool
+# ----------------------------------------------------------------------
+class _Panel(NamedTuple):
+    """One printed result: the sweep tasks that produce it and what turns
+    their payloads (in task order) into stdout and exported series."""
 
-    paths = write_series(tables, export_dir)
-    for path in paths:
-        print(f"[wrote {path}]")
-
-
-def _fig1(
-    scenario: ScenarioConfig,
-    export_dir=None,
-    obs: Optional[Observability] = None,
-    manifest: Optional[ManifestBuilder] = None,
-    runner=None,
-) -> None:
-    with manifest.phase("fig1"):
-        # Inline runs take the same task path as --jobs N so per-run
-        # telemetry labels (timeseries/dissemination exports) match
-        # across job levels.
-        from repro.parallel import fig1_task, run_sweep
-
-        result = run_sweep([fig1_task(scenario)], runner=runner, obs=obs)[0]
-    print(report.report_fig1(result))
-    from repro.analysis.export import export_fig1
-
-    with manifest.phase("export"):
-        _maybe_export(export_fig1(result), export_dir)
+    phase: str  #: manifest phase the tasks' wall time is booked under
+    tasks: Sequence[Any]
+    assemble: Callable[[List[Any]], Any]
+    report: Callable[[Any], str]
+    export: Optional[Callable[[Any], dict]] = None
 
 
-def _fig2(
-    scenario: ScenarioConfig,
-    export_dir=None,
-    obs: Optional[Observability] = None,
-    manifest: Optional[ManifestBuilder] = None,
-    runner=None,
-) -> None:
-    with manifest.phase("fig2"):
-        result = run_fig2(scenario, obs=obs, runner=runner)
-    print(report.report_fig2(result))
-    from repro.analysis.export import export_fig2
-
-    with manifest.phase("export"):
-        _maybe_export(export_fig2(result), export_dir)
+#: ``assemble`` of a single-task panel: the task's payload is the result.
+_first = itemgetter(0)
 
 
-def _fig3(
-    scenario: ScenarioConfig,
-    kind: str,
-    export_dir=None,
-    obs: Optional[Observability] = None,
-    manifest: Optional[ManifestBuilder] = None,
-    runner=None,
-) -> None:
-    from repro.analysis.export import export_fig3
-
-    kinds = ("ignore", "lie") if kind == "both" else (kind,)
-    for k in kinds:
-        with manifest.phase(f"fig3-{k}"):
-            result = run_fig3(scenario, kind=k, obs=obs, runner=runner)
-        print(report.report_fig3(result))
-        print()
-        with manifest.phase("export"):
-            _maybe_export(export_fig3(result), export_dir)
-
-
-def _fig4(
-    peers: int,
-    seed: int,
-    export_dir=None,
-    obs: Optional[Observability] = None,
-    manifest: Optional[ManifestBuilder] = None,
-    runner=None,
-) -> None:
-    with manifest.phase("fig4"):
-        # Same task path inline as under --jobs N (see _fig1).
-        from repro.parallel import fig4_task, run_sweep
-
-        result = run_sweep([fig4_task(peers, seed)], runner=runner, obs=obs)[0]
-    print(report.report_fig4(result))
-    from repro.analysis.export import export_fig4
-
-    with manifest.phase("export"):
-        _maybe_export(export_fig4(result), export_dir)
-
-
-def _faults(
-    scenario: ScenarioConfig,
-    args: argparse.Namespace,
-    export_dir=None,
-    obs: Optional[Observability] = None,
-    manifest: Optional[ManifestBuilder] = None,
-    runner=None,
-) -> None:
-    from repro.analysis.export import export_faults
-    from repro.experiments.faults import run_faults
-
-    if getattr(args, "loss", None) is not None:
-        losses = (float(args.loss),)
-    else:
-        losses = tuple(float(x) for x in args.losses.split(",") if x.strip())
-    churns = tuple(
-        float(x) for x in str(args.churn).split(",") if x.strip()
-    ) or (0.0,)
-    engines = tuple(
-        x.strip() for x in getattr(args, "engine", "bartercast").split(",")
-        if x.strip()
-    ) or ("bartercast",)
-    if manifest is not None:
-        manifest.set_faults(
-            {
-                "losses": list(losses),
-                "churn": churns[0] if len(churns) == 1 else list(churns),
-                "dup": args.dup,
-                "delay": args.delay,
-                **({"engines": list(engines)} if engines != ("bartercast",) else {}),
-            }
+def _fig3_panels(scenario: ScenarioConfig, args: argparse.Namespace) -> List[_Panel]:
+    kind = getattr(args, "kind", "both")
+    return [
+        _Panel(
+            f"fig3-{k}",
+            fig3_tasks(scenario, k),
+            lambda payloads, k=k: assemble_fig3(payloads, k),
+            lambda result: report.report_fig3(result) + "\n",
+            series.export_fig3,
         )
-    with manifest.phase("faults"):
-        result = run_faults(
-            scenario,
-            losses=losses,
-            churn=churns[0] if len(churns) == 1 else churns,
-            dup=args.dup,
-            delay=args.delay,
-            delta=args.delta,
-            top_k=getattr(args, "top_k", 0),
-            obs=obs,
-            runner=runner,
-            engines=engines,
-        )
-    print(report.report_faults(result))
-    with manifest.phase("export"):
-        _maybe_export(export_faults(result), export_dir)
+        for k in (("ignore", "lie") if kind == "both" else (kind,))
+    ]
 
 
-def _explain(
-    scenario: ScenarioConfig,
+def _fig4_peers(args: argparse.Namespace) -> int:
+    if args.command == "fig4":
+        return args.peers
+    if args.fig4_peers is not None:
+        return args.fig4_peers
+    return 1000 if args.profile != "paper" else 5000
+
+
+#: Figure name -> its panels, given the scenario and the parsed flags.
+#: ``repro all`` is every row, top to bottom.
+_FIGURES = {
+    "fig1": lambda scenario, args: [
+        _Panel("fig1", [fig1_task(scenario)], _first,
+               report.report_fig1, series.export_fig1)
+    ],
+    "fig2": lambda scenario, args: [
+        _Panel("fig2", fig2_tasks(scenario), assemble_fig2,
+               report.report_fig2, series.export_fig2)
+    ],
+    "fig3": _fig3_panels,
+    "fig4": lambda scenario, args: [
+        _Panel("fig4", [fig4_task(_fig4_peers(args), args.seed)], _first,
+               report.report_fig4, series.export_fig4)
+    ],
+}
+
+
+def _walk(
+    figures: Sequence[Sequence[_Panel]],
     args: argparse.Namespace,
-    obs: Optional[Observability] = None,
-    manifest: Optional[ManifestBuilder] = None,
-) -> int:
+    manifest: ManifestBuilder,
+    runner: ParallelRunner,
+) -> None:
+    """Run every panel's tasks, then print and export panel by panel.
+
+    Serially each panel runs when its turn comes.  Under ``--jobs N``
+    several figures' tasks are fused into one pool first, so workers stay
+    busy across figure boundaries (a lone fig1/fig4 task would otherwise
+    serialize the sweep); reports and exports replay in the same order
+    either way.  Inline runs take the same task path as pooled ones, so
+    per-run telemetry labels match across job levels.
+    """
+    pooled = None
+    if runner.jobs > 1 and len(figures) > 1:
+        tasks = [t for figure in figures for panel in figure for t in panel.tasks]
+        with manifest.phase("figures"):
+            pooled = iter(run_sweep(tasks, runner=runner))
+    for i, figure in enumerate(figures):
+        if i:
+            print()
+        for panel in figure:
+            if pooled is not None:
+                payloads = list(islice(pooled, len(panel.tasks)))
+            else:
+                with manifest.phase(panel.phase):
+                    payloads = run_sweep(panel.tasks, runner=runner)
+            result = panel.assemble(payloads)
+            print(panel.report(result))
+            if panel.export is not None:
+                with manifest.phase("export"):
+                    tables = panel.export(result)
+                    if args.export is not None:
+                        for path in series.write_series(tables, args.export):
+                            print(f"[wrote {path}]")
+
+
+def _scenario(
+    args: argparse.Namespace, manifest: ManifestBuilder, shared_faults: bool = True
+) -> ScenarioConfig:
+    """The scenario the flags describe, noted in the manifest.
+
+    ``shared_faults`` applies the figure commands' ``--loss/--dup/--delay/
+    --churn``; with all four at zero the scenario carries no fault config
+    at all, so it stays byte-identical to a flagless invocation.
+    """
+    scenario = ScenarioConfig.named(args.profile, seed=args.seed)
+    if getattr(args, "provenance", False):
+        scenario = scenario.with_provenance()
+    manifest.config = describe(scenario)
+    if shared_faults:
+        cfg = FaultConfig(
+            loss=args.loss,
+            duplicate=args.dup,
+            delay_max=args.delay,
+            churn_rate=args.churn,
+        )
+        if not cfg.is_null:
+            cfg.validate()
+            scenario = scenario.with_faults(cfg)
+            manifest.set_faults(cfg)
+    return scenario
+
+
+def _figures(args, manifest, runner) -> None:
+    """``fig1`` .. ``fig4`` and ``all``: rows of :data:`_FIGURES`."""
+    scenario = None if args.command == "fig4" else _scenario(args, manifest)
+    names = list(_FIGURES) if args.command == "all" else [args.command]
+    _walk([_FIGURES[name](scenario, args) for name in names], args, manifest, runner)
+
+
+def _csv(text, convert=float) -> tuple:
+    return tuple(convert(x) for x in str(text).split(",") if x.strip())
+
+
+def _faults(args, manifest, runner) -> None:
+    scenario = _scenario(args, manifest, shared_faults=False)
+    losses = (args.loss,) if args.loss is not None else _csv(args.losses)
+    churns = _csv(args.churn) or (0.0,)
+    churn = churns[0] if len(churns) == 1 else churns
+    engines = _csv(args.engine, str.strip) or ("bartercast",)
+    manifest.set_faults(
+        {
+            "losses": losses,
+            "churn": churn,
+            "dup": args.dup,
+            "delay": args.delay,
+            **({"engines": engines} if engines != ("bartercast",) else {}),
+        }
+    )
+    panel = _Panel(
+        "faults",
+        fault_tasks(
+            scenario, losses, churn, args.dup, args.delay, args.delta,
+            args.top_k, engines=engines,
+        ),
+        lambda payloads: assemble_faults(
+            payloads, delta=args.delta, profile=scenario.name
+        ),
+        report.report_faults,
+        series.export_faults,
+    )
+    _walk([[panel]], args, manifest, runner)
+
+
+def _whitewash(args, manifest, runner) -> None:
+    panel = _Panel(
+        "whitewash", whitewash_tasks(args.seed), list, report.report_whitewash
+    )
+    _walk([[panel]], args, manifest, runner)
+
+
+def _scalability(args, manifest, runner) -> None:
+    sizes = [s for s in (1_000, 10_000, 50_000, 100_000) if s <= args.peers]
+    if not sizes or sizes[-1] != args.peers:
+        sizes.append(args.peers)
+    # Internally sequential (the view grows incrementally), so this is
+    # one task — pooled only for crash isolation, not speedup.
+    panel = _Panel(
+        "scalability",
+        [scalability_task(sizes, args.seed)],
+        _first,
+        report.report_scalability,
+    )
+    _walk([[panel]], args, manifest, runner)
+
+
+# ----------------------------------------------------------------------
+# Commands that need the live simulation, not just its payload
+# ----------------------------------------------------------------------
+def _explain(args, manifest, runner) -> int:
     """``repro explain``: replay a scenario with provenance on, then
     decompose ``R_peer(subject)`` into flow paths and claim lineage.
     With ``--engine`` naming several mechanisms, adds the side-by-side
     verdict comparison (why did mechanism A ban this peer when B
     didn't); the first named engine drives the replayed run."""
-    import json
-
     from repro.core.engines import ENGINE_NAMES
     from repro.core.policies import BanPolicy, NoPolicy, RankPolicy
     from repro.experiments.scenario import build_simulation
@@ -621,11 +593,7 @@ def _explain(
         top_subjects,
     )
 
-    engines = tuple(
-        x.strip()
-        for x in getattr(args, "engine", "bartercast").split(",")
-        if x.strip()
-    ) or ("bartercast",)
+    engines = _csv(args.engine, str.strip) or ("bartercast",)
     unknown = [e for e in engines if e not in ENGINE_NAMES]
     if unknown:
         print(
@@ -642,11 +610,11 @@ def _explain(
     else:
         policy = NoPolicy()
 
-    run_scenario = scenario.with_provenance()
+    run_scenario = _scenario(args, manifest).with_provenance()
     if engines[0] != run_scenario.engine:
         run_scenario = run_scenario.with_engine(engines[0])
     with manifest.phase("simulate"):
-        sim = build_simulation(run_scenario, policy=policy, obs=obs)
+        sim = build_simulation(run_scenario, policy=policy, obs=runner.obs)
         sim.run()
     if args.peer not in sim.nodes:
         print(f"error: peer {args.peer} is not in the population", file=sys.stderr)
@@ -684,8 +652,6 @@ def _explain(
         # Why is an evidence edge missing from this peer's subjective
         # view?  Attribute every claim that never reached --peer to the
         # exact drop/wipe events that cut its candidate paths.
-        from repro.obs.dissemination import render_attribution
-
         missing = sim.dissemination.explain_missing(receiver=args.peer)
         if missing:
             print(f"-- missing evidence at peer {args.peer} --")
@@ -712,27 +678,18 @@ def _explain(
     return 0
 
 
-def _dissemination(
-    scenario: ScenarioConfig,
-    args: argparse.Namespace,
-    export_dir=None,
-    obs: Optional[Observability] = None,
-    manifest: Optional[ManifestBuilder] = None,
-) -> int:
+def _dissemination(args, manifest, runner) -> int:
     """``repro dissemination``: run one (typically faulted) scenario with
     dissemination recording forced on, print propagation analytics, and
     attribute undelivered claims to the exact drop/wipe events that cut
     their candidate paths."""
-    from repro.analysis.ascii_plot import render_table
     from repro.experiments.scenario import build_simulation
-    from repro.obs.dissemination import render_attribution
     from repro.obs.report import render_dissemination
 
+    scenario = _scenario(args, manifest)
+    obs = runner.obs
     # Stable single-run label (exports become e.g. dissemination_run.csv).
-    if obs.timeseries.enabled:
-        obs.timeseries.begin_task("run")
-    if obs.dissemination.enabled:
-        obs.dissemination.begin_task("run")
+    obs.begin_task("run")
     with manifest.phase("simulate"):
         sim = build_simulation(scenario, obs=obs)
         sim.run()
@@ -782,131 +739,6 @@ def _dissemination(
     return 0
 
 
-def _fault_config_from_args(args: argparse.Namespace):
-    """The figure commands' ``--loss/--dup/--delay/--churn`` flags as a
-    :class:`~repro.faults.FaultConfig`; ``None`` when all are off (so the
-    scenario stays byte-identical to a flagless invocation)."""
-    from repro.faults import FaultConfig
-
-    cfg = FaultConfig(
-        loss=float(getattr(args, "loss", 0.0) or 0.0),
-        duplicate=float(getattr(args, "dup", 0.0) or 0.0),
-        delay_max=float(getattr(args, "delay", 0.0) or 0.0),
-        churn_rate=float(getattr(args, "churn", 0.0) or 0.0),
-    )
-    if cfg.is_null:
-        return None
-    cfg.validate()
-    return cfg
-
-
-def _whitewash(seed: int, manifest: ManifestBuilder, runner=None) -> None:
-    from repro.analysis.ascii_plot import render_table
-    from repro.parallel import run_sweep, whitewash_tasks
-
-    kinds = ("trusted", "static", "adaptive")
-    with manifest.phase("whitewash"):
-        results = run_sweep(whitewash_tasks(seed, kinds), runner=runner)
-    rows = [
-        (kind, r.service["newcomer"], r.service["washer"],
-         r.washer_advantage, r.identities_burned, r.prior_trajectory[-1])
-        for kind, r in zip(kinds, results)
-    ]
-    print("== Whitewashing defenses (paper 3.5 / future work) ==")
-    print(render_table(
-        ["stranger policy", "newcomer units", "washer units",
-         "washer/newcomer", "ids burned", "final prior"],
-        rows, "{:.2f}",
-    ))
-
-
-def _scalability(
-    peers: int, seed: int, manifest: ManifestBuilder, runner=None
-) -> None:
-    from repro.analysis.ascii_plot import render_table
-    from repro.experiments import run_scalability
-
-    sizes = [s for s in (1_000, 10_000, 50_000, 100_000) if s <= peers]
-    if not sizes or sizes[-1] != peers:
-        sizes.append(peers)
-    with manifest.phase("scalability"):
-        if runner is not None:
-            # Internally sequential (the view grows incrementally), so this
-            # is one task — pooled only for crash isolation, not speedup.
-            from repro.parallel import run_sweep, scalability_task
-
-            result = run_sweep(
-                [scalability_task(tuple(sizes), seed)], runner=runner
-            )[0]
-        else:
-            result = run_scalability(sizes=tuple(sizes), seed=seed)
-    print("== Scalability of the subjective view ==")
-    print(render_table(
-        ["known peers", "edges", "query us", "batch us", "warm us", "ingest us/record"],
-        [
-            (p.num_peers, p.num_edges, p.query_us, p.batch_query_us,
-             p.warm_query_us, p.ingest_us)
-            for p in result.points
-        ],
-        "{:.1f}",
-    ))
-    print(f"query growth factor across sizes: {result.query_growth_factor():.2f}")
-    if not math.isnan(result.cache_hit_rate):
-        print(f"reputation cache hit rate: {result.cache_hit_rate:.1%}")
-
-
-def _all_parallel(
-    scenario: ScenarioConfig,
-    fig4_peers: int,
-    seed: int,
-    export_dir=None,
-    manifest: Optional[ManifestBuilder] = None,
-    runner=None,
-) -> None:
-    """``all`` under ``--jobs N``: one fused task pool across every figure.
-
-    Pooling all figures' sweep points together keeps workers busy across
-    figure boundaries (a lone fig1/fig4 task would otherwise serialize the
-    sweep).  Reports and exports replay in the exact serial order.
-    """
-    from repro.analysis.export import export_fig1, export_fig2, export_fig3, export_fig4
-    from repro.experiments.fig2 import assemble_fig2, fig2_tasks
-    from repro.experiments.fig3 import assemble_fig3, fig3_tasks
-    from repro.parallel import fig1_task, fig4_task, run_sweep
-
-    t2 = fig2_tasks(scenario)
-    t3a = fig3_tasks(scenario, "ignore")
-    t3b = fig3_tasks(scenario, "lie")
-    tasks = [fig1_task(scenario)] + t2 + t3a + t3b + [fig4_task(fig4_peers, seed)]
-    with manifest.phase("figures"):
-        payloads = run_sweep(tasks, runner=runner)
-    pos = 1
-    fig2_res = assemble_fig2(payloads[pos:pos + len(t2)])
-    pos += len(t2)
-    fig3_ignore = assemble_fig3(payloads[pos:pos + len(t3a)], "ignore")
-    pos += len(t3a)
-    fig3_lie = assemble_fig3(payloads[pos:pos + len(t3b)], "lie")
-    pos += len(t3b)
-
-    print(report.report_fig1(payloads[0]))
-    with manifest.phase("export"):
-        _maybe_export(export_fig1(payloads[0]), export_dir)
-    print()
-    print(report.report_fig2(fig2_res))
-    with manifest.phase("export"):
-        _maybe_export(export_fig2(fig2_res), export_dir)
-    print()
-    for fig3_res in (fig3_ignore, fig3_lie):
-        print(report.report_fig3(fig3_res))
-        print()
-        with manifest.phase("export"):
-            _maybe_export(export_fig3(fig3_res), export_dir)
-    print()
-    print(report.report_fig4(payloads[pos]))
-    with manifest.phase("export"):
-        _maybe_export(export_fig4(payloads[pos]), export_dir)
-
-
 def _manifest_destination(args: argparse.Namespace) -> Optional[Path]:
     """Where the run manifest should land: next to the export output, or
     next to the trace file; ``None`` when there is no output to annotate."""
@@ -948,18 +780,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_monitor(args: argparse.Namespace) -> int:
-    """``repro monitor``: live view of a running ``--jobs`` sweep."""
-    from repro.obs.monitor import resolve_monitor_dir, watch
-
-    return watch(
-        resolve_monitor_dir(args.dir),
-        interval=args.interval,
-        once=args.once,
-        stall_after=args.stall_after,
-    )
-
-
 def _cmd_chrome_trace(args: argparse.Namespace) -> int:
     """``repro chrome-trace``: JSONL trace -> Perfetto-loadable JSON."""
     from repro.obs.chrome_trace import write_chrome_trace
@@ -975,160 +795,74 @@ def _cmd_chrome_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Subcommands that read stored artifacts: no run, no observability.
+_UTILITIES = {"report": _cmd_report, "chrome-trace": _cmd_chrome_trace}
+
+#: Subcommands that run something: ``handler(args, manifest, runner)``
+#: returning an exit code (``None`` = 0).
+_COMMANDS = {
+    **dict.fromkeys(("fig1", "fig2", "fig3", "fig4", "all"), _figures),
+    "whitewash": _whitewash,
+    "scalability": _scalability,
+    "faults": _faults,
+    "dissemination": _dissemination,
+    "explain": _explain,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
-    # Utility subcommands read stored artifacts; no run, no observability.
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "monitor":
-        return _cmd_monitor(args)
-    if args.command == "chrome-trace":
-        return _cmd_chrome_trace(args)
+    if args.command in _UTILITIES:
+        return _UTILITIES[args.command](args)
     t0 = time.time()
     obs = make_observability(
-        metrics=getattr(args, "metrics", False),
-        trace_path=getattr(args, "trace", None),
-        trace_sample=getattr(args, "trace_sample", None),
-        seed=getattr(args, "seed", 0),
-        profile=getattr(args, "prof", False),
-        timeseries=getattr(args, "timeseries", None),
+        metrics=args.metrics,
+        trace_path=args.trace,
+        trace_sample=args.trace_sample,
+        seed=args.seed,
+        profile=args.prof,
+        timeseries=args.timeseries,
         # The dissemination subcommand IS the recording run; force it on.
-        dissemination=getattr(args, "dissemination", False)
-        or args.command == "dissemination",
+        dissemination=args.dissemination or args.command == "dissemination",
     )
     manifest = ManifestBuilder(
         command=args.command,
         args={k: v for k, v in vars(args).items() if k != "command"},
         profile=getattr(args, "profile", None),
-        seed=getattr(args, "seed", None),
+        seed=args.seed,
     )
-    export_dir = getattr(args, "export", None)
-    jobs = int(getattr(args, "jobs", 1) or 1)
-    if jobs > 1 and obs.tracer.enabled:
+    runner = ParallelRunner(jobs=max(1, args.jobs), obs=obs)
+    if runner.jobs > 1 and obs.spec() is None:
         print(
             "[parallel] --trace writes a single event stream; forcing --jobs 1",
             file=sys.stderr,
         )
-        jobs = 1
-    runner = None
-    if jobs > 1:
-        from repro.parallel import ParallelRunner
-
-        runner = ParallelRunner(
-            jobs=jobs, obs=obs, monitor_dir=getattr(args, "monitor_dir", None)
-        )
-    from repro.obs import provenance_totals_delta, snapshot_provenance_totals
-    from repro.obs.profile import activate as _activate_profiler
-
-    prov_base = snapshot_provenance_totals()
-    exit_code = 0
     try:
-        # Scope the profiler as the process-wide kernel hook for the whole
-        # command (a disabled profiler makes this a no-op guard).
-        with _activate_profiler(obs.profiler):
-            if args.command == "fig4":
-                _fig4(args.peers, args.seed, export_dir, obs, manifest, runner)
-            elif args.command == "whitewash":
-                _whitewash(args.seed, manifest, runner)
-            elif args.command == "scalability":
-                _scalability(args.peers, args.seed, manifest, runner)
-            else:
-                scenario = ScenarioConfig.named(args.profile, seed=args.seed)
-                if getattr(args, "provenance", False):
-                    scenario = scenario.with_provenance()
-                manifest.config = (
-                    None if scenario is None else _describe_scenario(scenario)
-                )
-                if args.command != "faults":
-                    # The faults sweep builds its own per-point FaultConfig;
-                    # figure commands take theirs from the shared flags.
-                    fault_cfg = _fault_config_from_args(args)
-                    if fault_cfg is not None:
-                        scenario = scenario.with_faults(fault_cfg)
-                        manifest.set_faults(fault_cfg)
-                if args.command == "explain":
-                    exit_code = _explain(scenario, args, obs, manifest)
-                elif args.command == "dissemination":
-                    exit_code = _dissemination(
-                        scenario, args, export_dir, obs, manifest
-                    )
-                elif args.command == "faults":
-                    _faults(scenario, args, export_dir, obs, manifest, runner)
-                elif args.command == "fig1":
-                    _fig1(scenario, export_dir, obs, manifest, runner)
-                elif args.command == "fig2":
-                    _fig2(scenario, export_dir, obs, manifest, runner)
-                elif args.command == "fig3":
-                    _fig3(scenario, args.kind, export_dir, obs, manifest, runner)
-                elif args.command == "all":
-                    fig4_peers = args.fig4_peers
-                    if fig4_peers is None:
-                        fig4_peers = 1000 if args.profile != "paper" else 5000
-                    if runner is not None:
-                        _all_parallel(
-                            scenario, fig4_peers, args.seed, export_dir,
-                            manifest, runner,
-                        )
-                    else:
-                        _fig1(scenario, export_dir, obs, manifest)
-                        print()
-                        _fig2(scenario, export_dir, obs, manifest)
-                        print()
-                        _fig3(scenario, "both", export_dir, obs, manifest)
-                        print()
-                        _fig4(fig4_peers, args.seed, export_dir, obs, manifest)
+        with obs.recording():
+            exit_code = _COMMANDS[args.command](args, manifest, runner) or 0
     finally:
         obs.close()
-    prov_delta = provenance_totals_delta(prov_base)
-    if prov_delta:
-        manifest.note("provenance", prov_delta)
-    if runner is not None and runner.run_history:
+    if runner.jobs > 1 and runner.run_history:
         manifest.note(
             "parallel",
             runner.run_history[0]
             if len(runner.run_history) == 1
             else runner.run_history,
         )
-    if obs.timeseries.enabled:
-        manifest.note("timeseries", obs.timeseries.summary())
-    if obs.dissemination.enabled:
-        manifest.note("dissemination", obs.dissemination.summary())
-    if obs.profiler.enabled:
-        manifest.note("profile", obs.profiler.summary())
-    if obs.metrics.enabled:
+    for key, summary in obs.notes():
+        manifest.note(key, summary)
+    for text in obs.renders():
         print()
-        print(render_report(obs.metrics, wall_seconds=time.time() - t0))
-    if obs.profiler.enabled:
-        from repro.obs.report import render_profile
-
-        print()
-        print(render_profile(obs.profiler.summary()))
+        print(text)
     destination = _manifest_destination(args)
     if destination is not None:
         path = manifest.write(destination, metrics=obs.metrics, tracer=obs.tracer)
         print(f"[wrote {path}]")
-        out_dir = path.parent
-        for ts_path in obs.timeseries.export(out_dir):
-            print(f"[wrote {ts_path}]")
-        for d_path in obs.dissemination.export(out_dir):
-            print(f"[wrote {d_path}]")
-        if obs.profiler.enabled and obs.profiler.spans:
-            from repro.obs.chrome_trace import write_chrome_trace
-
-            chrome = write_chrome_trace(
-                out_dir / "profile_chrome.json",
-                profile_spans=obs.profiler.spans,
-            )
-            print(f"[wrote {chrome}]")
+        for artifact in obs.export(path.parent):
+            print(f"[wrote {artifact}]")
     print(f"\n[done in {time.time() - t0:.1f}s]", file=sys.stderr)
     return exit_code
-
-
-def _describe_scenario(scenario: ScenarioConfig):
-    from repro.obs import describe
-
-    return describe(scenario)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import List
+import math
+from typing import List, Sequence
 
 import numpy as np
 
@@ -13,7 +14,15 @@ from repro.experiments.fig3 import Fig3Result
 from repro.experiments.fig4 import Fig4Result
 from repro.experiments.faults import FaultsResult
 
-__all__ = ["report_fig1", "report_fig2", "report_fig3", "report_fig4", "report_faults"]
+__all__ = [
+    "report_fig1",
+    "report_fig2",
+    "report_fig3",
+    "report_fig4",
+    "report_faults",
+    "report_whitewash",
+    "report_scalability",
+]
 
 GB = 1024.0**3
 
@@ -239,4 +248,41 @@ def report_faults(result: FaultsResult) -> str:
         f"{len(result.points)} fault level(s)"
         + ("" if violations == 0 else "  ** INVARIANT BREACH **")
     )
+    return "\n".join(lines)
+
+
+def report_whitewash(results: Sequence) -> str:
+    """Whitewashing assessment: one row per stranger policy, in the order
+    of :func:`repro.parallel.whitewash_tasks`."""
+    kinds = ("trusted", "static", "adaptive")
+    rows = [
+        (kind, r.service["newcomer"], r.service["washer"],
+         r.washer_advantage, r.identities_burned, r.prior_trajectory[-1])
+        for kind, r in zip(kinds, results)
+    ]
+    return "== Whitewashing defenses (paper 3.5 / future work) ==\n" + render_table(
+        ["stranger policy", "newcomer units", "washer units",
+         "washer/newcomer", "ids burned", "final prior"],
+        rows, "{:.2f}",
+    )
+
+
+def report_scalability(result) -> str:
+    """Scalability assessment: per-size query / ingest cost of one view."""
+    lines = [
+        "== Scalability of the subjective view ==",
+        render_table(
+            ["known peers", "edges", "query us", "batch us", "warm us",
+             "ingest us/record"],
+            [
+                (p.num_peers, p.num_edges, p.query_us, p.batch_query_us,
+                 p.warm_query_us, p.ingest_us)
+                for p in result.points
+            ],
+            "{:.1f}",
+        ),
+        f"query growth factor across sizes: {result.query_growth_factor():.2f}",
+    ]
+    if not math.isnan(result.cache_hit_rate):
+        lines.append(f"reputation cache hit rate: {result.cache_hit_rate:.1%}")
     return "\n".join(lines)

@@ -43,7 +43,6 @@ from repro.graph.maxflow import (
     kernel_invocations_delta,
     leave_one_out_values,
     maxflow_two_hop,
-    merge_kernel_invocations,
     reset_kernel_invocations,
     snapshot_kernel_invocations,
 )
@@ -63,6 +62,5 @@ __all__ = [
     "kernel_invocations",
     "snapshot_kernel_invocations",
     "kernel_invocations_delta",
-    "merge_kernel_invocations",
     "reset_kernel_invocations",
 ]

@@ -58,6 +58,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.graph.transfer_graph import TransferGraph
 from repro.obs import profile as _profile
+from repro.obs.legs import COUNTER_TABLES, counts_since
 
 __all__ = [
     "FlowPath",
@@ -72,7 +73,6 @@ __all__ = [
     "kernel_invocations",
     "snapshot_kernel_invocations",
     "kernel_invocations_delta",
-    "merge_kernel_invocations",
     "reset_kernel_invocations",
 ]
 
@@ -80,15 +80,16 @@ PeerId = Hashable
 Edge = Tuple[PeerId, PeerId]
 
 #: Process-wide kernel invocation counters (always-on: one dict increment
-#: per kernel call, negligible next to the kernel itself).  The
-#: observability layer snapshots deltas around a run and publishes them as
-#: ``rep.kernel.*`` gauges; :mod:`repro.graph.batch` registers its own key
-#: here too.
-KERNEL_INVOCATIONS: Dict[str, int] = {
-    "ford_fulkerson": 0,
-    "bounded_ford_fulkerson": 0,
-    "maxflow_two_hop": 0,
-}
+#: per kernel call, negligible next to the kernel itself).  This is the
+#: ``kernels`` entry of :data:`repro.obs.legs.COUNTER_TABLES`: every
+#: observability bundle carries it as a leg, which is how worker-side
+#: kernel work is folded back into the parent process under ``--jobs N``.
+#: The simulator snapshots deltas around a run and publishes them as
+#: ``rep.kernel.*`` gauges; :mod:`repro.graph.batch` registers its own
+#: keys here too.
+KERNEL_INVOCATIONS: Dict[str, int] = COUNTER_TABLES["kernels"]
+for _kernel in ("ford_fulkerson", "bounded_ford_fulkerson", "maxflow_two_hop"):
+    KERNEL_INVOCATIONS.setdefault(_kernel, 0)
 
 
 def kernel_invocations() -> Dict[str, int]:
@@ -112,25 +113,7 @@ def kernel_invocations_delta(baseline: Mapping[str, int]) -> Dict[str, int]:
     Kernels registered after the snapshot (e.g. the batch kernel key on
     first use) count from zero.  Only non-zero deltas are returned.
     """
-    return {
-        kernel: count - baseline.get(kernel, 0)
-        for kernel, count in KERNEL_INVOCATIONS.items()
-        if count - baseline.get(kernel, 0)
-    }
-
-
-def merge_kernel_invocations(delta: Mapping[str, int]) -> None:
-    """Fold a delta from another process into this process's counters.
-
-    The parallel sweep runner ships each worker's
-    :func:`kernel_invocations_delta` back with its task result and merges
-    it here, so the parent's counters stay truthful under multi-process
-    fan-out.  Deltas must be non-negative.
-    """
-    for kernel, count in delta.items():
-        if count < 0:
-            raise ValueError(f"negative kernel delta for {kernel!r}: {count}")
-        KERNEL_INVOCATIONS[kernel] = KERNEL_INVOCATIONS.get(kernel, 0) + count
+    return counts_since(KERNEL_INVOCATIONS, baseline)
 
 
 def reset_kernel_invocations() -> None:

@@ -1,51 +1,59 @@
-"""Observability: metrics, structured traces, and run manifests.
+"""Observability: default-off recorders behind one lifecycle.
 
-The subsystem has three legs, all default-off with null-object defaults
-so an uninstrumented run pays (and changes) nothing:
-
-:mod:`repro.obs.metrics`
-    Counters, gauges, histograms with deterministic reservoir quantiles,
-    and re-entrant timer context managers, behind a
-    :class:`~repro.obs.metrics.MetricsRegistry`.
-:mod:`repro.obs.trace`
-    A JSONL span/event emitter with per-category deterministic sampling
-    (:class:`~repro.obs.trace.TraceEmitter`).
-:mod:`repro.obs.manifest`
-    Run manifests capturing config, seed, code revision, per-phase wall
-    time, and the final metrics snapshot
-    (:class:`~repro.obs.manifest.ManifestBuilder`).
-:mod:`repro.obs.provenance`
-    Claim-lineage recording for the subjective shared history
-    (:class:`~repro.obs.provenance.ProvenanceRecorder`), feeding
-    :mod:`repro.obs.explain` and the ``repro explain`` subcommand.
-
-An :class:`Observability` bundle threads both live legs through the
-simulator stack; :data:`NULL_OBS` is the shared disabled bundle every
-constructor defaults to.  None of the instrumentation consumes the
-simulation's RNG streams, so an instrumented run is bit-identical to an
+Every recorder is a *leg* of the :class:`Observability` bundle threaded
+through the simulator stack (:data:`NULL_OBS`, the all-off bundle, is
+every constructor's default).  A leg is off unless asked for, its
+disabled form is a null object, and nothing it does consumes a
+simulation RNG stream, so an instrumented run is bit-identical to an
 uninstrumented one (pinned by ``tests/test_obs.py``).
+
+The lifecycle all legs share is described once, in :mod:`repro.obs.legs`.
+The bundle iterates its fields, so :mod:`repro.parallel` ships *the
+bundle's* snapshot home from a worker and the CLI notes, prints and
+exports *the bundle* — neither names a leg, and a leg that is a field
+cannot be left out of ``--jobs N``.  The legs:
+
+``metrics``
+    Counters, gauges, histograms with deterministic reservoir quantiles,
+    re-entrant timers (:class:`~repro.obs.metrics.MetricsRegistry`).
+``tracer``
+    JSONL span/event emitter with per-category deterministic sampling
+    (:class:`~repro.obs.trace.TraceEmitter`); one stream, one process —
+    it has no mirror, so a traced sweep runs inline.
+``timeseries``
+    Per-run convergence series
+    (:class:`~repro.obs.timeseries.TimeSeriesCollector`).
+``dissemination``
+    Per-claim propagation DAGs and fault attribution
+    (:class:`~repro.obs.dissemination.DisseminationCollector`).
+``profiler``
+    Phase / event / maxflow-kernel wall+CPU profile
+    (:class:`~repro.obs.profile.Profiler`).
+``kernels``, ``provenance``
+    The always-on process-wide counter tables: maxflow kernel invocations
+    and claim-lineage totals (:class:`~repro.obs.legs.CounterTable`).
+
+Beside the bundle: :mod:`repro.obs.provenance` records claim lineage in
+each node's shared history (switched on by the scenario; read by
+:mod:`repro.obs.explain`), and :mod:`repro.obs.manifest` writes the run
+manifest with each leg's ``summary()``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.obs.manifest import (
-    MANIFEST_SCHEMA,
-    ManifestBuilder,
-    describe,
-    git_revision,
-    read_manifest,
-)
+from repro.obs.legs import CounterTable, Leg
+from repro.obs.manifest import MANIFEST_SCHEMA, ManifestBuilder, describe, read_manifest
 from repro.obs.metrics import (
     NULL_METRICS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullMetricsRegistry,
     Timer,
 )
 from repro.obs.dissemination import (
@@ -54,56 +62,32 @@ from repro.obs.dissemination import (
     DisseminationCollector,
     DisseminationConfig,
     DisseminationRecorder,
-    NullDisseminationCollector,
     render_attribution,
 )
-from repro.obs.provenance import (
-    NULL_PROVENANCE,
-    ClaimLineage,
-    NullProvenanceRecorder,
-    ProvenanceRecorder,
-    provenance_totals_delta,
-    snapshot_provenance_totals,
-)
-from repro.obs.profile import (
-    NULL_PROFILER,
-    NullProfiler,
-    Profiler,
-    activate,
-    set_active_profiler,
-)
+from repro.obs.provenance import NULL_PROVENANCE, ClaimLineage, ProvenanceRecorder
+from repro.obs.profile import NULL_PROFILER, Profiler, activate
 from repro.obs.timeseries import (
     NULL_TIMESERIES,
     TIMESERIES_SCHEMA,
-    NullTimeSeriesCollector,
     TimeSeriesCollector,
     TimeSeriesConfig,
     TimeSeriesRecorder,
 )
-from repro.obs.trace import (
-    NULL_TRACER,
-    TRACE_SCHEMA,
-    NullTraceEmitter,
-    TraceCategory,
-    TraceEmitter,
-    read_trace,
-)
+from repro.obs.trace import NULL_TRACER, TRACE_SCHEMA, TraceEmitter, read_trace
 
 __all__ = [
     "Observability",
+    "CounterTable",
     "NULL_OBS",
     "make_observability",
     "parse_sample_spec",
     "MetricsRegistry",
-    "NullMetricsRegistry",
     "NULL_METRICS",
     "Counter",
     "Gauge",
     "Histogram",
     "Timer",
     "TraceEmitter",
-    "TraceCategory",
-    "NullTraceEmitter",
     "NULL_TRACER",
     "TRACE_SCHEMA",
     "read_trace",
@@ -111,28 +95,19 @@ __all__ = [
     "MANIFEST_SCHEMA",
     "read_manifest",
     "describe",
-    "git_revision",
     "ClaimLineage",
     "ProvenanceRecorder",
-    "NullProvenanceRecorder",
     "NULL_PROVENANCE",
-    "snapshot_provenance_totals",
-    "provenance_totals_delta",
     "Profiler",
-    "NullProfiler",
     "NULL_PROFILER",
-    "activate",
-    "set_active_profiler",
     "TimeSeriesCollector",
     "TimeSeriesConfig",
     "TimeSeriesRecorder",
-    "NullTimeSeriesCollector",
     "NULL_TIMESERIES",
     "TIMESERIES_SCHEMA",
     "DisseminationCollector",
     "DisseminationConfig",
     "DisseminationRecorder",
-    "NullDisseminationCollector",
     "NULL_DISSEMINATION",
     "DISSEMINATION_SCHEMA",
     "render_attribution",
@@ -141,35 +116,91 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Observability:
-    """The bundle handed down through the simulator stack."""
+    """The bundle handed down through the simulator stack.
 
-    metrics: MetricsRegistry = field(default_factory=lambda: NULL_METRICS)
-    tracer: TraceEmitter = field(default_factory=lambda: NULL_TRACER)
-    timeseries: TimeSeriesCollector = field(default_factory=lambda: NULL_TIMESERIES)
-    profiler: Profiler = field(default_factory=lambda: NULL_PROFILER)
-    dissemination: DisseminationCollector = field(
-        default_factory=lambda: NULL_DISSEMINATION
+    Every field is a leg (:mod:`repro.obs.legs`); the methods below are
+    the only loops over them, in field order — which is therefore the
+    order of the CLI's printed sections and ``[wrote ...]`` lines.
+    """
+
+    metrics: MetricsRegistry = NULL_METRICS
+    tracer: TraceEmitter = NULL_TRACER
+    timeseries: TimeSeriesCollector = NULL_TIMESERIES
+    dissemination: DisseminationCollector = NULL_DISSEMINATION
+    profiler: Profiler = NULL_PROFILER
+    kernels: CounterTable = field(default_factory=lambda: CounterTable("kernels"))
+    provenance: CounterTable = field(
+        default_factory=lambda: CounterTable("provenance", note="provenance")
     )
 
     @property
     def enabled(self) -> bool:
         """Whether a hot-path leg (metrics or tracing) is live.
 
-        The timeseries and profiler legs have their own attach points
-        (periodic sampling events, phase hooks) and are checked via
-        their own ``.enabled`` where they plug in.
+        The other legs have their own attach points (periodic sampling
+        events, phase hooks, gossip hooks) and are checked via their own
+        ``.enabled`` where they plug in.
         """
         return self.metrics.enabled or self.tracer.enabled
+
+    def _live(self) -> List[Tuple[str, Leg]]:
+        legs = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return [(name, leg) for name, leg in legs if leg.enabled]
 
     def close(self) -> None:
         """Flush and close the tracer (other legs need no teardown)."""
         self.tracer.close()
 
+    def recording(self):
+        """Context manager scoping this bundle as what the process records
+        into: the maxflow kernels sit far below any bundle and report to
+        the profiler through a module-level hook.  Without a live
+        profiler an outer scope's hook stays in place."""
+        return activate(self.profiler) if self.profiler.enabled else nullcontext()
+
+    def spec(self) -> Optional[Dict[str, Leg]]:
+        """A mirror of every live leg, by field name: picklable, and
+        ``Observability(**spec)`` is an empty bundle that records the
+        same things — what a worker process is handed.  ``None`` when a
+        live leg has no mirror (the tracer)."""
+        spec = {name: leg.mirror() for name, leg in self._live()}
+        return None if None in spec.values() else spec
+
+    def begin_task(self, label: str) -> None:
+        for _, leg in self._live():
+            leg.begin_task(label)
+
+    def snapshot(self) -> Dict[str, object]:
+        """What the live legs recorded, by field name (picklable)."""
+        return {name: leg.snapshot() for name, leg in self._live()}
+
+    def merge(self, snapshot: Dict[str, object]) -> None:
+        """Fold a mirror bundle's :meth:`snapshot` in (call in task order)."""
+        for name, leg in self._live():
+            if name in snapshot:
+                leg.merge(snapshot[name])
+
+    def notes(self) -> Iterator[Tuple[str, object]]:
+        """``(key, summary)`` for the manifest's ``extra`` section."""
+        for _, leg in self._live():
+            summary = leg.summary() if leg.note else None
+            if summary:
+                yield leg.note, summary
+
+    def renders(self) -> Iterator[str]:
+        """The sections the CLI prints after a run."""
+        for _, leg in self._live():
+            text = leg.render()
+            if text:
+                yield text
+
+    def export(self, directory: Union[str, Path]) -> List[Path]:
+        """Write every live leg's artifacts; returns the written paths."""
+        return [path for _, leg in self._live() for path in leg.export(directory)]
+
 
 #: The shared disabled bundle — the default for every constructor.
-NULL_OBS = Observability(
-    NULL_METRICS, NULL_TRACER, NULL_TIMESERIES, NULL_PROFILER, NULL_DISSEMINATION
-)
+NULL_OBS = Observability()
 
 
 def make_observability(
@@ -182,6 +213,10 @@ def make_observability(
     dissemination: Union[DisseminationConfig, bool, None] = None,
 ) -> Observability:
     """Construct the bundle the CLI flags describe.
+
+    Always a new bundle, even with every flag off: its counter-table
+    legs count from this call, which is what makes their ``summary()``
+    the totals of one run.
 
     Parameters
     ----------
@@ -206,14 +241,6 @@ def make_observability(
         a :class:`DisseminationConfig`, or any truthy value for the
         default config.
     """
-    if (
-        not metrics
-        and trace_path is None
-        and not profile
-        and timeseries is None
-        and not dissemination
-    ):
-        return NULL_OBS
     registry: MetricsRegistry = MetricsRegistry() if metrics else NULL_METRICS
     tracer: TraceEmitter = NULL_TRACER
     if trace_path is not None:
@@ -235,12 +262,10 @@ def make_observability(
         collector = TimeSeriesCollector(
             TimeSeriesConfig(interval_s=interval if interval > 0 else None)
         )
-    if not dissemination:
-        diss: DisseminationCollector = NULL_DISSEMINATION
-    elif isinstance(dissemination, DisseminationConfig):
-        diss = DisseminationCollector(dissemination)
-    else:
-        diss = DisseminationCollector()
+    diss: DisseminationCollector = NULL_DISSEMINATION
+    if dissemination:
+        config = dissemination if isinstance(dissemination, DisseminationConfig) else None
+        diss = DisseminationCollector(config)
     return Observability(
         metrics=registry,
         tracer=tracer,

@@ -26,11 +26,9 @@ it derives:
   ``tests/test_dissemination.py``.
 
 A :class:`DisseminationCollector` is the :class:`~repro.obs
-.Observability` leg, mirroring the time-series collector: the picklable
-config crosses process boundaries, recorders are rebuilt inside workers,
-snapshots merge home in task order, and export writes CSV + JSON beside
-the run manifest byte-identically whether the run was serial or
-parallel.
+.Observability` leg (a :class:`~repro.obs.legs.LabelledCollector`, like
+the time-series one): export writes CSV + JSON beside the run manifest
+byte-identically whether the run was serial or parallel.
 
 Recording never consumes a simulation RNG stream and the hooks are
 append-only, so a recording run is bit-identical to an unrecorded one
@@ -40,14 +38,13 @@ append-only, so a recording run is bit-identical to an unrecorded one
 from __future__ import annotations
 
 import gc
-import json
-import re
 from array import array
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
-from pathlib import Path
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+
+from repro.obs.legs import LabelledCollector
 
 __all__ = [
     "DISSEMINATION_FILENAME",
@@ -780,136 +777,50 @@ def render_attribution(entry: dict) -> str:
     return f"{head} ({entry.get('attempts', 0)} attempt(s), cause unrecorded)"
 
 
-def _series_csv_name(label: str) -> str:
-    slug = re.sub(r"[^A-Za-z0-9._-]+", "_", label).strip("_") or "run"
-    return f"dissemination_{slug}.csv"
-
-
 _CSV_COLUMNS = ("reporter", "counterparty", "eligible", "reached", "copies", "first_t")
 
 
-class DisseminationCollector:
-    """The Observability leg: config carrier + per-task snapshot store.
+class DisseminationCollector(LabelledCollector):
+    """The Observability leg: recording config + one snapshot per run."""
 
-    Mirrors :class:`~repro.obs.timeseries.TimeSeriesCollector`: the
-    config is picklable, recorders are rebuilt inside workers, worker
-    snapshots merge home in task order, and export output is
-    byte-identical between ``--jobs N`` and serial runs.
-    """
-
-    enabled = True
-
-    def __init__(self, config: Optional[DisseminationConfig] = None) -> None:
-        self.config = config or DisseminationConfig()
-        self._snapshots: List[dict] = []
-        self._recorders: List[DisseminationRecorder] = []
-        self._pending_label: Optional[str] = None
-        self._counter = 0
-
-    # -- labeling ------------------------------------------------------
-
-    def begin_task(self, label: str) -> None:
-        """Name the recorder the simulator attaches next."""
-        self._pending_label = label
-
-    def next_label(self) -> str:
-        self._counter += 1
-        label, self._pending_label = self._pending_label, None
-        return label if label is not None else f"run-{self._counter}"
-
-    # -- recorder lifecycle --------------------------------------------
-
-    def attach(self, recorder: DisseminationRecorder) -> None:
-        self._recorders.append(recorder)
-
-    def merge(self, snapshots: Optional[Sequence[dict]]) -> None:
-        """Fold worker snapshots home (call in task order)."""
-        if snapshots:
-            self._snapshots.extend(snapshots)
-
-    def series(self) -> List[dict]:
-        """All finished snapshots, merge-order then local-order."""
-        return list(self._snapshots) + [r.to_dict() for r in self._recorders]
-
-    def recorders(self) -> List[DisseminationRecorder]:
-        """Locally attached recorders (live DAG queries, e.g. explain)."""
-        return list(self._recorders)
-
-    # -- export --------------------------------------------------------
+    note = "dissemination"
+    config_type = DisseminationConfig
+    schema = DISSEMINATION_SCHEMA
+    filename = DISSEMINATION_FILENAME
+    prefix = "dissemination"
 
     def summary(self) -> dict:
         """Manifest digest: one entry per recorded run."""
         return {
             "coverage_fractions": list(self.config.coverage_fractions),
-            "runs": [snap["summary"] for snap in self._snapshots]
+            "runs": [snap["summary"] for snap in self._merged]
             + [r.summary() for r in self._recorders],
         }
 
-    def export(self, directory: Union[str, Path]) -> List[Path]:
-        """Write one per-claim CSV per run plus ``dissemination.json``.
-
-        Returns the written paths (empty when nothing was recorded).
-        """
-        all_series = self.series()
-        if not all_series:
-            return []
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        written: List[Path] = []
+    def _csv_lines(self, snap: dict) -> List[str]:
         frac_cols = [
             f"t{int(round(f * 100))}" for f in self.config.coverage_fractions
         ]
-        header = ",".join(_CSV_COLUMNS + tuple(frac_cols))
-        for snap in all_series:
-            path = directory / _series_csv_name(snap.get("label") or "run")
-            with path.open("w", encoding="utf-8") as fh:
-                fh.write(header + "\n")
-                for entry in snap.get("claims", []):
-                    cells = [
-                        str(entry["claim"][0]),
-                        str(entry["claim"][1]),
-                        str(entry["eligible"]),
-                        str(entry["reached"]),
-                        str(entry["copies"]),
-                        "" if entry["first_t"] is None else repr(float(entry["first_t"])),
-                    ]
-                    for col in frac_cols:
-                        value = entry.get(col)
-                        cells.append("" if value is None else repr(float(value)))
-                    fh.write(",".join(cells) + "\n")
-            written.append(path)
-        combined = directory / DISSEMINATION_FILENAME
-        combined.write_text(
-            json.dumps(
-                {"schema": DISSEMINATION_SCHEMA, "series": all_series},
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
-        written.append(combined)
-        return written
+        lines = [",".join(_CSV_COLUMNS + tuple(frac_cols))]
+        for entry in snap.get("claims", []):
+            cells = [
+                str(entry["claim"][0]),
+                str(entry["claim"][1]),
+                str(entry["eligible"]),
+                str(entry["reached"]),
+                str(entry["copies"]),
+            ]
+            for col in ["first_t"] + frac_cols:
+                value = entry.get(col)
+                cells.append("" if value is None else repr(float(value)))
+            lines.append(",".join(cells))
+        return lines
 
 
 class NullDisseminationCollector(DisseminationCollector):
     """Disabled collector: simulators skip recorder setup entirely."""
 
     enabled = False
-
-    def begin_task(self, label: str) -> None:
-        pass
-
-    def attach(self, recorder: DisseminationRecorder) -> None:  # pragma: no cover
-        raise RuntimeError(
-            "NullDisseminationCollector.attach called; guard with collector.enabled"
-        )
-
-    def merge(self, snapshots: Optional[Sequence[dict]]) -> None:
-        pass
-
-    def export(self, directory: Union[str, Path]) -> List[Path]:
-        return []
 
 
 #: Shared disabled collector (the :data:`repro.obs.NULL_OBS` leg).

@@ -188,7 +188,7 @@ class ManifestBuilder:
                 name: round(seconds, 6) for name, seconds in self.phases.items()
             },
             "metrics": (
-                metrics.snapshot() if metrics is not None and metrics.enabled else None
+                metrics.summary() if metrics is not None and metrics.enabled else None
             ),
             "trace": (
                 {

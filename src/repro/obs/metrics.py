@@ -37,6 +37,8 @@ import zlib
 from random import Random
 from typing import Dict, List, Optional, Sequence
 
+from repro.obs.legs import Leg
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -316,7 +318,7 @@ class Timer:
         return f"<Timer {self.name} n={self.histogram.count}>"
 
 
-class MetricsRegistry:
+class MetricsRegistry(Leg):
     """A flat, lazily populated namespace of instruments.
 
     Instruments are created on first access and memoized; re-requesting a
@@ -378,19 +380,27 @@ class MetricsRegistry:
             return metric.value
         return default
 
-    def snapshot(self, include_reservoir: bool = False) -> Dict[str, dict]:
+    def snapshot(self, include_reservoir: bool = True) -> Dict[str, dict]:
         """JSON-safe dump of every instrument, keyed by name.
 
-        ``include_reservoir`` threads through to histogram/timer
-        snapshots (see :meth:`Histogram.snapshot`); the default dump
-        stays compact for manifests and reports.
+        Reservoirs ride along by default (see :meth:`Histogram.snapshot`)
+        so that a registry merging this snapshot gets real quantiles;
+        :meth:`summary` is the compact dump for manifests and reports.
         """
         return {
             name: self._metrics[name].snapshot(include_reservoir=include_reservoir)
             for name in sorted(self._metrics)
         }
 
-    def merge_snapshot(self, snapshot: Dict[str, dict]) -> None:
+    def summary(self) -> Dict[str, dict]:
+        return self.snapshot(include_reservoir=False)
+
+    def render(self) -> str:
+        from repro.obs.report import render_metrics_snapshot
+
+        return render_metrics_snapshot(self.summary())
+
+    def merge(self, snapshot: Dict[str, dict]) -> None:
         """Fold another registry's :meth:`snapshot` into this one.
 
         This is how the parallel sweep runner keeps metrics truthful
@@ -402,8 +412,8 @@ class MetricsRegistry:
         * gauges add — run-scoped gauges (e.g. ``rep.kernel.*``) are
           per-run deltas, so summing matches the serial accumulation;
         * histograms/timers merge ``count``/``total``/``min``/``max``
-          (and bucket counts when bounds match) exactly; quantiles
-          reflect only locally observed values.
+          (and bucket counts when bounds match) exactly, and quantiles
+          through the shipped reservoirs.
 
         Instruments are created on demand, so merging into a fresh
         registry reconstructs the full namespace.  Names are merged in
@@ -511,9 +521,12 @@ class NullMetricsRegistry(MetricsRegistry):
     def timer(self, name: str) -> Timer:
         return self._TIMER
 
-    def merge_snapshot(self, snapshot: Dict[str, dict]) -> None:
+    def merge(self, snapshot: Dict[str, dict]) -> None:
         # No-op: merging into the shared null singletons would mutate them.
         pass
+
+    def render(self) -> str:
+        return "== Metrics ==\n(observability disabled; run with --metrics)"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<NullMetricsRegistry>"

@@ -23,22 +23,24 @@ Three observation surfaces:
 
 The maxflow kernels live far below the :class:`~repro.obs.Observability`
 bundle, so they find the profiler through a module-level hook: wrap the
-run in :func:`activate` (the CLI and the parallel workers do) and
-decorated kernels check ``ACTIVE`` — one module-attribute load plus a
+run in :func:`activate` (``Observability.recording()`` does, around the
+CLI's command and around every sweep task) and decorated kernels check ``ACTIVE`` — one module-attribute load plus a
 ``None`` test per call when profiling is off, the same cost class as the
 existing ``KERNEL_INVOCATIONS`` counter increment.
 
-Snapshots are JSON-safe dicts; :meth:`Profiler.merge_snapshot` folds a
-worker's snapshot into the parent in task order, so a ``--jobs N`` sweep
-reports fleet-wide phase totals and kernel quantiles.
+Snapshots are JSON-safe dicts; :meth:`Profiler.merge` folds a worker's
+snapshot into the parent in task order, so a ``--jobs N`` sweep reports
+fleet-wide phase totals and kernel quantiles.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.obs.legs import Leg
 from repro.obs.metrics import Histogram
 
 __all__ = [
@@ -150,10 +152,11 @@ class _Phase:
         prof._log_span(self.path, self.depth, self.t0, wall)
 
 
-class Profiler:
+class Profiler(Leg):
     """Phase/event/kernel wall+CPU aggregator with a bounded span log."""
 
     enabled = True
+    note = "profile"
 
     def __init__(self, max_spans: int = DEFAULT_MAX_SPANS) -> None:
         self._stack: List[_Phase] = []
@@ -195,12 +198,12 @@ class Profiler:
         else:
             self.spans_dropped += 1
 
-    # -- snapshot / merge ----------------------------------------------
+    # -- leg lifecycle -------------------------------------------------
 
-    def snapshot(self, include_spans: bool = False) -> dict:
-        """JSON-safe aggregate view (spans opt-in: they are bulky and
-        worker span clocks are not comparable across processes)."""
-        out = {
+    def snapshot(self) -> dict:
+        """JSON-safe aggregate view.  Never the spans: they are bulky, and
+        worker span clocks are not comparable across processes."""
+        return {
             "phases": {p: a.snapshot() for p, a in sorted(self._phases.items())},
             "events": {l: a.snapshot() for l, a in sorted(self._events.items())},
             "kernels": {
@@ -209,11 +212,11 @@ class Profiler:
             },
             "spans_dropped": self.spans_dropped,
         }
-        if include_spans:
-            out["spans"] = [list(span) for span in self.spans]
-        return out
 
-    def merge_snapshot(self, snap: Optional[dict]) -> None:
+    #: The run manifest stores the aggregates as they are.
+    summary = snapshot
+
+    def merge(self, snap: Optional[dict]) -> None:
         """Fold a worker's :meth:`snapshot` into this profiler.
 
         Call in deterministic (task) order: kernel histogram reservoirs
@@ -241,9 +244,22 @@ class Profiler:
             hist.merge_snapshot_dict(sub)
         self.spans_dropped += int(snap.get("spans_dropped") or 0)
 
-    def summary(self) -> dict:
-        """Aggregates-only view for the run manifest (never spans)."""
-        return self.snapshot(include_spans=False)
+    def render(self) -> str:
+        from repro.obs.report import render_profile
+
+        return render_profile(self.summary())
+
+    def export(self, directory) -> List[Path]:
+        """Phase spans as ``profile_chrome.json`` (Perfetto), if any."""
+        if not self.spans:
+            return []
+        from repro.obs.chrome_trace import write_chrome_trace
+
+        return [
+            write_chrome_trace(
+                Path(directory) / "profile_chrome.json", profile_spans=self.spans
+            )
+        ]
 
 
 class NullProfiler(Profiler):
@@ -260,9 +276,6 @@ class NullProfiler(Profiler):
         pass
 
     def observe_kernel(self, name: str, duration: float) -> None:
-        pass
-
-    def merge_snapshot(self, snap: Optional[dict]) -> None:
         pass
 
 

@@ -46,14 +46,19 @@ byte-identical to the seed behaviour (pinned by
 the ``gossip_fast_obs`` workload of ``benchmarks/e2e`` measures.
 
 Like the maxflow kernel counters, the module keeps process-wide totals
-(:data:`PROVENANCE_TOTALS`) so the CLI can report lineage activity of a
-whole run without threading recorder handles out of every experiment.
+(:data:`PROVENANCE_TOTALS`) so the manifest can report lineage activity
+of a whole run without threading recorder handles out of every
+experiment: the bundle's ``provenance`` leg
+(:class:`~repro.obs.legs.CounterTable`) ships them home from workers and
+notes what one run added.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Mapping
+from typing import Dict, Hashable
+
+from repro.obs.legs import COUNTER_TABLES
 
 __all__ = [
     "ClaimLineage",
@@ -61,37 +66,22 @@ __all__ = [
     "NullProvenanceRecorder",
     "NULL_PROVENANCE",
     "PROVENANCE_TOTALS",
-    "snapshot_provenance_totals",
-    "provenance_totals_delta",
 ]
 
 PeerId = Hashable
 
-#: Process-wide lineage-event totals (mirrors the ``KERNEL_INVOCATIONS``
-#: pattern of :mod:`repro.graph.maxflow`): every live recorder folds its
-#: events in here so the CLI can attribute lineage activity to one run
-#: via snapshot/delta without holding recorder references.
-PROVENANCE_TOTALS: Dict[str, int] = {
-    "claims_recorded": 0,
-    "claims_superseded": 0,
-    "redeliveries_ignored": 0,
-    "stale_dropped": 0,
-    "claims_forgotten": 0,
-}
-
-
-def snapshot_provenance_totals() -> Dict[str, int]:
-    """A copy of the cumulative totals, for later deltas."""
-    return dict(PROVENANCE_TOTALS)
-
-
-def provenance_totals_delta(baseline: Mapping[str, int]) -> Dict[str, int]:
-    """Per-event counts since ``baseline``; only non-zero deltas."""
-    return {
-        key: count - baseline.get(key, 0)
-        for key, count in PROVENANCE_TOTALS.items()
-        if count - baseline.get(key, 0)
-    }
+#: Process-wide lineage-event totals (the ``provenance`` entry of
+#: :data:`~repro.obs.legs.COUNTER_TABLES`, like ``KERNEL_INVOCATIONS`` of
+#: :mod:`repro.graph.maxflow`): every live recorder folds its events in.
+PROVENANCE_TOTALS: Dict[str, int] = COUNTER_TABLES["provenance"]
+for _event in (
+    "claims_recorded",
+    "claims_superseded",
+    "redeliveries_ignored",
+    "stale_dropped",
+    "claims_forgotten",
+):
+    PROVENANCE_TOTALS.setdefault(_event, 0)
 
 
 @dataclass(frozen=True)

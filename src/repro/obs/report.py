@@ -1,7 +1,8 @@
 """Human-readable summary of a run's metrics and profile.
 
-``render_report`` turns a :class:`~repro.obs.metrics.MetricsRegistry`
-snapshot into the terminal summary the CLI prints under ``--metrics``:
+``render_metrics_snapshot`` turns a :class:`~repro.obs.metrics
+.MetricsRegistry` summary into the section the CLI prints under
+``--metrics`` (:meth:`~repro.obs.metrics.MetricsRegistry.render`):
 the top timers by total wall time, message/transfer counters by name,
 a network section for the fault channel's delivery telemetry (hidden
 when the run had no channel faults), derived rates (reputation-cache
@@ -16,17 +17,15 @@ recorded them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.analysis.ascii_plot import render_table
-from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "render_dissemination",
     "render_manifest_report",
     "render_metrics_snapshot",
     "render_profile",
-    "render_report",
 ]
 
 
@@ -40,30 +39,6 @@ def _fmt_seconds(seconds) -> str:
     return f"{seconds * 1e3:.2f}ms"
 
 
-def render_report(
-    registry: MetricsRegistry,
-    top_timers: int = 10,
-    wall_seconds: Optional[float] = None,
-) -> str:
-    """Render the metrics summary.
-
-    Parameters
-    ----------
-    registry:
-        The run's registry; a disabled registry renders a one-line note.
-    top_timers:
-        How many timers to show (sorted by total wall time).
-    wall_seconds:
-        Total run wall time, used for the events/sec derivation when the
-        engine's own dispatch timer is absent.
-    """
-    if not registry.enabled:
-        return "== Metrics ==\n(observability disabled; run with --metrics)"
-    return render_metrics_snapshot(
-        registry.snapshot(), top_timers=top_timers, wall_seconds=wall_seconds
-    )
-
-
 def _value(snap: Dict[str, dict], name: str) -> float:
     entry = snap.get(name)
     if not entry:
@@ -71,11 +46,7 @@ def _value(snap: Dict[str, dict], name: str) -> float:
     return float(entry.get("value") or 0.0)
 
 
-def render_metrics_snapshot(
-    snap: Dict[str, dict],
-    top_timers: int = 10,
-    wall_seconds: Optional[float] = None,
-) -> str:
+def render_metrics_snapshot(snap: Dict[str, dict], top_timers: int = 10) -> str:
     """Render a :meth:`MetricsRegistry.snapshot` dict (live or stored)."""
     lines: List[str] = ["== Metrics =="]
 
@@ -152,16 +123,12 @@ def render_metrics_snapshot(
         derived.append(f"reputation cache hit rate: {hits / (hits + misses):.1%}")
     events = _value(snap, "sim.events")
     total_dispatch = (snap.get("sim.dispatch_s") or {}).get("total")
-    if events:
-        if total_dispatch:
-            derived.append(
-                f"engine: {events:,.0f} events, "
-                f"{events / total_dispatch:,.0f} events/sec dispatch throughput"
-            )
-        elif wall_seconds:
-            derived.append(
-                f"engine: {events:,.0f} events, {events / wall_seconds:,.0f} events/sec wall"
-            )
+    # The engine registers the counter and its dispatch timer together.
+    if events and total_dispatch:
+        derived.append(
+            f"engine: {events:,.0f} events, "
+            f"{events / total_dispatch:,.0f} events/sec dispatch throughput"
+        )
     kernel_calls = _value(snap, "rep.kernel.calls")
     kernel_targets = _value(snap, "rep.kernel.targets")
     if kernel_calls:

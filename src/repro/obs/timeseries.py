@@ -11,10 +11,9 @@ rate, and ``net.*`` channel deltas (see
 counters when metrics are on.
 
 A :class:`TimeSeriesCollector` is the :class:`~repro.obs.Observability`
-leg: it carries the sampling config across process boundaries (the
-config is picklable; recorders are rebuilt fresh inside each worker),
-collects one series per task, merges worker snapshots home in task
-order, and exports CSV + JSON beside the run manifest.
+leg (a :class:`~repro.obs.legs.LabelledCollector`): it carries the
+sampling config, collects one series per task, and exports CSV + JSON
+beside the run manifest.
 
 Sampling never consumes a simulation RNG stream and runs on its own
 periodic event (or rides the scenario's stats sampler), so enabling it
@@ -26,13 +25,13 @@ cache, so ``rep.cache.*`` hit/miss counters include probe traffic.
 
 from __future__ import annotations
 
-import json
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
+
+from repro.obs.legs import LabelledCollector
 
 __all__ = [
     "NULL_TIMESERIES",
@@ -185,72 +184,30 @@ class TimeSeriesRecorder:
     def write_csv(self, path: Union[str, Path]) -> Path:
         """Write the held rows as ``t,<col>,...`` CSV; returns the path."""
         path = Path(path)
-        order = self._order()
-        with path.open("w", encoding="utf-8") as fh:
-            fh.write(",".join(["t"] + self._names) + "\n")
-            for idx in order:
-                cells = [repr(float(self._times[idx]))]
-                if self._data is not None:
-                    cells += [repr(float(v)) for v in self._data[idx]]
-                fh.write(",".join(cells) + "\n")
+        lines = _csv_lines(self.to_dict())
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         return path
 
 
-def _series_csv_name(label: str) -> str:
-    slug = re.sub(r"[^A-Za-z0-9._-]+", "_", label).strip("_") or "run"
-    return f"timeseries_{slug}.csv"
-
-
-def _snapshot_rows(snap: dict):
-    """(header, rows) for a :meth:`TimeSeriesRecorder.to_dict` snapshot."""
+def _csv_lines(snap: dict) -> List[str]:
+    """A :meth:`TimeSeriesRecorder.to_dict` snapshot as CSV lines, header
+    first (floats round-trip via ``repr``)."""
     columns = list(snap.get("columns", []))
-    times = snap.get("t", [])
     series = snap.get("series", {})
-    cols = [series.get(name, []) for name in columns]
-    rows = [
-        [times[i]] + [col[i] for col in cols] for i in range(len(times))
+    cols = [snap.get("t", [])] + [series.get(name, []) for name in columns]
+    return [",".join(["t"] + columns)] + [
+        ",".join(repr(float(v)) for v in row) for row in zip(*cols)
     ]
-    return ["t"] + columns, rows
 
 
-class TimeSeriesCollector:
-    """The Observability leg: config carrier + per-task series store."""
+class TimeSeriesCollector(LabelledCollector):
+    """The Observability leg: sampling config + one series per run."""
 
-    enabled = True
-
-    def __init__(self, config: Optional[TimeSeriesConfig] = None) -> None:
-        self.config = config or TimeSeriesConfig()
-        self._series: List[dict] = []
-        self._recorders: List[TimeSeriesRecorder] = []
-        self._pending_label: Optional[str] = None
-        self._counter = 0
-
-    # -- labeling ------------------------------------------------------
-
-    def begin_task(self, label: str) -> None:
-        """Name the series the next simulator-created recorder records."""
-        self._pending_label = label
-
-    def next_label(self) -> str:
-        self._counter += 1
-        label, self._pending_label = self._pending_label, None
-        return label if label is not None else f"run-{self._counter}"
-
-    # -- recorder lifecycle --------------------------------------------
-
-    def attach(self, recorder: TimeSeriesRecorder) -> None:
-        self._recorders.append(recorder)
-
-    def merge(self, series: Optional[Sequence[dict]]) -> None:
-        """Fold worker series snapshots home (call in task order)."""
-        if series:
-            self._series.extend(series)
-
-    def series(self) -> List[dict]:
-        """All finished series snapshots, merge-order then local-order."""
-        return list(self._series) + [r.to_dict() for r in self._recorders]
-
-    # -- export --------------------------------------------------------
+    note = "timeseries"
+    config_type = TimeSeriesConfig
+    schema = TIMESERIES_SCHEMA
+    filename = TIMESERIES_FILENAME
+    prefix = "timeseries"
 
     def summary(self) -> dict:
         """Small JSON-safe digest for the run manifest."""
@@ -271,57 +228,13 @@ class TimeSeriesCollector:
             )
         return {"interval_s": self.config.interval_s, "series": entries}
 
-    def export(self, directory: Union[str, Path]) -> List[Path]:
-        """Write one CSV per series plus a combined ``timeseries.json``.
-
-        Returns the written paths (empty when nothing was sampled).
-        """
-        all_series = self.series()
-        if not all_series:
-            return []
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        written: List[Path] = []
-        for snap in all_series:
-            header, rows = _snapshot_rows(snap)
-            path = directory / _series_csv_name(snap.get("label") or "run")
-            with path.open("w", encoding="utf-8") as fh:
-                fh.write(",".join(header) + "\n")
-                for row in rows:
-                    fh.write(",".join(repr(float(v)) for v in row) + "\n")
-            written.append(path)
-        combined = directory / TIMESERIES_FILENAME
-        combined.write_text(
-            json.dumps(
-                {"schema": TIMESERIES_SCHEMA, "series": all_series},
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
-        written.append(combined)
-        return written
+    _csv_lines = staticmethod(_csv_lines)
 
 
 class NullTimeSeriesCollector(TimeSeriesCollector):
     """Disabled collector: simulators skip recorder setup entirely."""
 
     enabled = False
-
-    def begin_task(self, label: str) -> None:
-        pass
-
-    def attach(self, recorder: TimeSeriesRecorder) -> None:  # pragma: no cover
-        raise RuntimeError(
-            "NullTimeSeriesCollector.attach called; guard with collector.enabled"
-        )
-
-    def merge(self, series: Optional[Sequence[dict]]) -> None:
-        pass
-
-    def export(self, directory: Union[str, Path]) -> List[Path]:
-        return []
 
 
 #: Shared disabled collector (the :data:`repro.obs.NULL_OBS` leg).

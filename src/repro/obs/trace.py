@@ -53,6 +53,8 @@ from pathlib import Path
 from random import Random
 from typing import Dict, List, Optional, TextIO, Tuple, Union
 
+from repro.obs.legs import Leg
+
 __all__ = [
     "TRACE_SCHEMA",
     "TraceEmitter",
@@ -166,7 +168,7 @@ class _Span:
         )
 
 
-class TraceEmitter:
+class TraceEmitter(Leg):
     """Writes sampled JSONL trace records to a file or file-like object.
 
     Parameters
@@ -265,6 +267,11 @@ class TraceEmitter:
         if attrs:
             record["attrs"] = attrs
         self._fh.write(self._encode(record) + "\n")
+
+    def mirror(self) -> None:
+        """One JSONL stream, one emitter: a live tracer has no worker-side
+        twin, which is what keeps a traced sweep in-process."""
+        return None
 
     def flush(self) -> None:
         if not self._closed:

@@ -11,8 +11,8 @@ units across worker processes and merges the results deterministically:
 :mod:`repro.parallel.runner`
     :class:`ParallelRunner` (``--jobs N``; ``1`` = the exact serial code
     path), chunked scheduling, per-task timeout with retry, crash
-    isolation, and the task-order merge of payloads, kernel counters,
-    and metrics snapshots.
+    isolation, and the task-order merge of payloads and observability
+    snapshots.
 
 See ``DESIGN.md`` §8 for the determinism contract and its limits.
 """

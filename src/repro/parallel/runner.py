@@ -20,17 +20,13 @@ Scheduling and robustness:
   (measured from submission) or whose worker dies is retried up to
   ``retries`` times; the pool is rebuilt after a timeout or crash.  A
   dying worker therefore fails (at most) its own task, not the sweep.
-* **Truthful counters** — each worker ships home its maxflow kernel
-  counter delta and (when the parent collects metrics) its metrics
-  snapshot; the parent folds both in, so manifests report the same
-  totals a serial run would.  Timeseries recordings and profiler
-  snapshots ride the same channel and merge in task order.
-* **Live monitoring** — the pool writes best-effort heartbeat files
-  into a spool directory (:mod:`repro.obs.monitor`) for ``repro
-  monitor``; the spool never feeds back into results.
+* **Truthful telemetry** — each worker records against a fresh mirror
+  of the parent's observability bundle and ships the mirror's snapshot
+  home; the parent merges snapshots in task order, so manifests and
+  exports report what a serial run would.
 
-Tracing cannot cross the process boundary (one JSONL file, one emitter),
-so a live tracer forces the inline path; the CLI surfaces a notice.
+A bundle that cannot be mirrored — a live tracer: one JSONL file, one
+emitter — forces the inline path; the CLI surfaces a notice.
 """
 
 from __future__ import annotations
@@ -43,13 +39,7 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.graph.maxflow import merge_kernel_invocations
 from repro.obs import NULL_OBS, Observability
-from repro.obs.monitor import (
-    SweepMonitorWriter,
-    resolve_monitor_dir,
-    write_worker_heartbeat,
-)
 from repro.parallel.tasks import SweepTask, TaskResult, execute_task
 
 __all__ = ["ParallelRunner", "SweepError", "run_sweep"]
@@ -80,27 +70,22 @@ class SweepError(RuntimeError):
         )
 
 
-def _worker_run(
-    task: SweepTask,
-    with_metrics: bool,
-    ts_config=None,
-    with_profile: bool = False,
-    heartbeat_dir: Optional[str] = None,
-    diss_config=None,
-) -> TaskResult:
+def _worker_run(task: SweepTask, obs_spec: Dict[str, Any]) -> TaskResult:
     """Module-level worker entry point (must be picklable by the pool)."""
-    if heartbeat_dir is not None:
-        write_worker_heartbeat(heartbeat_dir, task.task_id, "running")
-    result = execute_task(
-        task,
-        collect_metrics=with_metrics,
-        timeseries=ts_config,
-        collect_profile=with_profile,
-        dissemination=diss_config,
-    )
-    if heartbeat_dir is not None:
-        write_worker_heartbeat(heartbeat_dir, task.task_id, "done")
-    return result
+    return execute_task(task, Observability(**obs_spec), collect=True)
+
+
+def _partition(results: List[TaskResult]) -> List[Dict[str, Any]]:
+    """Who ran what, for the manifest's ``parallel`` note."""
+    return [
+        {
+            "task_id": r.task_id,
+            "worker_pid": r.worker_pid,
+            "elapsed_s": round(r.elapsed_s, 6),
+            "attempt": r.attempt,
+        }
+        for r in results
+    ]
 
 
 @dataclass
@@ -128,18 +113,12 @@ class ParallelRunner:
         How many times a failed (crashed / timed-out / raising) task is
         re-submitted before the sweep fails.
     obs:
-        The parent observability bundle.  Live metrics turn on worker
-        snapshot collection and merging; a live timeseries collector or
-        profiler likewise rides along (workers record against fresh local
-        instances, shipped home and merged in task order); a live tracer
-        forces inline execution.
+        The parent observability bundle.  Workers record against fresh
+        mirrors of it, shipped home and merged in task order; a bundle
+        with no mirror (live tracer) forces inline execution.
     mp_start:
         Multiprocessing start method; ``fork`` where available (cheap,
         inherits the warm interpreter), else the platform default.
-    monitor_dir:
-        Spool directory for live sweep monitoring (``repro monitor``).
-        ``None`` uses the default per-user directory; the writer is
-        best-effort and never affects results.
     """
 
     def __init__(
@@ -149,7 +128,6 @@ class ParallelRunner:
         retries: int = 1,
         obs: Optional[Observability] = None,
         mp_start: Optional[str] = None,
-        monitor_dir: Optional[str] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -160,7 +138,6 @@ class ParallelRunner:
         self.retries = int(retries)
         self.obs = obs if obs is not None else NULL_OBS
         self.mp_start = mp_start
-        self.monitor_dir = monitor_dir
         #: Partition/bookkeeping record of the most recent :meth:`run`
         #: (feeds the run manifest's ``parallel`` note).
         self.last_run_info: Dict[str, Any] = {}
@@ -177,10 +154,10 @@ class ParallelRunner:
         if not tasks:
             self._set_info({"mode": "inline", "jobs": 1, "tasks": []})
             return []
-        forced_inline = self.jobs > 1 and self.obs.tracer.enabled
-        if self.jobs <= 1 or forced_inline:
-            return self._run_inline(tasks, forced_inline)
-        return self._run_pool(tasks)
+        obs_spec = self.obs.spec() if self.jobs > 1 else None
+        if obs_spec is None:
+            return self._run_inline(tasks, forced=self.jobs > 1)
+        return self._run_pool(tasks, obs_spec)
 
     # ------------------------------------------------------------------
     def _set_info(self, info: Dict[str, Any]) -> None:
@@ -193,15 +170,7 @@ class ParallelRunner:
             "mode": "inline",
             "jobs": 1,
             "forced_inline_tracing": forced,
-            "tasks": [
-                {
-                    "task_id": r.task_id,
-                    "worker_pid": r.worker_pid,
-                    "elapsed_s": round(r.elapsed_s, 6),
-                    "attempt": r.attempt,
-                }
-                for r in results
-            ],
+            "tasks": _partition(results),
         })
         return results
 
@@ -216,20 +185,9 @@ class ParallelRunner:
                 ctx = get_context()
         return ProcessPoolExecutor(max_workers=self.jobs, mp_context=ctx)
 
-    def _run_pool(self, tasks: List[SweepTask]) -> List[TaskResult]:
-        with_metrics = self.obs.metrics.enabled
-        ts_config = (
-            self.obs.timeseries.config if self.obs.timeseries.enabled else None
-        )
-        with_profile = self.obs.profiler.enabled
-        diss_config = (
-            self.obs.dissemination.config
-            if self.obs.dissemination.enabled
-            else None
-        )
-        heartbeat_dir = str(resolve_monitor_dir(self.monitor_dir))
-        monitor = SweepMonitorWriter(heartbeat_dir)
-        monitor.start(total=len(tasks), jobs=self.jobs)
+    def _run_pool(
+        self, tasks: List[SweepTask], obs_spec: Dict[str, Any]
+    ) -> List[TaskResult]:
         results: Dict[int, TaskResult] = {}
         failures: List[Tuple[SweepTask, str]] = []
         work = deque((i, task, task.attempt) for i, task in enumerate(tasks))
@@ -257,13 +215,7 @@ class ParallelRunner:
                         executor = self._make_executor()
                     try:
                         fut = executor.submit(
-                            _worker_run,
-                            task.with_attempt(attempt),
-                            with_metrics,
-                            ts_config,
-                            with_profile,
-                            heartbeat_dir,
-                            diss_config,
+                            _worker_run, task.with_attempt(attempt), obs_spec
                         )
                     except BrokenExecutor:
                         # A worker died since the last wait and the pool
@@ -282,7 +234,6 @@ class ParallelRunner:
                     item = inflight.pop(fut)
                     try:
                         results[item.index] = fut.result()
-                        monitor.task_done(item.task.task_id, len(results))
                     except BrokenExecutor:
                         rebuild = True
                         fail_or_retry(
@@ -321,39 +272,20 @@ class ParallelRunner:
                 executor.shutdown(wait=True, cancel_futures=True)
 
         if failures:
-            monitor.finish("failed")
             raise SweepError(failures, results)
 
         ordered = [results[i] for i in range(len(tasks))]
-        # Deterministic merge: fold worker-side counters/metrics home in
-        # task order (not completion order), so repeated runs agree.
+        # Deterministic merge: fold worker-side telemetry home in task
+        # order (not completion order), so repeated runs agree.
         for result in ordered:
-            if result.kernel_delta:
-                merge_kernel_invocations(result.kernel_delta)
-            if with_metrics and result.metrics:
-                self.obs.metrics.merge_snapshot(result.metrics)
-            if ts_config is not None and result.timeseries:
-                self.obs.timeseries.merge(result.timeseries)
-            if with_profile and result.profile:
-                self.obs.profiler.merge_snapshot(result.profile)
-            if diss_config is not None and result.dissemination:
-                self.obs.dissemination.merge(result.dissemination)
-        monitor.finish("done")
+            self.obs.merge(result.obs)
         self._set_info({
             "mode": "pool",
             "jobs": self.jobs,
             "retries": n_retries,
             "timeouts": n_timeouts,
             "pool_rebuilds": n_pool_rebuilds,
-            "tasks": [
-                {
-                    "task_id": r.task_id,
-                    "worker_pid": r.worker_pid,
-                    "elapsed_s": round(r.elapsed_s, 6),
-                    "attempt": r.attempt,
-                }
-                for r in ordered
-            ],
+            "tasks": _partition(ordered),
         })
         return ordered
 
@@ -370,6 +302,5 @@ def run_sweep(
     experiment loops did before the runner existed.  With a runner, the
     runner's configuration (including its ``obs``) governs execution.
     """
-    if runner is None:
-        return [execute_task(task, obs=obs).payload for task in tasks]
+    runner = runner if runner is not None else ParallelRunner(obs=obs)
     return [result.payload for result in runner.run(tasks)]

@@ -15,16 +15,8 @@ stream inside derives from that seed via :class:`~repro.sim.rng
 .RngRegistry` (per-task derivation: :meth:`~repro.sim.rng.RngRegistry
 .task_seed`).  Which worker runs the task, and in what order, therefore
 cannot influence the payload — the property the bit-identical merge of
-:mod:`repro.parallel.runner` rests on.
-
-Counter truthfulness
---------------------
-:func:`execute_task` snapshots the process-wide maxflow kernel counters
-around the run and ships the delta in the :class:`TaskResult`, so the
-parent process can fold worker-side kernel work back into its own
-counters (:func:`repro.graph.maxflow.merge_kernel_invocations`).  When a
-live metrics registry is supplied the final snapshot rides along the
-same way for :meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`.
+:mod:`repro.parallel.runner` rests on.  What a task *records* travels
+the same way: see :func:`execute_task` (``collect``).
 """
 
 from __future__ import annotations
@@ -32,9 +24,8 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
-from repro.graph.maxflow import kernel_invocations_delta, snapshot_kernel_invocations
 from repro.obs import NULL_OBS, Observability
 
 __all__ = [
@@ -89,29 +80,18 @@ class SweepTask:
 class TaskResult:
     """What one executed task sends home.
 
-    ``kernel_delta`` and ``metrics`` let the parent keep process-wide
-    counters and the run manifest truthful under multi-process fan-out;
-    ``worker_pid`` / ``elapsed_s`` / ``attempt`` feed the manifest's
-    worker-partition record.
+    ``obs`` is the snapshot of the bundle the task recorded against
+    (empty for an inline task, which recorded straight into the parent's
+    bundle); ``worker_pid`` / ``elapsed_s`` / ``attempt`` feed the
+    manifest's worker-partition record.
     """
 
     task_id: str
     payload: Any
-    kernel_delta: Dict[str, int] = field(default_factory=dict)
-    metrics: Optional[Dict[str, dict]] = None
+    obs: Dict[str, Any] = field(default_factory=dict)
     worker_pid: int = 0
     elapsed_s: float = 0.0
     attempt: int = 0
-    #: Convergence time-series snapshots recorded by this task's
-    #: simulations (``TimeSeriesRecorder.to_dict`` dicts), when the
-    #: worker ran with a timeseries config.
-    timeseries: Optional[List[dict]] = None
-    #: Worker profiler snapshot (phases/events/kernels), when profiling.
-    profile: Optional[Dict[str, Any]] = None
-    #: Dissemination snapshots (``DisseminationRecorder.to_dict`` dicts)
-    #: recorded by this task's simulations, when the worker ran with a
-    #: dissemination config.
-    dissemination: Optional[List[dict]] = None
 
 
 # ----------------------------------------------------------------------
@@ -222,96 +202,35 @@ def _exec_sleep(task: SweepTask, obs: Observability) -> Any:
 # Execution
 # ----------------------------------------------------------------------
 def execute_task(
-    task: SweepTask,
-    obs: Optional[Observability] = None,
-    collect_metrics: bool = False,
-    timeseries=None,
-    collect_profile: bool = False,
-    dissemination=None,
+    task: SweepTask, obs: Optional[Observability] = None, collect: bool = False
 ) -> TaskResult:
     """Execute one task in this process and wrap the payload.
 
-    The ``collect_*``/``timeseries``/``dissemination`` knobs form the
-    worker path: when any is set, the task runs against a fresh local
-    bundle (a new registry / profiler / collector mirroring the parent's
-    enabled legs) and ships the snapshots home with the result, to be
-    merged in task order.  Otherwise the provided ``obs`` (e.g. the
-    parent's own bundle, on the inline path) is threaded straight
-    through.  ``timeseries`` is the parent's :class:`~repro.obs
-    .timeseries.TimeSeriesConfig` and ``dissemination`` the parent's
-    :class:`~repro.obs.dissemination.DisseminationConfig` (``None`` for
-    off).
+    Inline (the default), ``obs`` — e.g. the parent's own bundle — is
+    threaded straight through and the result carries no snapshot.  With
+    ``collect`` (the worker path) the task records against a fresh mirror
+    of ``obs`` and the mirror's snapshot rides home with the result, to
+    be merged in task order.
     """
-    collect = (
-        collect_metrics
-        or timeseries is not None
-        or collect_profile
-        or dissemination is not None
-    )
-    if collect:
-        from repro.obs import (
-            NULL_DISSEMINATION,
-            NULL_METRICS,
-            NULL_PROFILER,
-            NULL_TIMESERIES,
-            DisseminationCollector,
-            MetricsRegistry,
-            Profiler,
-            TimeSeriesCollector,
-        )
-
-        obs = Observability(
-            metrics=MetricsRegistry() if collect_metrics else NULL_METRICS,
-            timeseries=(
-                TimeSeriesCollector(timeseries)
-                if timeseries is not None
-                else NULL_TIMESERIES
-            ),
-            profiler=Profiler() if collect_profile else NULL_PROFILER,
-            dissemination=(
-                DisseminationCollector(dissemination)
-                if dissemination is not None
-                else NULL_DISSEMINATION
-            ),
-        )
-    elif obs is None:
+    if obs is None:
         obs = NULL_OBS
-    if obs.timeseries.enabled:
-        obs.timeseries.begin_task(task.task_id)
-    if obs.dissemination.enabled:
-        obs.dissemination.begin_task(task.task_id)
+    if collect:
+        obs = Observability(**obs.spec())
     executor = EXECUTORS.get(task.experiment)
     if executor is None:
         raise KeyError(f"no executor registered for experiment {task.experiment!r}")
-    baseline = snapshot_kernel_invocations()
+    obs.begin_task(task.task_id)
     t0 = time.perf_counter()
-    if obs.profiler.enabled:
-        from repro.obs.profile import activate
-
-        with activate(obs.profiler):
-            payload = executor(task, obs)
-    else:
+    with obs.recording():
         payload = executor(task, obs)
     elapsed = time.perf_counter() - t0
     return TaskResult(
         task_id=task.task_id,
         payload=payload,
-        kernel_delta=kernel_invocations_delta(baseline),
-        # Reservoirs ride along so the parent's merged quantiles are real
-        # (exact in the complete-reservoir regime; see Histogram).
-        metrics=obs.metrics.snapshot(include_reservoir=True)
-        if collect_metrics
-        else None,
+        obs=obs.snapshot() if collect else {},
         worker_pid=os.getpid(),
         elapsed_s=elapsed,
         attempt=task.attempt,
-        timeseries=obs.timeseries.series() if collect and obs.timeseries.enabled else None,
-        profile=obs.profiler.snapshot() if collect and obs.profiler.enabled else None,
-        dissemination=(
-            obs.dissemination.series()
-            if collect and obs.dissemination.enabled
-            else None
-        ),
     )
 
 

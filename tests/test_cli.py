@@ -90,13 +90,16 @@ class TestNewSubcommands:
 
     def test_all_fig4_peers_override(self, capsys, monkeypatch):
         seen = {}
+        real = cli.fig4_task
 
-        def fake_fig4(peers, seed, export_dir=None, obs=None, manifest=None):
+        def spy_fig4_task(peers, seed):
             seen["peers"] = peers
+            return real(peers, seed)
 
-        monkeypatch.setattr(cli, "_fig4", fake_fig4)
+        monkeypatch.setattr(cli, "fig4_task", spy_fig4_task)
         assert cli.main(["all", "--seed", "3", "--fig4-peers", "123"]) == 0
         assert seen["peers"] == 123
+        assert "Figure 4(b)" in capsys.readouterr().out
 
 
 class TestTelemetryFlags:
@@ -159,23 +162,6 @@ class TestReportSubcommand:
     def test_report_missing_path(self, capsys, tmp_path):
         assert cli.main(["report", str(tmp_path / "nope")]) == 2
         assert "no run manifest" in capsys.readouterr().err
-
-
-class TestMonitorSubcommand:
-    def test_monitor_once_no_sweep(self, capsys, tmp_path):
-        assert cli.main(["monitor", str(tmp_path), "--once"]) == 2
-        assert "no sweep found" in capsys.readouterr().out
-
-    def test_monitor_once_after_sweep(self, capsys, tmp_path):
-        assert cli.main([
-            "fig2", "--seed", "3", "--jobs", "2",
-            "--monitor-dir", str(tmp_path),
-        ]) == 0
-        capsys.readouterr()
-        assert cli.main(["monitor", str(tmp_path), "--once"]) == 0
-        out = capsys.readouterr().out
-        assert "tasks (100%)" in out
-        assert "worker" in out
 
 
 class TestChromeTraceSubcommand:

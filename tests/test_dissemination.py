@@ -370,7 +370,11 @@ class TestCollector:
             NULL_DISSEMINATION.attach(DisseminationRecorder())
 
     def test_bundle_flag_forms(self):
-        assert make_observability() is NULL_OBS
+        # Always a fresh bundle (its counter tables count from now), but
+        # every recorder is the shared null object: only the tables are live.
+        off = make_observability()
+        assert not off.enabled
+        assert set(off.spec()) == {"kernels", "provenance"} == set(NULL_OBS.spec())
         on = make_observability(dissemination=True)
         assert on.dissemination.enabled
         assert on.dissemination.config.coverage_fractions == (0.5, 0.9)

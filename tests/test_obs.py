@@ -29,7 +29,6 @@ from repro.obs import (
     read_manifest,
     read_trace,
 )
-from repro.obs.report import render_report
 
 
 class TestCounterGauge:
@@ -250,7 +249,11 @@ class TestObservabilityBundle:
         NULL_OBS.close()  # no-op
 
     def test_make_observability_defaults_to_null(self):
-        assert make_observability() is NULL_OBS
+        # Always a fresh bundle (its counter tables count from now), but
+        # every recorder is the shared null object: only the tables are live.
+        off = make_observability()
+        assert not off.enabled
+        assert set(off.spec()) == {"kernels", "provenance"} == set(NULL_OBS.spec())
 
     def test_make_observability_metrics_only(self):
         obs = make_observability(metrics=True)
@@ -334,7 +337,7 @@ class TestManifest:
 
 class TestReport:
     def test_disabled_note(self):
-        assert "disabled" in render_report(NULL_METRICS)
+        assert "disabled" in NULL_METRICS.render()
 
     def test_report_sections(self):
         reg = MetricsRegistry()
@@ -345,7 +348,7 @@ class TestReport:
         reg.timer("sim.dispatch_s").observe(0.5)
         reg.counter("rep.kernel.calls").inc(7)
         reg.counter("rep.kernel.targets").inc(21)
-        out = render_report(reg)
+        out = reg.render()
         assert "bc.messages_sent" in out
         assert "90.0%" in out  # cache hit rate
         assert "2,000 events/sec" in out
@@ -499,8 +502,8 @@ class TestHistogramReservoirMerge:
         worker = MetricsRegistry()
         for i in range(50):
             worker.timer("bt.round_s").observe(0.001 * (i + 1))
-        parent.merge_snapshot(worker.snapshot(include_reservoir=True))
-        out = render_report(parent)
+        parent.merge(worker.snapshot())
+        out = parent.render()
         row = next(l for l in out.splitlines() if "bt.round_s" in l)
         assert "-" not in row.replace("bt.round_s", "")
 
@@ -584,3 +587,148 @@ class TestManifestReport:
         assert "bt.round" in out and "maxflow_two_hop_batch" in out
         assert "== Timeseries ==" in out
         assert "fig2/rank" in out and "0.500" in out
+
+
+# ----------------------------------------------------------------------
+# The leg lifecycle: inline ≡ mirror + snapshot + merge, for every leg
+# ----------------------------------------------------------------------
+def _counts_only(section):
+    """Wall-clock aggregates reduced to what must repeat: call counts."""
+    return {name: entry["count"] for name, entry in section.items()}
+
+
+def _stable_metrics(summary):
+    return {
+        name: snap["value"] if snap["type"] in ("counter", "gauge") else snap["count"]
+        for name, snap in summary.items()
+    }
+
+
+def _stable_profile(summary):
+    return {k: _counts_only(summary[k]) for k in ("phases", "events", "kernels")}
+
+
+#: leg (bundle field) -> (what of its summary() must repeat exactly,
+#: what the summary of the tiny run below must additionally show).  The
+#: second column keeps the assertions of the per-leg worker-parity tests
+#: this case grew out of.
+LEG_CASES = {
+    "metrics": (
+        _stable_metrics,
+        lambda s: s["sim.events"]["value"] > 0
+        and s["prov.claims_recorded"]["value"] > 0,
+    ),
+    "timeseries": (
+        lambda s: s,
+        lambda s: [e["label"] for e in s["series"]] == ["fig1"]
+        and {"gossip_exchanges", "bt_bytes"} <= set(s["series"][0]["final"]),
+    ),
+    "dissemination": (
+        lambda s: s,
+        lambda s: s["runs"][0]["label"] == "fig1"
+        and s["runs"][0]["events"]["deliver"] > 0
+        and s["runs"][0]["events"]["drop"] > 0,
+    ),
+    "profiler": (
+        _stable_profile,
+        lambda s: s["phases"]["bt.round"]["count"] > 0
+        and s["kernels"]["maxflow_two_hop_batch"]["count"] > 0,
+    ),
+    "kernels": (lambda s: s, lambda s: s["maxflow_two_hop_batch"] > 0),
+    "provenance": (lambda s: s, lambda s: s["claims_recorded"] > 0),
+}
+
+
+class TestLegLifecycle:
+    @pytest.fixture(scope="class")
+    def sides(self, tmp_path_factory):
+        """One tiny faulted, provenance-on fig1 task, recorded twice with
+        every leg on: straight into a bundle (the ``--jobs 1`` path), and
+        in a worker process against a fresh mirror whose snapshot is
+        merged home.  Per side and leg: ``(summary, {file name: bytes})``,
+        taken before anything else runs in this process (the counter
+        tables are process-wide)."""
+        from repro.faults import FaultConfig
+        from repro.parallel import ParallelRunner, execute_task, fig1_task
+
+        scenario = ScenarioConfig.tiny(seed=3).with_provenance()
+        task = fig1_task(scenario.with_faults(FaultConfig(loss=0.2, churn_rate=2.0)))
+
+        def bundle():
+            return make_observability(
+                metrics=True, profile=True, timeseries=-1.0, dissemination=True
+            )
+
+        def views(obs, side):
+            out = {}
+            for leg in LEG_CASES:
+                paths = getattr(obs, leg).export(tmp_path_factory.mktemp(side))
+                out[leg] = (
+                    getattr(obs, leg).summary(),
+                    {p.name: p.read_bytes() for p in paths},
+                )
+            return out
+
+        inline = bundle()
+        plain = execute_task(task, inline)
+        assert plain.obs == {}  # recorded in place; nothing to ship
+        inline_views = views(inline, "inline")
+
+        merged = bundle()
+        runner = ParallelRunner(jobs=2, obs=merged)
+        (result,) = runner.run([task])
+        assert runner.last_run_info["mode"] == "pool"
+        np.testing.assert_array_equal(
+            plain.payload.sharer_reputation, result.payload.sharer_reputation
+        )
+        # The snapshot holds every live leg — none can be left behind.
+        assert set(result.obs) == set(merged.spec()) == set(LEG_CASES)
+        return inline_views, views(merged, "merged"), merged
+
+    @pytest.mark.parametrize("leg", sorted(LEG_CASES))
+    def test_inline_equals_mirror_snapshot_merge(self, sides, leg):
+        stable, shows = LEG_CASES[leg]
+        (inline, inline_files), (merged, merged_files) = sides[0][leg], sides[1][leg]
+        assert shows(inline), inline
+        assert stable(inline) == stable(merged)
+        # Phase spans are wall-clock offsets on one process's clock: they
+        # are never shipped, so only the in-process profiler exports them.
+        own_clock = {"profile_chrome.json"} if leg == "profiler" else set()
+        assert set(inline_files) - own_clock == set(merged_files)
+        assert all(inline_files[name] == data for name, data in merged_files.items())
+        assert bool(merged_files) == (leg in ("timeseries", "dissemination"))
+
+    def test_bundle_loops_cover_the_same_legs(self, sides, tmp_path):
+        merged = sides[2]
+        assert dict(merged.notes()).keys() == {
+            "timeseries", "dissemination", "profile", "provenance"
+        }
+        sections = [text.splitlines()[0] for text in merged.renders()]
+        assert sections == ["== Metrics ==", "== Profile =="]
+        exported = sorted(p.name for p in merged.export(tmp_path))
+        assert exported == [
+            "dissemination.json", "dissemination_fig1.csv",
+            "timeseries.json", "timeseries_fig1.csv",
+        ]
+
+    def test_collect_records_against_a_fresh_mirror(self):
+        from repro.parallel import SweepTask, execute_task
+
+        obs = make_observability(metrics=True)
+        obs.metrics.counter("parent.only").inc()
+        result = execute_task(
+            SweepTask(task_id="e", experiment="_echo", params={"i": 1}),
+            obs,
+            collect=True,
+        )
+        assert result.payload == {"i": 1}
+        assert result.obs == {"metrics": {}, "kernels": {}, "provenance": {}}
+        assert obs.metrics.names() == ["parent.only"]
+
+    def test_live_tracer_has_no_mirror(self, tmp_path):
+        obs = make_observability(metrics=True, trace_path=tmp_path / "t.jsonl")
+        try:
+            assert obs.tracer.mirror() is None
+            assert obs.spec() is None
+        finally:
+            obs.close()

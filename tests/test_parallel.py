@@ -14,10 +14,9 @@ import pytest
 from repro.experiments import ScenarioConfig
 from repro.graph.maxflow import (
     kernel_invocations_delta,
-    merge_kernel_invocations,
     snapshot_kernel_invocations,
 )
-from repro.obs import MetricsRegistry, Observability
+from repro.obs import CounterTable, MetricsRegistry, Observability
 from repro.parallel import (
     EXECUTORS,
     ParallelRunner,
@@ -66,23 +65,31 @@ class TestSweepTask:
 
 
 class TestKernelCounterMerge:
+    """The ``kernels`` leg over ``KERNEL_INVOCATIONS`` (the table the
+    maxflow module's own snapshot/delta helpers read)."""
+
     def test_snapshot_delta_merge_roundtrip(self):
         base = snapshot_kernel_invocations()
-        merge_kernel_invocations({"maxflow": 3, "novel_kernel": 2})
+        leg = CounterTable("kernels")
+        leg.merge({"maxflow": 3, "novel_kernel": 2})
         delta = kernel_invocations_delta(base)
         assert delta["maxflow"] == 3
         assert delta["novel_kernel"] == 2
+        assert leg.snapshot() == delta == leg.summary()
         # merging the delta back doubles it relative to the baseline
-        merge_kernel_invocations(delta)
+        leg.merge(delta)
         assert kernel_invocations_delta(base)["maxflow"] == 6
+        # a mirror counts from its own creation
+        assert leg.mirror().snapshot() == {}
 
     def test_merge_rejects_negative(self):
         with pytest.raises(ValueError):
-            merge_kernel_invocations({"maxflow": -1})
+            CounterTable("kernels").merge({"maxflow": -1})
 
     def test_delta_ignores_untouched_kernels(self):
         base = snapshot_kernel_invocations()
         assert kernel_invocations_delta(base) == {}
+        assert CounterTable("kernels").snapshot() == {}
 
 
 class TestRunnerBasics:
@@ -324,3 +331,51 @@ class TestCliJobs:
         assert note["jobs"] == 2
         # fig1 + fig2 (rank + 3 deltas) + fig3 (2 kinds x 6 pcts) + fig4
         assert len(note["tasks"]) == 18
+
+    def test_every_leg_same_files_and_manifest_extra_at_jobs_1_and_2(
+        self, capsys, tmp_path
+    ):
+        """Every leg is a participant of the one worker fold, so nothing a
+        run notes or exports depends on ``--jobs`` — ``extra.provenance``
+        included, which was dropped under ``--jobs N`` while each leg was
+        threaded through the runner by hand."""
+        import json
+
+        from repro import cli
+
+        def run(jobs):
+            out = tmp_path / f"j{jobs}"
+            assert cli.main([
+                "fig2", "--profile", "tiny", "--seed", "3", "--provenance",
+                "--metrics", "--prof", "--timeseries", "--dissemination",
+                "--export", str(out), "--jobs", str(jobs),
+            ]) == 0
+            capsys.readouterr()
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            manifest = json.loads(files.pop("run_manifest.json"))
+            # Phase spans sit on one process's clock; workers ship none.
+            files.pop("profile_chrome.json", None)
+            extra = manifest["extra"]
+            assert (extra.pop("parallel", None) is not None) == (jobs > 1)
+            extra["profile"] = {
+                section: {name: entry["count"] for name, entry in entries.items()}
+                for section, entries in extra["profile"].items()
+                if section != "spans_dropped"
+            }
+            counters = {
+                name: snap["value"]
+                for name, snap in manifest["metrics"].items()
+                if snap["type"] == "counter"
+            }
+            return files, extra, counters
+
+        files1, extra1, counters1 = run(1)
+        files2, extra2, counters2 = run(2)
+        assert sorted(files1) == sorted(files2)
+        assert {"timeseries.json", "dissemination.json"} <= set(files1)
+        assert files1 == files2
+        assert set(extra1) == {"timeseries", "dissemination", "profile", "provenance"}
+        assert extra1 == extra2
+        assert extra1["provenance"]["claims_recorded"] == counters1["prov.claims_recorded"]
+        # Float counters (bytes) sum per task, then across tasks.
+        assert counters1 == pytest.approx(counters2)

@@ -36,12 +36,11 @@ from repro.graph.maxflow import (
 )
 from repro.graph.transfer_graph import TransferGraph
 from repro.obs.explain import explain_reputation, render_explanation, top_subjects
+from repro.obs.legs import CounterTable
 from repro.obs.provenance import (
     NULL_PROVENANCE,
     NullProvenanceRecorder,
     ProvenanceRecorder,
-    provenance_totals_delta,
-    snapshot_provenance_totals,
 )
 
 
@@ -150,10 +149,10 @@ class TestClaimLineage:
         assert NULL_PROVENANCE.claims_forgotten == 0
 
     def test_totals_snapshot_delta(self):
-        base = snapshot_provenance_totals()
+        totals = CounterTable("provenance")
         store, _ = make_store()
         store.ingest(msg("a", 10.0, "b", 100.0, 40.0))
-        delta = provenance_totals_delta(base)
+        delta = totals.snapshot()
         assert delta["claims_recorded"] == 2
         assert "stale_dropped" not in delta  # only non-zero deltas
 
@@ -494,7 +493,6 @@ class TestClaimTraceRule:
         from repro.obs import read_trace
         from repro.obs.provenance import _json_safe
 
-        base = snapshot_provenance_totals()
         obs = self.traced(tmp_path / "run.jsonl")
         sim = build_simulation(
             ScenarioConfig.tiny(seed=3).with_provenance(), policy=NoPolicy(), obs=obs
@@ -515,7 +513,7 @@ class TestClaimTraceRule:
         # Every claim is counted, wherever the totals are read ...
         summary = sim.provenance.summary()
         assert {k: v for k, v in summary.items() if v} == self.TOTALS
-        assert provenance_totals_delta(base) == self.TOTALS
+        assert obs.provenance.summary() == self.TOTALS
         assert {k: counters[f"prov.{k}"] for k in summary} == summary
         # ... and only those that reached the graph write are traced.
         assert len(claims) == len(writes) == 5500

@@ -1,9 +1,8 @@
 """Tests for the time-dimension observability subsystem.
 
 Covers the ring-buffer recorder, the collector's cross-process
-merge/export, the phase/kernel profiler, Chrome-trace conversion, the
-sweep monitor spool, and the headline guarantees: telemetry fully on is
-bit-identical to a plain run, and a run's final time-series sample
+merge/export, the phase/kernel profiler, Chrome-trace conversion, and
+the headline guarantees: telemetry fully on is bit-identical to a plain run, and a run's final time-series sample
 equals its end-of-run aggregates.
 """
 
@@ -30,13 +29,6 @@ from repro.obs.chrome_trace import (
     profile_spans_to_chrome_events,
     trace_to_chrome_events,
     write_chrome_trace,
-)
-from repro.obs.monitor import (
-    SweepMonitorWriter,
-    read_status,
-    render_status,
-    watch,
-    write_worker_heartbeat,
 )
 from repro.obs.profile import activate, set_active_profiler
 
@@ -188,7 +180,7 @@ class TestProfiler:
                 serial.observe_kernel("k", dur)
         parent = Profiler()
         for prof in workers:
-            parent.merge_snapshot(prof.snapshot())
+            parent.merge(prof.snapshot())
         snap = parent.snapshot()
         assert snap["phases"]["round"]["count"] == 6
         assert snap["events"]["ev"]["count"] == 6
@@ -281,52 +273,13 @@ class TestChromeTrace:
         assert doc["displayTimeUnit"] == "ms"
 
 
-class TestMonitor:
-    def test_writer_and_heartbeats_round_trip(self, tmp_path):
-        writer = SweepMonitorWriter(tmp_path)
-        writer.start(total=4, jobs=2, command="fig2")
-        write_worker_heartbeat(tmp_path, "fig2/rank", "running")
-        write_worker_heartbeat(tmp_path, "fig2/rank", "done")
-        writer.task_done("fig2/rank", 1)
-        status = read_status(tmp_path)
-        assert status["sweep"]["done"] == 1
-        assert status["sweep"]["total"] == 4
-        assert status["workers"][0]["task_id"] == "fig2/rank"
-        assert status["workers"][0]["state"] == "done"
-        rendered = render_status(status)
-        assert "1/4 tasks" in rendered
-        assert "fig2/rank" in rendered
-        writer.finish("done")
-        assert read_status(tmp_path)["sweep"]["status"] == "done"
-
-    def test_start_clears_stale_worker_files(self, tmp_path):
-        (tmp_path / "worker-999.json").write_text("{}")
-        SweepMonitorWriter(tmp_path).start(total=1, jobs=1)
-        assert not (tmp_path / "worker-999.json").exists()
-
-    def test_stall_detection(self, tmp_path):
-        writer = SweepMonitorWriter(tmp_path)
-        writer.start(total=2, jobs=1)
-        write_worker_heartbeat(tmp_path, "slow-task", "running")
-        status = read_status(tmp_path)
-        future = status["workers"][0]["time_unix"] + 1000.0
-        rendered = render_status(status, now=future, stall_after=120.0)
-        assert "STALLED" in rendered
-
-    def test_watch_once_exit_codes(self, tmp_path, capsys):
-        assert watch(tmp_path / "empty", once=True) == 2
-        writer = SweepMonitorWriter(tmp_path)
-        writer.start(total=1, jobs=1)
-        writer.finish("done")
-        assert watch(tmp_path, once=True) == 0
-        out = capsys.readouterr().out
-        assert "no sweep found" in out
-        assert "1 tasks" in out
-
-
 class TestObservabilityBundleLegs:
     def test_all_off_is_the_shared_null_bundle(self):
-        assert make_observability() is NULL_OBS
+        # Always a fresh bundle (its counter tables count from now), but
+        # every recorder is the shared null object: only the tables are live.
+        off = make_observability()
+        assert not off.enabled
+        assert set(off.spec()) == {"kernels", "provenance"} == set(NULL_OBS.spec())
 
     def test_timeseries_flag_forms(self):
         rides = make_observability(timeseries=-1.0)
@@ -442,11 +395,11 @@ class TestParallelTransport:
             fig1_task(ScenarioConfig.tiny(seed=4)),
         ]
 
-    def test_jobs2_ships_series_and_profile_home(self, tmp_path):
+    def test_jobs2_ships_series_and_profile_home(self):
         from repro.parallel import ParallelRunner
 
         obs = make_observability(metrics=True, profile=True, timeseries=-1.0)
-        runner = ParallelRunner(jobs=2, obs=obs, monitor_dir=str(tmp_path))
+        runner = ParallelRunner(jobs=2, obs=obs)
         results = runner.run(self._tasks())
         assert runner.last_run_info["mode"] == "pool"
         labels = [s["label"] for s in obs.timeseries.series()]
@@ -461,9 +414,6 @@ class TestParallelTransport:
                 parallel_res.payload.sharer_reputation,
                 serial_res.sharer_reputation,
             )
-        status = read_status(tmp_path)
-        assert status["sweep"]["done"] == 2
-        assert status["sweep"]["status"] == "done"
 
     def test_parallel_series_match_inline(self):
         # Metrics on so the counter-backed columns (gossip_exchanges,
