@@ -26,7 +26,6 @@ from repro.bittorrent.config import BitTorrentConfig
 from repro.bittorrent.swarm import MemberState
 from repro.core.node import BarterCastNode
 from repro.core.policies import ReputationPolicy
-from repro.obs import Observability
 from repro.sim.rng import RngStream
 
 __all__ = ["select_unchokes", "interested_candidates"]
@@ -56,7 +55,6 @@ def select_unchokes(
     round_idx: int,
     config: BitTorrentConfig,
     can_connect: Callable[[int, int], bool],
-    obs: Optional[Observability] = None,
 ) -> Set[int]:
     """The set of peers ``uploader`` sends data to this round.
 
@@ -64,23 +62,18 @@ def select_unchokes(
     optimistic slot; banned peers are excluded everywhere.  A call that
     finds no candidate clears the optimistic target and draws nothing
     from ``rng`` — so a caller holding an empty ``online_leechers`` may
-    do the former itself and skip the call.  When ``obs``
-    is passed (only ever an *enabled* bundle — callers keep the disabled
-    default as ``None`` so this path stays branch-free), every call
-    bumps ``choke.calls`` and policy-banned candidates bump
-    ``choke.banned``.
+    do the former itself and skip the call.  A call that finds one
+    counts itself and the candidates the policy banned on ``node``
+    (``choke_calls`` / ``choke_banned``).
     """
     candidates = interested_candidates(uploader, online_leechers, can_connect)
     if not candidates:
         uploader.optimistic_peer = None
         return set()
     allowed = policy.allowed(node, candidates)
-    if obs is not None and obs.metrics.enabled:
-        metrics = obs.metrics
-        metrics.counter("choke.calls").inc()
-        banned = len(candidates) - len(allowed)
-        if banned:
-            metrics.counter("choke.banned").inc(banned)
+    if node is not None:
+        node.choke_calls += 1
+        node.choke_banned += len(candidates) - len(allowed)
 
     # --- regular slots: tit-for-tat ranking --------------------------------
     if uploader.is_seeder:

@@ -87,10 +87,11 @@ class CommunitySimulator:
         RNG streams, no extra events — runs are byte-identical to a
         build without the fault layer.
     obs:
-        Observability bundle, threaded through the engine, every node,
-        and the choker.  When enabled, rounds/transfers/gossip are
-        counted and timed (``bt.*``, ``gossip.*``) and sampled trace
-        events are emitted; run results stay bit-identical either way
+        Observability bundle, threaded through the engine and every node.
+        Rounds, transfers and gossip are counted either way (plain
+        attributes; :meth:`publish` writes every count of the run into
+        the metrics leg); the profiler times phases and the tracer emits
+        sampled events.  Run results stay bit-identical either way
         because instrumentation never touches the simulation RNGs.
     provenance:
         When True, one shared
@@ -135,31 +136,23 @@ class CommunitySimulator:
         self.engine_name = engine
         self.rngs = RngRegistry(seed)
 
-        metrics = self.obs.metrics
-        if metrics.enabled:
-            self._m_rounds = metrics.counter("bt.rounds")
-            self._m_transfers = metrics.counter("bt.transfers")
-            self._m_bytes = metrics.counter("bt.bytes")
-            self._t_round = metrics.timer("bt.round_s")
-            self._t_choke = metrics.timer("bt.choke_s")
-            self._m_gossip = metrics.counter("gossip.exchanges")
-            self._m_gossip_lost = metrics.counter("gossip.messages_lost")
-        else:
-            self._m_rounds = None
-            self._m_transfers = None
-            self._m_bytes = None
-            self._t_round = None
-            self._t_choke = None
-            self._m_gossip = None
-            self._m_gossip_lost = None
         tracer = self.obs.tracer
         self._tr_round = tracer.category("bt.round") if tracer.enabled else None
         self._tr_transfer = tracer.category("bt.transfer") if tracer.enabled else None
         self._tr_gossip = tracer.category("gossip.exchange") if tracer.enabled else None
-        self._choker_obs = self.obs if self.obs.enabled else None
         profiler = self.obs.profiler
         self._profiler = profiler if profiler.enabled else None
+        #: Links that moved bytes, and the bytes (one float sum in
+        #: transfer order); gossip exchanges, and the messages they lost.
+        self.transfers = 0
+        self.bytes_moved = 0.0
+        self.gossip_exchanges = 0
+        self.messages_lost = 0
         self._kernel_baseline = snapshot_kernel_invocations()
+        # Maxflow kernel invocations as of the last ``run()``'s end, and
+        # what :meth:`publish` has written (see MetricsRegistry.publish).
+        self._kernel_counts: Dict[str, int] = {}
+        self._published: Dict[str, float] = {}
 
         # Provenance: one recorder shared by every node (lineage itself
         # lives per-claim inside each node's shared history).  ``None``
@@ -187,10 +180,7 @@ class CommunitySimulator:
             sid: SwarmState(spec) for sid, spec in trace.swarms.items()
         }
         self.stats = StatsCollector(
-            list(trace.peers),
-            trace.duration,
-            self.config.sample_interval,
-            metrics=metrics if metrics.enabled else None,
+            list(trace.peers), trace.duration, self.config.sample_interval
         )
         self.round_idx = 0
         # Members whose ``*_last_round`` dicts hold bytes from the previous
@@ -270,8 +260,6 @@ class CommunitySimulator:
         # the stats sampler).  Constructed only when the leg is enabled,
         # so plain runs schedule nothing extra (byte-identity).
         self.timeseries = None
-        self._ts_gossip: Optional[int] = None
-        self._ts_bytes: Optional[float] = None
         if self.obs.timeseries.enabled:
             self._setup_timeseries(self.obs.timeseries)
 
@@ -391,20 +379,12 @@ class CommunitySimulator:
         recorder.add_probe("net_delivered", lambda now: float(self.channel.delivered) if self.channel else 0.0)
         recorder.add_probe("net_dropped", lambda now: float(self.channel.dropped) if self.channel else 0.0)
         if self.obs.metrics.enabled:
-            # Per-run shadow accumulators, not the registry counters: in
-            # the inline (jobs<=1) sweep path every task shares the parent
-            # registry, so raw counter values would make each task's
-            # series start at the previous tasks' totals, and subtracting
-            # a float baseline is not bitwise equal to a worker's
-            # fresh-registry accumulation.  The shadows repeat the same
-            # from-zero add sequence a worker counter performs, so serial
-            # and parallel series are byte-identical.
-            self._ts_gossip = 0
-            self._ts_bytes = 0.0
+            # This run's own counts, from zero, so serial and parallel
+            # series are byte-identical.
             recorder.add_probe(
-                "gossip_exchanges", lambda now: float(self._ts_gossip)
+                "gossip_exchanges", lambda now: float(self.gossip_exchanges)
             )
-            recorder.add_probe("bt_bytes", lambda now: self._ts_bytes)
+            recorder.add_probe("bt_bytes", lambda now: self.bytes_moved)
         collector.attach(recorder)
         self.timeseries = recorder
         if cfg.interval_s is None:
@@ -491,7 +471,7 @@ class CommunitySimulator:
     # ------------------------------------------------------------------
     def _round(self) -> None:
         prof = self._profiler
-        if self._t_round is None and self._tr_round is None and prof is None:
+        if self._tr_round is None and prof is None:
             self._round_body()
             return
         t0 = _time.perf_counter()
@@ -501,9 +481,6 @@ class CommunitySimulator:
         else:
             self._round_body()
         duration = _time.perf_counter() - t0
-        if self._t_round is not None:
-            self._m_rounds.inc()
-            self._t_round.observe(duration)
         if self._tr_round is not None and self._tr_round.sample():
             self._tr_round.emit_sampled(
                 "round",
@@ -521,12 +498,12 @@ class CommunitySimulator:
         prof = self._profiler
         if prof is not None:
             with prof.phase("choke"):
-                links = self._collect_links_timed()
+                links = self._collect_links()
             with prof.phase("transfer"):
                 transfers = self._allocate_bandwidth(links, dt)
                 completed = self._execute_transfers(transfers, now)
         else:
-            links = self._collect_links_timed()
+            links = self._collect_links()
             transfers = self._allocate_bandwidth(links, dt)
             completed = self._execute_transfers(transfers, now)
         self._update_rates()
@@ -544,12 +521,6 @@ class CommunitySimulator:
             ]
             for pid in expired:
                 self._leave(sid, pid)
-
-    def _collect_links_timed(self) -> List[Tuple[int, int, SwarmState]]:
-        if self._t_choke is not None:
-            with self._t_choke:
-                return self._collect_links()
-        return self._collect_links()
 
     def _collect_links(self) -> List[Tuple[int, int, SwarmState]]:
         links: List[Tuple[int, int, SwarmState]] = []
@@ -580,7 +551,6 @@ class CommunitySimulator:
                     round_idx=self.round_idx,
                     config=self.config,
                     can_connect=self.can_connect,
-                    obs=self._choker_obs,
                 )
                 for target in unchoked:
                     links.append((pid, target, swarm))
@@ -614,9 +584,12 @@ class CommunitySimulator:
         completed: List[Tuple[SwarmState, int]] = []
         self._recv_acc: Dict[Tuple[int, int], Dict[int, float]] = defaultdict(dict)
         self._sent_acc: Dict[Tuple[int, int], Dict[int, float]] = defaultdict(dict)
+        n, total = self.transfers, self.bytes_moved
         for up, down, swarm, budget in transfers:
             moved = self._transfer(swarm, up, down, budget, now)
             if moved > 0:
+                n += 1
+                total += moved
                 sid = swarm.spec.swarm_id
                 recv = self._recv_acc[(sid, down)]
                 recv[up] = recv.get(up, 0.0) + moved
@@ -624,6 +597,7 @@ class CommunitySimulator:
                 sent[down] = sent.get(down, 0.0) + moved
                 if down in swarm.seeder_roster:
                     completed.append((swarm, down))
+        self.transfers, self.bytes_moved = n, total
         return completed
 
     def _transfer(
@@ -657,11 +631,6 @@ class CommunitySimulator:
         self.nodes[up].record_upload(down, actual, now)
         self.nodes[down].record_download(up, actual, now)
         self.stats.record_transfer(up, down, actual, now)
-        if self._m_transfers is not None:
-            self._m_transfers.inc()
-            self._m_bytes.inc(actual)
-        if self._ts_bytes is not None:
-            self._ts_bytes += actual
         if self._tr_transfer is not None and self._tr_transfer.sample():
             self._tr_transfer.emit_sampled(
                 "piece_transfer",
@@ -776,12 +745,8 @@ class CommunitySimulator:
                 na.receive_message(msg_b, now=now)
                 if rec is not None:
                     rec.record_gossip(msg_b, a, now)
-        if self._m_gossip is not None:
-            self._m_gossip.inc()
-            if lost:
-                self._m_gossip_lost.inc(lost)
-        if self._ts_gossip is not None:
-            self._ts_gossip += 1
+        self.gossip_exchanges += 1
+        self.messages_lost += lost
         if self._tr_gossip is not None and self._tr_gossip.sample():
             self._tr_gossip.emit_sampled(
                 "exchange", sim_time=now, attrs={"a": a, "b": b, "lost": lost}
@@ -876,15 +841,49 @@ class CommunitySimulator:
             sum(n.rep_cache_misses for n in nodes),
             sum(n.rep_cache_invalidations for n in nodes),
         )
-        metrics = self.obs.metrics
-        if metrics.enabled:
-            # Publish this run's share of the module-level kernel counters
-            # (delta against the counts at construction time).  Gauges
-            # accumulate across runs sharing one registry so that a serial
-            # sweep and a merged multi-process sweep report the same totals.
-            for kernel, delta in kernel_invocations_delta(self._kernel_baseline).items():
-                metrics.gauge(f"rep.kernel.{kernel}").inc(delta)
+        # This run's share of the process-wide kernel counters.
+        self._kernel_counts = kernel_invocations_delta(self._kernel_baseline)
+        self.publish()
         return self.stats
+
+    def publish(self) -> None:
+        """Write every count of this simulation into the metrics leg.
+
+        Each count is kept once, always on, by the component that owns it
+        (DESIGN.md §7 has the table).  :meth:`run` ends here, and so does
+        work on a finished simulation that moves a count (the fault
+        sweep's measurements and audit, ``repro explain``).  Counters are
+        live totals; the ``rep.cache.*`` / ``rep.kernel.*`` gauges are
+        what the last :meth:`run` saw at its end.  Only what changed since
+        the previous call is added (:meth:`MetricsRegistry.publish
+        <repro.obs.metrics.MetricsRegistry.publish>`).
+        """
+        counters: Dict[str, float] = {
+            "sim.events": self.engine.events_fired,
+            "bt.rounds": self.round_idx,
+            "bt.transfers": self.transfers,
+            "bt.bytes": self.bytes_moved,
+            "gossip.exchanges": self.gossip_exchanges,
+            "gossip.messages_lost": self.messages_lost,
+        }
+        for node in self.nodes.values():
+            for name, count in node.counts().items():
+                counters[name] = counters.get(name, 0) + count
+        if self.channel is not None:
+            for name in ("delivered", "dropped", "dropped_by_churn", "duplicated", "delayed"):
+                counters[f"net.{name}"] = getattr(self.channel, name)
+        if self.provenance is not None:
+            for name, count in self.provenance.summary().items():
+                counters[f"prov.{name}"] = count
+        stats = self.stats
+        gauges = {
+            "rep.cache.hits": stats.rep_cache_hits,
+            "rep.cache.misses": stats.rep_cache_misses,
+            "rep.cache.invalidations": stats.rep_cache_invalidations,
+        }
+        for kernel, count in self._kernel_counts.items():
+            gauges[f"rep.kernel.{kernel}"] = count
+        self.obs.metrics.publish(self._published, counters, gauges)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -21,8 +21,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs.metrics import MetricsRegistry
-
 __all__ = ["StatsCollector"]
 
 
@@ -37,12 +35,6 @@ class StatsCollector:
         Simulation horizon (seconds).
     bucket_seconds:
         Width of the time buckets used for speed series.
-    metrics:
-        The run's metrics registry.  Aggregate telemetry (e.g. the
-        reputation-cache counters the simulator publishes at the end of
-        a run) lands here as ``rep.cache.*`` gauges; when no registry is
-        passed the collector owns a private one so the telemetry stays
-        queryable even for uninstrumented runs.
     """
 
     def __init__(
@@ -50,7 +42,6 @@ class StatsCollector:
         peer_ids: Sequence[int],
         duration: float,
         bucket_seconds: float,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if bucket_seconds <= 0:
             raise ValueError("bucket_seconds must be positive")
@@ -67,8 +58,6 @@ class StatsCollector:
         self.leech_time = np.zeros((n, self.num_buckets))
         #: (time, {peer_id: system reputation}) snapshots.
         self.reputation_samples: List[Tuple[float, Dict[int, float]]] = []
-        #: The registry all aggregate telemetry is published into.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
 
     # ------------------------------------------------------------------
     # Recording
@@ -95,19 +84,14 @@ class StatsCollector:
     def record_cache_telemetry(
         self, hits: int, misses: int, invalidations: int
     ) -> None:
-        """Publish cumulative reputation-cache counters (this run's totals).
+        """Store the run's reputation-cache totals (per-run properties
+        below).
 
         The simulator aggregates the per-node ``rep_cache_*`` counters
-        over the whole population at the end of a run.  The exact totals
-        are kept on this collector (per-run properties below); the shared
-        ``rep.cache.*`` gauges *accumulate* across runs, so a registry
-        spanning several simulations — serial or merged from parallel
-        workers — reports the same process-wide totals either way.
+        over the whole population at the end of a run, and publishes
+        these as the ``rep.cache.*`` gauges.
         """
         self._rep_cache_totals = (int(hits), int(misses), int(invalidations))
-        self.metrics.gauge("rep.cache.hits").inc(int(hits))
-        self.metrics.gauge("rep.cache.misses").inc(int(misses))
-        self.metrics.gauge("rep.cache.invalidations").inc(int(invalidations))
 
     @property
     def rep_cache_hits(self) -> int:

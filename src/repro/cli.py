@@ -43,7 +43,9 @@ Provenance (``--provenance``, on every scenario-driven command):
 Observability flags (available on every subcommand):
 
 ``--metrics``
-    Collect counters/timers during the run and print a summary report.
+    Collect the run's counters (messages, records, transfers, bytes,
+    faults, cache and kernel totals) and print a summary report; where
+    the time went is ``--prof``'s answer.
 ``--trace PATH``
     Write a JSONL structured trace of simulator events to ``PATH``.
 ``--trace-sample RATE``
@@ -646,6 +648,7 @@ def _explain(args, manifest, runner) -> int:
                 print(render_engine_comparison(verdicts))
                 print()
             explanations.append((expl, verdicts))
+    sim.publish()  # the kernel work of the explanations
     if sim.provenance is not None:
         manifest.note("provenance_recorder", sim.provenance.summary())
     if sim.dissemination is not None:

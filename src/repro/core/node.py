@@ -108,12 +108,13 @@ class BarterCastNode:
         else: reputations, cache behaviour and the telemetry counters are
         identical between backends.
     obs:
-        Observability bundle.  When enabled the node counts message
-        traffic (``bc.messages_*``), times kernel evaluations
-        (``rep.kernel_s``), and emits sampled trace events for message
-        send/receive (``bc.message``) and kernel invocations
-        (``rep.kernel``).  The disabled default adds one attribute check
-        per instrumented block.
+        Observability bundle.  With tracing on the node emits sampled
+        trace events for message send/receive (``bc.message``) and kernel
+        invocations (``rep.kernel``); the disabled default adds one
+        attribute check per traced block.  The node's counts
+        (:meth:`counts`) are plain attributes, kept whether or not
+        anything records them; the run that owns the node publishes
+        them.
     engine:
         Reputation mechanism (DESIGN.md §15): ``"bartercast"`` (default —
         the paper's maxflow metric on the native, byte-identical path),
@@ -170,19 +171,6 @@ class BarterCastNode:
         self.shared = SubjectiveSharedHistory(
             peer_id, self.graph, obs=self.obs, provenance=provenance
         )
-        metrics = self.obs.metrics
-        if metrics.enabled:
-            self._m_sent = metrics.counter("bc.messages_sent")
-            self._m_recv = metrics.counter("bc.messages_received")
-            self._m_kernel_calls = metrics.counter("rep.kernel.calls")
-            self._m_kernel_targets = metrics.counter("rep.kernel.targets")
-            self._t_kernel = metrics.timer("rep.kernel_s")
-        else:
-            self._m_sent = None
-            self._m_recv = None
-            self._m_kernel_calls = None
-            self._m_kernel_targets = None
-            self._t_kernel = None
         tracer = self.obs.tracer
         self._tr_msg = tracer.category("bc.message") if tracer.enabled else None
         self._tr_kernel = tracer.category("rep.kernel") if tracer.enabled else None
@@ -195,6 +183,14 @@ class BarterCastNode:
         self.rep_cache_invalidations = 0
         self.messages_sent = 0
         self.messages_received = 0
+        #: Native kernel evaluations, and the targets they scored.
+        self.kernel_calls = 0
+        self.kernel_targets = 0
+        #: :func:`~repro.bittorrent.choker.select_unchokes` calls that
+        #: found a candidate for this node's owner, and the candidates its
+        #: policy banned.
+        self.choke_calls = 0
+        self.choke_banned = 0
         # Causal envelope state: the msg_id of this node's previous
         # outgoing message, chained into parent_id (DESIGN.md §16).
         self._last_msg_id: Optional[Hashable] = None
@@ -251,8 +247,6 @@ class BarterCastNode:
                 )
                 object.__setattr__(msg, "parent_id", self._last_msg_id)
             self._last_msg_id = msg.msg_id
-            if self._m_sent is not None:
-                self._m_sent.inc()
             if self._tr_msg is not None and self._tr_msg.sample():
                 self._tr_msg.emit_sampled(
                     "send",
@@ -280,8 +274,6 @@ class BarterCastNode:
             raise ValueError("node received its own message")
         self.messages_received += 1
         applied = self.shared.ingest(message, now=now)
-        if self._m_recv is not None:
-            self._m_recv.inc()
         if self._tr_msg is not None and self._tr_msg.sample():
             self._tr_msg.emit_sampled(
                 "receive",
@@ -390,14 +382,10 @@ class BarterCastNode:
         return value
 
     def _evaluate_scalar(self, peer: PeerId) -> float:
-        """One scalar kernel evaluation, instrumented when obs is live."""
-        if self._t_kernel is not None:
-            with self._t_kernel:
-                value = self.config.metric.reputation(self.graph, self.peer_id, peer)
-            self._m_kernel_calls.inc()
-            self._m_kernel_targets.inc()
-        else:
-            value = self.config.metric.reputation(self.graph, self.peer_id, peer)
+        """One scalar kernel evaluation, counted (and traced when live)."""
+        value = self.config.metric.reputation(self.graph, self.peer_id, peer)
+        self.kernel_calls += 1
+        self.kernel_targets += 1
         if self._tr_kernel is not None and self._tr_kernel.sample():
             self._tr_kernel.emit_sampled(
                 "scalar", attrs={"owner": self.peer_id, "targets": 1}
@@ -435,17 +423,9 @@ class BarterCastNode:
                     values[p] = v
         if missing:
             self.rep_cache_misses += len(missing)
-            if self._t_kernel is not None:
-                with self._t_kernel:
-                    fresh = self.config.metric.reputation_batch(
-                        self.graph, self.peer_id, missing
-                    )
-                self._m_kernel_calls.inc()
-                self._m_kernel_targets.inc(len(missing))
-            else:
-                fresh = self.config.metric.reputation_batch(
-                    self.graph, self.peer_id, missing
-                )
+            fresh = self.config.metric.reputation_batch(self.graph, self.peer_id, missing)
+            self.kernel_calls += 1
+            self.kernel_targets += len(missing)
             if self._tr_kernel is not None and self._tr_kernel.sample():
                 self._tr_kernel.emit_sampled(
                     "batch", attrs={"owner": self.peer_id, "targets": len(missing)}
@@ -489,6 +469,23 @@ class BarterCastNode:
         return self._bartercast_facade
 
     # ------------------------------------------------------------------
+    def counts(self) -> Dict[str, int]:
+        """This node's totals under the metric names its run publishes
+        (DESIGN.md §7).  The choker's two appear once it has acted."""
+        counts = {
+            "bc.messages_sent": self.messages_sent,
+            "bc.messages_received": self.messages_received,
+            "bc.records_applied": self.shared.records_applied,
+            "bc.records_dropped": self.shared.records_dropped,
+            "rep.kernel.calls": self.kernel_calls,
+            "rep.kernel.targets": self.kernel_targets,
+        }
+        if self.choke_calls:
+            counts["choke.calls"] = self.choke_calls
+        if self.choke_banned:
+            counts["choke.banned"] = self.choke_banned
+        return counts
+
     @property
     def known_peers(self) -> int:
         """Number of nodes in the subjective graph (including self)."""

@@ -85,9 +85,9 @@ class SubjectiveSharedHistory:
         The transfer graph to maintain.  Edges incident to ``owner`` are
         never written by this class (they belong to the private history).
     obs:
-        Observability bundle; when enabled, record merges are counted
-        (``bc.records_applied`` / ``bc.records_dropped``) and each ingest
-        emits one sampled ``bc.merge`` trace event.
+        Observability bundle; with tracing on, each ingest emits one
+        sampled ``bc.merge`` trace event.  Record merges are counted
+        either way (:attr:`records_applied` / :attr:`records_dropped`).
     provenance:
         Optional :class:`~repro.obs.provenance.ProvenanceRecorder`.  When
         enabled, every live claim carries a :class:`ClaimLineage` and
@@ -121,15 +121,7 @@ class SubjectiveSharedHistory:
         self._messages_seen = 0
         self._records_applied = 0
         self._records_dropped = 0
-        obs = obs if obs is not None else NULL_OBS
-        metrics = obs.metrics
-        if metrics.enabled:
-            self._m_applied = metrics.counter("bc.records_applied")
-            self._m_dropped = metrics.counter("bc.records_dropped")
-        else:
-            self._m_applied = None
-            self._m_dropped = None
-        tracer = obs.tracer
+        tracer = (obs if obs is not None else NULL_OBS).tracer
         self._tr_merge = tracer.category("bc.merge") if tracer.enabled else None
 
     # ------------------------------------------------------------------
@@ -275,9 +267,6 @@ class SubjectiveSharedHistory:
         dropped = len(message.records) - applied
         self._records_applied += applied
         self._records_dropped += dropped
-        if self._m_applied is not None:
-            self._m_applied.inc(applied)
-            self._m_dropped.inc(dropped)
         if self._tr_merge is not None and self._tr_merge.sample():
             self._tr_merge.emit_sampled(
                 "ingest",

@@ -89,8 +89,9 @@ class MeasurementCrawl:
         BarterCast parameters of the measurement peer (defaults match the
         paper: ``Nh = Nr = 10``).
     obs:
-        Observability bundle for the measurement node (message counters,
-        merge traces, kernel timers).
+        Observability bundle for the measurement node (merge and message
+        traces); the node's counts are published into its metrics leg
+        when the crawl ends.
     """
 
     def __init__(
@@ -160,6 +161,10 @@ class MeasurementCrawl:
         seen = sorted(seen_set)
         reputation = {p: node.reputation_of(p) for p in seen}
         contribution = {p: net.net_contribution(p) for p in seen}
+        if self.obs is not None:
+            # The measurement node's counts, published as a simulation
+            # publishes its nodes'.
+            self.obs.metrics.publish({}, node.counts())
         return CrawlResult(
             seen_peers=seen,
             net_contribution=contribution,

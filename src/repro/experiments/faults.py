@@ -409,6 +409,7 @@ def run_fault_point(
         _inversion_digests(sim, contribution, top_k) if top_k > 0 else []
     )
     violations = audit_simulation(sim, max_rep_targets=5)
+    sim.publish()  # the kernel work of the measures and the audit
     channel = sim.channel
     churn = sim.churn
     return FaultPoint(

@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
-
-import numpy as np
+from typing import List, Sequence
 
 from repro.core.messages import BarterCastMessage, HistoryRecord
 from repro.core.node import BarterCastNode

@@ -153,12 +153,11 @@ class ChannelModel:
         ``RngRegistry.stream("faults.channel")``); fault decisions never
         consume any other stream.
     obs:
-        Observability bundle.  When metrics are enabled the channel
-        counts ``net.dropped`` / ``net.dropped_by_churn`` /
-        ``net.duplicated`` / ``net.delayed`` (plus ``net.delivered``),
-        and when tracing is enabled it emits sampled ``net.deliver``
-        events for every fault decision (delivered events carry per-copy
-        delays; offline events carry the cut copy's index and delay).
+        Observability bundle.  When tracing is enabled the channel emits
+        sampled ``net.deliver`` events for every fault decision
+        (delivered events carry per-copy delays; offline events carry the
+        cut copy's index and delay).  The counts below are kept either
+        way; the simulator publishes them as ``net.<name>``.
     """
 
     def __init__(
@@ -170,25 +169,11 @@ class ChannelModel:
         config.validate()
         self.config = config
         self._rng = rng
-        obs = obs if obs is not None else NULL_OBS
-        metrics = obs.metrics
-        if metrics.enabled:
-            self._m_dropped = metrics.counter("net.dropped")
-            self._m_dropped_churn = metrics.counter("net.dropped_by_churn")
-            self._m_duplicated = metrics.counter("net.duplicated")
-            self._m_delayed = metrics.counter("net.delayed")
-            self._m_delivered = metrics.counter("net.delivered")
-        else:
-            self._m_dropped = None
-            self._m_dropped_churn = None
-            self._m_duplicated = None
-            self._m_delayed = None
-            self._m_delivered = None
-        tracer = obs.tracer
+        tracer = (obs if obs is not None else NULL_OBS).tracer
         self._tr_deliver = tracer.category("net.deliver") if tracer.enabled else None
         self._connectable: Dict[PeerId, bool] = {}
-        #: Telemetry mirrors of the obs counters (always maintained, so
-        #: experiments can read fault activity without a live registry).
+        #: Copies dropped: by loss, an unconnectable pair or an offline
+        #: receiver.
         self.dropped = 0
         #: Copies that surfaced while the receiver was churned down —
         #: counted inside ``dropped`` too, but kept distinct so churn
@@ -240,14 +225,10 @@ class ChannelModel:
         cfg = self.config
         if not self.can_carry(src, dst):
             self.dropped += 1
-            if self._m_dropped is not None:
-                self._m_dropped.inc()
             self._trace("unconnectable", src, dst, now, 0)
             return []
         if cfg.loss > 0.0 and self._rng.bernoulli(cfg.loss):
             self.dropped += 1
-            if self._m_dropped is not None:
-                self._m_dropped.inc()
             self._trace("dropped", src, dst, now, 0)
             return []
         copies = 1
@@ -259,8 +240,6 @@ class ChannelModel:
             copies += 1
         if copies > 1:
             self.duplicated += copies - 1
-            if self._m_duplicated is not None:
-                self._m_duplicated.inc(copies - 1)
         times: List[float] = []
         for _ in range(copies):
             if cfg.delay_max > 0.0:
@@ -269,12 +248,8 @@ class ChannelModel:
                 delay = 0.0
             if delay > 0.0:
                 self.delayed += 1
-                if self._m_delayed is not None:
-                    self._m_delayed.inc()
             times.append(now + delay)
         self.delivered += copies
-        if self._m_delivered is not None:
-            self._m_delivered.inc(copies)
         self._trace("delivered", src, dst, now, copies, times=times)
         return times
 
@@ -298,12 +273,8 @@ class ChannelModel:
         from channel loss).
         """
         self.dropped += 1
-        if self._m_dropped is not None:
-            self._m_dropped.inc()
         if by_churn:
             self.dropped_by_churn += 1
-            if self._m_dropped_churn is not None:
-                self._m_dropped_churn.inc()
         self._trace(
             "offline",
             src,

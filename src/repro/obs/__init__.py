@@ -14,8 +14,9 @@ exports *the bundle* — neither names a leg, and a leg that is a field
 cannot be left out of ``--jobs N``.  The legs:
 
 ``metrics``
-    Counters, gauges, histograms with deterministic reservoir quantiles,
-    re-entrant timers (:class:`~repro.obs.metrics.MetricsRegistry`).
+    Counters and gauges (:class:`~repro.obs.metrics.MetricsRegistry`):
+    the components count in their own attributes and a finished run
+    publishes them; nothing on a hot path writes here.
 ``tracer``
     JSONL span/event emitter with per-category deterministic sampling
     (:class:`~repro.obs.trace.TraceEmitter`); one stream, one process —
@@ -28,7 +29,7 @@ cannot be left out of ``--jobs N``.  The legs:
     (:class:`~repro.obs.dissemination.DisseminationCollector`).
 ``profiler``
     Phase / event / maxflow-kernel wall+CPU profile
-    (:class:`~repro.obs.profile.Profiler`).
+    (:class:`~repro.obs.profile.Profiler`) — the only clock.
 ``kernels``, ``provenance``
     The always-on process-wide counter tables: maxflow kernel invocations
     and claim-lineage totals (:class:`~repro.obs.legs.CounterTable`).
@@ -54,7 +55,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    Timer,
 )
 from repro.obs.dissemination import (
     DISSEMINATION_SCHEMA,
@@ -86,7 +86,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Timer",
     "TraceEmitter",
     "NULL_TRACER",
     "TRACE_SCHEMA",
@@ -132,16 +131,6 @@ class Observability:
     provenance: CounterTable = field(
         default_factory=lambda: CounterTable("provenance", note="provenance")
     )
-
-    @property
-    def enabled(self) -> bool:
-        """Whether a hot-path leg (metrics or tracing) is live.
-
-        The other legs have their own attach points (periodic sampling
-        events, phase hooks, gossip hooks) and are checked via their own
-        ``.enabled`` where they plug in.
-        """
-        return self.metrics.enabled or self.tracer.enabled
 
     def _live(self) -> List[Tuple[str, Leg]]:
         legs = ((f.name, getattr(self, f.name)) for f in fields(self))

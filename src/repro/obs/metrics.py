@@ -1,41 +1,36 @@
-"""The metrics registry: counters, gauges, histograms, timers.
+"""The metrics registry: counters and gauges a finished run publishes.
 
-A :class:`MetricsRegistry` is a flat namespace of named instruments:
+A :class:`MetricsRegistry` is a flat namespace of named scalars:
 
 * :class:`Counter` — monotonically increasing totals (messages sent,
-  bytes moved, cache hits);
-* :class:`Gauge` — last-write-wins scalars (final cache sizes, aggregate
-  telemetry set once at the end of a run);
-* :class:`Histogram` — value distributions with deterministic reservoir
-  sampling for quantiles and optional fixed bucket bounds;
-* :class:`Timer` — a histogram of wall-clock seconds with a re-entrant
-  context-manager interface (``with registry.timer("bt.round_s"): ...``).
+  bytes moved, records applied);
+* :class:`Gauge` — per-run telemetry taken at the end of a run (the
+  reputation cache's totals, maxflow kernel invocations).
 
-Zero-overhead discipline
-------------------------
-The disabled default is :data:`NULL_METRICS`, a :class:`NullMetricsRegistry`
-whose instruments are shared no-op singletons.  Hot paths additionally
-guard instrumentation behind ``registry.enabled`` (or a cached ``None``)
-so that a disabled run executes *no* instrumentation calls at all — the
-only residue is one attribute check per guarded block.  The
-``gossip_fast`` / ``gossip_fast_obs`` pair of ``benchmarks/e2e`` measures
-the run with every instrument off against the run with every one on.
+Components count once
+---------------------
+Every number here is kept, always on, by the component that owns it — a
+plain ``int`` or ``float`` attribute (``node.messages_sent``,
+``channel.dropped``, ``sim.bytes_moved``; DESIGN.md §7 has the table).
+No hot path touches the registry: :meth:`CommunitySimulator.publish
+<repro.bittorrent.simulator.CommunitySimulator.publish>`, which ``run()``
+ends with, writes each count under its name through
+:meth:`MetricsRegistry.publish`.  The disabled default is
+:data:`NULL_METRICS`, whose ``publish`` does nothing.  Time is not
+measured here: the profiler (:mod:`repro.obs.profile`) is the only clock.
 
-Determinism
------------
-Nothing in this module consumes the simulation's RNG streams.  Histogram
-reservoirs use a private :class:`random.Random` seeded from the metric
-name, so snapshots are reproducible run-to-run for identical observation
-sequences.
+:class:`Histogram` — a value distribution with deterministic reservoir
+quantiles — lives here for the profiler's per-kernel duration tables.
+Nothing in this module consumes the simulation's RNG streams: reservoirs
+use a private :class:`random.Random` seeded from the histogram's name.
 """
 
 from __future__ import annotations
 
 import math
-import time
 import zlib
 from random import Random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.obs.legs import Leg
 
@@ -43,7 +38,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Timer",
     "MetricsRegistry",
     "NullMetricsRegistry",
     "NULL_METRICS",
@@ -68,7 +62,7 @@ class Counter:
             raise ValueError(f"counter {self.name!r} cannot decrease")
         self.value += amount
 
-    def snapshot(self, include_reservoir: bool = False) -> dict:
+    def snapshot(self) -> dict:
         return {"type": "counter", "value": self.value}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -90,7 +84,7 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def snapshot(self, include_reservoir: bool = False) -> dict:
+    def snapshot(self) -> dict:
         return {"type": "gauge", "value": self.value}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -281,49 +275,14 @@ class Histogram:
         return f"<Histogram {self.name} n={self.count} mean={self.mean:.4g}>"
 
 
-class Timer:
-    """A histogram of elapsed wall-clock seconds with ``with`` support.
-
-    Re-entrant: nested/overlapping uses keep a start-time stack, so a
-    timer instance can wrap recursive or interleaved sections safely.
-    """
-
-    __slots__ = ("histogram", "_starts")
-
-    def __init__(self, histogram: Histogram) -> None:
-        self.histogram = histogram
-        self._starts: List[float] = []
-
-    @property
-    def name(self) -> str:
-        return self.histogram.name
-
-    def observe(self, seconds: float) -> None:
-        """Record an externally measured duration."""
-        self.histogram.observe(seconds)
-
-    def __enter__(self) -> "Timer":
-        self._starts.append(time.perf_counter())
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.histogram.observe(time.perf_counter() - self._starts.pop())
-
-    def snapshot(self, include_reservoir: bool = False) -> dict:
-        out = self.histogram.snapshot(include_reservoir=include_reservoir)
-        out["type"] = "timer"
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Timer {self.name} n={self.histogram.count}>"
-
-
 class MetricsRegistry(Leg):
-    """A flat, lazily populated namespace of instruments.
+    """A flat, lazily populated namespace of counters and gauges.
 
     Instruments are created on first access and memoized; re-requesting a
     name returns the same instance, and requesting an existing name as a
-    different instrument type raises ``TypeError``.
+    different instrument type raises ``TypeError``.  Nothing on a hot
+    path writes here: the components count in their own attributes and a
+    finished run :meth:`publish`-es them.
     """
 
     enabled = True
@@ -332,13 +291,11 @@ class MetricsRegistry(Leg):
         self._metrics: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
-    def _get(self, name: str, cls, factory):
+    def _get(self, name: str, cls):
         metric = self._metrics.get(name)
         if metric is None:
-            metric = factory()
-            self._metrics[name] = metric
-            return metric
-        if not isinstance(metric, cls):
+            metric = self._metrics[name] = cls(name)
+        elif not isinstance(metric, cls):
             raise TypeError(
                 f"metric {name!r} already registered as {type(metric).__name__}, "
                 f"requested {cls.__name__}"
@@ -346,54 +303,48 @@ class MetricsRegistry(Leg):
         return metric
 
     def counter(self, name: str) -> Counter:
-        return self._get(name, Counter, lambda: Counter(name))
+        return self._get(name, Counter)
 
     def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge, lambda: Gauge(name))
+        return self._get(name, Gauge)
 
-    def histogram(
+    def publish(
         self,
-        name: str,
-        bounds: Optional[Sequence[float]] = None,
-        reservoir_size: int = DEFAULT_RESERVOIR_SIZE,
-    ) -> Histogram:
-        return self._get(
-            name, Histogram, lambda: Histogram(name, bounds, reservoir_size)
-        )
+        bases: Dict[str, float],
+        counters: Mapping[str, float],
+        gauges: Mapping[str, float] = {},
+    ) -> None:
+        """Write one publisher's running totals under their names.
 
-    def timer(self, name: str) -> Timer:
-        return self._get(name, Timer, lambda: Timer(Histogram(name)))
+        Each instrument ends at the value it held before this publisher
+        first wrote it (remembered in ``bases``, the publisher's own dict)
+        plus the publisher's total, so publishing again — a run resumed
+        after ``run(until=t)``, work done on a finished run — adds exactly
+        what changed since (publishers sharing a registry run one after
+        another, as a serial sweep's tasks do).  A float total arrives as the one sequential
+        sum it is, which is what a worker's fresh registry ships home:
+        a serial sweep and a merged ``--jobs N`` one read the same bits.
+        """
+        for kind, totals in ((Counter, counters), (Gauge, gauges)):
+            for name, total in totals.items():
+                metric = self._get(name, kind)
+                metric.value = bases.setdefault(name, metric.value) + total
 
     # ------------------------------------------------------------------
     def names(self) -> List[str]:
         """Registered metric names, sorted."""
         return sorted(self._metrics)
 
-    def get(self, name: str):
-        """The instrument registered under ``name``, or ``None``."""
-        return self._metrics.get(name)
-
     def value(self, name: str, default: float = 0.0) -> float:
-        """Convenience: the scalar value of a counter/gauge (or default)."""
+        """The value of a counter/gauge (or ``default``)."""
         metric = self._metrics.get(name)
-        if isinstance(metric, (Counter, Gauge)):
-            return metric.value
-        return default
+        return default if metric is None else metric.value
 
-    def snapshot(self, include_reservoir: bool = True) -> Dict[str, dict]:
-        """JSON-safe dump of every instrument, keyed by name.
+    def snapshot(self) -> Dict[str, dict]:
+        """JSON-safe dump of every instrument, keyed by name."""
+        return {name: self._metrics[name].snapshot() for name in sorted(self._metrics)}
 
-        Reservoirs ride along by default (see :meth:`Histogram.snapshot`)
-        so that a registry merging this snapshot gets real quantiles;
-        :meth:`summary` is the compact dump for manifests and reports.
-        """
-        return {
-            name: self._metrics[name].snapshot(include_reservoir=include_reservoir)
-            for name in sorted(self._metrics)
-        }
-
-    def summary(self) -> Dict[str, dict]:
-        return self.snapshot(include_reservoir=False)
+    summary = snapshot
 
     def render(self) -> str:
         from repro.obs.report import render_metrics_snapshot
@@ -406,34 +357,18 @@ class MetricsRegistry(Leg):
         This is how the parallel sweep runner keeps metrics truthful
         under multi-process fan-out: each worker runs with its own
         registry and ships the snapshot home with its task result.
-        Merge semantics per instrument type:
-
-        * counters add — totals equal what a serial run would count;
-        * gauges add — run-scoped gauges (e.g. ``rep.kernel.*``) are
-          per-run deltas, so summing matches the serial accumulation;
-        * histograms/timers merge ``count``/``total``/``min``/``max``
-          (and bucket counts when bounds match) exactly, and quantiles
-          through the shipped reservoirs.
-
-        Instruments are created on demand, so merging into a fresh
-        registry reconstructs the full namespace.  Names are merged in
-        sorted order, making the result independent of worker
-        completion order.
+        Counters and gauges both add: a gauge holds per-run totals
+        (``rep.cache.*``, ``rep.kernel.*``), so summing matches the serial
+        accumulation.  Instruments are created on demand, so merging into
+        a fresh registry reconstructs the full namespace.  Names are
+        merged in sorted order, making the result independent of worker
+        completion order; unknown instrument types are skipped.
         """
         for name in sorted(snapshot):
             snap = snapshot[name]
-            kind = snap.get("type")
-            if kind == "counter":
-                self.counter(name).inc(float(snap.get("value") or 0.0))
-            elif kind == "gauge":
-                self.gauge(name).inc(float(snap.get("value") or 0.0))
-            elif kind == "timer":
-                self.timer(name).histogram.merge_snapshot_dict(snap)
-            elif kind == "histogram":
-                bounds = snap.get("bounds")
-                self.histogram(name, bounds=bounds).merge_snapshot_dict(snap)
-            # Unknown instrument types are skipped: a newer worker snapshot
-            # must not crash an older parent.
+            kind = {"counter": Counter, "gauge": Gauge}.get(snap.get("type"))
+            if kind is not None:
+                self._get(name, kind).inc(float(snap.get("value") or 0.0))
 
     def __len__(self) -> int:
         return len(self._metrics)
@@ -442,87 +377,15 @@ class MetricsRegistry(Leg):
         return f"<MetricsRegistry metrics={len(self._metrics)}>"
 
 
-# ----------------------------------------------------------------------
-# Null objects — the zero-overhead disabled path.
-# ----------------------------------------------------------------------
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        super().__init__("null")
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        super().__init__("null")
-
-    def set(self, value: float) -> None:
-        pass
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        super().__init__("null")
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-class _NullTimer(Timer):
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        super().__init__(_NullHistogram())
-
-    def observe(self, seconds: float) -> None:
-        pass
-
-    def __enter__(self) -> "Timer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-
 class NullMetricsRegistry(MetricsRegistry):
-    """The null object: accepts every call, records nothing.
-
-    All instrument accessors return shared no-op singletons, so client
-    code can be written against the registry interface unconditionally;
-    perf-critical paths should still guard on :attr:`enabled`.
-    """
+    """The disabled registry: publishing and merging record nothing."""
 
     enabled = False
 
-    _COUNTER = _NullCounter()
-    _GAUGE = _NullGauge()
-    _HISTOGRAM = _NullHistogram()
-    _TIMER = _NullTimer()
-
-    def counter(self, name: str) -> Counter:
-        return self._COUNTER
-
-    def gauge(self, name: str) -> Gauge:
-        return self._GAUGE
-
-    def histogram(self, name, bounds=None, reservoir_size=DEFAULT_RESERVOIR_SIZE):
-        return self._HISTOGRAM
-
-    def timer(self, name: str) -> Timer:
-        return self._TIMER
+    def publish(self, bases, counters, gauges={}) -> None:
+        pass
 
     def merge(self, snapshot: Dict[str, dict]) -> None:
-        # No-op: merging into the shared null singletons would mutate them.
         pass
 
     def render(self) -> str:

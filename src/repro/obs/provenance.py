@@ -116,16 +116,14 @@ def _json_safe(value):
 
 
 class ProvenanceRecorder:
-    """Counts lineage events and publishes them to the obs stack.
+    """Counts lineage events and offers changed claims to the tracer.
 
     One recorder is shared by every node of a simulation (lineage itself
     is stored per-claim inside each node's shared history; the recorder
-    is the aggregation/emission point).  When the obs bundle has live
-    metrics the recorder maintains ``prov.*`` counters; when tracing is
-    live it emits sampled ``prov.claim`` events for the claims that
-    changed a value.  Neither leg is required — a bare
-    ``ProvenanceRecorder()`` still counts locally and into
-    :data:`PROVENANCE_TOTALS`.
+    is the aggregation/emission point).  It counts into its own totals
+    (published by the simulation as ``prov.*``) and into
+    :data:`PROVENANCE_TOTALS`; when tracing is live it emits sampled
+    ``prov.claim`` events for the claims that changed a value.
     """
 
     enabled = True
@@ -136,15 +134,7 @@ class ProvenanceRecorder:
     def __init__(self, obs=None) -> None:
         from repro.obs import NULL_OBS
 
-        obs = obs if obs is not None else NULL_OBS
-        metrics = obs.metrics
-        counter = metrics.counter if metrics.enabled else lambda name: None
-        self._m_recorded = counter("prov.claims_recorded")
-        self._m_superseded = counter("prov.claims_superseded")
-        self._m_redelivered = counter("prov.redeliveries_ignored")
-        self._m_stale = counter("prov.stale_dropped")
-        self._m_forgotten = counter("prov.claims_forgotten")
-        tracer = obs.tracer
+        tracer = (obs if obs is not None else NULL_OBS).tracer
         self._tr_claim = tracer.category("prov.claim") if tracer.enabled else None
 
     # ------------------------------------------------------------------
@@ -163,11 +153,6 @@ class ProvenanceRecorder:
         PROVENANCE_TOTALS["claims_superseded"] += superseded
         PROVENANCE_TOTALS["redeliveries_ignored"] += redelivered
         PROVENANCE_TOTALS["stale_dropped"] += stale
-        if self._m_recorded is not None:
-            self._m_recorded.inc(recorded)
-            self._m_superseded.inc(superseded)
-            self._m_redelivered.inc(redelivered)
-            self._m_stale.inc(stale)
 
     def trace_claim(self, owner: PeerId, src, dst, reporter: PeerId, lineage) -> None:
         """A claim about edge ``(src, dst)`` changed a value: offer it to
@@ -196,8 +181,6 @@ class ProvenanceRecorder:
             return
         self.claims_forgotten += removed
         PROVENANCE_TOTALS["claims_forgotten"] += removed
-        if self._m_forgotten is not None:
-            self._m_forgotten.inc(removed)
 
     # ------------------------------------------------------------------
     def summary(self) -> Dict[str, int]:

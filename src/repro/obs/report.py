@@ -3,10 +3,10 @@
 ``render_metrics_snapshot`` turns a :class:`~repro.obs.metrics
 .MetricsRegistry` summary into the section the CLI prints under
 ``--metrics`` (:meth:`~repro.obs.metrics.MetricsRegistry.render`):
-the top timers by total wall time, message/transfer counters by name,
-a network section for the fault channel's delivery telemetry (hidden
-when the run had no channel faults), derived rates (reputation-cache
-hit rate, events per second), and the maxflow kernel invocation counts.
+every counter and gauge by name, a network section for the fault
+channel's delivery telemetry (hidden when the run had no channel
+faults), the reputation-cache hit rate and the maxflow kernel counts.
+Times are the profile's (``render_profile``, ``--prof``).
 
 The rendering core works off the plain snapshot dict, so the same code
 also renders *stored* runs: ``render_manifest_report`` takes a loaded
@@ -46,37 +46,9 @@ def _value(snap: Dict[str, dict], name: str) -> float:
     return float(entry.get("value") or 0.0)
 
 
-def render_metrics_snapshot(snap: Dict[str, dict], top_timers: int = 10) -> str:
+def render_metrics_snapshot(snap: Dict[str, dict]) -> str:
     """Render a :meth:`MetricsRegistry.snapshot` dict (live or stored)."""
     lines: List[str] = ["== Metrics =="]
-
-    timers = {
-        name: s
-        for name, s in snap.items()
-        if s.get("type") in ("timer", "histogram") and s.get("count")
-    }
-    if timers:
-        ranked = sorted(
-            timers.items(), key=lambda kv: -(kv[1].get("total") or 0.0)
-        )[:top_timers]
-        lines.append("-- top timers (by total wall time) --")
-        lines.append(
-            render_table(
-                ["timer", "calls", "total", "mean", "p95", "max"],
-                [
-                    (
-                        name,
-                        s["count"],
-                        _fmt_seconds(s.get("total")),
-                        _fmt_seconds(s.get("mean")),
-                        _fmt_seconds(s.get("p95")),
-                        _fmt_seconds(s.get("max")),
-                    )
-                    for name, s in ranked
-                ],
-                "{}",
-            )
-        )
 
     scalars = {
         name: s for name, s in snap.items() if s.get("type") in ("counter", "gauge")
@@ -121,14 +93,6 @@ def render_metrics_snapshot(snap: Dict[str, dict], top_timers: int = 10) -> str:
     misses = _value(snap, "rep.cache.misses")
     if hits + misses > 0:
         derived.append(f"reputation cache hit rate: {hits / (hits + misses):.1%}")
-    events = _value(snap, "sim.events")
-    total_dispatch = (snap.get("sim.dispatch_s") or {}).get("total")
-    # The engine registers the counter and its dispatch timer together.
-    if events and total_dispatch:
-        derived.append(
-            f"engine: {events:,.0f} events, "
-            f"{events / total_dispatch:,.0f} events/sec dispatch throughput"
-        )
     kernel_calls = _value(snap, "rep.kernel.calls")
     kernel_targets = _value(snap, "rep.kernel.targets")
     if kernel_calls:

@@ -7,8 +7,8 @@ ring buffer and samples a set of named probe callables at a sim-time
 cadence; the community simulator attaches one per run with probes for
 reputation coverage, rank-inversion rate vs ground truth, cache hit
 rate, and ``net.*`` channel deltas (see
-``CommunitySimulator._setup_timeseries``), plus selected metrics-registry
-counters when metrics are on.
+``CommunitySimulator._setup_timeseries``), plus the simulator's gossip
+exchange and byte counts when metrics are on.
 
 A :class:`TimeSeriesCollector` is the :class:`~repro.obs.Observability`
 leg (a :class:`~repro.obs.legs.LabelledCollector`): it carries the

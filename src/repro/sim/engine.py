@@ -21,12 +21,14 @@ the heap (filter + ``heapify``) whenever dead events outnumber live ones
 and the queue is non-trivially sized; compaction preserves the
 ``(time, seq)`` total order exactly, so firing order is unaffected.
 
-Observability: pass an :class:`~repro.obs.Observability` bundle to count
-and time dispatched callbacks (``sim.events`` counter, ``sim.dispatch_s``
-timer) and to emit sampled per-dispatch trace events (category
-``sim.event``, carrying the event label and simulated time).  With the
-default :data:`~repro.obs.NULL_OBS` the dispatch loop takes a separate
-uninstrumented branch whose only cost is one attribute check per event.
+Observability: the simulator counts dispatched callbacks itself
+(:attr:`Simulator.events_fired`, published as ``sim.events`` by the run
+that owns it).  Pass an :class:`~repro.obs.Observability` bundle to time
+each dispatch per event label in the profiler and to emit sampled
+per-dispatch trace events (category ``sim.event``, carrying the event
+label and simulated time).  With the default :data:`~repro.obs.NULL_OBS`
+the dispatch loop takes a separate uninstrumented branch whose only cost
+is one attribute check per event.
 """
 
 from __future__ import annotations
@@ -134,18 +136,11 @@ class Simulator:
         self._tombstones = 0
         self._compactions = 0
         self.obs = obs if obs is not None else NULL_OBS
-        metrics = self.obs.metrics
-        self._m_events = metrics.counter("sim.events") if metrics.enabled else None
-        self._t_dispatch = metrics.timer("sim.dispatch_s") if metrics.enabled else None
         tracer = self.obs.tracer
         self._tr_event = tracer.category("sim.event") if tracer.enabled else None
         profiler = self.obs.profiler
         self._profiler = profiler if profiler.enabled else None
-        self._instrumented = (
-            self._m_events is not None
-            or self._tr_event is not None
-            or self._profiler is not None
-        )
+        self._instrumented = self._tr_event is not None or self._profiler is not None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -280,18 +275,12 @@ class Simulator:
         return fired
 
     def _dispatch_instrumented(self, event: Event) -> None:
-        """Dispatch one callback with metrics/trace/profile instrumentation."""
+        """Dispatch one callback with trace/profile instrumentation."""
         prof = self._profiler
-        if self._m_events is not None or prof is not None:
-            if self._m_events is not None:
-                self._m_events.inc()
+        if prof is not None:
             t0 = _time.perf_counter()
             event.callback()
-            duration = _time.perf_counter() - t0
-            if self._t_dispatch is not None:
-                self._t_dispatch.observe(duration)
-            if prof is not None:
-                prof.observe_event(event.label or "event", duration)
+            prof.observe_event(event.label or "event", _time.perf_counter() - t0)
         else:
             event.callback()
         cat = self._tr_event

@@ -211,7 +211,6 @@ def ref_collect_links(sim):
                 config=sim.config,
                 is_online=sim.is_online,
                 can_connect=sim.can_connect,
-                obs=sim._choker_obs,
             )
             for target in unchoked:
                 links.append((pid, target, swarm))

@@ -373,7 +373,6 @@ class TestCollector:
         # Always a fresh bundle (its counter tables count from now), but
         # every recorder is the shared null object: only the tables are live.
         off = make_observability()
-        assert not off.enabled
         assert set(off.spec()) == {"kernels", "provenance"} == set(NULL_OBS.spec())
         on = make_observability(dissemination=True)
         assert on.dissemination.enabled

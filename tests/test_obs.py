@@ -20,6 +20,7 @@ from repro.obs import (
     NULL_OBS,
     NULL_TRACER,
     TRACE_SCHEMA,
+    Histogram,
     ManifestBuilder,
     MetricsRegistry,
     Observability,
@@ -55,7 +56,7 @@ class TestCounterGauge:
 
 class TestHistogramTimer:
     def test_histogram_stats(self):
-        h = MetricsRegistry().histogram("lat")
+        h = Histogram("lat")
         for v in (1.0, 2.0, 3.0, 4.0):
             h.observe(v)
         assert h.count == 4
@@ -67,45 +68,29 @@ class TestHistogramTimer:
         assert h.quantile(1.0) == 4.0
 
     def test_histogram_empty_quantile_nan(self):
-        h = MetricsRegistry().histogram("lat")
+        h = Histogram("lat")
         assert math.isnan(h.quantile(0.5))
         assert math.isnan(h.mean)
 
     def test_histogram_buckets(self):
-        h = MetricsRegistry().histogram("lat", bounds=[1.0, 10.0])
+        h = Histogram("lat", bounds=[1.0, 10.0])
         for v in (0.5, 0.7, 5.0, 50.0):
             h.observe(v)
         assert h.bucket_counts == [2, 1, 1]
 
     def test_histogram_bounds_must_be_sorted(self):
         with pytest.raises(ValueError):
-            MetricsRegistry().histogram("lat", bounds=[10.0, 1.0])
+            Histogram("lat", bounds=[10.0, 1.0])
 
     def test_reservoir_deterministic_across_registries(self):
-        a = MetricsRegistry().histogram("x")
-        b = MetricsRegistry().histogram("x")
+        a = Histogram("x")
+        b = Histogram("x")
         values = [float(i % 37) for i in range(5000)]
         for v in values:
             a.observe(v)
             b.observe(v)
         assert a.quantile(0.5) == b.quantile(0.5)
         assert a.snapshot() == b.snapshot()
-
-    def test_timer_context_manager(self):
-        reg = MetricsRegistry()
-        t = reg.timer("work_s")
-        with t:
-            pass
-        t.observe(0.5)
-        assert t.histogram.count == 2
-        assert t.histogram.max >= 0.5
-
-    def test_timer_reentrant(self):
-        t = MetricsRegistry().timer("work_s")
-        with t:
-            with t:
-                pass
-        assert t.histogram.count == 2
 
 
 class TestRegistry:
@@ -124,26 +109,34 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.counter("c").inc(2)
         reg.gauge("g").set(1)
-        reg.timer("t").observe(0.1)
         snap = reg.snapshot()
-        assert snap["c"] == {"type": "counter", "value": 2.0}
-        assert snap["g"] == {"type": "gauge", "value": 1.0}
-        assert snap["t"]["type"] == "timer"
-        assert snap["t"]["count"] == 1
+        assert snap == {
+            "c": {"type": "counter", "value": 2.0},
+            "g": {"type": "gauge", "value": 1.0},
+        }
         assert json.dumps(snap)  # JSON-safe
 
     def test_null_registry_is_noop(self):
         assert not NULL_METRICS.enabled
-        c = NULL_METRICS.counter("anything")
-        c.inc(100)
-        assert c.value == 0
-        NULL_METRICS.gauge("g").set(5)
-        with NULL_METRICS.timer("t"):
-            pass
-        h = NULL_METRICS.histogram("h")
-        h.observe(1.0)
-        assert h.count == 0
-        assert NULL_METRICS.counter("a") is NULL_METRICS.counter("b")
+        NULL_METRICS.publish({}, {"a": 100}, {"g": 5})
+        NULL_METRICS.merge({"a": {"type": "counter", "value": 1.0}})
+        assert NULL_METRICS.names() == []
+
+    def test_publish_writes_what_changed_since_the_last_publish(self):
+        reg = MetricsRegistry()
+        reg.counter("c").inc(0.1)
+        bases = {}
+        reg.publish(bases, {"c": 0.2, "n": 3}, {"g": 4})
+        reg.publish(bases, {"c": 0.2, "n": 5}, {"g": 4})
+        # Every value is the one before the first publish plus the total.
+        assert reg.snapshot() == {
+            "c": {"type": "counter", "value": 0.1 + 0.2},
+            "g": {"type": "gauge", "value": 4.0},
+            "n": {"type": "counter", "value": 5.0},
+        }
+        other = {}
+        reg.publish(other, {"n": 2})
+        assert reg.value("n") == 7
 
 
 class TestTrace:
@@ -245,21 +238,20 @@ class TestTrace:
 
 class TestObservabilityBundle:
     def test_null_obs_disabled(self):
-        assert not NULL_OBS.enabled
+        assert not NULL_OBS.metrics.enabled and not NULL_OBS.tracer.enabled
         NULL_OBS.close()  # no-op
 
     def test_make_observability_defaults_to_null(self):
         # Always a fresh bundle (its counter tables count from now), but
         # every recorder is the shared null object: only the tables are live.
         off = make_observability()
-        assert not off.enabled
+        assert not off.metrics.enabled
         assert set(off.spec()) == {"kernels", "provenance"} == set(NULL_OBS.spec())
 
     def test_make_observability_metrics_only(self):
         obs = make_observability(metrics=True)
         assert obs.metrics.enabled
         assert not obs.tracer.enabled
-        assert obs.enabled
 
     def test_make_observability_trace(self, tmp_path):
         obs = make_observability(
@@ -345,13 +337,12 @@ class TestReport:
         reg.gauge("rep.cache.hits").set(90)
         reg.gauge("rep.cache.misses").set(10)
         reg.counter("sim.events").inc(1000)
-        reg.timer("sim.dispatch_s").observe(0.5)
         reg.counter("rep.kernel.calls").inc(7)
         reg.counter("rep.kernel.targets").inc(21)
         out = reg.render()
         assert "bc.messages_sent" in out
         assert "90.0%" in out  # cache hit rate
-        assert "2,000 events/sec" in out
+        assert "events/sec" not in out and "timer" not in out  # time is --prof's
         assert "7 invocations" in out
         assert "21 targets" in out
 
@@ -444,7 +435,7 @@ class TestHistogramReservoirMerge:
     quantiles instead of NaN placeholders."""
 
     def test_snapshot_reservoir_opt_in(self):
-        h = MetricsRegistry().histogram("lat")
+        h = Histogram("lat")
         h.observe(1.0)
         assert "reservoir" not in h.snapshot()
         assert h.snapshot(include_reservoir=True)["reservoir"] == [1.0]
@@ -452,13 +443,13 @@ class TestHistogramReservoirMerge:
     def test_merged_quantiles_exact_in_complete_regime(self):
         """Worker counts below the reservoir size merge exactly: the
         parent's quantiles equal a serial run over the union stream."""
-        serial = MetricsRegistry().histogram("lat")
-        parent = MetricsRegistry().histogram("lat")
+        serial = Histogram("lat")
+        parent = Histogram("lat")
         rng_values = [
             [float((7 * i + w) % 101) for i in range(300)] for w in range(3)
         ]
         for w, values in enumerate(rng_values):
-            worker = MetricsRegistry().histogram("lat")
+            worker = Histogram("lat")
             for v in values:
                 worker.observe(v)
                 serial.observe(v)
@@ -469,8 +460,8 @@ class TestHistogramReservoirMerge:
         assert parent.total == serial.total
 
     def test_merge_without_reservoir_keeps_exact_scalars(self):
-        parent = MetricsRegistry().histogram("lat")
-        worker = MetricsRegistry().histogram("lat")
+        parent = Histogram("lat")
+        worker = Histogram("lat")
         for v in (1.0, 2.0, 3.0):
             worker.observe(v)
         parent.merge_snapshot_dict(worker.snapshot())  # compact snapshot
@@ -480,9 +471,9 @@ class TestHistogramReservoirMerge:
 
     def test_overfull_merge_bounded_and_deterministic(self):
         def build():
-            parent = MetricsRegistry().histogram("lat")
+            parent = Histogram("lat")
             for w in range(3):
-                worker = MetricsRegistry().histogram("lat")
+                worker = Histogram("lat")
                 for i in range(600):  # 1800 total > 1024 reservoir size
                     worker.observe(float((11 * i + w) % 997))
                 parent.merge_snapshot_dict(
@@ -496,16 +487,17 @@ class TestHistogramReservoirMerge:
         assert 0.0 <= a.quantile(0.5) <= 997.0
 
     def test_parallel_worker_quantiles_render_in_report(self):
-        """The end-to-end satellite claim: a merged registry's timers
-        render real quantile values, not the '-' placeholder."""
-        parent = MetricsRegistry()
-        worker = MetricsRegistry()
+        """The end-to-end satellite claim: a merged profiler's kernel
+        table renders real quantile values, not the '-' placeholder."""
+        from repro.obs.profile import Profiler
+
+        parent, worker = Profiler(), Profiler()
         for i in range(50):
-            worker.timer("bt.round_s").observe(0.001 * (i + 1))
+            worker.observe_kernel("maxflow_two_hop_batch", 0.001 * (i + 1))
         parent.merge(worker.snapshot())
         out = parent.render()
-        row = next(l for l in out.splitlines() if "bt.round_s" in l)
-        assert "-" not in row.replace("bt.round_s", "")
+        row = next(l for l in out.splitlines() if "maxflow_two_hop_batch" in l)
+        assert "-" not in row.replace("maxflow_two_hop_batch", "")
 
 
 class TestManifestReport:
@@ -542,18 +534,18 @@ class TestManifestReport:
         assert "bc.messages_sent" in out
 
     def test_zero_sample_histogram_nan_safe(self):
-        from repro.obs.report import render_metrics_snapshot
+        from repro.obs.report import render_profile
 
-        snap = {
-            "empty_s": {"type": "timer", "count": 0, "total": 0.0},
-            "merged_s": {
-                "type": "timer", "count": 5, "total": 1.0,
-                "mean": 0.2, "p95": float("nan"), "max": float("nan"),
+        kernels = {
+            "empty": {"count": 0, "total": 0.0},
+            "merged": {
+                "count": 5, "total": 1.0, "p50": 0.2,
+                "p95": float("nan"), "max": float("nan"),
             },
         }
-        out = render_metrics_snapshot(snap)
-        assert "empty_s" not in out  # zero-count timers are elided
-        row = next(l for l in out.splitlines() if "merged_s" in l)
+        out = render_profile({"kernels": kernels})
+        assert "empty" not in out  # zero-count kernels are elided
+        row = next(l for l in out.splitlines() if "merged" in l)
         assert "-" in row  # NaN quantiles render as placeholders
 
     def test_fmt_seconds_none_safe(self):
@@ -597,13 +589,6 @@ def _counts_only(section):
     return {name: entry["count"] for name, entry in section.items()}
 
 
-def _stable_metrics(summary):
-    return {
-        name: snap["value"] if snap["type"] in ("counter", "gauge") else snap["count"]
-        for name, snap in summary.items()
-    }
-
-
 def _stable_profile(summary):
     return {k: _counts_only(summary[k]) for k in ("phases", "events", "kernels")}
 
@@ -614,7 +599,7 @@ def _stable_profile(summary):
 #: this case grew out of.
 LEG_CASES = {
     "metrics": (
-        _stable_metrics,
+        lambda s: s,
         lambda s: s["sim.events"]["value"] > 0
         and s["prov.claims_recorded"]["value"] > 0,
     ),
@@ -732,3 +717,156 @@ class TestLegLifecycle:
             assert obs.spec() is None
         finally:
             obs.close()
+
+
+# ----------------------------------------------------------------------
+# Components count; the run publishes
+# ----------------------------------------------------------------------
+#: ``repro <command> --profile tiny --seed 3 --metrics``: the whole metrics
+#: summary, every name that exists and its (type, value).  Multi-run
+#: commands (fig2, faults) read the same at any ``--jobs``: each run's
+#: float sum is added to the registry once.
+PUBLISHED = {
+    "fig1": {
+        "bc.messages_received": ("counter", 10562),
+        "bc.messages_sent": ("counter", 10562),
+        "bc.records_applied": ("counter", 2828),
+        "bc.records_dropped": ("counter", 97005),
+        "bt.bytes": ("counter", 256394696.19360006),
+        "bt.rounds": ("counter", 1440),
+        "bt.transfers": ("counter", 24),
+        "choke.calls": ("counter", 27),
+        "gossip.exchanges": ("counter", 5281),
+        "gossip.messages_lost": ("counter", 0),
+        "prov.claims_forgotten": ("counter", 0),
+        "prov.claims_recorded": ("counter", 163246),
+        "prov.claims_superseded": ("counter", 157902),
+        "prov.redeliveries_ignored": ("counter", 15296),
+        "prov.stale_dropped": ("counter", 0),
+        "rep.cache.hits": ("gauge", 1882),
+        "rep.cache.invalidations": ("gauge", 120),
+        "rep.cache.misses": ("gauge", 302),
+        "rep.kernel.calls": ("counter", 302),
+        "rep.kernel.maxflow_two_hop": ("gauge", 604),
+        "rep.kernel.targets": ("counter", 302),
+        "sim.events": ("counter", 2214),
+    },
+    "fig2": {
+        "bc.messages_received": ("counter", 42248),
+        "bc.messages_sent": ("counter", 42248),
+        "bc.records_applied": ("counter", 11306),
+        "bc.records_dropped": ("counter", 388026),
+        "bt.bytes": ("counter", 1025236479.2684213),
+        "bt.rounds": ("counter", 5760),
+        "bt.transfers": ("counter", 98),
+        "choke.banned": ("counter", 4),
+        "choke.calls": ("counter", 114),
+        "gossip.exchanges": ("counter", 21124),
+        "gossip.messages_lost": ("counter", 0),
+        "prov.claims_forgotten": ("counter", 0),
+        "prov.claims_recorded": ("counter", 652984),
+        "prov.claims_superseded": ("counter", 631608),
+        "prov.redeliveries_ignored": ("counter", 61184),
+        "prov.stale_dropped": ("counter", 0),
+        "rep.cache.hits": ("gauge", 3),
+        "rep.cache.invalidations": ("gauge", 24),
+        "rep.cache.misses": ("gauge", 24),
+        "rep.kernel.calls": ("counter", 24),
+        "rep.kernel.maxflow_two_hop_batch": ("gauge", 24),
+        "rep.kernel.maxflow_two_hop_batch_targets": ("gauge", 24),
+        "rep.kernel.targets": ("counter", 24),
+        "sim.events": ("counter", 8856),
+    },
+    "fig4": {
+        "bc.messages_received": ("counter", 1262),
+        "bc.messages_sent": ("counter", 0),
+        "bc.records_applied": ("counter", 4561),
+        "bc.records_dropped": ("counter", 9841),
+        "rep.kernel.calls": ("counter", 495),
+        "rep.kernel.targets": ("counter", 495),
+    },
+    "faults": {
+        "bc.messages_received": ("counter", 17854),
+        "bc.messages_sent": ("counter", 20984),
+        "bc.records_applied": ("counter", 5766),
+        "bc.records_dropped": ("counter", 162926),
+        "bt.bytes": ("counter", 512789392.3872001),
+        "bt.rounds": ("counter", 2880),
+        "bt.transfers": ("counter", 48),
+        "choke.calls": ("counter", 54),
+        "gossip.exchanges": ("counter", 10492),
+        "gossip.messages_lost": ("counter", 3130),
+        "net.delayed": ("counter", 0),
+        "net.delivered": ("counter", 7362),
+        "net.dropped": ("counter", 3130),
+        "net.dropped_by_churn": ("counter", 0),
+        "net.duplicated": ("counter", 0),
+        "rep.cache.hits": ("gauge", 3753),
+        "rep.cache.invalidations": ("gauge", 251),
+        "rep.cache.misses": ("gauge", 615),
+        "rep.kernel.calls": ("counter", 75),
+        "rep.kernel.maxflow_two_hop_batch": ("gauge", 55),
+        "rep.kernel.maxflow_two_hop_batch_targets": ("gauge", 615),
+        "rep.kernel.targets": ("counter", 635),
+        "sim.events": ("counter", 4468),
+    },
+    "dissemination": {
+        "bc.messages_received": ("counter", 8493),
+        "bc.messages_sent": ("counter", 10548),
+        "bc.records_applied": ("counter", 2811),
+        "bc.records_dropped": ("counter", 77387),
+        "bt.bytes": ("counter", 256394696.19360006),
+        "bt.rounds": ("counter", 1440),
+        "bt.transfers": ("counter", 24),
+        "choke.calls": ("counter", 27),
+        "gossip.exchanges": ("counter", 5274),
+        "gossip.messages_lost": ("counter", 2055),
+        "net.delayed": ("counter", 0),
+        "net.delivered": ("counter", 8493),
+        "net.dropped": ("counter", 2055),
+        "net.dropped_by_churn": ("counter", 0),
+        "net.duplicated": ("counter", 0),
+        "rep.cache.hits": ("gauge", 0),
+        "rep.cache.invalidations": ("gauge", 0),
+        "rep.cache.misses": ("gauge", 0),
+        "rep.kernel.calls": ("counter", 0),
+        "rep.kernel.targets": ("counter", 0),
+        "sim.events": ("counter", 2220),
+    },
+}
+
+PUBLISHED_ARGS = {
+    "fig1": ["fig1", "--profile", "tiny", "--provenance"],
+    "fig2": ["fig2", "--profile", "tiny", "--provenance"],
+    "fig4": ["fig4", "--peers", "500"],
+    "faults": ["faults", "--profile", "tiny", "--losses", "0,0.3", "--churn", "0.5"],
+    "dissemination": ["dissemination", "--profile", "tiny", "--loss", "0.2", "--churn", "0.1"],
+}
+
+
+class TestPublishedCounts:
+    @pytest.mark.parametrize("command", sorted(PUBLISHED))
+    def test_metrics_summary_is_pinned(self, command, capsys, tmp_path):
+        from repro import cli
+
+        argv = PUBLISHED_ARGS[command] + ["--seed", "3", "--metrics", "--export", str(tmp_path)]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        metrics = read_manifest(tmp_path / "run_manifest.json")["metrics"]
+        assert {k: (v["type"], v["value"]) for k, v in metrics.items()} == PUBLISHED[command]
+
+    def test_split_run_publishes_what_one_run_does(self):
+        from repro.core.policies import BanPolicy
+        from repro.experiments.scenario import build_simulation
+
+        def summary(split):
+            obs = make_observability(metrics=True)
+            sim = build_simulation(ScenarioConfig.tiny(3), policy=BanPolicy(-0.5), obs=obs)
+            if split:
+                sim.run(until=sim.trace.duration / 2)
+            sim.run()
+            return obs.metrics.summary()
+
+        whole = summary(split=False)
+        assert whole["rep.cache.misses"]["value"] == 8
+        assert summary(split=True) == whole

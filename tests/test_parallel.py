@@ -282,14 +282,7 @@ class TestMetricsMerge:
         pooled_kernels = kernel_invocations_delta(pooled_base)
 
         assert serial_kernels == pooled_kernels
-        s1, s2 = serial_metrics.snapshot(), pooled_metrics.snapshot()
-        assert sorted(s1) == sorted(s2)
-        for name in s1:
-            kind = s1[name]["type"]
-            if kind in ("counter", "gauge"):
-                assert s1[name]["value"] == pytest.approx(s2[name]["value"]), name
-            else:  # timers/histograms measure wall time; only counts merge
-                assert s1[name]["count"] == s2[name]["count"], name
+        assert serial_metrics.snapshot() == pooled_metrics.snapshot()
 
 
 class TestCliJobs:
@@ -377,5 +370,6 @@ class TestCliJobs:
         assert set(extra1) == {"timeseries", "dissemination", "profile", "provenance"}
         assert extra1 == extra2
         assert extra1["provenance"]["claims_recorded"] == counters1["prov.claims_recorded"]
-        # Float counters (bytes) sum per task, then across tasks.
-        assert counters1 == pytest.approx(counters2)
+        # Float counters (bytes) sum per task, then across tasks, at any
+        # --jobs level.
+        assert counters1 == counters2

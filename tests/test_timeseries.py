@@ -278,7 +278,6 @@ class TestObservabilityBundleLegs:
         # Always a fresh bundle (its counter tables count from now), but
         # every recorder is the shared null object: only the tables are live.
         off = make_observability()
-        assert not off.enabled
         assert set(off.spec()) == {"kernels", "provenance"} == set(NULL_OBS.spec())
 
     def test_timeseries_flag_forms(self):
