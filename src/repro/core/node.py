@@ -293,8 +293,9 @@ class BarterCastNode:
 
         Models a peer whose process died without persisting its gossip
         state: the private history (on-disk in Tribler) survives, the
-        subjective shared history does not.  Returns the number of edges
-        whose materialized value changed.  Reporters are forgotten in a
+        subjective shared history does not.  Returns the number of claims
+        dropped: two per record, whether or not an edge value moved.
+        Reporters are forgotten in a
         deterministic order so fault schedules replay identically.
         """
         changed = 0

@@ -151,8 +151,10 @@ class SubjectiveSharedHistory:
         :class:`HistoryRecord`, :meth:`~HistoryRecord.is_sane` false,
         naming the sender or the owner) is dropped and counted, never
         raised on; the rest of the message still applies.  A message whose
-        ``created_at`` is not a finite real is dropped whole: an infinite
-        timestamp would shadow every later honest message of its sender.
+        ``created_at`` is not a finite real, or is later than ``now`` when
+        ``now`` is given, is dropped whole: a timestamp from the future
+        would make every honest message of its sender stale until the
+        clock caught up with it.
 
         Raises
         ------
@@ -169,6 +171,8 @@ class SubjectiveSharedHistory:
             # The chained comparison is also false for NaN.
             rts = float(created) if -inf < created < inf else None
         except (TypeError, ValueError):
+            rts = None
+        if now is not None and rts is not None and rts > now:
             rts = None
         records = message.records if rts is not None else ()
         prov_on = self._prov_on
@@ -312,7 +316,8 @@ class SubjectiveSharedHistory:
         return set(self._reports)
 
     def forget_reporter(self, reporter: PeerId) -> int:
-        """Drop all claims made by ``reporter``; returns how many edges changed.
+        """Drop all claims made by ``reporter``; returns how many claims were
+        dropped: two per record, whether or not an edge value moved.
 
         Used by failure-injection tests and by future eviction policies.
         Each edge falls back to the counterparty's counter-claim (or to

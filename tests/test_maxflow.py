@@ -1,10 +1,8 @@
 """Unit and property tests for the maxflow kernels."""
 
 import networkx as nx
-import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.graph.maxflow import (
     bounded_ford_fulkerson,
@@ -12,6 +10,7 @@ from repro.graph.maxflow import (
     maxflow_two_hop,
 )
 from repro.graph.transfer_graph import TransferGraph
+from tests.conftest import random_graphs
 
 
 def nx_maxflow(graph: TransferGraph, s, t) -> float:
@@ -151,28 +150,6 @@ class TestTwoHopClosedForm:
 # ---------------------------------------------------------------------------
 # Property-based equivalences
 # ---------------------------------------------------------------------------
-
-@st.composite
-def random_graphs(draw):
-    """Small random weighted digraphs over integer nodes."""
-    n = draw(st.integers(min_value=2, max_value=8))
-    possible = [(i, j) for i in range(n) for j in range(n) if i != j]
-    edges = draw(
-        st.lists(
-            st.tuples(
-                st.sampled_from(possible),
-                st.floats(min_value=0.1, max_value=100.0, allow_nan=False),
-            ),
-            max_size=20,
-        )
-    )
-    g = TransferGraph()
-    for node in range(n):
-        g.add_node(node)
-    for (i, j), w in edges:
-        g.add_transfer(i, j, w)
-    return g
-
 
 @settings(max_examples=120, deadline=None)
 @given(random_graphs())

@@ -8,7 +8,7 @@ The load-bearing guarantees of the provenance layer:
   duplication, delay and churn;
 * **exact flow attribution** — ``maxflow_two_hop(record_paths=True)``
   returns ≤2-hop paths whose flows sum to the flow value bit-exactly,
-  match an independent networkx oracle on a layered 2-hop graph, are
+  equal the reference model's paths (``tests/model.py``), are
   edge-disjoint, and yield exact leave-one-out deltas with no re-solve;
 * **null-object discipline** — provenance is off by default and a
   provenance-on run produces byte-identical figure exports to a
@@ -19,7 +19,6 @@ The load-bearing guarantees of the provenance layer:
 
 import json
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +41,8 @@ from repro.obs.provenance import (
     NullProvenanceRecorder,
     ProvenanceRecorder,
 )
+from tests import model
+from tests.conftest import random_graphs
 
 
 def make_store(provenance=True):
@@ -235,54 +236,6 @@ class TestLineageReplay:
 # ---------------------------------------------------------------------------
 # Flow attribution: recorded paths vs oracles
 # ---------------------------------------------------------------------------
-@st.composite
-def random_graphs(draw):
-    """Small random weighted digraphs over integer nodes."""
-    n = draw(st.integers(min_value=2, max_value=8))
-    possible = [(i, j) for i in range(n) for j in range(n) if i != j]
-    edges = draw(
-        st.lists(
-            st.tuples(
-                st.sampled_from(possible),
-                st.floats(min_value=0.1, max_value=100.0, allow_nan=False),
-            ),
-            max_size=20,
-        )
-    )
-    g = TransferGraph()
-    for node in range(n):
-        g.add_node(node)
-    for (i, j), w in edges:
-        g.add_transfer(i, j, w)
-    return g
-
-
-def nx_two_hop_oracle(g: TransferGraph, s, t) -> float:
-    """2-hop bounded maxflow via networkx on the layered path graph.
-
-    Each intermediary ``v`` becomes its own layer node, so networkx can
-    only route ``s -> t`` directly or through exactly one intermediary —
-    an independent implementation of the 2-hop bound.
-    """
-    if not (g.has_node(s) and g.has_node(t)):
-        return 0.0
-    layered = nx.DiGraph()
-    layered.add_node("S")
-    layered.add_node("T")
-    direct = g.capacity(s, t)
-    if direct:
-        layered.add_edge("S", "T", capacity=direct)
-    out_s = g.successors(s)
-    in_t = g.predecessors(t)
-    for v in out_s:
-        if v in (s, t) or v not in in_t:
-            continue
-        layered.add_edge("S", ("via", v), capacity=out_s[v])
-        layered.add_edge(("via", v), "T", capacity=in_t[v])
-    value, _ = nx.maximum_flow(layered, "S", "T", capacity="capacity")
-    return float(value)
-
-
 class TestPathAttribution:
     @settings(max_examples=60, deadline=None)
     @given(random_graphs())
@@ -290,9 +243,8 @@ class TestPathAttribution:
         result = maxflow_two_hop(g, 0, 1, record_paths=True)
         # Bit-exact: the recording twin mirrors the scalar accumulation.
         assert sum(p.flow for p in result.paths) == result.value
-        assert result.value == pytest.approx(
-            nx_two_hop_oracle(g, 0, 1), rel=1e-9, abs=1e-9
-        )
+        # ... and the reference model's scan, path for path.
+        assert (result.value, result.paths) == model.two_hop(g, 0, 1)
         assert result.value == maxflow_two_hop(g, 0, 1).value
 
     @settings(max_examples=60, deadline=None)
