@@ -8,7 +8,7 @@ were paid for, and which exact loss/churn event cut a peer off.
 
 A :class:`DisseminationRecorder` collects the causal event log of one
 simulation run: every message's envelope (``msg_id``, ``parent_id``,
-``hops``, the sane records it carried) plus send / deliver / drop /
+``hops``, the records it carried) plus send / deliver / drop /
 duplicate / delay / churn-wipe events in simulation order.  From the log
 it derives:
 
@@ -39,10 +39,10 @@ from __future__ import annotations
 
 import gc
 from array import array
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from itertools import islice
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.legs import LabelledCollector
 
@@ -80,15 +80,13 @@ def _sort_key(value) -> str:
     return repr(value)
 
 
+def _claim_order(claim: ClaimKey) -> Tuple[str, str]:
+    return (_sort_key(claim[0]), _sort_key(claim[1]))
+
+
 _INF = float("inf")
-#: One C-level call extracting (counterparty, uploaded, downloaded) per
-#: record; the intermediate tuples die immediately (net-zero effect on
-#: the cyclic collector's allocation counter) while the *values* —
-#: references to objects the records already own — land in the flat
-#: column.  Measured against the alternatives: retaining the per-record
-#: tuples instead keeps ~100k freshly-allocated tracked containers
-#: alive (10x the collector runs, clearly slower end-to-end).
-_GET_RECORD = attrgetter("counterparty", "uploaded", "downloaded")
+#: Row kinds that expand to a delivered copy ("gossip" = send + deliver).
+_DELIVERED = ("deliver", "gossip")
 
 
 @dataclass(frozen=True)
@@ -109,6 +107,10 @@ class DisseminationRecorder:
     the fault injectors; every hook is an O(1) append with no RNG use.
     Events carry a global sequence (their list index), so replay in list
     order is exactly simulation order even for same-timestamp events.
+
+    Every analytic is one pass over the log that builds only its own
+    output; nothing derived from the log is kept between calls except the
+    finished ``claim_stats`` and ``to_dict`` views (see :meth:`_cached`).
     """
 
     enabled = True
@@ -116,29 +118,32 @@ class DisseminationRecorder:
     def __init__(
         self, label: str = "run", config: Optional[DisseminationConfig] = None
     ) -> None:
+        # Imported here: repro.core imports repro.obs.
+        from repro.core.messages import HistoryRecord
+
         self.label = label
         self.config = config or DisseminationConfig()
-        # Storage is columnar on purpose: every hook retains only atoms
-        # (ints, floats, strings, ids) and atom-only tuples in persistent
-        # lists / ``array``s.  Retaining anything GC-tracked per event —
-        # the message, or its records tuple kept for lazy extraction —
-        # leaves the cyclic collector's allocation counter in permanent
-        # surplus (allocations minus deallocations) and promotes the
-        # survivors through the generations, cascading into 10x the
-        # collections of an unrecorded run (including full-heap ones)
-        # that dwarf the actual bookkeeping cost; both designs measured
-        # well over the recording overhead budget on a tiny run.  Record
-        # payloads are therefore extracted eagerly, one attrgetter pass
-        # per message — the cheapest extraction shape measured.
+        self._record_type = HistoryRecord
+        # Storage is columnar, and no hook allocates a container that the
+        # log keeps: retaining a fresh GC-tracked object per event (the
+        # message, its records tuple, a tuple per record) leaves the
+        # cyclic collector's allocation counter in permanent surplus, and
+        # the survivors promoted through the generations cascade into 10x
+        # the collections of an unrecorded run.  Records are kept by
+        # reference instead: select_records hands out one frozen
+        # HistoryRecord per counterparty and *replaces* it when a total
+        # moves, so a reference is the send-time value, one slot wide, and
+        # allocates nothing.  A message holding any other object (a
+        # subclass, a look-alike — either could change after the send) is
+        # snapshotted at send time; see _extract.
         #
         # Message registry: msg_id -> row index into the _msg_* columns;
-        # message i's records occupy _rec_flat[_rec_off[i]:_rec_off[i+1]]
-        # as flattened (counterparty, uploaded, downloaded) runs.  _msg_gdst
-        # holds the receiver of a fused-path ("gossip") message — such
-        # messages carry their single send+deliver event *in the
+        # message i's records are _records[_rec_off[i]:_rec_off[i+1]].
+        # _msg_gdst holds the receiver of a fused-path ("gossip") message
+        # — such messages carry their single send+deliver event *in the
         # registry* instead of paying an event row (None for messages
         # whose events are explicit); _msg_gseq is the explicit-row count
-        # at registration time, letting _iter_events re-interleave the
+        # at registration time, letting _in_order re-interleave the
         # derived rows in exact hook order.
         self._msg_index: Dict[Hashable, int] = {}
         self._msg_sender: List[PeerId] = []
@@ -147,7 +152,7 @@ class DisseminationRecorder:
         self._msg_hops: List[int] = []
         self._msg_gdst: List[Optional[PeerId]] = []
         self._msg_gseq = array("l")
-        self._rec_flat: List = []
+        self._records: List = []
         self._rec_off = array("l", [0])
         self._put_sender = self._msg_sender.append
         self._put_created = self._msg_created.append
@@ -156,11 +161,6 @@ class DisseminationRecorder:
         self._put_gdst = self._msg_gdst.append
         self._put_gseq = self._msg_gseq.append
         self._put_off = self._rec_off.append
-        #: msg_id -> (sender, created_at, parent_id, hops, records) where
-        #: records are the sane (counterparty, uploaded, downloaded)
-        #: triples the receivers would apply.  Materialized on demand
-        #: from the columns at analytics time.
-        self._messages: Dict[Hashable, tuple] = {}
         # Event log: parallel columns of (kind, t, msg_id, src, dst,
         # detail) rows in simulation order.  Kinds: send, deliver, drop,
         # duplicate, delay, wipe, plus the fused "gossip" (= send +
@@ -183,8 +183,8 @@ class DisseminationRecorder:
         self._put_dst = self._ev_dst.append
         self._put_detail = self._ev_detail.append
         self._population: List[PeerId] = []
-        # Derived views (claim index, claim_stats, to_dict), each stored
-        # with the log lengths it was built from; see _cached.
+        # The finished claim_stats / to_dict views, each stored with the
+        # log lengths it was built from; see _cached.
         self._memo: Dict[str, tuple] = {}
 
     # -- wiring --------------------------------------------------------
@@ -193,14 +193,7 @@ class DisseminationRecorder:
         """Declare the peer population (for coverage denominators)."""
         self._population = sorted(peers, key=_sort_key)
 
-    @staticmethod
-    def _mid(message) -> Hashable:
-        mid = message.msg_id
-        return mid if mid is not None else (message.sender, message.created_at)
-
     def _register(self, message) -> Hashable:
-        # Inlined _mid: this runs on every hook call, so one less
-        # method dispatch matters at gossip rates.
         mid = message.msg_id
         if mid is None:
             mid = (message.sender, message.created_at)
@@ -217,112 +210,101 @@ class DisseminationRecorder:
         return mid
 
     def _extract(self, message) -> None:
-        flat = self._rec_flat
-        off = len(flat)
-        try:
-            flat.extend(chain.from_iterable(map(_GET_RECORD, message.records)))
-        except (TypeError, AttributeError):
-            # Defensive parsing (mirrors sane_records): a malformed
-            # record object must not crash the hot path.  A failing
-            # extend may have appended a prefix — truncate first.
-            del flat[off:]
-            for r in message.sane_records():
-                flat.append(r.counterparty)
-                flat.append(r.uploaded)
-                flat.append(r.downloaded)
-        self._put_off(len(flat))
+        """Store ``message``'s records: by reference when every one is
+        exactly a ``HistoryRecord`` (every message the simulator sends),
+        else as a send-time snapshot — each ``HistoryRecord`` (subclass)
+        copied to an exact one, anything else left out, since no receiver
+        applies it.  Validity is decided when the log is read (:meth:`_sane`)."""
+        records = message.records
+        exact = self._record_type
+        for r in records:
+            if type(r) is not exact:
+                break
+        else:
+            self._records.extend(records)
+            self._put_off(len(self._records))
+            return
+        for r in records:
+            if isinstance(r, exact):
+                self._records.append(exact(r.counterparty, r.uploaded, r.downloaded))
+        self._put_off(len(self._records))
 
     def message_ids(self) -> List[Hashable]:
         """Every registered msg_id, in registration order."""
         return list(self._msg_index)
 
-    def _entry(self, mid: Hashable) -> tuple:
-        """Materialized (sender, created_at, parent_id, hops, records),
-        records being the sane (counterparty, uploaded, downloaded)
-        triples a receiver would apply."""
-        entry = self._messages.get(mid)
-        if entry is None:
-            i = self._msg_index[mid]
-            sender = self._msg_sender[i]
-            triples = []
-            it = iter(self._rec_flat[self._rec_off[i] : self._rec_off[i + 1]])
-            for c, u, d in zip(it, it, it):
-                try:
-                    u = float(u)
-                    d = float(d)
-                except (TypeError, ValueError):
-                    # Defensive parsing (mirrors sane_records): malformed
-                    # totals are skipped, never raised.
-                    continue
-                # NaN fails >= 0.0, so this is exactly is_sane plus the
-                # self-referential-counterparty filter.
-                if c != sender and u >= 0.0 and d >= 0.0 and u != _INF and d != _INF:
-                    triples.append((c, u, d))
-            entry = (
-                sender,
-                self._msg_created[i],
-                self._msg_parent[i],
-                int(self._msg_hops[i]),
-                tuple(triples),
-            )
-            self._messages[mid] = entry
-        return entry
+    def _sane(self, i: int) -> list:
+        """Message ``i``'s records a receiver applies, in message order:
+        ``HistoryRecord.is_sane`` — the receivers' own rule, inlined
+        because every analytic applies it to every record it reads — and
+        not about the sender itself."""
+        sender = self._msg_sender[i]
+        out = []
+        for r in self._records[self._rec_off[i] : self._rec_off[i + 1]]:
+            c = r.counterparty
+            try:
+                hash(c)
+                # The chained comparisons are also false for NaN.
+                if 0.0 <= r.uploaded < _INF and 0.0 <= r.downloaded < _INF and c != sender:
+                    out.append(r)
+            except (TypeError, ValueError):
+                continue
+        return out
 
-    def _materialize(self) -> Dict[Hashable, tuple]:
-        """Ensure every registered message has a materialized entry."""
-        if len(self._messages) != len(self._msg_index):
-            for mid in self._msg_index:
-                if mid not in self._messages:
-                    self._entry(mid)
-        return self._messages
+    def _counterparties(self, i: int) -> Dict[PeerId, None]:
+        """The claims message ``i`` carries, as its distinct sane
+        counterparties (a claim counts once per message)."""
+        return dict.fromkeys([r.counterparty for r in self._sane(i)])
 
-    def _iter_events(self):
-        """Event rows (kind, t, msg_id, src, dst, detail) in sim order.
+    def _in_order(self, rows: Sequence[int], fused) -> Iterator[int]:
+        """Explicit event rows ``rows`` and fused-path messages ``fused``
+        (both ascending) merged in hook order: message *i*'s derived row
+        comes just before explicit row ``_msg_gseq[i]`` — the explicit-row
+        count when its hook ran.  Yields ``j`` for explicit row *j* and
+        ``~i`` (negative) for message *i*'s derived row."""
+        gseq = self._msg_gseq
+        k, n = 0, len(rows)
+        for i in fused:
+            seq = gseq[i]
+            while k < n and rows[k] < seq:
+                yield rows[k]
+                k += 1
+            yield ~i
+        yield from islice(rows, k, None)
 
-        Merges the explicit event columns with the derived "gossip" rows
-        of fused-path messages (those registered with a receiver in
-        ``_msg_gdst`` instead of paying an event row): message *i*'s
-        derived row is emitted just before explicit row ``_msg_gseq[i]``
-        — the explicit-row count when the hook ran — which reproduces
-        exactly the order the hooks were called in.
-        """
-        ev_kind = self._ev_kind
-        ev_t = self._ev_t
-        ev_mid = self._ev_mid
-        ev_src = self._ev_src
-        ev_dst = self._ev_dst
-        ev_detail = self._ev_detail
-        senders = self._msg_sender
+    def _fused(self) -> Iterator[int]:
+        """Every fused-path message, ascending."""
+        return (i for i, dst in enumerate(self._msg_gdst) if dst is not None)
+
+    def _rows_to(self, receivers) -> Dict[PeerId, tuple]:
+        """``receiver -> (explicit rows, fused messages)`` addressed to it,
+        both ascending, for each of ``receivers``: one pass per column."""
+        rows = {p: array("l") for p in receivers}
+        fused = {p: array("l") for p in receivers}
+        for j, dst in enumerate(self._ev_dst):
+            bucket = rows.get(dst)
+            if bucket is not None:
+                bucket.append(j)
+        for i, dst in enumerate(self._msg_gdst):
+            if dst is not None:
+                bucket = fused.get(dst)
+                if bucket is not None:
+                    bucket.append(i)
+        return {p: (rows[p], fused[p]) for p in rows}
+
+    def _deliveries(self) -> Iterator[Tuple[int, float, PeerId]]:
+        """``(message index, t, receiver)`` of every delivered copy, in
+        sim order."""
+        kinds = self._ev_kind
+        index = self._msg_index
         created = self._msg_created
         gdst = self._msg_gdst
-        gseq = self._msg_gseq
-        j = 0
-        for mid, i in self._msg_index.items():
-            dst = gdst[i]
-            if dst is None:
-                continue
-            seq = gseq[i]
-            while j < seq:
-                yield (
-                    ev_kind[j],
-                    ev_t[j],
-                    ev_mid[j],
-                    ev_src[j],
-                    ev_dst[j],
-                    ev_detail[j],
-                )
-                j += 1
-            yield ("gossip", created[i], mid, senders[i], dst, None)
-        while j < len(ev_kind):
-            yield (
-                ev_kind[j],
-                ev_t[j],
-                ev_mid[j],
-                ev_src[j],
-                ev_dst[j],
-                ev_detail[j],
-            )
-            j += 1
+        for code in self._in_order(range(len(kinds)), self._fused()):
+            if code < 0:
+                i = ~code
+                yield i, created[i], gdst[i]
+            elif kinds[code] in _DELIVERED:
+                yield index[self._ev_mid[code]], self._ev_t[code], self._ev_dst[code]
 
     def _append_event(self, kind, t, mid, src, dst, detail) -> None:
         self._put_kind(kind)
@@ -348,7 +330,7 @@ class DisseminationRecorder:
         all*: the whole event is derivable from the registry (its time
         is the message's ``created_at``, its source the sender), so
         registering with the receiver in ``_msg_gdst`` is enough and
-        :meth:`_iter_events` re-derives the row.  The derivation only
+        :meth:`_in_order` re-derives the row.  The derivation only
         holds when ``t == created_at`` and the message is new — any
         other call (foreign drivers, re-gossip) takes the explicit-row
         fallback."""
@@ -429,37 +411,44 @@ class DisseminationRecorder:
     # -- DAG / claim queries -------------------------------------------
 
     def message(self, msg_id: Hashable) -> Optional[dict]:
-        """Envelope + payload of one registered message."""
-        if msg_id not in self._msg_index:
+        """Envelope + payload of one registered message; ``records`` are
+        the (counterparty, uploaded, downloaded) triples a receiver
+        applies."""
+        i = self._msg_index.get(msg_id)
+        if i is None:
             return None
-        sender, created_at, parent_id, hops, records = self._entry(msg_id)
         return {
             "msg_id": msg_id,
-            "sender": sender,
-            "created_at": created_at,
-            "parent_id": parent_id,
-            "hops": hops,
-            "records": records,
+            "sender": self._msg_sender[i],
+            "created_at": self._msg_created[i],
+            "parent_id": self._msg_parent[i],
+            "hops": int(self._msg_hops[i]),
+            "records": tuple(
+                (r.counterparty, float(r.uploaded), float(r.downloaded))
+                for r in self._sane(i)
+            ),
         }
 
     def claims(self) -> List[ClaimKey]:
         """Every (reporter, counterparty) claim any message carried."""
-        seen: Set[ClaimKey] = set()
-        for sender, _, _, _, records in self._materialize().values():
-            for counterparty, _, _ in records:
-                seen.add((sender, counterparty))
-        return sorted(seen, key=lambda c: (_sort_key(c[0]), _sort_key(c[1])))
+        senders = self._msg_sender
+        seen = {
+            (senders[i], c)
+            for i in range(len(senders))
+            for c in self._counterparties(i)
+        }
+        return sorted(seen, key=_claim_order)
 
     def _cached(self, name: str, build):
         """``build()``, rebuilt only after the log grew.  The post-run
         consumers (manifest summary, export, the worker boundary) all read
         the same finished log; callers treat the result as read-only.
 
-        The cyclic collector is paused for the build: the views are
-        millions of acyclic atom-only tuples and sets that all survive, so
-        the generational passes they trigger (over the whole simulation's
-        heap, again and again) find nothing and cost up to two thirds of
-        the build.
+        The cyclic collector is paused for the build: its accumulators
+        and output are acyclic containers that live until it ends, so the
+        generational passes they trigger (over the whole simulation's
+        heap, again and again) find nothing — a fifth of ``to_dict()`` on
+        a faulted fig1 ``fast`` log.
         """
         key = (len(self._msg_index), len(self._ev_kind), len(self._population))
         hit = self._memo.get(name)
@@ -473,22 +462,6 @@ class DisseminationRecorder:
                     gc.enable()
         return hit[1]
 
-    def _claim_messages(self) -> Dict[ClaimKey, Set[Hashable]]:
-        """claim -> msg_ids that carried it."""
-        return self._cached("claim_messages", self._build_claim_messages)
-
-    def _build_claim_messages(self) -> Dict[ClaimKey, Set[Hashable]]:
-        out: Dict[ClaimKey, Set[Hashable]] = {}
-        for mid, (sender, _, _, _, records) in self._materialize().items():
-            for counterparty, _, _ in records:
-                claim = (sender, counterparty)
-                mids = out.get(claim)
-                if mids is None:
-                    out[claim] = {mid}
-                else:
-                    mids.add(mid)
-        return out
-
     def claim_dag(self, claim: ClaimKey) -> dict:
         """The propagation DAG of one claim.
 
@@ -497,72 +470,73 @@ class DisseminationRecorder:
         message, when that one also carried the claim), ``delivery``
         edges are the realized sender→receiver deliveries.
         """
-        mids = self._claim_messages().get(claim, set())
+        reporter, counterparty = claim
+        ids = list(self._msg_index)
+        carrying = {
+            i
+            for i, sender in enumerate(self._msg_sender)
+            if sender == reporter and counterparty in self._counterparties(i)
+        }
+        mids = {ids[i] for i in carrying}
         nodes = sorted(mids, key=_sort_key)
+        index = self._msg_index
         spine = [
-            (self._entry(m)[2], m)
+            (self._msg_parent[index[m]], m)
             for m in nodes
-            if self._entry(m)[2] in mids
+            if self._msg_parent[index[m]] in mids
         ]
         deliveries = [
-            (mid, dst, t)
-            for kind, t, mid, _, dst, _ in self._iter_events()
-            if kind in ("deliver", "gossip") and mid in mids
+            (ids[i], dst, t) for i, t, dst in self._deliveries() if i in carrying
         ]
         return {"claim": claim, "messages": nodes, "spine": spine, "deliveries": deliveries}
 
     # -- analytics ------------------------------------------------------
-
-    def _eligible(self, claim: ClaimKey) -> List[PeerId]:
-        """Receivers that could hold ``claim``: everyone except the
-        reporter (never ingests its own message) and the counterparty
-        (records about the owner are rejected)."""
-        reporter, counterparty = claim
-        return [p for p in self._population if p not in (reporter, counterparty)]
 
     def claim_stats(self) -> List[dict]:
         """Per-claim coverage/redundancy digest, deterministically ordered."""
         return self._cached("claim_stats", self._build_claim_stats)
 
     def _build_claim_stats(self) -> List[dict]:
-        claim_msgs = self._claim_messages()
-        first: Dict[ClaimKey, Dict[PeerId, float]] = {}
-        copies: Dict[ClaimKey, int] = {}
-        mid_claims: Dict[Hashable, List[ClaimKey]] = {}
-        for claim, mids in claim_msgs.items():
-            for mid in mids:
-                mid_claims.setdefault(mid, []).append(claim)
-        for kind, t, mid, _, dst, _ in self._iter_events():
-            if kind != "deliver" and kind != "gossip":
-                continue
-            for claim in mid_claims.get(mid, ()):
-                # Deliveries to the claim's own parties don't count: the
-                # reporter never ingests its own record and records about
-                # the receiver are rejected on ingest.
-                if dst == claim[1] or dst == claim[0]:
-                    continue
-                copies[claim] = copies.get(claim, 0) + 1
-                per = first.setdefault(claim, {})
-                if dst not in per:
-                    per[dst] = t
+        senders = self._msg_sender
+        # claim -> [copies, {receiver: first delivery time}]: every claim
+        # any message carried, then each delivered copy in sim order.
+        acc: Dict[ClaimKey, list] = {}
+        for i, reporter in enumerate(senders):
+            for c in self._counterparties(i):
+                if (reporter, c) not in acc:
+                    acc[(reporter, c)] = [0, {}]
+        for i, t, dst in self._deliveries():
+            reporter = senders[i]
+            if dst == reporter:
+                continue  # the reporter never ingests its own record
+            for c in self._counterparties(i):
+                if c == dst:
+                    continue  # records about the receiver are rejected
+                entry = acc[(reporter, c)]
+                entry[0] += 1
+                if dst not in entry[1]:
+                    entry[1][dst] = t
+        population = Counter(self._population)
+        size = len(self._population)
         stats = []
-        for claim in self.claims():
-            eligible = self._eligible(claim)
-            reached = first.get(claim, {})
-            times = sorted(reached.values())
+        for claim in sorted(acc, key=_claim_order):
+            copies, first = acc[claim]
+            # Everyone but the reporter (never ingests its own message) and
+            # the counterparty (records about the receiver are rejected).
+            eligible = size - population[claim[0]] - population[claim[1]]
+            times = sorted(first.values())
             entry = {
                 "claim": [_json_safe(claim[0]), _json_safe(claim[1])],
-                "eligible": len(eligible),
-                "reached": len(reached),
-                "copies": copies.get(claim, 0),
+                "eligible": eligible,
+                "reached": len(first),
+                "copies": copies,
                 "first_t": times[0] if times else None,
             }
-            if reached:
-                entry["redundancy"] = copies.get(claim, 0) / len(reached)
+            if first:
+                entry["redundancy"] = copies / len(first)
             for frac in self.config.coverage_fractions:
-                need = max(1, int(round(frac * len(eligible)))) if eligible else 0
-                key = f"t{int(round(frac * 100))}"
-                entry[key] = (
+                need = max(1, int(round(frac * eligible))) if eligible else 0
+                entry[f"t{int(round(frac * 100))}"] = (
                     times[need - 1] if need and len(times) >= need else None
                 )
             stats.append(entry)
@@ -570,11 +544,18 @@ class DisseminationRecorder:
 
     def hop_histogram(self) -> Dict[str, int]:
         """Delivered-message counts by envelope hop count."""
+        hops = self._msg_hops
+        index = self._msg_index
+        counts = Counter(hops[i] for i in self._fused())
+        counts.update(
+            hops[index[mid]]
+            for kind, mid in zip(self._ev_kind, self._ev_mid)
+            if kind in _DELIVERED
+        )
         hist: Dict[str, int] = {}
-        for kind, _, mid, _, _, _ in self._iter_events():
-            if kind == "deliver" or kind == "gossip":
-                key = str(self._entry(mid)[3])
-                hist[key] = hist.get(key, 0) + 1
+        for h, n in counts.items():
+            key = str(int(h))
+            hist[key] = hist.get(key, 0) + n
         return dict(sorted(hist.items()))
 
     def redundancy_factor(self) -> Optional[float]:
@@ -596,29 +577,33 @@ class DisseminationRecorder:
         match ``SubjectiveSharedHistory`` exactly — any divergence means
         the event log is incomplete.
         """
-        return self._replay(receiver, self._iter_events())
-
-    def _replay(self, receiver: PeerId, rows) -> Dict[tuple, float]:
-        """:meth:`replay_claims` over ``rows`` (the whole log, or the rows
-        a caller already bucketed by receiver)."""
+        rows, fused = self._rows_to((receiver,))[receiver]
+        kinds = self._ev_kind
+        index = self._msg_index
+        created = self._msg_created
         state: Dict[tuple, Tuple[float, float]] = {}
-        for kind, _, mid, _, dst, _ in rows:
-            if dst != receiver:
-                continue
-            if kind == "wipe":
+        for code in self._in_order(rows, fused):
+            if code < 0:
+                i = ~code
+            elif kinds[code] == "wipe":
                 state.clear()
                 continue
-            if kind != "deliver" and kind != "gossip":
+            elif kinds[code] in _DELIVERED:
+                i = index[self._ev_mid[code]]
+            else:
                 continue
-            reporter, created_at, _, _, records = self._entry(mid)
-            for counterparty, uploaded, downloaded in records:
-                if counterparty == receiver or reporter == receiver:
+            reporter = self._msg_sender[i]
+            if reporter == receiver:
+                continue
+            created_at = created[i]
+            for r in self._sane(i):
+                counterparty = r.counterparty
+                if counterparty == receiver:
                     continue
-                for src, dsn, value in (
-                    (reporter, counterparty, uploaded),
-                    (counterparty, reporter, downloaded),
+                for key, value in (
+                    ((reporter, reporter, counterparty), float(r.uploaded)),
+                    ((reporter, counterparty, reporter), float(r.downloaded)),
                 ):
-                    key = (reporter, src, dsn)
                     cur = state.get(key)
                     if (
                         cur is None
@@ -642,83 +627,90 @@ class DisseminationRecorder:
         paths (``loss@t=412.0``) or erased a delivered copy
         (``churn-wipe@t=509.0``).  Restricted to (claim, receiver) pairs
         with at least one send attempt — pairs the gossip schedule never
-        targeted carry no fault to attribute.
+        targeted carry no fault to attribute.  Ordered by claim, then by
+        receiver in population order.
         """
-        claim_msgs = self._claim_messages()
-        entries: List[dict] = []
-        claims = [claim] if claim is not None else self.claims()
-        survivors: Dict[PeerId, Set[ClaimKey]] = {}
-        # Event rows bucketed by receiver, in log order: one pass here, so
-        # each missing pair scans only its own receiver's rows.
-        rows_to: Dict[PeerId, List[tuple]] = {}
-        for row in self._iter_events():
-            rows_to.setdefault(row[4], []).append(row)
-        for ck in claims:
-            mids = claim_msgs.get(ck, set())
-            receivers = (
-                [receiver] if receiver is not None else self._eligible(ck)
-            )
-            for p in receivers:
-                if p in (ck[0], ck[1]):
+        receivers = [receiver] if receiver is not None else self._population
+        by_receiver = {
+            p: self._missing_at(p, rows, fused, claim)
+            for p, (rows, fused) in self._rows_to(receivers).items()
+        }
+        keyed = [
+            ((_claim_order(ck), position), entry)
+            for position, p in enumerate(receivers)
+            for ck, entry in by_receiver[p].items()
+        ]
+        keyed.sort(key=lambda pair: pair[0])
+        return [entry for _, entry in keyed]
+
+    def _missing_at(self, p, rows, fused, only: Optional[ClaimKey]) -> Dict[ClaimKey, dict]:
+        """claim -> attribution entry for receiver ``p``, from its rows."""
+        kinds = self._ev_kind
+        index = self._msg_index
+        senders = self._msg_sender
+        created = self._msg_created
+        # claim -> [attempts, cut_by, delivered_at, wipes seen at the last
+        # delivery]; a claim survives iff delivered after the last wipe.
+        acc: Dict[ClaimKey, list] = {}
+        wipes: List[float] = []
+        for code in self._in_order(rows, fused):
+            if code < 0:
+                i, kind, t = ~code, "gossip", created[~code]
+            else:
+                kind, t = kinds[code], self._ev_t[code]
+                if kind == "wipe":
+                    wipes.append(t)
                     continue
-                if p not in survivors:
-                    alive: Set[ClaimKey] = set()
-                    for rep, src, dsn in self._replay(p, rows_to.get(p, ())):
-                        alive.add((rep, dsn if src == rep else src))
-                    survivors[p] = alive
-                if ck in survivors[p]:
+                if kind not in ("send", "drop", "deliver", "gossip"):
                     continue
-                attempts = 0
-                cut: List[str] = []
-                delivered: List[float] = []
-                wipes: List[float] = []
-                for kind, t, mid, _, _, detail in rows_to.get(p, ()):
-                    if kind == "wipe":
-                        wipes.append(t)
-                        continue
-                    if mid not in mids:
-                        continue
-                    if kind == "send":
-                        attempts += 1
-                    elif kind == "drop":
-                        cut.append(f"{detail['cause']}@t={t:g}")
-                    elif kind == "deliver":
-                        delivered.append(t)
-                    elif kind == "gossip":
-                        attempts += 1
-                        delivered.append(t)
-                if attempts == 0:
+                i = index[self._ev_mid[code]]
+            reporter = senders[i]
+            if reporter == p:
+                continue
+            for c in self._counterparties(i):
+                ck = (reporter, c)
+                if c == p or (only is not None and ck != only):
                     continue
-                wiped_after = [
+                entry = acc.get(ck)
+                if entry is None:
+                    entry = acc[ck] = [0, [], [], -1]
+                if kind == "drop":
+                    entry[1].append(f"{self._ev_detail[code]['cause']}@t={t:g}")
+                    continue
+                if kind != "deliver":
+                    entry[0] += 1
+                if kind != "send":
+                    entry[2].append(t)
+                    entry[3] = len(wipes)
+        out: Dict[ClaimKey, dict] = {}
+        for ck, (attempts, cut, delivered, seen) in acc.items():
+            if attempts == 0 or seen == len(wipes):
+                continue
+            out[ck] = {
+                "claim": [_json_safe(ck[0]), _json_safe(ck[1])],
+                "receiver": _json_safe(p),
+                "attempts": attempts,
+                "cut_by": cut,
+                "wiped_by": [
                     f"churn-wipe@t={w:g}"
                     for w in wipes
                     if delivered and w >= min(delivered)
-                ]
-                entries.append(
-                    {
-                        "claim": [_json_safe(ck[0]), _json_safe(ck[1])],
-                        "receiver": _json_safe(p),
-                        "attempts": attempts,
-                        "cut_by": cut,
-                        "wiped_by": wiped_after,
-                        "delivered_at": delivered,
-                    }
-                )
-        return entries
+                ],
+                "delivered_at": delivered,
+            }
+        return out
 
     # -- snapshots ------------------------------------------------------
 
     def event_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for kind, _, _, _, _, detail in self._iter_events():
-            if kind == "gossip":
-                counts["send"] = counts.get("send", 0) + 1
-                counts["deliver"] = counts.get("deliver", 0) + 1
-                continue
-            counts[kind] = counts.get(kind, 0) + 1
+        counts = Counter(self._ev_kind)
+        gossip = counts.pop("gossip", 0) + len(self._msg_gdst) - self._msg_gdst.count(None)
+        if gossip:
+            counts["send"] += gossip
+            counts["deliver"] += gossip
+        for kind, detail in zip(self._ev_kind, self._ev_detail):
             if kind == "drop" and detail and detail.get("cause"):
-                key = f"drop.{detail['cause']}"
-                counts[key] = counts.get(key, 0) + 1
+                counts[f"drop.{detail['cause']}"] += 1
         return dict(sorted(counts.items()))
 
     def summary(self) -> dict:

@@ -1,11 +1,12 @@
 """BarterCast as the paper states it, written naively on purpose.
 
 The oracle every hot path is checked against (``test_gossip_hot_path.py``,
-``test_two_hop_closed_form.py``, ``test_bt_round_hot_path.py`` and
-``test_model.py``): a dict private history whose selections are full
-sorts, sequential BuddyCast inserts, one record per (reporter,
-counterparty) whose edges are found by scan, the 2-hop closed form by
-scan, and a BitTorrent round that scans every member.  Nothing here
+``test_two_hop_closed_form.py``, ``test_bt_round_hot_path.py``,
+``test_dissemination.py`` and ``test_model.py``): a dict private history
+whose selections are full sorts, sequential BuddyCast inserts, one record
+per (reporter, counterparty) whose edges are found by scan, the 2-hop
+closed form by scan, a BitTorrent round that scans every member, and a
+dissemination log whose analytics scan every row.  Nothing here
 imports the code it is the oracle for.
 Wherever the system's output depends on an order, that order is spec and
 is stated where it applies (DESIGN.md, "Reference model", lists them).
@@ -376,6 +377,148 @@ def bt_round(sim):
     for swarm, pid in completed:
         if pid in swarm.members and sim.roles.role_of(pid) == Role.FREERIDER:
             swarm.leave(pid)
+
+
+# --- Dissemination: one row per hook, every analytic by scan -------------------
+
+DELIVERED = ("deliver", "gossip")  # a "gossip" row is a send plus its delivery
+
+
+class Dissemination:
+    """The recorder's spec.  Each hook appends ``(kind, t, msg_id, src, dst,
+    detail)``; the first hook naming a message files it with the records a
+    receiver applies, read then.  Claims, their messages, deliveries and
+    survivors are found by scanning; claims sort by ``repr`` of reporter,
+    then counterparty, and receivers come in population order."""
+
+    def __init__(self, population, fractions=(0.5, 0.9), label="run"):
+        self.population = sorted(population, key=repr)
+        self.fractions, self.label = fractions, label
+        self.messages, self.rows = {}, []
+
+    def file(self, m):
+        mid = (m.sender, m.created_at) if m.msg_id is None else m.msg_id
+        if mid not in self.messages:
+            triples = [(r.counterparty, float(r.uploaded), float(r.downloaded))
+                       for r in m.sane_records()]
+            self.messages[mid] = (m.sender, float(m.created_at), m.hops, triples)
+        return mid
+
+    def row(self, kind, m, to, t, detail=None):
+        self.rows.append((kind, float(t), self.file(m), m.sender, to, detail))
+
+    def send(self, m, to, t):
+        self.row("send", m, to, t)
+
+    def gossip(self, m, to, t):
+        self.row("gossip", m, to, t)
+
+    def deliver(self, m, to, t, copy=0):
+        self.row("deliver", m, to, t, {"copy": copy} if copy else None)
+
+    def plan(self, m, to, t, times):
+        self.file(m)
+        if len(times) > 1:
+            self.row("duplicate", m, to, t, {"copies": len(times)})
+        for copy, at in enumerate(times):
+            if at - t > 0:
+                self.row("delay", m, to, t, {"copy": copy, "delay": at - t})
+
+    def drop(self, m, to, t, cause, copy=0, delay=0.0):
+        extra = {**({"copy": copy} if copy else {}), **({"delay": delay} if delay else {})}
+        self.row("drop", m, to, t, {"cause": cause, **extra})
+
+    def wipe(self, peer, t):
+        self.rows.append(("wipe", float(t), None, None, peer, None))
+
+    def claims(self):
+        found = {(m[0], c) for m in self.messages.values() for c, _, _ in m[3]}
+        return sorted(found, key=lambda claim: (repr(claim[0]), repr(claim[1])))
+
+    def carriers(self, claim):
+        return {mid for mid, m in self.messages.items()
+                if any((m[0], c) == claim for c, _, _ in m[3])}
+
+    def claim_stats(self):
+        stats = []
+        for claim in self.claims():
+            mids, first, copies = self.carriers(claim), {}, 0
+            for kind, t, mid, _, dst, _ in self.rows:
+                if kind in DELIVERED and mid in mids and dst not in claim:
+                    copies += 1
+                    first.setdefault(dst, t)
+            eligible = len([p for p in self.population if p not in claim])
+            times = sorted(first.values())
+            entry = {"claim": list(claim), "eligible": eligible, "reached": len(first),
+                     "copies": copies, "first_t": times[0] if times else None}
+            if first:
+                entry["redundancy"] = copies / len(first)
+            for frac in self.fractions:
+                need = max(1, round(frac * eligible)) if eligible else 0
+                entry[f"t{round(frac * 100)}"] = times[need - 1] if 0 < need <= len(times) else None
+            stats.append(entry)
+        return stats
+
+    def replay(self, p):
+        """Newer ``created_at`` wins; a tie keeps the larger value; a wipe
+        forgets everything."""
+        state = {}
+        for kind, _, mid, _, dst, _ in self.rows:
+            if dst == p and kind == "wipe":
+                state = {}
+            elif dst == p and kind in DELIVERED and self.messages[mid][0] != p:
+                reporter, created, _, triples = self.messages[mid]
+                for c, up, down in triples:
+                    for key, value in (((reporter, reporter, c), up), ((reporter, c, reporter), down)):
+                        old = state.get(key)
+                        if c != p and (old is None or created > old[0]
+                                       or (created == old[0] and value > old[1])):
+                            state[key] = (created, value)
+        return {key: value for key, (_, value) in state.items()}
+
+    def undelivered(self):
+        out, views = [], {p: self.replay(p) for p in self.population}
+        for claim in self.claims():
+            mids = self.carriers(claim)
+            for p in self.population:
+                if p in claim or (claim[0], *claim) in views[p]:
+                    continue
+                mine = [row for row in self.rows if row[4] == p]
+                ours = [row for row in mine if row[2] in mids]
+                attempts = len([row for row in ours if row[0] in ("send", "gossip")])
+                delivered = [row[1] for row in ours if row[0] in DELIVERED]
+                if attempts:
+                    out.append({
+                        "claim": list(claim), "receiver": p, "attempts": attempts,
+                        "cut_by": [f"{d['cause']}@t={t:g}" for kind, t, _, _, _, d in ours
+                                   if kind == "drop"],
+                        "wiped_by": [f"churn-wipe@t={t:g}" for kind, t, *_ in mine
+                                     if kind == "wipe" and delivered and t >= min(delivered)],
+                        "delivered_at": delivered,
+                    })
+        return out
+
+    def summary(self):
+        stats = self.claim_stats()
+        events = Counter()
+        for kind, _, _, _, _, detail in self.rows:
+            events.update(("send", "deliver") if kind == "gossip" else (kind,))
+            if kind == "drop" and detail["cause"]:
+                events["drop." + detail["cause"]] += 1
+        hops = Counter(str(int(self.messages[row[2]][2])) for row in self.rows if row[0] in DELIVERED)
+        out = {"label": self.label, "population": len(self.population),
+               "messages": len(self.messages), "claims": len(stats),
+               "claims_reached": len([s for s in stats if s["reached"]]),
+               "events": dict(sorted(events.items())), "hop_histogram": dict(sorted(hops.items()))}
+        if any(s["reached"] for s in stats):
+            out["redundancy_factor"] = (sum(s["copies"] for s in stats)
+                                        / sum(s["reached"] for s in stats))
+        return out
+
+    def to_dict(self):
+        return {"schema": "bartercast-dissemination/v1", "label": self.label,
+                "summary": self.summary(), "claims": self.claim_stats(),
+                "undelivered": self.undelivered()}
 
 
 def busy(seed):

@@ -9,12 +9,18 @@ churn-versus-loss accounting, and the headline guarantee: recording on
 is bit-identical to a plain run.
 """
 
+import gc
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.messages import BarterCastMessage, HistoryRecord
+from repro.core.node import BarterCastNode
 from repro.core.policies import RankPolicy
 from repro.experiments import ScenarioConfig, run_fig1
 from repro.experiments.scenario import build_simulation
@@ -27,12 +33,25 @@ from repro.obs import (
     DisseminationRecorder,
     make_observability,
 )
+import repro.obs.dissemination as dissemination_module
 from repro.obs.chrome_trace import trace_to_chrome_events
 from repro.obs.dissemination import DISSEMINATION_FILENAME, render_attribution
 from repro.obs.trace import read_trace
 from repro.sim.rng import RngRegistry
+from tests.model import Dissemination
 
 FAULTS = FaultConfig(loss=0.2, duplicate=0.2, delay_max=7200.0, churn_rate=4.0)
+
+
+def _shared_view(node):
+    """``(reporter, src, dst) -> value`` of every live claim ``node`` holds."""
+    view = {}
+    for src, dst in node.shared.known_edges():
+        for reporter in node.shared.reporters():
+            value = node.shared.claim_of(reporter, src, dst)
+            if value is not None:
+                view[(reporter, src, dst)] = value
+    return view
 
 
 @pytest.fixture(scope="module")
@@ -45,14 +64,30 @@ def faulted_run():
     return sim, obs
 
 
-def _msg(sender, created_at, records, msg_id=None, parent_id=None):
+def _msg(sender, created_at, records, msg_id=None, parent_id=None, hops=1):
     return BarterCastMessage(
         sender=sender,
         created_at=created_at,
         records=tuple(records),
         msg_id=msg_id,
         parent_id=parent_id,
+        hops=hops,
     )
+
+
+class LookAlike:
+    """Has a record's three attributes, but no receiver applies it."""
+
+    def __init__(self, counterparty, uploaded, downloaded):
+        self.counterparty = counterparty
+        self.uploaded = uploaded
+        self.downloaded = downloaded
+
+
+class MutableRecord(HistoryRecord):
+    """A ``HistoryRecord`` subclass (receivers apply it) that can change."""
+
+    __setattr__ = object.__setattr__
 
 
 class TestRecorderSynthetic:
@@ -191,6 +226,160 @@ class TestRecorderSynthetic:
         assert counts["delay"] == 1  # only the second copy is delayed
 
 
+class TestHostilePayloads:
+    def test_snapshot_at_send_and_replay_equals_receivers(self):
+        """A message holding anything but exact ``HistoryRecord``s is copied
+        when first seen; malformed records are skipped as receivers skip
+        them; nothing raises; the replay is what each receiver applied."""
+        mutable = MutableRecord(1, 6.0, 1.0)
+        lookalike = LookAlike(2, 3.0, 4.0)
+        subclassed = _msg(0, 1.0, [HistoryRecord(3, 10.0, 5.0), mutable], msg_id=(0, 1))
+        malformed = _msg(0, 1.5, [
+            lookalike,
+            HistoryRecord(2, math.nan, 1.0),
+            HistoryRecord(2, -1.0, 2.0),
+            HistoryRecord(3, 12.0, 5.0),
+            HistoryRecord(3, 12.5, 4.0),  # the same counterparty twice
+        ], msg_id=(0, 2), parent_id=(0, 1))
+        # Exact records only, so kept by reference; one is unhashable.
+        exact = _msg(0, 2.0, [HistoryRecord(3, 11.0, 5.0), HistoryRecord([4], 2.0, 2.0)],
+                     msg_id=(0, 3), parent_id=(0, 2))
+        rec = DisseminationRecorder()
+        rec.set_population(range(6))
+        nodes = {p: BarterCastNode(p) for p in (4, 5)}
+        rec.record_send(subclassed, 4, 1.0)
+        nodes[4].receive_message(subclassed, now=1.0)
+        rec.record_deliver(subclassed, 4, 1.0)
+        nodes[5].receive_message(subclassed, now=1.0)
+        rec.record_gossip(subclassed, 5, 1.0)
+        sent = ((3, 10.0, 5.0), (1, 6.0, 1.0))
+        assert rec.message((0, 1))["records"] == sent
+        mutable.uploaded = 99.0
+        nodes[4].receive_message(malformed, now=1.5)
+        rec.record_gossip(malformed, 4, 1.5)
+        lookalike.uploaded, lookalike.counterparty = 0.5, 3
+        nodes[4].receive_message(exact, now=2.0)
+        rec.record_gossip(exact, 4, 2.0)
+        rec.record_send(exact, 5, 2.0)
+        rec.record_drop(exact, 5, 2.0, "loss")
+        rec.record_wipe(5, 3.0)
+        nodes[5].wipe_shared_history()
+
+        assert rec.message((0, 1))["records"] == sent
+        assert rec.message((0, 2))["records"] == ((3, 12.0, 5.0), (3, 12.5, 4.0))
+        assert rec.message((0, 3))["records"] == ((3, 11.0, 5.0),)
+        assert rec.claims() == [(0, 1), (0, 3)]
+        for p, node in nodes.items():
+            assert rec.replay_claims(p) == _shared_view(node)
+        assert rec.replay_claims(4)[(0, 0, 1)] == 6.0
+        assert rec.replay_claims(5) == {}
+        snap = rec.to_dict()
+        assert [(e["claim"], e["receiver"]) for e in snap["undelivered"]] == [
+            ([0, 1], 5),
+            ([0, 3], 5),
+        ]
+        assert rec.claim_dag((0, 3))["spine"] == [((0, 1), (0, 2)), ((0, 2), (0, 3))]
+        assert snap["summary"]["hop_histogram"] == {"1": 4}
+
+
+PEERS = range(6)  # the population is 0-4; 5 is outside it
+TIMES = st.sampled_from([0.0, 1.0, 2.0, 3.5])
+TOTALS = st.sampled_from([0.0, 1.0, 2.5, 7.0] * 3 + [math.nan, -1.0, math.inf])
+EXACT = st.builds(HistoryRecord, st.sampled_from(PEERS), TOTALS, TOTALS)
+RECORDS = st.one_of(
+    EXACT,
+    EXACT,
+    st.builds(MutableRecord, st.sampled_from(PEERS), TOTALS, TOTALS),
+    st.builds(LookAlike, st.sampled_from(PEERS), TOTALS, TOTALS),
+    st.builds(HistoryRecord, st.just([1]), TOTALS, TOTALS),
+    st.sampled_from([None, "record"]),
+)
+MSG_IDS = st.one_of(st.none(), st.tuples(st.sampled_from(PEERS), st.integers(1, 3)))
+MESSAGES = st.builds(
+    _msg, st.sampled_from(PEERS), TIMES,
+    st.lists(EXACT, min_size=1, max_size=5) | st.lists(RECORDS, max_size=5),
+    msg_id=MSG_IDS, parent_id=MSG_IDS, hops=st.integers(1, 2),
+)
+
+
+@st.composite
+def hook_streams(draw):
+    """``(hook, *args)`` calls over a small pool of messages, so copies
+    repeat, reorder and collide on ``msg_id``; a call is often at the
+    message's own ``created_at``, the fused gossip path's condition."""
+    pool = draw(st.lists(MESSAGES, min_size=1, max_size=4))
+    calls = []
+    for _ in range(draw(st.integers(0, 40))):
+        hook = draw(st.sampled_from(["send", "gossip", "deliver", "drop", "plan", "wipe"]))
+        m, to = draw(st.sampled_from(pool)), draw(st.sampled_from(PEERS))
+        t = draw(st.sampled_from([m.created_at, 0.0, 1.0, 2.0, 3.5]))
+        if hook == "wipe":
+            calls.append((hook, to, t))
+        elif hook == "deliver":
+            calls.append((hook, m, to, t, draw(st.integers(0, 2))))
+        elif hook == "drop":
+            cause = draw(st.sampled_from(["loss", "offline", "churn-offline", ""]))
+            copy, delay = draw(st.integers(0, 2)), draw(st.sampled_from([0.0, 3.5]))
+            calls.append((hook, m, to, t, cause, copy, delay))
+        elif hook == "plan":
+            calls.append((hook, m, to, t, draw(st.lists(TIMES, max_size=3))))
+        else:
+            calls.append((hook, m, to, t))
+    return calls
+
+
+class TestModel:
+    def _assert_equal(self, rec, model):
+        assert rec.summary() == model.summary()
+        assert rec.claim_stats() == model.claim_stats()
+        assert rec.to_dict() == model.to_dict()
+        for p in PEERS:
+            assert rec.replay_claims(p) == model.replay(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hook_streams(), st.integers(0, 40))
+    @example(  # the fused row comes before the explicit row that follows it
+        [("gossip", _msg(1, 1.0, [HistoryRecord(0, 1.0, 1.0)]), 2, 1.0), ("wipe", 2, 1.0)], 40
+    )
+    def test_recorder_equals_model(self, calls, checkpoint):
+        """Every analytic equals ``tests/model.py``'s scan, also when read
+        mid-stream and again after the log grew."""
+        rec = DisseminationRecorder()
+        rec.set_population(range(5))
+        model = Dissemination(range(5))
+        for n, (hook, *args) in enumerate(calls):
+            if n == checkpoint:
+                self._assert_equal(rec, model)
+            getattr(rec, "record_" + hook)(*args)
+            getattr(model, hook)(*args)
+        self._assert_equal(rec, model)
+
+
+class TestMemory:
+    def test_summary_allocates_less_than_the_recorder_retains(self):
+        """The analytics stream over the log: ``summary()`` allocates less
+        at its peak than the recorder's own code keeps alive."""
+        scenario = ScenarioConfig.tiny(seed=7).with_faults(FAULTS)
+        tracemalloc.start()
+        try:
+            obs = make_observability(dissemination=True)
+            sim = build_simulation(scenario, policy=RankPolicy(), obs=obs)
+            sim.run()
+            gc.collect()
+            own = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, dissemination_module.__file__)]
+            )
+            retained = sum(stat.size for stat in own.statistics("filename"))
+            del own
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            sim.dissemination.summary()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < peak - before < retained
+
+
 class TestByteIdentity:
     def test_recording_off_and_on_are_bit_identical(self):
         plain = run_fig1(ScenarioConfig.tiny(seed=3))
@@ -241,13 +430,7 @@ class TestFaultedRunAnalytics:
         sim, _ = faulted_run
         rec = sim.dissemination
         for peer, node in sim.nodes.items():
-            expected = {}
-            for src, dst in node.shared.known_edges():
-                for reporter in node.shared.reporters():
-                    value = node.shared.claim_of(reporter, src, dst)
-                    if value is not None:
-                        expected[(reporter, src, dst)] = value
-            assert rec.replay_claims(peer) == expected
+            assert rec.replay_claims(peer) == _shared_view(node)
 
     def test_fault_attribution_names_exact_events(self, faulted_run):
         sim, _ = faulted_run
@@ -261,15 +444,15 @@ class TestFaultedRunAnalytics:
             kind, t = cause.split("@t=")
             assert kind in ("loss", "unconnectable", "offline", "churn-offline")
             # The named event exists in the log at exactly that time.
-            claim_mids = rec._claim_messages()[
-                (entry["claim"][0], entry["claim"][1])
+            claim_mids = rec.claim_dag((entry["claim"][0], entry["claim"][1]))[
+                "messages"
             ]
             assert any(
                 k == "drop"
                 and mid in claim_mids
                 and dst == entry["receiver"]
                 and f"{et:g}" == t
-                for k, et, mid, _, dst, _ in rec._iter_events()
+                for k, et, mid, dst in zip(rec._ev_kind, rec._ev_t, rec._ev_mid, rec._ev_dst)
             )
         text = render_attribution(entry)
         assert str(entry["receiver"]) in text
