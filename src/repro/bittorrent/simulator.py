@@ -103,7 +103,7 @@ class CommunitySimulator:
         results are bit-identical either way (pinned by test).
     engine:
         Reputation mechanism every node runs (DESIGN.md §15):
-        ``"bartercast"`` (default, byte-identical native path),
+        ``"bartercast"`` (default, the paper's maxflow metric),
         ``"gossip"``, or ``"ratio"``.  Stored as ``engine_name`` (the
         ``engine`` attribute is the event kernel).  Under ``NoPolicy``
         reputations are never consulted during the run, so the same

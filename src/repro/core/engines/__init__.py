@@ -2,24 +2,22 @@
 
 Engines are referenced by name everywhere outside this package —
 ``ScenarioConfig.engine``, ``repro faults --engine``, pickled sweep
-tasks — and instantiated per node via :func:`make_engine`.  The name
-``"bartercast"`` is special: it is the default, and nodes built with it
-skip engine dispatch entirely so the paper's mechanism runs on the
-byte-identical native path.
+tasks — and instantiated per node via :func:`make_engine`.  Every node
+holds one, ``"bartercast"`` (the default, the paper's Equation 1)
+included, and serves its scores through the node's one dirty-set cache.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Tuple
 
-from repro.core.engines.base import GraphAggregationEngine, ReputationEngine
+from repro.core.engines.base import ReputationEngine
 from repro.core.engines.bartercast import BarterCastEngine
 from repro.core.engines.gossip import DifferentialGossipEngine
 from repro.core.engines.ratio import RatioCreditEngine
 
 __all__ = [
     "ReputationEngine",
-    "GraphAggregationEngine",
     "BarterCastEngine",
     "DifferentialGossipEngine",
     "RatioCreditEngine",
@@ -41,7 +39,7 @@ ENGINE_NAMES: Tuple[str, ...] = tuple(ENGINES)
 
 
 def make_engine(name: str) -> ReputationEngine:
-    """Instantiate the engine registered under ``name`` (unattached)."""
+    """Instantiate the engine registered under ``name``."""
     try:
         factory = ENGINES[name]
     except KeyError:

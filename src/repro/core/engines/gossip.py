@@ -31,21 +31,20 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Tuple
 
-from repro.core.engines.base import GraphAggregationEngine
+from repro.core.engines.base import ReputationEngine
 
 __all__ = ["DifferentialGossipEngine"]
 
 PeerId = Hashable
 
 
-class DifferentialGossipEngine(GraphAggregationEngine):
+class DifferentialGossipEngine(ReputationEngine):
     """Power-aware gossip aggregation: weighted net contribution, arctan-scaled."""
 
     name = "gossip"
     bounds_closed = False  # arctan: the open interval (−1, 1)
 
     def __init__(self, gossip_weight: float = 0.5) -> None:
-        super().__init__()
         if not 0.0 <= gossip_weight <= 1.0:
             raise ValueError(
                 f"gossip_weight must be in [0, 1], got {gossip_weight}"
@@ -53,14 +52,14 @@ class DifferentialGossipEngine(GraphAggregationEngine):
         self.gossip_weight = float(gossip_weight)
 
     # ------------------------------------------------------------------
-    def _weighted_volumes(self, subject: PeerId) -> Tuple[float, float]:
-        """(weighted uploads, weighted downloads) of ``subject``.
+    def evidence_flows(self, node, subject: PeerId) -> Tuple[float, float]:
+        """(weighted uploads, weighted downloads) of ``subject`` in bytes.
 
         Edges incident to the owner are first-hand (weight 1.0); all
         others arrived via gossip (weight ``gossip_weight``).
         """
-        graph = self.node.graph
-        me = self.node.peer_id
+        graph = node.graph
+        me = node.peer_id
         w = self.gossip_weight
         if not graph.has_node(subject):
             return 0.0, 0.0
@@ -72,21 +71,21 @@ class DifferentialGossipEngine(GraphAggregationEngine):
             down += nbytes if src == me else w * nbytes
         return up, down
 
-    def _score(self, subject: PeerId) -> float:
-        up, down = self._weighted_volumes(subject)
-        return self.node.config.metric.scale(up - down)
+    def score(self, node, peer: PeerId) -> float:
+        up, down = self.evidence_flows(node, peer)
+        return node.config.metric.scale(up - down)
 
-    # ------------------------------------------------------------------
-    def evidence_flows(self, subject: PeerId) -> Tuple[float, float]:
-        """(weighted uploads, weighted downloads) of ``subject`` in bytes."""
-        return self._weighted_volumes(subject)
+    def supports_dirty_invalidation(self, node) -> bool:
+        """Exact: a score reads only the edges incident to its subject."""
+        return True
 
-    def explain_components(self, subject: PeerId) -> Dict[str, object]:
-        up, down = self._weighted_volumes(subject)
-        graph = self.node.graph
-        me = self.node.peer_id
+    def explain_components(self, node, subject: PeerId) -> Dict[str, object]:
+        up, down = self.evidence_flows(node, subject)
+        graph = node.graph
+        me = node.peer_id
         first_up = float(graph.capacity(subject, me))
         first_down = float(graph.capacity(me, subject))
+        metric = node.config.metric
         return {
             "weighted_upload_bytes": up,
             "weighted_download_bytes": down,
@@ -94,6 +93,6 @@ class DifferentialGossipEngine(GraphAggregationEngine):
             "firsthand_upload_bytes": first_up,
             "firsthand_download_bytes": first_down,
             "gossip_weight": self.gossip_weight,
-            "unit_bytes": self.node.config.metric.unit_bytes,
-            "score": self.node.config.metric.scale(up - down),
+            "unit_bytes": metric.unit_bytes,
+            "score": metric.scale(up - down),
         }

@@ -38,34 +38,46 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Tuple
 
-from repro.core.engines.base import GraphAggregationEngine
+from repro.core.engines.base import ReputationEngine
 
 __all__ = ["RatioCreditEngine"]
 
 PeerId = Hashable
 
 
-class RatioCreditEngine(GraphAggregationEngine):
+class RatioCreditEngine(ReputationEngine):
     """Upload/download ratio credit with a configurable ban floor."""
 
     name = "ratio"
     bounds_closed = True  # pure leecher = −1, pure seeder = +1, exactly
 
     def __init__(self, ban_ratio: float = 0.25) -> None:
-        super().__init__()
         if not 0.0 <= ban_ratio <= 1.0:
             raise ValueError(
                 f"ban_ratio must be in [0, 1] (a floor below parity), got {ban_ratio}"
             )
         self.ban_ratio = float(ban_ratio)
 
-    def _score(self, subject: PeerId) -> float:
-        up = self._volume_out(subject)
-        down = self._volume_in(subject)
+    def evidence_flows(self, node, subject: PeerId) -> Tuple[float, float]:
+        """(total upload bytes, total download bytes) of ``subject``."""
+        graph = node.graph
+        if not graph.has_node(subject):
+            return 0.0, 0.0
+        return (
+            float(sum(graph.successors(subject).values())),
+            float(sum(graph.predecessors(subject).values())),
+        )
+
+    def score(self, node, peer: PeerId) -> float:
+        up, down = self.evidence_flows(node, peer)
         total = up + down
         if total <= 0.0:
             return 0.0  # bootstrap grace: no evidence is neutral, not NaN
         return (up - down) / total
+
+    def supports_dirty_invalidation(self, node) -> bool:
+        """Exact: a score reads only the edges incident to its subject."""
+        return True
 
     def effective_delta(self, delta: float) -> float:
         """The ban floor in score space: ratio r ↦ (r − 1)/(r + 1).
@@ -76,19 +88,13 @@ class RatioCreditEngine(GraphAggregationEngine):
         r = self.ban_ratio
         return (r - 1.0) / (r + 1.0)
 
-    def evidence_flows(self, subject: PeerId) -> Tuple[float, float]:
-        """(total upload bytes, total download bytes) of ``subject``."""
-        return self._volume_out(subject), self._volume_in(subject)
-
-    def explain_components(self, subject: PeerId) -> Dict[str, object]:
-        up = self._volume_out(subject)
-        down = self._volume_in(subject)
-        score = self._score(subject)
+    def explain_components(self, node, subject: PeerId) -> Dict[str, object]:
+        up, down = self.evidence_flows(node, subject)
         return {
             "upload_bytes": up,
             "download_bytes": down,
             "share_ratio": (up / down) if down > 0 else None,
             "ban_ratio": self.ban_ratio,
             "ban_score_threshold": self.effective_delta(0.0),
-            "score": score,
+            "score": self.score(node, subject),
         }

@@ -10,28 +10,28 @@ simulator calls into it on three paths:
 * policy decisions (``reputation_of`` / ``reputations_of``), which are
   cache-hot because the choker re-evaluates candidates every round.
 
-Cache discipline (see DESIGN.md for the exactness argument): the node
-subscribes to the graph's edge-change events and invalidates *dirty sets*
-instead of the whole cache.  For the default ``two_hop`` kernel,
-``R_i(j)`` depends only on edges incident to ``i`` or ``j``, so an edge
-``(x, y)`` change invalidates exactly the cached entries for ``x`` and
-``y`` — unless the edge touches the owner ``i`` itself, in which case
-every cached value depends on it and the cache is cleared.  Non-default
-kernels (which route flow through longer paths) conservatively clear on
-every change.  ``cache_mode`` selects ``"dirty"`` (default) or ``"off"``
-(no memoization; the oracle the staleness tests compare against).  This
-one cache serves every ``graph_backend``: both graph classes fire the
-same edge-change events in the same order.
+Scores come from the node's engine (:mod:`repro.core.engines`; Equation 1
+by default), a stateless scorer behind one cache.  Cache discipline (see
+DESIGN.md §6 for the exactness argument): the node subscribes to the
+graph's edge-change events and invalidates *dirty sets* instead of the
+whole cache.  When the engine declares that a change to edge ``(x, y)``
+can move only ``x``'s and ``y``'s scores (the ``two_hop`` kernel and both
+rival engines do), such a change invalidates exactly the cached entries
+for ``x`` and ``y`` — unless the edge touches the owner itself, in which
+case the cache is cleared.  Otherwise every change clears it.
+``cache_mode`` selects ``"dirty"`` (default) or ``"off"`` (no
+memoization; the oracle the staleness tests compare against).  This one
+cache serves every ``graph_backend``: both graph classes fire the same
+edge-change events in the same order.
 
 Batch path: :meth:`reputations_of` (and through it
 :meth:`rank_by_reputation` and the policies' once-per-round
-``allowed`` / ``order_optimistic``) evaluates all cache-missing targets
-with one :func:`~repro.graph.batch.maxflow_two_hop_batch` pass, which
-hoists the owner's neighbourhood lookups out of the per-target loop.  A
-single miss (:meth:`reputation_of`) goes straight to the same closed form
-through :func:`~repro.graph.maxflow.maxflow_two_hop_pair`.  Telemetry counters
-(``rep_cache_hits`` / ``rep_cache_misses`` / ``rep_cache_invalidations``)
-instrument every lookup.
+``allowed`` / ``order_optimistic``) scores all cache-missing targets with
+one ``engine.scores`` call — for BarterCast one
+:func:`~repro.graph.batch.maxflow_two_hop_batch` pass.  A single miss
+(:meth:`reputation_of`) calls ``engine.score``.  Telemetry counters
+(``rep_cache_hits`` / ``rep_cache_misses`` / ``rep_cache_invalidations``
+and ``kernel_calls`` / ``kernel_targets``) instrument every lookup.
 """
 
 from __future__ import annotations
@@ -116,11 +116,10 @@ class BarterCastNode:
         anything records them; the run that owns the node publishes
         them.
     engine:
-        Reputation mechanism (DESIGN.md §15): ``"bartercast"`` (default —
-        the paper's maxflow metric on the native, byte-identical path),
+        Reputation mechanism (DESIGN.md §15), held as :attr:`engine`:
+        ``"bartercast"`` (default — the paper's maxflow metric),
         ``"gossip"`` (differential-gossip aggregation), or ``"ratio"``
-        (upload/download ratio credit).  Rival engines take over
-        ``reputation_of`` / ``reputations_of`` / ``rank_by_reputation``;
+        (upload/download ratio credit).  It only scores; the cache,
         transfer accounting and the gossip layer are engine-independent.
     provenance:
         Optional :class:`~repro.obs.provenance.ProvenanceRecorder` shared
@@ -150,14 +149,7 @@ class BarterCastNode:
                 f"graph_backend must be one of {GRAPH_BACKENDS}, got {graph_backend!r}"
             )
         self.peer_id = peer_id
-        self.engine_name = engine
-        # Engine dispatch (DESIGN.md §15).  None for the default
-        # "bartercast" engine: the public reputation methods then fall
-        # straight through to the native maxflow bodies, keeping the
-        # default path byte-identical to a build without the engines
-        # package.  Rival engines are constructed by name (sweeps pickle
-        # the name, not the instance) and attached after state init below.
-        self._engine_dispatch = None if engine == "bartercast" else make_engine(engine)
+        self.engine = make_engine(engine)
         self.config = config if config is not None else BarterCastConfig()
         self.behavior: MessageBehavior = behavior if behavior is not None else HonestBehavior()
         self.cache_mode = cache_mode
@@ -183,7 +175,8 @@ class BarterCastNode:
         self.rep_cache_invalidations = 0
         self.messages_sent = 0
         self.messages_received = 0
-        #: Native kernel evaluations, and the targets they scored.
+        #: Engine evaluations (one per scalar miss or batch), and the
+        #: targets they scored.
         self.kernel_calls = 0
         self.kernel_targets = 0
         #: :func:`~repro.bittorrent.choker.select_unchokes` calls that
@@ -195,14 +188,11 @@ class BarterCastNode:
         # outgoing message, chained into parent_id (DESIGN.md §16).
         self._last_msg_id: Optional[Hashable] = None
         # Hoisted out of the edge listener, which runs on every effective
-        # graph write: whether the configured kernel admits exact dirty-set
-        # invalidation.  The kernel is fixed at construction time.
-        self._dirty_exact = bool(self.config.metric.supports_dirty_invalidation)
+        # graph write: whether the engine admits exact dirty-set
+        # invalidation.  Engine and kernel are fixed at construction time.
+        self._dirty_exact = self.engine.supports_dirty_invalidation(self)
         if cache_mode == "dirty":
             self.graph.subscribe(self._on_edge_change)
-        if self._engine_dispatch is not None:
-            self._engine_dispatch.attach(self)
-        self._bartercast_facade = None
 
     # ------------------------------------------------------------------
     # Transfer accounting (private history is authoritative for own edges)
@@ -309,9 +299,8 @@ class BarterCastNode:
     def _on_edge_change(self, src: PeerId, dst: PeerId) -> None:
         """Graph edge listener: invalidate the dirty set for ``(src, dst)``.
 
-        Exact for the ``two_hop`` kernel (module docstring); conservative
-        full clear for the iterative kernels and for edges incident to the
-        owner (every ``R_i(j)`` depends on edges touching ``i``).
+        Exact when the engine says so (module docstring); a full clear
+        otherwise and for edges incident to the owner.
         """
         cache = self._rep_cache
         if not cache:
@@ -330,44 +319,22 @@ class BarterCastNode:
         """Drop every cached reputation (forces cold re-evaluation).
 
         Cold-cache measurements use it; normal operation never needs it.
-        With a rival engine attached its memo is dropped too.
         """
-        if self._engine_dispatch is not None:
-            self._engine_dispatch.invalidate_cache()
-        self._native_invalidate_cache()
-
-    def _native_invalidate_cache(self) -> None:
         self.rep_cache_invalidations += len(self._rep_cache)
         self._rep_cache.clear()
 
     @property
     def rep_cache_size(self) -> int:
-        """Number of currently memoized reputations.
-
-        With a rival engine attached this is its memo size (the native
-        cache sees no traffic then).
-        """
-        eng = self._engine_dispatch
-        if eng is not None:
-            return getattr(eng, "cache_size", 0)
+        """Number of currently memoized reputations."""
         return len(self._rep_cache)
 
     # ------------------------------------------------------------------
     # Reputation
     # ------------------------------------------------------------------
     def reputation_of(self, peer: PeerId) -> float:
-        """The subjective reputation ``R_self(peer)``.
-
-        With the default engine this is Equation 1 served through the
-        dirty-set cache; a rival engine takes over the whole surface
-        (same contract: never rates self, never NaN).
-        """
-        if self._engine_dispatch is not None:
-            return self._engine_dispatch.reputation_of(peer)
-        return self._native_reputation_of(peer)
-
-    def _native_reputation_of(self, peer: PeerId) -> float:
-        """The maxflow path: cache-served when provably fresh."""
+        """The subjective reputation ``R_self(peer)`` under the node's
+        engine, served through the dirty-set cache when provably fresh.
+        Never rates self, never NaN."""
         if peer == self.peer_id:
             raise ValueError("a node does not rate itself")
         if self.cache_mode == "off":
@@ -383,8 +350,8 @@ class BarterCastNode:
         return value
 
     def _evaluate_scalar(self, peer: PeerId) -> float:
-        """One scalar kernel evaluation, counted (and traced when live)."""
-        value = self.config.metric.reputation(self.graph, self.peer_id, peer)
+        """One scalar evaluation, counted (and traced when live)."""
+        value = self.engine.score(self, peer)
         self.kernel_calls += 1
         self.kernel_targets += 1
         if self._tr_kernel is not None and self._tr_kernel.sample():
@@ -396,16 +363,9 @@ class BarterCastNode:
     def reputations_of(self, peers: Iterable[PeerId]) -> Dict[PeerId, float]:
         """Batch evaluation of several peers (``self``/duplicates skipped).
 
-        Dispatches to the attached rival engine when one is configured;
-        the native path serves cached entries directly and evaluates all
-        misses in a single batched kernel pass (bit-identical to scalar
-        evaluation).
+        Cached entries are served directly and all misses are scored in
+        one ``engine.scores`` call (value-identical to scalar calls).
         """
-        if self._engine_dispatch is not None:
-            return self._engine_dispatch.reputations_of(peers)
-        return self._native_reputations_of(peers)
-
-    def _native_reputations_of(self, peers: Iterable[PeerId]) -> Dict[PeerId, float]:
         unique = [p for p in dict.fromkeys(peers) if p != self.peer_id]
         if not unique:
             return {}
@@ -424,7 +384,7 @@ class BarterCastNode:
                     values[p] = v
         if missing:
             self.rep_cache_misses += len(missing)
-            fresh = self.config.metric.reputation_batch(self.graph, self.peer_id, missing)
+            fresh = self.engine.scores(self, missing)
             self.kernel_calls += 1
             self.kernel_targets += len(missing)
             if self._tr_kernel is not None and self._tr_kernel.sample():
@@ -436,38 +396,22 @@ class BarterCastNode:
             values.update(fresh)
         return {p: values[p] for p in unique}
 
+    # rank_by_reputation reads the batch under this second name, so a
+    # wrapper around the public method sees only outside calls.
+    _reputations = reputations_of
+
     def rank_by_reputation(self, peers: Iterable[PeerId]) -> List[PeerId]:
         """Peers sorted by descending subjective reputation (batched).
 
         Ties are broken deterministically by peer id representation, which
         in the rank policy gives stable round-robin-like behaviour among
-        strangers (all reputation ~0).  Every engine shares this
-        tie-break, so stranger rotation is seed-stable per mechanism.
+        strangers (all reputation ~0), seed-stable under every engine.
         """
-        if self._engine_dispatch is not None:
-            return self._engine_dispatch.rank_by_reputation(peers)
-        return self._native_rank_by_reputation(peers)
-
-    def _native_rank_by_reputation(self, peers: Iterable[PeerId]) -> List[PeerId]:
-        reps = self._native_reputations_of(peers)
         scored: List[Tuple[float, str, PeerId]] = [
-            (-value, repr(p), p) for p, value in reps.items()
+            (-value, repr(p), p) for p, value in self._reputations(peers).items()
         ]
         scored.sort(key=lambda t: (t[0], t[1]))
         return [p for _, _, p in scored]
-
-    def active_engine(self):
-        """The :class:`~repro.core.engines.ReputationEngine` scoring this
-        node.  For the default mechanism this is a lazily-built
-        BarterCast facade over the native path (dispatch itself stays
-        ``None`` so the hot path is untouched); used by the fault
-        auditor and ``repro explain`` for per-engine semantics
-        (``effective_delta``, ``score_bounds``, ``evidence_flows``)."""
-        if self._engine_dispatch is not None:
-            return self._engine_dispatch
-        if self._bartercast_facade is None:
-            self._bartercast_facade = make_engine("bartercast").attach(self)
-        return self._bartercast_facade
 
     # ------------------------------------------------------------------
     def counts(self) -> Dict[str, int]:

@@ -231,7 +231,7 @@ def _effective_delta(sim, delta: float) -> float:
     identity, so bartercast measures are bit-identical to pre-zoo runs.
     """
     for node in sim.nodes.values():
-        return node.active_engine().effective_delta(delta)
+        return node.engine.effective_delta(delta)
     return delta
 
 
@@ -310,7 +310,7 @@ def _inversion_digests(
         # Evidence under the run's engine: maxflow for bartercast
         # (unchanged from the pre-zoo digests), volume sums for the
         # aggregation engines.
-        inflow, outflow = node.active_engine().evidence_flows(s)
+        inflow, outflow = node.engine.evidence_flows(node, s)
         claims = 0
         if node.graph.has_node(s):
             for v in sorted(node.graph.successors(s), key=repr):

@@ -83,8 +83,8 @@ class ScenarioConfig:
         into behaviour, so results are bit-identical either way.
     engine:
         Reputation mechanism every node runs (DESIGN.md §15):
-        ``"bartercast"`` (default, the paper's maxflow metric on the
-        byte-identical native path), ``"gossip"``, or ``"ratio"``.  A
+        ``"bartercast"`` (default, the paper's maxflow metric),
+        ``"gossip"``, or ``"ratio"``.  A
         name, not an instance, so scenarios stay picklable for sweep
         tasks.  Under :class:`~repro.core.policies.NoPolicy` the engine
         is never consulted during the run, so fault sweeps across

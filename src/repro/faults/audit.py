@@ -122,7 +122,7 @@ def audit_node(
     # (−1, 1), the ratio engine legitimately reaches ±1 (a pure leecher
     # is exactly −1), which its closed bounds declare.  A NaN fails
     # either comparison, so "never NaN" is enforced for every engine.
-    eng = node.active_engine()
+    eng = node.engine
     lo, hi = eng.score_bounds
     closed = eng.bounds_closed
     for target in rep_targets:

@@ -216,9 +216,8 @@ class TransferGraph:
         """Monotone counter bumped on every *effective* mutation.
 
         Writes that leave the stored state unchanged (e.g. ``set_transfer``
-        to the current value) do not move it.  The rival engines' score
-        memo keys on this; the node's dirty-set cache subscribes to edge
-        events instead.
+        to the current value) do not move it.  The node's dirty-set cache
+        subscribes to edge events instead of polling this.
         """
         return self._version
 

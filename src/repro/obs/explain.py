@@ -237,24 +237,24 @@ def explain_engines(
 ) -> List[EngineExplanation]:
     """Evaluate ``subject`` under every named mechanism on ``node``'s state.
 
-    The node's own running engine is reused as-is; other mechanisms are
-    built fresh and attached standalone (attachment only binds the node
-    and initializes the engine's private memo — it never mutates node
-    state), so every engine scores the *same* subjective graph.  ``delta``
-    is the sweep-style ban threshold, translated per engine via
-    ``effective_delta``.
+    The node's own engine answers through the node's cache; other
+    mechanisms are built fresh and score the node directly (engines are
+    stateless, so this never touches node state), so every engine scores
+    the *same* subjective graph.  ``delta`` is the sweep-style ban
+    threshold, translated per engine via ``effective_delta``.
     """
     from repro.core.engines import make_engine  # lazy: keep module import-light
 
     out: List[EngineExplanation] = []
     for name in engine_names:
-        if name == getattr(node, "engine_name", "bartercast"):
-            eng = node.active_engine()
+        if name == node.engine.name:
+            eng = node.engine
+            score = node.reputation_of(subject)
         else:
-            eng = make_engine(name).attach(node)
-        score = eng.reputation_of(subject)
+            eng = make_engine(name)
+            score = eng.score(node, subject)
         threshold = eng.effective_delta(delta)
-        inflow, outflow = eng.evidence_flows(subject)
+        inflow, outflow = eng.evidence_flows(node, subject)
         out.append(
             EngineExplanation(
                 engine=eng.name,
@@ -265,7 +265,7 @@ def explain_engines(
                 banned=score < threshold,
                 inflow=inflow,
                 outflow=outflow,
-                components=eng.explain_components(subject),
+                components=eng.explain_components(node, subject),
             )
         )
     return out

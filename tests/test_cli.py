@@ -184,6 +184,34 @@ class TestChromeTraceSubcommand:
         assert "error:" in capsys.readouterr().err
 
 
+class TestExplainEngines:
+    def test_rival_engine_replay_and_comparison_bytes(self, capsys, tmp_path):
+        """``explain --engine gossip,bartercast,ratio`` replays under gossip
+        with the ban policy (rival scores drive the bans) and scores
+        bartercast on a gossip node.  Stdout (minus ``[done in …]``, with
+        the export directory as ``D``) and the export are pinned bytes."""
+        import hashlib
+
+        target = tmp_path / "explain.json"
+        assert cli.main([
+            "explain", "--profile", "tiny", "--seed", "3", "--peer", "0",
+            "--top-k", "2", "--policy", "ban",
+            "--engine", "gossip,bartercast,ratio", "--export", str(target),
+        ]) == 0
+        out = "".join(
+            line
+            for line in capsys.readouterr().out.replace(str(tmp_path), "D").splitlines(True)
+            if not line.startswith("[done in")
+        )
+        assert "[gossip]" in out and "[bartercast]" in out and "[ratio]" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f335a95d9eed91859d78274312309e2cc0ea5a7963120c05d9aa4715b3445886"
+        )
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            "fd59596af784ea914fa0229a852e7f58195b81cd1fd6c0bfb9ba4bc6b57b9175"
+        )
+
+
 def test_fresh_interpreter_needs_neither_scipy_nor_networkx():
     """``import repro.cli`` and a whole figure run pull in numpy alone:
     scipy (0.7 s and 74 MiB per process when ``analysis.stats`` imported

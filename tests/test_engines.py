@@ -3,8 +3,8 @@
 Covers the mechanism-zoo contract (DESIGN.md §15): cross-engine
 agreement on the degenerate cases every mechanism must score the same
 way, the per-engine semantics that differ on purpose (ratio's closed
-bounds and native ban threshold), node-level engine dispatch with the
-default path untouched, and the RankPolicy stranger-rotation property —
+bounds and native ban threshold), every engine served through the
+node's one cache, and the RankPolicy stranger-rotation property —
 with every reputation tied at zero the rank order must equal plain
 BitTorrent's shuffle for the same seed, under every engine.
 """
@@ -28,9 +28,14 @@ from repro.core.reputation import MB
 from repro.sim.rng import RngRegistry
 
 
-def engines_on(node):
-    """One attached instance of every registered engine, same node."""
-    return [make_engine(name).attach(node) for name in ENGINE_NAMES]
+def engines_on(setup):
+    """One node per registered engine, each replaying ``setup(node)``."""
+    nodes = []
+    for name in ENGINE_NAMES:
+        node = BarterCastNode("me", engine=name)
+        setup(node)
+        nodes.append(node)
+    return nodes
 
 
 # ---------------------------------------------------------------------------
@@ -60,44 +65,46 @@ class TestRegistry:
 # ---------------------------------------------------------------------------
 class TestEngineAgreement:
     def test_empty_graph_scores_zero_everywhere(self):
-        node = BarterCastNode("me")
-        for eng in engines_on(node):
-            assert eng.reputation_of("stranger") == 0.0
-            assert eng.evidence_flows("stranger") == (0.0, 0.0)
+        for node in engines_on(lambda node: None):
+            assert node.reputation_of("stranger") == 0.0
+            assert node.engine.evidence_flows(node, "stranger") == (0.0, 0.0)
 
     def test_self_reputation_raises_everywhere(self):
-        node = BarterCastNode("me")
-        for eng in engines_on(node):
+        for node in engines_on(lambda node: None):
             with pytest.raises(ValueError):
-                eng.reputation_of("me")
+                node.reputation_of("me")
 
     def test_symmetric_two_peer_scores_zero_everywhere(self):
-        node = BarterCastNode("me")
-        node.record_upload("p", 64 * MB, now=1.0)
-        node.record_download("p", 64 * MB, now=2.0)
-        for eng in engines_on(node):
-            assert eng.reputation_of("p") == pytest.approx(0.0)
+        def setup(node):
+            node.record_upload("p", 64 * MB, now=1.0)
+            node.record_download("p", 64 * MB, now=2.0)
+
+        for node in engines_on(setup):
+            assert node.reputation_of("p") == pytest.approx(0.0)
 
     def test_batch_identical_to_scalar_everywhere(self):
-        node = BarterCastNode("me")
-        node.record_upload("a", 10 * MB, now=1.0)
-        node.record_download("b", 90 * MB, now=2.0)
-        node.graph.add_node("c")
+        def setup(node):
+            node.record_upload("a", 10 * MB, now=1.0)
+            node.record_download("b", 90 * MB, now=2.0)
+            node.graph.add_node("c")
+
         peers = ["a", "b", "c", "me", "a"]  # self and dupes skipped
-        for eng in engines_on(node):
-            batch = eng.reputations_of(peers)
+        for node in engines_on(setup):
+            batch = node.reputations_of(peers)
             assert set(batch) == {"a", "b", "c"}
             for p, value in batch.items():
-                assert value == eng.reputation_of(p)
+                assert value == node.engine.score(node, p)
 
     def test_scores_within_declared_bounds(self):
-        node = BarterCastNode("me")
-        node.record_upload("leech", 5000 * MB, now=1.0)
-        node.record_download("seed", 5000 * MB, now=2.0)
-        for eng in engines_on(node):
+        def setup(node):
+            node.record_upload("leech", 5000 * MB, now=1.0)
+            node.record_download("seed", 5000 * MB, now=2.0)
+
+        for node in engines_on(setup):
+            eng = node.engine
             lo, hi = eng.score_bounds
             for peer in ("leech", "seed"):
-                rep = eng.reputation_of(peer)
+                rep = node.reputation_of(peer)
                 assert not math.isnan(rep)
                 if eng.bounds_closed:
                     assert lo <= rep <= hi
@@ -105,12 +112,13 @@ class TestEngineAgreement:
                     assert lo < rep < hi
 
     def test_rank_tie_break_deterministic_everywhere(self):
-        node = BarterCastNode("me")
-        for p in ("c", "a", "b"):
-            node.graph.add_node(p)
-        for eng in engines_on(node):
+        def setup(node):
+            for p in ("c", "a", "b"):
+                node.graph.add_node(p)
+
+        for node in engines_on(setup):
             # All-zero scores: the shared tie-break is repr order.
-            assert eng.rank_by_reputation(["c", "a", "b"]) == ["a", "b", "c"]
+            assert node.rank_by_reputation(["c", "a", "b"]) == ["a", "b", "c"]
 
 
 # ---------------------------------------------------------------------------
@@ -120,15 +128,15 @@ class TestBarterCastEngine:
     def test_matches_native_node_path(self):
         node = BarterCastNode("me")
         node.record_download("p", 100 * MB, now=1.0)
-        eng = BarterCastEngine().attach(node)
-        assert eng.reputation_of("p") == node.reputation_of("p")
-        inflow, outflow = eng.evidence_flows("p")
+        eng = BarterCastEngine()
+        assert eng.score(node, "p") == node.reputation_of("p")
+        inflow, outflow = eng.evidence_flows(node, "p")
         assert inflow == 100 * MB and outflow == 0.0
 
     def test_explain_components_decompose_score(self):
         node = BarterCastNode("me")
         node.record_download("p", 100 * MB, now=1.0)
-        comp = BarterCastEngine().attach(node).explain_components("p")
+        comp = BarterCastEngine().explain_components(node, "p")
         assert comp["net_bytes"] == 100 * MB
         assert comp["score"] == node.reputation_of("p")
 
@@ -137,18 +145,17 @@ class TestRatioCreditEngine:
     def test_bootstrap_grace_is_zero_not_nan(self):
         node = BarterCastNode("me")
         node.graph.add_node("p")
-        eng = RatioCreditEngine().attach(node)
-        rep = eng.reputation_of("p")
+        rep = RatioCreditEngine().score(node, "p")
         assert rep == 0.0 and not math.isnan(rep)
 
     def test_pure_leecher_and_seeder_hit_closed_bounds(self):
         node = BarterCastNode("me")
         node.record_upload("leech", 1 * MB, now=1.0)
         node.record_download("seed", 1 * MB, now=2.0)
-        eng = RatioCreditEngine().attach(node)
+        eng = RatioCreditEngine()
         assert eng.bounds_closed
-        assert eng.reputation_of("leech") == -1.0
-        assert eng.reputation_of("seed") == 1.0
+        assert eng.score(node, "leech") == -1.0
+        assert eng.score(node, "seed") == 1.0
 
     def test_scale_free(self):
         small = BarterCastNode("me")
@@ -157,9 +164,8 @@ class TestRatioCreditEngine:
         big = BarterCastNode("me")
         big.record_upload("p", 2000 * MB, now=1.0)
         big.record_download("p", 1000 * MB, now=2.0)
-        assert RatioCreditEngine().attach(small).reputation_of(
-            "p"
-        ) == RatioCreditEngine().attach(big).reputation_of("p")
+        eng = RatioCreditEngine()
+        assert eng.score(small, "p") == eng.score(big, "p")
 
     def test_effective_delta_is_native_ratio_floor(self):
         eng = RatioCreditEngine(ban_ratio=0.25)
@@ -177,12 +183,12 @@ class TestDifferentialGossipEngine:
             "j", 2.0, records=(HistoryRecord("q", 40 * MB, 0.0),)
         )
         node.receive_message(msg)  # gossip: j -> q, 40 MB
-        eng = DifferentialGossipEngine(gossip_weight=0.5).attach(node)
-        up, down = eng.evidence_flows("j")
+        eng = DifferentialGossipEngine(gossip_weight=0.5)
+        up, down = eng.evidence_flows(node, "j")
         assert up == pytest.approx(30 * MB + 0.5 * 40 * MB)
         assert down == 0.0
         metric = node.config.metric
-        assert eng.reputation_of("j") == pytest.approx(metric.scale(up))
+        assert eng.score(node, "j") == pytest.approx(metric.scale(up))
 
     def test_full_weight_reduces_to_raw_volume(self):
         node = BarterCastNode("me")
@@ -191,18 +197,24 @@ class TestDifferentialGossipEngine:
             "j", 2.0, records=(HistoryRecord("q", 40 * MB, 0.0),)
         )
         node.receive_message(msg)
-        eng = DifferentialGossipEngine(gossip_weight=1.0).attach(node)
-        assert eng.evidence_flows("j") == (70 * MB, 0.0)
+        eng = DifferentialGossipEngine(gossip_weight=1.0)
+        assert eng.evidence_flows(node, "j") == (70 * MB, 0.0)
 
 
 # ---------------------------------------------------------------------------
-# Node-level dispatch
+# Node-level engine: one reputation path, one cache
 # ---------------------------------------------------------------------------
 class TestNodeDispatch:
     def test_default_node_skips_dispatch(self):
         node = BarterCastNode("me")
-        assert node.engine_name == "bartercast"
-        assert node._engine_dispatch is None
+        assert node.engine.name == "bartercast"
+        node.record_download("p", 70 * MB, now=1.0)
+        node.record_upload("q", 20 * MB, now=2.0)
+        metric, graph = node.config.metric, node.graph
+        want = {p: metric.reputation(graph, "me", p) for p in ("p", "q")}
+        assert node.reputations_of(["p", "q"]) == want
+        node.invalidate_cache()
+        assert {p: node.reputation_of(p) for p in ("p", "q")} == want
 
     def test_unknown_engine_name_rejected(self):
         with pytest.raises(ValueError):
@@ -213,34 +225,45 @@ class TestNodeDispatch:
         node = BarterCastNode("me", engine=name)
         node.record_upload("p", 10 * MB, now=1.0)
         node.record_download("p", 90 * MB, now=2.0)
-        assert node.active_engine().name == name
+        assert node.engine.name == name
         reference = BarterCastNode("me")
         reference.record_upload("p", 10 * MB, now=1.0)
         reference.record_download("p", 90 * MB, now=2.0)
-        standalone = make_engine(name).attach(reference)
-        assert node.reputation_of("p") == standalone.reputation_of("p")
-        assert node.reputations_of(["p"]) == {"p": standalone.reputation_of("p")}
+        standalone = make_engine(name).score(reference, "p")
+        assert node.reputation_of("p") == standalone
+        assert node.reputations_of(["p"]) == {"p": standalone}
         assert node.rank_by_reputation(["p"]) == ["p"]
 
     def test_active_engine_facade_on_default_node(self):
+        """The default node's engine is the plain BarterCast scorer; the
+        node's cached answer equals a direct score."""
         node = BarterCastNode("me")
         node.record_download("p", 50 * MB, now=1.0)
-        eng = node.active_engine()
-        assert eng.name == "bartercast"
-        assert eng.reputation_of("p") == node.reputation_of("p")
+        eng = node.engine
+        assert isinstance(eng, BarterCastEngine)
+        assert eng.score(node, "p") == node.reputation_of("p")
 
     def test_aggregation_memo_rides_node_cache_counters(self):
-        node = BarterCastNode("me", engine="ratio")
-        node.record_upload("p", 10 * MB, now=1.0)
-        node.reputation_of("p")
-        assert node.rep_cache_misses == 1
-        node.reputation_of("p")
-        assert node.rep_cache_hits == 1
-        assert node.rep_cache_size == 1
-        node.record_upload("p", 10 * MB, now=2.0)  # graph write bumps version
-        node.reputation_of("p")
-        assert node.rep_cache_invalidations >= 1
-        assert node.rep_cache_misses == 2
+        """Rival scores ride the node's dirty-set cache: a write to
+        ``(x, y)`` evicts only ``x`` and ``y``."""
+        for name in ("gossip", "ratio"):
+            node = BarterCastNode("me", engine=name)
+            node.record_upload("p", 10 * MB, now=1.0)
+            node.record_download("q", 20 * MB, now=2.0)
+            node.reputations_of(["p", "q"])
+            node.graph.add_transfer("x", "y", 5 * MB)  # third-party write
+            node.reputations_of(["p", "q"])
+            assert (
+                node.rep_cache_hits,
+                node.rep_cache_misses,
+                node.rep_cache_invalidations,
+            ) == (2, 2, 0)
+            assert node.rep_cache_size == 2
+            node.graph.add_transfer("p", "x", 5 * MB)  # p's score moves
+            assert node.rep_cache_invalidations == 1
+            assert node.rep_cache_size == 1
+            assert node.reputation_of("p") == make_engine(name).score(node, "p")
+            assert node.rep_cache_misses == 3
 
 
 # ---------------------------------------------------------------------------

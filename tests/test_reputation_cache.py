@@ -9,7 +9,8 @@ Three families:
 * **Dirty-set staleness oracle** — a ``cache_mode="dirty"`` node replaying
   a random stream of transfers, gossip, claim retractions and node
   removals must answer every reputation query exactly like a cache-free
-  oracle node, through the batched and the scalar lookup alike.
+  oracle node, through the batched and the scalar lookup alike, under
+  every engine (each declares its own exactness).
 * **Telemetry / cache-mode plumbing** — hit/miss/invalidation counters,
   the version-neutrality of no-op writes, and whole-run counter pins.
 """
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.engines import ENGINE_NAMES
 from repro.core.messages import BarterCastMessage, HistoryRecord
 from repro.core.node import BarterCastNode
 from repro.core.policies import BanPolicy, RankPolicy
@@ -195,38 +197,41 @@ class TestDirtySetNeverStale:
     @given(ops=op_streams())
     @settings(max_examples=60, deadline=None)
     def test_dirty_and_wholesale_match_oracle(self, ops):
-        """Dirty-batched vs dirty-scalar vs ``"off"``.  (The id predates the
-        removal of the wholesale mode; the scalar node sits where the
-        wholesale one did, so the scalar-against-batch cross-check stays.)"""
-        batched = BarterCastNode(0, cache_mode="dirty")
-        scalar = BarterCastNode(0, cache_mode="dirty")
-        oracle = BarterCastNode(0, cache_mode="off")
-        targets = list(range(1, 10))
-        now = 0.0
-        for op in ops:
-            now += 1.0
-            for node in (batched, scalar, oracle):
-                _apply(node, op, now)
-            want = {p: oracle.reputation_of(p) for p in targets}
-            # Batched lookup on one dirty node, scalar on the other: both
-            # kernels behind the one cache must agree with the cache-free
-            # oracle, bitwise.
-            assert batched.reputations_of(targets) == want
-            assert {p: scalar.reputation_of(p) for p in targets} == want
+        """Dirty-batched vs dirty-scalar vs ``"off"``, under every engine.
+        (The id predates the removal of the wholesale mode; the scalar
+        node sits where the wholesale one did, so the scalar-against-batch
+        cross-check stays.)"""
+        for engine in ENGINE_NAMES:
+            batched = BarterCastNode(0, cache_mode="dirty", engine=engine)
+            scalar = BarterCastNode(0, cache_mode="dirty", engine=engine)
+            oracle = BarterCastNode(0, cache_mode="off", engine=engine)
+            targets = list(range(1, 10))
+            now = 0.0
+            for op in ops:
+                now += 1.0
+                for node in (batched, scalar, oracle):
+                    _apply(node, op, now)
+                want = {p: oracle.reputation_of(p) for p in targets}
+                # Batched lookup on one dirty node, scalar on the other:
+                # both paths behind the one cache must agree with the
+                # cache-free oracle, bitwise.
+                assert batched.reputations_of(targets) == want, engine
+                assert {p: scalar.reputation_of(p) for p in targets} == want, engine
 
     @given(ops=op_streams())
     @settings(max_examples=30, deadline=None)
     def test_dirty_scalar_lookups_match_oracle(self, ops):
-        dirty = BarterCastNode(0, cache_mode="dirty")
-        oracle = BarterCastNode(0, cache_mode="off")
-        targets = list(range(1, 10))
-        now = 0.0
-        for op in ops:
-            now += 1.0
-            _apply(dirty, op, now)
-            _apply(oracle, op, now)
-            for p in targets:
-                assert dirty.reputation_of(p) == oracle.reputation_of(p)
+        for engine in ENGINE_NAMES:
+            dirty = BarterCastNode(0, cache_mode="dirty", engine=engine)
+            oracle = BarterCastNode(0, cache_mode="off", engine=engine)
+            targets = list(range(1, 10))
+            now = 0.0
+            for op in ops:
+                now += 1.0
+                _apply(dirty, op, now)
+                _apply(oracle, op, now)
+                for p in targets:
+                    assert dirty.reputation_of(p) == oracle.reputation_of(p), engine
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +293,17 @@ class TestCacheTelemetry:
         assert n.rep_cache_hits == 0
         assert n.rep_cache_misses == 2
         assert n.rep_cache_size == 0
+
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_cache_off_never_memoizes(self, engine):
+        """``"off"`` is the staleness oracle under every engine."""
+        n = BarterCastNode("me", cache_mode="off", engine=engine)
+        n.record_download("p", 100 * MB, now=1.0)
+        n.reputation_of("p")
+        n.reputation_of("p")
+        n.reputations_of(["p", "q"])
+        assert (n.rep_cache_hits, n.rep_cache_misses, n.rep_cache_size) == (0, 4, 0)
+        assert (n.kernel_calls, n.kernel_targets) == (3, 4)
 
     def test_invalid_cache_mode_rejected(self):
         for mode in ("bogus", "wholesale"):  # wholesale: removed, not renamed
