@@ -35,11 +35,6 @@ class BitTorrentConfig:
     sample_interval:
         Seconds between statistics samples (reputation snapshots, speed
         buckets).
-    gossip_loss:
-        Probability that a BarterCast message is lost in transit
-        (failure injection: UDP loss, churn mid-exchange).  The protocol
-        must degrade gracefully — records are totals, so later messages
-        resynchronize the view.
     """
 
     round_interval: float = 10.0
@@ -49,7 +44,6 @@ class BitTorrentConfig:
     seed_time: float = 10 * HOUR
     pss_view_size: int = 30
     sample_interval: float = 6 * HOUR
-    gossip_loss: float = 0.0
 
     def validate(self) -> None:
         """Check parameter sanity; raises ``ValueError``."""
@@ -65,8 +59,6 @@ class BitTorrentConfig:
             raise ValueError("seed_time must be non-negative")
         if self.sample_interval <= 0:
             raise ValueError("sample_interval must be positive")
-        if not 0.0 <= self.gossip_loss < 1.0:
-            raise ValueError("gossip_loss must be in [0, 1)")
 
     @property
     def optimistic_every_rounds(self) -> int:

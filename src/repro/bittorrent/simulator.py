@@ -712,39 +712,13 @@ class CommunitySimulator:
         na, nb = self.nodes[a], self.nodes[b]
         na.note_seen(b, now)
         nb.note_seen(a, now)
-        loss = self.config.gossip_loss
         lost = 0
-        rec = self.dissemination
         msg_a = na.create_message(now)
         if msg_a is not None:
-            if self.channel is not None:
-                if rec is not None:
-                    rec.record_send(msg_a, b, now)
-                lost += self._send_via_channel(msg_a, b, now)
-            elif loss > 0 and self._gossip_rng.bernoulli(loss):
-                lost += 1
-                if rec is not None:
-                    rec.record_send(msg_a, b, now)
-                    rec.record_drop(msg_a, b, now, "loss")
-            else:
-                nb.receive_message(msg_a, now=now)
-                if rec is not None:
-                    rec.record_gossip(msg_a, b, now)
+            lost += self._send(msg_a, b, now)
         msg_b = nb.create_message(now)
         if msg_b is not None:
-            if self.channel is not None:
-                if rec is not None:
-                    rec.record_send(msg_b, a, now)
-                lost += self._send_via_channel(msg_b, a, now)
-            elif loss > 0 and self._gossip_rng.bernoulli(loss):
-                lost += 1
-                if rec is not None:
-                    rec.record_send(msg_b, a, now)
-                    rec.record_drop(msg_b, a, now, "loss")
-            else:
-                na.receive_message(msg_b, now=now)
-                if rec is not None:
-                    rec.record_gossip(msg_b, a, now)
+            lost += self._send(msg_b, a, now)
         self.gossip_exchanges += 1
         self.messages_lost += lost
         if self._tr_gossip is not None and self._tr_gossip.sample():
@@ -752,17 +726,25 @@ class CommunitySimulator:
                 "exchange", sim_time=now, attrs={"a": a, "b": b, "lost": lost}
             )
 
-    def _send_via_channel(self, message, receiver: int, now: float) -> int:
-        """Route one message through the unreliable channel.
+    def _send(self, message, receiver: int, now: float) -> int:
+        """Send one gossip message: ingested directly on a reliable
+        network, else routed through the unreliable channel.
 
-        Immediate copies are ingested inline (preserving the reliable
-        path's ordering when delay is off); delayed copies are scheduled
-        as engine events, where they interleave — and reorder — with
-        every later gossip exchange.  Returns 1 if no copy was admitted
-        (the exchange-level "lost" accounting), 0 otherwise.
+        Immediate channel copies are ingested inline (preserving the
+        reliable path's ordering when delay is off); delayed copies are
+        scheduled as engine events, where they interleave — and reorder —
+        with every later gossip exchange.  Returns 1 if no copy was
+        admitted (the exchange-level "lost" accounting), 0 otherwise.
         """
-        times = self.channel.plan_delivery(message.sender, receiver, now)
         rec = self.dissemination
+        if self.channel is None:
+            self.nodes[receiver].receive_message(message, now=now)
+            if rec is not None:
+                rec.record_gossip(message, receiver, now)
+            return 0
+        if rec is not None:
+            rec.record_send(message, receiver, now)
+        times = self.channel.plan_delivery(message.sender, receiver, now)
         if not times:
             if rec is not None:
                 verdict = self.channel.last_verdict

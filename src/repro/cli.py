@@ -649,8 +649,6 @@ def _explain(args, manifest, runner) -> int:
                 print()
             explanations.append((expl, verdicts))
     sim.publish()  # the kernel work of the explanations
-    if sim.provenance is not None:
-        manifest.note("provenance_recorder", sim.provenance.summary())
     if sim.dissemination is not None:
         # Why is an evidence edge missing from this peer's subjective
         # view?  Attribute every claim that never reached --peer to the

@@ -39,11 +39,9 @@ from repro.graph.maxflow import (
     FlowResult,
     bounded_ford_fulkerson,
     ford_fulkerson,
-    kernel_invocations,
     kernel_invocations_delta,
     leave_one_out_values,
     maxflow_two_hop,
-    reset_kernel_invocations,
     snapshot_kernel_invocations,
 )
 
@@ -59,8 +57,6 @@ __all__ = [
     "maxflow_two_hop",
     "leave_one_out_values",
     "maxflow_two_hop_batch",
-    "kernel_invocations",
     "snapshot_kernel_invocations",
     "kernel_invocations_delta",
-    "reset_kernel_invocations",
 ]

@@ -58,7 +58,6 @@ from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.graph.transfer_graph import TransferGraph
 from repro.obs import profile as _profile
-from repro.obs.legs import COUNTER_TABLES, counts_since
 
 __all__ = [
     "FlowPath",
@@ -70,31 +69,21 @@ __all__ = [
     "two_hop_flow",
     "two_hop_paths",
     "leave_one_out_values",
-    "kernel_invocations",
     "snapshot_kernel_invocations",
     "kernel_invocations_delta",
-    "reset_kernel_invocations",
 ]
 
 PeerId = Hashable
 Edge = Tuple[PeerId, PeerId]
 
 #: Process-wide kernel invocation counters (always-on: one dict increment
-#: per kernel call, negligible next to the kernel itself).  This is the
-#: ``kernels`` entry of :data:`repro.obs.legs.COUNTER_TABLES`: every
-#: observability bundle carries it as a leg, which is how worker-side
-#: kernel work is folded back into the parent process under ``--jobs N``.
-#: The simulator snapshots deltas around a run and publishes them as
-#: ``rep.kernel.*`` gauges; :mod:`repro.graph.batch` registers its own
-#: keys here too.
-KERNEL_INVOCATIONS: Dict[str, int] = COUNTER_TABLES["kernels"]
-for _kernel in ("ford_fulkerson", "bounded_ford_fulkerson", "maxflow_two_hop"):
-    KERNEL_INVOCATIONS.setdefault(_kernel, 0)
-
-
-def kernel_invocations() -> Dict[str, int]:
-    """A copy of the cumulative per-kernel invocation counters."""
-    return dict(KERNEL_INVOCATIONS)
+#: per kernel call, negligible next to the kernel itself).  The simulator
+#: takes the delta over a run and publishes it as ``rep.kernel.*`` gauges,
+#: which is how worker-side kernel work reaches the parent under
+#: ``--jobs N``; :mod:`repro.graph.batch` registers its own keys here too.
+KERNEL_INVOCATIONS: Dict[str, int] = dict.fromkeys(
+    ("ford_fulkerson", "bounded_ford_fulkerson", "maxflow_two_hop"), 0
+)
 
 
 def snapshot_kernel_invocations() -> Dict[str, int]:
@@ -113,13 +102,11 @@ def kernel_invocations_delta(baseline: Mapping[str, int]) -> Dict[str, int]:
     Kernels registered after the snapshot (e.g. the batch kernel key on
     first use) count from zero.  Only non-zero deltas are returned.
     """
-    return counts_since(KERNEL_INVOCATIONS, baseline)
-
-
-def reset_kernel_invocations() -> None:
-    """Zero every kernel invocation counter (tests/benchmarks only)."""
-    for key in KERNEL_INVOCATIONS:
-        KERNEL_INVOCATIONS[key] = 0
+    return {
+        key: count - baseline.get(key, 0)
+        for key, count in KERNEL_INVOCATIONS.items()
+        if count != baseline.get(key, 0)
+    }
 
 
 @dataclass(frozen=True)

@@ -30,24 +30,22 @@ cannot be left out of ``--jobs N``.  The legs:
 ``profiler``
     Phase / event / maxflow-kernel wall+CPU profile
     (:class:`~repro.obs.profile.Profiler`) — the only clock.
-``kernels``, ``provenance``
-    The always-on process-wide counter tables: maxflow kernel invocations
-    and claim-lineage totals (:class:`~repro.obs.legs.CounterTable`).
 
 Beside the bundle: :mod:`repro.obs.provenance` records claim lineage in
 each node's shared history (switched on by the scenario; read by
-:mod:`repro.obs.explain`), and :mod:`repro.obs.manifest` writes the run
-manifest with each leg's ``summary()``.
+:mod:`repro.obs.explain`; its totals are ``prov.*`` metrics), and
+:mod:`repro.obs.manifest` writes the run manifest with each leg's
+``summary()``.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.obs.legs import CounterTable, Leg
+from repro.obs.legs import Leg
 from repro.obs.manifest import MANIFEST_SCHEMA, ManifestBuilder, describe, read_manifest
 from repro.obs.metrics import (
     NULL_METRICS,
@@ -77,7 +75,6 @@ from repro.obs.trace import NULL_TRACER, TRACE_SCHEMA, TraceEmitter, read_trace
 
 __all__ = [
     "Observability",
-    "CounterTable",
     "NULL_OBS",
     "make_observability",
     "parse_sample_spec",
@@ -127,10 +124,6 @@ class Observability:
     timeseries: TimeSeriesCollector = NULL_TIMESERIES
     dissemination: DisseminationCollector = NULL_DISSEMINATION
     profiler: Profiler = NULL_PROFILER
-    kernels: CounterTable = field(default_factory=lambda: CounterTable("kernels"))
-    provenance: CounterTable = field(
-        default_factory=lambda: CounterTable("provenance", note="provenance")
-    )
 
     def _live(self) -> List[Tuple[str, Leg]]:
         legs = ((f.name, getattr(self, f.name)) for f in fields(self))
@@ -202,10 +195,6 @@ def make_observability(
     dissemination: Union[DisseminationConfig, bool, None] = None,
 ) -> Observability:
     """Construct the bundle the CLI flags describe.
-
-    Always a new bundle, even with every flag off: its counter-table
-    legs count from this call, which is what makes their ``summary()``
-    the totals of one run.
 
     Parameters
     ----------

@@ -26,8 +26,7 @@ reaches the manifest, stdout and the export directory the same way:
 ``export(directory)``
     Write artifact files beside the manifest; returns the paths.
 
-Also here: :class:`CounterTable`, the leg over a process-wide counter
-dict, and :class:`LabelledCollector`, the shared half of the two
+Also here: :class:`LabelledCollector`, the shared half of the two
 per-simulation recorders' collectors.
 """
 
@@ -36,9 +35,9 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
-__all__ = ["COUNTER_TABLES", "CounterTable", "LabelledCollector", "Leg", "counts_since"]
+__all__ = ["LabelledCollector", "Leg"]
 
 
 class Leg:
@@ -71,60 +70,6 @@ class Leg:
         return []
 
 
-# ----------------------------------------------------------------------
-# Process-wide counter tables
-# ----------------------------------------------------------------------
-#: The always-on counter tables, by name.  The dicts live here so that a
-#: leg finds its table by name in whichever process it lands in (and so
-#: that :mod:`repro.graph.maxflow`, which :mod:`repro.obs` cannot import,
-#: can own one); the owners alias them — ``KERNEL_INVOCATIONS`` in
-#: :mod:`repro.graph.maxflow`, ``PROVENANCE_TOTALS`` in
-#: :mod:`repro.obs.provenance` — and register their keys.
-COUNTER_TABLES: Dict[str, Dict[str, int]] = {"kernels": {}, "provenance": {}}
-
-
-def counts_since(table: Mapping[str, int], baseline: Mapping[str, int]) -> Dict[str, int]:
-    """Per-key counts added to ``table`` since ``baseline`` (an earlier
-    copy of it); keys registered later count from zero, and only non-zero
-    deltas are returned."""
-    return {
-        key: count - baseline.get(key, 0)
-        for key, count in table.items()
-        if count - baseline.get(key, 0)
-    }
-
-
-class CounterTable(Leg):
-    """One :data:`COUNTER_TABLES` entry as a leg (its owner bumps it with
-    a bare ``TABLE[key] += n``): it snapshots what the table gained since
-    the leg was made, and merges by adding."""
-
-    enabled = True
-
-    def __init__(self, name: str, note: Optional[str] = None) -> None:
-        self.name = name
-        self.note = note
-        self._baseline = dict(COUNTER_TABLES[name])
-
-    def mirror(self) -> "CounterTable":
-        return CounterTable(self.name, self.note)
-
-    def snapshot(self) -> Dict[str, int]:
-        return counts_since(COUNTER_TABLES[self.name], self._baseline)
-
-    summary = snapshot
-
-    def merge(self, snapshot: Mapping[str, int]) -> None:
-        table = COUNTER_TABLES[self.name]
-        for key, count in snapshot.items():
-            if count < 0:
-                raise ValueError(f"negative {self.name} delta for {key!r}: {count}")
-            table[key] = table.get(key, 0) + count
-
-
-# ----------------------------------------------------------------------
-# Per-simulation recorders
-# ----------------------------------------------------------------------
 class LabelledCollector(Leg):
     """Config carrier + per-task snapshot store.
 

@@ -34,9 +34,10 @@ ignored exactly like the value tie-break ignores them (the view — and
 its lineage — stays independent of arrival order), stale copies are
 dropped, and ``forget_reporter`` churn wipes remove it with the claims.
 The store counts these events in locals and folds them in once per
-message: the totals count *every* claim, while a ``prov.claim`` trace
-event means *a claim that changed a value* — a first claim or a moved
-total, the ones that reach the graph write.
+message: the totals (published as the ``prov.*`` metrics) count *every*
+claim, while a ``prov.claim`` trace event means *a claim that changed a
+value* — a first claim or a moved total, the ones that reach the graph
+write.
 
 Null-object discipline (PR 2): provenance is **off by default**.  The
 shared :data:`NULL_PROVENANCE` recorder answers ``enabled = False`` and
@@ -44,13 +45,6 @@ the store guards on a cached boolean, so a provenance-off run is
 byte-identical to the seed behaviour (pinned by
 ``tests/test_provenance.py``); what provenance-on costs is part of what
 the ``gossip_fast_obs`` workload of ``benchmarks/e2e`` measures.
-
-Like the maxflow kernel counters, the module keeps process-wide totals
-(:data:`PROVENANCE_TOTALS`) so the manifest can report lineage activity
-of a whole run without threading recorder handles out of every
-experiment: the bundle's ``provenance`` leg
-(:class:`~repro.obs.legs.CounterTable`) ships them home from workers and
-notes what one run added.
 """
 
 from __future__ import annotations
@@ -58,30 +52,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable
 
-from repro.obs.legs import COUNTER_TABLES
-
 __all__ = [
     "ClaimLineage",
     "ProvenanceRecorder",
     "NullProvenanceRecorder",
     "NULL_PROVENANCE",
-    "PROVENANCE_TOTALS",
 ]
 
 PeerId = Hashable
-
-#: Process-wide lineage-event totals (the ``provenance`` entry of
-#: :data:`~repro.obs.legs.COUNTER_TABLES`, like ``KERNEL_INVOCATIONS`` of
-#: :mod:`repro.graph.maxflow`): every live recorder folds its events in.
-PROVENANCE_TOTALS: Dict[str, int] = COUNTER_TABLES["provenance"]
-for _event in (
-    "claims_recorded",
-    "claims_superseded",
-    "redeliveries_ignored",
-    "stale_dropped",
-    "claims_forgotten",
-):
-    PROVENANCE_TOTALS.setdefault(_event, 0)
 
 
 @dataclass(frozen=True)
@@ -121,12 +99,20 @@ class ProvenanceRecorder:
     One recorder is shared by every node of a simulation (lineage itself
     is stored per-claim inside each node's shared history; the recorder
     is the aggregation/emission point).  It counts into its own totals
-    (published by the simulation as ``prov.*``) and into
-    :data:`PROVENANCE_TOTALS`; when tracing is live it emits sampled
-    ``prov.claim`` events for the claims that changed a value.
+    (published by the simulation as ``prov.*``); when tracing is live it
+    emits sampled ``prov.claim`` events for the claims that changed a
+    value.
     """
 
     enabled = True
+    #: The lineage-event totals, in :meth:`summary` order.
+    EVENTS = (
+        "claims_recorded",
+        "claims_superseded",
+        "redeliveries_ignored",
+        "stale_dropped",
+        "claims_forgotten",
+    )
     # This recorder's lineage-event totals (an instance shadows the zeros).
     claims_recorded = claims_superseded = redeliveries_ignored = 0
     stale_dropped = claims_forgotten = 0
@@ -149,10 +135,6 @@ class ProvenanceRecorder:
         self.claims_superseded += superseded
         self.redeliveries_ignored += redelivered
         self.stale_dropped += stale
-        PROVENANCE_TOTALS["claims_recorded"] += recorded
-        PROVENANCE_TOTALS["claims_superseded"] += superseded
-        PROVENANCE_TOTALS["redeliveries_ignored"] += redelivered
-        PROVENANCE_TOTALS["stale_dropped"] += stale
 
     def trace_claim(self, owner: PeerId, src, dst, reporter: PeerId, lineage) -> None:
         """A claim about edge ``(src, dst)`` changed a value: offer it to
@@ -177,15 +159,12 @@ class ProvenanceRecorder:
 
     def record_forget(self, owner: PeerId, reporter: PeerId, removed: int) -> None:
         """``removed`` claims by ``reporter`` were wiped (churn path)."""
-        if removed <= 0:
-            return
         self.claims_forgotten += removed
-        PROVENANCE_TOTALS["claims_forgotten"] += removed
 
     # ------------------------------------------------------------------
     def summary(self) -> Dict[str, int]:
-        """The lineage-event totals of this recorder (manifest section)."""
-        return {key: getattr(self, key) for key in PROVENANCE_TOTALS}
+        """The lineage-event totals of this recorder (the ``prov.*`` metrics)."""
+        return {key: getattr(self, key) for key in self.EVENTS}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

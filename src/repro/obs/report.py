@@ -266,9 +266,8 @@ def render_manifest_report(doc: dict) -> str:
 
     Every section is optional: a manifest from a plain run (no
     ``--metrics``/``--prof``/``--timeseries``) still renders the header
-    and phase table; missing provenance totals, an absent network
-    section, and zero-sample histograms all degrade to placeholders
-    rather than raising.
+    and phase table; an absent network section and zero-sample
+    histograms degrade to placeholders rather than raising.
     """
     lines: List[str] = []
     header = f"== Run: {doc.get('command', '?')} =="
@@ -299,16 +298,6 @@ def render_manifest_report(doc: dict) -> str:
             )
         )
     extra = doc.get("extra") or {}
-    prov = extra.get("provenance")
-    if prov:
-        lines.append("-- provenance totals --")
-        lines.append(
-            render_table(
-                ["counter", "value"],
-                [(k, f"{v:,}") for k, v in sorted(prov.items())],
-                "{}",
-            )
-        )
     metrics = doc.get("metrics")
     if metrics:
         lines.append("")

@@ -116,9 +116,9 @@ class ParallelRunner:
         The parent observability bundle.  Workers record against fresh
         mirrors of it, shipped home and merged in task order; a bundle
         with no mirror (live tracer) forces inline execution.
-    mp_start:
-        Multiprocessing start method; ``fork`` where available (cheap,
-        inherits the warm interpreter), else the platform default.
+
+    Workers start by ``fork`` where available (cheap, inherits the warm
+    interpreter), else by the platform default.
     """
 
     def __init__(
@@ -127,7 +127,6 @@ class ParallelRunner:
         timeout_s: Optional[float] = None,
         retries: int = 1,
         obs: Optional[Observability] = None,
-        mp_start: Optional[str] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -137,7 +136,6 @@ class ParallelRunner:
         self.timeout_s = timeout_s
         self.retries = int(retries)
         self.obs = obs if obs is not None else NULL_OBS
-        self.mp_start = mp_start
         #: Partition/bookkeeping record of the most recent :meth:`run`
         #: (feeds the run manifest's ``parallel`` note).
         self.last_run_info: Dict[str, Any] = {}
@@ -176,13 +174,10 @@ class ParallelRunner:
 
     # ------------------------------------------------------------------
     def _make_executor(self) -> ProcessPoolExecutor:
-        if self.mp_start is not None:
-            ctx = get_context(self.mp_start)
-        else:
-            try:
-                ctx = get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX platforms
-                ctx = get_context()
+        try:
+            ctx = get_context("fork")
+        except ValueError:  # pragma: no cover - non-POSIX platforms
+            ctx = get_context()
         return ProcessPoolExecutor(max_workers=self.jobs, mp_context=ctx)
 
     def _run_pool(

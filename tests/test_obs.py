@@ -242,11 +242,18 @@ class TestObservabilityBundle:
         NULL_OBS.close()  # no-op
 
     def test_make_observability_defaults_to_null(self):
-        # Always a fresh bundle (its counter tables count from now), but
-        # every recorder is the shared null object: only the tables are live.
+        # Always a fresh bundle, but every leg is the shared null object.
         off = make_observability()
         assert not off.metrics.enabled
-        assert set(off.spec()) == {"kernels", "provenance"} == set(NULL_OBS.spec())
+        assert off.spec() == {} == NULL_OBS.spec()
+
+    def test_bundle_holds_only_what_its_own_runs_recorded(self):
+        from repro.experiments.scenario import build_simulation
+
+        a = make_observability(metrics=True)
+        build_simulation(ScenarioConfig.tiny(seed=3).with_provenance(), obs=NULL_OBS).run()
+        assert a.snapshot() == {"metrics": {}}
+        assert dict(a.notes()) == {}
 
     def test_make_observability_metrics_only(self):
         obs = make_observability(metrics=True)
@@ -601,7 +608,8 @@ LEG_CASES = {
     "metrics": (
         lambda s: s,
         lambda s: s["sim.events"]["value"] > 0
-        and s["prov.claims_recorded"]["value"] > 0,
+        and s["prov.claims_recorded"]["value"] > 0
+        and s["rep.kernel.maxflow_two_hop_batch"]["value"] > 0,
     ),
     "timeseries": (
         lambda s: s,
@@ -619,8 +627,6 @@ LEG_CASES = {
         lambda s: s["phases"]["bt.round"]["count"] > 0
         and s["kernels"]["maxflow_two_hop_batch"]["count"] > 0,
     ),
-    "kernels": (lambda s: s, lambda s: s["maxflow_two_hop_batch"] > 0),
-    "provenance": (lambda s: s, lambda s: s["claims_recorded"] > 0),
 }
 
 
@@ -630,9 +636,7 @@ class TestLegLifecycle:
         """One tiny faulted, provenance-on fig1 task, recorded twice with
         every leg on: straight into a bundle (the ``--jobs 1`` path), and
         in a worker process against a fresh mirror whose snapshot is
-        merged home.  Per side and leg: ``(summary, {file name: bytes})``,
-        taken before anything else runs in this process (the counter
-        tables are process-wide)."""
+        merged home.  Per side and leg: ``(summary, {file name: bytes})``."""
         from repro.faults import FaultConfig
         from repro.parallel import ParallelRunner, execute_task, fig1_task
 
@@ -685,9 +689,7 @@ class TestLegLifecycle:
 
     def test_bundle_loops_cover_the_same_legs(self, sides, tmp_path):
         merged = sides[2]
-        assert dict(merged.notes()).keys() == {
-            "timeseries", "dissemination", "profile", "provenance"
-        }
+        assert dict(merged.notes()).keys() == {"timeseries", "dissemination", "profile"}
         sections = [text.splitlines()[0] for text in merged.renders()]
         assert sections == ["== Metrics ==", "== Profile =="]
         exported = sorted(p.name for p in merged.export(tmp_path))
@@ -707,7 +709,7 @@ class TestLegLifecycle:
             collect=True,
         )
         assert result.payload == {"i": 1}
-        assert result.obs == {"metrics": {}, "kernels": {}, "provenance": {}}
+        assert result.obs == {"metrics": {}}
         assert obs.metrics.names() == ["parent.only"]
 
     def test_live_tracer_has_no_mirror(self, tmp_path):

@@ -35,7 +35,6 @@ from repro.graph.maxflow import (
 )
 from repro.graph.transfer_graph import TransferGraph
 from repro.obs.explain import explain_reputation, render_explanation, top_subjects
-from repro.obs.legs import CounterTable
 from repro.obs.provenance import (
     NULL_PROVENANCE,
     NullProvenanceRecorder,
@@ -150,12 +149,11 @@ class TestClaimLineage:
         assert NULL_PROVENANCE.claims_forgotten == 0
 
     def test_totals_snapshot_delta(self):
-        totals = CounterTable("provenance")
-        store, _ = make_store()
+        store, recorder = make_store()
         store.ingest(msg("a", 10.0, "b", 100.0, 40.0))
-        delta = totals.snapshot()
-        assert delta["claims_recorded"] == 2
-        assert "stale_dropped" not in delta  # only non-zero deltas
+        totals = recorder.summary()
+        assert totals["claims_recorded"] == 2
+        assert totals["stale_dropped"] == 0  # each event counted once, here
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +463,6 @@ class TestClaimTraceRule:
         # Every claim is counted, wherever the totals are read ...
         summary = sim.provenance.summary()
         assert {k: v for k, v in summary.items() if v} == self.TOTALS
-        assert obs.provenance.summary() == self.TOTALS
         assert {k: counters[f"prov.{k}"] for k in summary} == summary
         # ... and only those that reached the graph write are traced.
         assert len(claims) == len(writes) == 5500
@@ -516,6 +513,7 @@ class TestExplainCli:
                 "tiny",
                 "--top-k",
                 "3",
+                "--metrics",
                 "--export",
                 str(export),
             ]
@@ -533,7 +531,8 @@ class TestExplainCli:
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert manifest["command"] == "explain"
         assert "faults" not in manifest  # fault-free run omits the section
-        assert manifest["extra"]["provenance"]["claims_recorded"] > 0
+        assert manifest["metrics"]["prov.claims_recorded"]["value"] > 0
+        assert "provenance_recorder" not in manifest.get("extra", {})
 
     def test_explain_unknown_peer_fails(self, capsys):
         from repro.cli import main

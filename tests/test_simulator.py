@@ -13,6 +13,7 @@ from repro.bittorrent.config import BitTorrentConfig
 from repro.bittorrent.roles import Role, RoleAssignment
 from repro.bittorrent.simulator import CommunitySimulator
 from repro.core.policies import BanPolicy, NoPolicy
+from repro.faults import FaultConfig
 from repro.traces.models import DAY
 from repro.traces.synthetic import SyntheticTraceGenerator, TraceParams
 
@@ -20,7 +21,7 @@ MB = 1024.0**2
 
 
 def small_setup(seed=21, policy=None, duration=0.6 * DAY, freerider_fraction=0.5,
-                disobey_fraction=0.0, disobey_kind=None):
+                disobey_fraction=0.0, disobey_kind=None, faults=None):
     params = TraceParams(
         num_peers=14,
         num_swarms=2,
@@ -42,7 +43,9 @@ def small_setup(seed=21, policy=None, duration=0.6 * DAY, freerider_fraction=0.5
         round_interval=30.0, optimistic_interval=60.0,
         gossip_interval=60.0, sample_interval=3600.0,
     )
-    sim = CommunitySimulator(trace, roles, policy=policy, config=config, seed=seed)
+    sim = CommunitySimulator(
+        trace, roles, policy=policy, config=config, seed=seed, faults=faults
+    )
     return sim
 
 
@@ -197,17 +200,11 @@ class TestAdversaries:
 
 class TestFailureInjection:
     def test_gossip_loss_drops_messages(self):
-        import dataclasses
-
         sim_ok = small_setup(seed=44)
         sim_ok.run()
         received_ok = sum(n.messages_received for n in sim_ok.nodes.values())
 
-        sim_lossy = small_setup(seed=44)
-        sim_lossy.config.gossip_loss = 0.5
-        # Rebuild to pick up the config change cleanly.
-        sim_lossy = small_setup(seed=44)
-        sim_lossy.config.gossip_loss = 0.5
+        sim_lossy = small_setup(seed=44, faults=FaultConfig(loss=0.5))
         sim_lossy.run()
         received_lossy = sum(n.messages_received for n in sim_lossy.nodes.values())
         sent_lossy = sum(n.messages_sent for n in sim_lossy.nodes.values())
@@ -215,8 +212,7 @@ class TestFailureInjection:
         assert received_lossy < sent_lossy  # some messages actually lost
 
     def test_system_survives_heavy_loss(self):
-        sim = small_setup(seed=44)
-        sim.config.gossip_loss = 0.9
+        sim = small_setup(seed=44, faults=FaultConfig(loss=0.9))
         stats = sim.run()
         # Data still disseminates and reputations still separate by role.
         assert stats.downloaded.sum() > 0
@@ -226,9 +222,9 @@ class TestFailureInjection:
         assert sharer_mean >= freerider_mean
 
     def test_gossip_loss_validation(self):
-        cfg = BitTorrentConfig(gossip_loss=1.0)
+        cfg = FaultConfig(loss=1.5)
         with pytest.raises(ValueError):
             cfg.validate()
-        cfg = BitTorrentConfig(gossip_loss=-0.1)
+        cfg = FaultConfig(loss=-0.1)
         with pytest.raises(ValueError):
             cfg.validate()
