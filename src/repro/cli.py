@@ -63,9 +63,10 @@ Observability flags (available on every subcommand):
     the given sim-time cadence; with no value, one row per stats
     sample.  Exported as CSV + JSON beside the run manifest.
 ``--prof``
-    Profile run phases and maxflow kernels (wall + CPU, per-invocation
-    histograms); prints a profile section and stores it in the
-    manifest.  Phase spans additionally land in
+    Profile run phases, engine events and reputation evaluations (wall
+    + CPU; evaluations timed per call at the node, labelled
+    ``<engine>.scalar|batch``); prints a profile section and stores it
+    in the manifest.  Phase spans additionally land in
     ``profile_chrome.json`` for Perfetto.
 ``--dissemination``
     Record per-claim dissemination DAGs (sends, deliveries, drops,
@@ -244,8 +245,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--prof",
             action="store_true",
-            help="profile phases and maxflow kernels (wall+CPU) and "
-            "print/store a profile section",
+            help="profile phases, events and reputation evaluations "
+            "(wall+CPU) and print/store a profile section",
         )
         p.add_argument(
             "--dissemination",
@@ -840,8 +841,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
     try:
-        with obs.recording():
-            exit_code = _COMMANDS[args.command](args, manifest, runner) or 0
+        exit_code = _COMMANDS[args.command](args, manifest, runner) or 0
     finally:
         obs.close()
     if runner.jobs > 1 and runner.run_history:

@@ -31,11 +31,16 @@ one ``engine.scores`` call — for BarterCast one
 :func:`~repro.graph.batch.maxflow_two_hop_batch` pass.  A single miss
 (:meth:`reputation_of`) calls ``engine.score``.  Telemetry counters
 (``rep_cache_hits`` / ``rep_cache_misses`` / ``rep_cache_invalidations``
-and ``kernel_calls`` / ``kernel_targets``) instrument every lookup.
+and ``kernel_calls`` / ``kernel_targets``) instrument every lookup.  With
+the bundle's profiler on, each evaluation is also timed here — one
+``observe_kernel`` per ``kernel_calls`` increment, labelled
+``<engine>.scalar`` or ``<engine>.batch`` — so every engine is costed at
+the same seam.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
@@ -110,8 +115,9 @@ class BarterCastNode:
     obs:
         Observability bundle.  With tracing on the node emits sampled
         trace events for message send/receive (``bc.message``) and kernel
-        invocations (``rep.kernel``); the disabled default adds one
-        attribute check per traced block.  The node's counts
+        invocations (``rep.kernel``); with profiling on it times each
+        evaluation; the disabled default adds one attribute check per
+        traced or timed block.  The node's counts
         (:meth:`counts`) are plain attributes, kept whether or not
         anything records them; the run that owns the node publishes
         them.
@@ -166,6 +172,8 @@ class BarterCastNode:
         tracer = self.obs.tracer
         self._tr_msg = tracer.category("bc.message") if tracer.enabled else None
         self._tr_kernel = tracer.category("rep.kernel") if tracer.enabled else None
+        profiler = self.obs.profiler
+        self._prof = profiler if profiler.enabled else None
         self._rep_cache: Dict[PeerId, float] = {}
         #: Telemetry: cache lookups answered from the cache.
         self.rep_cache_hits = 0
@@ -350,8 +358,16 @@ class BarterCastNode:
         return value
 
     def _evaluate_scalar(self, peer: PeerId) -> float:
-        """One scalar evaluation, counted (and traced when live)."""
-        value = self.engine.score(self, peer)
+        """One scalar evaluation, counted (and traced and timed when live)."""
+        prof = self._prof
+        if prof is None:
+            value = self.engine.score(self, peer)
+        else:
+            t0 = time.perf_counter()
+            value = self.engine.score(self, peer)
+            prof.observe_kernel(
+                self.engine.name + ".scalar", time.perf_counter() - t0
+            )
         self.kernel_calls += 1
         self.kernel_targets += 1
         if self._tr_kernel is not None and self._tr_kernel.sample():
@@ -384,7 +400,15 @@ class BarterCastNode:
                     values[p] = v
         if missing:
             self.rep_cache_misses += len(missing)
-            fresh = self.engine.scores(self, missing)
+            prof = self._prof
+            if prof is None:
+                fresh = self.engine.scores(self, missing)
+            else:
+                t0 = time.perf_counter()
+                fresh = self.engine.scores(self, missing)
+                prof.observe_kernel(
+                    self.engine.name + ".batch", time.perf_counter() - t0
+                )
             self.kernel_calls += 1
             self.kernel_targets += len(missing)
             if self._tr_kernel is not None and self._tr_kernel.sample():

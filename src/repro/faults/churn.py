@@ -93,10 +93,6 @@ class ChurnInjector:
             self._schedule_next(peer, 0.0)
 
     # ------------------------------------------------------------------
-    def is_down(self, peer: PeerId) -> bool:
-        """Whether ``peer`` is currently inside a churn outage."""
-        return peer in self.down
-
     def _schedule_next(self, peer: PeerId, now: float) -> None:
         gap = self._rng.exponential(self._mean_gap)
         t = now + gap

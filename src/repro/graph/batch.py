@@ -17,17 +17,19 @@ was called and nothing was written since) hands the batch to the vectorized
 :func:`~repro.graph.columnar.two_hop_batch_arrays`, which is bit-identical
 by construction (same branch choices, same summation order — see that
 module's docstring).  A stale snapshot is never rebuilt from here.
+
+The batch returns values only; a path decomposition is the scalar
+kernel's (``maxflow_two_hop(record_paths=True)``, which ``repro explain``
+asks for per subject).
 """
 
 from __future__ import annotations
 
-import time as _time
 from typing import Dict, Hashable, Iterable, Tuple
 
 from repro.graph.columnar import ColumnarTransferGraph, two_hop_batch_arrays
-from repro.graph.maxflow import KERNEL_INVOCATIONS, two_hop_flow, two_hop_paths
+from repro.graph.maxflow import KERNEL_INVOCATIONS, two_hop_flow
 from repro.graph.transfer_graph import TransferGraph
-from repro.obs import profile as _profile
 
 __all__ = ["maxflow_two_hop_batch"]
 
@@ -42,8 +44,7 @@ def maxflow_two_hop_batch(
     graph: TransferGraph,
     owner: PeerId,
     targets: Iterable[PeerId],
-    record_paths: bool = False,
-) -> Dict[PeerId, Tuple]:
+) -> Dict[PeerId, Tuple[float, float]]:
     """2-hop maxflows between ``owner`` and every target, one graph pass each.
 
     Parameters
@@ -54,9 +55,6 @@ def maxflow_two_hop_batch(
         The evaluating peer ``i`` (maxflow endpoint for both directions).
     targets:
         Candidate peers ``j``; duplicates and ``owner`` itself are skipped.
-    record_paths:
-        When True, each entry additionally carries the exact 2-hop path
-        decompositions of both directions (the explain path).
 
     Returns
     -------
@@ -65,23 +63,11 @@ def maxflow_two_hop_batch(
         (service received, directly or via one intermediary) and
         ``outflow = maxflow2(owner -> j)`` (service provided).  Each value
         is bit-identical to the corresponding scalar
-        :func:`~repro.graph.maxflow.maxflow_two_hop` call.  With
-        ``record_paths`` the entries are ``(inflow, outflow, in_paths,
-        out_paths)`` with tuples of
-        :class:`~repro.graph.maxflow.FlowPath`; the flow values are the
-        same bits (the same function computes them).
+        :func:`~repro.graph.maxflow.maxflow_two_hop` call.
     """
-    prof = _profile.ACTIVE
-    t_call = _time.perf_counter() if prof is not None else 0.0
-    results: Dict[PeerId, Tuple] = {}
+    results: Dict[PeerId, Tuple[float, float]] = {}
     KERNEL_INVOCATIONS["maxflow_two_hop_batch"] += 1
-    if record_paths:
-        for j in targets:
-            if j != owner and j not in results:
-                inflow, in_paths = two_hop_paths(graph, j, owner)
-                outflow, out_paths = two_hop_paths(graph, owner, j)
-                results[j] = (inflow, outflow, in_paths, out_paths)
-    elif (
+    if (
         isinstance(graph, ColumnarTransferGraph)
         and graph.csr_fresh
         and graph.has_node(owner)
@@ -91,10 +77,7 @@ def maxflow_two_hop_batch(
         # target, a rebuild O(E).
         uniq = [j for j in dict.fromkeys(targets) if j != owner]
         KERNEL_INVOCATIONS["maxflow_two_hop_batch_columnar"] += 1
-        t0 = _time.perf_counter() if prof is not None else 0.0
         results = two_hop_batch_arrays(graph, owner, uniq)
-        if prof is not None:
-            prof.observe_kernel("two_hop_batch_arrays", _time.perf_counter() - t0)
     else:
         out_i = graph.successors(owner)
         in_i = graph.predecessors(owner)
@@ -108,6 +91,4 @@ def maxflow_two_hop_batch(
                     two_hop_flow(out_i, predecessors(j), j),
                 )
     KERNEL_INVOCATIONS["maxflow_two_hop_batch_targets"] += len(results)
-    if prof is not None:
-        prof.observe_kernel("maxflow_two_hop_batch", _time.perf_counter() - t_call)
     return results

@@ -40,6 +40,7 @@ they compute bit-identical flows on either backend.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Tuple
 
 import numpy as np
@@ -115,7 +116,6 @@ class ColumnarTransferGraph:
         # interned indices, so capacity() needs no interner lookups.
         self._edge_slot: Dict[Tuple[PeerId, PeerId], int] = {}
         self._dead_slots = 0
-        self._total_bytes = 0.0
         self._version = 0
         self._listeners: List[EdgeListener] = []
         # Lazily materialized CSR snapshot, keyed by version.
@@ -241,7 +241,6 @@ class ColumnarTransferGraph:
             self._append_slot(si, di, 0.0 + amount, key)
         else:
             self._slot_val[slot] = self._slot_val[slot] + amount
-        self._total_bytes += amount
         self._version += 1
         if self._listeners:
             self._notify(src, dst)
@@ -288,7 +287,6 @@ class ColumnarTransferGraph:
             self._in_rows[di].remove(slot)
             self._dead_slots += 1
             self._maybe_compact()
-        self._total_bytes += new - old
         self._version += 1
         if self._listeners:
             self._notify(src, dst)
@@ -325,7 +323,6 @@ class ColumnarTransferGraph:
             del self._edge_slot[(node, other)]
             self._in_rows[di].remove(slot)
             self._dead_slots += 1
-            self._total_bytes -= w
             touched.append((node, other))
         self._out_rows[idx] = []
         for slot in self._in_rows[idx]:
@@ -338,7 +335,6 @@ class ColumnarTransferGraph:
             del self._edge_slot[(other, node)]
             self._out_rows[si].remove(slot)
             self._dead_slots += 1
-            self._total_bytes -= w
             touched.append((other, node))
         self._in_rows[idx] = []
         del self._live[node]
@@ -554,8 +550,9 @@ class ColumnarTransferGraph:
 
     @property
     def total_bytes(self) -> float:
-        """Sum of all edge weights."""
-        return self._total_bytes
+        """Sum of all edge weights, correctly rounded (computed per read;
+        tombstoned slots hold 0.0)."""
+        return math.fsum(self._slot_val if self._rows_ready else self._lazy[2])
 
     @property
     def version(self) -> int:
@@ -655,7 +652,6 @@ class ColumnarTransferGraph:
         g._live = dict.fromkeys(range(num_peers))
         g._rows_ready = False
         g._lazy = (src, dst, val)
-        g._total_bytes = float(val.sum())
         g._version = 1
         return g
 
@@ -674,7 +670,7 @@ class ColumnarTransferGraph:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<ColumnarTransferGraph nodes={self.num_nodes} "
-            f"edges={self.num_edges} bytes={self._total_bytes:.0f}>"
+            f"edges={self.num_edges} bytes={self.total_bytes:.0f}>"
         )
 
 

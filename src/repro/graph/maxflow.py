@@ -52,12 +52,10 @@ function either way, so it is the same bits with or without paths.
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.graph.transfer_graph import TransferGraph
-from repro.obs import profile as _profile
 
 __all__ = [
     "FlowPath",
@@ -338,18 +336,9 @@ def ford_fulkerson(
     terminates quickly on the small local graphs BarterCast builds.
     """
     KERNEL_INVOCATIONS["ford_fulkerson"] += 1
-    prof = _profile.ACTIVE
-    if prof is None:
-        return _run_ford_fulkerson(
-            graph, source, sink, max_hops=None, eps=eps, record_paths=record_paths
-        )
-    t0 = _time.perf_counter()
-    try:
-        return _run_ford_fulkerson(
-            graph, source, sink, max_hops=None, eps=eps, record_paths=record_paths
-        )
-    finally:
-        prof.observe_kernel("ford_fulkerson", _time.perf_counter() - t0)
+    return _run_ford_fulkerson(
+        graph, source, sink, max_hops=None, eps=eps, record_paths=record_paths
+    )
 
 
 def bounded_ford_fulkerson(
@@ -373,18 +362,9 @@ def bounded_ford_fulkerson(
     if max_hops < 1:
         raise ValueError(f"max_hops must be >= 1, got {max_hops}")
     KERNEL_INVOCATIONS["bounded_ford_fulkerson"] += 1
-    prof = _profile.ACTIVE
-    if prof is None:
-        return _run_ford_fulkerson(
-            graph, source, sink, max_hops=max_hops, eps=eps, record_paths=record_paths
-        )
-    t0 = _time.perf_counter()
-    try:
-        return _run_ford_fulkerson(
-            graph, source, sink, max_hops=max_hops, eps=eps, record_paths=record_paths
-        )
-    finally:
-        prof.observe_kernel("bounded_ford_fulkerson", _time.perf_counter() - t0)
+    return _run_ford_fulkerson(
+        graph, source, sink, max_hops=max_hops, eps=eps, record_paths=record_paths
+    )
 
 
 def two_hop_flow(
@@ -426,16 +406,10 @@ def maxflow_two_hop_pair(
 ) -> Tuple[float, float]:
     """``(maxflow2(peer → owner), maxflow2(owner → peer))``: the two
     :func:`maxflow_two_hop` calls behind one reputation, without their
-    :class:`FlowResult` wrappers.  Counted as those two calls, and made
-    as those two calls while a profiler is timing kernel invocations.
+    :class:`FlowResult` wrappers, and counted as those two calls.
     """
     if owner == peer:
         raise ValueError("source and sink must differ")
-    if _profile.ACTIVE is not None:
-        return (
-            maxflow_two_hop(graph, peer, owner).value,
-            maxflow_two_hop(graph, owner, peer).value,
-        )
     KERNEL_INVOCATIONS["maxflow_two_hop"] += 2
     successors = graph.successors
     predecessors = graph.predecessors
@@ -462,15 +436,11 @@ def maxflow_two_hop(
     if source == sink:
         raise ValueError("source and sink must differ")
     KERNEL_INVOCATIONS["maxflow_two_hop"] += 1
-    prof = _profile.ACTIVE
-    t0 = _time.perf_counter() if prof is not None else 0.0
     if record_paths:
         value, paths = two_hop_paths(graph, source, sink)
     else:
         value = two_hop_flow(graph.successors(source), graph.predecessors(sink), sink)
         paths = ()
-    if prof is not None:
-        prof.observe_kernel("maxflow_two_hop", _time.perf_counter() - t0)
     return FlowResult(
         value=value, source=source, sink=sink, augmenting_paths=len(paths), paths=paths
     )
@@ -481,8 +451,8 @@ def two_hop_paths(
 ) -> Tuple[float, Tuple[FlowPath, ...]]:
     """``(value, paths)``: :func:`two_hop_flow` plus the decomposition it
     summed — the direct edge first, then one path per intermediary in
-    summation order.  Shared by the scalar and batch kernels; callers
-    maintain the invocation counters.
+    summation order: :func:`maxflow_two_hop`'s ``record_paths`` form,
+    which maintains the invocation counter.
     """
     out_s = graph.successors(source)
     in_t = graph.predecessors(sink)

@@ -26,6 +26,7 @@ everything did.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Tuple
 
 __all__ = ["TransferGraph"]
@@ -57,7 +58,6 @@ class TransferGraph:
     def __init__(self) -> None:
         self._out: Dict[PeerId, Dict[PeerId, float]] = {}
         self._in: Dict[PeerId, Dict[PeerId, float]] = {}
-        self._total_bytes = 0.0
         self._version = 0
         self._listeners: List[EdgeListener] = []
 
@@ -115,7 +115,6 @@ class TransferGraph:
         self.add_node(dst)
         self._out[src][dst] = self._out[src].get(dst, 0.0) + float(nbytes)
         self._in[dst][src] = self._in[dst].get(src, 0.0) + float(nbytes)
-        self._total_bytes += float(nbytes)
         self._version += 1
         self._notify(src, dst)
 
@@ -143,7 +142,6 @@ class TransferGraph:
         else:
             del self._out[src][dst]
             del self._in[dst][src]
-        self._total_bytes += new - old
         self._version += 1
         self._notify(src, dst)
 
@@ -152,13 +150,11 @@ class TransferGraph:
         if node not in self._out:
             return
         touched: List[Tuple[PeerId, PeerId]] = []
-        for dst, w in self._out.pop(node).items():
+        for dst in self._out.pop(node):
             del self._in[dst][node]
-            self._total_bytes -= w
             touched.append((node, dst))
-        for src, w in self._in.pop(node).items():
+        for src in self._in.pop(node):
             del self._out[src][node]
-            self._total_bytes -= w
             touched.append((src, node))
         self._version += 1
         for src, dst in touched:
@@ -208,8 +204,8 @@ class TransferGraph:
 
     @property
     def total_bytes(self) -> float:
-        """Sum of all edge weights."""
-        return self._total_bytes
+        """Sum of all edge weights, correctly rounded (computed per read)."""
+        return math.fsum(w for row in self._out.values() for w in row.values())
 
     @property
     def version(self) -> int:
@@ -290,5 +286,5 @@ class TransferGraph:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<TransferGraph nodes={self.num_nodes} edges={self.num_edges} "
-            f"bytes={self._total_bytes:.0f}>"
+            f"bytes={self.total_bytes:.0f}>"
         )

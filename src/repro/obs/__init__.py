@@ -28,7 +28,7 @@ cannot be left out of ``--jobs N``.  The legs:
     Per-claim propagation DAGs and fault attribution
     (:class:`~repro.obs.dissemination.DisseminationCollector`).
 ``profiler``
-    Phase / event / maxflow-kernel wall+CPU profile
+    Phase / event / reputation-evaluation wall+CPU profile
     (:class:`~repro.obs.profile.Profiler`) — the only clock.
 
 Beside the bundle: :mod:`repro.obs.provenance` records claim lineage in
@@ -40,7 +40,6 @@ each node's shared history (switched on by the scenario; read by
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
@@ -51,7 +50,6 @@ from repro.obs.metrics import (
     NULL_METRICS,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
 )
 from repro.obs.dissemination import (
@@ -63,7 +61,7 @@ from repro.obs.dissemination import (
     render_attribution,
 )
 from repro.obs.provenance import NULL_PROVENANCE, ClaimLineage, ProvenanceRecorder
-from repro.obs.profile import NULL_PROFILER, Profiler, activate
+from repro.obs.profile import NULL_PROFILER, Profiler
 from repro.obs.timeseries import (
     NULL_TIMESERIES,
     TIMESERIES_SCHEMA,
@@ -82,7 +80,6 @@ __all__ = [
     "NULL_METRICS",
     "Counter",
     "Gauge",
-    "Histogram",
     "TraceEmitter",
     "NULL_TRACER",
     "TRACE_SCHEMA",
@@ -132,13 +129,6 @@ class Observability:
     def close(self) -> None:
         """Flush and close the tracer (other legs need no teardown)."""
         self.tracer.close()
-
-    def recording(self):
-        """Context manager scoping this bundle as what the process records
-        into: the maxflow kernels sit far below any bundle and report to
-        the profiler through a module-level hook.  Without a live
-        profiler an outer scope's hook stays in place."""
-        return activate(self.profiler) if self.profiler.enabled else nullcontext()
 
     def spec(self) -> Optional[Dict[str, Leg]]:
         """A mirror of every live leg, by field name: picklable, and
@@ -209,7 +199,7 @@ def make_observability(
     seed:
         Seed of the deterministic trace-sampling streams.
     profile:
-        Enable phase/kernel profiling (``--prof``).
+        Enable phase/event/evaluation profiling (``--prof``).
     timeseries:
         Enable convergence time-series recording (``--timeseries``):
         a :class:`TimeSeriesConfig`, or a sim-time cadence in seconds

@@ -18,34 +18,21 @@ ends with, writes each count under its name through
 :meth:`MetricsRegistry.publish`.  The disabled default is
 :data:`NULL_METRICS`, whose ``publish`` does nothing.  Time is not
 measured here: the profiler (:mod:`repro.obs.profile`) is the only clock.
-
-:class:`Histogram` — a value distribution with deterministic reservoir
-quantiles — lives here for the profiler's per-kernel duration tables.
-Nothing in this module consumes the simulation's RNG streams: reservoirs
-use a private :class:`random.Random` seeded from the histogram's name.
 """
 
 from __future__ import annotations
 
-import math
-import zlib
-from random import Random
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping
 
 from repro.obs.legs import Leg
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NullMetricsRegistry",
     "NULL_METRICS",
 ]
-
-#: Default reservoir capacity for histogram quantiles.
-DEFAULT_RESERVOIR_SIZE = 1024
-
 
 class Counter:
     """A monotonically increasing total."""
@@ -89,190 +76,6 @@ class Gauge:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Gauge {self.name}={self.value}>"
-
-
-class Histogram:
-    """A value distribution.
-
-    Quantiles are estimated from a deterministic reservoir sample
-    (`Vitter's algorithm R`), seeded from the metric name so repeated
-    runs over the same observation sequence give identical snapshots.
-    Optional fixed ``bounds`` additionally maintain cumulative bucket
-    counts (``count of values <= bound``), which give exact coarse
-    quantiles at paper scale without storing samples.
-    """
-
-    __slots__ = (
-        "name",
-        "count",
-        "total",
-        "min",
-        "max",
-        "bounds",
-        "bucket_counts",
-        "_reservoir",
-        "_reservoir_size",
-        "_rng",
-    )
-
-    def __init__(
-        self,
-        name: str,
-        bounds: Optional[Sequence[float]] = None,
-        reservoir_size: int = DEFAULT_RESERVOIR_SIZE,
-    ) -> None:
-        if reservoir_size <= 0:
-            raise ValueError("reservoir_size must be positive")
-        if bounds is not None:
-            bounds = [float(b) for b in bounds]
-            if bounds != sorted(bounds):
-                raise ValueError("histogram bounds must be sorted ascending")
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self.bounds = bounds
-        self.bucket_counts = [0] * (len(bounds) + 1) if bounds is not None else None
-        self._reservoir: List[float] = []
-        self._reservoir_size = int(reservoir_size)
-        self._rng = Random(zlib.crc32(name.encode("utf-8")))
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        value = float(value)
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        if self.bucket_counts is not None:
-            self.bucket_counts[self._bucket_index(value)] += 1
-        res = self._reservoir
-        if len(res) < self._reservoir_size:
-            res.append(value)
-        else:
-            # Algorithm R: keep each of the first n observations with
-            # probability size/n — deterministic via the name-seeded RNG.
-            slot = self._rng.randrange(self.count)
-            if slot < self._reservoir_size:
-                res[slot] = value
-
-    def _bucket_index(self, value: float) -> int:
-        bounds = self.bounds
-        lo, hi = 0, len(bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    @property
-    def mean(self) -> float:
-        """Mean observation (NaN when empty)."""
-        return self.total / self.count if self.count else float("nan")
-
-    def quantile(self, q: float) -> float:
-        """Reservoir-estimated ``q``-quantile (NaN when empty)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self._reservoir:
-            return float("nan")
-        ordered = sorted(self._reservoir)
-        idx = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-        return ordered[idx]
-
-    def snapshot(self, include_reservoir: bool = False) -> dict:
-        """JSON-safe summary; ``include_reservoir`` additionally ships
-        the raw reservoir sample so a receiving registry can merge
-        quantiles (the parallel worker ship-home path).  The default
-        stays reservoir-free: manifests and reports only need the
-        derived quantiles."""
-        out = {
-            "type": "histogram",
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean if self.count else None,
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-            "p50": self.quantile(0.5) if self.count else None,
-            "p95": self.quantile(0.95) if self.count else None,
-            "p99": self.quantile(0.99) if self.count else None,
-        }
-        if self.bounds is not None:
-            out["bounds"] = list(self.bounds)
-            out["bucket_counts"] = list(self.bucket_counts)
-        if include_reservoir and self._reservoir:
-            out["reservoir"] = list(self._reservoir)
-        return out
-
-    def merge_snapshot_dict(self, snap: dict) -> None:
-        """Fold another histogram's :meth:`snapshot` into this one.
-
-        ``count``, ``total``, ``min``, ``max`` and (matching) bucket
-        counts merge exactly.  When the snapshot carries its reservoir
-        (``snapshot(include_reservoir=True)``), quantiles merge too:
-        if both sides' reservoirs are complete samples (every observed
-        value present) the reservoirs concatenate — exact, and
-        bit-identical to a serial run over the union; otherwise the two
-        reservoirs are resampled by weighted sampling without
-        replacement (Efraimidis–Spirakis A-Res, each value weighted by
-        its side's observations-per-slot) through the name-seeded RNG,
-        so the merged estimate is deterministic given merge order.
-        Snapshots without a reservoir merge as before: post-merge
-        quantiles then reflect only locally observed values.
-        """
-        merged = int(snap.get("count") or 0)
-        if merged <= 0:
-            return
-        own_count = self.count
-        self.count += merged
-        self.total += float(snap.get("total") or 0.0)
-        if snap.get("min") is not None and snap["min"] < self.min:
-            self.min = float(snap["min"])
-        if snap.get("max") is not None and snap["max"] > self.max:
-            self.max = float(snap["max"])
-        if (
-            self.bounds is not None
-            and snap.get("bounds") == list(self.bounds)
-            and snap.get("bucket_counts") is not None
-        ):
-            for i, c in enumerate(snap["bucket_counts"]):
-                self.bucket_counts[i] += int(c)
-        reservoir = snap.get("reservoir")
-        if reservoir:
-            self._merge_reservoir(
-                [float(v) for v in reservoir], merged, own_count
-            )
-
-    def _merge_reservoir(
-        self, incoming: List[float], incoming_count: int, own_count: int
-    ) -> None:
-        mine = self._reservoir
-        size = self._reservoir_size
-        if own_count + incoming_count <= size:
-            # len(reservoir) == min(count, size), so both sides hold
-            # every value they observed: concatenation is the exact
-            # union sample.
-            mine.extend(incoming)
-            return
-        # A-Res: key each value by u**(1/w) where w is how many
-        # observations each reservoir slot represents, keep the top
-        # ``size`` keys.  Deterministic via the name-seeded RNG as long
-        # as merges happen in a fixed order (sorted names, task order).
-        w_own = own_count / len(mine) if mine else 1.0
-        w_in = incoming_count / len(incoming)
-        rng = self._rng
-        keyed = [(rng.random() ** (1.0 / w_own), v) for v in mine]
-        keyed += [(rng.random() ** (1.0 / w_in), v) for v in incoming]
-        keyed.sort(key=lambda kv: kv[0], reverse=True)
-        self._reservoir = [v for _, v in keyed[:size]]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Histogram {self.name} n={self.count} mean={self.mean:.4g}>"
 
 
 class MetricsRegistry(Leg):

@@ -1,12 +1,13 @@
-"""Nestable phase/kernel profiling with deterministic overhead.
+"""Nestable phase/event/evaluation profiling with deterministic overhead.
 
 The profiler answers "where does wall-clock go inside a run?" without
 perturbing the run itself: it never touches a simulation RNG stream, and
 every hook is guarded by a cached ``None`` check so a disabled profiler
 costs one attribute load per instrumented block (the same discipline as
-:mod:`repro.obs.metrics`).
+the tracer).
 
-Three observation surfaces:
+Three observation surfaces, all reached through the
+:class:`~repro.obs.Observability` bundle the component was built with:
 
 * :meth:`Profiler.phase` — a nestable context manager for coarse phases
   (``bt.round`` / ``choke`` / ``transfer`` / ``gossip``).  Phases
@@ -17,46 +18,30 @@ Three observation surfaces:
 * :meth:`Profiler.observe_event` — allocation-free per-label aggregation
   for the engine's event dispatch loop (thousands of events per run; a
   span each would swamp the log).
-* :meth:`Profiler.observe_kernel` — per-kernel invocation duration
-  histograms (log-spaced buckets + deterministic reservoir quantiles)
-  for the maxflow kernel twins.
-
-The maxflow kernels live far below the :class:`~repro.obs.Observability`
-bundle, so they find the profiler through a module-level hook: wrap the
-run in :func:`activate` (``Observability.recording()`` does, around the
-CLI's command and around every sweep task) and decorated kernels check ``ACTIVE`` — one module-attribute load plus a
-``None`` test per call when profiling is off, the same cost class as the
-existing ``KERNEL_INVOCATIONS`` counter increment.
+* :meth:`Profiler.observe_kernel` — the same aggregation for reputation
+  evaluations, timed by the node where it computes them
+  (:class:`~repro.core.node.BarterCastNode`) and labelled
+  ``<engine>.scalar`` / ``<engine>.batch``, so every engine is costed
+  alike and the counts sum to the ``rep.kernel.calls`` metric.
 
 Snapshots are JSON-safe dicts; :meth:`Profiler.merge` folds a worker's
 snapshot into the parent in task order, so a ``--jobs N`` sweep reports
-fleet-wide phase totals and kernel quantiles.
+fleet-wide totals.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.obs.legs import Leg
-from repro.obs.metrics import Histogram
 
 __all__ = [
-    "ACTIVE",
-    "KERNEL_BOUNDS",
     "NULL_PROFILER",
     "NullProfiler",
     "Profiler",
-    "activate",
-    "set_active_profiler",
 ]
-
-#: Log-spaced bucket bounds (seconds) for kernel invocation histograms:
-#: half-decade steps from 1µs to 1s cover a scalar 2-hop lookup through a
-#: full-graph Ford–Fulkerson solve.
-KERNEL_BOUNDS = tuple(10.0 ** (e / 2.0) for e in range(-12, 1))
 
 #: Span-log cap: at ~4 phases per round a week-long paper run stays well
 #: under this; beyond it spans are counted but dropped (aggregates are
@@ -65,7 +50,7 @@ DEFAULT_MAX_SPANS = 32768
 
 
 class _Agg:
-    """One aggregation cell (a phase path or an event label)."""
+    """One aggregation cell (a phase path, an event or evaluation label)."""
 
     __slots__ = ("count", "wall", "cpu", "self_wall", "min", "max")
 
@@ -112,6 +97,13 @@ class _Agg:
         }
 
 
+def _observe(table: Dict[str, _Agg], label: str, duration: float) -> None:
+    agg = table.get(label)
+    if agg is None:
+        agg = table[label] = _Agg()
+    agg.add(duration, 0.0, duration)
+
+
 class _Phase:
     """Stack frame for one :meth:`Profiler.phase` activation."""
 
@@ -153,7 +145,7 @@ class _Phase:
 
 
 class Profiler(Leg):
-    """Phase/event/kernel wall+CPU aggregator with a bounded span log."""
+    """Phase/event/evaluation wall+CPU aggregator with a bounded span log."""
 
     enabled = True
     note = "profile"
@@ -162,7 +154,7 @@ class Profiler(Leg):
         self._stack: List[_Phase] = []
         self._phases: Dict[str, _Agg] = {}
         self._events: Dict[str, _Agg] = {}
-        self._kernels: Dict[str, Histogram] = {}
+        self._kernels: Dict[str, _Agg] = {}
         self._t0 = time.perf_counter()
         self._max_spans = max_spans
         #: ``(path, depth, start_offset_s, dur_s)`` per completed phase,
@@ -178,19 +170,11 @@ class Profiler(Leg):
 
     def observe_event(self, label: str, duration: float) -> None:
         """Aggregate one engine-dispatch callback (no span log entry)."""
-        agg = self._events.get(label)
-        if agg is None:
-            agg = self._events[label] = _Agg()
-        agg.add(duration, 0.0, duration)
+        _observe(self._events, label, duration)
 
-    def observe_kernel(self, name: str, duration: float) -> None:
-        """Record one maxflow kernel invocation duration."""
-        hist = self._kernels.get(name)
-        if hist is None:
-            hist = self._kernels[name] = Histogram(
-                f"prof.kernel.{name}", bounds=KERNEL_BOUNDS
-            )
-        hist.observe(duration)
+    def observe_kernel(self, label: str, duration: float) -> None:
+        """Aggregate one reputation evaluation (no span log entry)."""
+        _observe(self._kernels, label, duration)
 
     def _log_span(self, path: str, depth: int, t0: float, dur: float) -> None:
         if len(self.spans) < self._max_spans:
@@ -206,10 +190,7 @@ class Profiler(Leg):
         return {
             "phases": {p: a.snapshot() for p, a in sorted(self._phases.items())},
             "events": {l: a.snapshot() for l, a in sorted(self._events.items())},
-            "kernels": {
-                name: hist.snapshot(include_reservoir=True)
-                for name, hist in sorted(self._kernels.items())
-            },
+            "kernels": {l: a.snapshot() for l, a in sorted(self._kernels.items())},
             "spans_dropped": self.spans_dropped,
         }
 
@@ -217,31 +198,20 @@ class Profiler(Leg):
     summary = snapshot
 
     def merge(self, snap: Optional[dict]) -> None:
-        """Fold a worker's :meth:`snapshot` into this profiler.
-
-        Call in deterministic (task) order: kernel histogram reservoirs
-        merge through the same seeded path as
-        :meth:`~repro.obs.metrics.Histogram.merge_snapshot_dict`.
-        """
+        """Fold a worker's :meth:`snapshot` into this profiler (call in
+        task order: the float sums are then those of a serial run)."""
         if not snap:
             return
-        for path, sub in snap.get("phases", {}).items():
-            agg = self._phases.get(path)
-            if agg is None:
-                agg = self._phases[path] = _Agg()
-            agg.merge(sub)
-        for label, sub in snap.get("events", {}).items():
-            agg = self._events.get(label)
-            if agg is None:
-                agg = self._events[label] = _Agg()
-            agg.merge(sub)
-        for name, sub in snap.get("kernels", {}).items():
-            hist = self._kernels.get(name)
-            if hist is None:
-                hist = self._kernels[name] = Histogram(
-                    f"prof.kernel.{name}", bounds=sub.get("bounds") or KERNEL_BOUNDS
-                )
-            hist.merge_snapshot_dict(sub)
+        for section, table in (
+            ("phases", self._phases),
+            ("events", self._events),
+            ("kernels", self._kernels),
+        ):
+            for label, sub in snap.get(section, {}).items():
+                agg = table.get(label)
+                if agg is None:
+                    agg = table[label] = _Agg()
+                agg.merge(sub)
         self.spans_dropped += int(snap.get("spans_dropped") or 0)
 
     def render(self) -> str:
@@ -275,34 +245,9 @@ class NullProfiler(Profiler):
     def observe_event(self, label: str, duration: float) -> None:
         pass
 
-    def observe_kernel(self, name: str, duration: float) -> None:
+    def observe_kernel(self, label: str, duration: float) -> None:
         pass
 
 
 #: Shared disabled profiler (the :data:`repro.obs.NULL_OBS` leg).
 NULL_PROFILER = NullProfiler()
-
-#: The process-wide profiler the maxflow kernels report to, or ``None``.
-#: Kernels read this directly (module attribute + ``None`` check) so the
-#: hot scalar path pays nothing measurable when profiling is off.
-ACTIVE: Optional[Profiler] = None
-
-
-def set_active_profiler(profiler: Optional[Profiler]) -> None:
-    """Install ``profiler`` as the kernel-level hook (``None`` clears)."""
-    global ACTIVE
-    ACTIVE = profiler if profiler is not None and profiler.enabled else None
-
-
-@contextmanager
-def activate(profiler: Optional[Profiler]):
-    """Scope ``profiler`` as the active kernel hook; restores the prior
-    hook on exit.  A disabled/``None`` profiler makes this a no-op guard,
-    so callers can wrap unconditionally."""
-    global ACTIVE
-    previous = ACTIVE
-    set_active_profiler(profiler)
-    try:
-        yield profiler
-    finally:
-        ACTIVE = previous

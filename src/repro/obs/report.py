@@ -30,8 +30,7 @@ __all__ = [
 
 
 def _fmt_seconds(seconds) -> str:
-    # None (zero-sample histogram) and NaN (quantiles of merged worker
-    # snapshots without reservoirs) both render as "-".
+    # None (an empty cell's min/max) and NaN both render as "-".
     if seconds is None or seconds != seconds:
         return "-"
     if seconds >= 1.0:
@@ -134,46 +133,29 @@ def render_profile(profile: dict, top: int = 12) -> str:
                 "{}",
             )
         )
-    events = profile.get("events") or {}
-    if events:
-        ranked = sorted(
-            events.items(), key=lambda kv: -(kv[1].get("wall_s") or 0.0)
-        )[:top]
-        lines.append("-- engine events (by total dispatch time) --")
+    for section, title, label, fired in (
+        ("events", "engine events (by total dispatch time)", "event", "fired"),
+        ("kernels", "reputation evaluations (by total time)", "evaluation", "calls"),
+    ):
+        cells = sorted(
+            ((l, s) for l, s in (profile.get(section) or {}).items() if s.get("count")),
+            key=lambda kv: -(kv[1].get("wall_s") or 0.0),
+        )
+        if not cells:
+            continue
+        lines.append(f"-- {title} --")
         lines.append(
             render_table(
-                ["event", "fired", "total", "max"],
+                [label, fired, "total", "max"],
                 [
                     (
-                        label,
-                        s.get("count", 0),
+                        l,
+                        s["count"],
                         _fmt_seconds(s.get("wall_s")),
                         _fmt_seconds(s.get("max_s")),
                     )
-                    for label, s in ranked
+                    for l, s in cells[:top]
                 ],
-                "{}",
-            )
-        )
-    kernels = profile.get("kernels") or {}
-    kernel_rows = [
-        (
-            name,
-            s.get("count", 0),
-            _fmt_seconds(s.get("total")),
-            _fmt_seconds(s.get("p50")),
-            _fmt_seconds(s.get("p95")),
-            _fmt_seconds(s.get("max")),
-        )
-        for name, s in sorted(kernels.items())
-        if s.get("count")
-    ]
-    if kernel_rows:
-        lines.append("-- maxflow kernels (per-invocation durations) --")
-        lines.append(
-            render_table(
-                ["kernel", "calls", "total", "p50", "p95", "max"],
-                kernel_rows,
                 "{}",
             )
         )
@@ -266,8 +248,8 @@ def render_manifest_report(doc: dict) -> str:
 
     Every section is optional: a manifest from a plain run (no
     ``--metrics``/``--prof``/``--timeseries``) still renders the header
-    and phase table; an absent network section and zero-sample
-    histograms degrade to placeholders rather than raising.
+    and phase table; an absent network section and empty profile
+    cells degrade to placeholders rather than raising.
     """
     lines: List[str] = []
     header = f"== Run: {doc.get('command', '?')} =="

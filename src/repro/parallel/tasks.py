@@ -221,8 +221,7 @@ def execute_task(
         raise KeyError(f"no executor registered for experiment {task.experiment!r}")
     obs.begin_task(task.task_id)
     t0 = time.perf_counter()
-    with obs.recording():
-        payload = executor(task, obs)
+    payload = executor(task, obs)
     elapsed = time.perf_counter() - t0
     return TaskResult(
         task_id=task.task_id,

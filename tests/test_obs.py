@@ -20,7 +20,6 @@ from repro.obs import (
     NULL_OBS,
     NULL_TRACER,
     TRACE_SCHEMA,
-    Histogram,
     ManifestBuilder,
     MetricsRegistry,
     Observability,
@@ -52,45 +51,6 @@ class TestCounterGauge:
         g.set(3)
         g.inc(2)
         assert g.value == 5
-
-
-class TestHistogramTimer:
-    def test_histogram_stats(self):
-        h = Histogram("lat")
-        for v in (1.0, 2.0, 3.0, 4.0):
-            h.observe(v)
-        assert h.count == 4
-        assert h.total == 10.0
-        assert h.min == 1.0
-        assert h.max == 4.0
-        assert h.mean == 2.5
-        assert h.quantile(0.0) == 1.0
-        assert h.quantile(1.0) == 4.0
-
-    def test_histogram_empty_quantile_nan(self):
-        h = Histogram("lat")
-        assert math.isnan(h.quantile(0.5))
-        assert math.isnan(h.mean)
-
-    def test_histogram_buckets(self):
-        h = Histogram("lat", bounds=[1.0, 10.0])
-        for v in (0.5, 0.7, 5.0, 50.0):
-            h.observe(v)
-        assert h.bucket_counts == [2, 1, 1]
-
-    def test_histogram_bounds_must_be_sorted(self):
-        with pytest.raises(ValueError):
-            Histogram("lat", bounds=[10.0, 1.0])
-
-    def test_reservoir_deterministic_across_registries(self):
-        a = Histogram("x")
-        b = Histogram("x")
-        values = [float(i % 37) for i in range(5000)]
-        for v in values:
-            a.observe(v)
-            b.observe(v)
-        assert a.quantile(0.5) == b.quantile(0.5)
-        assert a.snapshot() == b.snapshot()
 
 
 class TestRegistry:
@@ -437,76 +397,6 @@ class TestLazyTraceAttrs:
         cat.emit_sampled("never", 0.0)  # must be a harmless no-op
 
 
-class TestHistogramReservoirMerge:
-    """Satellite of the telemetry PR: merged worker reservoirs give real
-    quantiles instead of NaN placeholders."""
-
-    def test_snapshot_reservoir_opt_in(self):
-        h = Histogram("lat")
-        h.observe(1.0)
-        assert "reservoir" not in h.snapshot()
-        assert h.snapshot(include_reservoir=True)["reservoir"] == [1.0]
-
-    def test_merged_quantiles_exact_in_complete_regime(self):
-        """Worker counts below the reservoir size merge exactly: the
-        parent's quantiles equal a serial run over the union stream."""
-        serial = Histogram("lat")
-        parent = Histogram("lat")
-        rng_values = [
-            [float((7 * i + w) % 101) for i in range(300)] for w in range(3)
-        ]
-        for w, values in enumerate(rng_values):
-            worker = Histogram("lat")
-            for v in values:
-                worker.observe(v)
-                serial.observe(v)
-            parent.merge_snapshot_dict(worker.snapshot(include_reservoir=True))
-        for q in (0.1, 0.5, 0.9, 0.95, 0.99):
-            assert parent.quantile(q) == serial.quantile(q)
-        assert parent.count == serial.count == 900
-        assert parent.total == serial.total
-
-    def test_merge_without_reservoir_keeps_exact_scalars(self):
-        parent = Histogram("lat")
-        worker = Histogram("lat")
-        for v in (1.0, 2.0, 3.0):
-            worker.observe(v)
-        parent.merge_snapshot_dict(worker.snapshot())  # compact snapshot
-        assert parent.count == 3
-        assert parent.total == 6.0
-        assert math.isnan(parent.quantile(0.5))  # no samples shipped
-
-    def test_overfull_merge_bounded_and_deterministic(self):
-        def build():
-            parent = Histogram("lat")
-            for w in range(3):
-                worker = Histogram("lat")
-                for i in range(600):  # 1800 total > 1024 reservoir size
-                    worker.observe(float((11 * i + w) % 997))
-                parent.merge_snapshot_dict(
-                    worker.snapshot(include_reservoir=True)
-                )
-            return parent
-        a, b = build(), build()
-        assert a.count == 1800
-        assert len(a._reservoir) == a._reservoir_size
-        assert a.quantile(0.5) == b.quantile(0.5)  # name-seeded merge RNG
-        assert 0.0 <= a.quantile(0.5) <= 997.0
-
-    def test_parallel_worker_quantiles_render_in_report(self):
-        """The end-to-end satellite claim: a merged profiler's kernel
-        table renders real quantile values, not the '-' placeholder."""
-        from repro.obs.profile import Profiler
-
-        parent, worker = Profiler(), Profiler()
-        for i in range(50):
-            worker.observe_kernel("maxflow_two_hop_batch", 0.001 * (i + 1))
-        parent.merge(worker.snapshot())
-        out = parent.render()
-        row = next(l for l in out.splitlines() if "maxflow_two_hop_batch" in l)
-        assert "-" not in row.replace("maxflow_two_hop_batch", "")
-
-
 class TestManifestReport:
     """repro report: rendering stored manifests, degrading gracefully."""
 
@@ -544,16 +434,15 @@ class TestManifestReport:
         from repro.obs.report import render_profile
 
         kernels = {
-            "empty": {"count": 0, "total": 0.0},
-            "merged": {
-                "count": 5, "total": 1.0, "p50": 0.2,
-                "p95": float("nan"), "max": float("nan"),
-            },
+            "empty": {"count": 0, "wall_s": 0.0, "max_s": None},
+            "merged": {"count": 5, "wall_s": 1.0, "max_s": float("nan")},
+            "unbounded": {"count": 2, "wall_s": 0.5, "max_s": None},
         }
         out = render_profile({"kernels": kernels})
-        assert "empty" not in out  # zero-count kernels are elided
-        row = next(l for l in out.splitlines() if "merged" in l)
-        assert "-" in row  # NaN quantiles render as placeholders
+        assert "empty" not in out  # zero-count cells are elided
+        for label in ("merged", "unbounded"):
+            row = next(l for l in out.splitlines() if label in l)
+            assert row.rstrip().endswith("-")  # NaN / None max renders "-"
 
     def test_fmt_seconds_none_safe(self):
         from repro.obs.report import _fmt_seconds
@@ -570,7 +459,7 @@ class TestManifestReport:
         prof = Profiler()
         with prof.phase("bt.round"):
             pass
-        prof.observe_kernel("maxflow_two_hop_batch", 1e-4)
+        prof.observe_kernel("bartercast.batch", 1e-4)
         ts = {
             "interval_s": None,
             "series": [{
@@ -583,9 +472,26 @@ class TestManifestReport:
             self._doc(extra={"profile": prof.summary(), "timeseries": ts})
         )
         assert "== Profile ==" in out
-        assert "bt.round" in out and "maxflow_two_hop_batch" in out
+        assert "bt.round" in out and "bartercast.batch" in out
         assert "== Timeseries ==" in out
         assert "fig2/rank" in out and "0.500" in out
+
+
+@pytest.mark.parametrize("engine", ["bartercast", "gossip", "ratio"])
+def test_profile_counts_are_the_nodes_evaluations(engine):
+    """The profiler times every engine where the node evaluates it: one
+    cell observation per ``rep.kernel.calls`` increment, labelled by the
+    engine, whichever engine scores."""
+    from repro.experiments.fig2 import run_fig2_policy
+
+    obs = make_observability(metrics=True, profile=True)
+    scenario = ScenarioConfig.tiny(seed=3).with_engine(engine)
+    run_fig2_policy(scenario, "ban", delta=-0.5, obs=obs)
+    kernels = obs.profiler.summary()["kernels"]
+    calls = obs.metrics.value("rep.kernel.calls")
+    assert calls > 0
+    assert sum(cell["count"] for cell in kernels.values()) == calls
+    assert all(label.startswith(f"{engine}.") for label in kernels)
 
 
 # ----------------------------------------------------------------------
@@ -625,7 +531,7 @@ LEG_CASES = {
     "profiler": (
         _stable_profile,
         lambda s: s["phases"]["bt.round"]["count"] > 0
-        and s["kernels"]["maxflow_two_hop_batch"]["count"] > 0,
+        and s["kernels"]["bartercast.batch"]["count"] > 0,
     ),
 }
 

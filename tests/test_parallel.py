@@ -381,6 +381,10 @@ class TestCliJobs:
         assert set(extra1) == {"timeseries", "dissemination", "profile"}
         assert extra1 == extra2
         assert counters1["prov.claims_recorded"] > 0
+        # The profile counts one cell observation per node evaluation.
+        for extra, counters in ((extra1, counters1), (extra2, counters2)):
+            kernels = extra["profile"]["kernels"]
+            assert sum(kernels.values()) == counters["rep.kernel.calls"] > 0
         # Float counters (bytes) sum per task, then across tasks, at any
         # --jobs level.
         assert counters1 == counters2

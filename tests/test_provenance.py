@@ -27,7 +27,6 @@ from repro.core.messages import BarterCastMessage, HistoryRecord
 from repro.core.sharedhistory import SubjectiveSharedHistory
 from repro.experiments.scenario import ScenarioConfig, build_simulation
 from repro.faults import FaultConfig, audit_simulation
-from repro.graph.batch import maxflow_two_hop_batch
 from repro.graph.maxflow import (
     bounded_ford_fulkerson,
     leave_one_out_values,
@@ -281,20 +280,6 @@ class TestPathAttribution:
                 pruned.add_node(node)
             true_without = maxflow_two_hop(pruned, 0, 1).value
             assert claimed == pytest.approx(true_without, rel=1e-9, abs=1e-9)
-
-    @settings(max_examples=40, deadline=None)
-    @given(random_graphs())
-    def test_batch_recording_matches_scalar(self, g):
-        targets = [n for n in g.nodes() if n != 0]
-        batch = maxflow_two_hop_batch(g, 0, targets, record_paths=True)
-        for j in targets:
-            inflow, outflow, in_paths, out_paths = batch[j]
-            scalar_in = maxflow_two_hop(g, j, 0, record_paths=True)
-            scalar_out = maxflow_two_hop(g, 0, j, record_paths=True)
-            assert inflow == scalar_in.value
-            assert outflow == scalar_out.value
-            assert in_paths == scalar_in.paths
-            assert out_paths == scalar_out.paths
 
     def test_loo_requires_recorded_paths(self):
         g = TransferGraph.from_edges([("s", "t", 5.0)])

@@ -139,6 +139,26 @@ class TestMutation:
         assert g.version == v2
 
 
+@pytest.mark.parametrize("cls", [TransferGraph, ColumnarTransferGraph])
+def test_total_bytes_of_an_emptied_graph_is_zero(cls):
+    """Writes that add and subtract magnitudes 1e8 apart leave no rounding
+    residue: the total is the sum of what is stored, not a running sum."""
+    g = cls()
+    g.set_transfer("b", "d", 8.071799988898166)
+    g.add_transfer("e", "d", 4.850804124928859)
+    g.add_transfer("b", "e", 842918309.9310977)
+    g.set_transfer("d", "a", 955346426.605658)
+    g.set_transfer("e", "a", 923960396.9125584)
+    g.set_transfer("b", "d", 68716964.41668595)
+    g.add_transfer("b", "e", 870549438.476054)
+    g.add_transfer("e", "d", 8.217886558118838)
+    g.set_transfer("e", "b", 830213717.0097903)
+    for node in ("b", "d", "e", "a"):
+        g.remove_node(node)
+    assert g.num_edges == 0
+    assert g.total_bytes == 0.0
+
+
 class TestChangeEvents:
     def setup_method(self):
         self.events = []

@@ -30,7 +30,6 @@ from repro.graph.maxflow import (
     two_hop_flow,
 )
 from repro.graph.transfer_graph import TransferGraph
-from repro.obs.profile import Profiler, activate
 from tests import model
 
 #: Every 2-hop example runs on each graph class that ships.
@@ -85,17 +84,14 @@ def check_every_route(writes):
                 assert metric.reputation(graph, owner, j) == reps[j]
             got = maxflow_two_hop_batch(graph, owner, targets + targets + [owner])
             assert got == flows and list(got) == targets
-            assert maxflow_two_hop_batch(graph, owner, targets, record_paths=True) == {
-                j: (i[0], o[0], i[1], o[1]) for j, (i, o) in want.items()
-            }
             node = BarterCastNode(owner, graph_backend=backend)
             build(writes, node.graph)
             assert node.reputations_of(targets) == reps
             assert node.rank_by_reputation(targets) == model.rank(ref, owner, targets)
             assert BanPolicy(-0.5).allowed(node, targets) == model.ban(ref, owner, targets, -0.5)
             counts["maxflow_two_hop"] += 6 * len(targets)
-            counts["maxflow_two_hop_batch"] += 2 + bool(targets)  # the node asks once
-            counts["maxflow_two_hop_batch_targets"] += 3 * len(targets)
+            counts["maxflow_two_hop_batch"] += 1 + bool(targets)  # the node asks once
+            counts["maxflow_two_hop_batch_targets"] += 2 * len(targets)
     columnar = graphs["columnar"]
     columnar.build_csr()  # a fresh CSR sends a present owner's batch to the array kernel
     for owner, flows in flows_of.items():
@@ -116,23 +112,18 @@ def test_every_route_equals_the_replaced_loops(writes):
 
 def test_seeded_random_graphs_reach_every_shape():
     """Graphs as dense as the strategy's show every shape the closed form
-    distinguishes, under both summation orders, and pass every route under
-    a profiler that times each ``maxflow_two_hop`` call the kernels count."""
-    rng, seen, prof = random.Random(21), set(), Profiler()
-    before = snapshot_kernel_invocations()
-    with activate(prof):
-        for _ in range(40):
-            pick = lambda: rng.choice(POOL + [rng.uniform(1e-3, 1e12)])
-            writes = [(rng.randrange(6), rng.randrange(6), pick()) for _ in range(24)]
-            graph = build(writes, TransferGraph())
-            seen.update(shape(graph, s, t) for s in range(6) for t in range(6) if s != t)
-            check_every_route(writes)
+    distinguishes, under both summation orders, and pass every route."""
+    rng, seen = random.Random(21), set()
+    for _ in range(40):
+        pick = lambda: rng.choice(POOL + [rng.uniform(1e-3, 1e12)])
+        writes = [(rng.randrange(6), rng.randrange(6), pick()) for _ in range(24)]
+        graph = build(writes, TransferGraph())
+        seen.update(shape(graph, s, t) for s in range(6) for t in range(6) if s != t)
+        check_every_route(writes)
     assert seen == {
         (n, walk, direct, equal and n > 0)
         for n in (0, 1, 2) for walk in ("out", "in") for direct in (False, True) for equal in (False, True)
     }
-    counted = kernel_invocations_delta(before)["maxflow_two_hop"]
-    assert prof.snapshot()["kernels"]["maxflow_two_hop"]["count"] == counted
 
 
 def fan(n_out_only, n_in_only, n_common, direct, equal=False):
@@ -204,10 +195,6 @@ def test_kernel_invocation_deltas_per_call():
         "maxflow_two_hop_batch": 1,
         "maxflow_two_hop_batch_targets": 3,
     }
-    assert delta(lambda: maxflow_two_hop_batch(graph, "s", ["t", "c0"], record_paths=True)) == {
-        "maxflow_two_hop_batch": 1,
-        "maxflow_two_hop_batch_targets": 2,
-    }
     assert delta(lambda: metric.reputation_batch(graph, "s", ["t"])) == {
         "maxflow_two_hop_batch": 1,
         "maxflow_two_hop_batch_targets": 1,
@@ -217,17 +204,21 @@ def test_kernel_invocation_deltas_per_call():
 
 
 @pytest.mark.parametrize("cls", [TransferGraph, ColumnarTransferGraph])
-@pytest.mark.parametrize("record_paths", [False, True])
-def test_batch_counts_its_targets_when_the_owner_is_absent(cls, record_paths):
-    """Every exit of the batch kernel counts the results it returns."""
+@pytest.mark.parametrize("removed", [False, True])
+def test_batch_counts_its_targets_when_the_owner_is_absent(cls, removed):
+    """Every exit of the batch kernel counts the results it returns, for
+    an owner never seen and for one whose node (and edges) was removed."""
     graph = cls()
     graph.set_transfer("a", "b", 1.0)
+    if removed:
+        graph.set_transfer("ghost", "a", 2.0)
+        graph.set_transfer("b", "ghost", 3.0)
+        graph.remove_node("ghost")
     if cls is ColumnarTransferGraph:
         graph.build_csr()  # a fresh CSR must not send an absent owner to the array kernel
-    empty = (0.0, 0.0, (), ()) if record_paths else (0.0, 0.0)
     before = snapshot_kernel_invocations()
-    got = maxflow_two_hop_batch(graph, "ghost", ["a", "b", "a", "ghost"], record_paths)
-    assert got == {"a": empty, "b": empty}
+    got = maxflow_two_hop_batch(graph, "ghost", ["a", "b", "a", "ghost"])
+    assert got == {"a": (0.0, 0.0), "b": (0.0, 0.0)}
     assert kernel_invocations_delta(before) == {
         "maxflow_two_hop_batch": 1,
         "maxflow_two_hop_batch_targets": 2,
@@ -235,14 +226,11 @@ def test_batch_counts_its_targets_when_the_owner_is_absent(cls, record_paths):
 
 
 def test_profiler_sees_two_scalar_kernel_calls_per_reputation():
-    """The direct scalar route is counted, and while a profiler is active
-    also timed, as the two ``maxflow_two_hop`` calls it stands for."""
+    """The direct scalar route is counted as the two ``maxflow_two_hop``
+    calls it stands for, and repeats its value."""
     graph = fan(1, 2, 3, direct=True)
     metric = ReputationMetric()
     plain = metric.reputation(graph, "s", "t")
-    prof = Profiler()
-    with activate(prof):
-        counted = delta(lambda: metric.reputation(graph, "s", "t"))
-        assert metric.reputation(graph, "s", "t") == plain
+    counted = delta(lambda: metric.reputation(graph, "s", "t"))
+    assert metric.reputation(graph, "s", "t") == plain
     assert counted == {"maxflow_two_hop": 2}
-    assert prof.snapshot()["kernels"]["maxflow_two_hop"]["count"] == 4
