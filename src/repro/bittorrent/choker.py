@@ -12,15 +12,19 @@ Standard BitTorrent semantics (Section 4.1 of the paper):
 * under the *ban* policy, peers whose reputation is below δ receive no
   slot of any kind.
 
-Interest is approximated by the cheap test "the candidate is an online,
-connectable leecher and I hold at least one piece" (exact piece-mask
+Interest is approximated by the cheap test "the candidate is an online
+leecher I can connect to and I hold at least one piece" (exact piece-mask
 interest is evaluated on the transfer path, where a wasted slot simply
-carries zero bytes — the standard flow-level simplification).
+carries zero bytes — the standard flow-level simplification).  Two peers
+connect when at least one of them accepts incoming connections, so the
+caller builds two candidate pools once per swarm and round — every online
+leecher, and the connectable ones among them — and hands each uploader the
+pool it reaches: the first if it is connectable itself, else the second.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
 from repro.bittorrent.config import BitTorrentConfig
 from repro.bittorrent.swarm import MemberState
@@ -31,42 +35,38 @@ from repro.sim.rng import RngStream
 __all__ = ["select_unchokes", "interested_candidates"]
 
 
-def interested_candidates(
-    uploader: MemberState,
-    online_leechers: Sequence[int],
-    can_connect: Callable[[int, int], bool],
-) -> List[int]:
+def interested_candidates(uploader: MemberState, pool: Sequence[int]) -> List[int]:
     """Peers that could accept data from ``uploader`` this round: the
-    ``online_leechers`` it can connect to.  That list is the same for every
-    uploader of a swarm, so the caller derives it once per round."""
+    ``pool`` of online leechers it can connect to (module docstring),
+    minus itself; none while it holds no piece."""
     if uploader.bitfield.num_have == 0:
         return []
     up = uploader.peer_id
-    return [pid for pid in online_leechers if pid != up and can_connect(up, pid)]
+    return [pid for pid in pool if pid != up]
 
 
 def select_unchokes(
     uploader: MemberState,
-    online_leechers: Sequence[int],
+    pool: Sequence[int],
     *,
     policy: ReputationPolicy,
     node: Optional[BarterCastNode],
     rng: RngStream,
     round_idx: int,
     config: BitTorrentConfig,
-    can_connect: Callable[[int, int], bool],
 ) -> Set[int]:
     """The set of peers ``uploader`` sends data to this round.
 
     Combines the tit-for-tat regular slots with the (policy-ordered)
-    optimistic slot; banned peers are excluded everywhere.  A call that
+    optimistic slot; banned peers are excluded everywhere: the optimistic
+    order is asked only of peers ``policy.allowed`` kept.  A call that
     finds no candidate clears the optimistic target and draws nothing
-    from ``rng`` — so a caller holding an empty ``online_leechers`` may
+    from ``rng`` — so a caller whose swarm has no online leecher may
     do the former itself and skip the call.  A call that finds one
     counts itself and the candidates the policy banned on ``node``
     (``choke_calls`` / ``choke_banned``).
     """
-    candidates = interested_candidates(uploader, online_leechers, can_connect)
+    candidates = interested_candidates(uploader, pool)
     if not candidates:
         uploader.optimistic_peer = None
         return set()

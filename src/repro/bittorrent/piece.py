@@ -118,4 +118,6 @@ def pick_rarest(availability: np.ndarray, candidates: np.ndarray, k: int) -> np.
         part = np.argpartition(counts, k - 1)[:k]
         idx = idx[part]
         counts = counts[part]
+    if idx.size == 1:
+        return idx
     return idx[np.argsort(counts, kind="stable")]

@@ -172,6 +172,10 @@ class CommunitySimulator:
             for pid in trace.peers
         }
         self.online: Set[int] = set()
+        #: Whether each peer accepts incoming connections (fixed per trace).
+        self._connectable: Dict[int, bool] = {
+            pid: profile.connectable for pid, profile in trace.peers.items()
+        }
         # The gossip round's iteration base: ``sorted(online)``, re-sorted
         # only when membership differs from the round before.
         self._gossip_members: Set[int] = set()
@@ -321,8 +325,9 @@ class CommunitySimulator:
 
     def can_connect(self, a: int, b: int) -> bool:
         """Whether peers ``a`` and ``b`` can form a connection (at least one
-        must accept incoming connections)."""
-        return self.trace.peers[a].connectable or self.trace.peers[b].connectable
+        must accept incoming connections).  The round applies this rule
+        through the two candidate pools of :mod:`repro.bittorrent.choker`."""
+        return self._connectable[a] or self._connectable[b]
 
     def _churn_rejoin(self, peer: int, now: float, wiped: bool) -> None:
         """Churn rejoin hook: replay the recovery path of a restarted peer.
@@ -525,6 +530,8 @@ class CommunitySimulator:
     def _collect_links(self) -> List[Tuple[int, int, SwarmState]]:
         links: List[Tuple[int, int, SwarmState]] = []
         is_online = self.is_online
+        connectable = self._connectable
+        role_of, nodes = self.roles.role_of, self.nodes
         for swarm in self.swarms.values():
             if len(swarm.members) < 2:
                 continue
@@ -537,20 +544,23 @@ class CommunitySimulator:
                     if member.optimistic_peer is not None and is_online(member.peer_id):
                         member.optimistic_peer = None
                 continue
+            # ``can_connect`` once per leecher and round: a connectable
+            # uploader reaches every online leecher, any other one only
+            # the connectable leechers.
+            reachable = [pid for pid in online_leechers if connectable[pid]]
             for member in swarm.members.values():
                 pid = member.peer_id
                 if not is_online(pid):
                     continue
-                is_origin = self.roles.role_of(pid) == Role.ORIGIN
+                is_origin = role_of(pid) == Role.ORIGIN
                 unchoked = select_unchokes(
                     member,
-                    online_leechers,
+                    online_leechers if connectable[pid] else reachable,
                     policy=self._origin_policy if is_origin else self.policy,
-                    node=self.nodes[pid],
+                    node=nodes[pid],
                     rng=self._choke_rng,
                     round_idx=self.round_idx,
                     config=self.config,
-                    can_connect=self.can_connect,
                 )
                 for target in unchoked:
                     links.append((pid, target, swarm))
@@ -610,13 +620,19 @@ class CommunitySimulator:
         if um is None or dm is None:
             return 0.0
         piece_size = swarm.spec.piece_size
-        # What this link can carry: sizes the transfer, then feeds the picker.
-        candidates = ~dm.bitfield.have
-        if not um.bitfield.is_complete:
+        # What this link can carry: sizes the transfer, then feeds the
+        # picker.  A complete uploader offers every piece the receiver
+        # lacks, counted without building the mask; the receiver is a
+        # leecher, so it lacks at least one.
+        if um.bitfield.is_complete:
+            candidates = None
+            n_candidates = swarm.num_pieces - dm.bitfield.num_have
+        else:
+            candidates = ~dm.bitfield.have
             candidates &= um.bitfield.have
-        n_candidates = int(np.count_nonzero(candidates))
-        if n_candidates == 0:
-            return 0.0
+            n_candidates = int(np.count_nonzero(candidates))
+            if n_candidates == 0:
+                return 0.0
         carry = dm.carry.get(up, 0.0)
         max_bytes = n_candidates * piece_size - carry
         actual = min(budget, max_bytes)
@@ -626,6 +642,8 @@ class CommunitySimulator:
         n_complete = int(total // piece_size)
         dm.carry[up] = total - n_complete * piece_size
         if n_complete > 0:
+            if candidates is None:
+                candidates = ~dm.bitfield.have
             swarm.grant_pieces(dm, pick_rarest(swarm.availability, candidates, n_complete), now)
         # BarterCast + measurement accounting (both directions, real bytes).
         self.nodes[up].record_upload(down, actual, now)

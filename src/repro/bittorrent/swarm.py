@@ -138,9 +138,15 @@ class SwarmState:
         leecher moves to the seeder roster.  Only pieces it did not hold
         yet count towards ``availability``."""
         bitfield = member.bitfield
-        new = pieces[~bitfield.have[pieces]]
-        if bitfield.add_many(new):
-            self.availability[new] += 1
+        if len(pieces) == 1:
+            # Most grants are one piece: scalar access, no mask or recount.
+            piece = pieces[0]
+            if bitfield.add(piece):
+                self.availability[piece] += 1
+        else:
+            new = pieces[~bitfield.have[pieces]]
+            if bitfield.add_many(new):
+                self.availability[new] += 1
         if member.completed_at is None and bitfield.is_complete:
             member.completed_at = now
             self.completions += 1

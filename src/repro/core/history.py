@@ -83,24 +83,32 @@ class PrivateHistory:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def record_upload(self, peer: PeerId, nbytes: float, now: float) -> None:
-        """Record that the owner uploaded ``nbytes`` to ``peer`` at ``now``."""
+    def record_upload(self, peer: PeerId, nbytes: float, now: float) -> float:
+        """Record that the owner uploaded ``nbytes`` to ``peer`` at ``now``;
+        returns the new total uploaded to ``peer``."""
         self._validate(peer, nbytes)
         rec = self._get_or_create(peer)
         rec.uploaded += float(nbytes)
-        rec.last_seen = max(rec.last_seen, float(now))
+        now = float(now)
+        if now > rec.last_seen:
+            rec.last_seen = now
         self._total_up += float(nbytes)
         self._moved.add(peer)
+        return rec.uploaded
 
-    def record_download(self, peer: PeerId, nbytes: float, now: float) -> None:
-        """Record that the owner downloaded ``nbytes`` from ``peer`` at ``now``."""
+    def record_download(self, peer: PeerId, nbytes: float, now: float) -> float:
+        """Record that the owner downloaded ``nbytes`` from ``peer`` at ``now``;
+        returns the new total downloaded from ``peer``."""
         self._validate(peer, nbytes)
         rec = self._get_or_create(peer)
         rec.downloaded += float(nbytes)
-        rec.last_seen = max(rec.last_seen, float(now))
+        now = float(now)
+        if now > rec.last_seen:
+            rec.last_seen = now
         self._total_down += float(nbytes)
         self._moved.add(peer)
         self._top = None
+        return rec.downloaded
 
     def touch(self, peer: PeerId, now: float) -> None:
         """Record an interaction with ``peer`` (e.g. a gossip exchange)

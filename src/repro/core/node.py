@@ -207,13 +207,13 @@ class BarterCastNode:
     # ------------------------------------------------------------------
     def record_upload(self, peer: PeerId, nbytes: float, now: float) -> None:
         """Account ``nbytes`` uploaded to ``peer`` at time ``now``."""
-        self.history.record_upload(peer, nbytes, now)
-        self.graph.set_transfer(self.peer_id, peer, self.history.totals(peer).uploaded)
+        total = self.history.record_upload(peer, nbytes, now)
+        self.graph.set_transfer(self.peer_id, peer, total)
 
     def record_download(self, peer: PeerId, nbytes: float, now: float) -> None:
         """Account ``nbytes`` downloaded from ``peer`` at time ``now``."""
-        self.history.record_download(peer, nbytes, now)
-        self.graph.set_transfer(peer, self.peer_id, self.history.totals(peer).downloaded)
+        total = self.history.record_download(peer, nbytes, now)
+        self.graph.set_transfer(peer, self.peer_id, total)
 
     def note_seen(self, peer: PeerId, now: float) -> None:
         """Mark ``peer`` as seen now (affects the ``Nr`` selection)."""
@@ -382,22 +382,25 @@ class BarterCastNode:
         Cached entries are served directly and all misses are scored in
         one ``engine.scores`` call (value-identical to scalar calls).
         """
-        unique = [p for p in dict.fromkeys(peers) if p != self.peer_id]
-        if not unique:
-            return {}
-        values: Dict[PeerId, float] = {}
+        me = self.peer_id
         if self.cache_mode == "off":
-            missing = unique
+            values: Dict[PeerId, Optional[float]] = dict.fromkeys(
+                p for p in peers if p != me
+            )
+            missing = list(values)
         else:
+            # One pass: every distinct peer gets its slot in first-seen
+            # order, holding its cached score or ``None`` until scored.
             cache_get = self._rep_cache.get
+            values = {}
             missing = []
-            for p in unique:
-                v = cache_get(p)
+            for p in peers:
+                if p in values or p == me:
+                    continue
+                v = values[p] = cache_get(p)
                 if v is None:
                     missing.append(p)
-                else:
-                    self.rep_cache_hits += 1
-                    values[p] = v
+            self.rep_cache_hits += len(values) - len(missing)
         if missing:
             self.rep_cache_misses += len(missing)
             prof = self._prof
@@ -418,7 +421,7 @@ class BarterCastNode:
             if self.cache_mode != "off":
                 self._rep_cache.update(fresh)
             values.update(fresh)
-        return {p: values[p] for p in unique}
+        return values
 
     # rank_by_reputation reads the batch under this second name, so a
     # wrapper around the public method sees only outside calls.

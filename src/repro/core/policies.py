@@ -26,7 +26,9 @@ The BitTorrent choker consults the policy at two points:
     In what order should optimistic-unchoke candidates be considered?  The
     rank policy sorts by descending reputation; the others shuffle
     uniformly (BitTorrent's round-robin is realized as a fresh random
-    order per rotation, which has the same long-run fairness).
+    order per rotation, which has the same long-run fairness).  The
+    choker passes only peers ``allowed`` kept in the same call, with no
+    graph write in between, so no policy filters them a second time.
 """
 
 from __future__ import annotations
@@ -93,7 +95,10 @@ class ReputationPolicy:
         interested: List[PeerId],
         rng: RngStream,
     ) -> List[PeerId]:
-        """Candidate order for the optimistic unchoke slot (best first)."""
+        """Candidate order for the optimistic unchoke slot (best first).
+
+        ``interested`` already passed :meth:`allowed`: every peer in it
+        may be ordered."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -156,10 +161,10 @@ class BanPolicy(ReputationPolicy):
         The (negative) reputation threshold; the paper evaluates
         δ ∈ {−0.3, −0.5, −0.7} and finds −0.5 a good operating point.
 
-    Banned peers are also excluded from the optimistic rotation.  Among
-    allowed peers the optimistic order is uniform, as in plain BitTorrent
-    (the ban policy is evaluated separately from the rank policy in the
-    paper).
+    Banned peers are also excluded from the optimistic rotation: the
+    choker offers it only peers :meth:`allowed` kept.  Among those the
+    optimistic order is uniform, as in plain BitTorrent (the ban policy is
+    evaluated separately from the rank policy in the paper).
     """
 
     name = "ban"
@@ -190,7 +195,7 @@ class BanPolicy(ReputationPolicy):
         interested: List[PeerId],
         rng: RngStream,
     ) -> List[PeerId]:
-        return rng.shuffled(self.allowed(node, interested))
+        return rng.shuffled(interested)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<BanPolicy delta={self.delta}>"

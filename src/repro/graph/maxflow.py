@@ -395,7 +395,8 @@ def two_hop_flow(
         for v in common:
             c_sv = out_s[v]
             c_vt = in_t[v]
-            total += min(c_sv, c_vt)
+            # ``min`` without the builtin call: same operand on a tie.
+            total += c_sv if c_sv <= c_vt else c_vt
         if via is not None:
             via.extend(common)
     return total

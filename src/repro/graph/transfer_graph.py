@@ -130,20 +130,28 @@ class TransferGraph:
             raise ValueError(f"transfer size must be non-negative, got {nbytes}")
         if src == dst:
             raise ValueError(f"self-transfer rejected for node {src!r}")
-        self.add_node(src)
-        self.add_node(dst)
+        # The ledger's hot write: endpoints are registered only when
+        # missing (as ``add_node`` would) and listeners called inline.
+        out = self._out
+        row = out.get(src)
+        if row is None:
+            self.add_node(src)
+            row = out[src]
+        if dst not in out:
+            self.add_node(dst)
         new = float(nbytes)
-        old = self._out[src].get(dst, 0.0)
+        old = row.get(dst, 0.0)
         if new == old:
             return
         if new > 0:
-            self._out[src][dst] = new
+            row[dst] = new
             self._in[dst][src] = new
         else:
-            del self._out[src][dst]
+            del row[dst]
             del self._in[dst][src]
         self._version += 1
-        self._notify(src, dst)
+        for listener in self._listeners:
+            listener(src, dst)
 
     def remove_node(self, node: PeerId) -> None:
         """Delete ``node`` and all incident edges (no-op if absent)."""

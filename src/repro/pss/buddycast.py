@@ -191,7 +191,11 @@ class BuddyCastPSS(PeerSamplingService):
                 # *before* the newcomer goes in: evicting the contact being
                 # inserted would make the insert a silent no-op and lock
                 # the view's membership.
-                del view[min(view, key=view.__getitem__)]
+                stalest = min(view.values())
+                for victim, held in view.items():
+                    if held == stalest:
+                        break
+                del view[victim]
             view[contact] = freshness
 
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import repro.bittorrent.simulator as simulator_module
 from repro.bittorrent.choker import interested_candidates, select_unchokes
 from repro.bittorrent.config import BitTorrentConfig
+from repro.bittorrent.piece import pick_rarest
 from repro.bittorrent.roles import Role, RoleAssignment
 from repro.bittorrent.simulator import CommunitySimulator
 from repro.bittorrent.swarm import SwarmState
@@ -27,8 +28,10 @@ from tests import model
 from tests.conftest import snapshot
 
 
-def check_swarm(swarm, is_online, can_connect):
-    """Rosters, candidates and availability against full scans of ``members``."""
+def check_swarm(swarm, is_online, connectable):
+    """Rosters, candidates and availability against full scans of ``members``.
+    Candidates come from the round's two pools (every online leecher, the
+    connectable ones), the model's from the pairwise connection rule."""
     members = swarm.members.values()
     leechers = [id(m) for m in members if not model.complete(m)]
     seeders = {m.peer_id: id(m) for m in members if model.complete(m)}
@@ -37,8 +40,10 @@ def check_swarm(swarm, is_online, can_connect):
     assert [id(m) for m in swarm.seeders()] == list(seeders.values())
     assert {p: id(m) for p, m in swarm.seeder_roster.items()} == seeders
     online_leechers = [p for p in swarm.leecher_roster if is_online(p)]
+    reachable = [p for p in online_leechers if connectable(p)]
+    can_connect = lambda a, b: connectable(a) or connectable(b)
     for up in members:
-        got = interested_candidates(up, online_leechers, can_connect)
+        got = interested_candidates(up, online_leechers if connectable(up.peer_id) else reachable)
         assert got == model.candidates(swarm, up, is_online, can_connect)
     # Rarest-first counts are exactly the copies held by members, however
     # often or redundantly pieces were granted.
@@ -67,7 +72,6 @@ swarm_ops = st.one_of(
 def test_rosters_and_candidates_equal_full_scan(ops):
     swarm = SwarmState(SwarmSpec(0, file_size=10.0 * NUM_PIECES, piece_size=10.0, origin_seeder=0))
     online = set(CONNECTABLE)
-    can_connect = lambda a, b: CONNECTABLE[a] or CONNECTABLE[b]
     for step, (kind, pid, *args) in enumerate(ops):
         member, now = swarm.members.get(pid), float(step)
         if kind == "join":
@@ -80,7 +84,52 @@ def test_rosters_and_candidates_equal_full_scan(ops):
             swarm.leave(pid)
         elif kind == "toggle":
             online.symmetric_difference_update({pid})
-        check_swarm(swarm, online.__contains__, can_connect)
+        check_swarm(swarm, online.__contains__, CONNECTABLE.__getitem__)
+
+
+# --- Piece picking and granting against the model ---------------------------
+
+def piece_state(swarm, member):
+    bitfield = member.bitfield
+    return (bitfield.have.tolist(), bitfield.num_have, swarm.availability.tolist(),
+            member.completed_at, swarm.completions)
+
+
+masks = st.lists(st.booleans(), min_size=NUM_PIECES, max_size=NUM_PIECES)
+pick_grant_ops = st.one_of(
+    st.tuples(st.just("pick"), masks, st.one_of(st.just(1), st.integers(0, NUM_PIECES + 1))),
+    # One-piece grants of held pieces, and repeated indices, on purpose.
+    st.tuples(st.just("grant"), st.lists(st.integers(0, NUM_PIECES - 1), min_size=1, max_size=4)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    availability=st.lists(st.integers(0, 3), min_size=NUM_PIECES, max_size=NUM_PIECES),
+    ops=st.lists(pick_grant_ops, max_size=12),
+)
+def test_pick_rarest_and_grant_pieces_equal_model(availability, ops):
+    """``pick_rarest`` is ``model.rarest`` sorted rarest first (stable), and
+    ``grant_pieces`` — fed those picks, masks that may name held pieces,
+    or raw index lists — writes what ``model.grant`` writes."""
+    swarm, ref = (SwarmState(SwarmSpec(0, 10.0 * NUM_PIECES, 10.0, origin_seeder=0)) for _ in "ab")
+    for twin in (swarm, ref):
+        twin.join(3, 0.0)
+        twin.availability[:] = availability
+    member, ref_member = swarm.members[3], ref.members[3]
+    for step, (kind, *args) in enumerate(ops, 1):
+        if kind == "pick":
+            wanted, k = np.array(args[0]), args[1]
+            pieces = pick_rarest(swarm.availability, wanted, k)
+            want = model.rarest(ref.availability, wanted, k)
+            assert pieces.tolist() == want[np.argsort(ref.availability[want], kind="stable")].tolist()
+        else:
+            pieces = np.array(args[0])
+        was_complete = ref_member.completed_at is not None
+        finished = swarm.grant_pieces(member, pieces, float(step))
+        model.grant(ref, ref_member, pieces, float(step))
+        assert finished == (not was_complete and ref_member.completed_at is not None)
+        assert piece_state(swarm, member) == piece_state(ref, ref_member)
 
 
 # --- Twin simulators, one rounding through the model -------------------------
@@ -124,10 +173,13 @@ class Twins:
     def add(self, twin, chosen):
         return chosen + [(up, down, twin.swarms[s]) for up, down, s in self.extra]
 
-    def choke(self, uploader, online_leechers, **kwargs):
-        assert online_leechers
+    def choke(self, uploader, pool, **kwargs):
+        # The pool may be empty (an unconnectable uploader, no connectable
+        # leecher); the uploader's swarm never is without online leechers.
+        swarm, = (s for s in self.sim.swarms.values() if s.members.get(uploader.peer_id) is uploader)
+        assert any(self.sim.is_online(p) for p in swarm.leecher_roster)
         self.chokes.append(uploader.peer_id)
-        return select_unchokes(uploader, online_leechers, **kwargs)
+        return select_unchokes(uploader, pool, **kwargs)
 
     def step(self, kind, *args):
         """One op on both twins, then everything they show, by ``==``."""
@@ -149,7 +201,7 @@ class Twins:
                 twin.engine.run_until(twin.engine.now + twin.config.round_interval)
         assert snapshot(sim) == snapshot(self.ref)
         for swarm in sim.swarms.values():
-            check_swarm(swarm, sim.is_online, sim.can_connect)
+            check_swarm(swarm, sim.is_online, lambda p: sim.trace.peers[p].connectable)
 
 
 @contextmanager

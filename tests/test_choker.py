@@ -31,7 +31,6 @@ def make_swarm(num_leechers=4, seeder_id=100):
 
 
 ALWAYS_ONLINE = lambda pid: True
-ALWAYS_CONNECT = lambda a, b: True
 
 
 def online_leechers(swarm, is_online=ALWAYS_ONLINE):
@@ -43,35 +42,33 @@ class TestInterestedCandidates:
     def test_seeder_sees_all_leechers(self):
         swarm = make_swarm(3)
         seeder = swarm.members[100]
-        cands = interested_candidates(seeder, online_leechers(swarm), ALWAYS_CONNECT)
+        cands = interested_candidates(seeder, online_leechers(swarm))
         assert set(cands) == {0, 1, 2}
 
     def test_empty_leecher_attracts_no_interest(self):
         swarm = make_swarm(3)
         leecher = swarm.members[0]  # has no pieces
-        assert interested_candidates(leecher, online_leechers(swarm), ALWAYS_CONNECT) == []
+        assert interested_candidates(leecher, online_leechers(swarm)) == []
 
     def test_offline_peers_excluded(self):
         swarm = make_swarm(3)
         seeder = swarm.members[100]
-        cands = interested_candidates(
-            seeder, online_leechers(swarm, lambda p: p != 1), ALWAYS_CONNECT
-        )
+        cands = interested_candidates(seeder, online_leechers(swarm, lambda p: p != 1))
         assert set(cands) == {0, 2}
 
     def test_unconnectable_pairs_excluded(self):
+        # Peer 2 accepts no incoming connection: an uploader that accepts
+        # none either is handed the connectable pool, which lacks it.
         swarm = make_swarm(3)
         seeder = swarm.members[100]
-        cands = interested_candidates(
-            seeder, online_leechers(swarm), lambda a, b: b != 2
-        )
-        assert set(cands) == {0, 1}
+        reachable = [pid for pid in online_leechers(swarm) if pid != 2]
+        assert set(interested_candidates(seeder, reachable)) == {0, 1}
 
     def test_other_seeders_not_interested(self):
         swarm = make_swarm(2)
         swarm.join(200, now=0.0, complete=True)
         seeder = swarm.members[100]
-        cands = interested_candidates(seeder, online_leechers(swarm), ALWAYS_CONNECT)
+        cands = interested_candidates(seeder, online_leechers(swarm))
         assert 200 not in cands
 
 
@@ -81,7 +78,7 @@ class TestSelectUnchokes:
         seeder = swarm.members[100]
         unchoked = select_unchokes(
             seeder, online_leechers(swarm), policy=NoPolicy(), node=None, rng=rng, round_idx=1,
-            config=config, can_connect=ALWAYS_CONNECT,
+            config=config,
         )
         assert len(unchoked) == config.regular_slots + 1
 
@@ -90,7 +87,7 @@ class TestSelectUnchokes:
         seeder = swarm.members[100]
         unchoked = select_unchokes(
             seeder, online_leechers(swarm), policy=NoPolicy(), node=None, rng=rng, round_idx=1,
-            config=config, can_connect=ALWAYS_CONNECT,
+            config=config,
         )
         assert unchoked == set()
 
@@ -101,7 +98,7 @@ class TestSelectUnchokes:
         leecher.received_last_round = {1: 1000.0, 2: 500.0, 3: 50.0}
         unchoked = select_unchokes(
             leecher, online_leechers(swarm), policy=NoPolicy(), node=None, rng=rng, round_idx=1,
-            config=config, can_connect=ALWAYS_CONNECT,
+            config=config,
         )
         assert {1, 2} <= unchoked  # the top-2 reciprocators hold regular slots
 
@@ -111,7 +108,7 @@ class TestSelectUnchokes:
         seeder.sent_last_round = {4: 9000.0, 3: 8000.0}
         unchoked = select_unchokes(
             seeder, online_leechers(swarm), policy=NoPolicy(), node=None, rng=rng, round_idx=1,
-            config=config, can_connect=ALWAYS_CONNECT,
+            config=config,
         )
         assert {3, 4} <= unchoked
 
@@ -123,12 +120,12 @@ class TestSelectUnchokes:
         seeder.sent_last_round = {6: 9000.0, 7: 8000.0}
         select_unchokes(
             seeder, online_leechers(swarm), policy=NoPolicy(), node=None, rng=rng, round_idx=1,
-            config=config, can_connect=ALWAYS_CONNECT,
+            config=config,
         )
         first = seeder.optimistic_peer
         select_unchokes(
             seeder, online_leechers(swarm), policy=NoPolicy(), node=None, rng=rng, round_idx=2,
-            config=config, can_connect=ALWAYS_CONNECT,
+            config=config,
         )
         # Rotation period is 3 rounds (30s / 10s): unchanged at round 2.
         assert seeder.optimistic_peer == first
@@ -141,7 +138,6 @@ class TestSelectUnchokes:
             select_unchokes(
                 seeder, online_leechers(swarm), policy=NoPolicy(), node=None, rng=rng,
                 round_idx=round_idx, config=config,
-                can_connect=ALWAYS_CONNECT,
             )
             choices.add(seeder.optimistic_peer)
         assert len(choices) >= 3  # rotates over the population
@@ -157,7 +153,7 @@ class TestSelectUnchokes:
         seeder.sent_last_round = {6: 9000.0, 7: 8000.0}
         select_unchokes(
             seeder, online_leechers(swarm), policy=NoPolicy(), node=None, rng=rng, round_idx=1,
-            config=config, can_connect=ALWAYS_CONNECT,
+            config=config,
         )
         assert seeder.optimistic_chosen_round == 1
         promoted = seeder.optimistic_peer
@@ -165,7 +161,7 @@ class TestSelectUnchokes:
         seeder.sent_last_round = {promoted: 9000.0, 7: 8000.0}
         unchoked = select_unchokes(
             seeder, online_leechers(swarm), policy=NoPolicy(), node=None, rng=rng, round_idx=2,
-            config=config, can_connect=ALWAYS_CONNECT,
+            config=config,
         )
         assert promoted in unchoked  # holds a regular slot now
         assert seeder.optimistic_peer != promoted  # re-picked
@@ -173,13 +169,13 @@ class TestSelectUnchokes:
         # Round 3: period is 3 rounds, so still no rotation.
         select_unchokes(
             seeder, online_leechers(swarm), policy=NoPolicy(), node=None, rng=rng, round_idx=3,
-            config=config, can_connect=ALWAYS_CONNECT,
+            config=config,
         )
         assert seeder.optimistic_chosen_round == 1
         # Round 4: rotation lands on schedule, 3 rounds after round 1.
         select_unchokes(
             seeder, online_leechers(swarm), policy=NoPolicy(), node=None, rng=rng, round_idx=4,
-            config=config, can_connect=ALWAYS_CONNECT,
+            config=config,
         )
         assert seeder.optimistic_chosen_round == 4
 
@@ -190,9 +186,29 @@ class TestSelectUnchokes:
         node.record_upload(0, 900 * MB, now=1.0)  # peer 0 deep in debt
         unchoked = select_unchokes(
             seeder, online_leechers(swarm), policy=BanPolicy(-0.5), node=node, rng=rng, round_idx=1,
-            config=config, can_connect=ALWAYS_CONNECT,
+            config=config,
         )
         assert 0 not in unchoked
+
+    def test_banned_excluded_from_optimistic(self, rng):
+        # No regular slot: every unchoke is the optimistic one.  The policy
+        # orders only what ``allowed`` kept, so the banned peer 0 is never
+        # picked, across many rotations.
+        swarm = make_swarm(4)
+        seeder = swarm.members[100]
+        node = BarterCastNode(100)
+        node.record_upload(0, 900 * MB, now=1.0)
+        cfg = BitTorrentConfig(round_interval=10.0, regular_slots=0, optimistic_interval=10.0)
+        picked = set()
+        for round_idx in range(1, 30):
+            unchoked = select_unchokes(
+                seeder, online_leechers(swarm), policy=BanPolicy(-0.5), node=node, rng=rng,
+                round_idx=round_idx, config=cfg,
+            )
+            assert unchoked == {seeder.optimistic_peer}
+            picked |= unchoked
+        assert picked == {1, 2, 3}
+        assert node.choke_banned == node.choke_calls == 29
 
     def test_rank_policy_optimistic_prefers_reputation(self, rng, config):
         swarm = make_swarm(4)
@@ -203,7 +219,7 @@ class TestSelectUnchokes:
         cfg = BitTorrentConfig(round_interval=10.0, regular_slots=0, optimistic_interval=30.0)
         unchoked = select_unchokes(
             seeder, online_leechers(swarm), policy=RankPolicy(), node=node, rng=rng, round_idx=1,
-            config=cfg, can_connect=ALWAYS_CONNECT,
+            config=cfg,
         )
         assert unchoked == {2}
 
@@ -212,11 +228,11 @@ class TestSelectUnchokes:
         seeder = swarm.members[100]
         select_unchokes(
             seeder, online_leechers(swarm), policy=NoPolicy(), node=None, rng=rng, round_idx=1,
-            config=config, can_connect=ALWAYS_CONNECT,
+            config=config,
         )
         target = seeder.optimistic_peer
         unchoked = select_unchokes(
             seeder, online_leechers(swarm, lambda p: p != target), policy=NoPolicy(),
-            node=None, rng=rng, round_idx=2, config=config, can_connect=ALWAYS_CONNECT,
+            node=None, rng=rng, round_idx=2, config=config,
         )
         assert target not in unchoked

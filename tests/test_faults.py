@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.policies import BanPolicy
 from repro.experiments.faults import run_fault_point, run_faults
 from repro.experiments.scenario import ScenarioConfig, build_simulation
 from repro.faults import (
@@ -29,6 +30,7 @@ from repro.faults import (
 )
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
+from tests.model import busy
 
 
 def stream(seed=7, name="faults.channel"):
@@ -257,6 +259,29 @@ class TestAuditor:
         sim = build_simulation(ScenarioConfig.tiny())
         sim.run()
         assert audit_simulation(sim, max_rep_targets=5) == []
+
+    def test_ban_run_audits_clean(self):
+        # A run whose policy bans, so every transfer goes through the
+        # ledger's write path while the choker filters: owner-incident
+        # edges equal the private history (invariant 2), here bit for bit.
+        sim = build_simulation(busy(3), policy=BanPolicy(-0.5))
+        sim.run()
+        assert sum(node.choke_banned for node in sim.nodes.values()) > 0
+        assert audit_simulation(sim) == []
+        for pid, node in sim.nodes.items():
+            owner_edges = {(s, d): w for s, d, w in node.graph.edges() if pid in (s, d)}
+            ledger = {}
+            for peer, totals in node.history.items():
+                if totals.uploaded:
+                    ledger[(pid, peer)] = totals.uploaded
+                if totals.downloaded:
+                    ledger[(peer, pid)] = totals.downloaded
+            assert owner_edges == ledger
+        # The audit sees an owner edge drift off the ledger.
+        node = next(n for n in sim.nodes.values() if n.history.total_uploaded)
+        peer = next(p for p, t in node.history.items() if t.uploaded)
+        node.graph.set_transfer(node.peer_id, peer, node.history.totals(peer).uploaded * 1.000001)
+        assert len(audit_simulation(sim)) == 1
 
     @settings(max_examples=5, deadline=None)
     @given(

@@ -81,12 +81,6 @@ class TestBanPolicy:
     def test_without_node_allows(self):
         assert BanPolicy(-0.5).allows(None, "x")
 
-    def test_banned_excluded_from_optimistic(self, node, rng):
-        p = BanPolicy(delta=-0.5)
-        order = p.order_optimistic(node, ["bad", "good", "stranger"], rng)
-        assert "bad" not in order
-        assert set(order) == {"good", "stranger"}
-
     def test_delta_validation(self):
         with pytest.raises(ValueError):
             BanPolicy(delta=0.5)
