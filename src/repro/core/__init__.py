@@ -26,12 +26,7 @@ The pieces, bottom to top:
 from repro.core.history import PrivateHistory, TransferTotals
 from repro.core.messages import BarterCastMessage, HistoryRecord, select_records
 from repro.core.sharedhistory import SubjectiveSharedHistory
-from repro.core.reputation import (
-    DEFAULT_UNIT_BYTES,
-    MB,
-    ReputationMetric,
-    system_reputation,
-)
+from repro.core.reputation import DEFAULT_UNIT_BYTES, MB, ReputationMetric
 from repro.core.node import BarterCastConfig, BarterCastNode
 from repro.core.policies import BanPolicy, NoPolicy, RankPolicy, ReputationPolicy
 from repro.core.adversary import HonestBehavior, Ignorer, MessageBehavior, SelfishLiar
@@ -51,7 +46,6 @@ __all__ = [
     "select_records",
     "SubjectiveSharedHistory",
     "ReputationMetric",
-    "system_reputation",
     "MB",
     "DEFAULT_UNIT_BYTES",
     "BarterCastConfig",

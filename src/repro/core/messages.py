@@ -102,22 +102,6 @@ class BarterCastMessage:
         """Number of records carried."""
         return len(self.records)
 
-    def sane_records(self) -> List[HistoryRecord]:
-        """The subset of records that pass basic validation.
-
-        Receivers drop malformed records (negative, non-finite or
-        non-numeric totals, unhashable or self-referential counterparties,
-        foreign objects) rather than rejecting the whole
-        message, mirroring the defensive parsing of the deployed client.
-        """
-        return [
-            r
-            for r in self.records
-            if isinstance(r, HistoryRecord)
-            and r.is_sane()
-            and r.counterparty != self.sender
-        ]
-
 
 def select_records(
     history: PrivateHistory,

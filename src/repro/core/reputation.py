@@ -44,7 +44,7 @@ from repro.graph.maxflow import (
 )
 from repro.graph.transfer_graph import TransferGraph
 
-__all__ = ["MB", "DEFAULT_UNIT_BYTES", "ReputationMetric", "system_reputation"]
+__all__ = ["MB", "DEFAULT_UNIT_BYTES", "ReputationMetric"]
 
 PeerId = Hashable
 KernelName = Literal["two_hop", "bounded", "exact"]
@@ -211,31 +211,3 @@ class ReputationMetric:
             f"<ReputationMetric kernel={self.kernel} unit={self.unit_bytes:.0f}B "
             f"scaling={self.scaling}>"
         )
-
-
-def system_reputation(
-    reputations: Dict[PeerId, Dict[PeerId, float]], peer: PeerId
-) -> float:
-    """Equation (2): the average reputation of ``peer`` over all other peers.
-
-    Parameters
-    ----------
-    reputations:
-        Nested mapping ``{evaluator: {evaluated: R_evaluator(evaluated)}}``.
-    peer:
-        The peer whose system reputation is requested.
-
-    Returns
-    -------
-    float
-        ``mean(R_j(peer) for j != peer)`` over evaluators that have an
-        opinion, or 0.0 if none do.
-    """
-    values = [
-        row[peer]
-        for evaluator, row in reputations.items()
-        if evaluator != peer and peer in row
-    ]
-    if not values:
-        return 0.0
-    return sum(values) / len(values)

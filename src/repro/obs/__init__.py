@@ -18,7 +18,7 @@ cannot be left out of ``--jobs N``.  The legs:
     the components count in their own attributes and a finished run
     publishes them; nothing on a hot path writes here.
 ``tracer``
-    JSONL span/event emitter with per-category deterministic sampling
+    JSONL event emitter with per-category deterministic sampling
     (:class:`~repro.obs.trace.TraceEmitter`); one stream, one process —
     it has no mirror, so a traced sweep runs inline.
 ``timeseries``
@@ -69,7 +69,13 @@ from repro.obs.timeseries import (
     TimeSeriesConfig,
     TimeSeriesRecorder,
 )
-from repro.obs.trace import NULL_TRACER, TRACE_SCHEMA, TraceEmitter, read_trace
+from repro.obs.trace import (
+    NULL_TRACER,
+    TRACE_SCHEMA,
+    TraceEmitter,
+    parse_sample_spec,
+    read_trace,
+)
 
 __all__ = [
     "Observability",
@@ -212,15 +218,7 @@ def make_observability(
     registry: MetricsRegistry = MetricsRegistry() if metrics else NULL_METRICS
     tracer: TraceEmitter = NULL_TRACER
     if trace_path is not None:
-        if isinstance(trace_sample, dict):
-            default_rate, rates = 1.0, dict(trace_sample)
-        elif isinstance(trace_sample, str):
-            default_rate, rates = parse_sample_spec(trace_sample)
-        else:
-            default_rate, rates = float(trace_sample if trace_sample is not None else 1.0), {}
-        tracer = TraceEmitter(
-            trace_path, sample_rates=rates, default_rate=default_rate, seed=seed
-        )
+        tracer = TraceEmitter(trace_path, 1.0 if trace_sample is None else trace_sample, seed)
     if timeseries is None:
         collector: TimeSeriesCollector = NULL_TIMESERIES
     elif isinstance(timeseries, TimeSeriesConfig):
@@ -241,38 +239,3 @@ def make_observability(
         profiler=Profiler() if profile else NULL_PROFILER,
         dissemination=diss,
     )
-
-
-def parse_sample_spec(spec: str) -> Tuple[float, Dict[str, float]]:
-    """Parse a ``--trace-sample`` value.
-
-    Accepts a bare rate (``"0.1"``, applied to every category) or a
-    comma-separated list of ``category=rate`` pairs with an optional bare
-    default (``"0.05,bt.transfer=0.01,sim.event=0"``).  Returns
-    ``(default_rate, {category: rate})``.
-    """
-    default_rate = 1.0
-    rates: Dict[str, float] = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" in part:
-            name, _, value = part.partition("=")
-            name = name.strip()
-            if not name:
-                raise ValueError(f"empty category in sample spec {spec!r}")
-            rates[name] = _parse_rate(value, spec)
-        else:
-            default_rate = _parse_rate(part, spec)
-    return default_rate, rates
-
-
-def _parse_rate(text: str, spec: str) -> float:
-    try:
-        rate = float(text)
-    except ValueError:
-        raise ValueError(f"bad sample rate {text!r} in spec {spec!r}") from None
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"sample rate {rate} out of [0, 1] in spec {spec!r}")
-    return rate

@@ -1,6 +1,6 @@
-"""Structured event tracing: JSONL span/event records with sampling.
+"""Structured event tracing: sampled JSONL event records.
 
-A :class:`TraceEmitter` appends one JSON object per line to a file.  The
+A :class:`TraceEmitter` writes one JSON object per line to a file.  The
 first line is a header record identifying the schema, the sampling
 configuration, and the wall-clock origin; every following line is an
 event record:
@@ -11,36 +11,32 @@ event record:
      "wall": 1.0532, "sim": 86400.0, "dur": null,
      "attrs": {"up": 3, "down": 9, "bytes": 262144.0}}
 
-Fields
-------
-``seq``
-    Emission order (monotonic over the whole file, *after* sampling).
-``cat`` / ``name``
-    Hierarchical category (sampling unit) and the event name within it.
-``wall``
-    Wall-clock seconds since the emitter was created (monotonic clock).
-``sim``
-    Simulated time in seconds, or ``null`` for events outside a
-    simulation clock (e.g. kernel invocations during post-hoc analysis).
-``dur``
-    Wall-clock duration in seconds for span records, ``null`` for point
-    events.
-``attrs``
-    Free-form JSON-safe attributes; omitted when empty.
+``seq`` is the emission order (after sampling); ``cat`` the category (the
+sampling unit) and ``name`` the event within it; ``wall`` seconds since
+the emitter was created (monotonic clock); ``sim`` the simulated time, or
+``null``; ``dur`` the wall duration of a timed event (``bt.round`` writes
+its round's), or ``null``; ``attrs`` free-form JSON-safe attributes,
+omitted when empty.
 
 Sampling
 --------
 Each category carries an independent keep-probability (``sample_rates``
 falls back to ``default_rate``).  Sampling decisions are made by a
-per-category :class:`random.Random` seeded from ``(seed, category)``, so
-which events survive is a deterministic function of the seed and the
-emission sequence — two runs of the same simulation produce traces with
-identical ``(cat, name, sim, attrs)`` streams.  Span sampling is decided
-at span *entry* so the duration cost is only paid for kept spans.
+per-category :class:`random.Random` seeded from ``(seed, category)``: one
+draw per decision, none at rate 0 or 1.  Which events survive is
+therefore a deterministic function of the seed and the emission
+sequence — two runs of the same simulation produce traces with identical
+``(cat, name, sim, attrs)`` streams.
 
-The disabled default is :data:`NULL_TRACER`; hot paths cache
-``tracer.category(...) if tracer.enabled else None`` and skip all trace
-work on the ``None`` branch.
+Every emit site has one form, so an event's attrs are built only when it
+is kept::
+
+    if cat is not None and cat.sample():
+        cat.emit_sampled("piece_transfer", now, attrs={...})
+
+where ``cat`` is cached as ``tracer.category(...) if tracer.enabled else
+None``: with the disabled default, :data:`NULL_TRACER`, a site does no
+trace work beyond the ``None`` check.
 """
 
 from __future__ import annotations
@@ -48,10 +44,9 @@ from __future__ import annotations
 import json
 import time
 import zlib
-from contextlib import nullcontext
 from pathlib import Path
 from random import Random
-from typing import Dict, List, Optional, TextIO, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.obs.legs import Leg
 
@@ -61,13 +56,12 @@ __all__ = [
     "TraceCategory",
     "NullTraceEmitter",
     "NULL_TRACER",
+    "parse_sample_spec",
     "read_trace",
 ]
 
 #: Schema tag written into the header record.
 TRACE_SCHEMA = "bartercast-trace/v1"
-
-_NULL_CONTEXT = nullcontext()
 
 
 class TraceCategory:
@@ -83,44 +77,13 @@ class TraceCategory:
         self.rate = rate
         self._rng = Random((seed << 32) ^ zlib.crc32(name.encode("utf-8")))
 
-    def should_sample(self) -> bool:
-        """Advance the deterministic sampling stream by one decision."""
-        if self.rate >= 1.0:
-            return True
-        if self.rate <= 0.0:
-            return False
-        return self._rng.random() < self.rate
-
-    def emit(
-        self,
-        name: str,
-        sim_time: Optional[float] = None,
-        attrs: Optional[dict] = None,
-        duration_s: Optional[float] = None,
-    ) -> bool:
-        """Emit one (possibly sampled-out) event; returns whether it was kept."""
-        if not self.should_sample():
-            self.emitter.records_sampled_out += 1
-            return False
-        self.emitter._write(self.name, name, sim_time, attrs, duration_s)
-        return True
-
     def sample(self) -> bool:
-        """Consume one sampling decision; pair with :meth:`emit_sampled`.
+        """Consume one sampling decision; pair a ``True`` with :meth:`emit_sampled`.
 
-        Hot paths use the split form so the event's attr dict is only
-        constructed for kept events::
-
-            if cat is not None and cat.sample():
-                cat.emit_sampled("piece_transfer", now, attrs={...})
-
-        The decision stream is the same one :meth:`emit` consumes (one
-        draw per decision), so splitting changes neither which events
-        survive nor the trace bytes — only who pays for the attrs.
-        Rejections are counted as sampled-out here, exactly as
-        :meth:`emit` would.
+        A rejection is counted as sampled out.
         """
-        if self.should_sample():
+        rate = self.rate
+        if rate >= 1.0 or (rate > 0.0 and self._rng.random() < rate):
             return True
         self.emitter.records_sampled_out += 1
         return False
@@ -135,52 +98,18 @@ class TraceCategory:
         """Write one event unconditionally; caller already passed :meth:`sample`."""
         self.emitter._write(self.name, name, sim_time, attrs, duration_s)
 
-    def span(self, name: str, sim_time: Optional[float] = None, attrs: Optional[dict] = None):
-        """Context manager emitting one span record with wall duration."""
-        if not self.should_sample():
-            self.emitter.records_sampled_out += 1
-            return _NULL_CONTEXT
-        return _Span(self, name, sim_time, attrs)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<TraceCategory {self.name} rate={self.rate}>"
-
-
-class _Span:
-    """A sampled-in span: measures wall duration, emits on exit."""
-
-    __slots__ = ("_category", "_name", "_sim_time", "_attrs", "_t0")
-
-    def __init__(self, category: TraceCategory, name: str, sim_time, attrs) -> None:
-        self._category = category
-        self._name = name
-        self._sim_time = sim_time
-        self._attrs = attrs
-
-    def __enter__(self) -> "_Span":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        duration = time.perf_counter() - self._t0
-        self._category.emitter._write(
-            self._category.name, self._name, self._sim_time, self._attrs, duration
-        )
-
 
 class TraceEmitter(Leg):
-    """Writes sampled JSONL trace records to a file or file-like object.
+    """Writes sampled JSONL trace records to a file.
 
     Parameters
     ----------
-    target:
-        Output path (parent directories are created) or an open text
-        file-like object (not closed by :meth:`close`).
-    sample_rates:
-        Per-category keep probabilities; categories not listed use
-        ``default_rate``.
-    default_rate:
-        Keep probability for unlisted categories (default 1.0).
+    path:
+        Output path; parent directories are created.
+    sample:
+        Keep probabilities: one rate for every category, a
+        ``{category: rate}`` dict (unlisted categories keep everything),
+        or a spec string accepted by :func:`parse_sample_spec`.
     seed:
         Root seed of the deterministic sampling streams.
     """
@@ -189,29 +118,28 @@ class TraceEmitter(Leg):
 
     def __init__(
         self,
-        target: Union[str, Path, TextIO],
-        sample_rates: Optional[Dict[str, float]] = None,
-        default_rate: float = 1.0,
+        path: Union[str, Path],
+        sample: Union[float, str, Dict[str, float]] = 1.0,
         seed: int = 0,
     ) -> None:
+        if isinstance(sample, dict):
+            default_rate, rates = 1.0, dict(sample)
+        elif isinstance(sample, str):
+            default_rate, rates = parse_sample_spec(sample)
+        else:
+            default_rate, rates = float(sample), {}
         if not 0.0 <= default_rate <= 1.0:
             raise ValueError(f"default_rate must be in [0, 1], got {default_rate}")
-        self.sample_rates = dict(sample_rates or {})
-        self.default_rate = float(default_rate)
+        self.sample_rates = rates
+        self.default_rate = default_rate
         self.seed = int(seed)
         self.records_written = 0
         self.records_sampled_out = 0
         self._categories: Dict[str, TraceCategory] = {}
         self._t0 = time.perf_counter()
-        if hasattr(target, "write"):
-            self.path: Optional[Path] = None
-            self._fh: TextIO = target
-            self._owns_fh = False
-        else:
-            self.path = Path(target)
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = self.path.open("w")
-            self._owns_fh = True
+        self.path: Optional[Path] = Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._fh = self.path.open("w")
         self._closed = False
         # One encoder for the emitter's lifetime: ``json.dumps`` with a
         # ``default`` builds a fresh ``JSONEncoder`` per call.
@@ -235,23 +163,6 @@ class TraceEmitter(Leg):
             self._categories[name] = cat
         return cat
 
-    def emit(
-        self,
-        category: str,
-        name: str,
-        sim_time: Optional[float] = None,
-        attrs: Optional[dict] = None,
-        duration_s: Optional[float] = None,
-    ) -> bool:
-        """Convenience: route one event through ``category``'s sampler."""
-        return self.category(category).emit(name, sim_time, attrs, duration_s)
-
-    def span(self, category: str, name: str, sim_time: Optional[float] = None,
-             attrs: Optional[dict] = None):
-        """Convenience: a sampled span in ``category``."""
-        return self.category(category).span(name, sim_time, attrs)
-
-    # ------------------------------------------------------------------
     def _write(self, cat, name, sim_time, attrs, duration_s) -> None:
         if self._closed:
             return
@@ -278,23 +189,13 @@ class TraceEmitter(Leg):
             self._fh.flush()
 
     def close(self) -> None:
-        """Flush and close (path-owned handles only); further emits no-op."""
-        if self._closed:
-            return
-        self._fh.flush()
-        if self._owns_fh:
+        """Flush and close the file; further events are dropped."""
+        if not self._closed:
             self._fh.close()
-        self._closed = True
-
-    def __enter__(self) -> "TraceEmitter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+            self._closed = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        where = str(self.path) if self.path else "<stream>"
-        return f"<TraceEmitter {where} written={self.records_written}>"
+        return f"<TraceEmitter {self.path} written={self.records_written}>"
 
 
 class NullTraceEmitter(TraceEmitter):
@@ -315,18 +216,6 @@ class NullTraceEmitter(TraceEmitter):
     def category(self, name: str) -> TraceCategory:
         return self._category
 
-    def emit(self, category, name, sim_time=None, attrs=None, duration_s=None) -> bool:
-        return False
-
-    def span(self, category, name, sim_time=None, attrs=None):
-        return _NULL_CONTEXT
-
-    def flush(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<NullTraceEmitter>"
 
@@ -337,24 +226,50 @@ class _NullCategory(TraceCategory):
     def __init__(self, emitter: NullTraceEmitter) -> None:
         super().__init__(emitter, "null", 0.0, 0)
 
-    def should_sample(self) -> bool:
-        return False
-
     def sample(self) -> bool:
-        return False
-
-    def emit(self, name, sim_time=None, attrs=None, duration_s=None) -> bool:
         return False
 
     def emit_sampled(self, name, sim_time=None, attrs=None, duration_s=None) -> None:
         pass
 
-    def span(self, name, sim_time=None, attrs=None):
-        return _NULL_CONTEXT
-
 
 #: Shared disabled tracer — the default everywhere.
 NULL_TRACER = NullTraceEmitter()
+
+
+def parse_sample_spec(spec: str) -> Tuple[float, Dict[str, float]]:
+    """Parse a ``--trace-sample`` value.
+
+    Accepts a bare rate (``"0.1"``, applied to every category) or a
+    comma-separated list of ``category=rate`` pairs with an optional bare
+    default (``"0.05,bt.transfer=0.01,sim.event=0"``).  Returns
+    ``(default_rate, {category: rate})``.
+    """
+    default_rate = 1.0
+    rates: Dict[str, float] = {}
+    for part in spec.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        if "=" in part:
+            name, _, value = part.partition("=")
+            name = name.strip()
+            if not name:
+                raise ValueError(f"empty category in sample spec {spec!r}")
+            rates[name] = _parse_rate(value, spec)
+        else:
+            default_rate = _parse_rate(part, spec)
+    return default_rate, rates
+
+
+def _parse_rate(text: str, spec: str) -> float:
+    try:
+        rate = float(text)
+    except ValueError:
+        raise ValueError(f"bad sample rate {text!r} in spec {spec!r}") from None
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"sample rate {rate} out of [0, 1] in spec {spec!r}")
+    return rate
 
 
 def _json_default(obj):

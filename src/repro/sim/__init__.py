@@ -14,12 +14,11 @@ The kernel is deliberately small and deterministic:
   seed, so a scenario is reproducible bit-for-bit from its seed.
 """
 
-from repro.sim.engine import Event, Simulator, SimulationError
+from repro.sim.engine import Simulator, SimulationError
 from repro.sim.process import PeriodicProcess
 from repro.sim.rng import RngRegistry, RngStream
 
 __all__ = [
-    "Event",
     "Simulator",
     "SimulationError",
     "PeriodicProcess",

@@ -1,20 +1,18 @@
 """Periodic processes on top of the event kernel.
 
-Most protocol behaviour in the reproduction is periodic: BitTorrent rechokes
-every 10 s, the optimistic unchoke rotates every 30 s, BuddyCast gossips on
-its own interval, and the measurement harness samples reputations once per
-simulated hour.  :class:`PeriodicProcess` packages the schedule-fire-
-reschedule pattern with optional phase jitter so that thousands of peers do
-not tick in lockstep (which would be both unrealistic and a worst case for
-the event queue).
+Most protocol behaviour in the reproduction is periodic: the BitTorrent
+round rechokes every 10 s, BuddyCast gossips on its own interval, and the
+measurement harness samples reputations once per simulated hour.
+:class:`PeriodicProcess` packages the schedule-fire-reschedule pattern:
+each tick schedules the next one ``interval`` seconds later, for as long
+as the simulation runs.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.sim.engine import Event, SimulationError, Simulator
-from repro.sim.rng import RngStream
+from repro.sim.engine import SimulationError, Simulator
 
 __all__ = ["PeriodicProcess"]
 
@@ -33,14 +31,8 @@ class PeriodicProcess:
     start_delay:
         Delay before the first firing.  If ``None``, the first firing
         happens after one full ``interval``.
-    jitter:
-        If given together with ``rng``, each tick is displaced by a uniform
-        offset in ``[0, jitter)`` seconds.  Jitter affects individual ticks,
-        not the base period, so the long-run rate is unchanged.
-    rng:
-        Random stream used for jitter.
     label:
-        Debug tag propagated to the underlying events.
+        Event label of every tick (profiler and trace key).
     """
 
     def __init__(
@@ -50,29 +42,18 @@ class PeriodicProcess:
         callback: Callable[[], None],
         *,
         start_delay: Optional[float] = None,
-        jitter: float = 0.0,
-        rng: Optional[RngStream] = None,
         label: str = "",
     ) -> None:
         if interval <= 0:
             raise SimulationError(f"interval must be positive, got {interval}")
-        if jitter < 0:
-            raise SimulationError(f"jitter must be non-negative, got {jitter}")
-        if jitter > 0 and rng is None:
-            raise SimulationError("jitter requires an rng stream")
         self._sim = sim
         self._interval = float(interval)
         self._callback = callback
-        self._jitter = float(jitter)
-        self._rng = rng
         self._label = label
-        self._stopped = False
         self._ticks = 0
-        self._pending: Optional[Event] = None
         first = self._interval if start_delay is None else float(start_delay)
-        self._schedule_next(first)
+        sim.schedule(first, self._fire, label)
 
-    # ------------------------------------------------------------------
     @property
     def ticks(self) -> int:
         """Number of times the callback has fired."""
@@ -83,33 +64,10 @@ class PeriodicProcess:
         """Base period in seconds."""
         return self._interval
 
-    @property
-    def stopped(self) -> bool:
-        """Whether :meth:`stop` has been called."""
-        return self._stopped
-
-    def stop(self) -> None:
-        """Cancel the process; no further ticks will fire."""
-        self._stopped = True
-        if self._pending is not None:
-            self._pending.cancel()
-            self._pending = None
-
-    # ------------------------------------------------------------------
-    def _schedule_next(self, delay: float) -> None:
-        offset = 0.0
-        if self._jitter > 0 and self._rng is not None:
-            offset = self._rng.uniform(0.0, self._jitter)
-        self._pending = self._sim.schedule(delay + offset, self._fire, label=self._label)
-
     def _fire(self) -> None:
-        if self._stopped:
-            return
         self._ticks += 1
         self._callback()
-        if not self._stopped:
-            self._schedule_next(self._interval)
+        self._sim.schedule(self._interval, self._fire, self._label)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "stopped" if self._stopped else "running"
-        return f"<PeriodicProcess {self._label!r} every {self._interval}s {state} ticks={self._ticks}>"
+        return f"<PeriodicProcess {self._label!r} every {self._interval}s ticks={self._ticks}>"

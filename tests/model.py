@@ -2,11 +2,13 @@
 
 The oracle every hot path is checked against (``test_gossip_hot_path.py``,
 ``test_two_hop_closed_form.py``, ``test_bt_round_hot_path.py``,
-``test_dissemination.py`` and ``test_model.py``): a dict private history
-whose selections are full sorts, sequential BuddyCast inserts, one record
-per (reporter, counterparty) whose edges are found by scan, the 2-hop
-closed form by scan, a BitTorrent round that scans every member, and a
-dissemination log whose analytics scan every row.  Nothing here
+``test_dissemination.py``, ``test_sim_engine.py`` and ``test_model.py``):
+a dict private history whose selections are full sorts, sequential
+BuddyCast inserts, the records a receiver admits, one record per
+(reporter, counterparty) whose edges are found by scan, the 2-hop closed
+form by scan, Equation 2 as a plain mean, a BitTorrent round that scans
+every member, a dissemination log whose analytics scan every row, and an
+event queue that fires by scan.  Nothing here
 imports the code it is the oracle for.
 Wherever the system's output depends on an order, that order is spec and
 is stated where it applies (DESIGN.md, "Reference model", lists them).
@@ -20,6 +22,7 @@ from numbers import Real
 import numpy as np
 
 from repro.bittorrent.roles import Role
+from repro.core.messages import HistoryRecord
 from repro.experiments.scenario import MB, ScenarioConfig
 from repro.graph.maxflow import FlowPath
 from repro.obs.provenance import ClaimLineage
@@ -84,6 +87,21 @@ def exchange(views, view_size, a, b, now):
 
 # --- Shared history: max-supersede ingest ------------------------------------
 
+def sane_records(message):
+    """The records a receiver admits, in message order: a
+    :class:`HistoryRecord` whose counterparty is hashable and not the
+    sender, and whose totals are both reals in ``[0, inf)``."""
+    def admitted(r):
+        try:
+            hash(r.counterparty)
+        except TypeError:
+            return False
+        return r.counterparty != message.sender and all(
+            isinstance(v, Real) and isfinite(v) and v >= 0 for v in (r.uploaded, r.downloaded))
+
+    return [r for r in message.records if isinstance(r, HistoryRecord) and admitted(r)]
+
+
 class Store:
     """``(reporter, counterparty) -> [uploaded, downloaded, reported_at,
     up_lineage, down_lineage]``, a lineage being ``(msg_id, received_at,
@@ -105,7 +123,7 @@ class Store:
             if msg_id is None:
                 msg_id = (message.sender, created)
             lineage = (msg_id, float(created if now is None else now), 0)
-            for record in message.sane_records():
+            for record in sane_records(message):
                 if record.counterparty != self.owner:
                     applied += self.apply(message.sender, record, float(created), lineage)
         self.records_applied += applied
@@ -212,6 +230,16 @@ def two_hop(graph, s, t):
 def reputation(graph, i, j, unit=100 * MB):
     """Equation 1: ``arctan((maxflow(j, i) - maxflow(i, j)) / unit) / (π/2)``."""
     return atan((two_hop(graph, j, i)[0] - two_hop(graph, i, j)[0]) / unit) / (pi / 2)
+
+
+def system_reputation(nodes, subjects, unit):
+    """Equation 2: each subject's mean ``reputation`` at every other
+    subject, summed over the evaluators in ``subjects`` order (0.0 for
+    everyone with fewer than two subjects)."""
+    if len(subjects) < 2:
+        return dict.fromkeys(subjects, 0.0)
+    return {t: sum((reputation(nodes[e].graph, e, t, unit) for e in subjects if e != t), 0.0)
+            / (len(subjects) - 1) for t in subjects}
 
 
 def rank(graph, i, peers):
@@ -400,7 +428,7 @@ class Dissemination:
         mid = (m.sender, m.created_at) if m.msg_id is None else m.msg_id
         if mid not in self.messages:
             triples = [(r.counterparty, float(r.uploaded), float(r.downloaded))
-                       for r in m.sane_records()]
+                       for r in sane_records(m)]
             self.messages[mid] = (m.sender, float(m.created_at), m.hops, triples)
         return mid
 
@@ -519,6 +547,26 @@ class Dissemination:
         return {"schema": "bartercast-dissemination/v1", "label": self.label,
                 "summary": self.summary(), "claims": self.claim_stats(),
                 "undelivered": self.undelivered()}
+
+
+# --- The event kernel: (time, insertion) order by scan ------------------------
+
+def fire_order(roots):
+    """``[(time, index)]`` of every event, in firing order, when ``roots``
+    — ``[(time, children)]``, a child ``(delay, children)`` being scheduled
+    ``delay`` after its parent fires — run until none is left.  Each
+    schedule takes the next insertion index, and the next to fire is the
+    pending event with the least ``(time, index)``."""
+    pending = [(float(t), i, children) for i, (t, children) in enumerate(roots)]
+    fired = []
+    while pending:
+        event = min(pending, key=lambda e: e[:2])
+        pending.remove(event)
+        time, _, children = event
+        fired.append(event[:2])
+        for delay, grandchildren in children:
+            pending.append((time + delay, len(pending) + len(fired), grandchildren))
+    return fired
 
 
 def busy(seed):

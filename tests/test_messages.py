@@ -12,6 +12,9 @@ from repro.core.messages import (
     make_message,
     select_records,
 )
+from repro.core.sharedhistory import SubjectiveSharedHistory
+from repro.graph.transfer_graph import TransferGraph
+from tests import model
 
 
 class TestHistoryRecord:
@@ -48,6 +51,19 @@ class TestMessage:
         assert isinstance(msg.records, tuple)
         assert msg.num_records == 1
 
+    # A receiver admits what ``model.sane_records`` admits: ingest applies
+    # those records and counts the rest as dropped.
+    def check_admission(self, msg):
+        graph = TransferGraph()
+        store = SubjectiveSharedHistory("o", graph)
+        sane = model.sane_records(msg)
+        assert store.ingest(msg, now=1.0) == store.records_applied == len(sane)
+        assert store.records_dropped == len(msg.records) - len(sane)
+        for r in sane:
+            assert graph.capacity(msg.sender, r.counterparty) == r.uploaded
+            assert graph.capacity(r.counterparty, msg.sender) == r.downloaded
+        return sane
+
     def test_sane_records_filters_malformed(self):
         msg = BarterCastMessage(
             "s",
@@ -58,12 +74,12 @@ class TestMessage:
                 HistoryRecord("s", 1.0, 2.0),  # self-referential
             ),
         )
-        sane = msg.sane_records()
+        sane = self.check_admission(msg)
         assert [r.counterparty for r in sane] == ["p"]
 
     def test_sane_records_drops_non_record_objects(self):
         msg = BarterCastMessage("s", 0.0, records=("garbage", 42))
-        assert msg.sane_records() == []
+        assert self.check_admission(msg) == []
 
 
 class TestSelection:

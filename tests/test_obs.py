@@ -6,9 +6,10 @@ headline guarantee: a fully instrumented run produces numerically
 identical figure series to an uninstrumented one.
 """
 
-import io
 import json
 import math
+import zlib
+from random import Random
 
 import numpy as np
 import pytest
@@ -102,10 +103,13 @@ class TestRegistry:
 class TestTrace:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "out" / "trace.jsonl"
-        with TraceEmitter(path, seed=7) as tracer:
-            cat = tracer.category("bt.transfer")
-            cat.emit("piece", sim_time=60.0, attrs={"up": 1, "bytes": 4096.0})
-            cat.emit("piece", sim_time=120.0)
+        tracer = TraceEmitter(path, seed=7)
+        cat = tracer.category("bt.transfer")
+        assert cat.sample()
+        cat.emit_sampled("piece", sim_time=60.0, attrs={"up": 1, "bytes": 4096.0})
+        assert cat.sample()
+        cat.emit_sampled("piece", sim_time=120.0, duration_s=0.25)
+        tracer.close()
         header, events = read_trace(path)
         assert header["schema"] == TRACE_SCHEMA
         assert header["seed"] == 7
@@ -118,17 +122,10 @@ class TestTrace:
         assert first["dur"] is None
         assert first["attrs"] == {"up": 1, "bytes": 4096.0}
         assert events[1]["seq"] == 2
+        assert events[1]["dur"] == 0.25
+        assert "attrs" not in events[1]
 
-    def test_span_records_duration(self):
-        buf = io.StringIO()
-        tracer = TraceEmitter(buf)
-        with tracer.span("rep.kernel", "batch", sim_time=5.0):
-            pass
-        lines = [json.loads(l) for l in buf.getvalue().splitlines()]
-        assert lines[1]["dur"] is not None
-        assert lines[1]["dur"] >= 0.0
-
-    def test_kept_encoder_writes_json_dumps_bytes(self):
+    def test_kept_encoder_writes_json_dumps_bytes(self, tmp_path):
         """One encoder per emitter, the bytes of a ``json.dumps`` per event."""
         from repro.obs.trace import _json_default
 
@@ -143,11 +140,12 @@ class TestTrace:
             ("x", "opaque", math.inf, {"o": Opaque(), "s": {1, 2}, "ü": "é"}, None),
             ("x", "bare", 3, None, 1 / 3),
         ]
-        buf = io.StringIO()
-        tracer = TraceEmitter(buf)
+        path = tmp_path / "trace.jsonl"
+        tracer = TraceEmitter(path)
         for cat, name, sim, attrs, dur in events:
             tracer._write(cat, name, sim, attrs, dur)
-        lines = buf.getvalue().splitlines()[1:]
+        tracer.close()
+        lines = path.read_text().splitlines()[1:]
         assert len(lines) == len(events)
         for seq, (line, (cat, name, sim, attrs, dur)) in enumerate(zip(lines, events), 1):
             record = {
@@ -162,23 +160,31 @@ class TestTrace:
                 record["attrs"] = attrs
             assert line == json.dumps(record, default=_json_default)
 
-    def test_sampling_deterministic(self):
+    def test_sampling_deterministic(self, tmp_path):
         def kept(seed):
-            tracer = TraceEmitter(io.StringIO(), default_rate=0.3, seed=seed)
+            tracer = TraceEmitter(tmp_path / f"{seed}.jsonl", 0.3, seed=seed)
             cat = tracer.category("bt.round")
-            return [cat.emit(f"e{i}") for i in range(200)]
+            return [cat.sample() for _ in range(200)], tracer.records_sampled_out
 
-        assert kept(11) == kept(11)
-        assert kept(11) != kept(12)
-        rate = sum(kept(11)) / 200
-        assert 0.1 < rate < 0.5
+        decisions, sampled_out = kept(11)
+        assert kept(11) == (decisions, sampled_out)
+        assert kept(12)[0] != decisions
+        assert sampled_out == decisions.count(False)
+        assert 0.1 < sum(decisions) / 200 < 0.5
+        # One draw per decision from the category's own stream, so which
+        # events survive depends only on the seed and the emission order.
+        stream = Random((11 << 32) ^ zlib.crc32(b"bt.round"))
+        assert decisions == [stream.random() < 0.3 for _ in range(200)]
 
-    def test_rate_zero_and_one(self):
-        tracer = TraceEmitter(
-            io.StringIO(), sample_rates={"off": 0.0}, default_rate=1.0
-        )
-        assert not tracer.category("off").emit("x")
-        assert tracer.category("on").emit("x")
+    def test_rate_zero_and_one(self, tmp_path):
+        tracer = TraceEmitter(tmp_path / "t.jsonl", {"off": 0.0})
+        off, on = tracer.category("off"), tracer.category("on")
+        states = off._rng.getstate(), on._rng.getstate()
+        assert not off.sample()
+        assert on.sample()
+        on.emit_sampled("x")
+        # Neither rate consumes a draw.
+        assert (off._rng.getstate(), on._rng.getstate()) == states
         assert tracer.records_written == 1
         assert tracer.records_sampled_out == 1
 
@@ -190,10 +196,12 @@ class TestTrace:
 
     def test_null_tracer_is_noop(self):
         assert not NULL_TRACER.enabled
-        assert not NULL_TRACER.emit("cat", "name")
-        with NULL_TRACER.span("cat", "name"):
-            pass
-        assert NULL_TRACER.records_written == 0
+        cat = NULL_TRACER.category("cat")
+        assert not cat.sample()
+        cat.emit_sampled("name", 1.0, attrs={"a": 1}, duration_s=0.5)
+        NULL_TRACER.flush()
+        NULL_TRACER.close()
+        assert NULL_TRACER.records_written == NULL_TRACER.records_sampled_out == 0
 
 
 class TestObservabilityBundle:
@@ -365,29 +373,7 @@ class TestInstrumentedRunIdentical:
 
 
 class TestLazyTraceAttrs:
-    """sample()/emit_sampled() must share emit()'s decision stream."""
-
-    def _collect(self, tmp_path, name, use_split):
-        path = tmp_path / f"{name}.jsonl"
-        obs = make_observability(trace_path=path, trace_sample=0.4, seed=11)
-        cat = obs.tracer.category("bt.transfer")
-        for i in range(200):
-            if use_split:
-                if cat.sample():
-                    cat.emit_sampled("piece", float(i), attrs={"i": i})
-            else:
-                cat.emit("piece", float(i), attrs={"i": i})
-        sampled_out = obs.tracer.records_sampled_out
-        obs.close()
-        _, events = read_trace(path)
-        return [(e["name"], e["sim"], e["attrs"]) for e in events], sampled_out
-
-    def test_split_form_keeps_identical_events(self, tmp_path):
-        eager, out_eager = self._collect(tmp_path, "eager", use_split=False)
-        lazy, out_lazy = self._collect(tmp_path, "lazy", use_split=True)
-        assert eager == lazy
-        assert out_eager == out_lazy > 0
-        assert 0 < len(eager) < 200  # the gate actually dropped some
+    """A site builds its attrs only after ``sample()`` kept the event."""
 
     def test_null_category_sample_is_false(self):
         from repro.obs import NULL_TRACER

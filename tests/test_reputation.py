@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.reputation import DEFAULT_UNIT_BYTES, MB, ReputationMetric, system_reputation
+from repro.core.reputation import DEFAULT_UNIT_BYTES, MB, ReputationMetric
 from repro.graph.transfer_graph import TransferGraph
 
 
@@ -122,19 +122,6 @@ class TestReputation:
         assert ReputationMetric(kernel="two_hop").maxflow(g, "a", "d") == 0.0
         assert ReputationMetric(kernel="exact").maxflow(g, "a", "d") == 10.0
         assert ReputationMetric(kernel="bounded", max_hops=3).maxflow(g, "a", "d") == 10.0
-
-
-class TestSystemReputation:
-    def test_average_over_evaluators(self):
-        reps = {"a": {"x": 0.5}, "b": {"x": -0.1}, "x": {"a": 1.0}}
-        assert system_reputation(reps, "x") == pytest.approx(0.2)
-
-    def test_excludes_self_opinion(self):
-        reps = {"x": {"x": 1.0}, "a": {"x": 0.4}}
-        assert system_reputation(reps, "x") == pytest.approx(0.4)
-
-    def test_no_opinions_zero(self):
-        assert system_reputation({"a": {"b": 0.3}}, "zzz") == 0.0
 
 
 @settings(max_examples=80, deadline=None)

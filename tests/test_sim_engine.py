@@ -1,29 +1,39 @@
 """Unit tests for the discrete-event kernel."""
 
-import pytest
+import itertools
+import math
 
-from repro.sim.engine import Event, SimulationError, Simulator
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim.engine import SimulationError, Simulator
+from tests import model
 
 
 class TestScheduling:
     def test_starts_at_zero(self):
         assert Simulator().now == 0.0
 
-    def test_custom_start_time(self):
-        assert Simulator(start_time=5.0).now == 5.0
-
     def test_schedule_relative(self):
         sim = Simulator()
-        ev = sim.schedule(3.0, lambda: None)
-        assert ev.time == 3.0
+        seen = []
+        sim.run_until(2.0)
+        sim.schedule(3.0, lambda: seen.append(sim.now))
+        sim.run()
+        assert seen == [5.0]
 
     def test_schedule_absolute(self):
-        sim = Simulator(start_time=10.0)
-        ev = sim.schedule_at(12.0, lambda: None)
-        assert ev.time == 12.0
+        sim = Simulator()
+        seen = []
+        sim.run_until(10.0)
+        sim.schedule_at(12.0, lambda: seen.append(sim.now))
+        sim.run()
+        assert seen == [12.0]
 
     def test_schedule_in_past_raises(self):
-        sim = Simulator(start_time=10.0)
+        sim = Simulator()
+        sim.run_until(10.0)
         with pytest.raises(SimulationError):
             sim.schedule_at(9.0, lambda: None)
 
@@ -86,9 +96,20 @@ class TestExecution:
         assert sim.now == 100.0
 
     def test_run_until_backwards_raises(self):
-        sim = Simulator(start_time=10.0)
+        sim = Simulator()
+        sim.run_until(10.0)
         with pytest.raises(SimulationError):
             sim.run_until(5.0)
+
+    def test_run_until_nan_raises(self):
+        # NaN compares false both ways: unchecked, it fires every event
+        # and never stops on time.
+        sim = Simulator()
+        fired = []
+        sim.schedule(5.0, lambda: fired.append(True))
+        with pytest.raises(SimulationError):
+            sim.run_until(math.nan)
+        assert fired == [] and sim.now == 0.0
 
     def test_run_until_boundary_inclusive(self):
         sim = Simulator()
@@ -108,25 +129,6 @@ class TestExecution:
         sim.schedule(1.0, first)
         sim.run()
         assert order == ["first", "second"]
-
-    def test_max_events_limit(self):
-        sim = Simulator()
-        fired = []
-        for i in range(5):
-            sim.schedule(float(i + 1), lambda i=i: fired.append(i))
-        sim.run(max_events=3)
-        assert fired == [0, 1, 2]
-
-    def test_step_fires_one_event(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, lambda: fired.append(1))
-        sim.schedule(2.0, lambda: fired.append(2))
-        assert sim.step() is True
-        assert fired == [1]
-
-    def test_step_on_empty_queue_returns_false(self):
-        assert Simulator().step() is False
 
     def test_events_fired_counter(self):
         sim = Simulator()
@@ -156,108 +158,41 @@ class TestExecution:
         assert len(errors) == 1
 
 
-class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
+# Few distinct times and delays, zero included, so ties are the common case:
+# between roots, between a child and the events already queued at its time.
+times = st.sampled_from([0.0, 1.0, 1.0, 2.5, 4.0])
+delays = st.sampled_from([0.0, 0.0, 1.0, 2.5])
+child = st.tuples(delays, st.lists(st.tuples(delays, st.just([])), max_size=2))
+schedules = st.lists(st.tuples(times, st.lists(child, max_size=2)), max_size=12)
+
+
+class TestOrdering:
+    @settings(max_examples=200, deadline=None)
+    @given(roots=schedules, horizon=st.sampled_from([0.0, 1.0, 2.0, 3.5, 6.0]))
+    def test_fires_in_time_then_insertion_order(self, roots, horizon):
         sim = Simulator()
         fired = []
-        ev = sim.schedule(1.0, lambda: fired.append(True))
-        ev.cancel()
-        sim.run()
-        assert fired == []
 
-    def test_cancelled_flag(self):
-        sim = Simulator()
-        ev = sim.schedule(1.0, lambda: None)
-        assert not ev.cancelled
-        ev.cancel()
-        assert ev.cancelled
+        def schedule(delay, children, index):
+            def fire():
+                fired.append(index)
+                for d, grandchildren in children:
+                    schedule(d, grandchildren, next(indices))
 
-    def test_len_excludes_cancelled(self):
-        sim = Simulator()
-        ev1 = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        assert len(sim) == 2
-        ev1.cancel()
-        assert len(sim) == 1
+            sim.schedule(delay, fire, label=f"e{index}")
 
-    def test_peek_time_skips_cancelled(self):
-        sim = Simulator()
-        ev1 = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        ev1.cancel()
-        assert sim.peek_time() == 2.0
+        indices = itertools.count()
+        for time, children in roots:
+            schedule(time, children, next(indices))
+        order = model.fire_order(roots)
 
-    def test_peek_time_empty(self):
-        assert Simulator().peek_time() is None
+        n = sim.run_until(horizon)
+        expected = [i for t, i in order if t <= horizon]
+        assert fired == expected
+        assert n == sim.events_fired == len(expected)
+        assert sim.now == horizon
 
-    def test_cancel_during_run(self):
-        sim = Simulator()
-        fired = []
-        ev2 = sim.schedule(2.0, lambda: fired.append(2))
-        sim.schedule(1.0, lambda: ev2.cancel())
-        sim.run()
-        assert fired == []
-
-    def test_pending_iterates_live_events(self):
-        sim = Simulator()
-        ev1 = sim.schedule(1.0, lambda: None, label="a")
-        sim.schedule(2.0, lambda: None, label="b")
-        ev1.cancel()
-        labels = [ev.label for ev in sim.pending()]
-        assert labels == ["b"]
-
-
-class TestHeapCompaction:
-    def make_churny_sim(self, n=400):
-        """Schedule ``n`` far-future events, then cancel most of them from
-        an early event — the cancel-heavy pattern (timeout timers, choke
-        rotations) that used to leave the heap full of tombstones."""
-        sim = Simulator()
-        fired = []
-        events = [
-            sim.schedule(10.0 + i, (lambda i=i: fired.append(i)), label=f"e{i}")
-            for i in range(n)
-        ]
-        return sim, events, fired
-
-    def test_compaction_triggers_and_shrinks_heap(self):
-        sim, events, _ = self.make_churny_sim()
-        for ev in events[: len(events) - 10]:
-            ev.cancel()
-        assert sim.compactions >= 1
-        # physical heap is bounded by O(live) + the compaction threshold,
-        # not by the number of cancels (390 here)
-        assert len(sim) == 10
-        assert len(sim._queue) < Simulator.COMPACT_MIN_QUEUE
-
-    def test_firing_order_identical_with_compaction(self):
-        sim, events, fired = self.make_churny_sim()
-        for i, ev in enumerate(events):
-            if i % 4 != 3:  # cancel three of every four events
-                ev.cancel()
-        assert sim.compactions >= 1
-        sim.run()
-        assert fired == [i for i in range(len(events)) if i % 4 == 3]
-
-    def test_small_queues_never_compact(self):
-        sim = Simulator()
-        events = [sim.schedule(1.0 + i, lambda: None) for i in range(32)]
-        for ev in events:
-            ev.cancel()
-        assert sim.compactions == 0
-
-    def test_dead_head_pops_do_not_double_count(self):
-        sim = Simulator()
-        fired = []
-        first = sim.schedule(1.0, lambda: fired.append("dead"))
-        sim.schedule(2.0, lambda: fired.append("live"))
-        first.cancel()
-        sim.run()
-        assert fired == ["live"]
-        assert sim.compactions == 0
-
-    def test_cancel_is_idempotent_for_tombstone_count(self):
-        sim, events, _ = self.make_churny_sim(100)
-        for _ in range(3):  # repeated cancels must count once
-            events[0].cancel()
-        assert sim._tombstones == 1
+        assert sim.run() == len(order) - n
+        assert fired == [i for _, i in order]
+        assert sim.events_fired == len(order)
+        assert sim.now == max([horizon] + [t for t, _ in order])

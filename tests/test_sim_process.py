@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.process import PeriodicProcess
-from repro.sim.rng import RngRegistry
 
 
 class TestPeriodicProcess:
@@ -28,55 +27,12 @@ class TestPeriodicProcess:
         sim.run_until(23.0)
         assert proc.ticks == 4
 
-    def test_stop_halts_future_ticks(self):
-        sim = Simulator()
-        times = []
-        proc = PeriodicProcess(sim, 10.0, lambda: times.append(sim.now))
-        sim.schedule(15.0, proc.stop)
-        sim.run_until(100.0)
-        assert times == [10.0]
-        assert proc.stopped
-
-    def test_stop_from_inside_callback(self):
-        sim = Simulator()
-        proc_holder = {}
-
-        def cb():
-            proc_holder["p"].stop()
-
-        proc_holder["p"] = PeriodicProcess(sim, 10.0, cb)
-        sim.run_until(100.0)
-        assert proc_holder["p"].ticks == 1
-
     def test_nonpositive_interval_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
             PeriodicProcess(sim, 0.0, lambda: None)
         with pytest.raises(SimulationError):
             PeriodicProcess(sim, -1.0, lambda: None)
-
-    def test_jitter_requires_rng(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            PeriodicProcess(sim, 10.0, lambda: None, jitter=1.0)
-
-    def test_negative_jitter_rejected(self):
-        sim = Simulator()
-        rng = RngRegistry(0).stream("t")
-        with pytest.raises(SimulationError):
-            PeriodicProcess(sim, 10.0, lambda: None, jitter=-1.0, rng=rng)
-
-    def test_jitter_displaces_ticks_within_bound(self):
-        sim = Simulator()
-        rng = RngRegistry(7).stream("jitter")
-        times = []
-        PeriodicProcess(sim, 10.0, lambda: times.append(sim.now), jitter=3.0, rng=rng)
-        sim.run_until(200.0)
-        assert len(times) >= 10
-        for i, t in enumerate(times):
-            base = sum([10.0] * (i + 1))  # i+1 full intervals
-            # Each tick is base + accumulated jitter in [0, 3*(i+1)).
-            assert base <= t < base + 3.0 * (i + 1)
 
     def test_interval_property(self):
         sim = Simulator()

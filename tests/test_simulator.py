@@ -13,9 +13,13 @@ from repro.bittorrent.config import BitTorrentConfig
 from repro.bittorrent.roles import Role, RoleAssignment
 from repro.bittorrent.simulator import CommunitySimulator
 from repro.core.policies import BanPolicy, NoPolicy
+from repro.experiments.scenario import build_simulation
 from repro.faults import FaultConfig
+from repro.sim.engine import SimulationError
 from repro.traces.models import DAY
 from repro.traces.synthetic import SyntheticTraceGenerator, TraceParams
+from tests import model
+from tests.model import busy
 
 MB = 1024.0**2
 
@@ -143,6 +147,23 @@ class TestReputationDynamics:
         snap = sim.system_reputation_snapshot()
         origin_ids = {s.origin_seeder for s in sim.trace.swarms.values()}
         assert not set(snap) & origin_ids
+
+    def test_snapshot_is_equation_2(self):
+        scenario = busy(3)
+        sim = build_simulation(scenario)
+        sim.run()
+        snap = sim.system_reputation_snapshot()
+        unit = scenario.bc_config.metric.unit_bytes
+        naive = model.system_reputation(sim.nodes, sim.roles.subjects, unit)
+        assert list(snap) == list(naive)
+        assert {p: v.hex() for p, v in snap.items()} == {p: v.hex() for p, v in naive.items()}
+        assert len(set(snap.values())) > 1
+
+    def test_run_to_a_nan_horizon_raises(self):
+        sim = small_setup()
+        with pytest.raises(SimulationError):
+            sim.run(until=float("nan"))
+        assert sim.engine.now == 0.0 and sim.engine.events_fired == 0
 
 
 class TestDeterminism:

@@ -231,7 +231,9 @@ class TestChromeTrace:
     def test_end_to_end_from_jsonl(self, tmp_path):
         trace_path = tmp_path / "run.jsonl"
         obs = make_observability(trace_path=trace_path, seed=5)
-        obs.tracer.category("sim.event").emit("tick", sim_time=1.0)
+        cat = obs.tracer.category("sim.event")
+        assert cat.sample()
+        cat.emit_sampled("tick", sim_time=1.0)
         obs.close()
         out = write_chrome_trace(
             tmp_path / "out.json",
