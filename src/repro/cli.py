@@ -81,6 +81,10 @@ When ``--export DIR`` or ``--trace`` is given, a ``run_manifest.json``
 capturing config, seed, code revision, per-phase wall time, and the final
 metrics snapshot is written next to the output.  Instrumentation never
 changes results: an instrumented run is bit-identical to a plain one.
+
+A flag no run can honour (``--loss 1.5``, ``--engine foo``, ``--jobs 0``,
+...) is a usage error: exit status 2 and one ``error:`` line, before
+anything runs.
 """
 
 from __future__ import annotations
@@ -96,20 +100,31 @@ from typing import Any, Callable, List, NamedTuple, Optional, Sequence
 
 from repro.analysis import export as series
 from repro.analysis.ascii_plot import render_table
-from repro.experiments import ScenarioConfig, report
-from repro.experiments.faults import assemble_faults, fault_tasks
-from repro.experiments.fig2 import assemble_fig2, fig2_tasks
-from repro.experiments.fig3 import assemble_fig3, fig3_tasks
-from repro.faults import FaultConfig
-from repro.obs import ManifestBuilder, describe, make_observability, render_attribution
-from repro.parallel import (
-    ParallelRunner,
+from repro.core.engines import make_engine
+from repro.deployment.network import DeploymentParams
+from repro.experiments import (
+    ScenarioConfig,
+    assemble_faults,
+    assemble_fig2,
+    assemble_fig3,
+    fault_tasks,
     fig1_task,
+    fig2_tasks,
+    fig3_tasks,
     fig4_task,
-    run_sweep,
+    report,
     scalability_task,
     whitewash_tasks,
 )
+from repro.faults import FaultConfig
+from repro.obs import (
+    ManifestBuilder,
+    describe,
+    make_observability,
+    parse_sample_spec,
+    render_attribution,
+)
+from repro.parallel import ParallelRunner, run_sweep
 
 __all__ = ["main"]
 
@@ -500,17 +515,18 @@ def _scenario(
         scenario = scenario.with_provenance()
     manifest.config = describe(scenario)
     if shared_faults:
-        cfg = FaultConfig(
-            loss=args.loss,
-            duplicate=args.dup,
-            delay_max=args.delay,
-            churn_rate=args.churn,
-        )
+        cfg = _fault_config(args, args.loss, args.churn)
         if not cfg.is_null:
-            cfg.validate()
             scenario = scenario.with_faults(cfg)
             manifest.set_faults(cfg)
     return scenario
+
+
+def _fault_config(args: argparse.Namespace, loss: float, churn: float) -> FaultConfig:
+    """``--dup/--delay`` at one loss and churn level."""
+    return FaultConfig(
+        loss=loss, duplicate=args.dup, delay_max=args.delay, churn_rate=churn
+    )
 
 
 def _figures(args, manifest, runner) -> None:
@@ -524,12 +540,21 @@ def _csv(text, convert=float) -> tuple:
     return tuple(convert(x) for x in str(text).split(",") if x.strip())
 
 
+def _engines(args: argparse.Namespace) -> tuple:
+    return _csv(args.engine, str.strip) or ("bartercast",)
+
+
+def _ladders(args: argparse.Namespace) -> tuple:
+    """The fault sweep's loss and churn ladders."""
+    losses = (args.loss,) if args.loss is not None else _csv(args.losses)
+    return losses, _csv(args.churn) or (0.0,)
+
+
 def _faults(args, manifest, runner) -> None:
     scenario = _scenario(args, manifest, shared_faults=False)
-    losses = (args.loss,) if args.loss is not None else _csv(args.losses)
-    churns = _csv(args.churn) or (0.0,)
+    losses, churns = _ladders(args)
     churn = churns[0] if len(churns) == 1 else churns
-    engines = _csv(args.engine, str.strip) or ("bartercast",)
+    engines = _engines(args)
     manifest.set_faults(
         {
             "losses": losses,
@@ -566,7 +591,7 @@ def _scalability(args, manifest, runner) -> None:
     if not sizes or sizes[-1] != args.peers:
         sizes.append(args.peers)
     # Internally sequential (the view grows incrementally), so this is
-    # one task — pooled only for crash isolation, not speedup.
+    # one task.
     panel = _Panel(
         "scalability",
         [scalability_task(sizes, args.seed)],
@@ -585,7 +610,6 @@ def _explain(args, manifest, runner) -> int:
     With ``--engine`` naming several mechanisms, adds the side-by-side
     verdict comparison (why did mechanism A ban this peer when B
     didn't); the first named engine drives the replayed run."""
-    from repro.core.engines import ENGINE_NAMES
     from repro.core.policies import BanPolicy, NoPolicy, RankPolicy
     from repro.experiments.scenario import build_simulation
     from repro.obs.explain import (
@@ -596,16 +620,7 @@ def _explain(args, manifest, runner) -> int:
         top_subjects,
     )
 
-    engines = _csv(args.engine, str.strip) or ("bartercast",)
-    unknown = [e for e in engines if e not in ENGINE_NAMES]
-    if unknown:
-        print(
-            f"error: unknown engine(s) {', '.join(unknown)} "
-            f"(known: {', '.join(ENGINE_NAMES)})",
-            file=sys.stderr,
-        )
-        return 2
-
+    engines = _engines(args)
     if args.policy == "rank":
         policy = RankPolicy()
     elif args.policy == "ban":
@@ -812,13 +827,47 @@ _COMMANDS = {
 }
 
 
+def _check(args: argparse.Namespace) -> None:
+    """Put every flag of a run through the validator that owns its rule,
+    before anything runs; a bad flag raises ``ValueError``."""
+    if args.trace_sample is not None:
+        parse_sample_spec(args.trace_sample)
+    faults = []
+    if args.command == "faults":
+        losses, churns = _ladders(args)
+        if not losses:
+            raise ValueError("--losses names no loss level")
+        faults = [
+            _fault_config(args, loss, churn) for loss in losses for churn in churns
+        ]
+    elif hasattr(args, "loss"):
+        faults = [_fault_config(args, args.loss, args.churn)]
+    for cfg in faults:
+        cfg.validate()
+    if hasattr(args, "engine"):
+        for engine in _engines(args):
+            make_engine(engine)
+    if args.command in ("fig4", "all"):
+        DeploymentParams(num_peers=_fig4_peers(args)).validate()
+    if args.command == "scalability" and args.peers < 1:
+        raise ValueError(f"--peers must be positive, got {args.peers}")
+    if args.command == "explain" and args.subject == args.peer:
+        raise ValueError("--subject must differ from --peer")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command in _UTILITIES:
         return _UTILITIES[args.command](args)
+    try:
+        _check(args)
+        runner = ParallelRunner(jobs=args.jobs)
+    except ValueError as exc:
+        parser.error(str(exc))
     t0 = time.time()
-    obs = make_observability(
+    obs = runner.obs = make_observability(
         metrics=args.metrics,
         trace_path=args.trace,
         trace_sample=args.trace_sample,
@@ -834,7 +883,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         profile=getattr(args, "profile", None),
         seed=args.seed,
     )
-    runner = ParallelRunner(jobs=max(1, args.jobs), obs=obs)
     if runner.jobs > 1 and obs.spec() is None:
         print(
             "[parallel] --trace writes a single event stream; forcing --jobs 1",

@@ -13,7 +13,7 @@ who wins, crossover ordering — hold in both; see EXPERIMENTS.md).
 """
 
 from repro.experiments.scenario import ScenarioConfig, build_simulation
-from repro.experiments.fig1 import Fig1Result, run_fig1
+from repro.experiments.fig1 import Fig1Result, fig1_task, run_fig1
 from repro.experiments.fig2 import (
     Fig2Result,
     assemble_fig2,
@@ -28,7 +28,7 @@ from repro.experiments.fig3 import (
     run_fig3,
     run_fig3_point,
 )
-from repro.experiments.fig4 import Fig4Result, run_fig4
+from repro.experiments.fig4 import Fig4Result, fig4_task, run_fig4
 from repro.experiments.faults import (
     FaultPoint,
     FaultsResult,
@@ -41,11 +41,13 @@ from repro.experiments.whitewash import (
     WhitewashParams,
     WhitewashResult,
     run_whitewash,
+    whitewash_tasks,
 )
 from repro.experiments.scalability import (
     ScalabilityPoint,
     ScalabilityResult,
     run_scalability,
+    scalability_task,
 )
 from repro.experiments import report
 
@@ -54,6 +56,7 @@ __all__ = [
     "build_simulation",
     "Fig1Result",
     "run_fig1",
+    "fig1_task",
     "Fig2Result",
     "run_fig2",
     "run_fig2_policy",
@@ -66,6 +69,7 @@ __all__ = [
     "assemble_fig3",
     "Fig4Result",
     "run_fig4",
+    "fig4_task",
     "FaultPoint",
     "FaultsResult",
     "run_fault_point",
@@ -75,8 +79,10 @@ __all__ = [
     "WhitewashParams",
     "WhitewashResult",
     "run_whitewash",
+    "whitewash_tasks",
     "ScalabilityPoint",
     "ScalabilityResult",
     "run_scalability",
+    "scalability_task",
     "report",
 ]

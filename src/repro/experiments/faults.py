@@ -56,8 +56,7 @@ Every run is audited against the ground-truth envelope
 in the result and asserted empty by the tests.
 
 All points are independent simulations, so the sweep parallelizes under
-``--jobs`` through the standard task machinery (:func:`fault_tasks` /
-:func:`assemble_faults`).
+``--jobs`` as sweep tasks (:func:`fault_tasks` / :func:`assemble_faults`).
 """
 
 from __future__ import annotations
@@ -467,7 +466,8 @@ def fault_tasks(
     top_k: int = 0,
     engines: Sequence[str] = DEFAULT_ENGINES,
 ) -> List[Any]:
-    """The independent sweep tasks over the engine × churn × loss grid.
+    """The independent sweep tasks over the engine × churn × loss grid:
+    :func:`run_fault_point` and its arguments, one task per point.
 
     Order: engines outermost, then churn, then the loss ladder — so the
     historical single-engine single-churn call produces exactly the old
@@ -488,16 +488,12 @@ def fault_tasks(
             for cfg in _sweep_configs(losses, churn_rate, dup, delay):
                 tasks.append(
                     SweepTask(
-                        task_id=(
-                            f"{prefix}loss{cfg.loss:g}_churn{cfg.churn_rate:g}"
-                        ),
-                        experiment="fault_point",
-                        params={
+                        f"{prefix}loss{cfg.loss:g}_churn{cfg.churn_rate:g}",
+                        run_fault_point,
+                        {
                             "scenario": scenario, "faults": cfg, "delta": delta,
                             **engine_extra, **params_extra,
                         },
-                        seed=scenario.seed,
-                        profile=scenario.name,
                     )
                 )
     return tasks

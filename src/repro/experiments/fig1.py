@@ -25,7 +25,7 @@ from repro.core.policies import NoPolicy
 from repro.experiments.scenario import ScenarioConfig, build_simulation
 from repro.obs import Observability
 
-__all__ = ["Fig1Result", "run_fig1"]
+__all__ = ["Fig1Result", "run_fig1", "fig1_task"]
 
 DAY = 86400.0
 GB = 1024.0**3
@@ -97,3 +97,10 @@ def run_fig1(
         spearman=spearman_r(net, rep),
         pearson=pearson_r(net, rep),
     )
+
+
+def fig1_task(scenario: ScenarioConfig):
+    """Figure 1 as a single sweep task."""
+    from repro.parallel import SweepTask
+
+    return SweepTask("fig1", run_fig1, {"scenario": scenario})

@@ -143,29 +143,22 @@ def fig2_tasks(
 ) -> List[Any]:
     """The independent sweep tasks of Figure 2, in canonical order.
 
-    One task per policy run: rank first, then one ban run per δ.  Feed
+    One task per policy run, :func:`run_fig2_policy` and its arguments:
+    rank first, then one ban run per δ.  Feed
     the resulting payload list (any execution order, merged back into
     task order) to :func:`assemble_fig2`.
     """
     from repro.parallel import SweepTask
 
     tasks = [
-        SweepTask(
-            task_id="fig2/rank",
-            experiment="fig2_policy",
-            params={"scenario": scenario, "policy": "rank"},
-            seed=scenario.seed,
-            profile=scenario.name,
-        )
+        SweepTask("fig2/rank", run_fig2_policy, {"scenario": scenario, "policy": "rank"})
     ]
     for delta in _sweep_deltas(deltas, ban_delta):
         tasks.append(
             SweepTask(
-                task_id=f"fig2/ban{delta:g}",
-                experiment="fig2_policy",
-                params={"scenario": scenario, "policy": "ban", "delta": delta},
-                seed=scenario.seed,
-                profile=scenario.name,
+                f"fig2/ban{delta:g}",
+                run_fig2_policy,
+                {"scenario": scenario, "policy": "ban", "delta": delta},
             )
         )
     return tasks

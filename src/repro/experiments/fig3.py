@@ -108,7 +108,8 @@ def fig3_tasks(
     percentages: Sequence[float] = (0, 10, 20, 30, 40, 50),
     delta: float = -0.5,
 ) -> List[Any]:
-    """The independent sweep tasks of one Figure 3 panel, in sweep order."""
+    """The independent sweep tasks of one Figure 3 panel, in sweep order:
+    :func:`run_fig3_point` and its arguments, one task per percentage."""
     _validate_kind_and_percentages(
         scenario if scenario is not None else ScenarioConfig.fast(), kind, percentages
     )
@@ -116,11 +117,9 @@ def fig3_tasks(
 
     return [
         SweepTask(
-            task_id=f"fig3/{kind}/{pct:g}pct",
-            experiment="fig3_point",
-            params={"scenario": scenario, "kind": kind, "pct": float(pct), "delta": delta},
-            seed=scenario.seed,
-            profile=scenario.name,
+            f"fig3/{kind}/{pct:g}pct",
+            run_fig3_point,
+            {"scenario": scenario, "kind": kind, "pct": float(pct), "delta": delta},
         )
         for pct in percentages
     ]

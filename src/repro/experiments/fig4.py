@@ -23,7 +23,7 @@ from repro.deployment.crawl import MeasurementCrawl
 from repro.deployment.network import DeploymentNetwork, DeploymentParams
 from repro.obs import Observability
 
-__all__ = ["Fig4Result", "run_fig4"]
+__all__ = ["Fig4Result", "run_fig4", "fig4_task"]
 
 GB = 1024.0**3
 
@@ -84,4 +84,15 @@ def run_fig4(
         fractions=result.reputation_cdf_fractions(),
         messages_logged=result.messages_logged,
         peers_seen=len(result.seen_peers),
+    )
+
+
+def fig4_task(peers: int, seed: int):
+    """Figure 4 (deployment crawl) as a single sweep task."""
+    from repro.parallel import SweepTask
+
+    return SweepTask(
+        f"fig4/{peers}p",
+        run_fig4,
+        {"params": DeploymentParams(num_peers=int(peers)), "seed": int(seed)},
     )

@@ -253,7 +253,7 @@ def report_faults(result: FaultsResult) -> str:
 
 def report_whitewash(results: Sequence) -> str:
     """Whitewashing assessment: one row per stranger policy, in the order
-    of :func:`repro.parallel.whitewash_tasks`."""
+    of :func:`repro.experiments.whitewash.whitewash_tasks`."""
     kinds = ("trusted", "static", "adaptive")
     rows = [
         (kind, r.service["newcomer"], r.service["washer"],

@@ -26,7 +26,12 @@ from repro.core.node import BarterCastNode
 from repro.core.reputation import MB
 from repro.sim.rng import RngRegistry
 
-__all__ = ["ScalabilityPoint", "ScalabilityResult", "run_scalability"]
+__all__ = [
+    "ScalabilityPoint",
+    "ScalabilityResult",
+    "run_scalability",
+    "scalability_task",
+]
 
 
 @dataclass
@@ -171,3 +176,20 @@ def run_scalability(
     if lookups:
         result.cache_hit_rate = node.rep_cache_hits / lookups
     return result
+
+
+def _run_scalability_task(sizes: Sequence[int], seed: int, obs) -> ScalabilityResult:
+    """Sweep-task adapter: the experiment records nothing."""
+    return run_scalability(sizes=sizes, seed=seed)
+
+
+def scalability_task(sizes: Sequence[int], seed: int):
+    """The assessment as one sweep task (its sizes grow one view
+    incrementally, so the experiment is internally sequential)."""
+    from repro.parallel import SweepTask
+
+    return SweepTask(
+        "scalability",
+        _run_scalability_task,
+        {"sizes": tuple(int(s) for s in sizes), "seed": int(seed)},
+    )

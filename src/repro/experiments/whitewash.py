@@ -38,7 +38,13 @@ from repro.core.whitewashing import (
 )
 from repro.sim.rng import RngRegistry
 
-__all__ = ["WhitewashParams", "WhitewashResult", "run_whitewash", "make_stranger_policy"]
+__all__ = [
+    "WhitewashParams",
+    "WhitewashResult",
+    "run_whitewash",
+    "whitewash_tasks",
+    "make_stranger_policy",
+]
 
 
 @dataclass
@@ -235,3 +241,18 @@ def run_whitewash(
         identities_burned=burned,
         prior_trajectory=prior_trajectory,
     )
+
+
+def _run_whitewash_task(kind: str, seed: int, obs) -> WhitewashResult:
+    """Sweep-task adapter: the experiment records nothing."""
+    return run_whitewash(kind, seed=seed)
+
+
+def whitewash_tasks(seed: int, kinds=("trusted", "static", "adaptive")):
+    """One sweep task per stranger policy."""
+    from repro.parallel import SweepTask
+
+    return [
+        SweepTask(f"whitewash/{kind}", _run_whitewash_task, {"kind": kind, "seed": int(seed)})
+        for kind in kinds
+    ]

@@ -132,20 +132,5 @@ class RngRegistry:
         """A per-entity stream, e.g. one per peer: ``spawn('peer', 17)``."""
         return self.stream(f"{name}#{index}")
 
-    def task_seed(self, task_id: str) -> int:
-        """A deterministic root seed for an independently scheduled task.
-
-        The parallel sweep runner derives each task's seed from the
-        ``(root_seed, task_id)`` pair, never from worker identity or
-        execution order, so a task's random streams are the same whether
-        it runs inline, in any worker process, or in any schedule
-        position.  The returned value is a plain non-negative int (safe
-        to pickle and to feed back into ``RngRegistry``).
-        """
-        name_key = [ord(c) for c in task_id] or [0]
-        # The sentinel keeps task seeds disjoint from stream spawn keys.
-        seq = np.random.SeedSequence([self.root_seed, 0x7A5C, *name_key])
-        return int(seq.generate_state(1, np.uint64)[0] & 0x7FFF_FFFF_FFFF_FFFF)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RngRegistry seed={self.root_seed} streams={len(self._streams)}>"

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+
 import pytest
 from hypothesis import strategies as st
 
@@ -11,6 +14,36 @@ from repro.traces.models import DAY
 from repro.traces.synthetic import SyntheticTraceGenerator, TraceParams
 
 MB = 1024.0**2
+
+
+#: The CLI commands that build sweep tasks, at tiny seed 3 (``scalability``
+#: is left out: it prints wall-clock columns).
+TASK_COMMANDS = {
+    "all": "all --profile tiny --fig4-peers 300 --export {out}",
+    "faults": "faults --profile tiny --losses 0,0.3 --engine bartercast,ratio "
+    "--top-k 2 --export {out}",
+    "whitewash": "whitewash",
+}
+
+
+@pytest.fixture(scope="session")
+def task_command_runs(tmp_path_factory):
+    """Each of :data:`TASK_COMMANDS` run in process once per ``--jobs``
+    level: ``{(name, jobs): (stdout, {exported file: bytes})}``, with the
+    export directory written as ``OUT`` in stdout."""
+    from repro import cli
+
+    runs = {}
+    for name, command in TASK_COMMANDS.items():
+        for jobs in (1, 2):
+            out = tmp_path_factory.mktemp(f"{name}-j{jobs}")
+            argv = command.format(out=out).split() + ["--seed", "3", "--jobs", str(jobs)]
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(argv) == 0
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            runs[name, jobs] = stdout.getvalue().replace(str(out), "OUT"), files
+    return runs
 
 
 @pytest.fixture

@@ -50,6 +50,32 @@ class TestCli:
             cli.main([])
 
 
+#: Flags no run can honour, one per owning rule.
+BAD_FLAGS = [
+    "fig1 --loss 1.5",
+    "faults --churn -1",
+    "faults --losses 0,abc",
+    "faults --engine foo --jobs 2",
+    "fig1 --trace {tmp}/t.jsonl --trace-sample 2",
+    "scalability --peers 0",
+    "fig4 --peers 5",
+    "explain --peer 0 --subject 0",
+    "faults --losses ,",
+    "fig1 --jobs 0",
+]
+
+
+@pytest.mark.parametrize("command", BAD_FLAGS)
+def test_bad_flag_is_a_usage_error_before_anything_runs(command, capsys, tmp_path):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(command.format(tmp=tmp_path).split())
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "bartercast: error:" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestNewSubcommands:
     def test_whitewash_runs(self, capsys):
         assert cli.main(["whitewash", "--seed", "3"]) == 0
@@ -88,18 +114,16 @@ class TestNewSubcommands:
             "run_manifest.json",
         ]
 
-    def test_all_fig4_peers_override(self, capsys, monkeypatch):
-        seen = {}
-        real = cli.fig4_task
+    def test_all_fig4_peers_override(self, task_command_runs):
+        import json
 
-        def spy_fig4_task(peers, seed):
-            seen["peers"] = peers
-            return real(peers, seed)
-
-        monkeypatch.setattr(cli, "fig4_task", spy_fig4_task)
-        assert cli.main(["all", "--seed", "3", "--fig4-peers", "123"]) == 0
-        assert seen["peers"] == 123
-        assert "Figure 4(b)" in capsys.readouterr().out
+        # ``all --fig4-peers 300``, its pooled tasks named in the manifest.
+        stdout, files = task_command_runs["all", 2]
+        note = json.loads(files["run_manifest.json"])["extra"]["parallel"]
+        assert [t["task_id"] for t in note["tasks"] if "fig4" in t["task_id"]] == [
+            "fig4/300p"
+        ]
+        assert "Figure 4(b)" in stdout
 
 
 class TestTelemetryFlags:

@@ -567,7 +567,7 @@ class TestCollector:
 
 class TestParallelParity:
     def _tasks(self):
-        from repro.parallel import fig1_task
+        from repro.experiments import fig1_task
 
         faults = FaultConfig(loss=0.2, churn_rate=2.0)
         return [

@@ -522,6 +522,10 @@ LEG_CASES = {
 }
 
 
+def _echo(i, obs):
+    return {"i": i}
+
+
 class TestLegLifecycle:
     @pytest.fixture(scope="class")
     def sides(self, tmp_path_factory):
@@ -529,8 +533,9 @@ class TestLegLifecycle:
         every leg on: straight into a bundle (the ``--jobs 1`` path), and
         in a worker process against a fresh mirror whose snapshot is
         merged home.  Per side and leg: ``(summary, {file name: bytes})``."""
+        from repro.experiments import fig1_task
         from repro.faults import FaultConfig
-        from repro.parallel import ParallelRunner, execute_task, fig1_task
+        from repro.parallel import ParallelRunner, execute_task
 
         scenario = ScenarioConfig.tiny(seed=3).with_provenance()
         task = fig1_task(scenario.with_faults(FaultConfig(loss=0.2, churn_rate=2.0)))
@@ -595,11 +600,7 @@ class TestLegLifecycle:
 
         obs = make_observability(metrics=True)
         obs.metrics.counter("parent.only").inc()
-        result = execute_task(
-            SweepTask(task_id="e", experiment="_echo", params={"i": 1}),
-            obs,
-            collect=True,
-        )
+        result = execute_task(SweepTask("e", _echo, {"i": 1}), obs, collect=True)
         assert result.payload == {"i": 1}
         assert result.obs == {"metrics": {}}
         assert obs.metrics.names() == ["parent.only"]

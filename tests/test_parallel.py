@@ -1,17 +1,29 @@
 """Tests for the parallel sweep runner (:mod:`repro.parallel`).
 
-The load-bearing property is *bit-identity*: any ``--jobs`` level — and
-any crash/retry schedule — must produce exactly the results of the
-serial path.  Everything else (crash isolation, timeouts, merge
-bookkeeping) exists in service of that guarantee.
+The load-bearing property is *bit-identity*: any ``--jobs`` level must
+produce exactly the results of the serial path.  Everything else (the
+failure rule, merge bookkeeping) exists in service of that guarantee.
 """
 
+import json
+import multiprocessing
+import os
 import pickle
+import time
 
 import numpy as np
 import pytest
 
-from repro.experiments import ScenarioConfig
+from repro.experiments import (
+    ScenarioConfig,
+    fault_tasks,
+    fig1_task,
+    fig2_tasks,
+    fig3_tasks,
+    fig4_task,
+    scalability_task,
+    whitewash_tasks,
+)
 from repro.graph import TransferGraph
 from repro.graph.maxflow import (
     KERNEL_INVOCATIONS,
@@ -20,51 +32,58 @@ from repro.graph.maxflow import (
     snapshot_kernel_invocations,
 )
 from repro.obs import MetricsRegistry, Observability
-from repro.parallel import (
-    EXECUTORS,
-    ParallelRunner,
-    SweepError,
-    SweepTask,
-    execute_task,
-    fig1_task,
-    run_sweep,
-    whitewash_tasks,
-)
+from repro.parallel import ParallelRunner, SweepError, SweepTask, run_sweep
+
+
+# -- task functions: cheap, deterministic, failure injectable ----------
+def _echo(i, obs):
+    return {"i": i}
+
+
+def _sleep(seconds, obs):
+    time.sleep(seconds)
+    return {"slept": seconds}
+
+
+def _raise(obs):
+    raise RuntimeError("this task fails")
+
+
+def _crash(obs):
+    """Die without cleanup, like a segfaulting or OOM-killed worker."""
+    os._exit(17)
 
 
 def echo_tasks(n):
-    return [
-        SweepTask(task_id=f"echo/{i}", experiment="_echo", params={"i": i})
-        for i in range(n)
-    ]
+    return [SweepTask(f"echo/{i}", _echo, {"i": i}) for i in range(n)]
+
+
+#: Every task list the CLI builds, by builder.
+BUILDERS = {
+    "fig1": lambda s: [fig1_task(s)],
+    "fig2": fig2_tasks,
+    "fig3-ignore": lambda s: fig3_tasks(s, "ignore"),
+    "fig3-lie": lambda s: fig3_tasks(s, "lie"),
+    "fig4": lambda s: [fig4_task(300, 3)],
+    "faults": lambda s: fault_tasks(
+        s, (0, 0.3), engines=("bartercast", "gossip", "ratio"), top_k=2
+    ),
+    "whitewash": lambda s: whitewash_tasks(3),
+    "scalability": lambda s: [scalability_task((1000, 2000), 3)],
+}
 
 
 class TestSweepTask:
-    def test_task_is_picklable(self):
-        task = fig1_task(ScenarioConfig.tiny())
-        clone = pickle.loads(pickle.dumps(task))
-        assert clone.task_id == task.task_id
-        assert clone.params["scenario"].seed == task.params["scenario"].seed
-        assert clone.params["scenario"].name == task.params["scenario"].name
-
-    def test_with_attempt_preserves_identity(self):
-        task = echo_tasks(1)[0]
-        retry = task.with_attempt(2)
-        assert retry.attempt == 2
-        assert (retry.task_id, retry.experiment, retry.params) == (
-            task.task_id,
-            task.experiment,
-            task.params,
-        )
-
-    def test_unknown_experiment_raises(self):
-        with pytest.raises(KeyError):
-            execute_task(SweepTask(task_id="x", experiment="no-such-experiment"))
-
-    def test_all_figure_executors_registered(self):
-        for name in ("fig1", "fig2_policy", "fig3_point", "fig4",
-                     "whitewash", "scalability"):
-            assert name in EXECUTORS
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_task_is_picklable(self, builder):
+        """A lambda or closure as ``run`` would fail only under ``--jobs N``."""
+        for task in BUILDERS[builder](ScenarioConfig.tiny()):
+            clone = pickle.loads(pickle.dumps(task))
+            assert clone.task_id == task.task_id
+            assert clone.run is task.run
+            # Equal field by field (the scenario's reputation metric has
+            # no ``__eq__``, so compare the dataclass reprs).
+            assert repr(clone.params) == repr(task.params)
 
 
 def _two_hop_graph():
@@ -126,11 +145,7 @@ class TestRunnerBasics:
     def test_results_keyed_by_task_order(self):
         # Tasks with wildly different durations still merge in task order.
         tasks = [
-            SweepTask(
-                task_id=f"sleep/{i}",
-                experiment="_sleep",
-                params={"seconds": 0.2 if i == 0 else 0.0, "hang_attempts": 99},
-            )
+            SweepTask(f"sleep/{i}", _sleep, {"seconds": 0.2 if i == 0 else 0.0})
             for i in range(4)
         ]
         results = ParallelRunner(jobs=2).run(tasks)
@@ -149,76 +164,31 @@ class TestRunnerBasics:
         assert runner.last_run_info["forced_inline_tracing"] is True
 
 
-class TestCrashIsolation:
-    def test_crashing_worker_is_retried(self):
+class TestFailure:
+    """A task is a pure function of its spec, so a failure is not
+    retried: it fails the sweep and names the task."""
+
+    # A dying worker fails every task still in flight, and the error
+    # names the first of them in task order; the dying task goes first
+    # so that it is the one named.  A raising task fails only itself.
+    @pytest.mark.parametrize(
+        "bad, position", [(_raise, 2), (_crash, 0)], ids=["raises", "worker-dies"]
+    )
+    def test_failing_task_fails_the_sweep_and_names_it(self, bad, position):
         tasks = echo_tasks(4)
-        tasks.insert(2, SweepTask(task_id="crash", experiment="_crash", params={}))
-        runner = ParallelRunner(jobs=2, retries=1)
-        payloads = [r.payload for r in runner.run(tasks)]
-        assert payloads[2] == {"survived": True, "attempt": 1}
-        assert [p for i, p in enumerate(payloads) if i != 2] == [
-            {"i": i} for i in range(4)
-        ]
-        assert runner.last_run_info["pool_rebuilds"] >= 1
-
-    @pytest.mark.parametrize("fail_on", [1, 3])
-    def test_submit_into_a_pool_that_just_broke_requeues(self, fail_on):
-        # Regression: when a worker died between wait() and the next
-        # submit(), submit raised BrokenProcessPool straight out of run()
-        # (test_crashing_worker_is_retried failed about one run in five).
-        # The refused task must be kept without spending an attempt.
-        from concurrent.futures.process import BrokenProcessPool
-
-        class RefusesOnce(ParallelRunner):
-            submits = 0
-
-            def _make_executor(self):
-                executor = super()._make_executor()
-                submit = executor.submit
-
-                def flaky_submit(*args, **kwargs):
-                    RefusesOnce.submits += 1
-                    if RefusesOnce.submits == fail_on:
-                        raise BrokenProcessPool("simulated: a worker just died")
-                    return submit(*args, **kwargs)
-
-                executor.submit = flaky_submit
-                return executor
-
-        runner = RefusesOnce(jobs=2, retries=0)
-        payloads = [r.payload for r in runner.run(echo_tasks(6))]
-        assert payloads == [{"i": i} for i in range(6)]
-        assert runner.last_run_info["retries"] == 0
-
-    def test_permanent_crash_raises_sweep_error(self):
-        bad = [
-            SweepTask(
-                task_id="crash-forever",
-                experiment="_crash",
-                params={"crash_attempts": 99},
-            )
-        ]
+        tasks.insert(position, SweepTask("bad", bad))
+        t0 = time.monotonic()
         with pytest.raises(SweepError) as err:
-            ParallelRunner(jobs=2, retries=1).run(bad)
-        assert err.value.failures[0][0].task_id == "crash-forever"
+            ParallelRunner(jobs=2).run(tasks)
+        assert time.monotonic() - t0 < 30
+        assert err.value.task.task_id == "bad"
+        assert "bad" in str(err.value)
+        assert multiprocessing.active_children() == []
 
-    def test_timeout_then_retry_succeeds(self):
-        slow = [
-            SweepTask(
-                task_id="slow",
-                experiment="_sleep",
-                params={"seconds": 1.5, "hang_attempts": 1},
-            )
-        ]
-        runner = ParallelRunner(jobs=2, retries=1, timeout_s=0.4)
-        results = runner.run(slow)
-        assert results[0].payload == {"slept": True, "attempt": 1}
-        assert runner.last_run_info["timeouts"] == 1
-
-    def test_zero_retries_fails_fast(self):
-        bad = [SweepTask(task_id="c", experiment="_crash", params={})]
-        with pytest.raises(SweepError):
-            ParallelRunner(jobs=2, retries=0).run(bad)
+    def test_inline_failure_propagates_unchanged(self):
+        tasks = echo_tasks(2) + [SweepTask("bad", _raise)]
+        with pytest.raises(RuntimeError, match="this task fails"):
+            ParallelRunner(jobs=1).run(tasks)
 
 
 class TestExperimentIdentity:
@@ -239,18 +209,15 @@ class TestExperimentIdentity:
                 serial.delta_sweep[delta], pooled.delta_sweep[delta], equal_nan=True
             )
 
-    def test_fig3_bit_identical_under_crash_retry(self):
-        """Identity holds even when a crash forces a pool rebuild mid-sweep."""
-        from repro.experiments import fig3_tasks, assemble_fig3, run_fig3
+    def test_fig3_bit_identical(self):
+        from repro.experiments import run_fig3
 
         scenario = ScenarioConfig.tiny()
         pcts = (0, 25, 50)
         serial = run_fig3(scenario, kind="ignore", percentages=pcts)
-        tasks = fig3_tasks(scenario, "ignore", pcts)
-        tasks.insert(1, SweepTask(task_id="crash", experiment="_crash", params={}))
-        payloads = run_sweep(tasks, runner=ParallelRunner(jobs=2, retries=1))
-        del payloads[1]  # drop the crash fixture's payload
-        pooled = assemble_fig3(payloads, "ignore", pcts)
+        pooled = run_fig3(
+            scenario, kind="ignore", percentages=pcts, runner=ParallelRunner(jobs=2)
+        )
         assert np.array_equal(
             serial.sharer_speed_kbps, pooled.sharer_speed_kbps, equal_nan=True
         )
@@ -306,31 +273,20 @@ class TestCliJobs:
             classmethod(lambda cls, profile, seed=42: ScenarioConfig.tiny(seed)),
         )
 
-    def test_fig2_export_byte_identical(self, capsys, tmp_path):
-        from repro import cli
+    @pytest.mark.parametrize("name", ["all", "faults", "whitewash"])
+    def test_task_commands_equal_at_jobs_1_and_2(self, task_command_runs, name):
+        (stdout1, files1), (stdout2, files2) = (
+            task_command_runs[name, 1], task_command_runs[name, 2]
+        )
+        assert stdout1 == stdout2
+        # The manifest holds wall-clock, pids and the ``parallel`` note.
+        assert set(files1) == set(files2)
+        series = [f for f in files1 if f != "run_manifest.json"]
+        assert bool(series) == (name != "whitewash")
+        assert all(files1[f] == files2[f] for f in series)
 
-        d1, d2 = tmp_path / "j1", tmp_path / "j2"
-        assert cli.main(["fig2", "--seed", "3", "--export", str(d1)]) == 0
-        assert cli.main(
-            ["fig2", "--seed", "3", "--export", str(d2), "--jobs", "2"]
-        ) == 0
-        capsys.readouterr()
-        files = sorted(p.name for p in d1.glob("*.tsv"))
-        assert files
-        for name in files:
-            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
-
-    def test_all_jobs_manifest_notes_partition(self, capsys, tmp_path):
-        import json
-
-        from repro import cli
-
-        out = tmp_path / "out"
-        assert cli.main(
-            ["all", "--seed", "3", "--jobs", "2", "--metrics", "--export", str(out)]
-        ) == 0
-        capsys.readouterr()
-        manifest = json.loads((out / "run_manifest.json").read_text())
+    def test_all_jobs_manifest_notes_partition(self, task_command_runs):
+        manifest = json.loads(task_command_runs["all", 2][1]["run_manifest.json"])
         note = manifest["extra"]["parallel"]
         assert note["mode"] == "pool"
         assert note["jobs"] == 2
@@ -343,8 +299,6 @@ class TestCliJobs:
         """Every leg is a participant of the one worker fold, so nothing a
         run notes or exports depends on ``--jobs``; the provenance totals
         are ``prov.*`` metrics like every other count."""
-        import json
-
         from repro import cli
 
         def run(jobs):

@@ -358,7 +358,7 @@ class TestSimulatorTimeseries:
 
 class TestParallelTransport:
     def _tasks(self):
-        from repro.parallel import fig1_task
+        from repro.experiments import fig1_task
 
         return [
             fig1_task(ScenarioConfig.tiny(seed=3)),
