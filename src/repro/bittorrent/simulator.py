@@ -172,6 +172,10 @@ class CommunitySimulator:
             for pid in trace.peers
         }
         self.online: Set[int] = set()
+        #: Peers online and not churned down: what :meth:`is_online`
+        #: reads.  Kept at the four places liveness changes (session
+        #: start and end, churn crash and rejoin).
+        self.live: Set[int] = set()
         #: Whether each peer accepts incoming connections (fixed per trace).
         self._connectable: Dict[int, bool] = {
             pid: profile.connectable for pid, profile in trace.peers.items()
@@ -203,12 +207,14 @@ class CommunitySimulator:
 
         if pss == "buddycast":
             self.pss: PeerSamplingService = BuddyCastPSS(
-                is_online=self.is_online,
+                is_online=self.live.__contains__,
                 rng=self.rngs.stream("pss"),
                 view_size=self.config.pss_view_size,
             )
         elif pss == "oracle":
-            self.pss = OraclePSS(is_online=self.is_online, rng=self.rngs.stream("pss"))
+            self.pss = OraclePSS(
+                is_online=self.live.__contains__, rng=self.rngs.stream("pss")
+            )
         else:
             raise ValueError(f"unknown pss kind {pss!r}")
         for pid in self.rngs.stream("pss-bootstrap").shuffled(sorted(trace.peers)):
@@ -233,6 +239,7 @@ class CommunitySimulator:
                     self.rngs.stream("faults.churn"),
                     sorted(trace.peers),
                     horizon=trace.duration,
+                    on_down=self._churn_down,
                     on_rejoin=self._churn_rejoin,
                 )
 
@@ -282,11 +289,11 @@ class CommunitySimulator:
         for pid, profile in self.trace.peers.items():
             for session in profile.sessions:
                 self.engine.schedule_at(
-                    session.start, lambda p=pid: self.online.add(p), label="online"
+                    session.start, lambda p=pid: self._session_start(p), label="online"
                 )
                 self.engine.schedule_at(
                     min(session.end, self.trace.duration),
-                    lambda p=pid: self.online.discard(p),
+                    lambda p=pid: self._session_end(p),
                     label="offline",
                 )
         for sid, spec in self.trace.swarms.items():
@@ -319,9 +326,18 @@ class CommunitySimulator:
     def is_online(self, peer_id: int) -> bool:
         """Whether the peer is currently within one of its trace sessions
         (and not knocked out by a churn outage)."""
-        if peer_id not in self.online:
-            return False
-        return self.churn is None or peer_id not in self.churn.down
+        return peer_id in self.live
+
+    def _session_start(self, peer: int) -> None:
+        """A trace session starts: the peer is live unless churned down."""
+        self.online.add(peer)
+        if self.churn is None or peer not in self.churn.down:
+            self.live.add(peer)
+
+    def _session_end(self, peer: int) -> None:
+        """A trace session ends: the peer is neither online nor live."""
+        self.online.discard(peer)
+        self.live.discard(peer)
 
     def can_connect(self, a: int, b: int) -> bool:
         """Whether peers ``a`` and ``b`` can form a connection (at least one
@@ -329,14 +345,21 @@ class CommunitySimulator:
         through the two candidate pools of :mod:`repro.bittorrent.choker`."""
         return self._connectable[a] or self._connectable[b]
 
+    def _churn_down(self, peer: int, now: float) -> None:
+        """Churn crash hook: the peer leaves the live set until it rejoins."""
+        self.live.discard(peer)
+
     def _churn_rejoin(self, peer: int, now: float, wiped: bool) -> None:
         """Churn rejoin hook: replay the recovery path of a restarted peer.
 
-        A *hard* restart (``wiped``) lost the in-memory gossip state: the
+        The peer is live again if its trace session is still running.  A
+        *hard* restart (``wiped``) lost the in-memory gossip state: the
         subjective shared history is wiped (``forget_reporter`` per
         reporter) and the peer re-bootstraps its PSS view at the rejoin
         time — exercising exactly the churn-sensitive BuddyCast paths.
         """
+        if peer in self.online:
+            self.live.add(peer)
         if wiped:
             self.nodes[peer].wipe_shared_history()
             self.pss.forget(peer)
@@ -529,19 +552,19 @@ class CommunitySimulator:
 
     def _collect_links(self) -> List[Tuple[int, int, SwarmState]]:
         links: List[Tuple[int, int, SwarmState]] = []
-        is_online = self.is_online
+        live = self.live
         connectable = self._connectable
         role_of, nodes = self.roles.role_of, self.nodes
         for swarm in self.swarms.values():
             if len(swarm.members) < 2:
                 continue
-            online_leechers = [pid for pid in swarm.leecher_roster if is_online(pid)]
+            online_leechers = [pid for pid in swarm.leecher_roster if pid in live]
             if not online_leechers:
                 # Nobody to serve: the choker would only clear each online
                 # member's optimistic target (an empty candidate list draws
                 # no randomness), so do that here and stay out of it.
                 for member in swarm.members.values():
-                    if member.optimistic_peer is not None and is_online(member.peer_id):
+                    if member.optimistic_peer is not None and member.peer_id in live:
                         member.optimistic_peer = None
                 continue
             # ``can_connect`` once per leecher and round: a connectable
@@ -550,7 +573,7 @@ class CommunitySimulator:
             reachable = [pid for pid in online_leechers if connectable[pid]]
             for member in swarm.members.values():
                 pid = member.peer_id
-                if not is_online(pid):
+                if pid not in live:
                     continue
                 is_origin = role_of(pid) == Role.ORIGIN
                 unchoked = select_unchokes(
@@ -684,9 +707,9 @@ class CommunitySimulator:
                 rated.append(member)
 
     def _account_leech_time(self, now: float, dt: float) -> None:
-        is_online = self.is_online
+        live = self.live
         leeching = {
-            pid for swarm in self.swarms.values() for pid in swarm.leecher_roster if is_online(pid)
+            pid for swarm in self.swarms.values() for pid in swarm.leecher_roster if pid in live
         }
         for pid in leeching:
             self.stats.record_leech_time(pid, dt, now)
@@ -717,12 +740,13 @@ class CommunitySimulator:
         if self.online != self._gossip_members:
             self._gossip_members = set(self.online)
             self._gossip_order = sorted(self.online)
+        live = self.live
         for pid in self._gossip_rng.shuffled(self._gossip_order):
-            if not self.is_online(pid):
+            if pid not in live:
                 continue
             self.pss.tick(pid, now)
             partner = self.pss.sample(pid)
-            if partner is None or not self.is_online(partner):
+            if partner is None or partner not in live:
                 continue
             self._exchange_messages(pid, partner, now)
 

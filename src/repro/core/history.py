@@ -73,11 +73,12 @@ class PrivateHistory:
         self._recent: List[Tuple[float, str, int, PeerId]] = []
         # Peers whose ``last_seen`` may differ from their filed key.
         self._moved: Set[PeerId] = set()
-        # Top-uploader ranking; ``None`` after a ``record_download``, the
-        # only mutation that can reorder it.
+        # Top-uploader ranking; ``None`` after a ``record_download`` that
+        # moved a total, the only mutation that can reorder it.
         self._top: Optional[List[PeerId]] = None
         #: Wire records last built by :func:`repro.core.messages.select_records`,
-        #: per counterparty (owned by that function; opaque here).
+        #: per counterparty.  A mutation that moves a counterparty's total
+        #: drops its record, so every record held here matches the ledger.
         self.wire_records: Dict[PeerId, object] = {}
 
     # ------------------------------------------------------------------
@@ -88,27 +89,35 @@ class PrivateHistory:
         returns the new total uploaded to ``peer``."""
         self._validate(peer, nbytes)
         rec = self._get_or_create(peer)
-        rec.uploaded += float(nbytes)
+        nbytes = float(nbytes)
+        total = rec.uploaded + nbytes
+        if total != rec.uploaded:
+            rec.uploaded = total
+            self.wire_records.pop(peer, None)
         now = float(now)
         if now > rec.last_seen:
             rec.last_seen = now
-        self._total_up += float(nbytes)
+        self._total_up += nbytes
         self._moved.add(peer)
-        return rec.uploaded
+        return total
 
     def record_download(self, peer: PeerId, nbytes: float, now: float) -> float:
         """Record that the owner downloaded ``nbytes`` from ``peer`` at ``now``;
         returns the new total downloaded from ``peer``."""
         self._validate(peer, nbytes)
         rec = self._get_or_create(peer)
-        rec.downloaded += float(nbytes)
+        nbytes = float(nbytes)
+        total = rec.downloaded + nbytes
+        if total != rec.downloaded:
+            rec.downloaded = total
+            self.wire_records.pop(peer, None)
+            self._top = None
         now = float(now)
         if now > rec.last_seen:
             rec.last_seen = now
-        self._total_down += float(nbytes)
+        self._total_down += nbytes
         self._moved.add(peer)
-        self._top = None
-        return rec.downloaded
+        return total
 
     def touch(self, peer: PeerId, now: float) -> None:
         """Record an interaction with ``peer`` (e.g. a gossip exchange)

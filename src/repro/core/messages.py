@@ -16,13 +16,39 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import inf
-from typing import Hashable, List, Sequence
+from numbers import Real
+from typing import Hashable, List
 
 from repro.core.history import PrivateHistory
 
-__all__ = ["HistoryRecord", "BarterCastMessage", "select_records", "make_message"]
+__all__ = [
+    "HistoryRecord",
+    "BarterCastMessage",
+    "is_total",
+    "select_records",
+    "make_message",
+]
 
 PeerId = Hashable
+
+
+def is_total(value: object) -> bool:
+    """Whether ``value`` is a byte total a receiver admits: a real number
+    whose float value is finite and non-negative.
+
+    Never raises, whatever a peer sent.  An int too large for a float, a
+    numpy array, a string or ``None`` is not a total; ``True`` and numpy
+    real scalars are.
+    """
+    if value.__class__ is not float:
+        if not isinstance(value, Real):
+            return False
+        try:
+            value = float(value)
+        except (OverflowError, TypeError, ValueError):
+            return False
+    # The chained comparison is also false for NaN.
+    return 0.0 <= value < inf
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,15 +70,13 @@ class HistoryRecord:
     downloaded: float
 
     def is_sane(self) -> bool:
-        """Basic well-formedness: finite, non-negative totals and a
-        hashable counterparty.  Never raises, whatever a peer sent."""
+        """Basic well-formedness: both totals pass :func:`is_total` and
+        the counterparty is hashable.  Never raises, whatever a peer sent."""
         try:
             hash(self.counterparty)
-            # The chained comparisons are also false for NaN.
-            return 0.0 <= self.uploaded < inf and 0.0 <= self.downloaded < inf
         except (TypeError, ValueError):
-            # Non-numeric or array-valued total, unhashable counterparty.
             return False
+        return is_total(self.uploaded) and is_total(self.downloaded)
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,19 +142,14 @@ def select_records(
     seen = set(chosen)
     chosen += [peer for peer in history.most_recent(n_recent) if peer not in seen]
     # One immutable record per counterparty is reused until its totals
-    # move; checking the totals on every use means no mutation of the
-    # ledger can leave a stale record behind.
+    # move: the ledger drops a counterparty's record when it writes a new
+    # total, so a cached record always matches the ledger.
     cache = history.wire_records
-    totals_of = history.totals
     records = []
     for peer in chosen:
-        totals = totals_of(peer)
         record = cache.get(peer)
-        if (
-            record is None
-            or record.uploaded != totals.uploaded
-            or record.downloaded != totals.downloaded
-        ):
+        if record is None:
+            totals = history.totals(peer)
             record = cache[peer] = HistoryRecord(
                 counterparty=peer,
                 uploaded=totals.uploaded,

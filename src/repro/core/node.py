@@ -262,14 +262,14 @@ class BarterCastNode:
     ) -> int:
         """Ingest a received message into the subjective shared history.
 
-        Messages from self are rejected; records about the receiver are
-        dropped inside the store (private history is authoritative there).
-        ``now`` is the simulated receipt time for lineage records (falls
-        back to the message creation time).  Returns the number of
-        records applied.
+        The store drops a message claiming to be from this node whole,
+        and drops records about the receiver (private history is
+        authoritative there); neither is raised on.  ``now`` is the
+        simulated receipt time for lineage records (falls back to the
+        message creation time).  Returns the number of records applied;
+        every other record counts toward ``bc.records_dropped``, which
+        is mostly fresher confirmations of totals already held.
         """
-        if message.sender == self.peer_id:
-            raise ValueError("node received its own message")
         self.messages_received += 1
         applied = self.shared.ingest(message, now=now)
         if self._tr_msg is not None and self._tr_msg.sample():

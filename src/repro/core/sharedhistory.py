@@ -27,8 +27,9 @@ Two hard rules protect the owner:
 
 * records *about the owner* (counterparty == owner) are ignored — edges
   incident to the owner come exclusively from its own private history;
-* records *sent by the owner itself* are rejected (a node never gossips to
-  itself).
+* messages *sent by the owner itself* are dropped whole, their records
+  counted as dropped (a node never gossips to itself, so such a message
+  is forged).
 
 Supersede semantics: a reporter's newer message replaces its older claims
 about the same counterparty (records carry totals, not deltas).  Stale
@@ -44,7 +45,7 @@ from __future__ import annotations
 from math import inf
 from typing import Dict, Hashable, Iterator, Optional, Set, Tuple
 
-from repro.core.messages import BarterCastMessage, HistoryRecord
+from repro.core.messages import BarterCastMessage, HistoryRecord, is_total
 from repro.graph.transfer_graph import TransferGraph
 from repro.obs import NULL_OBS, Observability
 from repro.obs.provenance import NULL_PROVENANCE, ClaimLineage, ProvenanceRecorder
@@ -63,15 +64,35 @@ class _Report:
     only after an equal-timestamp tie one direction won).  The full
     :class:`~repro.obs.provenance.ClaimLineage` is synthesized by
     :meth:`SubjectiveSharedHistory.lineage_of`.
+
+    ``wire`` is the exact, immutable :class:`HistoryRecord` both totals
+    were last written from, or ``None``; a sender re-sends that very
+    object until one of its totals moves (``select_records``), so seeing
+    it again means neither total can move.
     """
 
-    __slots__ = ("uploaded", "downloaded", "reported_at", "up_lineage", "down_lineage")
+    __slots__ = (
+        "uploaded",
+        "downloaded",
+        "reported_at",
+        "up_lineage",
+        "down_lineage",
+        "wire",
+    )
 
-    def __init__(self, uploaded, downloaded, reported_at, lineage) -> None:
+    def __init__(self, uploaded, downloaded, reported_at, lineage, wire) -> None:
         self.uploaded = uploaded
         self.downloaded = downloaded
         self.reported_at = reported_at
         self.up_lineage = self.down_lineage = lineage
+        self.wire = wire
+
+
+def _wire(record: HistoryRecord) -> Optional[HistoryRecord]:
+    """``record`` if it is exactly a (frozen) ``HistoryRecord``: a
+    subclass could compute its totals, so only an exact one is trusted by
+    identity."""
+    return record if record.__class__ is HistoryRecord else None
 
 
 class SubjectiveSharedHistory:
@@ -137,7 +158,10 @@ class SubjectiveSharedHistory:
 
     @property
     def records_dropped(self) -> int:
-        """Number of records dropped (stale, malformed, or about the owner)."""
+        """Number of records that did not change the view: stale, malformed,
+        about the owner or the sender, in a message dropped whole, or —
+        most of them in a simulation — a fresher confirmation of totals
+        already held (DESIGN.md §7)."""
         return self._records_dropped
 
     # ------------------------------------------------------------------
@@ -150,31 +174,27 @@ class SubjectiveSharedHistory:
         creation time is used.  A malformed record (not a
         :class:`HistoryRecord`, :meth:`~HistoryRecord.is_sane` false,
         naming the sender or the owner) is dropped and counted, never
-        raised on; the rest of the message still applies.  A message whose
+        raised on; the rest of the message still applies.  A message is
+        dropped whole, every record counted, and 0 returned when its
         ``created_at`` is not a finite real, or is later than ``now`` when
-        ``now`` is given, is dropped whole: a timestamp from the future
-        would make every honest message of its sender stale until the
-        clock caught up with it.
-
-        Raises
-        ------
-        ValueError
-            If the message claims to be from the owner itself.
+        ``now`` is given — a timestamp from the future would make every
+        honest message of its sender stale until the clock caught up with
+        it — or when it claims to be from the owner itself, which never
+        gossips to itself.  Ingest never raises, whatever a peer sent.
         """
         reporter = message.sender
         owner = self.owner
-        if reporter == owner:
-            raise ValueError("a node cannot ingest its own message")
         self._messages_seen += 1
         created = message.created_at
         try:
-            # The chained comparison is also false for NaN.
+            # The chained comparison is also false for NaN; an int too
+            # large for a float passes it and overflows.
             rts = float(created) if -inf < created < inf else None
-        except (TypeError, ValueError):
+        except (OverflowError, TypeError, ValueError):
             rts = None
         if now is not None and rts is not None and rts > now:
             rts = None
-        records = message.records if rts is not None else ()
+        records = message.records if rts is not None and reporter != owner else ()
         prov_on = self._prov_on
         if prov_on:
             msg_id = message.msg_id
@@ -190,25 +210,55 @@ class SubjectiveSharedHistory:
         mine = reports.get(reporter) or {}
         g_set = self._graph.set_transfer
         applied = first = superseded = redelivered = stale = 0
-        # One pass over the records, one probe per record: validate, settle
+        # One pass over the records, one probe per record: admit, settle
         # stale / tie / newer for both directions from the one timestamp,
         # and leave when neither total moved.  Ingest is the write hot path
         # of every simulation and ~88 % of records only restate a total.
         for record in records:
-            if not isinstance(record, HistoryRecord) or not record.is_sane():
+            if not isinstance(record, HistoryRecord):
                 continue
             c = record.counterparty
-            if c == owner or c == reporter:
-                # Edges incident to the owner come from the private
-                # history only; a reporter has no edge to itself.
+            try:
+                rec = mine.get(c)  # also the hashability check
+            except (TypeError, ValueError):
                 continue
+            if rec is not None and record is rec.wire:
+                # The record the stored totals came from, re-sent: it was
+                # admitted then and moves no total now, so only the
+                # timestamp is settled (the same outcome as below).
+                ets = rec.reported_at
+                if ets > rts:
+                    stale += 2
+                elif ets == rts:
+                    redelivered += 2
+                else:
+                    rec.reported_at = rts
+                    superseded += 2
+                    if prov_on:
+                        rec.up_lineage = (msg_id, seen_at, rec.up_lineage[2] + 1)
+                        rec.down_lineage = (msg_id, seen_at, rec.down_lineage[2] + 1)
+                continue
+            # HistoryRecord.is_sane, inlined: the probe hashed ``c``, and
+            # the exact floats every simulated sender writes are
+            # range-checked in place.
             up = record.uploaded
             down = record.downloaded
-            rec = mine.get(c)
+            if up.__class__ is not float or down.__class__ is not float:
+                if not (is_total(up) and is_total(down)):
+                    continue
+                up = float(up)
+                down = float(down)
+            elif not (0.0 <= up < inf and 0.0 <= down < inf):
+                continue  # also false for NaN
             if rec is None:
+                if c == owner or c == reporter:
+                    # Edges incident to the owner come from the private
+                    # history only; a reporter has no edge to itself.  A
+                    # stored record has passed this check already.
+                    continue
                 if not mine:
                     reports[reporter] = mine
-                rec = mine[c] = _Report(float(up), float(down), rts, fresh)
+                rec = mine[c] = _Report(up, down, rts, fresh, _wire(record))
                 first += 1
                 up_moved = down_moved = True
             else:
@@ -221,12 +271,15 @@ class SubjectiveSharedHistory:
                     # message: the tie rule keeps the max value per direction,
                     # so the view is independent of arrival order (delivery
                     # idempotency).  Lineage moves only on a direction that won.
-                    up_new = bool(up > rec.uploaded)
-                    down_new = bool(down > rec.downloaded)
+                    up_new = up > rec.uploaded
+                    down_new = down > rec.downloaded
                     superseded += up_new + down_new
                     redelivered += 2 - up_new - down_new
+                    if up_new or down_new:
+                        rec.wire = None  # the totals may now mix two records
                 else:
                     rec.reported_at = rts
+                    rec.wire = _wire(record)
                     up_new = down_new = True
                     superseded += 2
                 if prov_on:
@@ -241,9 +294,9 @@ class SubjectiveSharedHistory:
                 if not (up_moved or down_moved):
                     continue  # fresher confirmation of the same totals
                 if up_moved:
-                    rec.uploaded = float(up)
+                    rec.uploaded = up
                 if down_moved:
-                    rec.downloaded = float(down)
+                    rec.downloaded = down
             # A total moved (~12 % of records): the edge is the max of this
             # claim and the counterparty's counter-claim, if it made one.
             # set_transfer registers both endpoints and no-ops on an unchanged

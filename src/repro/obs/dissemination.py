@@ -119,11 +119,12 @@ class DisseminationRecorder:
         self, label: str = "run", config: Optional[DisseminationConfig] = None
     ) -> None:
         # Imported here: repro.core imports repro.obs.
-        from repro.core.messages import HistoryRecord
+        from repro.core.messages import HistoryRecord, is_total
 
         self.label = label
         self.config = config or DisseminationConfig()
         self._record_type = HistoryRecord
+        self._is_total = is_total
         # Storage is columnar, and no hook allocates a container that the
         # log keeps: retaining a fresh GC-tracked object per event (the
         # message, its records tuple, a tuple per record) leaves the
@@ -236,19 +237,26 @@ class DisseminationRecorder:
     def _sane(self, i: int) -> list:
         """Message ``i``'s records a receiver applies, in message order:
         ``HistoryRecord.is_sane`` — the receivers' own rule, inlined
-        because every analytic applies it to every record it reads — and
-        not about the sender itself."""
+        because every analytic applies it to every record it reads, with
+        the exact floats every simulated sender writes checked in place —
+        and not about the sender itself."""
         sender = self._msg_sender[i]
+        is_total = self._is_total
         out = []
         for r in self._records[self._rec_off[i] : self._rec_off[i + 1]]:
             c = r.counterparty
+            up, down = r.uploaded, r.downloaded
             try:
                 hash(c)
-                # The chained comparisons are also false for NaN.
-                if 0.0 <= r.uploaded < _INF and 0.0 <= r.downloaded < _INF and c != sender:
-                    out.append(r)
             except (TypeError, ValueError):
                 continue
+            if up.__class__ is float and down.__class__ is float:
+                # The chained comparisons are also false for NaN.
+                sane = 0.0 <= up < _INF and 0.0 <= down < _INF
+            else:
+                sane = is_total(up) and is_total(down)
+            if sane and c != sender:
+                out.append(r)
         return out
 
     def _counterparties(self, i: int) -> Dict[PeerId, None]:

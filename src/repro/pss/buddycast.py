@@ -69,8 +69,9 @@ class BuddyCastPSS(PeerSamplingService):
     Parameters
     ----------
     is_online:
-        Callback ``peer -> bool`` supplied by the community simulator; the
-        PSS never hands out (or exchanges views with) offline peers.
+        Callback ``peer -> bool`` supplied by the community simulator (its
+        live set's ``__contains__``); the PSS never hands out (or
+        exchanges views with) offline peers.
     rng:
         Random stream for partner selection, bootstrap and eviction ties.
     view_size:
@@ -142,7 +143,10 @@ class BuddyCastPSS(PeerSamplingService):
         view = self._views.get(peer)
         if not view:
             return None
-        live = [c for c in view if c != peer and self._is_online(c)]
+        live = list(filter(self._is_online, view))
+        if peer in view:
+            # Only a hand-built view holds its owner; merges never insert it.
+            live = [c for c in live if c != peer]
         if not live:
             return None
         return self._rng.choice(live)

@@ -6,8 +6,8 @@ The oracle every hot path is checked against (``test_gossip_hot_path.py``,
 a dict private history whose selections are full sorts, sequential
 BuddyCast inserts, the records a receiver admits, one record per
 (reporter, counterparty) whose edges are found by scan, the 2-hop closed
-form by scan, Equation 2 as a plain mean, a BitTorrent round that scans
-every member, a dissemination log whose analytics scan every row, and an
+form by scan, Equation 2 as a plain mean, liveness as two sets, a
+BitTorrent round that scans every member, a dissemination log whose analytics scan every row, and an
 event queue that fires by scan.  Nothing here
 imports the code it is the oracle for.
 Wherever the system's output depends on an order, that order is spec and
@@ -85,19 +85,42 @@ def exchange(views, view_size, a, b, now):
             insert(views[owner], view_size, owner, contact, freshness)
 
 
+def live_contacts(view, owner, is_live):
+    """What a peer samples from, drawn by position: its view's live
+    contacts other than itself, in view order."""
+    return [c for c in view if c != owner and is_live(c)]
+
+
 # --- Shared history: max-supersede ingest ------------------------------------
+
+def finite(v):
+    """``float(v)`` for a real whose float value is finite, else ``None``
+    (an int too large for a float has no float value)."""
+    if not isinstance(v, Real):
+        return None
+    try:
+        f = float(v)
+    except OverflowError:
+        return None
+    return f if isfinite(f) else None
+
+
+def is_total(v):
+    """A byte total: a real whose float value is finite and non-negative."""
+    f = finite(v)
+    return f is not None and f >= 0
+
 
 def sane_records(message):
     """The records a receiver admits, in message order: a
     :class:`HistoryRecord` whose counterparty is hashable and not the
-    sender, and whose totals are both reals in ``[0, inf)``."""
+    sender, and whose two totals pass :func:`is_total`."""
     def admitted(r):
         try:
             hash(r.counterparty)
         except TypeError:
             return False
-        return r.counterparty != message.sender and all(
-            isinstance(v, Real) and isfinite(v) and v >= 0 for v in (r.uploaded, r.downloaded))
+        return r.counterparty != message.sender and is_total(r.uploaded) and is_total(r.downloaded)
 
     return [r for r in message.records if isinstance(r, HistoryRecord) and admitted(r)]
 
@@ -117,8 +140,10 @@ class Store:
         self.messages_seen += 1
         created, applied = message.created_at, 0
         # Only a finite real no later than the receipt is a timestamp: a
-        # future one would make its sender's honest messages stale.
-        if isinstance(created, Real) and isfinite(created) and (now is None or created <= now):
+        # future one would make its sender's honest messages stale.  The
+        # owner never gossips to itself: a message in its name is forged.
+        if message.sender != self.owner and finite(created) is not None and (
+                now is None or created <= now):
             msg_id = message.msg_id
             if msg_id is None:
                 msg_id = (message.sender, created)
@@ -254,6 +279,12 @@ def ban(graph, i, peers, delta):
 
 # --- The BitTorrent round: patch ``bt_round`` in for ``_round_body`` -------
 
+def is_live(sim, peer):
+    """A peer is online while one of its trace sessions runs and no churn
+    outage holds it down: two sets, read at the call."""
+    return peer in sim.online and (sim.churn is None or peer not in sim.churn.down)
+
+
 def complete(member):
     return member.bitfield.is_complete
 
@@ -271,7 +302,7 @@ def candidates(swarm, uploader, is_online, can_connect):
 def unchoke(sim, swarm, member):
     """Tit-for-tat regular slots plus the optimistic slot; the policy is
     asked once per call which candidates it allows."""
-    found = candidates(swarm, member, sim.is_online, sim.can_connect)
+    found = candidates(swarm, member, lambda p: is_live(sim, p), sim.can_connect)
     if not found:
         member.optimistic_peer = None
         return set()
@@ -304,7 +335,7 @@ def collect_links(sim):
     for swarm in sim.swarms.values():
         if len(swarm.members) > 1:
             for pid, member in swarm.members.items():
-                if sim.is_online(pid):
+                if is_live(sim, pid):
                     links += [(pid, target, swarm) for target in unchoke(sim, swarm, member)]
     return links
 
@@ -399,7 +430,7 @@ def bt_round(sim):
                     swarm.leave(pid)
     completed = execute(sim, allocate(sim, collect_links(sim), dt), now)
     leeching = {p for swarm in sim.swarms.values() for p, m in swarm.members.items()
-                if not complete(m) and sim.is_online(p)}
+                if not complete(m) and is_live(sim, p)}
     for pid in leeching:
         sim.stats.record_leech_time(pid, dt, now)
     for swarm, pid in completed:

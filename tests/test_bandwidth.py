@@ -47,6 +47,7 @@ def build_sim(num_peers=4, piece_size=100.0, file_size=1000.0, downlink=DOWN):
     sim = CommunitySimulator(trace, roles, config=config, seed=1)
     sim.engine.run_until(0.0)  # fire the t=0 events (origin join, sessions)
     sim.online.update(range(num_peers))
+    sim.live.update(range(num_peers))  # no churn: every online peer is live
     return sim
 
 

@@ -196,7 +196,11 @@ class Twins:
             elif kind == "leave":
                 twin._leave(*args[0])
             elif kind == "online":
+                # No churn: the live set is the online set.  It is updated
+                # in place, since the PSS holds its ``__contains__``.
                 twin.online = set(args[0])
+                twin.live.clear()
+                twin.live.update(args[0])
             elif kind == "round":
                 twin.engine.run_until(twin.engine.now + twin.config.round_interval)
         assert snapshot(sim) == snapshot(self.ref)

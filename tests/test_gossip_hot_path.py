@@ -10,6 +10,7 @@ in ``tests/model.py``: full stable sorts, and a store of one record per
 
 import math
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +18,10 @@ from repro.core.adversary import HonestBehavior, SelfishLiar
 from repro.core.history import PrivateHistory
 from repro.core.messages import BarterCastMessage, HistoryRecord, select_records
 from repro.core.node import BarterCastNode
+from repro.core.sharedhistory import SubjectiveSharedHistory
 from repro.graph.columnar import ColumnarTransferGraph
 from repro.graph.transfer_graph import TransferGraph
+from repro.obs.dissemination import DisseminationRecorder
 from repro.obs.provenance import ProvenanceRecorder
 from tests import model
 
@@ -171,7 +174,15 @@ PARTIES = REPORTERS + ["c0", OWNER]
 totals = st.sampled_from([0.0, 1.0, 5.0, 5.0, 9.0, 7])
 parties = st.sampled_from(["c0", "c0", "r0", "r1", OWNER])
 good_record = st.builds(HistoryRecord, parties, totals, totals)
-any_total = st.one_of(totals, st.sampled_from([-1.0, math.nan, math.inf, None, "x", [1.0]]))
+# The same record objects again and again, as a sender re-sends its cached
+# wire records until a total moves.
+POOL = tuple(
+    HistoryRecord(c, up, down)
+    for c in ("c0", "r0", "r1", OWNER)
+    for up, down in ((1.0, 5.0), (5.0, 5.0), (9.0, 0.0))
+)
+pooled_record = st.sampled_from(POOL)
+any_total = st.one_of(totals, st.sampled_from([-1.0, math.nan, math.inf, None, "x", [1.0], 10**400]))
 any_party = st.sampled_from(["c0", None, ["unhashable"], {"un": "hashable"}])
 hostile_record = st.one_of(
     st.builds(HistoryRecord, any_party, any_total, any_total),
@@ -180,18 +191,19 @@ hostile_record = st.one_of(
 timestamps = st.sampled_from([1.0, 2.0, 2.0, 3.0])
 # Whatever a peer puts in ``created_at``: only a finite real is a timestamp.
 hostile_created_at = st.one_of(
-    st.sampled_from([None, "x", "7", [1], (2.0,), {}, math.nan, math.inf, -math.inf]),
+    st.sampled_from([None, "x", "7", [1], (2.0,), {}, math.nan, math.inf, -math.inf, 10**400]),
     st.text(max_size=3),
     st.lists(st.floats(), max_size=2),
 )
 
 
 def messages(created_at):
+    # Now and then a message forged in the owner's name: dropped whole.
     return st.builds(
         BarterCastMessage,
-        sender=st.sampled_from(REPORTERS),
+        sender=st.sampled_from(REPORTERS * 3 + [OWNER]),
         created_at=created_at,
-        records=st.lists(st.one_of(good_record, good_record, hostile_record), max_size=5),
+        records=st.lists(st.one_of(good_record, pooled_record, pooled_record, hostile_record), max_size=5),
         msg_id=st.sampled_from([None, ("r0", 1), ("r1", 7)]),
     )
 
@@ -223,6 +235,12 @@ def lineage(store):
     return {edge: store.lineage_of(*edge) for edge in store.known_edges()}
 
 
+# One record re-sent newer, redelivered and stale: the receiver knows it by
+# identity and settles only its timestamp and lineage.
+@example([(BarterCastMessage("r0", t, (POOL[0],), msg_id=("r0", t)), 4.0) for t in (1.0, 2.0, 2.0, 1.0)])
+# An equal-timestamp tie mixes two records' totals; the first record,
+# re-sent later, must be read again, not recognised by identity.
+@example([(BarterCastMessage("r0", t, (POOL[i],)), None) for t, i in ((2.0, 0), (2.0, 1), (3.0, 0))])
 @settings(max_examples=200, deadline=None)
 @given(st.lists(step, max_size=16))
 def test_one_loop_ingest_equals_layered_path(steps):
@@ -290,3 +308,37 @@ def test_hostile_created_at_drops_the_message(history, forged, received_at, prov
     assert counters == (seen + 1, applied, dropped + len(forged.records))
     assert after == before
     assert lineage(store) == lineages and store._prov.summary() == summary
+
+
+# Whatever a peer can put in a total or a counterparty: the reals the rule
+# admits at its edges (``-0.0``, ``True``, numpy real scalars) and what it
+# must not (NaN, infinities, an int too large for a float, numpy arrays
+# and booleans, strings, ``None``).
+wire_total = st.one_of(
+    st.floats(),
+    st.integers(-3, 2**1100),
+    st.sampled_from([
+        -0.0, True, False, 10**400, np.float64(2.5), np.float32(-1.0), np.int64(7),
+        np.float16(np.inf), np.float64(np.nan), np.bool_(True), np.array(1.0),
+        np.array([1.0]), np.array([1.0, 2.0]), "1.5", None, [1.0],
+    ]),
+)
+wire_party = st.sampled_from(["c0", 3, 3.0, OWNER, "r0", None, ["unhashable"], np.array([1])])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(HistoryRecord, wire_party, wire_total, wire_total), min_size=1, max_size=6))
+def test_admission_copies_agree(records):
+    """``HistoryRecord.is_sane``, ingest's applied / dropped split, the
+    dissemination recorder's ``_sane`` and ``model.sane_records`` admit the
+    same records; none of them raises."""
+    for i, record in enumerate(records):
+        message = BarterCastMessage("r0", 1.0, (record,), msg_id=("r0", i))
+        store = SubjectiveSharedHistory(OWNER, TransferGraph())
+        applied = store.ingest(message, now=1.0)
+        assert (applied, store.records_dropped) in ((0, 1), (1, 0))
+        recorder = DisseminationRecorder()
+        recorder.record_send(message, OWNER, 1.0)
+        sane = record.is_sane() and record.counterparty != "r0"  # not about the sender
+        assert len(model.sane_records(message)) == len(recorder._sane(0)) == sane
+        assert applied == (sane and record.counterparty != OWNER)

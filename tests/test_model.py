@@ -1,4 +1,5 @@
-"""System ≡ model: the BuddyCast view merge, forged timestamps and whole runs.
+"""System ≡ model: the BuddyCast view merge and sampling, forged timestamps,
+the live set and whole runs.
 
 Each test drives the system and the naive model in ``tests/model.py`` with
 one input and compares everything either shows, floats by ``==``: the model
@@ -10,6 +11,7 @@ same order.  The per-path properties live beside the code they pin:
 """
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from repro.core.messages import BarterCastMessage, HistoryRecord
 from repro.core.node import BarterCastNode
 from repro.core.policies import BanPolicy, NoPolicy, RankPolicy
 from repro.experiments.scenario import ScenarioConfig, build_simulation
+from repro.faults import FaultConfig
 from repro.obs.provenance import ProvenanceRecorder
 from repro.pss.buddycast import BuddyCastPSS
 from repro.sim.rng import RngRegistry
@@ -45,6 +48,18 @@ def test_view_merge_equals_model(va, vb, view_size, now):
             list(v.items()) for v in want.values()
         ]
     assert pss.exchanges == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(views, st.sets(st.integers(0, 11)))
+def test_sample_draws_from_live_contacts_in_view_order(view, live):
+    """Views here may hold their owner (0); ``sample`` never returns it and
+    draws by position from the model's live list, with the same stream."""
+    pss = BuddyCastPSS(live.__contains__, RngRegistry(3).stream("pss"))
+    pss._views[0] = dict(view)
+    pool, rng = model.live_contacts(view, 0, live.__contains__), RngRegistry(3).stream("pss")
+    for _ in range(3):
+        assert pss.sample(0) == (rng.choice(pool) if pool else None)
 
 
 @pytest.mark.parametrize("forged_at", [math.inf, 1e9])
@@ -79,3 +94,38 @@ def test_whole_run_equals_model(monkeypatch, make_scenario, seed, make_policy):
     assert snapshot(runs[0]) == snapshot(runs[1])
     caches = {(n.rep_cache_hits, n.rep_cache_misses, n.rep_cache_invalidations) for n in runs[0].nodes.values()}
     assert make_policy is not NoPolicy or caches == {(0, 0, 0)}  # nothing asks for a reputation
+
+
+def test_live_set_equals_two_set_rule():
+    """At every engine event of a churned run, the simulator's live set —
+    what ``is_online``, the PSS and the gossip round read — is the model's
+    rule: in a session and not churned down.  Eight-hour outages make every
+    transition happen: crashes in and out of sessions, rejoins in and out
+    of them, and sessions that start or end while their peer is down."""
+    faults = FaultConfig(churn_rate=0.5, churn_downtime=8 * 3600.0)
+    sim = build_simulation(ScenarioConfig.tiny().with_faults(faults))
+    engine, peers, cases = sim.engine, sorted(sim.nodes), Counter()
+
+    def checked(callback):
+        def fire():
+            online, down = set(sim.online), set(sim.churn.down)
+            callback()
+            want = [model.is_live(sim, p) for p in peers]
+            assert [sim.is_online(p) for p in peers] == want
+            assert [sim.pss._is_online(p) for p in peers] == want
+            now_online, now_down = sim.online, sim.churn.down
+            cases["crash in session"] += len((now_down - down) & now_online)
+            cases["rejoin in session"] += len((down - now_down) & now_online)
+            cases["rejoin out of session"] += len((down - now_down) - now_online)
+            cases["session starts while down"] += len((now_online - online) & now_down)
+            cases["session ends while down"] += len((online - now_online) & now_down)
+            cases["session ends mid-run"] += len(online - now_online) * (engine.now < sim.trace.duration)
+            cases["events"] += 1
+        return fire
+
+    engine._queue[:] = [(t, seq, checked(cb), label) for t, seq, cb, label in engine._queue]
+    schedule_at = engine.schedule_at
+    engine.schedule_at = lambda t, cb, label="": schedule_at(t, checked(cb), label)
+    sim.run()
+    assert cases["events"] == engine.events_fired
+    assert min(cases.values()) > 0, cases

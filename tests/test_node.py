@@ -53,10 +53,16 @@ class TestGossip:
         assert n.messages_received == 1
 
     def test_own_message_rejected(self):
+        # A message forged with the receiver's own id is dropped whole, as
+        # a future-dated one is: counted, never raised on, nothing applied.
         n = BarterCastNode("me")
-        msg = BarterCastMessage("me", 1.0)
-        with pytest.raises(ValueError):
-            n.receive_message(msg)
+        n.record_upload("c", 5.0, now=0.5)
+        msg = BarterCastMessage("me", 1.0, records=(HistoryRecord("c", 10.0, 3.0),) * 2)
+        assert n.receive_message(msg, now=2.0) == 0
+        assert n.messages_received == 1
+        assert (n.shared.records_applied, n.shared.records_dropped) == (0, 2)
+        assert n.shared.reporters() == set()
+        assert list(n.graph.edges()) == [("me", "c", 5.0)]
 
     @pytest.mark.parametrize("provenance", [None, "on"])
     def test_hostile_records_are_dropped_and_counted(self, provenance):

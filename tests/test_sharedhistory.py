@@ -25,9 +25,13 @@ class TestIngestion:
         assert graph.capacity("c", "r") == 4.0
 
     def test_own_message_rejected(self, store):
-        shared, _ = store
-        with pytest.raises(ValueError):
-            shared.ingest(msg("me", 1.0))
+        # A node never gossips to itself: such a message is forged and is
+        # dropped whole, every record counted, without raising.
+        shared, graph = store
+        assert shared.ingest(msg("me", 1.0, HistoryRecord("c", 10.0, 4.0))) == 0
+        assert shared.messages_seen == 1
+        assert (shared.records_applied, shared.records_dropped) == (0, 1)
+        assert shared.reporters() == set() and list(graph.edges()) == []
 
     def test_records_about_owner_ignored(self, store):
         shared, graph = store
