@@ -114,10 +114,12 @@ def pick_rarest(availability: np.ndarray, candidates: np.ndarray, k: int) -> np.
     if idx.size == 0:
         return idx
     counts = availability[idx]
+    # The array methods run the C routines ``np.argpartition`` /
+    # ``np.argsort`` dispatch to (same ties), minus the dispatcher.
     if idx.size > k:
-        part = np.argpartition(counts, k - 1)[:k]
+        part = counts.argpartition(k - 1)[:k]
         idx = idx[part]
         counts = counts[part]
     if idx.size == 1:
         return idx
-    return idx[np.argsort(counts, kind="stable")]
+    return idx[counts.argsort(kind="stable")]

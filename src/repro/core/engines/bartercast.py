@@ -8,7 +8,7 @@ results through its dirty-set cache, exactly as for every engine.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Tuple
+from typing import Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.core.engines.base import ReputationEngine
 
@@ -33,6 +33,13 @@ class BarterCastEngine(ReputationEngine):
         """Exact for the ``two_hop`` kernel, whose ``R_i(j)`` reads only
         edges incident to ``i`` or ``j``; not for the iterative kernels."""
         return node.config.metric.supports_dirty_invalidation
+
+    def outside_reach_score(self, node) -> Optional[float]:
+        """``scale(0.0)`` for the ``two_hop`` kernel: with no path of at
+        most two edges either way, both flows are 0.0.  The iterative
+        kernels route longer paths, so they have no such score."""
+        metric = node.config.metric
+        return metric.scale(0.0) if metric.kernel == "two_hop" else None
 
     def evidence_flows(self, node, subject: PeerId) -> Tuple[float, float]:
         """(maxflow(subject→me), maxflow(me→subject)) in bytes."""

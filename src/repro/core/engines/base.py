@@ -24,6 +24,11 @@ Contract (every engine; every method takes the node)
 * ``supports_dirty_invalidation(node)`` declares whether a change to
   edge ``(x, y)`` can move only ``x``'s and ``y``'s scores, which makes
   the node's dirty-set invalidation exact (DESIGN.md §6).
+* ``outside_reach_score(node)`` is the score of every peer linked to the
+  owner by no path of at most two edges, when the engine's score is
+  fixed by that alone, else ``None`` (the default).  The node then
+  answers such a peer without calling ``score`` / ``scores``
+  (DESIGN.md §6, "Reach set").
 * ``effective_delta(delta)`` maps the sweep's ban threshold into the
   engine's own score space (the ratio engine bans on a *ratio*
   threshold, not a flow-difference one), so the false-ban measure is
@@ -39,7 +44,7 @@ Contract (every engine; every method takes the node)
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, Iterable, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime cycle
     from repro.core.node import BarterCastNode
@@ -81,6 +86,11 @@ class ReputationEngine:
         """Whether a change to edge ``(x, y)`` moves only ``x``'s and
         ``y``'s scores (the node then evicts just those two entries)."""
         raise NotImplementedError
+
+    def outside_reach_score(self, node: "BarterCastNode") -> Optional[float]:
+        """The score of a peer more than two hops from the owner in
+        both directions, if that alone decides it; ``None`` otherwise."""
+        return None
 
     def effective_delta(self, delta: float) -> float:
         """Map the sweep's ban threshold into this engine's score space.

@@ -24,6 +24,14 @@ memoization; the oracle the staleness tests compare against).  This one
 cache serves every ``graph_backend``: both graph classes fire the same
 edge-change events in the same order.
 
+Reach set: when the engine names an ``outside_reach_score`` (BarterCast
+under the ``two_hop`` kernel: ``scale(0.0)``), the same listener keeps
+a superset of every peer linked to the owner by a path of at most two
+edges, in either direction, and a miss outside it is answered with that
+score instead of an engine call.  It is cached, counted, traced and
+timed as an evaluation; only the kernel's own ``KERNEL_INVOCATIONS``
+see fewer passes.  Dirty mode only, so ``"off"`` stays the oracle.
+
 Batch path: :meth:`reputations_of` (and through it
 :meth:`rank_by_reputation` and the policies' once-per-round
 ``allowed`` / ``order_optimistic``) scores all cache-missing targets with
@@ -42,7 +50,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.core.adversary import HonestBehavior, MessageBehavior
 from repro.core.engines import make_engine
@@ -199,6 +208,18 @@ class BarterCastNode:
         # graph write: whether the engine admits exact dirty-set
         # invalidation.  Engine and kernel are fixed at construction time.
         self._dirty_exact = self.engine.supports_dirty_invalidation(self)
+        # The two-hop reach set (module docstring): ``None`` unless the
+        # engine fixes the score of a peer outside it.  ``_in_marked`` /
+        # ``_out_marked`` hold the owner's in- and out-neighbours seen so
+        # far; they stay empty without a reach set.  Nothing ever leaves
+        # the three sets: a superset answers exactly.
+        outside = (
+            self.engine.outside_reach_score(self) if cache_mode == "dirty" else None
+        )
+        self._outside_score = outside
+        self._reach: Optional[Set[PeerId]] = None if outside is None else set()
+        self._in_marked: Set[PeerId] = set()
+        self._out_marked: Set[PeerId] = set()
         if cache_mode == "dirty":
             self.graph.subscribe(self._on_edge_change)
 
@@ -305,16 +326,32 @@ class BarterCastNode:
     # Cache maintenance
     # ------------------------------------------------------------------
     def _on_edge_change(self, src: PeerId, dst: PeerId) -> None:
-        """Graph edge listener: invalidate the dirty set for ``(src, dst)``.
+        """Graph edge listener: grow the reach set, then invalidate the
+        dirty set for ``(src, dst)``.
 
-        Exact when the engine says so (module docstring); a full clear
-        otherwise and for edges incident to the owner.
+        A write into a marked in-neighbour of the owner brings its source
+        within two hops, a write out of a marked out-neighbour its
+        destination; the owner is never marked, so its own edges probe
+        false here and are handled by :meth:`_mark_owner_edge`.
+        Invalidation is exact when the engine says so (module
+        docstring); a full clear otherwise and for edges incident to the
+        owner.
         """
+        if dst in self._in_marked:
+            self._reach.add(src)
+        if src in self._out_marked:
+            self._reach.add(dst)
         cache = self._rep_cache
+        me = self.peer_id
+        if src == me or dst == me:
+            if self._reach is not None:
+                self._mark_owner_edge(src, dst)
+            self.rep_cache_invalidations += len(cache)
+            cache.clear()
+            return
         if not cache:
             return
-        me = self.peer_id
-        if self._dirty_exact and src != me and dst != me:
+        if self._dirty_exact:
             before = len(cache)
             cache.pop(src, None)
             cache.pop(dst, None)
@@ -323,13 +360,37 @@ class BarterCastNode:
         self.rep_cache_invalidations += len(cache)
         cache.clear()
 
+    def _mark_owner_edge(self, src: PeerId, dst: PeerId) -> None:
+        """The first time ``(x, owner)`` appears, ``x`` and ``pred(x)``
+        join the reach set and ``x`` is marked an in-neighbour; the first
+        time ``(owner, y)`` appears, ``y`` and ``succ(y)`` join and ``y``
+        is marked an out-neighbour.  The marks are kept per direction: a
+        peer first met as an in-neighbour still brings in its successors
+        the first time the owner uploads to it."""
+        reach = self._reach
+        if src == self.peer_id:
+            if dst not in self._out_marked:
+                self._out_marked.add(dst)
+                reach.add(dst)
+                reach.update(self.graph.successors(dst))
+        elif src not in self._in_marked:
+            self._in_marked.add(src)
+            reach.add(src)
+            reach.update(self.graph.predecessors(src))
+
     def invalidate_cache(self) -> None:
         """Drop every cached reputation (forces cold re-evaluation).
 
         Cold-cache measurements use it; normal operation never needs it.
+        The reach set stays: it is graph structure, not a memo.
         """
         self.rep_cache_invalidations += len(self._rep_cache)
         self._rep_cache.clear()
+
+    def within_reach(self, peer: PeerId) -> bool:
+        """Whether a miss on ``peer`` goes to the engine: ``peer`` is in
+        the reach set, or the node keeps none."""
+        return self._reach is None or peer in self._reach
 
     @property
     def rep_cache_size(self) -> int:
@@ -358,13 +419,17 @@ class BarterCastNode:
         return value
 
     def _evaluate_scalar(self, peer: PeerId) -> float:
-        """One scalar evaluation, counted (and traced and timed when live)."""
+        """One scalar evaluation, counted (and traced and timed when live);
+        a peer outside the reach set takes the engine's outside score."""
         prof = self._prof
-        if prof is None:
+        if prof is not None:
+            t0 = time.perf_counter()
+        reach = self._reach
+        if reach is None or peer in reach:
             value = self.engine.score(self, peer)
         else:
-            t0 = time.perf_counter()
-            value = self.engine.score(self, peer)
+            value = self._outside_score
+        if prof is not None:
             prof.observe_kernel(
                 self.engine.name + ".scalar", time.perf_counter() - t0
             )
@@ -379,8 +444,10 @@ class BarterCastNode:
     def reputations_of(self, peers: Iterable[PeerId]) -> Dict[PeerId, float]:
         """Batch evaluation of several peers (``self``/duplicates skipped).
 
-        Cached entries are served directly and all misses are scored in
-        one ``engine.scores`` call (value-identical to scalar calls).
+        Cached entries are served directly and the misses inside the
+        reach set are scored in one ``engine.scores`` call
+        (value-identical to scalar calls); the rest take the outside
+        score.  The whole batch is one counted evaluation.
         """
         me = self.peer_id
         if self.cache_mode == "off":
@@ -404,11 +471,17 @@ class BarterCastNode:
         if missing:
             self.rep_cache_misses += len(missing)
             prof = self._prof
-            if prof is None:
+            if prof is not None:
+                t0 = time.perf_counter()
+            reach = self._reach
+            if reach is None:
                 fresh = self.engine.scores(self, missing)
             else:
-                t0 = time.perf_counter()
-                fresh = self.engine.scores(self, missing)
+                fresh = dict.fromkeys(missing, self._outside_score)
+                near = [p for p in missing if p in reach]
+                if near:
+                    fresh.update(self.engine.scores(self, near))
+            if prof is not None:
                 prof.observe_kernel(
                     self.engine.name + ".batch", time.perf_counter() - t0
                 )
@@ -437,7 +510,7 @@ class BarterCastNode:
         scored: List[Tuple[float, str, PeerId]] = [
             (-value, repr(p), p) for p, value in self._reputations(peers).items()
         ]
-        scored.sort(key=lambda t: (t[0], t[1]))
+        scored.sort(key=itemgetter(0, 1))
         return [p for _, _, p in scored]
 
     # ------------------------------------------------------------------

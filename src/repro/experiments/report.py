@@ -273,10 +273,10 @@ def report_scalability(result) -> str:
         "== Scalability of the subjective view ==",
         render_table(
             ["known peers", "edges", "query us", "batch us", "warm us",
-             "ingest us/record"],
+             "ingest us/record", "outside reach %"],
             [
                 (p.num_peers, p.num_edges, p.query_us, p.batch_query_us,
-                 p.warm_query_us, p.ingest_us)
+                 p.warm_query_us, p.ingest_us, 100.0 * p.outside_share)
                 for p in result.points
             ],
             "{:.1f}",

@@ -12,7 +12,10 @@ The headline property: the 2-hop closed form makes the query cost depend
 on the *degree* of the two endpoints, not on the graph size, so
 reputation evaluation stays microsecond-scale at 100k peers; gossip
 ingestion is O(records) per message.  That is the quantitative backing
-for the paper's "lightweight / practically feasible" claim.
+for the paper's "lightweight / practically feasible" claim.  Query
+targets are drawn uniformly from the whole view, so as it grows most of
+them lie outside the node's two-hop reach set and are answered without
+the kernel; each point reports that share (``outside_share``).
 """
 
 from __future__ import annotations
@@ -56,6 +59,11 @@ class ScalabilityPoint:
     warm_query_us:
         Mean per-target latency of repeating that pass against the warm
         cache (microseconds).
+    outside_share:
+        Share of the query targets outside the node's reach set (more
+        than two hops from it either way): the node answers those with
+        ``scale(0.0)`` and no kernel call, so a latency is a kernel's
+        only for the other share.
     """
 
     num_peers: int
@@ -64,6 +72,7 @@ class ScalabilityPoint:
     ingest_us: float
     batch_query_us: float = 0.0
     warm_query_us: float = 0.0
+    outside_share: float = 0.0
 
 
 @dataclass
@@ -170,6 +179,7 @@ def run_scalability(
                 ingest_us=ingest_us,
                 batch_query_us=batch_query_us,
                 warm_query_us=warm_query_us,
+                outside_share=sum(not node.within_reach(t) for t in targets) / queries,
             )
         )
     lookups = node.rep_cache_hits + node.rep_cache_misses

@@ -5,7 +5,8 @@
 ``--metrics`` (:meth:`~repro.obs.metrics.MetricsRegistry.render`):
 every counter and gauge by name, a network section for the fault
 channel's delivery telemetry (hidden when the run had no channel
-faults), the reputation-cache hit rate and the maxflow kernel counts.
+faults), the reputation-cache hit rate, the reputation evaluations and
+the targets that reached the 2-hop kernel.
 Times are the profile's (``render_profile``, ``--prof``).
 
 The rendering core works off the plain snapshot dict, so the same code
@@ -96,8 +97,19 @@ def render_metrics_snapshot(snap: Dict[str, dict]) -> str:
     kernel_targets = _value(snap, "rep.kernel.targets")
     if kernel_calls:
         derived.append(
-            f"maxflow kernel: {kernel_calls:,.0f} invocations, "
-            f"{kernel_targets:,.0f} targets evaluated"
+            f"reputation evaluations: {kernel_calls:,.0f}, "
+            f"{kernel_targets:,.0f} targets scored"
+        )
+    # Node evaluations are not kernel passes: a peer outside the owner's
+    # reach set is scored without one.  The 2-hop gauges say what the
+    # kernel itself saw.
+    if any(name.startswith("rep.kernel.maxflow_two_hop") for name in snap):
+        derived.append(
+            "2-hop kernel reached by: "
+            f"{_value(snap, 'rep.kernel.maxflow_two_hop_batch_targets'):,.0f} "
+            "batched targets, "
+            f"{_value(snap, 'rep.kernel.maxflow_two_hop'):,.0f} scalar flows "
+            "(two per scalar evaluation)"
         )
     if derived:
         lines.append("-- derived --")

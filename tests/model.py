@@ -1,12 +1,13 @@
 """BarterCast as the paper states it, written naively on purpose.
 
 The oracle every hot path is checked against (``test_gossip_hot_path.py``,
-``test_two_hop_closed_form.py``, ``test_bt_round_hot_path.py``,
-``test_dissemination.py``, ``test_sim_engine.py`` and ``test_model.py``):
-a dict private history whose selections are full sorts, sequential
-BuddyCast inserts, the records a receiver admits, one record per
-(reporter, counterparty) whose edges are found by scan, the 2-hop closed
-form by scan, Equation 2 as a plain mean, liveness as two sets, a
+``test_two_hop_closed_form.py``, ``test_reputation_cache.py``,
+``test_bt_round_hot_path.py``, ``test_dissemination.py``,
+``test_sim_engine.py`` and ``test_model.py``): a dict private history
+whose selections are full sorts, sequential BuddyCast inserts, the
+records a receiver admits, one record per (reporter, counterparty) whose
+edges are found by scan, the 2-hop closed form and the peers within two
+hops by scan, Equation 2 as a plain mean, liveness as two sets, a
 BitTorrent round that scans every member, a dissemination log whose analytics scan every row, and an
 event queue that fires by scan.  Nothing here
 imports the code it is the oracle for.
@@ -250,6 +251,29 @@ def two_hop(graph, s, t):
             bottleneck = (s, v) if c_sv <= c_vt else (v, t)
             paths.append(FlowPath((s, v, t), f, bottleneck, (c_sv - f, c_vt - f)))
     return value, tuple(paths)
+
+
+def reach(states, owner):
+    """What a node's reach set holds after its graph has passed through
+    ``states``, by scan of every edge of each: the owner's in- and
+    out-neighbours, the predecessors of an in-neighbour and the
+    successors of an out-neighbour, where a peer stays the owner's
+    neighbour from the first state it is one (nothing ever leaves)."""
+    ins, outs, seen = set(), set(), set()
+    for graph in states:
+        edges = [(s, d) for s, d, _ in graph.edges()]
+        ins |= {s for s, d in edges if d == owner}
+        outs |= {d for s, d in edges if s == owner}
+        seen |= ins | outs
+        seen |= {s for s, d in edges if d in ins} | {d for s, d in edges if s in outs}
+    return seen
+
+
+def two_hop_neighbourhood(graph, owner):
+    """Every peer linked to ``owner`` by a path of at most two edges, in
+    either direction: the peers whose 2-hop flows to or from the owner
+    can be non-zero."""
+    return reach([graph], owner)
 
 
 def reputation(graph, i, j, unit=100 * MB):

@@ -318,8 +318,13 @@ class TestReport:
         assert "bc.messages_sent" in out
         assert "90.0%" in out  # cache hit rate
         assert "events/sec" not in out and "timer" not in out  # time is --prof's
-        assert "7 invocations" in out
-        assert "21 targets" in out
+        assert "reputation evaluations: 7, 21 targets scored" in out
+        assert "2-hop kernel" not in out  # no kernel gauge, no kernel line
+        reg.gauge("rep.kernel.maxflow_two_hop_batch_targets").set(15)
+        reg.gauge("rep.kernel.maxflow_two_hop").set(4)
+        assert (
+            "2-hop kernel reached by: 15 batched targets, 4 scalar flows" in reg.render()
+        )
 
 
 class TestInstrumentedRunIdentical:
@@ -621,6 +626,11 @@ class TestLegLifecycle:
 #: summary, every name that exists and its (type, value).  Multi-run
 #: commands (fig2, faults) read the same at any ``--jobs``: each run's
 #: float sum is added to the registry once.
+#: The ``rep.kernel.<kernel>`` gauges count real 2-hop kernel passes: a
+#: peer outside its node's reach set is scored without one (fig1's
+#: scalar flows were 604, fig2's batches and targets 24 / 24, the fault
+#: sweep's 55 / 615 before the reach set); ``rep.kernel.calls`` /
+#: ``.targets`` count node evaluations and did not move.
 PUBLISHED = {
     "fig1": {
         "bc.messages_received": ("counter", 10562),
@@ -642,7 +652,7 @@ PUBLISHED = {
         "rep.cache.invalidations": ("gauge", 120),
         "rep.cache.misses": ("gauge", 302),
         "rep.kernel.calls": ("counter", 302),
-        "rep.kernel.maxflow_two_hop": ("gauge", 604),
+        "rep.kernel.maxflow_two_hop": ("gauge", 24),
         "rep.kernel.targets": ("counter", 302),
         "sim.events": ("counter", 2214),
     },
@@ -667,8 +677,8 @@ PUBLISHED = {
         "rep.cache.invalidations": ("gauge", 24),
         "rep.cache.misses": ("gauge", 24),
         "rep.kernel.calls": ("counter", 24),
-        "rep.kernel.maxflow_two_hop_batch": ("gauge", 24),
-        "rep.kernel.maxflow_two_hop_batch_targets": ("gauge", 24),
+        "rep.kernel.maxflow_two_hop_batch": ("gauge", 3),
+        "rep.kernel.maxflow_two_hop_batch_targets": ("gauge", 3),
         "rep.kernel.targets": ("counter", 24),
         "sim.events": ("counter", 8856),
     },
@@ -700,8 +710,8 @@ PUBLISHED = {
         "rep.cache.invalidations": ("gauge", 251),
         "rep.cache.misses": ("gauge", 615),
         "rep.kernel.calls": ("counter", 75),
-        "rep.kernel.maxflow_two_hop_batch": ("gauge", 55),
-        "rep.kernel.maxflow_two_hop_batch_targets": ("gauge", 615),
+        "rep.kernel.maxflow_two_hop_batch": ("gauge", 16),
+        "rep.kernel.maxflow_two_hop_batch_targets": ("gauge", 26),
         "rep.kernel.targets": ("counter", 635),
         "sim.events": ("counter", 4468),
     },

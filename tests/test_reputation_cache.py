@@ -11,6 +11,10 @@ Three families:
   removals must answer every reputation query exactly like a cache-free
   oracle node, through the batched and the scalar lookup alike, under
   every engine (each declares its own exactness).
+* **Reach set** — after every op of the same streams, on both graph
+  backends, the node's reach set holds every peer within two hops of
+  the owner (``model.two_hop_neighbourhood``); a peer outside it is
+  answered without the kernel.
 * **Telemetry / cache-mode plumbing** — hit/miss/invalidation counters,
   the version-neutrality of no-op writes, and whole-run counter pins.
 """
@@ -26,13 +30,18 @@ from hypothesis import strategies as st
 
 from repro.core.engines import ENGINE_NAMES
 from repro.core.messages import BarterCastMessage, HistoryRecord
-from repro.core.node import BarterCastNode
+from repro.core.node import GRAPH_BACKENDS, BarterCastNode
 from repro.core.policies import BanPolicy, RankPolicy
 from repro.core.reputation import MB, ReputationMetric
 from repro.experiments.scenario import ScenarioConfig, build_simulation
 from repro.graph.batch import maxflow_two_hop_batch
-from repro.graph.maxflow import maxflow_two_hop
+from repro.graph.maxflow import (
+    kernel_invocations_delta,
+    maxflow_two_hop,
+    snapshot_kernel_invocations,
+)
 from repro.graph.transfer_graph import TransferGraph
+from tests import model
 from tests.model import busy  # tiny, but the policies really query
 
 # ---------------------------------------------------------------------------
@@ -136,16 +145,31 @@ class TestBatchKernel:
 # ---------------------------------------------------------------------------
 
 PEERS = st.integers(min_value=1, max_value=9)
+#: A reported total may be zero, so a record can write one direction of
+#: an edge pair only (with both totals positive every gossiped edge
+#: would come with its reverse, and the reach rules could not tell an
+#: in-neighbour's predecessors from its successors).
+TOTALS = st.one_of(st.just(0.0), WEIGHTS)
+#: Ids that only a ``chain`` op links in: ``CHAIN[0]`` hangs off a
+#: reporter, so it is at most two hops from the owner, and ``CHAIN[1]``
+#: hangs off ``CHAIN[0]`` alone — only a 3-hop chain reaches it.
+CHAIN = (10, 11)
+#: Targets of the oracle comparisons: every id an op can write, the
+#: chain, and two ids no op ever names.
+TARGETS = list(range(1, 10)) + list(CHAIN) + [12, "ghost"]
 
 
 @st.composite
 def op_streams(draw):
-    """A random stream of node-state mutations."""
+    """A random stream of node-state mutations: owner writes, gossip (a
+    ``chain`` is two messages hanging ``CHAIN`` off a reporter),
+    ``forget_reporter``, a churn wipe and ``remove_node`` (the owner's
+    too)."""
     n = draw(st.integers(min_value=1, max_value=25))
     ops = []
     for _ in range(n):
         kind = draw(
-            st.sampled_from(["up", "down", "msg", "forget", "remove"])
+            st.sampled_from(["up", "down", "msg", "chain", "forget", "wipe", "remove"])
         )
         if kind in ("up", "down"):
             ops.append((kind, draw(PEERS), draw(WEIGHTS)))
@@ -154,7 +178,7 @@ def op_streams(draw):
             records = draw(
                 st.lists(
                     st.tuples(
-                        st.integers(min_value=0, max_value=9), WEIGHTS, WEIGHTS
+                        st.integers(min_value=0, max_value=9), TOTALS, TOTALS
                     ),
                     min_size=1,
                     max_size=4,
@@ -162,11 +186,28 @@ def op_streams(draw):
             )
             created = draw(st.floats(min_value=0, max_value=100, allow_nan=False))
             ops.append((kind, reporter, records, created))
+        elif kind == "chain":
+            created = draw(st.floats(min_value=0, max_value=100, allow_nan=False))
+            ops.append((kind, draw(PEERS), draw(TOTALS), draw(TOTALS), created))
         elif kind == "forget":
             ops.append((kind, draw(PEERS)))
+        elif kind == "wipe":
+            ops.append((kind,))
         else:  # remove
-            ops.append((kind, draw(PEERS)))
+            ops.append((kind, draw(NODE_IDS)))
     return ops
+
+
+def _message(reporter, records, created) -> BarterCastMessage:
+    return BarterCastMessage(
+        sender=reporter,
+        created_at=created,
+        records=tuple(
+            HistoryRecord(counterparty=c, uploaded=u, downloaded=d)
+            for c, u, d in records
+            if c != reporter
+        ),
+    )
 
 
 def _apply(node: BarterCastNode, op, now: float) -> None:
@@ -177,18 +218,16 @@ def _apply(node: BarterCastNode, op, now: float) -> None:
         node.record_download(op[1], op[2], now)
     elif kind == "msg":
         _, reporter, records, created = op
-        msg = BarterCastMessage(
-            sender=reporter,
-            created_at=created,
-            records=tuple(
-                HistoryRecord(counterparty=c, uploaded=u, downloaded=d)
-                for c, u, d in records
-                if c != reporter
-            ),
-        )
-        node.receive_message(msg)
+        node.receive_message(_message(reporter, records, created))
+    elif kind == "chain":
+        _, reporter, up, down, created = op
+        near, far = CHAIN
+        node.receive_message(_message(reporter, [(near, up, down)], created))
+        node.receive_message(_message(near, [(far, down, up)], created))
     elif kind == "forget":
         node.shared.forget_reporter(op[1])
+    elif kind == "wipe":
+        node.wipe_shared_history()
     elif kind == "remove":
         node.graph.remove_node(op[1])
 
@@ -205,7 +244,7 @@ class TestDirtySetNeverStale:
             batched = BarterCastNode(0, cache_mode="dirty", engine=engine)
             scalar = BarterCastNode(0, cache_mode="dirty", engine=engine)
             oracle = BarterCastNode(0, cache_mode="off", engine=engine)
-            targets = list(range(1, 10))
+            targets = TARGETS
             now = 0.0
             for op in ops:
                 now += 1.0
@@ -224,7 +263,7 @@ class TestDirtySetNeverStale:
         for engine in ENGINE_NAMES:
             dirty = BarterCastNode(0, cache_mode="dirty", engine=engine)
             oracle = BarterCastNode(0, cache_mode="off", engine=engine)
-            targets = list(range(1, 10))
+            targets = TARGETS
             now = 0.0
             for op in ops:
                 now += 1.0
@@ -232,6 +271,73 @@ class TestDirtySetNeverStale:
                 _apply(oracle, op, now)
                 for p in targets:
                     assert dirty.reputation_of(p) == oracle.reputation_of(p), engine
+
+
+class TestReachSet:
+    @pytest.mark.parametrize("backend", GRAPH_BACKENDS)
+    @given(ops=op_streams())
+    @settings(max_examples=40, deadline=None)
+    def test_reach_set_holds_the_two_hop_neighbourhood(self, backend, ops):
+        """After every op the reach set holds every peer within two hops
+        of the owner (``model.two_hop_neighbourhood``, by scan) — a
+        superset is exact, a missing peer would score 0.0 wrongly."""
+        node = BarterCastNode(0, graph_backend=backend)
+        now = 0.0
+        for op in ops:
+            now += 1.0
+            _apply(node, op, now)
+            assert model.two_hop_neighbourhood(node.graph, 0) <= node._reach
+
+    def test_marks_are_kept_per_direction(self):
+        """A peer met first as an in-neighbour brings in its successors
+        the first time the owner uploads to it: ``me -> a -> b`` carries
+        flow although ``b`` hangs off ``a`` only downstream, and the edge
+        ``a -> b`` was there before either owner edge."""
+        nodes = [BarterCastNode("me", cache_mode=mode) for mode in ("dirty", "off")]
+        for node in nodes:
+            node.receive_message(_message("a", [("b", 5 * MB, 0.0)], 1.0))  # a -> b
+            node.record_download("a", 10 * MB, now=2.0)  # a -> me: a marked in
+            node.record_upload("a", 20 * MB, now=3.0)  # me -> a: a marked out
+        dirty, off = nodes
+        assert "b" in dirty._reach
+        assert dirty.reputation_of("b") == off.reputation_of("b") < 0.0
+
+    def test_outside_peers_skip_the_kernel(self):
+        """A miss outside the reach set is cached and counted like an
+        evaluation, and never reaches the batch kernel."""
+        node = BarterCastNode("me")
+        node.record_download("a", 10 * MB, now=1.0)
+        # c -> b -> a -> me: b is two hops upstream, c three.
+        node.receive_message(_message("a", [("b", 0.0, 5 * MB)], 2.0))
+        node.receive_message(_message("b", [("c", 0.0, 5 * MB)], 3.0))
+        assert node._reach >= {"a", "b"} and "c" not in node._reach
+        before = snapshot_kernel_invocations()
+        scores = node.reputations_of(["a", "b", "c", "ghost"])
+        assert kernel_invocations_delta(before) == {
+            "maxflow_two_hop_batch": 1,
+            "maxflow_two_hop_batch_targets": 2,
+        }
+        assert scores["c"] == scores["ghost"] == 0.0
+        assert (node.kernel_calls, node.kernel_targets, node.rep_cache_size) == (1, 4, 4)
+        node.invalidate_cache()  # drops scores, keeps the reach set
+        before = snapshot_kernel_invocations()
+        assert node.reputation_of("c") == 0.0
+        assert kernel_invocations_delta(before) == {}
+        assert node.reputation_of("b") == scores["b"]
+        assert kernel_invocations_delta(before) == {"maxflow_two_hop": 2}
+
+    @pytest.mark.parametrize(
+        "cache_mode, engine, kernel",
+        [("off", "bartercast", "two_hop"), ("dirty", "bartercast", "exact"),
+         ("dirty", "gossip", "two_hop"), ("dirty", "ratio", "two_hop")],
+    )
+    def test_no_reach_set_without_an_outside_score(self, cache_mode, engine, kernel):
+        from repro.core.node import BarterCastConfig
+
+        cfg = BarterCastConfig(metric=ReputationMetric(kernel=kernel))
+        node = BarterCastNode("me", config=cfg, cache_mode=cache_mode, engine=engine)
+        node.record_upload("a", 1.0, now=1.0)
+        assert node._reach is None and not node._out_marked
 
 
 # ---------------------------------------------------------------------------

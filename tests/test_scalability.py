@@ -21,6 +21,13 @@ class TestScalability:
             assert p.query_us > 0
             assert p.ingest_us > 0
 
+    def test_outside_share_is_the_share_the_kernel_skips(self, result):
+        """Uniform targets over a growing view land outside the node's
+        reach set more and more; every point reports a share."""
+        shares = [p.outside_share for p in result.points]
+        assert all(0.0 <= share <= 1.0 for share in shares)
+        assert shares[-1] > 0.0
+
     def test_growth_factor_defined(self, result):
         assert result.query_growth_factor() > 0
 

@@ -51,6 +51,13 @@ def build(writes, graph):
     return graph
 
 
+def states(writes):
+    """A dict graph after each of ``writes`` (one object, yielded again)."""
+    graph = TransferGraph()
+    for write in writes:
+        yield build([write], graph)
+
+
 def shape(graph, s, t):
     """``(min(|common|, 2), the view the sum walks, a direct edge?, an
     intermediary with equal capacities?)``."""
@@ -64,7 +71,10 @@ def check_every_route(writes):
     """Every 2-hop route over each graph class against the model over a
     dict graph given the same writes, and what each route counts: a scalar
     call one ``maxflow_two_hop``, a pair or a reputation two, a batch one
-    call and its distinct targets other than the owner."""
+    call and its distinct targets other than the owner.  A node sends the
+    batch kernel only its targets inside the reach set (``model.reach``
+    of the graphs the writes passed through), and skips the call when
+    there are none."""
     ref = build(writes, TransferGraph())
     graphs = {backend: build(writes, cls()) for backend, cls in GRAPHS.items()}
     everyone = list(dict.fromkeys(p for w in writes for p in w[:2])) + ["ghost"]
@@ -75,6 +85,8 @@ def check_every_route(writes):
         want = {j: (model.two_hop(ref, j, owner), model.two_hop(ref, owner, j)) for j in targets}
         flows = flows_of[owner] = {j: (i[0], o[0]) for j, (i, o) in want.items()}
         reps = {j: model.reputation(ref, owner, j) for j in targets}
+        reach = model.reach(states(writes), owner)
+        near = [j for j in targets if j in reach]
         for backend, graph in graphs.items():
             for j, ((inflow, _), (outflow, paths)) in want.items():
                 assert maxflow_two_hop(graph, j, owner).value == inflow
@@ -90,8 +102,8 @@ def check_every_route(writes):
             assert node.rank_by_reputation(targets) == model.rank(ref, owner, targets)
             assert BanPolicy(-0.5).allowed(node, targets) == model.ban(ref, owner, targets, -0.5)
             counts["maxflow_two_hop"] += 6 * len(targets)
-            counts["maxflow_two_hop_batch"] += 1 + bool(targets)  # the node asks once
-            counts["maxflow_two_hop_batch_targets"] += 2 * len(targets)
+            counts["maxflow_two_hop_batch"] += 1 + bool(near)  # the node asks once
+            counts["maxflow_two_hop_batch_targets"] += len(targets) + len(near)
     columnar = graphs["columnar"]
     columnar.build_csr()  # a fresh CSR sends a present owner's batch to the array kernel
     for owner, flows in flows_of.items():
