@@ -27,9 +27,12 @@ def random_graph(num_nodes: int, avg_degree: float, seed: int) -> TransferGraph:
     src = rng.integers(0, num_nodes, size=num_edges)
     dst = rng.integers(0, num_nodes, size=num_edges)
     weights = rng.lognormal(18.0, 1.5, size=num_edges)  # ~ MB-GB in bytes
+    totals = {}  # a pair drawn twice carries the sum of its draws
     for s, d, w in zip(src, dst, weights):
         if s != d:
-            g.add_transfer(int(s), int(d), float(w))
+            totals[int(s), int(d)] = totals.get((int(s), int(d)), 0.0) + float(w)
+    for (s, d), w in totals.items():
+        g.set_transfer(s, d, w)
     return g
 
 
@@ -57,7 +60,9 @@ def test_bench_exact_ford_fulkerson(benchmark, local_view):
 
 
 def test_bench_networkx_reference(benchmark, local_view):
-    nxg = local_view.to_networkx()
+    nxg = nx.DiGraph()
+    nxg.add_nodes_from(local_view.nodes())
+    nxg.add_weighted_edges_from(local_view.edges(), weight="capacity")
 
     def run():
         value, _ = nx.maximum_flow(nxg, 0, 1, capacity="capacity")

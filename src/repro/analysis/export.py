@@ -2,14 +2,13 @@
 
 The CLI renders figures as ASCII; for publication-quality plots users can
 export the same series as TSV (gnuplot-style, the paper's own plotting
-toolchain) or CSV and plot them with any tool.  Each figure result class
+toolchain) and plot them with any tool.  Each figure result class
 gets one ``export_*`` helper producing a dict of ``filename -> rows`` and
 a writer that puts them on disk with a commented header.
 """
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 from typing import Dict, List, Sequence, Union
 
@@ -144,34 +143,21 @@ def export_faults(result: FaultsResult) -> Dict[str, dict]:
     return out
 
 
-def write_series(
-    tables: Dict[str, dict],
-    directory: Union[str, Path],
-    fmt: str = "tsv",
-) -> List[Path]:
-    """Write exported tables to ``directory`` as ``.tsv`` or ``.csv``.
+def write_series(tables: Dict[str, dict], directory: Union[str, Path]) -> List[Path]:
+    """Write exported tables to ``directory`` as ``<name>.tsv`` files, each
+    with a ``#``-commented header line (gnuplot-friendly).
 
-    Returns the written paths.  TSV files carry a ``#``-commented header
-    line (gnuplot-friendly); CSV files use a plain header row.
+    Returns the written paths.
     """
-    if fmt not in ("tsv", "csv"):
-        raise ValueError(f"unsupported format {fmt!r}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written: List[Path] = []
     for name, table in tables.items():
-        path = directory / f"{name}.{fmt}"
-        if fmt == "tsv":
-            with path.open("w") as fh:
-                fh.write("# " + "\t".join(table["header"]) + "\n")
-                for row in table["rows"]:
-                    fh.write("\t".join(_fmt(v) for v in row) + "\n")
-        else:
-            with path.open("w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(table["header"])
-                for row in table["rows"]:
-                    writer.writerow([_fmt(v) for v in row])
+        path = directory / f"{name}.tsv"
+        with path.open("w") as fh:
+            fh.write("# " + "\t".join(table["header"]) + "\n")
+            for row in table["rows"]:
+                fh.write("\t".join(_fmt(v) for v in row) + "\n")
         written.append(path)
     return written
 

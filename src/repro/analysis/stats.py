@@ -1,13 +1,12 @@
-"""Statistical helpers: CDFs, correlations, summaries."""
+"""Statistical helpers: CDFs and correlations."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["cdf", "pearson_r", "spearman_r", "summarize", "Summary"]
+__all__ = ["cdf", "pearson_r", "spearman_r"]
 
 
 def cdf(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
@@ -64,32 +63,3 @@ def spearman_r(x: Sequence[float], y: Sequence[float]) -> float:
         return float("nan")
     ranks = np.column_stack((_average_ranks(x), _average_ranks(y)))
     return float(np.corrcoef(ranks, rowvar=False)[1, 0])
-
-
-@dataclass
-class Summary:
-    """Five-number-style summary of a sample."""
-
-    n: int
-    mean: float
-    std: float
-    minimum: float
-    median: float
-    maximum: float
-
-
-def summarize(values: Sequence[float]) -> Summary:
-    """Compute a :class:`Summary` (NaNs are dropped)."""
-    arr = np.asarray(values, dtype=float)
-    arr = arr[~np.isnan(arr)]
-    if arr.size == 0:
-        nan = float("nan")
-        return Summary(0, nan, nan, nan, nan, nan)
-    return Summary(
-        n=int(arr.size),
-        mean=float(arr.mean()),
-        std=float(arr.std()),
-        minimum=float(arr.min()),
-        median=float(np.median(arr)),
-        maximum=float(arr.max()),
-    )

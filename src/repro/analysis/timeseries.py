@@ -6,9 +6,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["bin_series", "daily_means"]
-
-DAY = 86400.0
+__all__ = ["bin_series"]
 
 
 def bin_series(
@@ -39,13 +37,3 @@ def bin_series(
         means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     mids = (np.arange(n_bins) + 0.5) * bin_width
     return mids, means
-
-
-def daily_means(
-    times: Sequence[float], values: Sequence[float], t_max: float = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Day-binned means — the granularity of the paper's Figure 1(a)/2
-    x-axes.  Returns ``(day_numbers, means)`` with day numbers at bin
-    midpoints (0.5, 1.5, ...)."""
-    mids, means = bin_series(times, values, DAY, t_max=t_max)
-    return mids / DAY, means

@@ -33,11 +33,6 @@ class Bitfield:
         self._num_have = num_pieces if complete else 0
 
     @property
-    def num_pieces(self) -> int:
-        """Total pieces in the swarm."""
-        return int(self.have.shape[0])
-
-    @property
     def num_have(self) -> int:
         """Pieces currently held."""
         return self._num_have
@@ -46,11 +41,6 @@ class Bitfield:
     def is_complete(self) -> bool:
         """Whether every piece is held."""
         return self._num_have == self.have.shape[0]
-
-    @property
-    def fraction(self) -> float:
-        """Completed fraction in [0, 1]."""
-        return self._num_have / self.have.shape[0]
 
     def add(self, piece: int) -> bool:
         """Mark ``piece`` as held; returns True if it was new."""
@@ -69,20 +59,6 @@ class Bitfield:
         self.have[pieces] = True
         self._num_have = int(np.count_nonzero(self.have))
         return self._num_have - before
-
-    def missing_mask(self) -> np.ndarray:
-        """Boolean mask of pieces not yet held (a fresh array)."""
-        return ~self.have
-
-    def wants_from(self, other: "Bitfield") -> bool:
-        """Whether ``other`` holds at least one piece this bitfield lacks."""
-        if self.is_complete:
-            return False
-        if other._num_have == 0:
-            return False
-        if other.is_complete:
-            return True
-        return bool(np.any(other.have & ~self.have))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Bitfield {self._num_have}/{self.have.shape[0]}>"

@@ -148,10 +148,9 @@ class CommunitySimulator:
         self.bytes_moved = 0.0
         self.gossip_exchanges = 0
         self.messages_lost = 0
+        # The process-wide kernel counters when this simulation was built,
+        # and what :meth:`publish` has written (see MetricsRegistry.publish).
         self._kernel_baseline = snapshot_kernel_invocations()
-        # Maxflow kernel invocations as of the last ``run()``'s end, and
-        # what :meth:`publish` has written (see MetricsRegistry.publish).
-        self._kernel_counts: Dict[str, int] = {}
         self._published: Dict[str, float] = {}
 
         # Provenance: one recorder shared by every node (lineage itself
@@ -789,13 +788,7 @@ class CommunitySimulator:
         times = self.channel.plan_delivery(message.sender, receiver, now)
         if not times:
             if rec is not None:
-                verdict = self.channel.last_verdict
-                rec.record_drop(
-                    message,
-                    receiver,
-                    now,
-                    "loss" if verdict == "dropped" else (verdict or "loss"),
-                )
+                rec.record_drop(message, receiver, now, "loss")
             return 1
         if rec is not None:
             rec.record_plan(message, receiver, now, times)
@@ -865,8 +858,6 @@ class CommunitySimulator:
             sum(n.rep_cache_misses for n in nodes),
             sum(n.rep_cache_invalidations for n in nodes),
         )
-        # This run's share of the process-wide kernel counters.
-        self._kernel_counts = kernel_invocations_delta(self._kernel_baseline)
         self.publish()
         return self.stats
 
@@ -877,8 +868,10 @@ class CommunitySimulator:
         (DESIGN.md §7 has the table).  :meth:`run` ends here, and so does
         work on a finished simulation that moves a count (the fault
         sweep's measurements and audit, ``repro explain``).  Counters are
-        live totals; the ``rep.cache.*`` / ``rep.kernel.*`` gauges are
-        what the last :meth:`run` saw at its end.  Only what changed since
+        live totals; the ``rep.cache.*`` gauges are what the last
+        :meth:`run` saw at its end, and the ``rep.kernel.*`` gauges every
+        kernel call this process made since the simulation was built,
+        post-run work included.  Only what changed since
         the previous call is added (:meth:`MetricsRegistry.publish
         <repro.obs.metrics.MetricsRegistry.publish>`).
         """
@@ -905,7 +898,7 @@ class CommunitySimulator:
             "rep.cache.misses": stats.rep_cache_misses,
             "rep.cache.invalidations": stats.rep_cache_invalidations,
         }
-        for kernel, count in self._kernel_counts.items():
+        for kernel, count in kernel_invocations_delta(self._kernel_baseline).items():
             gauges[f"rep.kernel.{kernel}"] = count
         self.obs.metrics.publish(self._published, counters, gauges)
 

@@ -4,9 +4,9 @@ The figures need three observables:
 
 * **real behaviour** — total bytes uploaded/downloaded per peer (Figure
   1(b)'s net contribution, Figure 4(a)'s upload − download);
-* **download speed over time** — per-bucket average download speed of a
-  peer group, where a peer contributes to a bucket only for the time it
-  was actually leeching (Figures 2 and 3);
+* **download speed over time** — per-bucket bytes downloaded and time
+  spent leeching, per peer, from which the figure drivers derive a
+  group's speed (Figures 2 and 3);
 * **reputation over time** — periodic snapshots of system reputations
   (Figure 1(a)), recorded by the experiment drivers through
   :meth:`StatsCollector.record_reputation_sample`.
@@ -108,17 +108,6 @@ class StatsCollector:
         """Aggregate invalidations of this run."""
         return getattr(self, "_rep_cache_totals", (0, 0, 0))[2]
 
-    def cache_hit_rate(self) -> float:
-        """Fraction of reputation lookups served from the cache.
-
-        NaN when no lookups were recorded (e.g. under ``NoPolicy`` the
-        choker never consults reputations).
-        """
-        total = self.rep_cache_hits + self.rep_cache_misses
-        if total == 0:
-            return float("nan")
-        return self.rep_cache_hits / total
-
     # ------------------------------------------------------------------
     # Totals
     # ------------------------------------------------------------------
@@ -141,28 +130,6 @@ class StatsCollector:
     def bucket_times(self) -> np.ndarray:
         """Bucket midpoints in seconds."""
         return (np.arange(self.num_buckets) + 0.5) * self.bucket_seconds
-
-    def group_speed_series(self, peers: Iterable[int]) -> np.ndarray:
-        """Average download speed (bytes/s) of a peer group per bucket.
-
-        A peer contributes to a bucket only if it spent time leeching in
-        that bucket; the group value is the mean of the contributing peers'
-        individual speeds (bytes downloaded / leech seconds).  Buckets with
-        no contributing peer are NaN.
-        """
-        rows = [self.index[p] for p in peers]
-        if not rows:
-            return np.full(self.num_buckets, np.nan)
-        down = self.downloaded[rows]
-        time = self.leech_time[rows]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            speeds = np.where(time > 0, down / np.maximum(time, 1e-12), np.nan)
-        out = np.full(self.num_buckets, np.nan)
-        counts = (time > 0).sum(axis=0)
-        has = counts > 0
-        if has.any():
-            out[has] = np.nanmean(speeds[:, has], axis=0)
-        return out
 
     def group_mean_speed(
         self, peers: Iterable[int], t0: float = 0.0, t1: Optional[float] = None

@@ -8,7 +8,7 @@ selection, and the per-round transfer rates that drive tit-for-tat.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -59,11 +59,6 @@ class MemberState:
     def is_seeder(self) -> bool:
         """Whether the member holds the complete file."""
         return self.bitfield.is_complete
-
-    @property
-    def is_leecher(self) -> bool:
-        """Whether the member is still downloading."""
-        return not self.bitfield.is_complete
 
 
 class SwarmState:
@@ -153,17 +148,6 @@ class SwarmState:
             self.seeder_roster[member.peer_id] = self.leecher_roster.pop(member.peer_id)
             return True
         return False
-
-    # ------------------------------------------------------------------
-    # Views
-    # ------------------------------------------------------------------
-    def leechers(self) -> List[MemberState]:
-        """Members still downloading, in ``members`` order."""
-        return list(self.leecher_roster.values())
-
-    def seeders(self) -> List[MemberState]:
-        """Members holding the complete file, in ``members`` order."""
-        return [m for pid, m in self.members.items() if pid in self.seeder_roster]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -69,13 +69,14 @@ Observability flags (available on every subcommand):
     in the manifest.  Phase spans additionally land in
     ``profile_chrome.json`` for Perfetto.
 ``--dissemination``
-    Record per-claim dissemination DAGs (sends, deliveries, drops,
-    duplicates, delays, churn wipes) during the run.  Never feeds back
-    into behaviour — results stay bit-identical.  The ``dissemination``
-    subcommand runs one faulted scenario with recording forced on and
-    prints propagation analytics (time-to-coverage, hop counts,
-    redundancy) plus fault attribution for undelivered claims;
-    exported as CSV + JSON beside the run manifest.
+    Record the gossip event log (every message's records, and its
+    sends, deliveries, drops, duplicates, delays and churn wipes) during
+    the run.  Never feeds back into behaviour — results stay
+    bit-identical.  The ``dissemination`` subcommand runs one faulted
+    scenario with recording forced on and prints propagation analytics
+    (time-to-coverage, hop counts, redundancy) plus fault attribution
+    for undelivered claims; those per-claim statistics (not the log)
+    are exported as CSV + JSON beside the run manifest.
 
 When ``--export DIR`` or ``--trace`` is given, a ``run_manifest.json``
 capturing config, seed, code revision, per-phase wall time, and the final
@@ -266,8 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--dissemination",
             action="store_true",
-            help="record per-claim dissemination DAGs (propagation "
-            "analytics + fault attribution; never changes results)",
+            help="record the gossip event log (per-claim coverage, hops, "
+            "redundancy + fault attribution; never changes results)",
         )
 
     def command(name: str, help: str, *groups) -> argparse.ArgumentParser:
@@ -334,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pd = command(
         "dissemination",
         "trace per-claim gossip dissemination under faults "
-        "(propagation DAGs, coverage, fault attribution)",
+        "(coverage, hops, redundancy, fault attribution)",
         *figure,
     )
     pd.add_argument(

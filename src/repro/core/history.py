@@ -38,11 +38,6 @@ class TransferTotals:
     downloaded: float = 0.0
     last_seen: float = 0.0
 
-    @property
-    def net(self) -> float:
-        """Uploaded minus downloaded (positive: owner gave more)."""
-        return self.uploaded - self.downloaded
-
 
 class PrivateHistory:
     """A peer's own record of its data exchanges.
@@ -63,8 +58,6 @@ class PrivateHistory:
     def __init__(self, owner: PeerId) -> None:
         self.owner = owner
         self._records: Dict[PeerId, TransferTotals] = {}
-        self._total_up = 0.0
-        self._total_down = 0.0
         # peer -> (-last_seen, repr(peer), insertion seq, peer): the key the
         # peer is filed under in ``_recent``.  The unique ``seq`` makes plain
         # tuple order the stable sort by ``(-last_seen, repr)`` and keeps
@@ -97,7 +90,6 @@ class PrivateHistory:
         now = float(now)
         if now > rec.last_seen:
             rec.last_seen = now
-        self._total_up += nbytes
         self._moved.add(peer)
         return total
 
@@ -115,7 +107,6 @@ class PrivateHistory:
         now = float(now)
         if now > rec.last_seen:
             rec.last_seen = now
-        self._total_down += nbytes
         self._moved.add(peer)
         return total
 
@@ -166,9 +157,6 @@ class PrivateHistory:
         """
         return self._records[peer]
 
-    def __contains__(self, peer: PeerId) -> bool:
-        return peer in self._records
-
     def __len__(self) -> int:
         return len(self._records)
 
@@ -179,22 +167,6 @@ class PrivateHistory:
     def items(self) -> Iterator[Tuple[PeerId, TransferTotals]]:
         """Iterate over ``(peer, totals)`` pairs (live objects, do not mutate)."""
         return iter(self._records.items())
-
-    @property
-    def total_uploaded(self) -> float:
-        """Total bytes uploaded to all counterparties."""
-        return self._total_up
-
-    @property
-    def total_downloaded(self) -> float:
-        """Total bytes downloaded from all counterparties."""
-        return self._total_down
-
-    @property
-    def net_contribution(self) -> float:
-        """Total uploaded minus total downloaded (the paper's x-axis in
-        Figure 1(b), there measured on *real* behaviour)."""
-        return self._total_up - self._total_down
 
     # ------------------------------------------------------------------
     # Message-protocol selections
@@ -236,7 +208,4 @@ class PrivateHistory:
         return [key[3] for key in recent[:n]]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<PrivateHistory owner={self.owner!r} peers={len(self._records)} "
-            f"up={self._total_up:.0f} down={self._total_down:.0f}>"
-        )
+        return f"<PrivateHistory owner={self.owner!r} peers={len(self._records)}>"

@@ -26,7 +26,6 @@ __all__ = [
     "BarterCastMessage",
     "is_total",
     "select_records",
-    "make_message",
 ]
 
 PeerId = Hashable
@@ -98,7 +97,7 @@ class BarterCastMessage:
         (:meth:`~repro.core.node.BarterCastNode.create_message` always
         uses ``(sender, sequence)``); receivers treat it as opaque and
         never use it for supersede decisions — only lineage records and
-        dissemination DAGs carry it.
+        the dissemination log carry it.
     parent_id:
         Causal envelope: the ``msg_id`` of the sender's previous message
         (``None`` for the sender's first message).  Chains a sender's
@@ -157,17 +156,3 @@ def select_records(
             )
         records.append(record)
     return records
-
-
-def make_message(
-    history: PrivateHistory,
-    now: float,
-    n_highest: int,
-    n_recent: int,
-) -> BarterCastMessage:
-    """Build an honest BarterCast message from ``history`` at time ``now``."""
-    return BarterCastMessage(
-        sender=history.owner,
-        created_at=now,
-        records=tuple(select_records(history, n_highest, n_recent)),
-    )

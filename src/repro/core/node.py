@@ -254,8 +254,8 @@ class BarterCastNode:
                 # the previous message's id as parent.  Deterministic, no
                 # RNG, and receivers never consult either field for
                 # supersede decisions, so stamping cannot change
-                # simulation behaviour.  Provenance lineage and
-                # dissemination DAGs share this one identity scheme.
+                # simulation behaviour.  Provenance lineage and the
+                # dissemination log share this one identity scheme.
                 # In-place write on the frozen dataclass: the behavior
                 # built this instance one call up and nothing else holds
                 # a reference yet, and ``replace()`` would re-tuple the

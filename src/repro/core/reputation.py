@@ -83,7 +83,7 @@ class ReputationMetric:
     Examples
     --------
     >>> g = TransferGraph()
-    >>> g.add_transfer("j", "i", 100 * MB)
+    >>> g.set_transfer("j", "i", 100 * MB)
     >>> metric = ReputationMetric()
     >>> abs(metric.reputation(g, "i", "j") - 0.5) < 0.01
     True

@@ -342,10 +342,6 @@ class SubjectiveSharedHistory:
         return None if mine is None else mine.get(counterparty)
 
     # ------------------------------------------------------------------
-    def claimed(self, src: PeerId, dst: PeerId) -> float:
-        """The materialized claim for edge ``(src, dst)`` (0 if none)."""
-        return self._graph.capacity(src, dst)
-
     def claim_of(self, reporter: PeerId, src: PeerId, dst: PeerId) -> Optional[float]:
         """``reporter``'s own live claim about edge ``(src, dst)``, if any."""
         if reporter == src:

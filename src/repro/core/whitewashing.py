@@ -144,21 +144,14 @@ class AdaptiveStrangerPenalty(StrangerPolicy):
         self.alpha = float(alpha)
         self.floor = float(floor)
         self._prior = float(initial)
-        self._observations = 0
 
     @property
     def prior(self) -> float:
         """The current stranger prior."""
         return self._prior
 
-    @property
-    def observations(self) -> int:
-        """How many once-stranger outcomes have been fed back."""
-        return self._observations
-
     def observe(self, reputation: float) -> None:
         """Update the prior with the earned reputation of a once-stranger."""
-        self._observations += 1
         blended = (1.0 - self.alpha) * self._prior + self.alpha * reputation
         self._prior = min(0.0, max(self.floor, blended))
 

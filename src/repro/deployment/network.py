@@ -259,13 +259,8 @@ class DeploymentNetwork:
         """Ground-truth upload − download of ``pid`` (bytes)."""
         return self.uploaded[pid] - self.downloaded[pid]
 
-    @property
-    def num_edges(self) -> int:
-        """Number of directed transfer edges realized."""
-        return len(self.edges)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<DeploymentNetwork peers={len(self.peer_ids)} edges={self.num_edges} "
+            f"<DeploymentNetwork peers={len(self.peer_ids)} edges={len(self.edges)} "
             f"seed={self.seed}>"
         )

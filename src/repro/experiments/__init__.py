@@ -35,7 +35,6 @@ from repro.experiments.faults import (
     assemble_faults,
     fault_tasks,
     run_fault_point,
-    run_faults,
 )
 from repro.experiments.whitewash import (
     WhitewashParams,
@@ -73,7 +72,6 @@ __all__ = [
     "FaultPoint",
     "FaultsResult",
     "run_fault_point",
-    "run_faults",
     "fault_tasks",
     "assemble_faults",
     "WhitewashParams",

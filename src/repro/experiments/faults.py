@@ -61,6 +61,7 @@ All points are independent simulations, so the sweep parallelizes under
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -75,7 +76,6 @@ __all__ = [
     "run_fault_point",
     "fault_tasks",
     "assemble_faults",
-    "run_faults",
     "DEFAULT_LOSSES",
     "DEFAULT_ENGINES",
     "CONVERGENCE_TOL",
@@ -164,10 +164,6 @@ class FaultsResult:
     delta: float
     profile: str
 
-    def coverage_curve(self) -> List[float]:
-        """Reputation coverage per sweep point (degrades with loss)."""
-        return [p.coverage for p in self.points]
-
     @property
     def engines(self) -> Tuple[str, ...]:
         """Mechanisms present, in first-appearance (sweep) order."""
@@ -235,14 +231,19 @@ def _effective_delta(sim, delta: float) -> float:
 
 
 def _reputation_measures(
-    sim, contribution: Dict[int, float], delta: float
+    sim,
+    contribution: Dict[int, float],
+    delta: float,
+    inversions: Optional[List[Tuple[float, int, int, int, float, float]]] = None,
 ) -> Tuple[float, float]:
     """(false-ban rate, rank-inversion rate) over the subject population.
 
     ``delta`` is the sweep's threshold; the comparison uses the engine's
     effective threshold so the false-ban measure is well-defined for
     mechanisms with their own banning convention (not silently wrong for
-    non-maxflow engines).
+    non-maxflow engines).  Given an ``inversions`` list, the same walk
+    appends every inversion to it as ``(severity, evaluator, sharer,
+    freerider, R(sharer), R(freerider))`` for :func:`_inversion_digests`.
     """
     delta = _effective_delta(sim, delta)
     sharers = list(sim.roles.sharers)
@@ -270,41 +271,30 @@ def _reputation_measures(
                 inv_pairs += 1
                 if reps[s] < reps[f]:
                     inv_hits += 1
+                    if inversions is not None:
+                        inversions.append(
+                            (reps[f] - reps[s], evaluator, s, f, reps[s], reps[f])
+                        )
     false_ban = ban_hits / ban_pairs if ban_pairs else 0.0
     inversion = inv_hits / inv_pairs if inv_pairs else 0.0
     return false_ban, inversion
 
 
 def _inversion_digests(
-    sim, contribution: Dict[int, float], top_k: int
+    sim,
+    inversions: List[Tuple[float, int, int, int, float, float]],
+    contribution: Dict[int, float],
+    top_k: int,
 ) -> List[InversionDigest]:
-    """The ``top_k`` worst inversions, each with its maxflow/claim evidence.
+    """The ``top_k`` worst of ``inversions`` (as collected by
+    :func:`_reputation_measures`), each with its maxflow/claim evidence.
 
-    Re-walks the same pair loop as :func:`_reputation_measures`; the
-    reputation lookups are cache hits by then, so the second pass is
-    cheap.  Digest order: descending rank gap, then (evaluator, sharer,
+    Digest order: descending rank gap, then (evaluator, sharer,
     freerider) for determinism.
     """
-    sharers = list(sim.roles.sharers)
-    freeriders = list(sim.roles.freeriders)
-    subjects = sorted(set(sharers) | set(freeriders))
-    inversions: List[Tuple[float, int, int, int, float, float]] = []
-    for evaluator in subjects:
-        node = sim.nodes[evaluator]
-        reps = node.reputations_of(p for p in subjects if p != evaluator)
-        for s in sharers:
-            if s == evaluator:
-                continue
-            for f in freeriders:
-                if f == evaluator or contribution[s] <= contribution[f]:
-                    continue
-                if reps[s] < reps[f]:
-                    inversions.append(
-                        (reps[f] - reps[s], evaluator, s, f, reps[s], reps[f])
-                    )
-    inversions.sort(key=lambda t: (-t[0], t[1], t[2], t[3]))
+    worst = heapq.nsmallest(top_k, inversions, key=lambda t: (-t[0], t[1], t[2], t[3]))
     digests: List[InversionDigest] = []
-    for severity, evaluator, s, f, rep_s, rep_f in inversions[: max(0, top_k)]:
+    for severity, evaluator, s, f, rep_s, rep_f in worst:
         node = sim.nodes[evaluator]
         # Evidence under the run's engine: maxflow for bartercast
         # (unchanged from the pre-zoo digests), volume sums for the
@@ -403,10 +393,9 @@ def run_fault_point(
     sim.run()
     gt_edges, contribution = _ground_truth(sim)
     coverage = _coverage(sim, gt_edges)
-    false_ban, inversion = _reputation_measures(sim, contribution, delta)
-    digests = (
-        _inversion_digests(sim, contribution, top_k) if top_k > 0 else []
-    )
+    inversions: List[Tuple[float, int, int, int, float, float]] = []
+    false_ban, inversion = _reputation_measures(sim, contribution, delta, inversions)
+    digests = _inversion_digests(sim, inversions, contribution, top_k)
     violations = audit_simulation(sim, max_rep_targets=5)
     sim.publish()  # the kernel work of the measures and the audit
     channel = sim.channel
@@ -506,36 +495,3 @@ def assemble_faults(
 ) -> FaultsResult:
     """Merge per-task payloads (in :func:`fault_tasks` order)."""
     return FaultsResult(points=list(payloads), delta=delta, profile=profile)
-
-
-def run_faults(
-    scenario: Optional[ScenarioConfig] = None,
-    losses: Sequence[float] = DEFAULT_LOSSES,
-    churn=0.0,
-    dup: float = 0.0,
-    delay: float = 0.0,
-    delta: float = DEFAULT_DELTA,
-    top_k: int = 0,
-    obs: Optional[Observability] = None,
-    runner=None,
-    engines: Sequence[str] = DEFAULT_ENGINES,
-) -> FaultsResult:
-    """Run the mechanism × churn × loss sweep (serially or via ``runner``).
-
-    ``churn`` may be a scalar (the historical single-rate sweep) or a
-    sequence of rates; ``engines`` names the mechanisms to measure
-    (every grid point replays the identical seeded schedule — see the
-    module docstring's engine note).
-    """
-    if scenario is None:
-        scenario = ScenarioConfig.fast()
-    from repro.parallel import run_sweep
-
-    payloads = run_sweep(
-        fault_tasks(
-            scenario, losses, churn, dup, delay, delta, top_k, engines=engines
-        ),
-        runner=runner,
-        obs=obs,
-    )
-    return assemble_faults(payloads, delta=delta, profile=scenario.name)

@@ -42,32 +42,23 @@ DAY = 86400.0
 KB = 1024.0
 
 
-def speed_series_kbps(
-    stats, peers: Sequence[int], cumulative: bool = True
-) -> Tuple[np.ndarray, np.ndarray]:
+def speed_series_kbps(stats, peers: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
     """Average download speed (KBps) of a peer group, per day.
 
-    With ``cumulative=True`` (default) each day's value is the running
-    average up to that day — total bytes downloaded so far over total
-    leech time so far — which is how the paper's smooth Figure 2 curves
-    behave.  ``cumulative=False`` gives the noisier per-day-bucket mean.
+    Each day's value is the running average up to that day — total bytes
+    downloaded so far over total leech time so far — which is how the
+    paper's smooth Figure 2 curves behave.
     """
     rows = [stats.index[p] for p in peers]
     if not rows:
         n_days = int(np.ceil(stats.duration / DAY))
         nan = np.full(n_days, np.nan)
         return np.arange(n_days) + 0.5, nan
-    if cumulative:
-        down = stats.downloaded[rows].sum(axis=0).cumsum()
-        time = stats.leech_time[rows].sum(axis=0).cumsum()
-        with np.errstate(invalid="ignore", divide="ignore"):
-            speed = np.where(time > 0, down / np.maximum(time, 1e-12), np.nan)
-        days, means = bin_series(
-            stats.bucket_times(), speed, DAY, t_max=stats.duration
-        )
-        return days / DAY, means / KB
-    per_bucket = stats.group_speed_series(peers)
-    days, means = bin_series(stats.bucket_times(), per_bucket, DAY, t_max=stats.duration)
+    down = stats.downloaded[rows].sum(axis=0).cumsum()
+    time = stats.leech_time[rows].sum(axis=0).cumsum()
+    with np.errstate(invalid="ignore", divide="ignore"):
+        speed = np.where(time > 0, down / np.maximum(time, 1e-12), np.nan)
+    days, means = bin_series(stats.bucket_times(), speed, DAY, t_max=stats.duration)
     return days / DAY, means / KB
 
 

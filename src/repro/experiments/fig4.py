@@ -53,11 +53,6 @@ class Fig4Result:
     peers_seen: int
 
     @property
-    def fraction_net_negative(self) -> float:
-        """Fraction of seen peers that downloaded more than they uploaded."""
-        return float((self.net_contribution < 0).mean())
-
-    @property
     def max_altruist_gb(self) -> float:
         """Largest positive net contribution, in GB (the paper: tens of GB)."""
         return float(self.net_contribution.max() / GB)

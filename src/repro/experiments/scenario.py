@@ -223,10 +223,6 @@ class ScenarioConfig:
             disobey_kind=disobey_kind,
         )
 
-    def with_seed(self, seed: int) -> "ScenarioConfig":
-        """A copy of this scenario with a different seed."""
-        return replace(self, seed=seed)
-
     def with_faults(self, faults: Optional[FaultConfig]) -> "ScenarioConfig":
         """A copy of this scenario with a different fault schedule."""
         return replace(self, faults=faults)

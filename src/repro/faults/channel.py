@@ -1,10 +1,9 @@
 """The unreliable message channel.
 
 The Tribler deployment the paper reports on ran BarterCast over a real
-network: only a minority of peers accepted incoming connections, and
-messages were lost, duplicated, delayed, and reordered.  The simulators
-historically delivered every BarterCast message instantly and exactly
-once, which makes that entire regime untestable.  This module provides
+network: messages were lost, duplicated, delayed, and reordered.  The
+simulators historically delivered every BarterCast message instantly and
+exactly once, which makes that entire regime untestable.  This module provides
 the injectable seam: a seeded :class:`ChannelModel` sits between
 ``create_message`` and ``SubjectiveSharedHistory.ingest`` at every
 delivery site and decides, per message, whether (and when, and how many
@@ -14,11 +13,6 @@ Fault semantics (all independent per message, all driven by the
 channel's *own* RNG stream so enabling faults never perturbs the other
 simulation streams):
 
-* **connectability** — each peer is connectable with probability
-  ``connectable_fraction`` (the paper observed only a minority of peers
-  accepted incoming connections).  A message can be carried only if at
-  least one endpoint is connectable, mirroring who-can-initiate
-  semantics of NAT'd swarms.  Unconnectable-pair messages are dropped.
 * **loss** — the message is dropped with probability ``loss``.
 * **duplication** — with probability ``duplicate`` a second copy is
   delivered (geometric continuation: each copy spawns another with the
@@ -26,6 +20,11 @@ simulation streams):
 * **delay / reordering** — each surviving copy is delayed by an
   independent uniform draw from ``[0, delay_max]`` seconds.  Because
   delays are independent, messages (and duplicate copies) reorder.
+
+Who can connect to whom is the trace's business
+(``PeerProfile.connectable``, drawn with ``TraceParams
+.connectable_fraction``); the channel only decides the fate of a message
+between two peers that exchange one.
 
 Default-off bit-identity: a :class:`FaultConfig` with every knob at its
 default is *null* (:attr:`FaultConfig.is_null`), and callers skip
@@ -37,7 +36,7 @@ without the fault layer (pinned by ``tests/test_faults.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional
+from typing import Hashable, List, Optional
 
 from repro.obs import NULL_OBS, Observability
 from repro.sim.rng import RngStream
@@ -75,11 +74,6 @@ class FaultConfig:
         Probability that a churn restart loses the peer's in-memory
         gossip state (its subjective shared history is wiped through
         ``forget_reporter`` and it re-registers with the PSS on rejoin).
-    connectable_fraction:
-        Probability that a peer accepts incoming channel connections;
-        messages between two unconnectable peers are dropped.  1.0
-        (default) disables the matrix.  The paper's deployment observed
-        roughly 20 % connectable peers.
     """
 
     loss: float = 0.0
@@ -88,7 +82,6 @@ class FaultConfig:
     churn_rate: float = 0.0
     churn_downtime: float = 1800.0
     churn_wipe_prob: float = 0.5
-    connectable_fraction: float = 1.0
 
     def validate(self) -> None:
         """Check parameter sanity; raises ``ValueError``.
@@ -111,8 +104,6 @@ class FaultConfig:
             raise ValueError("churn_downtime must be positive")
         if not 0.0 <= self.churn_wipe_prob <= 1.0:
             raise ValueError("churn_wipe_prob must be a probability")
-        if not 0.0 < self.connectable_fraction <= 1.0:
-            raise ValueError("connectable_fraction must be in (0, 1]")
 
     @property
     def is_null(self) -> bool:
@@ -127,18 +118,12 @@ class FaultConfig:
             and self.duplicate == 0.0
             and self.delay_max == 0.0
             and self.churn_rate == 0.0
-            and self.connectable_fraction >= 1.0
         )
 
     @property
     def has_channel_faults(self) -> bool:
         """Whether the message channel itself (not just churn) is faulty."""
-        return (
-            self.loss > 0.0
-            or self.duplicate > 0.0
-            or self.delay_max > 0.0
-            or self.connectable_fraction < 1.0
-        )
+        return self.loss > 0.0 or self.duplicate > 0.0 or self.delay_max > 0.0
 
 
 class ChannelModel:
@@ -171,9 +156,7 @@ class ChannelModel:
         self._rng = rng
         tracer = (obs if obs is not None else NULL_OBS).tracer
         self._tr_deliver = tracer.category("net.deliver") if tracer.enabled else None
-        self._connectable: Dict[PeerId, bool] = {}
-        #: Copies dropped: by loss, an unconnectable pair or an offline
-        #: receiver.
+        #: Copies dropped: by loss or an offline receiver.
         self.dropped = 0
         #: Copies that surfaced while the receiver was churned down —
         #: counted inside ``dropped`` too, but kept distinct so churn
@@ -182,31 +165,6 @@ class ChannelModel:
         self.duplicated = 0
         self.delayed = 0
         self.delivered = 0
-        #: Verdict of the most recent fault decision (``unconnectable`` /
-        #: ``dropped`` / ``delivered`` / ``offline``); lets the host
-        #: simulator attribute an empty plan without re-deriving it.
-        self.last_verdict: Optional[str] = None
-
-    # ------------------------------------------------------------------
-    def is_connectable(self, peer: PeerId) -> bool:
-        """Whether ``peer`` accepts incoming channel connections.
-
-        Sampled lazily (one Bernoulli per peer, memoized) so the draw
-        order is the peer-first-seen order, which is deterministic under
-        the simulator's deterministic event ordering.
-        """
-        if self.config.connectable_fraction >= 1.0:
-            return True
-        known = self._connectable.get(peer)
-        if known is None:
-            known = self._rng.bernoulli(self.config.connectable_fraction)
-            self._connectable[peer] = known
-        return known
-
-    def can_carry(self, src: PeerId, dst: PeerId) -> bool:
-        """Whether a channel between ``src`` and ``dst`` can exist (at
-        least one endpoint connectable)."""
-        return self.is_connectable(src) or self.is_connectable(dst)
 
     # ------------------------------------------------------------------
     def plan_delivery(self, src: PeerId, dst: PeerId, now: float) -> List[float]:
@@ -215,7 +173,7 @@ class ChannelModel:
         Returns the (possibly empty) list of absolute times at which
         copies of the message arrive at ``dst``:
 
-        * ``[]`` — the message was dropped (loss, or unconnectable pair);
+        * ``[]`` — the message was lost;
         * ``[now]`` — normal immediate delivery;
         * longer / later lists — duplication and random delay.
 
@@ -223,10 +181,6 @@ class ChannelModel:
         (relative to other messages and between copies) happens.
         """
         cfg = self.config
-        if not self.can_carry(src, dst):
-            self.dropped += 1
-            self._trace("unconnectable", src, dst, now, 0)
-            return []
         if cfg.loss > 0.0 and self._rng.bernoulli(cfg.loss):
             self.dropped += 1
             self._trace("dropped", src, dst, now, 0)
@@ -267,8 +221,8 @@ class ChannelModel:
         Called by the host simulator from the terminal delivery seam (a
         delayed copy surfacing after its receiver left); consumes no
         randomness.  ``copy`` and ``delay`` identify which duplicate was
-        cut and how far it had been deferred, so DAG reconstruction never
-        has to guess; ``by_churn`` marks receivers that are down because
+        cut and how far it had been deferred, so the dissemination log
+        never has to guess; ``by_churn`` marks receivers that are down because
         of a churn outage (counted in ``net.dropped_by_churn``, distinct
         from channel loss).
         """
@@ -295,7 +249,6 @@ class ChannelModel:
         times: Optional[List[float]] = None,
         extra: Optional[dict] = None,
     ) -> None:
-        self.last_verdict = verdict
         cat = self._tr_deliver
         if cat is not None and cat.sample():
             attrs = {"src": src, "dst": dst, "copies": copies}

@@ -132,11 +132,6 @@ class FlowPath:
     bottleneck: Edge
     residuals: Tuple[float, ...]
 
-    @property
-    def intermediaries(self) -> Tuple[PeerId, ...]:
-        """The interior vertices (empty for a direct edge)."""
-        return self.nodes[1:-1]
-
     def to_json(self) -> dict:
         """JSON-safe rendering for ``--export``."""
         return {
@@ -174,9 +169,6 @@ class FlowResult:
     flows: Dict[Edge, float] = field(default_factory=dict)
     augmenting_paths: int = 0
     paths: Tuple[FlowPath, ...] = ()
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def leave_one_out_values(result: FlowResult) -> Dict[PeerId, float]:

@@ -25,7 +25,7 @@ cannot be left out of ``--jobs N``.  The legs:
     Per-run convergence series
     (:class:`~repro.obs.timeseries.TimeSeriesCollector`).
 ``dissemination``
-    Per-claim propagation DAGs and fault attribution
+    Gossip event log: per-claim coverage analytics and fault attribution
     (:class:`~repro.obs.dissemination.DisseminationCollector`).
 ``profiler``
     Phase / event / reputation-evaluation wall+CPU profile

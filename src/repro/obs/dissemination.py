@@ -1,4 +1,4 @@
-"""Causal dissemination tracing: per-claim propagation DAGs.
+"""Causal dissemination tracing: how each claim spread, and what cut it.
 
 BarterCast's premise is that pairwise gossip disseminates enough of the
 transfer graph for subjective reputations to converge.  The metrics and
@@ -7,23 +7,23 @@ time-series legs report *that* coverage happened; this module records
 were paid for, and which exact loss/churn event cut a peer off.
 
 A :class:`DisseminationRecorder` collects the causal event log of one
-simulation run: every message's envelope (``msg_id``, ``parent_id``,
-``hops``, the records it carried) plus send / deliver / drop /
-duplicate / delay / churn-wipe events in simulation order.  From the log
-it derives:
+simulation run: every message (``msg_id``, sender, ``created_at``,
+``hops`` and the records it carried) plus send / deliver / drop /
+duplicate / delay / churn-wipe events in simulation order.  A *claim*
+is one ``(reporter, counterparty)`` record stream.  From the log it
+derives, each in one post-run pass:
 
-* per-claim propagation DAGs (a *claim* is one ``(reporter,
-  counterparty)`` record stream; its DAG is the union of the delivery
-  edges of every message that carried it, chained by ``parent_id``),
-* time-to-k%-coverage and hop-count distributions per claim,
+* time-to-k%-coverage, copies and hop-count distributions per claim,
 * the redundancy factor (copies delivered per unique claim delivery),
 * fault attribution for undelivered claims ("claim X never reached peer
   P because both candidate paths were cut by loss@t=412 and
-  churn-offline@t=509"),
-* a lineage replay (:meth:`DisseminationRecorder.replay_claims`) whose
-  surviving values must match :class:`~repro.core.sharedhistory
-  .SubjectiveSharedHistory` exactly — the auditor cross-check pinned by
-  ``tests/test_dissemination.py``.
+  churn-offline@t=509").
+
+The log is complete: replaying a peer's deliveries and wipes under the
+shared history's supersede rule gives exactly that peer's view.
+``tests/test_dissemination.py`` pins this by feeding a copy of a run's
+hook calls to the reference model (``tests/model.py``) and comparing its
+replay with every node.
 
 A :class:`DisseminationCollector` is the :class:`~repro.obs
 .Observability` leg (a :class:`~repro.obs.legs.LabelledCollector`, like
@@ -101,7 +101,7 @@ class DisseminationConfig:
 
 
 class DisseminationRecorder:
-    """Causal event log + DAG analytics for one simulation run.
+    """Causal event log + claim analytics for one simulation run.
 
     The simulator calls the ``record_*`` hooks from the message path and
     the fault injectors; every hook is an O(1) append with no RNG use.
@@ -149,7 +149,6 @@ class DisseminationRecorder:
         self._msg_index: Dict[Hashable, int] = {}
         self._msg_sender: List[PeerId] = []
         self._msg_created = array("d")
-        self._msg_parent: List[Hashable] = []
         self._msg_hops: List[int] = []
         self._msg_gdst: List[Optional[PeerId]] = []
         self._msg_gseq = array("l")
@@ -157,19 +156,17 @@ class DisseminationRecorder:
         self._rec_off = array("l", [0])
         self._put_sender = self._msg_sender.append
         self._put_created = self._msg_created.append
-        self._put_parent = self._msg_parent.append
         self._put_hops = self._msg_hops.append
         self._put_gdst = self._msg_gdst.append
         self._put_gseq = self._msg_gseq.append
         self._put_off = self._rec_off.append
-        # Event log: parallel columns of (kind, t, msg_id, src, dst,
-        # detail) rows in simulation order.  Kinds: send, deliver, drop,
+        # Event log: parallel columns of (kind, t, msg_id, dst, detail)
+        # rows in simulation order.  Kinds: send, deliver, drop,
         # duplicate, delay, wipe, plus the fused "gossip" (= send +
         # same-instant deliver) emitted by the reliable direct path.
         self._ev_kind: List[str] = []
         self._ev_t = array("d")
         self._ev_mid: List[Hashable] = []
-        self._ev_src: List[PeerId] = []
         self._ev_dst: List[PeerId] = []
         self._ev_detail: List[Optional[dict]] = []
         # Bound column appends, cached once: the hooks run per message at
@@ -180,7 +177,6 @@ class DisseminationRecorder:
         self._put_kind = self._ev_kind.append
         self._put_t = self._ev_t.append
         self._put_mid = self._ev_mid.append
-        self._put_src = self._ev_src.append
         self._put_dst = self._ev_dst.append
         self._put_detail = self._ev_detail.append
         self._population: List[PeerId] = []
@@ -203,7 +199,6 @@ class DisseminationRecorder:
             index[mid] = len(self._msg_sender)
             self._put_sender(message.sender)
             self._put_created(message.created_at)
-            self._put_parent(message.parent_id)
             self._put_hops(message.hops)
             self._put_gdst(None)
             self._put_gseq(0)
@@ -229,10 +224,6 @@ class DisseminationRecorder:
             if isinstance(r, exact):
                 self._records.append(exact(r.counterparty, r.uploaded, r.downloaded))
         self._put_off(len(self._records))
-
-    def message_ids(self) -> List[Hashable]:
-        """Every registered msg_id, in registration order."""
-        return list(self._msg_index)
 
     def _sane(self, i: int) -> list:
         """Message ``i``'s records a receiver applies, in message order:
@@ -314,11 +305,10 @@ class DisseminationRecorder:
             elif kinds[code] in _DELIVERED:
                 yield index[self._ev_mid[code]], self._ev_t[code], self._ev_dst[code]
 
-    def _append_event(self, kind, t, mid, src, dst, detail) -> None:
+    def _append_event(self, kind, t, mid, dst, detail) -> None:
         self._put_kind(kind)
         self._put_t(t)
         self._put_mid(mid)
-        self._put_src(src)
         self._put_dst(dst)
         self._put_detail(detail)
 
@@ -327,7 +317,7 @@ class DisseminationRecorder:
     def record_send(self, message, receiver: PeerId, t: float) -> None:
         """A message left its sender toward ``receiver`` at sim-time ``t``."""
         mid = self._register(message)
-        self._append_event("send", t, mid, message.sender, receiver, None)
+        self._append_event("send", t, mid, receiver, None)
 
     def record_gossip(self, message, receiver: PeerId, t: float) -> None:
         """Fused send + same-instant deliver for the reliable direct
@@ -350,7 +340,6 @@ class DisseminationRecorder:
             index[mid] = len(self._msg_sender)
             self._put_sender(message.sender)
             self._put_created(t)
-            self._put_parent(message.parent_id)
             self._put_hops(message.hops)
             self._put_gdst(receiver)
             self._put_gseq(len(self._ev_kind))
@@ -360,7 +349,6 @@ class DisseminationRecorder:
         self._put_kind("gossip")
         self._put_t(t)
         self._put_mid(mid)
-        self._put_src(message.sender)
         self._put_dst(receiver)
         self._put_detail(None)
 
@@ -370,19 +358,12 @@ class DisseminationRecorder:
         """The channel planned ``len(times)`` copies (duplicate/delay events)."""
         mid = self._register(message)
         if len(times) > 1:
-            self._append_event(
-                "duplicate", t, mid, message.sender, receiver, {"copies": len(times)}
-            )
+            self._append_event("duplicate", t, mid, receiver, {"copies": len(times)})
         for copy, deliver_at in enumerate(times):
             delay = float(deliver_at) - float(t)
             if delay > 0.0:
                 self._append_event(
-                    "delay",
-                    t,
-                    mid,
-                    message.sender,
-                    receiver,
-                    {"copy": copy, "delay": delay},
+                    "delay", t, mid, receiver, {"copy": copy, "delay": delay}
                 )
 
     def record_drop(
@@ -394,15 +375,15 @@ class DisseminationRecorder:
         copy: int = 0,
         delay: float = 0.0,
     ) -> None:
-        """A copy was cut: ``cause`` is loss / unconnectable /
-        offline / churn-offline (copy ``copy``, delayed by ``delay``)."""
+        """A copy was cut: ``cause`` is loss / offline / churn-offline
+        (copy ``copy``, delayed by ``delay``)."""
         mid = self._register(message)
         detail = {"cause": cause}
         if copy:
             detail["copy"] = copy
         if delay:
             detail["delay"] = float(delay)
-        self._append_event("drop", t, mid, message.sender, receiver, detail)
+        self._append_event("drop", t, mid, receiver, detail)
 
     def record_deliver(
         self, message, receiver: PeerId, t: float, copy: int = 0
@@ -410,42 +391,11 @@ class DisseminationRecorder:
         """Copy ``copy`` of a message was ingested by ``receiver``."""
         mid = self._register(message)
         detail = {"copy": copy} if copy else None
-        self._append_event("deliver", t, mid, message.sender, receiver, detail)
+        self._append_event("deliver", t, mid, receiver, detail)
 
     def record_wipe(self, peer: PeerId, t: float) -> None:
         """``peer`` hard-restarted and wiped its gossip-learned claims."""
-        self._append_event("wipe", t, None, None, peer, None)
-
-    # -- DAG / claim queries -------------------------------------------
-
-    def message(self, msg_id: Hashable) -> Optional[dict]:
-        """Envelope + payload of one registered message; ``records`` are
-        the (counterparty, uploaded, downloaded) triples a receiver
-        applies."""
-        i = self._msg_index.get(msg_id)
-        if i is None:
-            return None
-        return {
-            "msg_id": msg_id,
-            "sender": self._msg_sender[i],
-            "created_at": self._msg_created[i],
-            "parent_id": self._msg_parent[i],
-            "hops": int(self._msg_hops[i]),
-            "records": tuple(
-                (r.counterparty, float(r.uploaded), float(r.downloaded))
-                for r in self._sane(i)
-            ),
-        }
-
-    def claims(self) -> List[ClaimKey]:
-        """Every (reporter, counterparty) claim any message carried."""
-        senders = self._msg_sender
-        seen = {
-            (senders[i], c)
-            for i in range(len(senders))
-            for c in self._counterparties(i)
-        }
-        return sorted(seen, key=_claim_order)
+        self._append_event("wipe", t, None, peer, None)
 
     def _cached(self, name: str, build):
         """``build()``, rebuilt only after the log grew.  The post-run
@@ -469,34 +419,6 @@ class DisseminationRecorder:
                 if paused:
                     gc.enable()
         return hit[1]
-
-    def claim_dag(self, claim: ClaimKey) -> dict:
-        """The propagation DAG of one claim.
-
-        Nodes are the messages that carried the claim; ``spine`` edges
-        chain each message to its causal parent (the sender's previous
-        message, when that one also carried the claim), ``delivery``
-        edges are the realized sender→receiver deliveries.
-        """
-        reporter, counterparty = claim
-        ids = list(self._msg_index)
-        carrying = {
-            i
-            for i, sender in enumerate(self._msg_sender)
-            if sender == reporter and counterparty in self._counterparties(i)
-        }
-        mids = {ids[i] for i in carrying}
-        nodes = sorted(mids, key=_sort_key)
-        index = self._msg_index
-        spine = [
-            (self._msg_parent[index[m]], m)
-            for m in nodes
-            if self._msg_parent[index[m]] in mids
-        ]
-        deliveries = [
-            (ids[i], dst, t) for i, t, dst in self._deliveries() if i in carrying
-        ]
-        return {"claim": claim, "messages": nodes, "spine": spine, "deliveries": deliveries}
 
     # -- analytics ------------------------------------------------------
 
@@ -573,53 +495,6 @@ class DisseminationRecorder:
         if not unique:
             return None
         return sum(s["copies"] for s in stats) / unique
-
-    # -- lineage replay (the auditor cross-check) ----------------------
-
-    def replay_claims(self, receiver: PeerId) -> Dict[tuple, float]:
-        """Replay ``receiver``'s deliveries and wipes in simulation order.
-
-        Returns the surviving ``(reporter, src, dst) -> value`` claims
-        under the shared history's supersede semantics (newer
-        ``created_at`` wins; equal timestamps keep the max value).  Must
-        match ``SubjectiveSharedHistory`` exactly — any divergence means
-        the event log is incomplete.
-        """
-        rows, fused = self._rows_to((receiver,))[receiver]
-        kinds = self._ev_kind
-        index = self._msg_index
-        created = self._msg_created
-        state: Dict[tuple, Tuple[float, float]] = {}
-        for code in self._in_order(rows, fused):
-            if code < 0:
-                i = ~code
-            elif kinds[code] == "wipe":
-                state.clear()
-                continue
-            elif kinds[code] in _DELIVERED:
-                i = index[self._ev_mid[code]]
-            else:
-                continue
-            reporter = self._msg_sender[i]
-            if reporter == receiver:
-                continue
-            created_at = created[i]
-            for r in self._sane(i):
-                counterparty = r.counterparty
-                if counterparty == receiver:
-                    continue
-                for key, value in (
-                    ((reporter, reporter, counterparty), float(r.uploaded)),
-                    ((reporter, counterparty, reporter), float(r.downloaded)),
-                ):
-                    cur = state.get(key)
-                    if (
-                        cur is None
-                        or created_at > cur[0]
-                        or (created_at == cur[0] and value > cur[1])
-                    ):
-                        state[key] = (created_at, value)
-        return {key: ts_value[1] for key, ts_value in state.items()}
 
     # -- fault attribution ---------------------------------------------
 

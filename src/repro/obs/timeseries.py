@@ -26,8 +26,7 @@ cache, so ``rep.cache.*`` hit/miss counters include probe traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -99,17 +98,9 @@ class TimeSeriesRecorder:
         self._probes.append(fn)
 
     @property
-    def columns(self) -> Sequence[str]:
-        return tuple(self._names)
-
-    @property
     def samples(self) -> int:
         """Rows currently held (≤ capacity)."""
         return min(self._total, self.capacity)
-
-    @property
-    def samples_total(self) -> int:
-        return self._total
 
     @property
     def samples_dropped(self) -> int:
@@ -140,27 +131,6 @@ class TimeSeriesRecorder:
         head = self._total % self.capacity
         return np.concatenate([np.arange(head, self.capacity), np.arange(head)])
 
-    def times(self) -> np.ndarray:
-        return self._times[self._order()]
-
-    def column(self, name: str) -> np.ndarray:
-        """One column, chronological."""
-        i = self._names.index(name)
-        if self._data is None:
-            return np.zeros(0, dtype=np.float64)
-        return self._data[self._order(), i]
-
-    def last(self) -> Dict[str, float]:
-        """The most recent row as ``{"t": ..., name: value, ...}``."""
-        if self._total == 0:
-            return {}
-        idx = (self._total - 1) % self.capacity
-        out = {"t": float(self._times[idx])}
-        if self._data is not None:
-            for i, name in enumerate(self._names):
-                out[name] = float(self._data[idx, i])
-        return out
-
     def to_dict(self) -> dict:
         """JSON-safe snapshot (chronological lists per column)."""
         order = self._order()
@@ -180,13 +150,6 @@ class TimeSeriesRecorder:
         if self.meta:
             out["meta"] = dict(self.meta)
         return out
-
-    def write_csv(self, path: Union[str, Path]) -> Path:
-        """Write the held rows as ``t,<col>,...`` CSV; returns the path."""
-        path = Path(path)
-        lines = _csv_lines(self.to_dict())
-        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        return path
 
 
 def _csv_lines(snap: dict) -> List[str]:

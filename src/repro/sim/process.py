@@ -50,24 +50,12 @@ class PeriodicProcess:
         self._interval = float(interval)
         self._callback = callback
         self._label = label
-        self._ticks = 0
         first = self._interval if start_delay is None else float(start_delay)
         sim.schedule(first, self._fire, label)
 
-    @property
-    def ticks(self) -> int:
-        """Number of times the callback has fired."""
-        return self._ticks
-
-    @property
-    def interval(self) -> float:
-        """Base period in seconds."""
-        return self._interval
-
     def _fire(self) -> None:
-        self._ticks += 1
         self._callback()
         self._sim.schedule(self._interval, self._fire, self._label)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<PeriodicProcess {self._label!r} every {self._interval}s ticks={self._ticks}>"
+        return f"<PeriodicProcess {self._label!r} every {self._interval}s>"

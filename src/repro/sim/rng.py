@@ -44,14 +44,6 @@ class RngStream:
         """A float drawn uniformly from ``[low, high)``."""
         return float(self._gen.uniform(low, high))
 
-    def random(self) -> float:
-        """A float drawn uniformly from ``[0, 1)``."""
-        return float(self._gen.random())
-
-    def randint(self, low: int, high: int) -> int:
-        """An integer drawn uniformly from ``[low, high)``."""
-        return int(self._gen.integers(low, high))
-
     def exponential(self, mean: float) -> float:
         """An exponential variate with the given mean."""
         return float(self._gen.exponential(mean))
@@ -59,10 +51,6 @@ class RngStream:
     def lognormal(self, mean: float, sigma: float) -> float:
         """A log-normal variate with underlying normal ``(mean, sigma)``."""
         return float(self._gen.lognormal(mean, sigma))
-
-    def pareto(self, shape: float, scale: float = 1.0) -> float:
-        """A Pareto (Lomax + scale) variate: ``scale * (1 + X)`` with X~Lomax."""
-        return float(scale * (1.0 + self._gen.pareto(shape)))
 
     def bernoulli(self, p: float) -> bool:
         """True with probability ``p``."""

@@ -45,10 +45,6 @@ class PeerSession:
         """Session length in seconds."""
         return self.end - self.start
 
-    def contains(self, t: float) -> bool:
-        """Whether time ``t`` falls inside this session."""
-        return self.start <= t < self.end
-
 
 @dataclass
 class PeerProfile:
@@ -108,16 +104,6 @@ class PeerProfile:
                 continue
             return max(s.start, t)
         return None
-
-    def online_seconds(self, t0: float, t1: float) -> float:
-        """Total online time within ``[t0, t1)``."""
-        total = 0.0
-        for s in self.sessions:
-            lo = max(s.start, t0)
-            hi = min(s.end, t1)
-            if hi > lo:
-                total += hi - lo
-        return total
 
     @property
     def total_uptime(self) -> float:
@@ -213,10 +199,6 @@ class CommunityTrace:
                 raise ValueError(
                     f"swarm {swarm.swarm_id} origin seeder {swarm.origin_seeder} unknown"
                 )
-
-    def requests_of(self, peer_id: int) -> List[FileRequest]:
-        """All requests made by one peer, in time order."""
-        return [r for r in self.requests if r.peer_id == peer_id]
 
     @property
     def num_peers(self) -> int:

@@ -257,7 +257,7 @@ class SyntheticTraceGenerator:
             else:
                 # Without dedicated seeders the first requester of each swarm
                 # is promoted to origin (it starts with the complete file).
-                seeder_id = rng.randint(0, p.num_peers)
+                seeder_id = int(rng.generator.integers(0, p.num_peers))
             swarms[sid] = SwarmSpec(
                 swarm_id=sid,
                 file_size=file_size,

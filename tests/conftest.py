@@ -59,13 +59,9 @@ def diamond_graph():
     Exact maxflow s->t = min(3,2) via a? No: edges s->a=3, a->t=2,
     s->b=1, b->t=4, s->t=0.5 giving maxflow = 2 + 1 + 0.5 = 3.5.
     """
-    g = TransferGraph()
-    g.add_transfer("s", "a", 3.0)
-    g.add_transfer("a", "t", 2.0)
-    g.add_transfer("s", "b", 1.0)
-    g.add_transfer("b", "t", 4.0)
-    g.add_transfer("s", "t", 0.5)
-    return g
+    return graph_of(
+        [("s", "a", 3.0), ("a", "t", 2.0), ("s", "b", 1.0), ("b", "t", 4.0), ("s", "t", 0.5)]
+    )
 
 
 @pytest.fixture
@@ -97,11 +93,33 @@ def random_graphs(draw):
             max_size=20,
         )
     )
-    g = TransferGraph()
+    g = graph_of((i, j, w) for (i, j), w in edges)
     for node in range(n):
         g.add_node(node)
-    for (i, j), w in edges:
-        g.add_transfer(i, j, w)
+    return g
+
+
+def graph_of(edges, cls=TransferGraph):
+    """A graph whose edge ``(i, j)`` holds the sum of the weights
+    ``edges`` lists for it (``(src, dst, bytes)`` triples, summed in
+    order); a zero-weight edge registers its endpoints only."""
+    totals = {}
+    for src, dst, w in edges:
+        totals[src, dst] = totals.get((src, dst), 0.0) + float(w)
+    g = cls()
+    for (src, dst), w in totals.items():
+        g.set_transfer(src, dst, w)
+    return g
+
+
+def to_networkx(graph):
+    """``graph`` as a ``networkx.DiGraph`` with ``capacity`` edge
+    attributes, for cross-checking the maxflow kernels."""
+    import networkx as nx
+
+    g = nx.DiGraph()
+    g.add_nodes_from(graph.nodes())
+    g.add_weighted_edges_from(graph.edges(), weight="capacity")
     return g
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.ascii_plot import ascii_chart, render_table
-from repro.analysis.stats import cdf, pearson_r, spearman_r, summarize
-from repro.analysis.timeseries import bin_series, daily_means
+from repro.analysis.stats import cdf, pearson_r, spearman_r
+from repro.analysis.timeseries import bin_series
 
 
 class TestCdf:
@@ -87,25 +87,6 @@ class TestCorrelation:
             assert spearman_r(x, y) == float(sps.spearmanr(x, y)[0])
 
 
-class TestSummarize:
-    def test_basic(self):
-        s = summarize([1.0, 2.0, 3.0, 4.0])
-        assert s.n == 4
-        assert s.mean == 2.5
-        assert s.median == 2.5
-        assert s.minimum == 1.0 and s.maximum == 4.0
-
-    def test_drops_nans(self):
-        s = summarize([1.0, float("nan"), 3.0])
-        assert s.n == 2
-        assert s.mean == 2.0
-
-    def test_empty(self):
-        s = summarize([])
-        assert s.n == 0
-        assert math.isnan(s.mean)
-
-
 class TestBinSeries:
     def test_averages_within_bins(self):
         times = [0.0, 1.0, 10.0, 11.0]
@@ -136,9 +117,11 @@ class TestBinSeries:
         assert mids.size == 0
 
     def test_daily_means_day_axis(self):
-        days, means = daily_means([0.0, 86400.0 * 1.5], [1.0, 2.0])
-        assert days[0] == 0.5
-        assert days[1] == 1.5
+        """Day-wide bins put their midpoints at 0.5, 1.5, ... days, the
+        x-axis of the paper's Figures 1(a) and 2."""
+        mids, means = bin_series([0.0, 86400.0 * 1.5], [1.0, 2.0], 86400.0)
+        assert list(mids / 86400.0) == [0.5, 1.5]
+        assert list(means) == [1.0, 2.0]
 
 
 class TestRenderTable:

@@ -36,8 +36,6 @@ def check_swarm(swarm, is_online, connectable):
     leechers = [id(m) for m in members if not model.complete(m)]
     seeders = {m.peer_id: id(m) for m in members if model.complete(m)}
     assert [id(m) for m in swarm.leecher_roster.values()] == leechers
-    assert [id(m) for m in swarm.leechers()] == leechers
-    assert [id(m) for m in swarm.seeders()] == list(seeders.values())
     assert {p: id(m) for p, m in swarm.seeder_roster.items()} == seeders
     online_leechers = [p for p in swarm.leecher_roster if is_online(p)]
     reachable = [p for p in online_leechers if connectable(p)]

@@ -1,9 +1,9 @@
 """Tests for causal dissemination tracing.
 
 Covers the always-on message envelope (msg_id / parent_id / hops), the
-recorder's DAG and analytics queries, the lineage-replay auditor
-(replayed claims must match ``SubjectiveSharedHistory`` exactly), fault
-attribution, the collector's merge/export plumbing (``--jobs 2`` bytes
+recorder's analytics against the reference model, the completeness of
+the event log (the model's replay of a run's hook calls must match every
+node's ``SubjectiveSharedHistory`` exactly), fault attribution, the collector's merge/export plumbing (``--jobs 2`` bytes
 equal serial), Chrome-trace flow arrows, the fault channel's
 churn-versus-loss accounting, and the headline guarantee: recording on
 is bit-identical to a plain run.
@@ -54,14 +54,35 @@ def _shared_view(node):
     return view
 
 
+HOOKS = ("send", "gossip", "deliver", "drop", "plan", "wipe")
+
+
+def tee(rec, model, messages=None):
+    """Feed every ``record_*`` call ``rec`` receives to ``model`` too, and
+    file each message it names in ``messages`` under its msg_id."""
+    for hook in HOOKS:
+        def both(*args, _rec=getattr(rec, "record_" + hook), _model=getattr(model, hook),
+                 _files=messages is not None and hook != "wipe", **kwargs):
+            if _files:
+                messages[args[0].msg_id] = args[0]
+            _model(*args, **kwargs)
+            _rec(*args, **kwargs)
+
+        setattr(rec, "record_" + hook, both)
+
+
 @pytest.fixture(scope="module")
 def faulted_run():
-    """One recorded faulted run shared by the analytics/auditor tests."""
+    """One recorded faulted run shared by the analytics/auditor tests: the
+    simulator, its bundle, a model fed a copy of every recorder hook call,
+    and every message the hooks named (by msg_id)."""
     scenario = ScenarioConfig.tiny(seed=7).with_faults(FAULTS)
     obs = make_observability(metrics=True, dissemination=True)
     sim = build_simulation(scenario, policy=RankPolicy(), obs=obs)
+    model, messages = Dissemination(sim.nodes, label=sim.dissemination.label), {}
+    tee(sim.dissemination, model, messages)
     sim.run()
-    return sim, obs
+    return sim, obs, model, messages
 
 
 def _msg(sender, created_at, records, msg_id=None, parent_id=None, hops=1):
@@ -96,6 +117,8 @@ class TestRecorderSynthetic:
     def _recorder(self):
         rec = DisseminationRecorder(label="syn")
         rec.set_population(["A", "B", "C", "D"])
+        self.model = Dissemination(["A", "B", "C", "D"], label="syn")
+        tee(rec, self.model)
         m1 = _msg("A", 0.0, [HistoryRecord("B", 10.0, 5.0)], msg_id=("A", 1))
         m2 = _msg(
             "A", 100.0, [HistoryRecord("B", 20.0, 7.0)],
@@ -108,17 +131,6 @@ class TestRecorderSynthetic:
         rec.record_send(m2, "C", 100.0)
         rec.record_deliver(m2, "C", 110.0)
         return rec, m1, m2
-
-    def test_claims_and_dag_spine(self):
-        rec, _, _ = self._recorder()
-        assert rec.claims() == [("A", "B")]
-        dag = rec.claim_dag(("A", "B"))
-        assert dag["messages"] == [("A", 1), ("A", 2)]
-        assert dag["spine"] == [(("A", 1), ("A", 2))]
-        assert [(mid, dst) for mid, dst, _ in dag["deliveries"]] == [
-            (("A", 1), "C"),
-            (("A", 2), "C"),
-        ]
 
     def test_claim_stats_coverage_milestones(self):
         rec, _, _ = self._recorder()
@@ -145,7 +157,7 @@ class TestRecorderSynthetic:
         # every view is rebuilt and equals a recorder fed the whole log.
         m3 = _msg("D", 200.0, [HistoryRecord("B", 1.0, 0.0)], msg_id=("D", 1))
         rec.record_gossip(m3, "C", 200.0)
-        assert rec.claims() == [("A", "B"), ("D", "B")]
+        assert [e["claim"] for e in rec.claim_stats()] == [["A", "B"], ["D", "B"]]
         assert [e["copies"] for e in rec.claim_stats()] == [2, 1]
         rec.record_deliver(m1, "D", 300.0)
         whole, _, _ = self._recorder()
@@ -160,28 +172,35 @@ class TestRecorderSynthetic:
         assert collector.series() == [rec.to_dict()]
 
     def test_replay_supersedes_by_created_at(self):
-        rec, _, _ = self._recorder()
-        # m2 (created_at 100) supersedes m1 for both directed edges.
-        assert rec.replay_claims("C") == {
-            ("A", "A", "B"): 20.0,
-            ("A", "B", "A"): 7.0,
-        }
-        assert rec.replay_claims("D") == {}
+        _, m1, m2 = self._recorder()
+        # m2 (created_at 100) supersedes m1 for both directed edges, in
+        # the log's replay and at a receiver fed the same deliveries.
+        node = BarterCastNode("C")
+        node.receive_message(m1, now=10.0)
+        node.receive_message(m2, now=110.0)
+        expected = {("A", "A", "B"): 20.0, ("A", "B", "A"): 7.0}
+        assert self.model.replay("C") == _shared_view(node) == expected
+        assert self.model.replay("D") == {}
 
     def test_replay_out_of_order_delivery(self):
         rec = DisseminationRecorder()
         rec.set_population(["A", "B", "C"])
+        model = Dissemination(["A", "B", "C"])
+        tee(rec, model)
         m1 = _msg("A", 0.0, [HistoryRecord("B", 10.0, 5.0)], msg_id=("A", 1))
         m2 = _msg("A", 100.0, [HistoryRecord("B", 20.0, 7.0)], msg_id=("A", 2))
         # The delaying channel reorders: the newer message lands first.
-        rec.record_deliver(m2, "C", 110.0)
-        rec.record_deliver(m1, "C", 120.0)
-        assert rec.replay_claims("C")[("A", "A", "B")] == 20.0
+        node = BarterCastNode("C")
+        for m, t in ((m2, 110.0), (m1, 120.0)):
+            rec.record_deliver(m, "C", t)
+            node.receive_message(m, now=t)
+        assert model.replay("C")[("A", "A", "B")] == 20.0
+        assert model.replay("C") == _shared_view(node)
 
     def test_wipe_erases_and_attribution_reports_it(self):
         rec, _, m2 = self._recorder()
         rec.record_wipe("C", 200.0)
-        assert rec.replay_claims("C") == {}
+        assert self.model.replay("C") == {}
         entries = rec.explain_missing(receiver="C")
         (entry,) = entries
         assert entry["delivered_at"] == [10.0, 110.0]
@@ -230,7 +249,8 @@ class TestHostilePayloads:
     def test_snapshot_at_send_and_replay_equals_receivers(self):
         """A message holding anything but exact ``HistoryRecord``s is copied
         when first seen; malformed records are skipped as receivers skip
-        them; nothing raises; the replay is what each receiver applied."""
+        them; nothing raises; the log's replay is what each receiver
+        applied."""
         mutable = MutableRecord(1, 6.0, 1.0)
         lookalike = LookAlike(2, 3.0, 4.0)
         subclassed = _msg(0, 1.0, [HistoryRecord(3, 10.0, 5.0), mutable], msg_id=(0, 1))
@@ -246,14 +266,14 @@ class TestHostilePayloads:
                      msg_id=(0, 3), parent_id=(0, 2))
         rec = DisseminationRecorder()
         rec.set_population(range(6))
+        model = Dissemination(range(6))
+        tee(rec, model)
         nodes = {p: BarterCastNode(p) for p in (4, 5)}
         rec.record_send(subclassed, 4, 1.0)
         nodes[4].receive_message(subclassed, now=1.0)
         rec.record_deliver(subclassed, 4, 1.0)
         nodes[5].receive_message(subclassed, now=1.0)
         rec.record_gossip(subclassed, 5, 1.0)
-        sent = ((3, 10.0, 5.0), (1, 6.0, 1.0))
-        assert rec.message((0, 1))["records"] == sent
         mutable.uploaded = 99.0
         nodes[4].receive_message(malformed, now=1.5)
         rec.record_gossip(malformed, 4, 1.5)
@@ -265,20 +285,21 @@ class TestHostilePayloads:
         rec.record_wipe(5, 3.0)
         nodes[5].wipe_shared_history()
 
-        assert rec.message((0, 1))["records"] == sent
-        assert rec.message((0, 2))["records"] == ((3, 12.0, 5.0), (3, 12.5, 4.0))
-        assert rec.message((0, 3))["records"] == ((3, 11.0, 5.0),)
-        assert rec.claims() == [(0, 1), (0, 3)]
-        for p, node in nodes.items():
-            assert rec.replay_claims(p) == _shared_view(node)
-        assert rec.replay_claims(4)[(0, 0, 1)] == 6.0
-        assert rec.replay_claims(5) == {}
+        # The model files each message's sane records when first named.
+        assert model.messages[(0, 1)][3] == [(3, 10.0, 5.0), (1, 6.0, 1.0)]
+        assert model.messages[(0, 2)][3] == [(3, 12.0, 5.0), (3, 12.5, 4.0)]
+        assert model.messages[(0, 3)][3] == [(3, 11.0, 5.0)]
         snap = rec.to_dict()
+        assert snap == model.to_dict()
+        assert [e["claim"] for e in snap["claims"]] == [[0, 1], [0, 3]]
+        for p, node in nodes.items():
+            assert model.replay(p) == _shared_view(node)
+        assert model.replay(4)[(0, 0, 1)] == 6.0
+        assert model.replay(5) == {}
         assert [(e["claim"], e["receiver"]) for e in snap["undelivered"]] == [
             ([0, 1], 5),
             ([0, 3], 5),
         ]
-        assert rec.claim_dag((0, 3))["spine"] == [((0, 1), (0, 2)), ((0, 2), (0, 3))]
         assert snap["summary"]["hop_histogram"] == {"1": 4}
 
 
@@ -333,8 +354,6 @@ class TestModel:
         assert rec.summary() == model.summary()
         assert rec.claim_stats() == model.claim_stats()
         assert rec.to_dict() == model.to_dict()
-        for p in PEERS:
-            assert rec.replay_claims(p) == model.replay(p)
 
     @settings(max_examples=200, deadline=None)
     @given(hook_streams(), st.integers(0, 40))
@@ -411,29 +430,28 @@ class TestByteIdentity:
 
 class TestFaultedRunAnalytics:
     def test_envelope_invariants(self, faulted_run):
-        sim, _ = faulted_run
-        rec = sim.dissemination
-        for mid in rec.message_ids():
-            env = rec.message(mid)
+        *_, messages = faulted_run
+        assert messages
+        for mid, msg in messages.items():
             peer, seq = mid
-            assert peer == env["sender"]
-            assert env["hops"] == 1  # BarterCast never forwards
+            assert peer == msg.sender
+            assert msg.hops == 1  # BarterCast never forwards
             if seq == 1:
-                assert env["parent_id"] is None
+                assert msg.parent_id is None
             else:
-                assert env["parent_id"] == (peer, seq - 1)
+                assert msg.parent_id == (peer, seq - 1)
 
     def test_lineage_replay_matches_shared_history(self, faulted_run):
-        """The auditor cross-check: replaying each peer's deliver/wipe
-        events under the supersede rule reproduces its subjective shared
-        history exactly — both directions (no extra, no missing)."""
-        sim, _ = faulted_run
-        rec = sim.dissemination
+        """The log is complete: replaying each peer's deliver/wipe hook
+        calls under the supersede rule (the model's) reproduces its
+        subjective shared history exactly — both directions (no extra,
+        no missing)."""
+        sim, _, model, _ = faulted_run
         for peer, node in sim.nodes.items():
-            assert rec.replay_claims(peer) == _shared_view(node)
+            assert model.replay(peer) == _shared_view(node)
 
     def test_fault_attribution_names_exact_events(self, faulted_run):
-        sim, _ = faulted_run
+        sim, _, model, _ = faulted_run
         rec = sim.dissemination
         missing = rec.explain_missing()
         assert missing, "a 20% loss + churn run must leave undelivered claims"
@@ -442,11 +460,9 @@ class TestFaultedRunAnalytics:
         entry = attributed[0]
         for cause in entry["cut_by"]:
             kind, t = cause.split("@t=")
-            assert kind in ("loss", "unconnectable", "offline", "churn-offline")
+            assert kind in ("loss", "offline", "churn-offline")
             # The named event exists in the log at exactly that time.
-            claim_mids = rec.claim_dag((entry["claim"][0], entry["claim"][1]))[
-                "messages"
-            ]
+            claim_mids = model.carriers((entry["claim"][0], entry["claim"][1]))
             assert any(
                 k == "drop"
                 and mid in claim_mids
@@ -458,7 +474,7 @@ class TestFaultedRunAnalytics:
         assert str(entry["receiver"]) in text
 
     def test_churn_drops_counted_separately_from_loss(self, faulted_run):
-        sim, obs = faulted_run
+        sim, obs, *_ = faulted_run
         assert sim.channel.dropped_by_churn > 0
         assert (
             obs.metrics.value("net.dropped_by_churn")
@@ -470,7 +486,7 @@ class TestFaultedRunAnalytics:
         assert counts["drop.churn-offline"] == sim.channel.dropped_by_churn
 
     def test_summary_and_manifest_digest(self, faulted_run):
-        sim, obs = faulted_run
+        sim, obs, *_ = faulted_run
         summary = obs.dissemination.summary()
         assert summary["coverage_fractions"] == [0.5, 0.9]
         (run,) = summary["runs"]
@@ -482,17 +498,6 @@ class TestFaultedRunAnalytics:
 class TestChannelTelemetry:
     def _stream(self, seed=7):
         return RngRegistry(seed).stream("faults.channel")
-
-    def test_last_verdict_tracks_every_outcome(self):
-        ch = ChannelModel(FaultConfig(loss=1.0), self._stream())
-        assert ch.last_verdict is None
-        ch.plan_delivery("a", "b", 5.0)
-        assert ch.last_verdict == "dropped"
-        ch = ChannelModel(FaultConfig(), self._stream())
-        ch.plan_delivery("a", "b", 5.0)
-        assert ch.last_verdict == "delivered"
-        ch.note_undeliverable("a", "b", 6.0)
-        assert ch.last_verdict == "offline"
 
     def test_offline_trace_carries_copy_delay_churn(self, tmp_path):
         trace_path = tmp_path / "net.jsonl"

@@ -251,7 +251,7 @@ class TestNodeDispatch:
             node.record_upload("p", 10 * MB, now=1.0)
             node.record_download("q", 20 * MB, now=2.0)
             node.reputations_of(["p", "q"])
-            node.graph.add_transfer("x", "y", 5 * MB)  # third-party write
+            node.graph.set_transfer("x", "y", 5 * MB)  # third-party write
             node.reputations_of(["p", "q"])
             assert (
                 node.rep_cache_hits,
@@ -259,7 +259,7 @@ class TestNodeDispatch:
                 node.rep_cache_invalidations,
             ) == (2, 2, 0)
             assert node.rep_cache_size == 2
-            node.graph.add_transfer("p", "x", 5 * MB)  # p's score moves
+            node.graph.set_transfer("p", "x", 5 * MB)  # p's score moves
             assert node.rep_cache_invalidations == 1
             assert node.rep_cache_size == 1
             assert node.reputation_of("p") == make_engine(name).score(node, "p")

@@ -1,6 +1,5 @@
 """Tests for the figure-series exporters."""
 
-import csv
 
 import numpy as np
 import pytest
@@ -96,28 +95,17 @@ class TestExporters:
 
 class TestWriteSeries:
     def test_tsv_round_trip(self, fig1, tmp_path):
-        paths = write_series(export_fig1(fig1), tmp_path, fmt="tsv")
-        assert len(paths) == 2
+        paths = write_series(export_fig1(fig1), tmp_path)
+        assert [p.suffix for p in paths] == [".tsv", ".tsv"]
         text = paths[0].read_text().splitlines()
         assert text[0].startswith("# ")
         assert len(text) == 3  # header + 2 rows
 
-    def test_csv_round_trip(self, fig1, tmp_path):
-        paths = write_series(export_fig1(fig1), tmp_path, fmt="csv")
-        with paths[0].open() as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["day", "sharers", "freeriders"]
-        assert float(rows[1][0]) == 0.5
-
     def test_nan_rendered(self, fig2, tmp_path):
         fig2.rank["freeriders"] = np.array([np.nan, 100.0])
-        paths = write_series(export_fig2(fig2), tmp_path, fmt="tsv")
+        paths = write_series(export_fig2(fig2), tmp_path)
         rank_file = [p for p in paths if "fig2a" in p.name][0]
         assert "nan" in rank_file.read_text()
-
-    def test_unsupported_format(self, fig1, tmp_path):
-        with pytest.raises(ValueError):
-            write_series(export_fig1(fig1), tmp_path, fmt="xlsx")
 
     def test_creates_directory(self, fig1, tmp_path):
         target = tmp_path / "nested" / "dir"

@@ -13,12 +13,14 @@ The three load-bearing guarantees:
   delivered-message sets are nested).
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.policies import BanPolicy
-from repro.experiments.faults import run_fault_point, run_faults
+from repro.experiments.faults import assemble_faults, fault_tasks, run_fault_point
 from repro.experiments.scenario import ScenarioConfig, build_simulation
 from repro.faults import (
     MAX_COPIES,
@@ -28,6 +30,7 @@ from repro.faults import (
     audit_simulation,
     max_honest_claim,
 )
+from repro.parallel import run_sweep
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from tests.model import busy
@@ -35,6 +38,12 @@ from tests.model import busy
 
 def stream(seed=7, name="faults.channel"):
     return RngRegistry(seed).stream(name)
+
+
+def run_faults(scenario, **grid):
+    """The sweep over ``grid`` (``fault_tasks``' axes), run serially and
+    assembled as the CLI does."""
+    return assemble_faults(run_sweep(fault_tasks(scenario, **grid)), profile=scenario.name)
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +61,6 @@ class TestFaultConfig:
             {"duplicate": 0.2},
             {"delay_max": 5.0},
             {"churn_rate": 1.0},
-            {"connectable_fraction": 0.2},
         ],
     )
     def test_any_knob_breaks_null(self, kwargs):
@@ -74,7 +82,6 @@ class TestFaultConfig:
             {"churn_rate": -0.5},
             {"churn_downtime": 0.0},
             {"churn_wipe_prob": 1.5},
-            {"connectable_fraction": 0.0},
         ],
     )
     def test_validate_rejects(self, kwargs):
@@ -122,22 +129,6 @@ class TestChannelModel:
             now = float(i)
             for t in ch.plan_delivery("a", "b", now):
                 assert now <= t <= now + cfg.delay_max
-
-    def test_unconnectable_pair_always_dropped(self):
-        ch = ChannelModel(FaultConfig(connectable_fraction=0.5), stream())
-        # Find two unconnectable peers, then their channel is dead.
-        bad = [p for p in range(40) if not ch.is_connectable(p)]
-        assert len(bad) >= 2
-        assert ch.plan_delivery(bad[0], bad[1], 1.0) == []
-        # One connectable endpoint is enough to carry.
-        good = [p for p in range(40) if ch.is_connectable(p)]
-        assert ch.plan_delivery(good[0], bad[0], 1.0) == [1.0]
-
-    def test_connectability_memoized(self):
-        ch = ChannelModel(FaultConfig(connectable_fraction=0.3), stream())
-        first = [ch.is_connectable(p) for p in range(30)]
-        again = [ch.is_connectable(p) for p in range(30)]
-        assert first == again
 
     def test_note_undeliverable_counts_drop(self):
         ch = ChannelModel(FaultConfig(delay_max=10.0), stream())
@@ -278,7 +269,7 @@ class TestAuditor:
                     ledger[(peer, pid)] = totals.downloaded
             assert owner_edges == ledger
         # The audit sees an owner edge drift off the ledger.
-        node = next(n for n in sim.nodes.values() if n.history.total_uploaded)
+        node = next(n for n in sim.nodes.values() if any(t.uploaded for _, t in n.history.items()))
         peer = next(p for p, t in node.history.items() if t.uploaded)
         node.graph.set_transfer(node.peer_id, peer, node.history.totals(peer).uploaded * 1.000001)
         assert len(audit_simulation(sim)) == 1
@@ -296,13 +287,15 @@ class TestAuditor:
         self, seed, loss, duplicate, delay, churn, connectable
     ):
         faults = FaultConfig(
-            loss=loss,
-            duplicate=duplicate,
-            delay_max=delay,
-            churn_rate=churn,
-            connectable_fraction=connectable,
+            loss=loss, duplicate=duplicate, delay_max=delay, churn_rate=churn
         )
+        # Connectability is the trace's: a peer pair with no connectable
+        # end never exchanges data (hence no record of it to gossip).
         scenario = ScenarioConfig.tiny(seed=seed % 97).with_faults(faults)
+        scenario = replace(
+            scenario,
+            trace_params=replace(scenario.trace_params, connectable_fraction=connectable),
+        )
         sim = build_simulation(scenario)
         sim.run()
         # No fault combination may ever let a subjective view exceed the
@@ -321,7 +314,7 @@ class TestFaultSweep:
         )
 
     def test_coverage_monotone_in_loss(self, sweep):
-        cov = sweep.coverage_curve()
+        cov = [p.coverage for p in sweep.points]
         assert cov == sorted(cov, reverse=True)
         assert cov[0] > cov[-1]  # 60% loss visibly degrades coverage
 

@@ -227,7 +227,7 @@ def state(store, graph):
     assert len(edges) == len(set(edges))
     claims = {(r, e): store.claim_of(r, *e) for e in edges for r in PARTIES}
     counters = (store.messages_seen, store.records_applied, store.records_dropped)
-    graph_state = list(graph.edges()), list(graph.nodes()), graph.version
+    graph_state = list(graph.edges()), list(graph.nodes())
     return counters, set(edges), store.reporters(), claims, graph_state
 
 
@@ -286,7 +286,7 @@ def test_wipe_then_replay_equals_fresh_store(before, after, provenance):
         assert wiped.receive_message(msg, now=received_at) == fresh.receive_message(msg, now=received_at)
     # Counters and node registration (hence edge order) remember the first
     # life; the view, its claims and their lineage do not.
-    (_, *view, (edges, _, _)), (_, *fresh_view, (fresh_edges, _, _)) = (
+    (_, *view, (edges, _)), (_, *fresh_view, (fresh_edges, _)) = (
         state(node.shared, node.graph) for node in (wiped, fresh)
     )
     assert view == fresh_view and set(edges) == set(fresh_edges)

@@ -1,17 +1,15 @@
 """Stateful property test of the transfer graph.
 
 Drives a :class:`TransferGraph` through random interleavings of its whole
-mutation API while maintaining a naive dict model, and checks after every
-step that the graph's aggregates (capacities, totals, degrees, net flows)
-agree with the model.  This is the data structure every reputation in the
-system is computed from; silent divergence here would corrupt everything
-above it.
+mutation API (``add_node``, ``set_transfer``) while maintaining a naive
+dict model, and checks after every step that the graph's capacities,
+nodes, degrees and adjacency views agree with the model.  This is the
+data structure every reputation in the system is computed from; silent
+divergence here would corrupt everything above it.
 """
 
-from collections import defaultdict
-
 from hypothesis import settings
-from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from hypothesis import strategies as st
 
 from repro.graph.transfer_graph import TransferGraph
@@ -23,7 +21,7 @@ class GraphMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.graph = TransferGraph()
-        self.model = defaultdict(float)  # (src, dst) -> bytes
+        self.model = {}  # (src, dst) -> bytes
         self.model_nodes = set()
 
     # ------------------------------------------------------------------
@@ -31,19 +29,6 @@ class GraphMachine(RuleBasedStateMachine):
     def add_node(self, node):
         self.graph.add_node(node)
         self.model_nodes.add(node)
-
-    @rule(
-        src=st.sampled_from(NODES),
-        dst=st.sampled_from(NODES),
-        nbytes=st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
-    )
-    def add_transfer(self, src, dst, nbytes):
-        if src == dst:
-            return
-        self.graph.add_transfer(src, dst, nbytes)
-        self.model_nodes.update((src, dst))
-        if nbytes > 0:
-            self.model[(src, dst)] += nbytes
 
     @rule(
         src=st.sampled_from(NODES),
@@ -60,13 +45,6 @@ class GraphMachine(RuleBasedStateMachine):
         else:
             self.model.pop((src, dst), None)
 
-    @rule(node=st.sampled_from(NODES))
-    def remove_node(self, node):
-        self.graph.remove_node(node)
-        self.model_nodes.discard(node)
-        for edge in [e for e in self.model if node in e]:
-            del self.model[edge]
-
     # ------------------------------------------------------------------
     @invariant()
     def capacities_match(self):
@@ -80,21 +58,12 @@ class GraphMachine(RuleBasedStateMachine):
         assert set(self.graph.nodes()) == self.model_nodes
 
     @invariant()
-    def totals_match(self):
-        expected = sum(self.model.values())
-        assert abs(self.graph.total_bytes - expected) < 1e-6 * max(1.0, expected)
-
-    @invariant()
-    def degrees_and_net_flow_match(self):
+    def degrees_match(self):
         for node in self.model_nodes:
             out_edges = {d: w for (s, d), w in self.model.items() if s == node}
             in_edges = {s: w for (s, d), w in self.model.items() if d == node}
             assert self.graph.out_degree(node) == len(out_edges)
             assert self.graph.in_degree(node) == len(in_edges)
-            expected_net = sum(out_edges.values()) - sum(in_edges.values())
-            assert abs(self.graph.net_flow(node) - expected_net) < 1e-6 * max(
-                1.0, abs(expected_net)
-            )
 
     @invariant()
     def adjacency_views_consistent(self):

@@ -9,9 +9,7 @@ class TestRecording:
     def test_empty_ledger(self):
         h = PrivateHistory("me")
         assert len(h) == 0
-        assert h.total_uploaded == 0.0
-        assert h.total_downloaded == 0.0
-        assert h.net_contribution == 0.0
+        assert list(h.peers()) == []
 
     def test_upload_accumulates(self):
         h = PrivateHistory("me")
@@ -24,15 +22,10 @@ class TestRecording:
 
     def test_download_accumulates(self):
         h = PrivateHistory("me")
-        h.record_download("p", 70.0, now=3.0)
-        assert h.get("p").downloaded == 70.0
-        assert h.total_downloaded == 70.0
-
-    def test_net_contribution(self):
-        h = PrivateHistory("me")
-        h.record_upload("a", 100.0, now=1.0)
-        h.record_download("b", 30.0, now=1.0)
-        assert h.net_contribution == 70.0
+        assert h.record_download("p", 70.0, now=3.0) == 70.0
+        assert h.record_download("p", 30.0, now=4.0) == 100.0
+        assert h.get("p").downloaded == 100.0
+        assert h.get("p").uploaded == 0.0
 
     def test_last_seen_never_goes_backwards(self):
         h = PrivateHistory("me")
@@ -70,7 +63,7 @@ class TestRecording:
         for record in (h.record_upload, h.record_download):
             with pytest.raises(ValueError):
                 record("p", nbytes, now=2.0)
-        assert h.total_uploaded == 0.0 and h.total_downloaded == 5.0
+        assert h.get("p").uploaded == 0.0
         assert h.get("p").downloaded == 5.0 and h.get("p").last_seen == 1.0
         assert h.top_uploaders(10) == ["p"]
 
@@ -89,8 +82,10 @@ class TestRecording:
     def test_contains(self):
         h = PrivateHistory("me")
         h.record_upload("p", 1.0, now=0.0)
-        assert "p" in h
-        assert "q" not in h
+        assert list(h.peers()) == ["p"]
+        assert h.totals("p").uploaded == 1.0
+        with pytest.raises(KeyError):
+            h.totals("q")
 
 
 class TestSelections:
@@ -133,9 +128,6 @@ class TestSelections:
 
 
 class TestTransferTotals:
-    def test_net(self):
-        assert TransferTotals(uploaded=10.0, downloaded=3.0).net == 7.0
-
     def test_defaults(self):
         t = TransferTotals()
         assert t.uploaded == 0.0 and t.downloaded == 0.0 and t.last_seen == 0.0

@@ -10,11 +10,11 @@ from repro.graph.maxflow import (
     maxflow_two_hop,
 )
 from repro.graph.transfer_graph import TransferGraph
-from tests.conftest import random_graphs
+from tests.conftest import graph_of, random_graphs, to_networkx
 
 
 def nx_maxflow(graph: TransferGraph, s, t) -> float:
-    g = graph.to_networkx()
+    g = to_networkx(graph)
     if s not in g or t not in g:
         return 0.0
     value, _ = nx.maximum_flow(g, s, t, capacity="capacity")
@@ -23,15 +23,15 @@ def nx_maxflow(graph: TransferGraph, s, t) -> float:
 
 class TestFordFulkerson:
     def test_direct_edge(self):
-        g = TransferGraph.from_edges([("s", "t", 7.0)])
+        g = graph_of([("s", "t", 7.0)])
         assert ford_fulkerson(g, "s", "t").value == 7.0
 
     def test_no_path(self):
-        g = TransferGraph.from_edges([("t", "s", 7.0)])
+        g = graph_of([("t", "s", 7.0)])
         assert ford_fulkerson(g, "s", "t").value == 0.0
 
     def test_chain_bottleneck(self):
-        g = TransferGraph.from_edges([("s", "a", 10.0), ("a", "b", 3.0), ("b", "t", 10.0)])
+        g = graph_of([("s", "a", 10.0), ("a", "b", 3.0), ("b", "t", 10.0)])
         assert ford_fulkerson(g, "s", "t").value == 3.0
 
     def test_diamond(self, diamond_graph):
@@ -53,7 +53,7 @@ class TestFordFulkerson:
         # Classic case where greedy DFS must undo flow via reverse edges:
         # s->a=1, s->b=1, a->b=1, a->t=1, b->t=1. Maxflow = 2 but a greedy
         # path s->a->b->t blocks both unless reversal works.
-        g = TransferGraph.from_edges(
+        g = graph_of(
             [("s", "a", 1.0), ("s", "b", 1.0), ("a", "b", 1.0), ("a", "t", 1.0), ("b", "t", 1.0)]
         )
         assert ford_fulkerson(g, "s", "t").value == 2.0
@@ -84,7 +84,7 @@ class TestFordFulkerson:
         )
 
     def test_cycle_does_not_loop(self):
-        g = TransferGraph.from_edges(
+        g = graph_of(
             [("s", "a", 2.0), ("a", "b", 2.0), ("b", "a", 2.0), ("b", "t", 2.0)]
         )
         assert ford_fulkerson(g, "s", "t").value == 2.0
@@ -98,7 +98,7 @@ class TestBoundedFordFulkerson:
         assert bounded_ford_fulkerson(diamond_graph, "s", "t", max_hops=2).value == pytest.approx(3.5)
 
     def test_three_hop_path_excluded_at_two(self):
-        g = TransferGraph.from_edges([("s", "a", 5.0), ("a", "b", 5.0), ("b", "t", 5.0)])
+        g = graph_of([("s", "a", 5.0), ("a", "b", 5.0), ("b", "t", 5.0)])
         assert bounded_ford_fulkerson(g, "s", "t", max_hops=2).value == 0.0
         assert bounded_ford_fulkerson(g, "s", "t", max_hops=3).value == 5.0
 
@@ -125,25 +125,25 @@ class TestTwoHopClosedForm:
             maxflow_two_hop(g, "s", "s")
 
     def test_min_rule_per_intermediary(self):
-        g = TransferGraph.from_edges([("s", "v", 10.0), ("v", "t", 4.0)])
+        g = graph_of([("s", "v", 10.0), ("v", "t", 4.0)])
         assert maxflow_two_hop(g, "s", "t").value == 4.0
 
     def test_ignores_longer_paths(self):
-        g = TransferGraph.from_edges([("s", "a", 5.0), ("a", "b", 5.0), ("b", "t", 5.0)])
+        g = graph_of([("s", "a", 5.0), ("a", "b", 5.0), ("b", "t", 5.0)])
         assert maxflow_two_hop(g, "s", "t").value == 0.0
 
     def test_scan_direction_symmetry(self):
         # Exercise both the out_s-smaller and in_t-smaller scan branches.
         g = TransferGraph()
         for i in range(5):
-            g.add_transfer("s", f"v{i}", 1.0)
-            g.add_transfer(f"v{i}", "t", 2.0)
-        g.add_transfer("u0", "t", 9.0)  # in_t larger than out_s
+            g.set_transfer("s", f"v{i}", 1.0)
+            g.set_transfer(f"v{i}", "t", 2.0)
+        g.set_transfer("u0", "t", 9.0)  # in_t larger than out_s
         assert maxflow_two_hop(g, "s", "t").value == 5.0
         h = TransferGraph()
         for i in range(5):
-            h.add_transfer("s", f"v{i}", 1.0)
-        h.add_transfer("v0", "t", 2.0)  # out_s larger than in_t
+            h.set_transfer("s", f"v{i}", 1.0)
+        h.set_transfer("v0", "t", 2.0)  # out_s larger than in_t
         assert maxflow_two_hop(h, "s", "t").value == 1.0
 
 

@@ -9,9 +9,9 @@ from repro.core.history import PrivateHistory
 from repro.core.messages import (
     BarterCastMessage,
     HistoryRecord,
-    make_message,
     select_records,
 )
+from repro.core.node import BarterCastNode
 from repro.core.sharedhistory import SubjectiveSharedHistory
 from repro.graph.transfer_graph import TransferGraph
 from tests import model
@@ -119,8 +119,15 @@ class TestSelection:
     def test_empty_history_empty(self):
         assert select_records(PrivateHistory("me"), 10, 10) == []
 
-    def test_make_message(self, history):
-        msg = make_message(history, now=123.0, n_highest=2, n_recent=1)
+    def test_make_message(self):
+        """An honest node's message is the selection over its own ledger,
+        sent under its id at the send time."""
+        node = BarterCastNode("me")
+        node.record_download("top1", 100.0, now=1.0)
+        node.record_upload("recent1", 5.0, now=50.0)
+        node.note_seen("recent2", 60.0)
+        msg = node.create_message(123.0)
         assert msg.sender == "me"
         assert msg.created_at == 123.0
-        assert msg.num_records >= 2
+        assert list(msg.records) == select_records(node.history, 10, 10)
+        assert msg.num_records == 3

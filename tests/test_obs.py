@@ -710,6 +710,7 @@ PUBLISHED = {
         "rep.cache.invalidations": ("gauge", 251),
         "rep.cache.misses": ("gauge", 615),
         "rep.kernel.calls": ("counter", 75),
+        "rep.kernel.maxflow_two_hop": ("gauge", 24),  # the audit's scalar flows
         "rep.kernel.maxflow_two_hop_batch": ("gauge", 16),
         "rep.kernel.maxflow_two_hop_batch_targets": ("gauge", 26),
         "rep.kernel.targets": ("counter", 635),
@@ -775,3 +776,23 @@ class TestPublishedCounts:
         whole = summary(split=False)
         assert whole["rep.cache.misses"]["value"] == 8
         assert summary(split=True) == whole
+
+    def test_kernel_gauges_count_work_after_the_run(self):
+        """A fault point scores and audits its finished simulation, then
+        publishes again: the ``rep.kernel.<kernel>`` gauges count every
+        kernel call of the point, the post-run ones included."""
+        from repro.experiments.faults import run_fault_point
+        from repro.faults import FaultConfig
+        from repro.graph.maxflow import kernel_invocations_delta, snapshot_kernel_invocations
+
+        obs = make_observability(metrics=True)
+        before = snapshot_kernel_invocations()
+        run_fault_point(ScenarioConfig.tiny(3), FaultConfig(loss=0.3), obs=obs)
+        calls = kernel_invocations_delta(before)
+        assert calls["maxflow_two_hop"] > 0  # the audit's scalar flows
+        gauges = {
+            name[len("rep.kernel."):]: metric["value"]
+            for name, metric in obs.metrics.summary().items()
+            if metric["type"] == "gauge" and name.startswith("rep.kernel.")
+        }
+        assert gauges == calls

@@ -88,8 +88,8 @@ class TestSweepTask:
 
 def _two_hop_graph():
     graph = TransferGraph()
-    graph.add_transfer("s", "v", 5.0)
-    graph.add_transfer("v", "t", 3.0)
+    graph.set_transfer("s", "v", 5.0)
+    graph.set_transfer("v", "t", 3.0)
     return graph
 
 

@@ -13,7 +13,6 @@ class TestBitfield:
         b = Bitfield(10)
         assert b.num_have == 0
         assert not b.is_complete
-        assert b.fraction == 0.0
 
     def test_complete_start(self):
         b = Bitfield(10, complete=True)
@@ -55,36 +54,7 @@ class TestBitfield:
         b = Bitfield(3)
         b.add_many(np.array([0, 1, 2]))
         assert b.is_complete
-        assert b.fraction == 1.0
-
-    def test_missing_mask(self):
-        b = Bitfield(4)
-        b.add(1)
-        assert list(b.missing_mask()) == [True, False, True, True]
-
-    def test_wants_from_complete_uploader(self):
-        mine = Bitfield(4)
-        seeder = Bitfield(4, complete=True)
-        assert mine.wants_from(seeder)
-
-    def test_wants_from_empty_uploader(self):
-        mine = Bitfield(4)
-        other = Bitfield(4)
-        assert not mine.wants_from(other)
-
-    def test_wants_from_subset_uploader(self):
-        mine = Bitfield(4)
-        mine.add_many(np.array([0, 1]))
-        other = Bitfield(4)
-        other.add(0)
-        assert not mine.wants_from(other)  # I already have everything it has
-        other.add(3)
-        assert mine.wants_from(other)
-
-    def test_complete_wants_nothing(self):
-        mine = Bitfield(4, complete=True)
-        assert not mine.wants_from(Bitfield(4, complete=True))
-
+        assert b.num_have == 3
 
 class TestPickRarest:
     def test_picks_rarest_first(self):

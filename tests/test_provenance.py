@@ -40,7 +40,7 @@ from repro.obs.provenance import (
     ProvenanceRecorder,
 )
 from tests import model
-from tests.conftest import random_graphs
+from tests.conftest import graph_of, random_graphs
 
 
 def make_store(provenance=True):
@@ -136,7 +136,7 @@ class TestClaimLineage:
         store.ingest(msg("a", 10.0, "b", 100.0, 40.0, msg_id=("a", 1)))
         assert store.lineage_of("a", "b") == {}
         # ... while the view itself is identical to the provenance-on one.
-        assert store.claimed("a", "b") == 100.0
+        assert store.claim_of("a", "a", "b") == 100.0
 
     def test_null_recorder_is_inert(self):
         assert not NULL_PROVENANCE.enabled
@@ -273,7 +273,7 @@ class TestPathAttribution:
     def test_leave_one_out_is_exact_for_two_hop(self, g):
         result = maxflow_two_hop(g, 0, 1, record_paths=True)
         for v, claimed in leave_one_out_values(result).items():
-            pruned = TransferGraph.from_edges(
+            pruned = graph_of(
                 (s, t, w) for s, t, w in g.edges() if v not in (s, t)
             )
             for node in (0, 1):
@@ -282,12 +282,12 @@ class TestPathAttribution:
             assert claimed == pytest.approx(true_without, rel=1e-9, abs=1e-9)
 
     def test_loo_requires_recorded_paths(self):
-        g = TransferGraph.from_edges([("s", "t", 5.0)])
+        g = graph_of([("s", "t", 5.0)])
         with pytest.raises(ValueError):
             leave_one_out_values(maxflow_two_hop(g, "s", "t"))
 
     def test_bounded_ff_recording_sums_to_value(self):
-        g = TransferGraph.from_edges(
+        g = graph_of(
             [("s", "a", 4.0), ("a", "t", 3.0), ("s", "t", 2.0)]
         )
         result = bounded_ford_fulkerson(g, "s", "t", max_hops=2, record_paths=True)

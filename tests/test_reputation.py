@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.reputation import DEFAULT_UNIT_BYTES, MB, ReputationMetric
 from repro.graph.transfer_graph import TransferGraph
+from tests.conftest import graph_of
 
 
 class TestScaling:
@@ -59,23 +60,23 @@ class TestScaling:
 
 class TestReputation:
     def test_direct_uploader_positive(self):
-        g = TransferGraph.from_edges([("j", "i", 500 * MB)])
+        g = graph_of([("j", "i", 500 * MB)])
         m = ReputationMetric()
         assert m.reputation(g, "i", "j") > 0.5
 
     def test_direct_consumer_negative(self):
-        g = TransferGraph.from_edges([("i", "j", 500 * MB)])
+        g = graph_of([("i", "j", 500 * MB)])
         m = ReputationMetric()
         assert m.reputation(g, "i", "j") < -0.5
 
     def test_stranger_zero(self):
-        g = TransferGraph.from_edges([("a", "b", 500 * MB)])
+        g = graph_of([("a", "b", 500 * MB)])
         g.add_node("i")
         g.add_node("j")
         assert ReputationMetric().reputation(g, "i", "j") == 0.0
 
     def test_pairwise_antisymmetry(self):
-        g = TransferGraph.from_edges([("i", "j", 100 * MB), ("j", "i", 30 * MB)])
+        g = graph_of([("i", "j", 100 * MB), ("j", "i", 30 * MB)])
         m = ReputationMetric()
         assert m.reputation(g, "i", "j") == pytest.approx(-m.reputation(g, "j", "i"))
 
@@ -88,7 +89,7 @@ class TestReputation:
     def test_two_hop_indirect_service_counts(self):
         # j uploaded to v, v uploaded to i: i should see j positively,
         # bounded by the smaller leg.
-        g = TransferGraph.from_edges([("j", "v", 300 * MB), ("v", "i", 120 * MB)])
+        g = graph_of([("j", "v", 300 * MB), ("v", "i", 120 * MB)])
         m = ReputationMetric()
         rep = m.reputation(g, "i", "j")
         assert rep == pytest.approx(m.scale(120 * MB))
@@ -96,12 +97,12 @@ class TestReputation:
     def test_incorrect_information_bounded_by_direct_edges(self):
         # A liar claims a huge upload j->v, but v only gave i 10 MB;
         # j's reputation at i cannot exceed what 10 MB of real service buys.
-        g = TransferGraph.from_edges([("j", "v", 1e15), ("v", "i", 10 * MB)])
+        g = graph_of([("j", "v", 1e15), ("v", "i", 10 * MB)])
         m = ReputationMetric()
         assert m.reputation(g, "i", "j") <= m.scale(10 * MB) + 1e-12
 
     def test_kernels_agree_on_two_hop_graph(self):
-        g = TransferGraph.from_edges(
+        g = graph_of(
             [("j", "v", 50 * MB), ("v", "i", 70 * MB), ("j", "i", 5 * MB), ("i", "j", 2 * MB)]
         )
         r2 = ReputationMetric(kernel="two_hop").reputation(g, "i", "j")
@@ -109,7 +110,7 @@ class TestReputation:
         assert r2 == pytest.approx(rb)
 
     def test_exact_kernel_sees_longer_paths(self):
-        g = TransferGraph.from_edges(
+        g = graph_of(
             [("j", "a", 100 * MB), ("a", "b", 100 * MB), ("b", "i", 100 * MB)]
         )
         r2 = ReputationMetric(kernel="two_hop").reputation(g, "i", "j")
@@ -118,7 +119,7 @@ class TestReputation:
         assert rx == pytest.approx(0.5)  # arctan(100 MB / unit) = arctan(1)
 
     def test_maxflow_accessor_respects_kernel(self):
-        g = TransferGraph.from_edges([("a", "b", 10.0), ("b", "c", 10.0), ("c", "d", 10.0)])
+        g = graph_of([("a", "b", 10.0), ("b", "c", 10.0), ("c", "d", 10.0)])
         assert ReputationMetric(kernel="two_hop").maxflow(g, "a", "d") == 0.0
         assert ReputationMetric(kernel="exact").maxflow(g, "a", "d") == 10.0
         assert ReputationMetric(kernel="bounded", max_hops=3).maxflow(g, "a", "d") == 10.0
@@ -143,8 +144,8 @@ def test_reputation_sign_matches_flow_difference(up, down):
     g.add_node("i")
     g.add_node("j")
     if up > 0:
-        g.add_transfer("j", "i", up)
+        g.set_transfer("j", "i", up)
     if down > 0:
-        g.add_transfer("i", "j", down)
+        g.set_transfer("i", "j", down)
     rep = ReputationMetric().reputation(g, "i", "j")
     assert rep == pytest.approx(ReputationMetric().scale(up - down))

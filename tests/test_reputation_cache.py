@@ -42,6 +42,7 @@ from repro.graph.maxflow import (
 )
 from repro.graph.transfer_graph import TransferGraph
 from tests import model
+from tests.conftest import graph_of
 from tests.model import busy  # tiny, but the policies really query
 
 # ---------------------------------------------------------------------------
@@ -55,11 +56,7 @@ edge_lists = st.lists(st.tuples(NODE_IDS, NODE_IDS, WEIGHTS), max_size=40)
 
 
 def build_graph(edges) -> TransferGraph:
-    g = TransferGraph()
-    for s, d, w in edges:
-        if s != d:
-            g.add_transfer(s, d, w)
-    return g
+    return graph_of((s, d, w) for s, d, w in edges if s != d)
 
 
 def two_hop_reference_nx(g: TransferGraph, s, t) -> float:
@@ -163,13 +160,12 @@ TARGETS = list(range(1, 10)) + list(CHAIN) + [12, "ghost"]
 def op_streams(draw):
     """A random stream of node-state mutations: owner writes, gossip (a
     ``chain`` is two messages hanging ``CHAIN`` off a reporter),
-    ``forget_reporter``, a churn wipe and ``remove_node`` (the owner's
-    too)."""
+    ``forget_reporter`` and a churn wipe."""
     n = draw(st.integers(min_value=1, max_value=25))
     ops = []
     for _ in range(n):
         kind = draw(
-            st.sampled_from(["up", "down", "msg", "chain", "forget", "wipe", "remove"])
+            st.sampled_from(["up", "down", "msg", "chain", "forget", "wipe"])
         )
         if kind in ("up", "down"):
             ops.append((kind, draw(PEERS), draw(WEIGHTS)))
@@ -191,10 +187,8 @@ def op_streams(draw):
             ops.append((kind, draw(PEERS), draw(TOTALS), draw(TOTALS), created))
         elif kind == "forget":
             ops.append((kind, draw(PEERS)))
-        elif kind == "wipe":
+        else:  # wipe
             ops.append((kind,))
-        else:  # remove
-            ops.append((kind, draw(NODE_IDS)))
     return ops
 
 
@@ -228,8 +222,6 @@ def _apply(node: BarterCastNode, op, now: float) -> None:
         node.shared.forget_reporter(op[1])
     elif kind == "wipe":
         node.wipe_shared_history()
-    elif kind == "remove":
-        node.graph.remove_node(op[1])
 
 
 class TestDirtySetNeverStale:

@@ -143,10 +143,12 @@ class TestClaimArbitration:
         assert shared.claim_of("a", "x", "y") is None
 
     def test_claimed_reads_graph(self, store):
-        shared, _ = store
+        """A claim is materialized as the graph's edge total; a zero claim
+        writes no edge."""
+        shared, graph = store
         shared.ingest(msg("a", 1.0, HistoryRecord("b", 7.0, 0.0)))
-        assert shared.claimed("a", "b") == 7.0
-        assert shared.claimed("b", "a") == 0.0
+        assert graph.capacity("a", "b") == 7.0
+        assert graph.capacity("b", "a") == 0.0
 
 
 class TestForget:

@@ -23,9 +23,10 @@ class TestPeriodicProcess:
 
     def test_tick_counter(self):
         sim = Simulator()
-        proc = PeriodicProcess(sim, 5.0, lambda: None)
+        ticks = []
+        PeriodicProcess(sim, 5.0, lambda: ticks.append(sim.now))
         sim.run_until(23.0)
-        assert proc.ticks == 4
+        assert len(ticks) == 4
 
     def test_nonpositive_interval_rejected(self):
         sim = Simulator()
@@ -33,11 +34,6 @@ class TestPeriodicProcess:
             PeriodicProcess(sim, 0.0, lambda: None)
         with pytest.raises(SimulationError):
             PeriodicProcess(sim, -1.0, lambda: None)
-
-    def test_interval_property(self):
-        sim = Simulator()
-        proc = PeriodicProcess(sim, 2.5, lambda: None)
-        assert proc.interval == 2.5
 
     def test_two_processes_interleave(self):
         sim = Simulator()

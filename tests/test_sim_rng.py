@@ -14,26 +14,26 @@ class TestRngRegistry:
     def test_streams_reproducible_across_registries(self):
         a = RngRegistry(99).stream("gossip")
         b = RngRegistry(99).stream("gossip")
-        assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
+        assert [a.uniform() for _ in range(5)] == [b.uniform() for _ in range(5)]
 
     def test_order_of_creation_does_not_matter(self):
         r1 = RngRegistry(5)
         r1.stream("x")
-        y1 = [r1.stream("y").random() for _ in range(3)]
+        y1 = [r1.stream("y").uniform() for _ in range(3)]
         r2 = RngRegistry(5)
-        y2 = [r2.stream("y").random() for _ in range(3)]  # y first this time
+        y2 = [r2.stream("y").uniform() for _ in range(3)]  # y first this time
         assert y1 == y2
 
     def test_different_names_differ(self):
         reg = RngRegistry(1)
-        a = [reg.stream("a").random() for _ in range(5)]
-        b = [reg.stream("b").random() for _ in range(5)]
+        a = [reg.stream("a").uniform() for _ in range(5)]
+        b = [reg.stream("b").uniform() for _ in range(5)]
         assert a != b
 
     def test_different_seeds_differ(self):
         a = RngRegistry(1).stream("s")
         b = RngRegistry(2).stream("s")
-        assert [a.random() for _ in range(5)] != [b.random() for _ in range(5)]
+        assert [a.uniform() for _ in range(5)] != [b.uniform() for _ in range(5)]
 
     def test_spawn_indexes_streams(self):
         reg = RngRegistry(1)
@@ -48,16 +48,12 @@ class TestRngStream:
 
     def test_random_in_unit_interval(self, stream):
         for _ in range(100):
-            assert 0.0 <= stream.random() < 1.0
+            assert 0.0 <= stream.uniform() < 1.0
 
     def test_uniform_bounds(self, stream):
         for _ in range(100):
             v = stream.uniform(2.0, 5.0)
             assert 2.0 <= v < 5.0
-
-    def test_randint_bounds(self, stream):
-        vals = {stream.randint(0, 5) for _ in range(200)}
-        assert vals == {0, 1, 2, 3, 4}
 
     def test_bernoulli_extremes(self, stream):
         assert all(stream.bernoulli(1.0) for _ in range(20))
@@ -101,9 +97,6 @@ class TestRngStream:
 
     def test_lognormal_positive(self, stream):
         assert all(stream.lognormal(0.0, 1.0) > 0 for _ in range(50))
-
-    def test_pareto_at_least_scale(self, stream):
-        assert all(stream.pareto(2.0, scale=3.0) >= 3.0 for _ in range(100))
 
     def test_generator_exposed(self, stream):
         assert isinstance(stream.generator, np.random.Generator)

@@ -73,8 +73,11 @@ class TestDissemination:
         sim = small_setup()
         stats = sim.run()
         for pid, node in sim.nodes.items():
-            assert node.history.total_uploaded == pytest.approx(stats.total_uploaded(pid))
-            assert node.history.total_downloaded == pytest.approx(stats.total_downloaded(pid))
+            totals = [t for _, t in node.history.items()]
+            assert sum(t.uploaded for t in totals) == pytest.approx(stats.total_uploaded(pid))
+            assert sum(t.downloaded for t in totals) == pytest.approx(
+                stats.total_downloaded(pid)
+            )
 
     def test_completed_freeriders_leave_swarms(self):
         sim = small_setup()

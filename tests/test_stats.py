@@ -50,25 +50,6 @@ class TestRecording:
 
 
 class TestSeries:
-    def test_group_speed_series_basic(self, stats):
-        stats.record_transfer(2, 1, 1000.0, now=5.0)
-        stats.record_leech_time(1, 10.0, now=5.0)
-        series = stats.group_speed_series([1])
-        assert series[0] == pytest.approx(100.0)  # 1000 B / 10 s
-        assert np.isnan(series[1])
-
-    def test_group_speed_series_means_over_active_peers(self, stats):
-        stats.record_transfer(3, 1, 1000.0, now=5.0)
-        stats.record_leech_time(1, 10.0, now=5.0)
-        stats.record_transfer(3, 2, 3000.0, now=5.0)
-        stats.record_leech_time(2, 10.0, now=5.0)
-        series = stats.group_speed_series([1, 2])
-        assert series[0] == pytest.approx((100.0 + 300.0) / 2)
-
-    def test_group_speed_series_empty_group(self, stats):
-        series = stats.group_speed_series([])
-        assert np.isnan(series).all()
-
     def test_group_mean_speed(self, stats):
         stats.record_transfer(2, 1, 1000.0, now=5.0)
         stats.record_leech_time(1, 10.0, now=5.0)

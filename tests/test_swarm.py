@@ -15,7 +15,8 @@ def swarm():
 class TestMembership:
     def test_join_leecher(self, swarm):
         m = swarm.join(1, now=5.0)
-        assert m.is_leecher
+        assert not m.is_seeder
+        assert list(swarm.leecher_roster) == [1] and not swarm.seeder_roster
         assert m.joined_at == 5.0
         assert m.completed_at is None
         assert swarm.is_member(1)
@@ -75,21 +76,22 @@ class TestPieces:
     def test_leechers_and_seeders_views(self, swarm):
         swarm.join(99, now=0.0, complete=True)
         swarm.join(1, now=0.0)
-        assert [m.peer_id for m in swarm.seeders()] == [99]
-        assert [m.peer_id for m in swarm.leechers()] == [1]
+        assert list(swarm.seeder_roster) == [99]
+        assert list(swarm.leecher_roster) == [1]
 
     def test_views_keep_members_order_across_completion(self, swarm):
         swarm.join(99, now=0.0, complete=True)
         a, b, c = (swarm.join(pid, now=0.0) for pid in (1, 2, 3))
         swarm.grant_pieces(c, np.arange(10), now=1.0)
         swarm.grant_pieces(a, np.arange(10), now=2.0)
-        # Completion order was 3 then 1; the view is in join order.
-        assert [m.peer_id for m in swarm.seeders()] == [99, 1, 3]
-        assert [m.peer_id for m in swarm.leechers()] == [2]
+        # The leecher roster iterates in join order; completion moves a
+        # member to the seeder roster.
+        assert list(swarm.leecher_roster) == [2]
+        assert set(swarm.seeder_roster) == {99, 1, 3}
         swarm.leave(1)
         swarm.join(1, now=3.0)
-        assert [m.peer_id for m in swarm.seeders()] == [99, 3]
-        assert [m.peer_id for m in swarm.leechers()] == [2, 1]
+        assert list(swarm.leecher_roster) == [2, 1]
+        assert set(swarm.seeder_roster) == {99, 3}
 
     def test_regrant_does_not_inflate_availability(self, swarm):
         # Regression: granting [0, 1] to a member that already held 0 used

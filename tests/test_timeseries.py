@@ -31,6 +31,11 @@ from repro.obs.chrome_trace import (
 )
 
 
+def _final(snap):
+    """The last row of a recorder snapshot as ``{"t": ..., name: value}``."""
+    return {"t": snap["t"][-1], **{name: col[-1] for name, col in snap["series"].items()}}
+
+
 class TestRecorder:
     def _recorder(self, capacity=8):
         rec = TimeSeriesRecorder(label="t", capacity=capacity)
@@ -43,22 +48,22 @@ class TestRecorder:
         for t in (0.0, 1.0, 2.0):
             rec.sample(t)
         assert rec.samples == 3
-        assert list(rec.columns) == ["x", "const"]
-        np.testing.assert_array_equal(rec.times(), [0.0, 1.0, 2.0])
-        np.testing.assert_array_equal(rec.column("x"), [0.0, 2.0, 4.0])
-        assert rec.last() == {"t": 2.0, "x": 4.0, "const": 7.0}
+        snap = rec.to_dict()
+        assert snap["columns"] == ["x", "const"]
+        assert snap["t"] == [0.0, 1.0, 2.0]
+        assert snap["series"] == {"x": [0.0, 2.0, 4.0], "const": [7.0] * 3}
+        assert _final(snap) == {"t": 2.0, "x": 4.0, "const": 7.0}
 
     def test_ring_evicts_oldest(self):
         rec = self._recorder(capacity=4)
         for t in range(10):
             rec.sample(float(t))
         assert rec.samples == 4
-        assert rec.samples_total == 10
         assert rec.samples_dropped == 6
-        np.testing.assert_array_equal(rec.times(), [6.0, 7.0, 8.0, 9.0])
-        np.testing.assert_array_equal(rec.column("x"), [12.0, 14.0, 16.0, 18.0])
         snap = rec.to_dict()
         assert snap["t"] == [6.0, 7.0, 8.0, 9.0]
+        assert snap["series"]["x"] == [12.0, 14.0, 16.0, 18.0]
+        assert snap["samples_total"] == 10
         assert snap["samples_dropped"] == 6
 
     def test_probe_registration_is_frozen_after_first_sample(self):
@@ -72,12 +77,12 @@ class TestRecorder:
         with pytest.raises(ValueError):
             rec.add_probe("x", lambda now: 0.0)
 
-    def test_csv_round_trip(self, tmp_path):
+    def test_csv_round_trip(self):
+        """The export's CSV lines: header first, floats that read back."""
         rec = self._recorder()
         rec.sample(0.5)
         rec.sample(1.25)
-        path = rec.write_csv(tmp_path / "ts.csv")
-        lines = path.read_text().strip().splitlines()
+        lines = TimeSeriesCollector._csv_lines(rec.to_dict())
         assert lines[0] == "t,x,const"
         values = [float(v) for v in lines[2].split(",")]
         assert values == [1.25, 2.5, 7.0]
@@ -315,7 +320,7 @@ class TestSimulatorTimeseries:
         obs = make_observability(timeseries=-1.0)
         sim = build_simulation(scenario, policy=RankPolicy(), obs=obs)
         sim.run()
-        final = sim.timeseries.last()
+        final = _final(sim.timeseries.to_dict())
         assert final["t"] == scenario.trace_params.duration
         gt_edges, contribution = _ground_truth(sim)
         assert final["coverage"] == _coverage(sim, gt_edges)
@@ -333,7 +338,7 @@ class TestSimulatorTimeseries:
         obs = make_observability(timeseries=6 * 3600.0)
         sim = build_simulation(scenario, policy=RankPolicy(), obs=obs)
         sim.run()
-        times = sim.timeseries.times()
+        times = np.array(sim.timeseries.to_dict()["t"])
         # First sample one cadence in, then every 6h, plus the horizon close.
         assert times[0] == 6 * 3600.0
         deltas = np.diff(times)
@@ -351,7 +356,7 @@ class TestSimulatorTimeseries:
         obs = make_observability(timeseries=-1.0)
         sim = build_simulation(scenario, policy=RankPolicy(), obs=obs)
         sim.run()
-        final = sim.timeseries.last()
+        final = _final(sim.timeseries.to_dict())
         assert final["net_delivered"] == float(sim.channel.delivered) > 0
         assert final["net_dropped"] == float(sim.channel.dropped) > 0
 

@@ -23,11 +23,13 @@ class TestPeerSession:
         assert PeerSession(10.0, 25.0).duration == 15.0
 
     def test_contains(self):
-        s = PeerSession(10.0, 20.0)
-        assert s.contains(10.0)
-        assert s.contains(19.99)
-        assert not s.contains(20.0)
-        assert not s.contains(5.0)
+        """A session is half-open: it holds its start, not its end."""
+        p = PeerProfile(peer_id=0, uplink_bps=1.0, downlink_bps=1.0,
+                        sessions=[PeerSession(10.0, 20.0)])
+        assert p.online_at(10.0)
+        assert p.online_at(19.99)
+        assert not p.online_at(20.0)
+        assert not p.online_at(5.0)
 
     def test_empty_session_rejected(self):
         with pytest.raises(ValueError):
@@ -50,12 +52,6 @@ class TestPeerProfile:
         assert not p.online_at(15.0)
         assert p.online_at(25.0)
         assert not p.online_at(35.0)
-
-    def test_online_seconds(self):
-        p = self.make([PeerSession(0.0, 10.0), PeerSession(20.0, 30.0)])
-        assert p.online_seconds(5.0, 25.0) == 10.0
-        assert p.online_seconds(0.0, 40.0) == 20.0
-        assert p.online_seconds(11.0, 19.0) == 0.0
 
     def test_total_uptime(self):
         p = self.make([PeerSession(0.0, 10.0), PeerSession(20.0, 25.0)])
@@ -133,11 +129,6 @@ class TestValidation:
         trace = self.make_trace(swarms={0: SwarmSpec(0, 100.0, 10.0, origin_seeder=77)})
         with pytest.raises(ValueError):
             trace.validate()
-
-    def test_requests_of(self):
-        trace = self.make_trace()
-        assert len(trace.requests_of(0)) == 1
-        assert trace.requests_of(1) == []
 
 
 class TestSyntheticGenerator:

@@ -104,10 +104,12 @@ class TestAdaptivePenalty:
         assert p.prior == 0.0
 
     def test_observation_counter(self):
-        p = AdaptiveStrangerPenalty()
+        """Each fed-back outcome is blended into the prior exactly once."""
+        p = AdaptiveStrangerPenalty(alpha=0.5, initial=-0.2)
         p.observe(0.0)
-        p.observe(-0.1)
-        assert p.observations == 2
+        assert p.prior == -0.1
+        p.observe(-0.3)
+        assert p.prior == pytest.approx(-0.2)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
