@@ -760,16 +760,18 @@ def _dissemination(args, manifest, runner) -> int:
 def _manifest_destination(args: argparse.Namespace) -> Optional[Path]:
     """Where the run manifest should land: next to the export output, or
     next to the trace file; ``None`` when there is no output to annotate."""
+    from repro.obs.manifest import MANIFEST_FILENAME
+
     export_dir = getattr(args, "export", None)
     if export_dir is not None:
         if args.command == "explain":
             # explain's --export is a JSON file, not a directory; the
             # manifest lands next to it rather than clobbering it.
-            return Path(export_dir).parent / "run_manifest.json"
-        return Path(export_dir)
+            return Path(export_dir).parent / MANIFEST_FILENAME
+        return Path(export_dir) / MANIFEST_FILENAME
     trace = getattr(args, "trace", None)
     if trace is not None:
-        return Path(trace).parent / "run_manifest.json"
+        return Path(trace).parent / MANIFEST_FILENAME
     return None
 
 

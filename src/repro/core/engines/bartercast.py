@@ -41,6 +41,14 @@ class BarterCastEngine(ReputationEngine):
         metric = node.config.metric
         return metric.scale(0.0) if metric.kernel == "two_hop" else None
 
+    def score_slope(self, node) -> Optional[float]:
+        """The metric's :attr:`~repro.core.reputation.ReputationMetric
+        .slope` for the ``two_hop`` kernel: a byte on an owner edge moves
+        either closed-form flow, so their difference, by at most one
+        byte.  The iterative kernels have no such bound here."""
+        metric = node.config.metric
+        return metric.slope if metric.kernel == "two_hop" else None
+
     def evidence_flows(self, node, subject: PeerId) -> Tuple[float, float]:
         """(maxflow(subject→me), maxflow(me→subject)) in bytes."""
         metric = node.config.metric

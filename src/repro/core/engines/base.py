@@ -29,6 +29,11 @@ Contract (every engine; every method takes the node)
   fixed by that alone, else ``None`` (the default).  The node then
   answers such a peer without calling ``score`` / ``scores``
   (DESIGN.md §6, "Reach set").
+* ``score_slope(node)`` bounds how far any score moves per byte written
+  to one of the owner's own edges, when the engine has such a bound and
+  admits dirty invalidation, else ``None`` (the default).  The node then
+  reuses a ban verdict until the bytes it recorded since could carry the
+  score across δ (DESIGN.md §6, "Verdict memo").
 * ``effective_delta(delta)`` maps the sweep's ban threshold into the
   engine's own score space (the ratio engine bans on a *ratio*
   threshold, not a flow-difference one), so the false-ban measure is
@@ -90,6 +95,11 @@ class ReputationEngine:
     def outside_reach_score(self, node: "BarterCastNode") -> Optional[float]:
         """The score of a peer more than two hops from the owner in
         both directions, if that alone decides it; ``None`` otherwise."""
+        return None
+
+    def score_slope(self, node: "BarterCastNode") -> Optional[float]:
+        """The most any score moves per byte written to an owner edge,
+        if the engine bounds it; ``None`` otherwise."""
         return None
 
     def effective_delta(self, delta: float) -> float:

@@ -32,6 +32,18 @@ score instead of an engine call.  It is cached, counted, traced and
 timed as an evaluation; only the kernel's own ``KERNEL_INVOCATIONS``
 see fewer passes.  Dirty mode only, so ``"off"`` stays the oracle.
 
+Verdict memo: when the engine names a ``score_slope`` (BarterCast under
+the ``two_hop`` kernel: the most a score moves per byte on an owner
+edge), the node keeps the ``(score, recorded_at)`` of the last score
+each ban check read, where ``recorded_at`` is the running total of bytes
+``record_upload`` / ``record_download`` had recorded then.  Owner edges
+change only there and only grow, so a score has moved by at most
+``slope × (bytes recorded since)`` and :meth:`at_least` reuses a verdict
+that far, plus ``_VERDICT_EPS`` of float rounding, from δ.  A non-owner
+write drops its two endpoints, by the cache's dirty rule; an owner-edge
+write that ``record_*`` did not make turns the memo off for good.  Dirty
+mode only; a reused verdict counts as a cache hit.
+
 Batch path: :meth:`reputations_of` (and through it
 :meth:`rank_by_reputation` and the policies' once-per-round
 ``allowed`` / ``order_optimistic``) scores all cache-missing targets with
@@ -78,6 +90,25 @@ CACHE_MODES = ("dirty", "off")
 
 #: Valid values of ``BarterCastNode(graph_backend=...)``.
 GRAPH_BACKENDS = ("dict", "columnar")
+
+#: Float rounding a reused ban verdict keeps clear of δ (module docstring).
+_VERDICT_EPS = 1e-9
+
+
+class _VerdictMemo(dict):
+    """``peer -> (score, recorded_at)`` of the last ban check that scored
+    each peer, with the bound's state: the engine's ``slope``, the bytes
+    ``recorded`` by ``record_*`` so far, and ``recording``, set while one
+    of them writes the graph: one node attribute for all four (see the
+    attribute budget in ``BarterCastNode.__init__``)."""
+
+    __slots__ = ("slope", "recorded", "recording")
+
+    def __init__(self, slope: float) -> None:
+        super().__init__()
+        self.slope = slope
+        self.recorded = 0.0
+        self.recording = False
 
 
 @dataclass
@@ -168,7 +199,10 @@ class BarterCastNode:
         self.config = config if config is not None else BarterCastConfig()
         self.behavior: MessageBehavior = behavior if behavior is not None else HonestBehavior()
         self.cache_mode = cache_mode
-        self.obs = obs if obs is not None else NULL_OBS
+        # Read here only: a node keeps at most 29 instance attributes, the
+        # most CPython 3.11 stores in its shared-key layout; one more
+        # gives every node a full dict (~1.4 KiB) and slower reads.
+        obs = obs if obs is not None else NULL_OBS
         self.provenance = provenance
         self.history = PrivateHistory(peer_id)
         self.graph = (
@@ -176,12 +210,12 @@ class BarterCastNode:
         )
         self.graph.add_node(peer_id)
         self.shared = SubjectiveSharedHistory(
-            peer_id, self.graph, obs=self.obs, provenance=provenance
+            peer_id, self.graph, obs=obs, provenance=provenance
         )
-        tracer = self.obs.tracer
+        tracer = obs.tracer
         self._tr_msg = tracer.category("bc.message") if tracer.enabled else None
         self._tr_kernel = tracer.category("rep.kernel") if tracer.enabled else None
-        profiler = self.obs.profiler
+        profiler = obs.profiler
         self._prof = profiler if profiler.enabled else None
         self._rep_cache: Dict[PeerId, float] = {}
         #: Telemetry: cache lookups answered from the cache.
@@ -220,6 +254,14 @@ class BarterCastNode:
         self._reach: Optional[Set[PeerId]] = None if outside is None else set()
         self._in_marked: Set[PeerId] = set()
         self._out_marked: Set[PeerId] = set()
+        # The verdict memo (module docstring): ``None`` unless the engine
+        # bounds how far a recorded byte moves a score.
+        slope = (
+            self.engine.score_slope(self)
+            if cache_mode == "dirty" and self._dirty_exact
+            else None
+        )
+        self._verdicts = None if slope is None else _VerdictMemo(slope)
         if cache_mode == "dirty":
             self.graph.subscribe(self._on_edge_change)
 
@@ -229,12 +271,28 @@ class BarterCastNode:
     def record_upload(self, peer: PeerId, nbytes: float, now: float) -> None:
         """Account ``nbytes`` uploaded to ``peer`` at time ``now``."""
         total = self.history.record_upload(peer, nbytes, now)
-        self.graph.set_transfer(self.peer_id, peer, total)
+        self._write_owner_edge(self.peer_id, peer, total, nbytes)
 
     def record_download(self, peer: PeerId, nbytes: float, now: float) -> None:
         """Account ``nbytes`` downloaded from ``peer`` at time ``now``."""
         total = self.history.record_download(peer, nbytes, now)
-        self.graph.set_transfer(peer, self.peer_id, total)
+        self._write_owner_edge(peer, self.peer_id, total, nbytes)
+
+    def _write_owner_edge(
+        self, src: PeerId, dst: PeerId, total: float, nbytes: float
+    ) -> None:
+        """Set an owner edge to its private total, counting the ``nbytes``
+        that moved it toward the verdict memo's bound."""
+        memo = self._verdicts
+        if memo is None:
+            self.graph.set_transfer(src, dst, total)
+            return
+        memo.recorded += float(nbytes)
+        memo.recording = True
+        try:
+            self.graph.set_transfer(src, dst, total)
+        finally:
+            memo.recording = False
 
     def note_seen(self, peer: PeerId, now: float) -> None:
         """Mark ``peer`` as seen now (affects the ``Nr`` selection)."""
@@ -327,7 +385,7 @@ class BarterCastNode:
     # ------------------------------------------------------------------
     def _on_edge_change(self, src: PeerId, dst: PeerId) -> None:
         """Graph edge listener: grow the reach set, then invalidate the
-        dirty set for ``(src, dst)``.
+        dirty set for ``(src, dst)`` in the cache and the verdict memo.
 
         A write into a marked in-neighbour of the owner brings its source
         within two hops, a write out of a marked out-neighbour its
@@ -335,7 +393,8 @@ class BarterCastNode:
         false here and are handled by :meth:`_mark_owner_edge`.
         Invalidation is exact when the engine says so (module
         docstring); a full clear otherwise and for edges incident to the
-        owner.
+        owner.  An owner edge written outside ``record_*`` may move a
+        score by more than the bytes recorded, so it ends the memo.
         """
         if dst in self._in_marked:
             self._reach.add(src)
@@ -346,9 +405,16 @@ class BarterCastNode:
         if src == me or dst == me:
             if self._reach is not None:
                 self._mark_owner_edge(src, dst)
+            verdicts = self._verdicts
+            if verdicts is not None and not verdicts.recording:
+                self._verdicts = None
             self.rep_cache_invalidations += len(cache)
             cache.clear()
             return
+        verdicts = self._verdicts
+        if verdicts:
+            verdicts.pop(src, None)
+            verdicts.pop(dst, None)
         if not cache:
             return
         if self._dirty_exact:
@@ -382,7 +448,8 @@ class BarterCastNode:
         """Drop every cached reputation (forces cold re-evaluation).
 
         Cold-cache measurements use it; normal operation never needs it.
-        The reach set stays: it is graph structure, not a memo.
+        The reach set stays: it is graph structure, not a memo.  So does
+        the verdict memo, which stays exact by its own bound.
         """
         self.rep_cache_invalidations += len(self._rep_cache)
         self._rep_cache.clear()
@@ -391,6 +458,11 @@ class BarterCastNode:
         """Whether a miss on ``peer`` goes to the engine: ``peer`` is in
         the reach set, or the node keeps none."""
         return self._reach is None or peer in self._reach
+
+    @property
+    def keeps_verdicts(self) -> bool:
+        """Whether :meth:`at_least` may answer from the verdict memo."""
+        return self._verdicts is not None
 
     @property
     def rep_cache_size(self) -> int:
@@ -495,6 +567,39 @@ class BarterCastNode:
                 self._rep_cache.update(fresh)
             values.update(fresh)
         return values
+
+    def at_least(self, peers: Iterable[PeerId], delta: float) -> List[PeerId]:
+        """The ``peers`` whose reputation is at least ``delta``, in the
+        order given: the ban check, answered from the verdict memo where
+        the bytes recorded since cannot have carried a score across
+        ``delta`` (module docstring), and from one :meth:`reputations_of`
+        pass for the rest, which refreshes the memo.  Needs
+        :attr:`keeps_verdicts`."""
+        memo = self._verdicts
+        recorded = memo.recorded
+        slope = memo.slope
+        seen_of = memo.get
+        verdict: Dict[PeerId, bool] = {}
+        unsure = []
+        for p in peers:
+            seen = seen_of(p)
+            if seen is not None:
+                score, at = seen
+                gap = score - delta
+                room = slope * (recorded - at) + _VERDICT_EPS
+                if gap >= room:
+                    verdict[p] = True
+                    continue
+                if gap < -room:
+                    verdict[p] = False
+                    continue
+            unsure.append(p)
+        self.rep_cache_hits += len(verdict)
+        if unsure:
+            for p, score in self.reputations_of(unsure).items():
+                memo[p] = (score, recorded)
+                verdict[p] = score >= delta
+        return [p for p in peers if verdict[p]]
 
     # rank_by_reputation reads the batch under this second name, so a
     # wrapper around the public method sees only outside calls.

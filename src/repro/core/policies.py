@@ -19,7 +19,10 @@ The BitTorrent choker consults the policy at two points:
     Which of ``peers`` may receive *any* upload slot (regular or
     optimistic)?  The ban policy drops those below δ, reading every score
     from one batched :meth:`~repro.core.node.BarterCastNode.reputations_of`
-    pass; rank and baseline keep everyone and evaluate nothing.
+    pass — or, with no stranger policy on a node that keeps a verdict
+    memo, through :meth:`~repro.core.node.BarterCastNode.at_least`, which
+    scores only the peers whose verdict the owner's recorded bytes could
+    have flipped; rank and baseline keep everyone and evaluate nothing.
     ``allows(node, peer)`` is the same rule for one peer.
 
 ``order_optimistic(node, interested, rng)``
@@ -185,6 +188,8 @@ class BanPolicy(ReputationPolicy):
     ) -> List[PeerId]:
         if node is None:
             return list(peers)
+        if self.stranger_policy is None and node.keeps_verdicts:
+            return node.at_least(peers, self.delta)
         reps = self._reputations(node, peers)
         delta = self.delta
         return [p for p in peers if reps[p] >= delta]

@@ -198,6 +198,15 @@ class ReputationMetric:
         """
         return self.kernel == "two_hop"
 
+    @property
+    def slope(self) -> float:
+        """The most :meth:`scale` moves per byte of difference: arctan is
+        steepest at 0, ``(2/π) / unit_bytes``; the clipped ramp's slope
+        is ``1 / (unit_bytes × linear_range)``."""
+        if self.scaling == "arctan":
+            return 1.0 / (_HALF_PI * self.unit_bytes)
+        return 1.0 / (self.unit_bytes * self.linear_range)
+
     def scale(self, diff_bytes: float) -> float:
         """Map a byte-valued maxflow difference into (-1, 1)."""
         x = diff_bytes / self.unit_bytes

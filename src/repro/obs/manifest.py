@@ -214,17 +214,10 @@ class ManifestBuilder:
         metrics=None,
         tracer=None,
     ) -> Path:
-        """Write the manifest as JSON; returns the written path.
-
-        ``destination`` may be a directory (the manifest lands there as
-        ``run_manifest.json``) or a full file path.
-        """
+        """Write the manifest as JSON to the file ``destination``, making
+        its directory if need be; returns the written path."""
         destination = Path(destination)
-        if destination.is_dir() or not destination.suffix:
-            destination.mkdir(parents=True, exist_ok=True)
-            destination = destination / MANIFEST_FILENAME
-        else:
-            destination.parent.mkdir(parents=True, exist_ok=True)
+        destination.parent.mkdir(parents=True, exist_ok=True)
         doc = self.build(metrics=metrics, tracer=tracer)
         destination.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return destination

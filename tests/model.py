@@ -297,8 +297,10 @@ def rank(graph, i, peers):
     return sorted(unique, key=lambda p: (-reputation(graph, i, p), repr(p)))
 
 
-def ban(graph, i, peers, delta):
-    return [p for p in peers if reputation(graph, i, p) >= delta]
+def ban(graph, i, peers, delta, unit=100 * MB):
+    """The peers whose Equation 1 score is at least ``delta``, in the
+    order given: a tie at ``delta`` is allowed."""
+    return [p for p in peers if reputation(graph, i, p, unit) >= delta]
 
 
 # --- The BitTorrent round: patch ``bt_round`` in for ``_round_body`` -------

@@ -114,6 +114,19 @@ class TestNewSubcommands:
             "run_manifest.json",
         ]
 
+    def test_export_dir_with_a_dot_is_a_directory(self, capsys, tmp_path):
+        """A not-yet-made ``--export`` directory whose name has a dot gets
+        the manifest and every leg inside it, not beside it."""
+        target = tmp_path / "d.j1"
+        assert cli.main([
+            "dissemination", "--profile", "tiny", "--seed", "3", "--loss", "0.2",
+            "--churn", "0.1", "--export", str(target),
+        ]) == 0
+        assert sorted(p.name for p in target.iterdir()) == [
+            "dissemination.json", "dissemination_run.csv", "run_manifest.json",
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.j1"]
+
     def test_all_fig4_peers_override(self, task_command_runs):
         import json
 

@@ -259,7 +259,7 @@ class TestManifest:
         with builder.phase("simulate"):
             pass
         builder.note("note_key", {"nested": (1, 2)})
-        path = builder.write(tmp_path, metrics=reg, tracer=NULL_TRACER)
+        path = builder.write(tmp_path / "run_manifest.json", metrics=reg, tracer=NULL_TRACER)
         doc = read_manifest(path)
         assert doc["schema"] == MANIFEST_SCHEMA
         assert doc["command"] == "fig1"
@@ -274,12 +274,13 @@ class TestManifest:
         assert doc["python"]
 
     def test_manifest_dir_vs_file_destination(self, tmp_path):
+        """The manifest lands at the file path given, whatever its name
+        looks like; the caller names the directory's manifest."""
         builder = ManifestBuilder("fig2")
-        p1 = builder.write(tmp_path / "out")
-        assert p1.name == "run_manifest.json"
-        p2 = builder.write(tmp_path / "custom.json")
-        assert p2.name == "custom.json"
-        assert read_manifest(p2)["command"] == "fig2"
+        for name in ("out/run_manifest.json", "d.j1/run_manifest.json", "custom.json", "plain"):
+            path = builder.write(tmp_path / name)
+            assert path == tmp_path / name and path.is_file()
+            assert read_manifest(path)["command"] == "fig2"
 
     def test_faults_section_present_only_when_set(self, tmp_path):
         from repro.faults import FaultConfig
