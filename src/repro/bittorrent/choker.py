@@ -81,7 +81,8 @@ def select_unchokes(
     else:
         key = uploader.received_last_round
     ranked = rng.shuffled(allowed)  # random tie-break
-    ranked.sort(key=lambda pid: -key.get(pid, 0.0))
+    if key:  # without rates every key is 0.0: the stable sort keeps the order
+        ranked.sort(key=lambda pid: -key.get(pid, 0.0))
     regular = set(ranked[: config.regular_slots])
 
     # --- optimistic slot ----------------------------------------------------

@@ -9,7 +9,7 @@ __all__ = ["BitTorrentConfig"]
 HOUR = 3600.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class BitTorrentConfig:
     """Protocol and engine parameters of the BitTorrent simulator.
 
@@ -35,6 +35,14 @@ class BitTorrentConfig:
     sample_interval:
         Seconds between statistics samples (reputation snapshots, speed
         buckets).
+    optimistic_every_rounds:
+        Optimistic rotation period in rounds (>= 1), derived once at
+        construction — the choker reads it on every call.  Not a field:
+        the config is frozen (build a changed one with
+        :func:`dataclasses.replace`), so it cannot go stale, and it is
+        not part of the config's description, equality or repr.
+
+    A config is validated (:meth:`validate`) when it is built.
     """
 
     round_interval: float = 10.0
@@ -44,6 +52,14 @@ class BitTorrentConfig:
     seed_time: float = 10 * HOUR
     pss_view_size: int = 30
     sample_interval: float = 6 * HOUR
+
+    def __post_init__(self) -> None:
+        self.validate()
+        object.__setattr__(
+            self,
+            "optimistic_every_rounds",
+            max(1, int(round(self.optimistic_interval / self.round_interval))),
+        )
 
     def validate(self) -> None:
         """Check parameter sanity; raises ``ValueError``."""
@@ -60,7 +76,3 @@ class BitTorrentConfig:
         if self.sample_interval <= 0:
             raise ValueError("sample_interval must be positive")
 
-    @property
-    def optimistic_every_rounds(self) -> int:
-        """Optimistic rotation period in rounds (>= 1)."""
-        return max(1, int(round(self.optimistic_interval / self.round_interval)))

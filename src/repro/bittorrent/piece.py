@@ -10,6 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
+# The C routine ``np.count_nonzero`` calls for a whole array, minus the
+# array-function dispatcher (~0.5 us a call): the transfer path counts
+# each link's candidate pieces with it.
+try:  # numpy >= 2
+    from numpy._core.multiarray import count_nonzero
+except ImportError:  # pragma: no cover - numpy 1.x
+    from numpy.core.multiarray import count_nonzero
+
 __all__ = ["Bitfield", "pick_rarest"]
 
 
@@ -24,13 +32,14 @@ class Bitfield:
         Start with all pieces (seeders).
     """
 
-    __slots__ = ("have", "_num_have")
+    __slots__ = ("have", "_num_have", "_num_pieces")
 
     def __init__(self, num_pieces: int, complete: bool = False) -> None:
         if num_pieces < 1:
             raise ValueError("num_pieces must be >= 1")
         self.have = np.full(num_pieces, complete, dtype=bool)
         self._num_have = num_pieces if complete else 0
+        self._num_pieces = num_pieces
 
     @property
     def num_have(self) -> int:
@@ -40,7 +49,7 @@ class Bitfield:
     @property
     def is_complete(self) -> bool:
         """Whether every piece is held."""
-        return self._num_have == self.have.shape[0]
+        return self._num_have == self._num_pieces
 
     def add(self, piece: int) -> bool:
         """Mark ``piece`` as held; returns True if it was new."""
@@ -57,11 +66,11 @@ class Bitfield:
             return 0
         before = self._num_have
         self.have[pieces] = True
-        self._num_have = int(np.count_nonzero(self.have))
+        self._num_have = int(count_nonzero(self.have))
         return self._num_have - before
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Bitfield {self._num_have}/{self.have.shape[0]}>"
+        return f"<Bitfield {self._num_have}/{self._num_pieces}>"
 
 
 def pick_rarest(availability: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
@@ -94,8 +103,10 @@ def pick_rarest(availability: np.ndarray, candidates: np.ndarray, k: int) -> np.
     # ``np.argsort`` dispatch to (same ties), minus the dispatcher.
     if idx.size > k:
         part = counts.argpartition(k - 1)[:k]
+        if k == 1:
+            return idx[part]
         idx = idx[part]
         counts = counts[part]
-    if idx.size == 1:
+    elif idx.size == 1:
         return idx
     return idx[counts.argsort(kind="stable")]

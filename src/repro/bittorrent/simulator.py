@@ -33,11 +33,9 @@ import time as _time
 from collections import Counter, defaultdict
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
 from repro.bittorrent.choker import select_unchokes
 from repro.bittorrent.config import BitTorrentConfig
-from repro.bittorrent.piece import pick_rarest
+from repro.bittorrent.piece import count_nonzero, pick_rarest
 from repro.bittorrent.roles import Role, RoleAssignment
 from repro.bittorrent.stats import StatsCollector
 from repro.bittorrent.swarm import MemberState, SwarmState
@@ -54,6 +52,9 @@ from repro.sim.rng import RngRegistry
 from repro.traces.models import CommunityTrace
 
 __all__ = ["CommunitySimulator"]
+
+#: One round's tit-for-tat bytes per member: ``{member: {peer: bytes}}``.
+_Rates = Dict[MemberState, Dict[int, float]]
 
 
 class CommunitySimulator:
@@ -129,7 +130,6 @@ class CommunitySimulator:
         self.roles = roles
         self.policy = policy if policy is not None else NoPolicy()
         self.config = config if config is not None else BitTorrentConfig()
-        self.config.validate()
         self.bc_config = bc_config if bc_config is not None else BarterCastConfig()
         self.obs = obs if obs is not None else NULL_OBS
         self.engine = Simulator(obs=self.obs)
@@ -528,12 +528,12 @@ class CommunitySimulator:
                 links = self._collect_links()
             with prof.phase("transfer"):
                 transfers = self._allocate_bandwidth(links, dt)
-                completed = self._execute_transfers(transfers, now)
+                completed, received, sent = self._execute_transfers(transfers, now)
         else:
             links = self._collect_links()
             transfers = self._allocate_bandwidth(links, dt)
-            completed = self._execute_transfers(transfers, now)
-        self._update_rates()
+            completed, received, sent = self._execute_transfers(transfers, now)
+        self._update_rates(received, sent)
         self._account_leech_time(now, dt)
         self._handle_completions(completed)
 
@@ -612,80 +612,85 @@ class CommunitySimulator:
 
     def _execute_transfers(
         self, transfers: List[Tuple[int, int, SwarmState, float]], now: float
-    ) -> List[Tuple[SwarmState, int]]:
+    ) -> Tuple[List[Tuple[SwarmState, int]], _Rates, _Rates]:
+        """Move each link's bytes, in link order: whole rarest-first pieces
+        plus a partial one carried per connection, every byte accounted in
+        both BarterCast private histories and the statistics.
+
+        Returns the leechers that completed, and this round's tit-for-tat
+        bytes: ``{receiver member: {uploader: bytes}}`` and ``{uploader
+        member: {receiver: bytes}}``, each summed in link order.  A link
+        moves nothing without budget, without both ends in the swarm (the
+        receiver a leecher), or without a piece to carry.
+        """
         completed: List[Tuple[SwarmState, int]] = []
-        self._recv_acc: Dict[Tuple[int, int], Dict[int, float]] = defaultdict(dict)
-        self._sent_acc: Dict[Tuple[int, int], Dict[int, float]] = defaultdict(dict)
-        n, total = self.transfers, self.bytes_moved
+        received: _Rates = defaultdict(dict)
+        sent: _Rates = defaultdict(dict)
+        nodes = self.nodes
+        stats = self.stats
+        tracer = self._tr_transfer
+        n, moved = self.transfers, self.bytes_moved
         for up, down, swarm, budget in transfers:
-            moved = self._transfer(swarm, up, down, budget, now)
-            if moved > 0:
-                n += 1
-                total += moved
-                sid = swarm.spec.swarm_id
-                recv = self._recv_acc[(sid, down)]
-                recv[up] = recv.get(up, 0.0) + moved
-                sent = self._sent_acc[(sid, up)]
-                sent[down] = sent.get(down, 0.0) + moved
-                if down in swarm.seeder_roster:
+            if budget <= 0:
+                continue
+            um = swarm.members.get(up)
+            dm = swarm.leecher_roster.get(down)
+            if um is None or dm is None:
+                continue
+            # What this link can carry: sizes the transfer, then feeds the
+            # picker.  A complete uploader offers every piece the receiver
+            # lacks, counted without building the mask; the receiver is a
+            # leecher, so it lacks at least one.
+            bitfield = dm.bitfield
+            if um.bitfield.is_complete:
+                candidates = None
+                n_candidates = swarm.num_pieces - bitfield.num_have
+            else:
+                candidates = ~bitfield.have
+                candidates &= um.bitfield.have
+                n_candidates = int(count_nonzero(candidates))
+                if n_candidates == 0:
+                    continue
+            piece_size = swarm.spec.piece_size
+            carry = dm.carry.get(up, 0.0)
+            room = n_candidates * piece_size - carry
+            actual = room if room < budget else budget  # min(budget, room)
+            if actual <= 0:
+                continue
+            carry += actual
+            n_complete = int(carry // piece_size)
+            dm.carry[up] = carry - n_complete * piece_size
+            if n_complete > 0:
+                if candidates is None:
+                    candidates = ~bitfield.have
+                pieces = pick_rarest(swarm.availability, candidates, n_complete)
+                if swarm.grant_pieces(dm, pieces, now):
                     completed.append((swarm, down))
-        self.transfers, self.bytes_moved = n, total
-        return completed
+            nodes[up].record_upload(down, actual, now)
+            nodes[down].record_download(up, actual, now)
+            stats.record_transfer(up, down, actual, now)
+            if tracer is not None and tracer.sample():
+                tracer.emit_sampled(
+                    "piece_transfer",
+                    sim_time=now,
+                    attrs={
+                        "swarm": swarm.spec.swarm_id,
+                        "up": up,
+                        "down": down,
+                        "bytes": actual,
+                        "pieces": n_complete,
+                    },
+                )
+            n += 1
+            moved += actual
+            rates = received[dm]
+            rates[up] = rates.get(up, 0.0) + actual
+            rates = sent[um]
+            rates[down] = rates.get(down, 0.0) + actual
+        self.transfers, self.bytes_moved = n, moved
+        return completed, received, sent
 
-    def _transfer(
-        self, swarm: SwarmState, up: int, down: int, budget: float, now: float
-    ) -> float:
-        if budget <= 0:
-            return 0.0
-        um = swarm.members.get(up)
-        dm = swarm.leecher_roster.get(down)
-        if um is None or dm is None:
-            return 0.0
-        piece_size = swarm.spec.piece_size
-        # What this link can carry: sizes the transfer, then feeds the
-        # picker.  A complete uploader offers every piece the receiver
-        # lacks, counted without building the mask; the receiver is a
-        # leecher, so it lacks at least one.
-        if um.bitfield.is_complete:
-            candidates = None
-            n_candidates = swarm.num_pieces - dm.bitfield.num_have
-        else:
-            candidates = ~dm.bitfield.have
-            candidates &= um.bitfield.have
-            n_candidates = int(np.count_nonzero(candidates))
-            if n_candidates == 0:
-                return 0.0
-        carry = dm.carry.get(up, 0.0)
-        max_bytes = n_candidates * piece_size - carry
-        actual = min(budget, max_bytes)
-        if actual <= 0:
-            return 0.0
-        total = carry + actual
-        n_complete = int(total // piece_size)
-        dm.carry[up] = total - n_complete * piece_size
-        if n_complete > 0:
-            if candidates is None:
-                candidates = ~dm.bitfield.have
-            swarm.grant_pieces(dm, pick_rarest(swarm.availability, candidates, n_complete), now)
-        # BarterCast + measurement accounting (both directions, real bytes).
-        self.nodes[up].record_upload(down, actual, now)
-        self.nodes[down].record_download(up, actual, now)
-        self.stats.record_transfer(up, down, actual, now)
-        if self._tr_transfer is not None and self._tr_transfer.sample():
-            self._tr_transfer.emit_sampled(
-                "piece_transfer",
-                sim_time=now,
-                attrs={
-                    "swarm": swarm.spec.swarm_id,
-                    "up": up,
-                    "down": down,
-                    "bytes": actual,
-                    "pieces": n_complete,
-                },
-            )
-        return actual
-
-    def _update_rates(self) -> None:
+    def _update_rates(self, received: _Rates, sent: _Rates) -> None:
         """Roll this round's per-link byte counts into the tit-for-tat state
         of the members that moved bytes this round or last; everyone
         else's ``*_last_round`` dicts are empty already."""
@@ -693,17 +698,12 @@ class CommunitySimulator:
             member.received_last_round = {}
             member.sent_last_round = {}
         rated = self._rated = []
-        swarms = self.swarms
-        for (sid, pid), received in self._recv_acc.items():
-            member = swarms[sid].members.get(pid)
-            if member is not None:
-                member.received_last_round = received
-                rated.append(member)
-        for (sid, pid), sent in self._sent_acc.items():
-            member = swarms[sid].members.get(pid)
-            if member is not None:
-                member.sent_last_round = sent
-                rated.append(member)
+        for member, rates in received.items():
+            member.received_last_round = rates
+            rated.append(member)
+        for member, rates in sent.items():
+            member.sent_last_round = rates
+            rated.append(member)
 
     def _account_leech_time(self, now: float, dt: float) -> None:
         live = self.live

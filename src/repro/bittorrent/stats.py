@@ -12,7 +12,14 @@ The figures need three observables:
   :meth:`StatsCollector.record_reputation_sample`.
 
 All counters are NumPy arrays indexed by a dense peer index, so recording
-a transfer is O(1) and series extraction is vectorized.
+a transfer is O(1) and series extraction is vectorized.  Transfers are
+recorded once per moving link and round, so the byte cells they touch
+are buffered: :meth:`StatsCollector.record_transfer` reads a cell from
+its array once and keeps adding to a Python float, the same additions in
+the same order as adding to the array cell itself, until a transfer in
+another bucket or a reader :meth:`flushes <StatsCollector.flush>` the
+buffered cells back.  The arrays are read through properties that flush
+first, so no reader sees a stale cell.
 """
 
 from __future__ import annotations
@@ -53,9 +60,16 @@ class StatsCollector:
         self.bucket_seconds = float(bucket_seconds)
         self.num_buckets = int(-(-duration // bucket_seconds))
         n = len(self.peer_ids)
-        self.downloaded = np.zeros((n, self.num_buckets))
-        self.uploaded = np.zeros((n, self.num_buckets))
+        self._downloaded = np.zeros((n, self.num_buckets))
+        self._uploaded = np.zeros((n, self.num_buckets))
         self.leech_time = np.zeros((n, self.num_buckets))
+        # The transfer buffer: ``peer -> running value`` of the cells in
+        # bucket ``_bucket`` of the two arrays; ``_now`` is the time of the
+        # last transfer, whose bucket is ``_bucket``.
+        self._now: Optional[float] = None
+        self._bucket = -1
+        self._sent: Dict[int, float] = {}
+        self._received: Dict[int, float] = {}
         #: (time, {peer_id: system reputation}) snapshots.
         self.reputation_samples: List[Tuple[float, Dict[int, float]]] = []
 
@@ -68,10 +82,49 @@ class StatsCollector:
         return min(max(b, 0), self.num_buckets - 1)
 
     def record_transfer(self, uploader: int, downloader: int, nbytes: float, now: float) -> None:
-        """Account ``nbytes`` moving from ``uploader`` to ``downloader``."""
-        b = self.bucket_of(now)
-        self.uploaded[self.index[uploader], b] += nbytes
-        self.downloaded[self.index[downloader], b] += nbytes
+        """Account ``nbytes`` moving from ``uploader`` to ``downloader``.
+
+        Buffered (module docstring): a transfer in a new bucket flushes
+        the cells of the previous one first.
+        """
+        if now != self._now:
+            bucket = self.bucket_of(now)
+            if bucket != self._bucket:
+                self.flush()
+                self._bucket = bucket
+            self._now = now
+        nbytes = float(nbytes)
+        sent = self._sent
+        value = sent.get(uploader)
+        if value is None:
+            value = float(self._uploaded[self.index[uploader], self._bucket])
+        sent[uploader] = value + nbytes
+        received = self._received
+        value = received.get(downloader)
+        if value is None:
+            value = float(self._downloaded[self.index[downloader], self._bucket])
+        received[downloader] = value + nbytes
+
+    def flush(self) -> None:
+        """Write the buffered transfer cells into :attr:`uploaded` /
+        :attr:`downloaded`."""
+        b, index = self._bucket, self.index
+        for cells, array in ((self._sent, self._uploaded), (self._received, self._downloaded)):
+            for peer, value in cells.items():
+                array[index[peer], b] = value
+            cells.clear()
+
+    @property
+    def uploaded(self) -> np.ndarray:
+        """``[peer index, bucket]`` bytes uploaded (flushed first)."""
+        self.flush()
+        return self._uploaded
+
+    @property
+    def downloaded(self) -> np.ndarray:
+        """``[peer index, bucket]`` bytes downloaded (flushed first)."""
+        self.flush()
+        return self._downloaded
 
     def record_leech_time(self, peer: int, seconds: float, now: float) -> None:
         """Account ``seconds`` of active leeching for ``peer`` at ``now``."""

@@ -18,9 +18,12 @@ from repro.traces.models import SwarmSpec
 __all__ = ["MemberState", "SwarmState"]
 
 
-@dataclass
+@dataclass(eq=False)
 class MemberState:
     """One peer's state within one swarm.
+
+    Compared and hashed by identity: a peer that rejoins is a new member,
+    and the round keys its per-link rates by the member itself.
 
     Attributes
     ----------

@@ -80,8 +80,10 @@ class PrivateHistory:
     def record_upload(self, peer: PeerId, nbytes: float, now: float) -> float:
         """Record that the owner uploaded ``nbytes`` to ``peer`` at ``now``;
         returns the new total uploaded to ``peer``."""
-        self._validate(peer, nbytes)
-        rec = self._get_or_create(peer)
+        rec = self._records.get(peer)
+        if rec is None or not 0 <= nbytes < inf:  # also true for NaN
+            self._validate(peer, nbytes)
+            rec = self._get_or_create(peer)
         nbytes = float(nbytes)
         total = rec.uploaded + nbytes
         if total != rec.uploaded:
@@ -96,8 +98,10 @@ class PrivateHistory:
     def record_download(self, peer: PeerId, nbytes: float, now: float) -> float:
         """Record that the owner downloaded ``nbytes`` from ``peer`` at ``now``;
         returns the new total downloaded from ``peer``."""
-        self._validate(peer, nbytes)
-        rec = self._get_or_create(peer)
+        rec = self._records.get(peer)
+        if rec is None or not 0 <= nbytes < inf:  # also true for NaN
+            self._validate(peer, nbytes)
+            rec = self._get_or_create(peer)
         nbytes = float(nbytes)
         total = rec.downloaded + nbytes
         if total != rec.downloaded:

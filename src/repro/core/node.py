@@ -97,18 +97,16 @@ _VERDICT_EPS = 1e-9
 
 class _VerdictMemo(dict):
     """``peer -> (score, recorded_at)`` of the last ban check that scored
-    each peer, with the bound's state: the engine's ``slope``, the bytes
-    ``recorded`` by ``record_*`` so far, and ``recording``, set while one
-    of them writes the graph: one node attribute for all four (see the
-    attribute budget in ``BarterCastNode.__init__``)."""
+    each peer, with the bound's state: the engine's ``slope`` and the
+    bytes ``recorded`` by ``record_*`` so far: one node attribute for all
+    three (see the attribute budget in ``BarterCastNode.__init__``)."""
 
-    __slots__ = ("slope", "recorded", "recording")
+    __slots__ = ("slope", "recorded")
 
     def __init__(self, slope: float) -> None:
         super().__init__()
         self.slope = slope
         self.recorded = 0.0
-        self.recording = False
 
 
 @dataclass
@@ -268,31 +266,39 @@ class BarterCastNode:
     # ------------------------------------------------------------------
     # Transfer accounting (private history is authoritative for own edges)
     # ------------------------------------------------------------------
+    # ``record_upload`` / ``record_download`` set the owner edge to its
+    # private total through the graph's listener-free ``store`` and then do
+    # what the edge listener does for an owner edge (:meth:`_on_edge_change`),
+    # except end the verdict memo: the ``nbytes`` that moved the edge count
+    # toward the memo's bound instead.  Both run once per moving link and
+    # round, so the branch is written out in each.
     def record_upload(self, peer: PeerId, nbytes: float, now: float) -> None:
         """Account ``nbytes`` uploaded to ``peer`` at time ``now``."""
         total = self.history.record_upload(peer, nbytes, now)
-        self._write_owner_edge(self.peer_id, peer, total, nbytes)
+        memo = self._verdicts
+        if memo is not None:
+            memo.recorded += float(nbytes)
+        if self.graph.store(self.peer_id, peer, total):
+            cache = self._rep_cache
+            if cache:
+                self.rep_cache_invalidations += len(cache)
+                cache.clear()
+            if self._reach is not None and peer not in self._out_marked:
+                self._mark_owner_edge(self.peer_id, peer)
 
     def record_download(self, peer: PeerId, nbytes: float, now: float) -> None:
         """Account ``nbytes`` downloaded from ``peer`` at time ``now``."""
         total = self.history.record_download(peer, nbytes, now)
-        self._write_owner_edge(peer, self.peer_id, total, nbytes)
-
-    def _write_owner_edge(
-        self, src: PeerId, dst: PeerId, total: float, nbytes: float
-    ) -> None:
-        """Set an owner edge to its private total, counting the ``nbytes``
-        that moved it toward the verdict memo's bound."""
         memo = self._verdicts
-        if memo is None:
-            self.graph.set_transfer(src, dst, total)
-            return
-        memo.recorded += float(nbytes)
-        memo.recording = True
-        try:
-            self.graph.set_transfer(src, dst, total)
-        finally:
-            memo.recording = False
+        if memo is not None:
+            memo.recorded += float(nbytes)
+        if self.graph.store(peer, self.peer_id, total):
+            cache = self._rep_cache
+            if cache:
+                self.rep_cache_invalidations += len(cache)
+                cache.clear()
+            if self._reach is not None and peer not in self._in_marked:
+                self._mark_owner_edge(peer, self.peer_id)
 
     def note_seen(self, peer: PeerId, now: float) -> None:
         """Mark ``peer`` as seen now (affects the ``Nr`` selection)."""
@@ -393,8 +399,9 @@ class BarterCastNode:
         false here and are handled by :meth:`_mark_owner_edge`.
         Invalidation is exact when the engine says so (module
         docstring); a full clear otherwise and for edges incident to the
-        owner.  An owner edge written outside ``record_*`` may move a
-        score by more than the bytes recorded, so it ends the memo.
+        owner.  ``record_*`` write owner edges past the listener (they do
+        this branch themselves); an owner edge written anywhere else may
+        move a score by more than the bytes recorded, so it ends the memo.
         """
         if dst in self._in_marked:
             self._reach.add(src)
@@ -405,9 +412,7 @@ class BarterCastNode:
         if src == me or dst == me:
             if self._reach is not None:
                 self._mark_owner_edge(src, dst)
-            verdicts = self._verdicts
-            if verdicts is not None and not verdicts.recording:
-                self._verdicts = None
+            self._verdicts = None
             self.rep_cache_invalidations += len(cache)
             cache.clear()
             return

@@ -251,6 +251,12 @@ class ColumnarTransferGraph:
         Writing the stored value is a no-op (no version bump, no listener),
         exactly like the dict backend.
         """
+        if self.store(src, dst, nbytes) and self._listeners:
+            self._notify(src, dst)
+
+    def store(self, src: PeerId, dst: PeerId, nbytes: float) -> bool:
+        """:meth:`set_transfer` without the listeners; returns whether the
+        stored weight changed (the dict backend's contract)."""
         if not nbytes >= 0:  # negative or NaN
             raise ValueError(f"transfer size must be non-negative, got {nbytes}")
         if src == dst:
@@ -271,7 +277,7 @@ class ColumnarTransferGraph:
             old = 0.0
         new = float(nbytes)
         if new == old:
-            return
+            return False
         if new > 0:
             if slot is None:
                 self._append_slot(si, di, new, key)
@@ -288,8 +294,7 @@ class ColumnarTransferGraph:
             self._dead_slots += 1
             self._maybe_compact()
         self._version += 1
-        if self._listeners:
-            self._notify(src, dst)
+        return True
 
     def _append_slot(
         self, si: int, di: int, value: float, key: Tuple[PeerId, PeerId]

@@ -8,7 +8,8 @@ The graph is the *subjective* data structure at the centre of BarterCast:
 each peer maintains its own instance built from its private history plus
 records received in BarterCast messages.  Every record restates a total,
 so the one write is :meth:`~TransferGraph.set_transfer` (overwrite an
-edge's total); reads (``successors``/``predecessors``/``capacity``) are
+edge's total; :meth:`~TransferGraph.store` is the same write without the
+listeners below); reads (``successors``/``predecessors``/``capacity``) are
 on the maxflow hot path.
 
 Implementation: double adjacency dictionaries (
@@ -87,12 +88,20 @@ class TransferGraph:
         for the same ordered pair (records carry totals, not deltas).
         Writing the value already stored is a no-op: no listener fires.
         """
+        if self.store(src, dst, nbytes):
+            for listener in self._listeners:
+                listener(src, dst)
+
+    def store(self, src: PeerId, dst: PeerId, nbytes: float) -> bool:
+        """:meth:`set_transfer` without the listeners: returns whether the
+        stored weight changed, and a caller that subscribed does for
+        itself what its listener would have done."""
         if not nbytes >= 0:  # negative or NaN
             raise ValueError(f"transfer size must be non-negative, got {nbytes}")
         if src == dst:
             raise ValueError(f"self-transfer rejected for node {src!r}")
         # The ledger's hot write: endpoints are registered only when
-        # missing (as ``add_node`` would) and listeners called inline.
+        # missing (as ``add_node`` would).
         out = self._out
         row = out.get(src)
         if row is None:
@@ -103,15 +112,14 @@ class TransferGraph:
         new = float(nbytes)
         old = row.get(dst, 0.0)
         if new == old:
-            return
+            return False
         if new > 0:
             row[dst] = new
             self._in[dst][src] = new
         else:
             del row[dst]
             del self._in[dst][src]
-        for listener in self._listeners:
-            listener(src, dst)
+        return True
 
     # ------------------------------------------------------------------
     # Queries

@@ -415,7 +415,10 @@ def transfer(sim, swarm, up, down, budget, now):
         grant(swarm, dm, rarest(swarm.availability, wanted, n_pieces), now)
     sim.nodes[up].record_upload(down, actual, now)
     sim.nodes[down].record_download(up, actual, now)
-    sim.stats.record_transfer(up, down, actual, now)
+    stats = sim.stats  # one array cell per side, written per link
+    bucket = min(max(int(now / stats.bucket_seconds), 0), stats.num_buckets - 1)
+    stats.uploaded[stats.index[up], bucket] += actual
+    stats.downloaded[stats.index[down], bucket] += actual
     return actual
 
 

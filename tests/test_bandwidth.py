@@ -1,9 +1,9 @@
 """Unit tests for bandwidth allocation and the transfer path.
 
 These exercise ``CommunitySimulator._allocate_bandwidth`` and
-``_transfer`` directly on a hand-built two-swarm trace, checking the
-capacity model: equal uplink split across links, receiver downlink caps,
-piece-boundary accounting, and carry-over of partial pieces.
+``_execute_transfers`` directly on a hand-built two-swarm trace, checking
+the capacity model: equal uplink split across links, receiver downlink
+caps, piece-boundary accounting, and carry-over of partial pieces.
 """
 
 import numpy as np
@@ -51,6 +51,12 @@ def build_sim(num_peers=4, piece_size=100.0, file_size=1000.0, downlink=DOWN):
     return sim
 
 
+def transfer(sim, swarm, up, down, budget, now):
+    """One link through the transfer step; the bytes it moved."""
+    _, received, _ = sim._execute_transfers([(up, down, swarm, budget)], now)
+    return sum(nbytes for rates in received.values() for nbytes in rates.values())
+
+
 class TestAllocateBandwidth:
     def test_equal_split_across_links(self):
         sim = build_sim()
@@ -95,7 +101,7 @@ class TestTransfer:
         sim = build_sim(piece_size=100.0, file_size=1000.0)
         swarm = sim.swarms[0]
         member = swarm.join(1, now=0.0)
-        moved = sim._transfer(swarm, 0, 1, budget=250.0, now=0.0)
+        moved = transfer(sim, swarm, 0, 1, budget=250.0, now=0.0)
         assert moved == 250.0
         assert member.bitfield.num_have == 2  # two whole pieces
         assert member.carry[0] == pytest.approx(50.0)
@@ -104,8 +110,8 @@ class TestTransfer:
         sim = build_sim(piece_size=100.0, file_size=1000.0)
         swarm = sim.swarms[0]
         member = swarm.join(1, now=0.0)
-        sim._transfer(swarm, 0, 1, budget=250.0, now=0.0)
-        sim._transfer(swarm, 0, 1, budget=60.0, now=10.0)
+        transfer(sim, swarm, 0, 1, budget=250.0, now=0.0)
+        transfer(sim, swarm, 0, 1, budget=60.0, now=10.0)
         # 50 carry + 60 = 110 -> one more piece + 10 carry.
         assert member.bitfield.num_have == 3
         assert member.carry[0] == pytest.approx(10.0)
@@ -114,7 +120,7 @@ class TestTransfer:
         sim = build_sim(piece_size=100.0, file_size=300.0)
         swarm = sim.swarms[0]
         member = swarm.join(1, now=0.0)
-        moved = sim._transfer(swarm, 0, 1, budget=1e9, now=0.0)
+        moved = transfer(sim, swarm, 0, 1, budget=1e9, now=0.0)
         assert moved == pytest.approx(300.0)
         assert member.bitfield.is_complete
 
@@ -122,18 +128,18 @@ class TestTransfer:
         sim = build_sim()
         swarm = sim.swarms[0]
         swarm.join(1, now=0.0, complete=True)
-        assert sim._transfer(swarm, 0, 1, budget=500.0, now=0.0) == 0.0
+        assert transfer(sim, swarm, 0, 1, budget=500.0, now=0.0) == 0.0
 
     def test_transfer_between_nonmembers_is_zero(self):
         sim = build_sim()
         swarm = sim.swarms[0]
-        assert sim._transfer(swarm, 0, 99, budget=500.0, now=0.0) == 0.0
+        assert transfer(sim, swarm, 0, 99, budget=500.0, now=0.0) == 0.0
 
     def test_zero_budget(self):
         sim = build_sim()
         swarm = sim.swarms[0]
         swarm.join(1, now=0.0)
-        assert sim._transfer(swarm, 0, 1, budget=0.0, now=0.0) == 0.0
+        assert transfer(sim, swarm, 0, 1, budget=0.0, now=0.0) == 0.0
 
     def test_leecher_uploader_limited_to_its_pieces(self):
         sim = build_sim(piece_size=100.0, file_size=1000.0)
@@ -141,7 +147,7 @@ class TestTransfer:
         up = swarm.join(1, now=0.0)
         down = swarm.join(2, now=0.0)
         swarm.grant_pieces(up, np.array([0, 1]), now=0.0)
-        moved = sim._transfer(swarm, 1, 2, budget=1e9, now=0.0)
+        moved = transfer(sim, swarm, 1, 2, budget=1e9, now=0.0)
         assert moved == pytest.approx(200.0)
         assert down.bitfield.num_have == 2
         assert down.bitfield.have[0] and down.bitfield.have[1]
@@ -150,7 +156,7 @@ class TestTransfer:
         sim = build_sim(piece_size=100.0, file_size=1000.0)
         swarm = sim.swarms[0]
         swarm.join(1, now=0.0)
-        sim._transfer(swarm, 0, 1, budget=250.0, now=0.0)
+        transfer(sim, swarm, 0, 1, budget=250.0, now=0.0)
         assert sim.nodes[0].history.get(1).uploaded == pytest.approx(250.0)
         assert sim.nodes[1].history.get(0).downloaded == pytest.approx(250.0)
         assert sim.stats.total_downloaded(1) == pytest.approx(250.0)
@@ -165,6 +171,6 @@ class TestTransfer:
         swarm.grant_pieces(up, np.array([0, 1, 2]), now=0.0)
         # Piece 0 is common (filler also has it); pieces 1, 2 are rarer.
         swarm.grant_pieces(filler, np.array([0]), now=0.0)
-        sim._transfer(swarm, 1, 2, budget=200.0, now=0.0)
+        transfer(sim, swarm, 1, 2, budget=200.0, now=0.0)
         assert down.bitfield.have[1] and down.bitfield.have[2]
         assert not down.bitfield.have[0]

@@ -1,5 +1,7 @@
 """Unit tests for the choker."""
 
+import dataclasses
+
 import pytest
 
 from repro.bittorrent.choker import interested_candidates, select_unchokes
@@ -236,3 +238,36 @@ class TestSelectUnchokes:
             node=None, rng=rng, round_idx=2, config=config,
         )
         assert target not in unchoked
+
+
+class TestOptimisticPeriod:
+    @pytest.mark.parametrize(
+        "interval, rounds",
+        # round() rounds half to even: 2.5 -> 2, 3.5 -> 4.
+        [(25.0, 2), (35.0, 4), (30.0, 3), (10.0, 1)],
+    )
+    def test_rotation_period_in_rounds(self, interval, rounds):
+        cfg = BitTorrentConfig(round_interval=10.0, optimistic_interval=interval)
+        assert cfg.optimistic_every_rounds == rounds
+
+    def test_a_config_cannot_go_stale(self):
+        """The period is derived once, so a config is frozen: a changed
+        one is built with ``replace``, which derives it again."""
+        cfg = BitTorrentConfig(round_interval=10.0, optimistic_interval=30.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.optimistic_interval = 60.0
+        assert dataclasses.replace(cfg, optimistic_interval=60.0).optimistic_every_rounds == 6
+        assert cfg.optimistic_every_rounds == 3
+
+    def test_derived_period_is_not_a_field(self):
+        cfg = BitTorrentConfig()
+        assert "optimistic_every_rounds" not in {f.name for f in dataclasses.fields(cfg)}
+        assert cfg == BitTorrentConfig() and "optimistic_every_rounds" not in repr(cfg)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"round_interval": 0.0}, {"optimistic_interval": 5.0}, {"regular_slots": -1}],
+    )
+    def test_invalid_config_rejected_when_built(self, kwargs):
+        with pytest.raises(ValueError):
+            BitTorrentConfig(**kwargs)

@@ -103,26 +103,28 @@ class TestPickRarest:
         assert list(candidates) == [True, True, False]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=64),
-    k=st.integers(min_value=0, max_value=70),
+    k=st.one_of(st.just(1), st.integers(min_value=0, max_value=70)),
+    levels=st.sampled_from([2, 4, 20]),
     seed=st.integers(min_value=0, max_value=1000),
 )
-def test_pick_rarest_invariants(n, k, seed):
+def test_pick_rarest_invariants(n, k, levels, seed):
+    """What rarest-first promises whichever of several equally rare pieces
+    numpy's SIMD dispatch lets ``argpartition`` keep (DESIGN.md §5.3), so
+    it holds at every dispatch level: ``min(k, #candidates)`` distinct
+    candidates, counts never decreasing in the order returned, and as a
+    multiset the ``k`` smallest candidate counts.  Few count levels make
+    ties the common case."""
     rng = np.random.default_rng(seed)
-    avail = rng.integers(0, 20, size=n).astype(np.int32)
+    avail = rng.integers(0, levels, size=n).astype(np.int32)
     uploader = rng.random(n) < 0.7
     receiver = rng.random(n) < 0.3
-    picked = pick_rarest(avail, uploader & ~receiver, k)
-    # No duplicates; only valid candidates; at most k.
-    assert len(set(picked.tolist())) == picked.size
-    assert picked.size <= max(0, k)
-    for p in picked:
-        assert uploader[p] and not receiver[p]
-    # The picked set contains the k rarest candidates (by availability).
-    candidates = np.flatnonzero(uploader & ~receiver)
-    if k > 0 and candidates.size:
-        picked_avail = sorted(avail[picked].tolist())
-        best = sorted(avail[candidates].tolist())[: picked.size]
-        assert picked_avail == best
+    picked = pick_rarest(avail, uploader & ~receiver, k).tolist()
+    candidates = np.flatnonzero(uploader & ~receiver).tolist()
+    assert len(picked) == len(set(picked)) == min(max(k, 0), len(candidates))
+    assert set(picked) <= set(candidates)
+    counts = avail[picked].tolist()
+    assert counts == sorted(counts)
+    assert counts == sorted(avail[candidates].tolist())[: len(picked)]

@@ -27,6 +27,15 @@ class TestMembership:
         assert swarm.members[99].is_seeder
         assert swarm.members[99].completed_at == 0.0
 
+    def test_members_are_equal_only_to_themselves(self, swarm):
+        """A rejoining peer is a new member: members compare and hash by
+        identity, so the round can key per-link rates by them."""
+        first = swarm.join(1, now=5.0)
+        swarm.leave(1)
+        again = swarm.join(1, now=5.0)
+        assert first.peer_id == again.peer_id and first.joined_at == again.joined_at
+        assert first != again and len({first, again, first}) == 2
+
     def test_join_idempotent(self, swarm):
         m1 = swarm.join(1, now=5.0)
         m2 = swarm.join(1, now=9.0)

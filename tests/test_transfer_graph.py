@@ -124,6 +124,23 @@ class TestChangeEvents:
     def listener(self, src, dst):
         self.events.append((src, dst))
 
+    @pytest.mark.parametrize("cls", [TransferGraph, ColumnarTransferGraph])
+    def test_store_writes_like_set_transfer_and_notifies_no_one(self, cls):
+        """``store`` is ``set_transfer`` minus the listeners: it reports
+        whether the weight moved, and the caller acts on that itself."""
+        g, ref = cls(), cls()
+        g.subscribe(self.listener)
+        writes = [("a", "b", 3.0), ("a", "b", 3.0), ("a", "b", 4.0), ("a", "b", 0.0), ("a", "c", 0.0)]
+        assert [g.store(*w) for w in writes] == [True, False, True, True, False]
+        for w in writes:
+            ref.set_transfer(*w)
+        assert self.events == []
+        assert sorted(g.edges()) == sorted(ref.edges()) and set(g.nodes()) == set(ref.nodes())
+        with pytest.raises(ValueError):
+            g.store("a", "b", -1.0)
+        with pytest.raises(ValueError):
+            g.store("a", "a", 1.0)
+
     def test_set_transfer_notifies_only_on_change(self):
         g = TransferGraph()
         g.subscribe(self.listener)
