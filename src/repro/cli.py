@@ -102,6 +102,7 @@ from typing import Any, Callable, List, NamedTuple, Optional, Sequence
 from repro.analysis import export as series
 from repro.analysis.ascii_plot import render_table
 from repro.core.engines import make_engine
+from repro.core.policies import BanPolicy
 from repro.deployment.network import DeploymentParams
 from repro.experiments import (
     ScenarioConfig,
@@ -611,7 +612,7 @@ def _explain(args, manifest, runner) -> int:
     With ``--engine`` naming several mechanisms, adds the side-by-side
     verdict comparison (why did mechanism A ban this peer when B
     didn't); the first named engine drives the replayed run."""
-    from repro.core.policies import BanPolicy, NoPolicy, RankPolicy
+    from repro.core.policies import NoPolicy, RankPolicy
     from repro.experiments.scenario import build_simulation
     from repro.obs.explain import (
         explain_engines,
@@ -850,6 +851,8 @@ def _check(args: argparse.Namespace) -> None:
     if hasattr(args, "engine"):
         for engine in _engines(args):
             make_engine(engine)
+    if hasattr(args, "delta"):
+        BanPolicy(delta=args.delta)
     if args.command in ("fig4", "all"):
         DeploymentParams(num_peers=_fig4_peers(args)).validate()
     if args.command == "scalability" and args.peers < 1:

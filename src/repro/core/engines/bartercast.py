@@ -8,9 +8,10 @@ results through its dirty-set cache, exactly as for every engine.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Tuple
 
 from repro.core.engines.base import ReputationEngine
+from repro.graph.maxflow import maxflow_two_hop_pair
 
 __all__ = ["BarterCastEngine"]
 
@@ -29,31 +30,20 @@ class BarterCastEngine(ReputationEngine):
     def scores(self, node, peers: Iterable[PeerId]) -> Dict[PeerId, float]:
         return node.config.metric.reputation_batch(node.graph, node.peer_id, peers)
 
-    def supports_dirty_invalidation(self, node) -> bool:
-        """Exact for the ``two_hop`` kernel, whose ``R_i(j)`` reads only
-        edges incident to ``i`` or ``j``; not for the iterative kernels."""
-        return node.config.metric.supports_dirty_invalidation
+    def outside_reach_score(self, node) -> float:
+        """``scale(0.0)``: with no path of at most two edges either way,
+        both flows are 0.0."""
+        return node.config.metric.scale(0.0)
 
-    def outside_reach_score(self, node) -> Optional[float]:
-        """``scale(0.0)`` for the ``two_hop`` kernel: with no path of at
-        most two edges either way, both flows are 0.0.  The iterative
-        kernels route longer paths, so they have no such score."""
-        metric = node.config.metric
-        return metric.scale(0.0) if metric.kernel == "two_hop" else None
-
-    def score_slope(self, node) -> Optional[float]:
+    def score_slope(self, node) -> float:
         """The metric's :attr:`~repro.core.reputation.ReputationMetric
-        .slope` for the ``two_hop`` kernel: a byte on an owner edge moves
-        either closed-form flow, so their difference, by at most one
-        byte.  The iterative kernels have no such bound here."""
-        metric = node.config.metric
-        return metric.slope if metric.kernel == "two_hop" else None
+        .slope`: a byte on an owner edge moves either closed-form flow,
+        so their difference, by at most one byte."""
+        return node.config.metric.slope
 
     def evidence_flows(self, node, subject: PeerId) -> Tuple[float, float]:
         """(maxflow(subject→me), maxflow(me→subject)) in bytes."""
-        metric = node.config.metric
-        inflow = metric.maxflow(node.graph, subject, node.peer_id)
-        outflow = metric.maxflow(node.graph, node.peer_id, subject)
+        inflow, outflow = maxflow_two_hop_pair(node.graph, node.peer_id, subject)
         return float(inflow), float(outflow)
 
     def explain_components(self, node, subject: PeerId) -> Dict[str, object]:
@@ -64,6 +54,6 @@ class BarterCastEngine(ReputationEngine):
             "outflow_maxflow_bytes": outflow,
             "net_bytes": inflow - outflow,
             "unit_bytes": metric.unit_bytes,
-            "kernel": metric.kernel,
+            "kernel": "two_hop",
             "score": metric.scale(inflow - outflow),
         }

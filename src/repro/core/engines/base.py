@@ -21,19 +21,21 @@ Contract (every engine; every method takes the node)
   delivered, so the fault knobs (loss, duplication, delay, churn wipes)
   apply to every mechanism for free.  ``scores(node, peers)`` is the
   batch form and must be value-identical to scalar calls.
-* ``supports_dirty_invalidation(node)`` declares whether a change to
-  edge ``(x, y)`` can move only ``x``'s and ``y``'s scores, which makes
-  the node's dirty-set invalidation exact (DESIGN.md §6).
+* A change to edge ``(x, y)`` moves only ``x``'s and ``y``'s scores,
+  unless the edge touches the owner: every engine reads only the edges
+  incident to the owner and to its subject (BarterCast's paths of at most
+  two edges included), which makes the node's dirty-set invalidation
+  exact (DESIGN.md §6).
 * ``outside_reach_score(node)`` is the score of every peer linked to the
   owner by no path of at most two edges, when the engine's score is
   fixed by that alone, else ``None`` (the default).  The node then
   answers such a peer without calling ``score`` / ``scores``
   (DESIGN.md §6, "Reach set").
 * ``score_slope(node)`` bounds how far any score moves per byte written
-  to one of the owner's own edges, when the engine has such a bound and
-  admits dirty invalidation, else ``None`` (the default).  The node then
-  reuses a ban verdict until the bytes it recorded since could carry the
-  score across δ (DESIGN.md §6, "Verdict memo").
+  to one of the owner's own edges, when the engine has such a bound,
+  else ``None`` (the default).  The node then reuses a ban verdict until
+  the bytes it recorded since could carry the score across δ (DESIGN.md
+  §6, "Verdict memo").
 * ``effective_delta(delta)`` maps the sweep's ban threshold into the
   engine's own score space (the ratio engine bans on a *ratio*
   threshold, not a flow-difference one), so the false-ban measure is
@@ -86,11 +88,6 @@ class ReputationEngine:
     ) -> Dict[PeerId, float]:
         """Batch form of :meth:`score` over distinct non-owner ``peers``."""
         return {p: self.score(node, p) for p in peers}
-
-    def supports_dirty_invalidation(self, node: "BarterCastNode") -> bool:
-        """Whether a change to edge ``(x, y)`` moves only ``x``'s and
-        ``y``'s scores (the node then evicts just those two entries)."""
-        raise NotImplementedError
 
     def outside_reach_score(self, node: "BarterCastNode") -> Optional[float]:
         """The score of a peer more than two hops from the owner in

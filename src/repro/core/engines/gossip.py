@@ -75,10 +75,6 @@ class DifferentialGossipEngine(ReputationEngine):
         up, down = self.evidence_flows(node, peer)
         return node.config.metric.scale(up - down)
 
-    def supports_dirty_invalidation(self, node) -> bool:
-        """Exact: a score reads only the edges incident to its subject."""
-        return True
-
     def explain_components(self, node, subject: PeerId) -> Dict[str, object]:
         up, down = self.evidence_flows(node, subject)
         graph = node.graph

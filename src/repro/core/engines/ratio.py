@@ -75,10 +75,6 @@ class RatioCreditEngine(ReputationEngine):
             return 0.0  # bootstrap grace: no evidence is neutral, not NaN
         return (up - down) / total
 
-    def supports_dirty_invalidation(self, node) -> bool:
-        """Exact: a score reads only the edges incident to its subject."""
-        return True
-
     def effective_delta(self, delta: float) -> float:
         """The ban floor in score space: ratio r ↦ (r − 1)/(r + 1).
 

@@ -17,13 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import inf
 from numbers import Real
-from typing import Hashable, List
+from typing import Hashable, List, Optional, Tuple
 
 from repro.core.history import PrivateHistory
 
 __all__ = [
     "HistoryRecord",
     "BarterCastMessage",
+    "admitted_totals",
     "is_total",
     "select_records",
 ]
@@ -68,14 +69,27 @@ class HistoryRecord:
     uploaded: float
     downloaded: float
 
-    def is_sane(self) -> bool:
-        """Basic well-formedness: both totals pass :func:`is_total` and
-        the counterparty is hashable.  Never raises, whatever a peer sent."""
-        try:
-            hash(self.counterparty)
-        except (TypeError, ValueError):
-            return False
-        return is_total(self.uploaded) and is_total(self.downloaded)
+
+def admitted_totals(record: HistoryRecord) -> Optional[Tuple[float, float]]:
+    """``(uploaded, downloaded)`` as floats when both totals of ``record``
+    pass :func:`is_total`, else ``None``: the receiver's admission rule
+    for a record's totals, written once for ingest and the dissemination
+    log.  The caller checks the rest of the rule — a hashable
+    counterparty that is neither the sender nor the receiver.
+
+    Never raises, whatever a peer sent.  The exact floats every simulated
+    sender writes are range-checked in place, with no further call.
+    """
+    up = record.uploaded
+    down = record.downloaded
+    if up.__class__ is float and down.__class__ is float:
+        # The chained comparisons are also false for NaN.
+        if 0.0 <= up < inf and 0.0 <= down < inf:
+            return up, down
+        return None
+    if is_total(up) and is_total(down):
+        return float(up), float(down)
+    return None
 
 
 @dataclass(frozen=True, slots=True)

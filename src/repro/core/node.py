@@ -14,35 +14,31 @@ Scores come from the node's engine (:mod:`repro.core.engines`; Equation 1
 by default), a stateless scorer behind one cache.  Cache discipline (see
 DESIGN.md §6 for the exactness argument): the node subscribes to the
 graph's edge-change events and invalidates *dirty sets* instead of the
-whole cache.  When the engine declares that a change to edge ``(x, y)``
-can move only ``x``'s and ``y``'s scores (the ``two_hop`` kernel and both
-rival engines do), such a change invalidates exactly the cached entries
-for ``x`` and ``y`` — unless the edge touches the owner itself, in which
-case the cache is cleared.  Otherwise every change clears it.
-``cache_mode`` selects ``"dirty"`` (default) or ``"off"`` (no
-memoization; the oracle the staleness tests compare against).  This one
-cache serves every ``graph_backend``: both graph classes fire the same
-edge-change events in the same order.
+whole cache.  Every engine's score of ``j`` reads only edges incident to
+the owner or to ``j``, so a change to edge ``(x, y)`` invalidates exactly
+the cached entries for ``x`` and ``y`` — unless the edge touches the
+owner itself, in which case the cache is cleared.  This one cache serves
+every ``graph_backend``: both graph classes fire the same edge-change
+events in the same order.
 
-Reach set: when the engine names an ``outside_reach_score`` (BarterCast
-under the ``two_hop`` kernel: ``scale(0.0)``), the same listener keeps
-a superset of every peer linked to the owner by a path of at most two
-edges, in either direction, and a miss outside it is answered with that
-score instead of an engine call.  It is cached, counted, traced and
-timed as an evaluation; only the kernel's own ``KERNEL_INVOCATIONS``
-see fewer passes.  Dirty mode only, so ``"off"`` stays the oracle.
+Reach set: when the engine names an ``outside_reach_score`` (BarterCast:
+``scale(0.0)``), the same listener keeps a superset of every peer linked
+to the owner by a path of at most two edges, in either direction, and a
+miss outside it is answered with that score instead of an engine call.
+It is cached, counted, traced and timed as an evaluation; only the
+kernel's own ``KERNEL_INVOCATIONS`` see fewer passes.
 
-Verdict memo: when the engine names a ``score_slope`` (BarterCast under
-the ``two_hop`` kernel: the most a score moves per byte on an owner
-edge), the node keeps the ``(score, recorded_at)`` of the last score
-each ban check read, where ``recorded_at`` is the running total of bytes
-``record_upload`` / ``record_download`` had recorded then.  Owner edges
+Verdict memo: when the engine names a ``score_slope`` (BarterCast: the
+most a score moves per byte on an owner edge), the node keeps the
+``(score, recorded_at)`` of the last score each ban check read, where
+``recorded_at`` is the running total of bytes ``record_upload`` /
+``record_download`` had recorded then.  Owner edges
 change only there and only grow, so a score has moved by at most
 ``slope × (bytes recorded since)`` and :meth:`at_least` reuses a verdict
 that far, plus ``_VERDICT_EPS`` of float rounding, from δ.  A non-owner
 write drops its two endpoints, by the cache's dirty rule; an owner-edge
-write that ``record_*`` did not make turns the memo off for good.  Dirty
-mode only; a reused verdict counts as a cache hit.
+write that ``record_*`` did not make turns the memo off for good.  A
+reused verdict counts as a cache hit.
 
 Batch path: :meth:`reputations_of` (and through it
 :meth:`rank_by_reputation` and the policies' once-per-round
@@ -79,14 +75,10 @@ from repro.obs.provenance import ProvenanceRecorder
 __all__ = [
     "BarterCastConfig",
     "BarterCastNode",
-    "CACHE_MODES",
     "GRAPH_BACKENDS",
 ]
 
 PeerId = Hashable
-
-#: Valid values of ``BarterCastNode(cache_mode=...)``.
-CACHE_MODES = ("dirty", "off")
 
 #: Valid values of ``BarterCastNode(graph_backend=...)``.
 GRAPH_BACKENDS = ("dict", "columnar")
@@ -120,7 +112,7 @@ class BarterCastConfig:
     n_recent:
         ``Nr``: number of most-recently-seen records per message (paper: 10).
     metric:
-        The reputation metric (kernel, unit, scaling).
+        The reputation metric (unit, scaling).
     """
 
     n_highest: int = 10
@@ -140,9 +132,6 @@ class BarterCastNode:
         Protocol parameters; a default-constructed config matches the paper.
     behavior:
         Message behaviour; defaults to :class:`HonestBehavior`.
-    cache_mode:
-        Reputation-cache discipline: ``"dirty"`` (event-driven dirty-set
-        invalidation, default) or ``"off"`` (no memoization).
     graph_backend:
         Subjective-graph storage: ``"dict"`` (the reference
         :class:`~repro.graph.transfer_graph.TransferGraph`, default) or
@@ -178,16 +167,11 @@ class BarterCastNode:
         peer_id: PeerId,
         config: Optional[BarterCastConfig] = None,
         behavior: Optional[MessageBehavior] = None,
-        cache_mode: str = "dirty",
         obs: Optional[Observability] = None,
         provenance: Optional[ProvenanceRecorder] = None,
         graph_backend: str = "dict",
         engine: str = "bartercast",
     ) -> None:
-        if cache_mode not in CACHE_MODES:
-            raise ValueError(
-                f"cache_mode must be one of {CACHE_MODES}, got {cache_mode!r}"
-            )
         if graph_backend not in GRAPH_BACKENDS:
             raise ValueError(
                 f"graph_backend must be one of {GRAPH_BACKENDS}, got {graph_backend!r}"
@@ -196,7 +180,6 @@ class BarterCastNode:
         self.engine = make_engine(engine)
         self.config = config if config is not None else BarterCastConfig()
         self.behavior: MessageBehavior = behavior if behavior is not None else HonestBehavior()
-        self.cache_mode = cache_mode
         # Read here only: a node keeps at most 29 instance attributes, the
         # most CPython 3.11 stores in its shared-key layout; one more
         # gives every node a full dict (~1.4 KiB) and slower reads.
@@ -236,32 +219,21 @@ class BarterCastNode:
         # Causal envelope state: the msg_id of this node's previous
         # outgoing message, chained into parent_id (DESIGN.md §16).
         self._last_msg_id: Optional[Hashable] = None
-        # Hoisted out of the edge listener, which runs on every effective
-        # graph write: whether the engine admits exact dirty-set
-        # invalidation.  Engine and kernel are fixed at construction time.
-        self._dirty_exact = self.engine.supports_dirty_invalidation(self)
         # The two-hop reach set (module docstring): ``None`` unless the
         # engine fixes the score of a peer outside it.  ``_in_marked`` /
         # ``_out_marked`` hold the owner's in- and out-neighbours seen so
         # far; they stay empty without a reach set.  Nothing ever leaves
         # the three sets: a superset answers exactly.
-        outside = (
-            self.engine.outside_reach_score(self) if cache_mode == "dirty" else None
-        )
+        outside = self.engine.outside_reach_score(self)
         self._outside_score = outside
         self._reach: Optional[Set[PeerId]] = None if outside is None else set()
         self._in_marked: Set[PeerId] = set()
         self._out_marked: Set[PeerId] = set()
         # The verdict memo (module docstring): ``None`` unless the engine
         # bounds how far a recorded byte moves a score.
-        slope = (
-            self.engine.score_slope(self)
-            if cache_mode == "dirty" and self._dirty_exact
-            else None
-        )
+        slope = self.engine.score_slope(self)
         self._verdicts = None if slope is None else _VerdictMemo(slope)
-        if cache_mode == "dirty":
-            self.graph.subscribe(self._on_edge_change)
+        self.graph.subscribe(self._on_edge_change)
 
     # ------------------------------------------------------------------
     # Transfer accounting (private history is authoritative for own edges)
@@ -397,11 +369,11 @@ class BarterCastNode:
         within two hops, a write out of a marked out-neighbour its
         destination; the owner is never marked, so its own edges probe
         false here and are handled by :meth:`_mark_owner_edge`.
-        Invalidation is exact when the engine says so (module
-        docstring); a full clear otherwise and for edges incident to the
-        owner.  ``record_*`` write owner edges past the listener (they do
-        this branch themselves); an owner edge written anywhere else may
-        move a score by more than the bytes recorded, so it ends the memo.
+        Invalidation drops the two endpoints (module docstring), and
+        clears the cache for an edge incident to the owner.  ``record_*``
+        write owner edges past the listener (they do this branch
+        themselves); an owner edge written anywhere else may move a score
+        by more than the bytes recorded, so it ends the memo.
         """
         if dst in self._in_marked:
             self._reach.add(src)
@@ -420,16 +392,11 @@ class BarterCastNode:
         if verdicts:
             verdicts.pop(src, None)
             verdicts.pop(dst, None)
-        if not cache:
-            return
-        if self._dirty_exact:
+        if cache:
             before = len(cache)
             cache.pop(src, None)
             cache.pop(dst, None)
             self.rep_cache_invalidations += before - len(cache)
-            return
-        self.rep_cache_invalidations += len(cache)
-        cache.clear()
 
     def _mark_owner_edge(self, src: PeerId, dst: PeerId) -> None:
         """The first time ``(x, owner)`` appears, ``x`` and ``pred(x)``
@@ -483,9 +450,6 @@ class BarterCastNode:
         Never rates self, never NaN."""
         if peer == self.peer_id:
             raise ValueError("a node does not rate itself")
-        if self.cache_mode == "off":
-            self.rep_cache_misses += 1
-            return self._evaluate_scalar(peer)
         cached = self._rep_cache.get(peer)
         if cached is not None:
             self.rep_cache_hits += 1
@@ -527,24 +491,18 @@ class BarterCastNode:
         score.  The whole batch is one counted evaluation.
         """
         me = self.peer_id
-        if self.cache_mode == "off":
-            values: Dict[PeerId, Optional[float]] = dict.fromkeys(
-                p for p in peers if p != me
-            )
-            missing = list(values)
-        else:
-            # One pass: every distinct peer gets its slot in first-seen
-            # order, holding its cached score or ``None`` until scored.
-            cache_get = self._rep_cache.get
-            values = {}
-            missing = []
-            for p in peers:
-                if p in values or p == me:
-                    continue
-                v = values[p] = cache_get(p)
-                if v is None:
-                    missing.append(p)
-            self.rep_cache_hits += len(values) - len(missing)
+        # One pass: every distinct peer gets its slot in first-seen order,
+        # holding its cached score or ``None`` until scored.
+        cache_get = self._rep_cache.get
+        values: Dict[PeerId, Optional[float]] = {}
+        missing = []
+        for p in peers:
+            if p in values or p == me:
+                continue
+            v = values[p] = cache_get(p)
+            if v is None:
+                missing.append(p)
+        self.rep_cache_hits += len(values) - len(missing)
         if missing:
             self.rep_cache_misses += len(missing)
             prof = self._prof
@@ -568,8 +526,7 @@ class BarterCastNode:
                 self._tr_kernel.emit_sampled(
                     "batch", attrs={"owner": self.peer_id, "targets": len(missing)}
                 )
-            if self.cache_mode != "off":
-                self._rep_cache.update(fresh)
+            self._rep_cache.update(fresh)
             values.update(fresh)
         return values
 

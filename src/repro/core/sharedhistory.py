@@ -45,7 +45,7 @@ from __future__ import annotations
 from math import inf
 from typing import Dict, Hashable, Iterator, Optional, Set, Tuple
 
-from repro.core.messages import BarterCastMessage, HistoryRecord, is_total
+from repro.core.messages import BarterCastMessage, HistoryRecord, admitted_totals
 from repro.graph.transfer_graph import TransferGraph
 from repro.obs import NULL_OBS, Observability
 from repro.obs.provenance import NULL_PROVENANCE, ClaimLineage, ProvenanceRecorder
@@ -172,8 +172,9 @@ class SubjectiveSharedHistory:
         when provenance is on (the delaying channel of :mod:`repro.faults`
         makes it differ from ``message.created_at``).  When omitted, the
         creation time is used.  A malformed record (not a
-        :class:`HistoryRecord`, :meth:`~HistoryRecord.is_sane` false,
-        naming the sender or the owner) is dropped and counted, never
+        :class:`HistoryRecord`, an unhashable counterparty, totals that
+        :func:`~repro.core.messages.admitted_totals` refuses, naming the
+        sender or the owner) is dropped and counted, never
         raised on; the rest of the message still applies.  A message is
         dropped whole, every record counted, and 0 returned when its
         ``created_at`` is not a finite real, or is later than ``now`` when
@@ -238,18 +239,11 @@ class SubjectiveSharedHistory:
                         rec.up_lineage = (msg_id, seen_at, rec.up_lineage[2] + 1)
                         rec.down_lineage = (msg_id, seen_at, rec.down_lineage[2] + 1)
                 continue
-            # HistoryRecord.is_sane, inlined: the probe hashed ``c``, and
-            # the exact floats every simulated sender writes are
-            # range-checked in place.
-            up = record.uploaded
-            down = record.downloaded
-            if up.__class__ is not float or down.__class__ is not float:
-                if not (is_total(up) and is_total(down)):
-                    continue
-                up = float(up)
-                down = float(down)
-            elif not (0.0 <= up < inf and 0.0 <= down < inf):
-                continue  # also false for NaN
+            # The probe hashed ``c``; the totals are admitted here.
+            totals = admitted_totals(record)
+            if totals is None:
+                continue
+            up, down = totals
             if rec is None:
                 if c == owner or c == reporter:
                     # Edges incident to the owner come from the private

@@ -6,13 +6,15 @@ total number of bytes *a* is believed to have uploaded to *b*.
 
 Three maxflow kernels are provided (all in :mod:`repro.graph.maxflow`):
 
+* :func:`~repro.graph.maxflow.maxflow_two_hop` — a closed-form O(degree)
+  evaluation of the 2-hop-bounded maxflow, which is what the deployed
+  BarterCast implementation uses and the only kernel the online metric
+  calls;
 * :func:`~repro.graph.maxflow.ford_fulkerson` — the paper's Algorithm 1,
   classic Ford–Fulkerson with depth-first augmenting-path search;
 * :func:`~repro.graph.maxflow.bounded_ford_fulkerson` — the same algorithm
-  with augmenting paths restricted to at most ``max_hops`` edges;
-* :func:`~repro.graph.maxflow.maxflow_two_hop` — a closed-form O(degree)
-  evaluation of the 2-hop-bounded maxflow, which is what the deployed
-  BarterCast implementation uses.
+  with augmenting paths restricted to at most ``max_hops`` edges; the two
+  are the reference the closed form is checked against.
 
 Plus the batched form (:mod:`repro.graph.batch`):
 

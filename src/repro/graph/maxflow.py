@@ -32,20 +32,25 @@ as capacities:
     batch kernel (:mod:`repro.graph.batch`) and the path-recording form
     all call that one function.
 
+The online metric (:class:`~repro.core.reputation.ReputationMetric`)
+calls only the closed form; the two Ford–Fulkerson kernels are the
+reference it is checked against (the tests, the path-length ablation
+bench).
+
 All kernels return a :class:`FlowResult` carrying the flow value and, for
 the iterative kernels, the per-edge flow assignment for inspection.
 
 Path attribution (``record_paths=True``)
 ----------------------------------------
-Every kernel can additionally record the augmenting paths it applied as
+:func:`maxflow_two_hop` can additionally record the paths it summed as
 :class:`FlowPath` entries (path nodes, routed flow, bottleneck edge,
-per-edge residual capacities).  For the 2-hop kernels the decomposition
-is *exact and unique*: the closed form routes ``c(s,t)`` on the direct
-edge and ``min(c(s,v), c(v,t))`` through each intermediary ``v``, and
-because distinct ≤2-hop paths are edge-disjoint (module docstring), the
-recorded path flows always sum to the flow value and removing one
-intermediary's path gives the exact flow of the graph without it —
-leave-one-out deltas need no re-solve (:func:`leave_one_out_values`).
+per-edge residual capacities).  The decomposition is *exact and
+unique*: the closed form routes ``c(s,t)`` on the direct edge and
+``min(c(s,v), c(v,t))`` through each intermediary ``v``, and because
+distinct ≤2-hop paths are edge-disjoint (see above), the recorded path
+flows always sum to the flow value and removing one intermediary's path
+gives the exact flow of the graph without it — leave-one-out deltas need
+no re-solve (:func:`leave_one_out_values`).
 Recording is off by default; the 2-hop value is computed by the same
 function either way, so it is the same bits with or without paths.
 """
@@ -158,9 +163,9 @@ class FlowResult:
     augmenting_paths:
         Number of augmenting paths applied (0 for the closed form).
     paths:
-        The recorded path decomposition; empty unless the kernel was
-        called with ``record_paths=True``.  For ≤2-hop kernels the path
-        flows sum to ``value`` exactly (see module docstring).
+        The recorded path decomposition; empty unless
+        :func:`maxflow_two_hop` was called with ``record_paths=True``.
+        The path flows sum to ``value`` exactly (see module docstring).
     """
 
     value: float
@@ -177,12 +182,9 @@ def leave_one_out_values(result: FlowResult) -> Dict[PeerId, float]:
     Returns ``{v: flow value if v were removed}`` for every interior
     vertex of every recorded path.  No re-solve happens: each
     intermediary's contribution is the sum of the flows of the paths
-    passing through it.  For ≤2-hop decompositions this is **exact** —
-    distinct paths are edge-disjoint, so deleting ``v`` removes exactly
-    its own paths and frees no capacity elsewhere.  For longer-hop
-    results (``ford_fulkerson`` with ``record_paths=True``) removing a
-    vertex may allow re-routing, so the returned value is only a lower
-    bound on the true flow without ``v``.
+    passing through it.  This is **exact** — distinct ≤2-hop paths are
+    edge-disjoint, so deleting ``v`` removes exactly its own paths and
+    frees no capacity elsewhere.
 
     Raises
     ------
@@ -255,7 +257,6 @@ def _run_ford_fulkerson(
     sink: PeerId,
     max_hops: Optional[int],
     eps: float,
-    record_paths: bool = False,
 ) -> FlowResult:
     if source == sink:
         raise ValueError("source and sink must differ")
@@ -264,27 +265,12 @@ def _run_ford_fulkerson(
         return result
     residual = _Residual(graph)
     flows: Dict[Edge, float] = {}
-    recorded: List[FlowPath] = []
     while True:
         path = residual.find_path_dfs(source, sink, max_hops, eps)
         if path is None:
             break
         amount = residual.bottleneck(path)
         residual.push(path, amount)
-        if record_paths:
-            edges = list(zip(path, path[1:]))
-            after = tuple(residual.r[a][b] for a, b in edges)
-            # First edge whose post-push residual hit (near) zero is the
-            # bottleneck that limited this augmentation.
-            bottleneck = edges[min(range(len(after)), key=after.__getitem__)]
-            recorded.append(
-                FlowPath(
-                    nodes=tuple(path),
-                    flow=amount,
-                    bottleneck=bottleneck,
-                    residuals=after,
-                )
-            )
         for a, b in zip(path, path[1:]):
             # Net flow bookkeeping: pushing on (a, b) cancels flow on (b, a)
             # first (the "reverse direction" decrease of Algorithm 1 line 9).
@@ -300,8 +286,6 @@ def _run_ford_fulkerson(
         result.value += amount
         result.augmenting_paths += 1
     result.flows = flows
-    if record_paths:
-        result.paths = tuple(recorded)
     return result
 
 
@@ -311,7 +295,6 @@ def ford_fulkerson(
     sink: PeerId,
     *,
     eps: float = 1e-9,
-    record_paths: bool = False,
 ) -> FlowResult:
     """Exact maximum flow via Ford–Fulkerson with DFS path search.
 
@@ -319,18 +302,12 @@ def ford_fulkerson(
     capacity an edge must have to be traversed; with byte-valued capacities
     the default is effectively "any positive capacity".
 
-    ``record_paths`` attaches the applied augmenting paths to the result;
-    note that for unbounded hops the decomposition is not unique and
-    leave-one-out deltas derived from it are only lower bounds.
-
     Complexity: O(E * f / eps) in pathological real-valued cases, but
     transfer graphs have integral byte weights in practice and the DFS
     terminates quickly on the small local graphs BarterCast builds.
     """
     KERNEL_INVOCATIONS["ford_fulkerson"] += 1
-    return _run_ford_fulkerson(
-        graph, source, sink, max_hops=None, eps=eps, record_paths=record_paths
-    )
+    return _run_ford_fulkerson(graph, source, sink, max_hops=None, eps=eps)
 
 
 def bounded_ford_fulkerson(
@@ -340,13 +317,12 @@ def bounded_ford_fulkerson(
     *,
     max_hops: int = 2,
     eps: float = 1e-9,
-    record_paths: bool = False,
 ) -> FlowResult:
     """Maximum flow over augmenting paths of at most ``max_hops`` edges.
 
-    With ``max_hops=2`` this matches the deployed BarterCast computation;
-    larger bounds trade accuracy against cost (see the path-length ablation
-    bench).  Note that for ``max_hops >= 3`` the greedy path-limited
+    With ``max_hops=2`` this is the value the closed form
+    :func:`maxflow_two_hop` computes online; larger bounds trade accuracy
+    against cost (see the path-length ablation bench).  Note that for ``max_hops >= 3`` the greedy path-limited
     Ford–Fulkerson is a heuristic — the length-bounded maxflow problem is
     NP-hard in general — but for ``max_hops <= 2`` it is exact (see module
     docstring).
@@ -354,9 +330,7 @@ def bounded_ford_fulkerson(
     if max_hops < 1:
         raise ValueError(f"max_hops must be >= 1, got {max_hops}")
     KERNEL_INVOCATIONS["bounded_ford_fulkerson"] += 1
-    return _run_ford_fulkerson(
-        graph, source, sink, max_hops=max_hops, eps=eps, record_paths=record_paths
-    )
+    return _run_ford_fulkerson(graph, source, sink, max_hops=max_hops, eps=eps)
 
 
 def two_hop_flow(

@@ -84,7 +84,6 @@ def _claim_order(claim: ClaimKey) -> Tuple[str, str]:
     return (_sort_key(claim[0]), _sort_key(claim[1]))
 
 
-_INF = float("inf")
 #: Row kinds that expand to a delivered copy ("gossip" = send + deliver).
 _DELIVERED = ("deliver", "gossip")
 
@@ -119,12 +118,12 @@ class DisseminationRecorder:
         self, label: str = "run", config: Optional[DisseminationConfig] = None
     ) -> None:
         # Imported here: repro.core imports repro.obs.
-        from repro.core.messages import HistoryRecord, is_total
+        from repro.core.messages import HistoryRecord, admitted_totals
 
         self.label = label
         self.config = config or DisseminationConfig()
         self._record_type = HistoryRecord
-        self._is_total = is_total
+        self._admitted = admitted_totals
         # Storage is columnar, and no hook allocates a container that the
         # log keeps: retaining a fresh GC-tracked object per event (the
         # message, its records tuple, a tuple per record) leaves the
@@ -227,26 +226,19 @@ class DisseminationRecorder:
 
     def _sane(self, i: int) -> list:
         """Message ``i``'s records a receiver applies, in message order:
-        ``HistoryRecord.is_sane`` — the receivers' own rule, inlined
-        because every analytic applies it to every record it reads, with
-        the exact floats every simulated sender writes checked in place —
-        and not about the sender itself."""
+        a hashable counterparty that is not the sender, and totals that
+        :func:`~repro.core.messages.admitted_totals` admits — the
+        receivers' own rule."""
         sender = self._msg_sender[i]
-        is_total = self._is_total
+        admitted = self._admitted
         out = []
         for r in self._records[self._rec_off[i] : self._rec_off[i + 1]]:
             c = r.counterparty
-            up, down = r.uploaded, r.downloaded
             try:
                 hash(c)
             except (TypeError, ValueError):
                 continue
-            if up.__class__ is float and down.__class__ is float:
-                # The chained comparisons are also false for NaN.
-                sane = 0.0 <= up < _INF and 0.0 <= down < _INF
-            else:
-                sane = is_total(up) and is_total(down)
-            if sane and c != sender:
+            if admitted(r) is not None and c != sender:
                 out.append(r)
         return out
 

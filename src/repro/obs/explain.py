@@ -10,11 +10,8 @@ ran with provenance on), and computes leave-one-out reputation deltas —
 what ``R_i(j)`` would be without each intermediary peer — from the
 recorded paths, with no re-solve.
 
-For the default ``two_hop`` kernel the decomposition and the
-leave-one-out deltas are exact (≤2-hop paths are edge-disjoint per
-intermediary; DESIGN.md §12).  For the iterative kernels the path set
-depends on augmentation order and the deltas are lower bounds; the
-rendered output says so.
+The decomposition and the leave-one-out deltas are exact: ≤2-hop paths
+are edge-disjoint per intermediary (DESIGN.md §12).
 
 The module is deliberately decoupled from :mod:`repro.core`: it duck-
 types the node (``peer_id``, ``graph``, ``config.metric``, ``shared``),
@@ -41,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Tuple
 
-from repro.graph.maxflow import FlowResult, leave_one_out_values
+from repro.graph.maxflow import FlowResult, leave_one_out_values, maxflow_two_hop
 from repro.obs.provenance import ClaimLineage, _json_safe
 
 __all__ = [
@@ -96,8 +93,6 @@ class Explanation:
     inflow: float
     outflow: float
     unit_bytes: float
-    kernel: str
-    exact: bool
     in_result: FlowResult
     out_result: FlowResult
     #: ``{intermediary: R_i(j) recomputed without it}`` from recorded paths.
@@ -114,8 +109,8 @@ class Explanation:
             "inflow_bytes": self.inflow,
             "outflow_bytes": self.outflow,
             "unit_bytes": self.unit_bytes,
-            "kernel": self.kernel,
-            "exact": self.exact,
+            "kernel": "two_hop",
+            "exact": True,
             "in_paths": [p.to_json() for p in self.in_result.paths],
             "out_paths": [p.to_json() for p in self.out_result.paths],
             "leave_one_out": {
@@ -137,8 +132,8 @@ def explain_reputation(node, subject: PeerId) -> Explanation:
     if subject == me:
         raise ValueError("a peer has no reputation at itself")
     metric = node.config.metric
-    in_result = metric.maxflow_result(node.graph, subject, me, record_paths=True)
-    out_result = metric.maxflow_result(node.graph, me, subject, record_paths=True)
+    in_result = maxflow_two_hop(node.graph, subject, me, record_paths=True)
+    out_result = maxflow_two_hop(node.graph, me, subject, record_paths=True)
     inflow, outflow = in_result.value, out_result.value
     reputation = metric.scale(inflow - outflow)
 
@@ -187,8 +182,6 @@ def explain_reputation(node, subject: PeerId) -> Explanation:
         inflow=inflow,
         outflow=outflow,
         unit_bytes=metric.unit_bytes,
-        kernel=metric.kernel,
-        exact=metric.kernel == "two_hop",
         in_result=in_result,
         out_result=out_result,
         leave_one_out=leave_one_out,
@@ -321,7 +314,7 @@ def render_explanation(expl: Explanation) -> str:
     i, j = expl.evaluator, expl.subject
     lines.append(f"== R_{i}({j}): {expl.reputation:+.4f} ==")
     lines.append(
-        f"kernel {expl.kernel} | unit {_mb(expl.unit_bytes)} | "
+        f"kernel two_hop | unit {_mb(expl.unit_bytes)} | "
         f"inflow {_mb(expl.inflow)} | outflow {_mb(expl.outflow)} | "
         f"diff {_mb(expl.inflow - expl.outflow)}"
     )
@@ -337,8 +330,7 @@ def render_explanation(expl: Explanation) -> str:
             lines.append(_path_line(path))
         lines.append("")
     if expl.leave_one_out:
-        tag = "exact" if expl.exact else "lower bound (non-2-hop kernel)"
-        lines.append(f"leave-one-out deltas from recorded paths ({tag}):")
+        lines.append("leave-one-out deltas from recorded paths (exact):")
         for v, rep in expl.leave_one_out.items():
             delta = rep - expl.reputation
             lines.append(

@@ -76,6 +76,23 @@ def test_bad_flag_is_a_usage_error_before_anything_runs(command, capsys, tmp_pat
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("delta", ["5", "nan", "-3"])
+@pytest.mark.parametrize("command", ["faults --losses 0,0.3", "explain --peer 0 --policy ban"])
+def test_bad_delta_is_a_usage_error_before_anything_runs(command, delta, capsys, monkeypatch):
+    """A ban threshold outside [-1, 0] (NaN included) exits 2 before the
+    command's handler, so no simulation runs."""
+
+    def must_not_run(*_):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "_COMMANDS", dict.fromkeys(cli._COMMANDS, must_not_run))
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(f"{command} --seed 3 --delta {delta}".split())
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "bartercast: error: delta must be in [-1, 0]" in err
+
+
 class TestNewSubcommands:
     def test_whitewash_runs(self, capsys):
         assert cli.main(["whitewash", "--seed", "3"]) == 0

@@ -268,8 +268,8 @@ def _gossip_workload(seed: int, n_peers: int = 60, n_msgs: int = 50):
 @pytest.mark.parametrize("seed", range(4))
 def test_node_backend_equivalence_including_churn(seed):
     msgs = _gossip_workload(seed)
-    nd = BarterCastNode(0, cache_mode="dirty", graph_backend="dict")
-    nc = BarterCastNode(0, cache_mode="dirty", graph_backend="columnar")
+    nd = BarterCastNode(0, graph_backend="dict")
+    nc = BarterCastNode(0, graph_backend="columnar")
     candidates = list(range(1, 40))
     rows_d, rows_c = [], []
 

@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 
 from repro.core.adversary import HonestBehavior, SelfishLiar
 from repro.core.history import PrivateHistory
-from repro.core.messages import BarterCastMessage, HistoryRecord, select_records
+from repro.core.messages import (
+    BarterCastMessage,
+    HistoryRecord,
+    admitted_totals,
+    select_records,
+)
 from repro.core.node import BarterCastNode
 from repro.core.sharedhistory import SubjectiveSharedHistory
 from repro.graph.columnar import ColumnarTransferGraph
@@ -328,17 +333,23 @@ wire_party = st.sampled_from(["c0", 3, 3.0, OWNER, "r0", None, ["unhashable"], n
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.builds(HistoryRecord, wire_party, wire_total, wire_total), min_size=1, max_size=6))
-def test_admission_copies_agree(records):
-    """``HistoryRecord.is_sane``, ingest's applied / dropped split, the
-    dissemination recorder's ``_sane`` and ``model.sane_records`` admit the
-    same records; none of them raises."""
+def test_admission_equals_model(records):
+    """Ingest's applied / dropped split, the dissemination recorder's
+    ``_sane`` and ``admitted_totals`` each equal ``model.sane_records``
+    on hostile values; none of them raises."""
+    recorder = DisseminationRecorder()
     for i, record in enumerate(records):
         message = BarterCastMessage("r0", 1.0, (record,), msg_id=("r0", i))
+        sane = model.sane_records(message)
         store = SubjectiveSharedHistory(OWNER, TransferGraph())
         applied = store.ingest(message, now=1.0)
-        assert (applied, store.records_dropped) in ((0, 1), (1, 0))
-        recorder = DisseminationRecorder()
+        assert (applied, store.records_dropped) == (
+            (1, 0) if sane and record.counterparty != OWNER else (0, 1)
+        )
         recorder.record_send(message, OWNER, 1.0)
-        sane = record.is_sane() and record.counterparty != "r0"  # not about the sender
-        assert len(model.sane_records(message)) == len(recorder._sane(0)) == sane
-        assert applied == (sane and record.counterparty != OWNER)
+        assert recorder._sane(i) == sane
+        totals = admitted_totals(record)
+        if model.is_total(record.uploaded) and model.is_total(record.downloaded):
+            assert totals == (model.finite(record.uploaded), model.finite(record.downloaded))
+        else:
+            assert totals is None

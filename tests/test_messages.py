@@ -9,6 +9,7 @@ from repro.core.history import PrivateHistory
 from repro.core.messages import (
     BarterCastMessage,
     HistoryRecord,
+    admitted_totals,
     select_records,
 )
 from repro.core.node import BarterCastNode
@@ -19,25 +20,32 @@ from tests import model
 
 class TestHistoryRecord:
     def test_sane_record(self):
-        assert HistoryRecord("p", 10.0, 5.0).is_sane()
+        assert admitted_totals(HistoryRecord("p", 10.0, 5.0)) == (10.0, 5.0)
+        totals = admitted_totals(HistoryRecord("p", 10, np.float32(5.0)))
+        assert totals == (10.0, 5.0) and all(t.__class__ is float for t in totals)
 
     def test_negative_insane(self):
-        assert not HistoryRecord("p", -1.0, 5.0).is_sane()
-        assert not HistoryRecord("p", 1.0, -5.0).is_sane()
+        assert admitted_totals(HistoryRecord("p", -1.0, 5.0)) is None
+        assert admitted_totals(HistoryRecord("p", 1.0, -5.0)) is None
 
     def test_nan_insane(self):
-        assert not HistoryRecord("p", math.nan, 0.0).is_sane()
-        assert not HistoryRecord("p", 0.0, math.nan).is_sane()
+        assert admitted_totals(HistoryRecord("p", math.nan, 0.0)) is None
+        assert admitted_totals(HistoryRecord("p", 0.0, math.nan)) is None
 
     def test_inf_insane(self):
-        assert not HistoryRecord("p", math.inf, 0.0).is_sane()
+        assert admitted_totals(HistoryRecord("p", math.inf, 0.0)) is None
 
     def test_non_numeric_or_unhashable_is_insane_not_an_error(self):
-        assert not HistoryRecord("p", None, 0.0).is_sane()
-        assert not HistoryRecord("p", 0.0, "x").is_sane()
-        assert not HistoryRecord("p", [1.0], 0.0).is_sane()
-        assert not HistoryRecord("p", np.array([1.0, 2.0]), 0.0).is_sane()
-        assert not HistoryRecord(["p"], 1.0, 0.0).is_sane()
+        assert admitted_totals(HistoryRecord("p", None, 0.0)) is None
+        assert admitted_totals(HistoryRecord("p", 0.0, "x")) is None
+        assert admitted_totals(HistoryRecord("p", [1.0], 0.0)) is None
+        assert admitted_totals(HistoryRecord("p", np.array([1.0, 2.0]), 0.0)) is None
+        assert admitted_totals(HistoryRecord("p", 2**1100, 0.0)) is None
+        # The counterparty is the caller's half of the rule: ingest's
+        # probe drops an unhashable one.
+        store = SubjectiveSharedHistory("o", TransferGraph())
+        msg = BarterCastMessage("s", 0.0, records=(HistoryRecord(["p"], 1.0, 0.0),))
+        assert store.ingest(msg, now=1.0) == 0 and store.records_dropped == 1
 
     def test_frozen(self):
         rec = HistoryRecord("p", 1.0, 2.0)

@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.core.history import PrivateHistory
-from repro.core.messages import BarterCastMessage, HistoryRecord, select_records
+from repro.core.messages import (
+    BarterCastMessage,
+    HistoryRecord,
+    admitted_totals,
+    select_records,
+)
 from repro.core.node import BarterCastNode
 from repro.core.reputation import ReputationMetric
 from repro.core.sharedhistory import SubjectiveSharedHistory
@@ -87,7 +92,7 @@ def test_selection_invariants(history, nh, nr):
         totals = history.get(record.counterparty)
         assert record.uploaded == totals.uploaded
         assert record.downloaded == totals.downloaded
-        assert record.is_sane()
+        assert admitted_totals(record) == (totals.uploaded, totals.downloaded)
 
 
 @settings(max_examples=60, deadline=None)

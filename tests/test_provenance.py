@@ -27,11 +27,7 @@ from repro.core.messages import BarterCastMessage, HistoryRecord
 from repro.core.sharedhistory import SubjectiveSharedHistory
 from repro.experiments.scenario import ScenarioConfig, build_simulation
 from repro.faults import FaultConfig, audit_simulation
-from repro.graph.maxflow import (
-    bounded_ford_fulkerson,
-    leave_one_out_values,
-    maxflow_two_hop,
-)
+from repro.graph.maxflow import leave_one_out_values, maxflow_two_hop
 from repro.graph.transfer_graph import TransferGraph
 from repro.obs.explain import explain_reputation, render_explanation, top_subjects
 from repro.obs.provenance import (
@@ -286,13 +282,6 @@ class TestPathAttribution:
         with pytest.raises(ValueError):
             leave_one_out_values(maxflow_two_hop(g, "s", "t"))
 
-    def test_bounded_ff_recording_sums_to_value(self):
-        g = graph_of(
-            [("s", "a", 4.0), ("a", "t", 3.0), ("s", "t", 2.0)]
-        )
-        result = bounded_ford_fulkerson(g, "s", "t", max_hops=2, record_paths=True)
-        assert sum(p.flow for p in result.paths) == pytest.approx(result.value)
-
 
 # ---------------------------------------------------------------------------
 # explain_reputation on a real simulation
@@ -321,7 +310,7 @@ class TestExplain:
             assert sum(p.flow for p in expl.in_result.paths) == expl.inflow
             assert sum(p.flow for p in expl.out_result.paths) == expl.outflow
             assert -1.0 < expl.reputation < 1.0
-            assert expl.exact  # default kernel is two_hop
+            assert expl.to_json()["exact"]  # the 2-hop decomposition
 
     def test_lineage_attached_to_gossip_edges(self, sim):
         expl = self.find_gossip_explanation(sim)

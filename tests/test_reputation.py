@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.reputation import DEFAULT_UNIT_BYTES, MB, ReputationMetric
+from repro.graph.maxflow import bounded_ford_fulkerson, ford_fulkerson
 from repro.graph.transfer_graph import TransferGraph
 from tests.conftest import graph_of
 
@@ -50,8 +51,6 @@ class TestScaling:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             ReputationMetric(unit_bytes=0.0)
-        with pytest.raises(ValueError):
-            ReputationMetric(kernel="bogus")
         with pytest.raises(ValueError):
             ReputationMetric(scaling="bogus")
         with pytest.raises(ValueError):
@@ -102,27 +101,23 @@ class TestReputation:
         assert m.reputation(g, "i", "j") <= m.scale(10 * MB) + 1e-12
 
     def test_kernels_agree_on_two_hop_graph(self):
+        """Equation 1 over the paper's Algorithm 1 bounded to two hops."""
         g = graph_of(
             [("j", "v", 50 * MB), ("v", "i", 70 * MB), ("j", "i", 5 * MB), ("i", "j", 2 * MB)]
         )
-        r2 = ReputationMetric(kernel="two_hop").reputation(g, "i", "j")
-        rb = ReputationMetric(kernel="bounded", max_hops=2).reputation(g, "i", "j")
-        assert r2 == pytest.approx(rb)
+        m = ReputationMetric()
+        inflow = bounded_ford_fulkerson(g, "j", "i", max_hops=2).value
+        outflow = bounded_ford_fulkerson(g, "i", "j", max_hops=2).value
+        assert m.reputation(g, "i", "j") == pytest.approx(m.scale(inflow - outflow))
 
     def test_exact_kernel_sees_longer_paths(self):
+        """A 3-hop chain carries exact flow, and the metric regards paths
+        of at most two edges only (PAPER.md §1)."""
         g = graph_of(
             [("j", "a", 100 * MB), ("a", "b", 100 * MB), ("b", "i", 100 * MB)]
         )
-        r2 = ReputationMetric(kernel="two_hop").reputation(g, "i", "j")
-        rx = ReputationMetric(kernel="exact").reputation(g, "i", "j")
-        assert r2 == 0.0
-        assert rx == pytest.approx(0.5)  # arctan(100 MB / unit) = arctan(1)
-
-    def test_maxflow_accessor_respects_kernel(self):
-        g = graph_of([("a", "b", 10.0), ("b", "c", 10.0), ("c", "d", 10.0)])
-        assert ReputationMetric(kernel="two_hop").maxflow(g, "a", "d") == 0.0
-        assert ReputationMetric(kernel="exact").maxflow(g, "a", "d") == 10.0
-        assert ReputationMetric(kernel="bounded", max_hops=3).maxflow(g, "a", "d") == 10.0
+        assert ford_fulkerson(g, "j", "i").value == 100 * MB
+        assert ReputationMetric().reputation(g, "i", "j") == 0.0
 
 
 @settings(max_examples=80, deadline=None)

@@ -6,16 +6,16 @@ Three families:
   *bit-identical* to per-target scalar ``maxflow_two_hop`` calls, and both
   must agree with an independent networkx reference (exact maxflow on the
   2-hop-restricted subgraph, whose every path has length <= 2).
-* **Dirty-set staleness oracle** — a ``cache_mode="dirty"`` node replaying
-  a random stream of transfers, gossip, claim retractions and node
-  removals must answer every reputation query exactly like a cache-free
-  oracle node, through the batched and the scalar lookup alike, under
-  every engine (each declares its own exactness).
+* **Dirty-set staleness oracle** — a node replaying a random stream of
+  transfers, gossip, claim retractions and node removals must answer
+  every reputation query exactly like the reference — ``model.reputation``
+  on the node's graph for BarterCast, the engine's own uncached ``score``
+  for the rivals — through the batched and the scalar lookup alike.
 * **Reach set** — after every op of the same streams, on both graph
   backends, the node's reach set holds every peer within two hops of
   the owner (``model.two_hop_neighbourhood``); a peer outside it is
   answered without the kernel.
-* **Telemetry / cache-mode plumbing** — hit/miss/invalidation counters,
+* **Telemetry** — hit/miss/invalidation counters,
   the version-neutrality of no-op writes, and whole-run counter pins.
 """
 
@@ -129,13 +129,6 @@ class TestBatchKernel:
         flows = maxflow_two_hop_batch(g, 0, [0, 1, 1, 0])
         assert set(flows) == {1}
 
-    def test_metric_batch_falls_back_for_iterative_kernels(self):
-        g = build_graph([(1, 0, 5.0), (1, 2, 3.0), (2, 0, 4.0)])
-        metric = ReputationMetric(kernel="exact")
-        batched = metric.reputation_batch(g, 0, [1, 2])
-        for j in (1, 2):
-            assert batched[j] == metric.reputation(g, 0, j)
-
 
 # ---------------------------------------------------------------------------
 # Dirty-set staleness oracle
@@ -224,28 +217,38 @@ def _apply(node: BarterCastNode, op, now: float) -> None:
         node.wipe_shared_history()
 
 
+def _reference(node, targets):
+    """The scores ``node`` must serve, computed with no cache, reach set
+    or memo: ``model.reputation`` on its graph for BarterCast (bit for
+    bit, ``test_two_hop_closed_form.py``), the engine's own ``score``
+    for the rivals."""
+    if node.engine.name == "bartercast":
+        unit = node.config.metric.unit_bytes
+        return {p: model.reputation(node.graph, node.peer_id, p, unit) for p in targets}
+    return {p: node.engine.score(node, p) for p in targets}
+
+
 class TestDirtySetNeverStale:
     @given(ops=op_streams())
     @settings(max_examples=60, deadline=None)
     def test_dirty_and_wholesale_match_oracle(self, ops):
-        """Dirty-batched vs dirty-scalar vs ``"off"``, under every engine.
-        (The id predates the removal of the wholesale mode; the scalar
-        node sits where the wholesale one did, so the scalar-against-batch
-        cross-check stays.)"""
+        """Batched and scalar lookups against the reference, under every
+        engine.  (The id predates the removal of the wholesale mode; the
+        scalar node sits where the wholesale one did, so the
+        scalar-against-batch cross-check stays.)"""
         for engine in ENGINE_NAMES:
-            batched = BarterCastNode(0, cache_mode="dirty", engine=engine)
-            scalar = BarterCastNode(0, cache_mode="dirty", engine=engine)
-            oracle = BarterCastNode(0, cache_mode="off", engine=engine)
+            batched = BarterCastNode(0, engine=engine)
+            scalar = BarterCastNode(0, engine=engine)
             targets = TARGETS
             now = 0.0
             for op in ops:
                 now += 1.0
-                for node in (batched, scalar, oracle):
+                for node in (batched, scalar):
                     _apply(node, op, now)
-                want = {p: oracle.reputation_of(p) for p in targets}
-                # Batched lookup on one dirty node, scalar on the other:
-                # both paths behind the one cache must agree with the
-                # cache-free oracle, bitwise.
+                want = _reference(batched, targets)
+                # Batched lookup on one node, scalar on the other: both
+                # paths behind the one cache must agree with the
+                # reference, bitwise.
                 assert batched.reputations_of(targets) == want, engine
                 assert {p: scalar.reputation_of(p) for p in targets} == want, engine
 
@@ -253,16 +256,15 @@ class TestDirtySetNeverStale:
     @settings(max_examples=30, deadline=None)
     def test_dirty_scalar_lookups_match_oracle(self, ops):
         for engine in ENGINE_NAMES:
-            dirty = BarterCastNode(0, cache_mode="dirty", engine=engine)
-            oracle = BarterCastNode(0, cache_mode="off", engine=engine)
+            node = BarterCastNode(0, engine=engine)
             targets = TARGETS
             now = 0.0
             for op in ops:
                 now += 1.0
-                _apply(dirty, op, now)
-                _apply(oracle, op, now)
+                _apply(node, op, now)
+                want = _reference(node, targets)
                 for p in targets:
-                    assert dirty.reputation_of(p) == oracle.reputation_of(p), engine
+                    assert node.reputation_of(p) == want[p], engine
 
 
 class TestReachSet:
@@ -285,14 +287,12 @@ class TestReachSet:
         the first time the owner uploads to it: ``me -> a -> b`` carries
         flow although ``b`` hangs off ``a`` only downstream, and the edge
         ``a -> b`` was there before either owner edge."""
-        nodes = [BarterCastNode("me", cache_mode=mode) for mode in ("dirty", "off")]
-        for node in nodes:
-            node.receive_message(_message("a", [("b", 5 * MB, 0.0)], 1.0))  # a -> b
-            node.record_download("a", 10 * MB, now=2.0)  # a -> me: a marked in
-            node.record_upload("a", 20 * MB, now=3.0)  # me -> a: a marked out
-        dirty, off = nodes
-        assert "b" in dirty._reach
-        assert dirty.reputation_of("b") == off.reputation_of("b") < 0.0
+        node = BarterCastNode("me")
+        node.receive_message(_message("a", [("b", 5 * MB, 0.0)], 1.0))  # a -> b
+        node.record_download("a", 10 * MB, now=2.0)  # a -> me: a marked in
+        node.record_upload("a", 20 * MB, now=3.0)  # me -> a: a marked out
+        assert "b" in node._reach
+        assert node.reputation_of("b") == model.reputation(node.graph, "me", "b") < 0.0
 
     def test_outside_peers_skip_the_kernel(self):
         """A miss outside the reach set is cached and counted like an
@@ -318,16 +318,9 @@ class TestReachSet:
         assert node.reputation_of("b") == scores["b"]
         assert kernel_invocations_delta(before) == {"maxflow_two_hop": 2}
 
-    @pytest.mark.parametrize(
-        "cache_mode, engine, kernel",
-        [("off", "bartercast", "two_hop"), ("dirty", "bartercast", "exact"),
-         ("dirty", "gossip", "two_hop"), ("dirty", "ratio", "two_hop")],
-    )
-    def test_no_reach_set_without_an_outside_score(self, cache_mode, engine, kernel):
-        from repro.core.node import BarterCastConfig
-
-        cfg = BarterCastConfig(metric=ReputationMetric(kernel=kernel))
-        node = BarterCastNode("me", config=cfg, cache_mode=cache_mode, engine=engine)
+    @pytest.mark.parametrize("engine", ["gossip", "ratio"])
+    def test_no_reach_set_without_an_outside_score(self, engine):
+        node = BarterCastNode("me", engine=engine)
         node.record_upload("a", 1.0, now=1.0)
         assert node._reach is None and not node._out_marked
 
@@ -426,22 +419,9 @@ class TestVerdictMemo:
         n.record_upload("bad", 1.0, now=2.0)  # back to 800 MiB + 1 byte
         assert BanPolicy(-0.5).allowed(n, ["bad"]) == model.ban(n.graph, "me", ["bad"], -0.5) == []
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"engine": "gossip"},
-            {"engine": "ratio"},
-            {"cache_mode": "off"},
-            {"kernel": "exact"},
-            {"kernel": "bounded"},
-        ],
-        ids=["gossip", "ratio", "off", "exact", "bounded"],
-    )
-    def test_no_memo_without_a_slope_or_a_cache(self, kwargs):
-        from repro.core.node import BarterCastConfig
-
-        kernel = kwargs.pop("kernel", "two_hop")
-        n = BarterCastNode("me", config=BarterCastConfig(metric=ReputationMetric(kernel=kernel)), **kwargs)
+    @pytest.mark.parametrize("engine", ["gossip", "ratio"])
+    def test_no_memo_without_a_slope_or_a_cache(self, engine):
+        n = BarterCastNode("me", engine=engine)
         n.record_upload("bad", 800 * MB, now=1.0)
         assert not n.keeps_verdicts
         BanPolicy(-0.5).allowed(n, ["bad", "ghost"])
@@ -463,7 +443,7 @@ class TestVerdictMemo:
 
 
 # ---------------------------------------------------------------------------
-# Telemetry and cache-mode plumbing
+# Telemetry
 # ---------------------------------------------------------------------------
 
 
@@ -513,30 +493,21 @@ class TestCacheTelemetry:
         assert n.rep_cache_size == 2
         assert n.rep_cache_invalidations == invalidations
 
-    def test_cache_mode_off_never_caches(self):
-        n = BarterCastNode("me", cache_mode="off")
-        n.record_download("p", 100 * MB, now=1.0)
-        n.reputation_of("p")
-        n.reputation_of("p")
-        assert n.rep_cache_hits == 0
-        assert n.rep_cache_misses == 2
-        assert n.rep_cache_size == 0
-
     @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_cache_off_never_memoizes(self, engine):
-        """``"off"`` is the staleness oracle under every engine."""
-        n = BarterCastNode("me", cache_mode="off", engine=engine)
+        """The reference the staleness properties compare against
+        (:func:`_reference`) is cache-free under every engine: it leaves
+        the node's cache, counters and memo alone, and the node serves
+        the same scores through its cache."""
+        n = BarterCastNode("me", engine=engine)
         n.record_download("p", 100 * MB, now=1.0)
-        n.reputation_of("p")
-        n.reputation_of("p")
-        n.reputations_of(["p", "q"])
-        assert (n.rep_cache_hits, n.rep_cache_misses, n.rep_cache_size) == (0, 4, 0)
-        assert (n.kernel_calls, n.kernel_targets) == (3, 4)
-
-    def test_invalid_cache_mode_rejected(self):
-        for mode in ("bogus", "wholesale"):  # wholesale: removed, not renamed
-            with pytest.raises(ValueError):
-                BarterCastNode("me", cache_mode=mode)
+        want = _reference(n, ["p", "q"])
+        assert _reference(n, ["p", "q"]) == want
+        assert (n.rep_cache_hits, n.rep_cache_misses, n.rep_cache_size) == (0, 0, 0)
+        assert (n.kernel_calls, n.kernel_targets) == (0, 0)
+        assert not n._verdicts
+        assert n.reputations_of(["p", "q"]) == want
+        assert (n.kernel_calls, n.kernel_targets) == (1, 2)
 
     def test_invalidate_cache_forces_cold(self):
         n = BarterCastNode("me")
@@ -545,20 +516,6 @@ class TestCacheTelemetry:
         n.invalidate_cache()
         n.reputation_of("p")
         assert n.rep_cache_misses == 2
-
-    def test_non_default_kernel_falls_back_to_full_invalidation(self):
-        from repro.core.node import BarterCastConfig
-
-        cfg = BarterCastConfig(metric=ReputationMetric(kernel="exact"))
-        n = BarterCastNode("me", config=cfg)
-        msg = BarterCastMessage("r", 1.0, records=(HistoryRecord("a", 100 * MB, 0.0),))
-        n.receive_message(msg)
-        n.reputations_of(["r", "a"])
-        assert n.rep_cache_size == 2
-        # Any far-away change clears everything under an inexact kernel.
-        msg2 = BarterCastMessage("b", 2.0, records=(HistoryRecord("c", 1 * MB, 0.0),))
-        n.receive_message(msg2)
-        assert n.rep_cache_size == 0
 
 
 # ---------------------------------------------------------------------------
