@@ -44,7 +44,7 @@ Batch path: :meth:`reputations_of` (and through it
 :meth:`rank_by_reputation` and the policies' once-per-round
 ``allowed`` / ``order_optimistic``) scores all cache-missing targets with
 one ``engine.scores`` call — for BarterCast one
-:func:`~repro.graph.batch.maxflow_two_hop_batch` pass.  A single miss
+:func:`~repro.graph.maxflow.maxflow_two_hop_batch` pass.  A single miss
 (:meth:`reputation_of`) calls ``engine.score``.  Telemetry counters
 (``rep_cache_hits`` / ``rep_cache_misses`` / ``rep_cache_invalidations``
 and ``kernel_calls`` / ``kernel_targets``) instrument every lookup.  With
@@ -136,9 +136,10 @@ class BarterCastNode:
         Subjective-graph storage: ``"dict"`` (the reference
         :class:`~repro.graph.transfer_graph.TransferGraph`, default) or
         ``"columnar"`` (the flat :class:`~repro.graph.columnar
-        .ColumnarTransferGraph`).  It picks the storage class and nothing
-        else: reputations, cache behaviour and the telemetry counters are
-        identical between backends.
+        .ColumnarTransferGraph`, kept as the benchmark's bit-identity
+        cross-check; DESIGN.md §13).  It picks the storage class and
+        nothing else: reputations, cache behaviour and the telemetry
+        counters are identical between backends.
     obs:
         Observability bundle.  With tracing on the node emits sampled
         trace events for message send/receive (``bc.message``) and kernel

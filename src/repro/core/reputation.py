@@ -37,8 +37,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Hashable, Iterable, Literal
 
-from repro.graph.batch import maxflow_two_hop_batch
-from repro.graph.maxflow import maxflow_two_hop_pair
+from repro.graph.maxflow import maxflow_two_hop_batch, maxflow_two_hop_pair
 from repro.graph.transfer_graph import TransferGraph
 
 __all__ = ["MB", "DEFAULT_UNIT_BYTES", "ReputationMetric"]
@@ -88,12 +87,17 @@ class ReputationMetric:
         scaling: Literal["arctan", "linear"] = "arctan",
         linear_range: float = 1000.0,
     ) -> None:
-        if unit_bytes <= 0:
-            raise ValueError(f"unit_bytes must be positive, got {unit_bytes}")
+        # Chained comparisons are False for NaN, so it is rejected too.
+        if not 0 < unit_bytes < math.inf:
+            raise ValueError(
+                f"unit_bytes must be positive and finite, got {unit_bytes}"
+            )
         if scaling not in ("arctan", "linear"):
             raise ValueError(f"unknown scaling {scaling!r}")
-        if linear_range <= 0:
-            raise ValueError(f"linear_range must be positive, got {linear_range}")
+        if not 0 < linear_range < math.inf:
+            raise ValueError(
+                f"linear_range must be positive and finite, got {linear_range}"
+            )
         self.unit_bytes = float(unit_bytes)
         self.scaling = scaling
         self.linear_range = float(linear_range)
@@ -115,7 +119,7 @@ class ReputationMetric:
     ) -> Dict[PeerId, float]:
         """``R_i(j)`` for every target ``j`` in one pass.
 
-        Routes through :func:`~repro.graph.batch.maxflow_two_hop_batch`,
+        Routes through :func:`~repro.graph.maxflow.maxflow_two_hop_batch`,
         hoisting the owner's neighbourhood lookups out of the per-target
         loop; results are bit-identical to per-target :meth:`reputation`
         calls.  ``i`` itself and duplicate targets are skipped.

@@ -9,15 +9,15 @@ the deployed client), so a small bijection layer maps them to dense
 Stability contract
 ------------------
 An index, once assigned, is **never reused and never remapped**: churn
-(``remove_node``, ``forget_reporter`` wipes) and edge-log compaction leave
-the interner untouched.  Consumers may therefore hold interned indices
+(``forget_reporter`` wipes, which write edges to zero) and edge-log
+compaction leave the interner untouched.  Consumers may therefore hold interned indices
 across arbitrary graph mutations — the CSR snapshots rely on this.  The
 tests in ``tests/test_columnar.py`` pin the contract.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List
+from typing import Dict, Hashable, List
 
 __all__ = ["PeerInterner"]
 
@@ -71,26 +71,8 @@ class PeerInterner:
         """
         return self._peers[index]
 
-    def extend(self, peers: Iterable[PeerId]) -> None:
-        """Intern ``peers`` in order (bulk-load fast path)."""
-        for peer in peers:
-            self.intern(peer)
-
-    def copy(self) -> "PeerInterner":
-        """An independent interner with the same assignments."""
-        fresh = PeerInterner()
-        fresh._index = dict(self._index)
-        fresh._peers = list(self._peers)
-        return fresh
-
     def __len__(self) -> int:
         return len(self._peers)
-
-    def __contains__(self, peer: PeerId) -> bool:
-        return peer in self._index
-
-    def __iter__(self) -> Iterator[PeerId]:
-        return iter(self._peers)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<PeerInterner size={len(self._peers)}>"

@@ -29,8 +29,8 @@ as capacities:
     intermediate node and the closed form is exact.  This is O(min in/out
     degree) per query and is the kernel BarterCast uses online.  It is
     written down once, in :func:`two_hop_flow`; the scalar kernel, the
-    batch kernel (:mod:`repro.graph.batch`) and the path-recording form
-    all call that one function.
+    pair, the batch kernel (:func:`maxflow_two_hop_batch`) and the path
+    attribution (:func:`two_hop_paths`) all call that one function.
 
 The online metric (:class:`~repro.core.reputation.ReputationMetric`)
 calls only the closed form; the two Ford–Fulkerson kernels are the
@@ -40,25 +40,25 @@ bench).
 All kernels return a :class:`FlowResult` carrying the flow value and, for
 the iterative kernels, the per-edge flow assignment for inspection.
 
-Path attribution (``record_paths=True``)
+Path attribution (:func:`two_hop_paths`)
 ----------------------------------------
-:func:`maxflow_two_hop` can additionally record the paths it summed as
-:class:`FlowPath` entries (path nodes, routed flow, bottleneck edge,
-per-edge residual capacities).  The decomposition is *exact and
+:func:`two_hop_paths` is :func:`maxflow_two_hop` that also records the
+paths it summed as :class:`FlowPath` entries (path nodes, routed flow,
+bottleneck edge, per-edge residual capacities).  The decomposition is *exact and
 unique*: the closed form routes ``c(s,t)`` on the direct edge and
 ``min(c(s,v), c(v,t))`` through each intermediary ``v``, and because
 distinct ≤2-hop paths are edge-disjoint (see above), the recorded path
 flows always sum to the flow value and removing one intermediary's path
 gives the exact flow of the graph without it — leave-one-out deltas need
 no re-solve (:func:`leave_one_out_values`).
-Recording is off by default; the 2-hop value is computed by the same
-function either way, so it is the same bits with or without paths.
+Both compute the value with the same function, so it is the same bits
+with or without paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 from repro.graph.transfer_graph import TransferGraph
 
@@ -69,6 +69,7 @@ __all__ = [
     "bounded_ford_fulkerson",
     "maxflow_two_hop",
     "maxflow_two_hop_pair",
+    "maxflow_two_hop_batch",
     "two_hop_flow",
     "two_hop_paths",
     "leave_one_out_values",
@@ -83,9 +84,16 @@ Edge = Tuple[PeerId, PeerId]
 #: per kernel call, negligible next to the kernel itself).  The simulator
 #: takes the delta over a run and publishes it as ``rep.kernel.*`` gauges,
 #: which is how worker-side kernel work reaches the parent under
-#: ``--jobs N``; :mod:`repro.graph.batch` registers its own keys here too.
+#: ``--jobs N``.  A batch counts one call and, apart, its targets.
 KERNEL_INVOCATIONS: Dict[str, int] = dict.fromkeys(
-    ("ford_fulkerson", "bounded_ford_fulkerson", "maxflow_two_hop"), 0
+    (
+        "ford_fulkerson",
+        "bounded_ford_fulkerson",
+        "maxflow_two_hop",
+        "maxflow_two_hop_batch",
+        "maxflow_two_hop_batch_targets",
+    ),
+    0,
 )
 
 
@@ -102,8 +110,8 @@ def snapshot_kernel_invocations() -> Dict[str, int]:
 def kernel_invocations_delta(baseline: Mapping[str, int]) -> Dict[str, int]:
     """Per-kernel calls since ``baseline`` (a prior snapshot).
 
-    Kernels registered after the snapshot (e.g. the batch kernel key on
-    first use) count from zero.  Only non-zero deltas are returned.
+    A key added after the snapshot counts from zero.  Only non-zero
+    deltas are returned.
     """
     return {
         key: count - baseline.get(key, 0)
@@ -163,9 +171,9 @@ class FlowResult:
     augmenting_paths:
         Number of augmenting paths applied (0 for the closed form).
     paths:
-        The recorded path decomposition; empty unless
-        :func:`maxflow_two_hop` was called with ``record_paths=True``.
-        The path flows sum to ``value`` exactly (see module docstring).
+        The recorded path decomposition; empty unless the result came
+        from :func:`two_hop_paths`.  The path flows sum to ``value``
+        exactly (see module docstring).
     """
 
     value: float
@@ -190,10 +198,10 @@ def leave_one_out_values(result: FlowResult) -> Dict[PeerId, float]:
     ------
     ValueError
         If ``result`` carries no recorded paths but has nonzero value
-        (i.e. the kernel was not asked to record).
+        (i.e. it did not come from :func:`two_hop_paths`).
     """
     if not result.paths and result.value != 0.0:
-        raise ValueError("FlowResult has no recorded paths (record_paths=False?)")
+        raise ValueError("FlowResult has no recorded paths (not from two_hop_paths?)")
     through: Dict[PeerId, float] = {}
     for path in result.paths:
         for v in path.nodes[1:-1]:
@@ -386,41 +394,25 @@ def maxflow_two_hop_pair(
     )
 
 
-def maxflow_two_hop(
-    graph: TransferGraph,
-    source: PeerId,
-    sink: PeerId,
-    *,
-    record_paths: bool = False,
-) -> FlowResult:
-    """Closed-form 2-hop bounded maxflow (BarterCast's online kernel).
-
+def maxflow_two_hop(graph: TransferGraph, source: PeerId, sink: PeerId) -> FlowResult:
+    """Closed-form 2-hop bounded maxflow (BarterCast's online kernel):
     :func:`two_hop_flow` over the source's out-neighbourhood and the
-    sink's in-neighbourhood.  ``record_paths`` additionally returns the
-    (unique, exact) 2-hop path decomposition; the value is the same bits
-    either way.
+    sink's in-neighbourhood."""
+    if source == sink:
+        raise ValueError("source and sink must differ")
+    KERNEL_INVOCATIONS["maxflow_two_hop"] += 1
+    value = two_hop_flow(graph.successors(source), graph.predecessors(sink), sink)
+    return FlowResult(value=value, source=source, sink=sink)
+
+
+def two_hop_paths(graph: TransferGraph, source: PeerId, sink: PeerId) -> FlowResult:
+    """:func:`maxflow_two_hop` with the (unique, exact) decomposition it
+    summed in ``paths`` — the direct edge first, then one path per
+    intermediary in summation order — counted as that one call.
     """
     if source == sink:
         raise ValueError("source and sink must differ")
     KERNEL_INVOCATIONS["maxflow_two_hop"] += 1
-    if record_paths:
-        value, paths = two_hop_paths(graph, source, sink)
-    else:
-        value = two_hop_flow(graph.successors(source), graph.predecessors(sink), sink)
-        paths = ()
-    return FlowResult(
-        value=value, source=source, sink=sink, augmenting_paths=len(paths), paths=paths
-    )
-
-
-def two_hop_paths(
-    graph: TransferGraph, source: PeerId, sink: PeerId
-) -> Tuple[float, Tuple[FlowPath, ...]]:
-    """``(value, paths)``: :func:`two_hop_flow` plus the decomposition it
-    summed — the direct edge first, then one path per intermediary in
-    summation order: :func:`maxflow_two_hop`'s ``record_paths`` form,
-    which maintains the invocation counter.
-    """
     out_s = graph.successors(source)
     in_t = graph.predecessors(sink)
     via: List[PeerId] = []
@@ -452,4 +444,40 @@ def two_hop_paths(
                 residuals=(c_sv - f, c_vt - f),
             )
         )
-    return value, tuple(paths)
+    return FlowResult(
+        value=value,
+        source=source,
+        sink=sink,
+        augmenting_paths=len(paths),
+        paths=tuple(paths),
+    )
+
+
+def maxflow_two_hop_batch(
+    graph: TransferGraph, owner: PeerId, targets: Iterable[PeerId]
+) -> Dict[PeerId, Tuple[float, float]]:
+    """``{j: (maxflow2(j → owner), maxflow2(owner → j))}`` for every target.
+
+    The rank/ban policies evaluate ``R_i(j)`` for every unchoke candidate
+    every choke round.  The owner's two views are fetched once for the
+    whole batch and handed, with each target's views, to
+    :func:`two_hop_flow` — the same function on the same views as the
+    scalar kernel, so each value is the same bits as a
+    :func:`maxflow_two_hop` call.  Duplicates and ``owner`` itself are
+    skipped.  Values only: :func:`two_hop_paths` gives a path
+    decomposition.
+    """
+    KERNEL_INVOCATIONS["maxflow_two_hop_batch"] += 1
+    out_i = graph.successors(owner)
+    in_i = graph.predecessors(owner)
+    successors = graph.successors
+    predecessors = graph.predecessors
+    results: Dict[PeerId, Tuple[float, float]] = {}
+    for j in targets:
+        if j != owner and j not in results:
+            results[j] = (
+                two_hop_flow(successors(j), in_i, owner),
+                two_hop_flow(out_i, predecessors(j), j),
+            )
+    KERNEL_INVOCATIONS["maxflow_two_hop_batch_targets"] += len(results)
+    return results

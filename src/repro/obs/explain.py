@@ -2,9 +2,8 @@
 
 ``R_i(j)`` is an arctan of ``maxflow(j, i) − maxflow(i, j)`` on *i*'s
 subjective graph.  This module decomposes the two flows into their
-augmenting paths (:func:`~repro.graph.maxflow.maxflow_two_hop` with
-``record_paths=True``), attaches the lineage of every gossip-learned
-claim backing a path edge (recorded by
+augmenting paths (:func:`~repro.graph.maxflow.two_hop_paths`), attaches
+the lineage of every gossip-learned claim backing a path edge (recorded by
 :class:`~repro.obs.provenance.ProvenanceRecorder` when the simulation
 ran with provenance on), and computes leave-one-out reputation deltas —
 what ``R_i(j)`` would be without each intermediary peer — from the
@@ -38,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Tuple
 
-from repro.graph.maxflow import FlowResult, leave_one_out_values, maxflow_two_hop
+from repro.graph.maxflow import FlowResult, leave_one_out_values, two_hop_paths
 from repro.obs.provenance import ClaimLineage, _json_safe
 
 __all__ = [
@@ -132,8 +131,8 @@ def explain_reputation(node, subject: PeerId) -> Explanation:
     if subject == me:
         raise ValueError("a peer has no reputation at itself")
     metric = node.config.metric
-    in_result = maxflow_two_hop(node.graph, subject, me, record_paths=True)
-    out_result = maxflow_two_hop(node.graph, me, subject, record_paths=True)
+    in_result = two_hop_paths(node.graph, subject, me)
+    out_result = two_hop_paths(node.graph, me, subject)
     inflow, outflow = in_result.value, out_result.value
     reputation = metric.scale(inflow - outflow)
 

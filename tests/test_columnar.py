@@ -1,14 +1,13 @@
-"""Columnar backend: interner stability, dict-oracle equivalence, kernels.
+"""Columnar backend: interner stability, dict-oracle equivalence, node level.
 
 The dict-backed :class:`~repro.graph.transfer_graph.TransferGraph` is the
 semantic oracle; every test here pins the columnar backend — storage,
-events, the array kernel, and node-level behaviour — to it bit-for-bit.
-The interner contract (indices never reused, never remapped, surviving
-churn wipes and log compaction) is what the CSR snapshots rely on, so it
-gets its own section.
+events, both row-read paths (the slot rows and the CSR snapshot), and
+node-level behaviour — to it bit-for-bit.  The interner contract (indices
+never reused, never remapped, surviving churn wipes and log compaction)
+is what the CSR snapshots rely on, so it gets its own section.
 """
 
-import math
 import random
 
 import numpy as np
@@ -17,10 +16,9 @@ import pytest
 from repro.core.messages import BarterCastMessage, HistoryRecord
 from repro.core.node import BarterCastNode
 from repro.core.reputation import MB
-from repro.graph.batch import maxflow_two_hop_batch
-from repro.graph.columnar import ColumnarTransferGraph, two_hop_batch_arrays
+from repro.graph.columnar import ColumnarTransferGraph
 from repro.graph.interner import PeerInterner
-from repro.graph.maxflow import KERNEL_INVOCATIONS, maxflow_two_hop
+from repro.graph.maxflow import maxflow_two_hop, maxflow_two_hop_batch, two_hop_paths
 from repro.graph.transfer_graph import TransferGraph
 
 
@@ -52,8 +50,8 @@ class TestPeerInterner:
         assert interner.peer(b) == "1"
 
     def test_indices_survive_churn_wipe(self):
-        """A hard-restart wipe (forget every reporter) empties the graph's
-        live state but must not move any interned index."""
+        """A hard-restart wipe (forget every reporter: zero writes) empties
+        the graph's gossip edges but must not move any interned index."""
         node = BarterCastNode("me", graph_backend="columnar")
         msg = BarterCastMessage(
             "r1",
@@ -64,28 +62,31 @@ class TestPeerInterner:
             ),
         )
         node.receive_message(msg)
-        interner = node.graph.interner
-        before = {p: interner.lookup(p) for p in ("r1", "a", "b")}
+        lookup = node.graph._interner.lookup
+        before = {p: lookup(p) for p in ("r1", "a", "b")}
         assert all(i >= 0 for i in before.values())
         node.wipe_shared_history()
-        after = {p: interner.lookup(p) for p in ("r1", "a", "b")}
-        assert after == before
+        assert node.graph.num_edges == 0
+        assert {p: lookup(p) for p in ("r1", "a", "b")} == before
         # Re-learning the same peers reuses the same indices.
         node.receive_message(
             BarterCastMessage("r1", 2.0, records=(HistoryRecord("a", 1 * MB, 0.0),))
         )
-        assert {p: interner.lookup(p) for p in ("r1", "a", "b")} == before
+        assert {p: lookup(p) for p in ("r1", "a", "b")} == before
 
     def test_indices_survive_log_compaction(self):
         g = ColumnarTransferGraph()
         for i in range(20):
-            g.add_transfer(f"p{i}", f"p{(i + 1) % 20}", 10.0)
-        before = {f"p{i}": g.peer_index(f"p{i}") for i in range(20)}
+            g.set_transfer(f"p{i}", f"p{(i + 1) % 20}", 10.0 + i)
+        lookup = g._interner.lookup
+        before = {f"p{i}": lookup(f"p{i}") for i in range(20)}
         for i in range(0, 20, 2):
             g.set_transfer(f"p{i}", f"p{(i + 1) % 20}", 0.0)
-        removed = g.compact()
-        assert removed == 10
-        assert {f"p{i}": g.peer_index(f"p{i}") for i in range(20)} == before
+        edges = list(g.edges())
+        assert g.compact() == 10
+        assert g.compact() == 0
+        assert {f"p{i}": lookup(f"p{i}") for i in range(20)} == before
+        assert list(g.edges()) == edges
 
 
 # ---------------------------------------------------------------------------
@@ -94,53 +95,56 @@ class TestPeerInterner:
 
 
 def _random_op_stream(seed: int, n_peers: int = 8, n_ops: int = 60):
+    """Overwrites, zero writes, a node's every edge zeroed (a wipe), and
+    ``csr`` (the columnar graph builds its snapshot; a no-op on the dict
+    graph)."""
     rng = random.Random(seed)
     peers = [f"p{i}" for i in range(n_peers)]
     ops = []
     for _ in range(n_ops):
         roll = rng.random()
         a, b = rng.sample(peers, 2)
-        if roll < 0.5:
-            ops.append(("add", a, b, round(rng.uniform(0.1, 9.9), 3)))
-        elif roll < 0.72:
+        if roll < 0.6:
             ops.append(("set", a, b, round(rng.uniform(0.1, 9.9), 3)))
-        elif roll < 0.88:
+        elif roll < 0.8:
             ops.append(("set", a, b, 0.0))
+        elif roll < 0.9:
+            ops.append(("wipe", a, None, None))
         else:
-            ops.append(("remove", a, None, None))
+            ops.append(("csr", None, None, None))
     return ops
 
 
 def _apply(graph, ops, events):
-    """Apply ``ops``.  The dict oracle only overwrites totals: it takes an
-    add as the accumulated total (``old + v``, the columnar arithmetic)
-    and a node removal as every incident edge written to zero, out-edges
-    then in-edges (the columnar notification order); the node stays."""
+    """Apply ``ops`` through the one write both classes share; a wipe
+    zeroes out-edges then in-edges, read from the graph itself (from the
+    snapshot, when one is fresh)."""
     graph.subscribe(lambda s, d: events.append((s, d)))
-    columnar = isinstance(graph, ColumnarTransferGraph)
     for op, a, b, v in ops:
         if op == "set":
             graph.set_transfer(a, b, v)
-        elif columnar:
-            graph.add_transfer(a, b, v) if op == "add" else graph.remove_node(a)
-        elif op == "add":
-            graph.set_transfer(a, b, graph.capacity(a, b) + v)
-        else:
+        elif op == "wipe":
             for dst in list(graph.successors(a)):
                 graph.set_transfer(a, dst, 0.0)
             for src in list(graph.predecessors(a)):
                 graph.set_transfer(src, a, 0.0)
+        elif isinstance(graph, ColumnarTransferGraph):
+            graph.build_csr()
 
 
-def _removed(ops):
-    """Nodes a removal took out and no later write named again."""
-    gone = set()
-    for op, a, b, _ in ops:
-        if op == "remove":
-            gone.add(a)
-        else:
-            gone -= {a, b}
-    return gone
+def _same_graph(g1, g2):
+    assert list(g1.nodes()) == list(g2.nodes())
+    assert list(g1.edges()) == list(g2.edges())
+    assert (g1.num_nodes, g1.num_edges) == (g2.num_nodes, g2.num_edges)
+    for p in [*g1.nodes(), "ghost"]:
+        # Order matters: row iteration order is the summation order.
+        assert list(g1.successors(p).items()) == list(g2.successors(p).items())
+        assert list(g1.predecessors(p).items()) == list(g2.predecessors(p).items())
+        assert (g1.in_degree(p), g1.out_degree(p)) == (g2.in_degree(p), g2.out_degree(p))
+        assert g1.has_node(p) == g2.has_node(p)
+        for q in g1.nodes():
+            if q != p:
+                assert g1.capacity(p, q) == g2.capacity(p, q)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -151,96 +155,67 @@ def test_op_stream_equivalence_with_dict_oracle(seed):
     _apply(g1, ops, ev1)
     _apply(g2, ops, ev2)
     assert ev1 == ev2  # listener event order is part of the contract
-    assert g2.total_bytes == math.fsum(w for _, _, w in g1.edges())
-    live = set(g1.nodes()) - _removed(ops)
-    assert sorted(live, key=repr) == sorted(g2.nodes(), key=repr)
-    for p in g1.nodes():
-        # Order matters: snapshot iteration order is the summation order.
-        assert list(g1.successors(p).items()) == list(g2.successors(p).items())
-        assert list(g1.predecessors(p).items()) == list(g2.predecessors(p).items())
-        assert g2.net_flow(p) == sum(g1.successors(p).values()) - sum(
-            g1.predecessors(p).values()
-        )
+    _same_graph(g1, g2)  # slot rows, or the snapshot if the last op built it
+    g2.build_csr()
+    _same_graph(g1, g2)  # the snapshot
+
+
+def test_long_op_stream_compacts_and_stays_equal():
+    """Enough zero writes to cross the compaction trigger several times:
+    compaction renumbers slots and keeps every row's order."""
+    ops = _random_op_stream(99, n_peers=5, n_ops=12_000)
+    g1, g2 = TransferGraph(), ColumnarTransferGraph()
+    kills = []
+    g2.subscribe(lambda s, d: kills.append(g2.capacity(s, d) == 0.0))
+    ev1, ev2 = [], []
+    _apply(g1, ops, ev1)
+    _apply(g2, ops, ev2)
+    # Every kill leaves a tombstone in the log until a compaction drops it.
+    assert sum(kills) > 2_000 > len(g2._slot_val)
+    assert ev1 == ev2
+    _same_graph(g1, g2)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_batch_kernels_bit_identical(seed):
-    """Array kernel ≡ dict loop on the columnar graph ≡ dict loop on the
-    dict oracle ≡ scalar kernel, ghost targets included."""
-    ops = _random_op_stream(seed)
-    g1, g2, g3 = TransferGraph(), ColumnarTransferGraph(), ColumnarTransferGraph()
-    for g in (g1, g2, g3):
+    """The batch on the dict oracle ≡ on the columnar graph read from its
+    slot rows ≡ read from a fresh snapshot ≡ the scalar kernel, ghost
+    targets included; a batch never builds or drops a snapshot."""
+    ops = [op for op in _random_op_stream(seed) if op[0] != "csr"]
+    g1, stale, fresh = TransferGraph(), ColumnarTransferGraph(), ColumnarTransferGraph()
+    for g in (g1, stale, fresh):
         _apply(g, ops, [])
-    live = [p for p in g1.nodes() if g2.has_node(p)]
+    fresh.build_csr()
+    live = list(g1.nodes())
     if not live:
         pytest.skip("empty stream")
     for owner in live[:4]:
         targets = [p for p in live if p != owner] + ["ghost"]
         ref = maxflow_two_hop_batch(g1, owner, targets)
-        arr = two_hop_batch_arrays(g2, owner, targets)
-        assert not g3.csr_fresh  # never built: the dispatcher must not build it
-        loop = maxflow_two_hop_batch(g3, owner, targets)
-        assert not g3.csr_fresh
+        assert maxflow_two_hop_batch(stale, owner, targets) == ref
+        assert maxflow_two_hop_batch(fresh, owner, targets) == ref
+        assert stale._csr is None and fresh._csr is not None
         for j in targets:
-            assert ref[j] == arr[j], (owner, j)
-            assert ref[j] == loop[j], (owner, j)
             assert ref[j] == (
                 maxflow_two_hop(g1, j, owner).value,
                 maxflow_two_hop(g1, owner, j).value,
             ), (owner, j)
 
 
-def test_dispatch_uses_array_kernel_when_csr_fresh():
-    g = ColumnarTransferGraph()
-    for i in range(40):
-        g.add_transfer(f"p{i}", f"p{(i + 3) % 40}", float(i + 1))
-    g.build_csr()
-    assert g.csr_fresh
-    before = KERNEL_INVOCATIONS["maxflow_two_hop_batch_columnar"]
-    maxflow_two_hop_batch(g, "p0", [f"p{i}" for i in range(1, 5)])
-    assert KERNEL_INVOCATIONS["maxflow_two_hop_batch_columnar"] == before + 1
-
-
-def test_record_paths_works_on_columnar():
+def test_two_hop_paths_works_on_columnar():
     g1, g2 = TransferGraph(), ColumnarTransferGraph()
     for g in (g1, g2):
         g.set_transfer("a", "me", 100.0)
         g.set_transfer("a", "v", 50.0)
         g.set_transfer("v", "me", 30.0)
-    ref = maxflow_two_hop(g1, "a", "me", record_paths=True)
-    got = maxflow_two_hop(g2, "a", "me", record_paths=True)
+    ref = two_hop_paths(g1, "a", "me")
+    got = two_hop_paths(g2, "a", "me")
     assert (ref.value, ref.paths) == (got.value, got.paths)
     assert got.value == 130.0
     assert len(got.paths) == 2
-
-
-def test_bulk_load_matches_incremental_build():
-    rng = np.random.default_rng(3)
-    n = 300
-    src = rng.integers(0, n, size=2000)
-    dst = rng.integers(0, n, size=2000)
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
-    _, first = np.unique(src * n + dst, return_index=True)
-    first.sort()
-    src, dst = src[first], dst[first]
-    val = rng.uniform(1.0, 100.0, size=src.shape[0])
-
-    bulk = ColumnarTransferGraph.from_edge_arrays(n, src, dst, val)
-    inc = ColumnarTransferGraph()
-    for s, d, v in zip(src.tolist(), dst.tolist(), val.tolist()):
-        inc.set_transfer(int(s), int(d), float(v))
-    assert bulk.num_edges == inc.num_edges
-    # Row contents match (bulk declares all n nodes up front, so global
-    # node order differs from first-appearance order; per-row order is
-    # what the kernels consume).
-    for p in range(n):
-        assert list(bulk.successors(p).items()) == list(inc.successors(p).items())
-    # Mutating a lazily-loaded graph materializes the python rows first.
-    bulk.add_transfer(int(src[0]), int(dst[0]), 5.0)
-    assert bulk.capacity(int(src[0]), int(dst[0])) == pytest.approx(
-        float(val[0]) + 5.0
-    )
+    g2.build_csr()
+    snap = two_hop_paths(g2, "a", "me")
+    assert (ref.value, ref.paths) == (snap.value, snap.paths)
 
 
 # ---------------------------------------------------------------------------
@@ -305,36 +280,35 @@ def test_invalid_backend_rejected():
 
 
 def test_columnar_kernel_byte_identical_across_runs():
-    """The columnar kernels sum 2-hop terms in canonical order — ascending
+    """The columnar rows hold 2-hop terms in canonical order — ascending
     edge-slot order, i.e. the dict oracle's insertion order (an ascending
     interned-index order would *break* oracle bit-identity, see the module
     docstring) — so two independently-built replicas produce byte-identical
-    reputation vectors."""
+    reputation vectors from their snapshots."""
     def build():
         g = ColumnarTransferGraph()
         rng = random.Random(11)
         for _ in range(400):
             a, b = rng.sample(range(50), 2)
-            g.add_transfer(a, b, rng.uniform(0.1, 99.9))
+            g.set_transfer(a, b, g.capacity(a, b) + rng.uniform(0.1, 99.9))
+        g.build_csr()
         return g
 
     g1, g2 = build(), build()
     targets = list(range(1, 50))
-    r1 = two_hop_batch_arrays(g1, 0, targets)
-    r2 = two_hop_batch_arrays(g2, 0, targets)
+    r1 = maxflow_two_hop_batch(g1, 0, targets)
+    r2 = maxflow_two_hop_batch(g2, 0, targets)
     b1 = np.array([r1[t] for t in targets]).tobytes()
     b2 = np.array([r2[t] for t in targets]).tobytes()
     assert b1 == b2
-    # Stale CSR, small batch: a write after the build sends the next batch
-    # through the dict loop (no rebuild), which must equal the scalar kernel
-    # byte for byte — on the changed edge's endpoints and on the rest.
-    g2.add_transfer(3, 0, 7.25)
-    assert not g2.csr_fresh
-    calls = KERNEL_INVOCATIONS["maxflow_two_hop_batch_columnar"]
+    # A write after the build drops the snapshot; the next batch reads the
+    # slot rows (no rebuild) and must equal the scalar kernel byte for
+    # byte — on the changed edge's endpoints and on the rest.
+    g2.set_transfer(3, 0, g2.capacity(3, 0) + 7.25)
+    assert g2._csr is None
     small = [3, 4, 5]
     r3 = maxflow_two_hop_batch(g2, 0, small)
-    assert KERNEL_INVOCATIONS["maxflow_two_hop_batch_columnar"] == calls
-    assert not g2.csr_fresh
+    assert g2._csr is None
     want = [
         (maxflow_two_hop(g2, t, 0).value, maxflow_two_hop(g2, 0, t).value)
         for t in small

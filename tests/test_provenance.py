@@ -6,10 +6,10 @@ The load-bearing guarantees of the provenance layer:
   enough to reconstruct the exact materialized subjective-graph edge
   value (max over live claims), under arbitrary schedules of loss,
   duplication, delay and churn;
-* **exact flow attribution** — ``maxflow_two_hop(record_paths=True)``
-  returns ≤2-hop paths whose flows sum to the flow value bit-exactly,
-  equal the reference model's paths (``tests/model.py``), are
-  edge-disjoint, and yield exact leave-one-out deltas with no re-solve;
+* **exact flow attribution** — ``two_hop_paths`` returns ≤2-hop paths
+  whose flows sum to the flow value bit-exactly, equal the reference
+  model's paths (``tests/model.py``), are edge-disjoint, and yield exact
+  leave-one-out deltas with no re-solve;
 * **null-object discipline** — provenance is off by default and a
   provenance-on run produces byte-identical figure exports to a
   provenance-off run (recording observes, never perturbs);
@@ -27,7 +27,7 @@ from repro.core.messages import BarterCastMessage, HistoryRecord
 from repro.core.sharedhistory import SubjectiveSharedHistory
 from repro.experiments.scenario import ScenarioConfig, build_simulation
 from repro.faults import FaultConfig, audit_simulation
-from repro.graph.maxflow import leave_one_out_values, maxflow_two_hop
+from repro.graph.maxflow import leave_one_out_values, maxflow_two_hop, two_hop_paths
 from repro.graph.transfer_graph import TransferGraph
 from repro.obs.explain import explain_reputation, render_explanation, top_subjects
 from repro.obs.provenance import (
@@ -233,8 +233,8 @@ class TestPathAttribution:
     @settings(max_examples=60, deadline=None)
     @given(random_graphs())
     def test_paths_sum_to_value_and_match_oracle(self, g):
-        result = maxflow_two_hop(g, 0, 1, record_paths=True)
-        # Bit-exact: the recording twin mirrors the scalar accumulation.
+        result = two_hop_paths(g, 0, 1)
+        # Bit-exact: the paths are the terms the closed form summed.
         assert sum(p.flow for p in result.paths) == result.value
         # ... and the reference model's scan, path for path.
         assert (result.value, result.paths) == model.two_hop(g, 0, 1)
@@ -243,7 +243,7 @@ class TestPathAttribution:
     @settings(max_examples=60, deadline=None)
     @given(random_graphs())
     def test_paths_are_edge_disjoint_with_valid_bottlenecks(self, g):
-        result = maxflow_two_hop(g, 0, 1, record_paths=True)
+        result = two_hop_paths(g, 0, 1)
         seen = set()
         for path in result.paths:
             assert path.flow > 0.0
@@ -267,7 +267,7 @@ class TestPathAttribution:
     @settings(max_examples=40, deadline=None)
     @given(random_graphs())
     def test_leave_one_out_is_exact_for_two_hop(self, g):
-        result = maxflow_two_hop(g, 0, 1, record_paths=True)
+        result = two_hop_paths(g, 0, 1)
         for v, claimed in leave_one_out_values(result).items():
             pruned = graph_of(
                 (s, t, w) for s, t, w in g.edges() if v not in (s, t)

@@ -55,6 +55,12 @@ class TestScaling:
             ReputationMetric(scaling="bogus")
         with pytest.raises(ValueError):
             ReputationMetric(linear_range=0.0)
+        # Non-finite scales: NaN made every score NaN, inf made it 0.0.
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ReputationMetric(unit_bytes=bad)
+            with pytest.raises(ValueError):
+                ReputationMetric(scaling="linear", linear_range=bad)
 
 
 class TestReputation:

@@ -34,10 +34,10 @@ from repro.core.node import GRAPH_BACKENDS, BarterCastNode
 from repro.core.policies import BanPolicy, RankPolicy
 from repro.core.reputation import MB, ReputationMetric
 from repro.experiments.scenario import ScenarioConfig, build_simulation
-from repro.graph.batch import maxflow_two_hop_batch
 from repro.graph.maxflow import (
     kernel_invocations_delta,
     maxflow_two_hop,
+    maxflow_two_hop_batch,
     snapshot_kernel_invocations,
 )
 from repro.graph.transfer_graph import TransferGraph

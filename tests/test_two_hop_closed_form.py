@@ -1,9 +1,10 @@
 """System ≡ model for the 2-hop closed form and everything that reads it.
 
 ``repro.graph.maxflow.two_hop_flow`` is the one place the closed form is
-written; the scalar kernel, its ``record_paths`` twin, the pair, the batch
-(dict loop and the columnar array kernel), the metric, rank and ban all
-call it.  Each is checked against ``model.two_hop``, the closed form by
+written; the scalar kernel, the pair, ``two_hop_paths``, the batch, the
+metric, rank and ban all call it.  Each is checked on a dict graph and on
+a columnar graph read from its slot rows and from a fresh CSR snapshot
+(after ``build_csr()``) against ``model.two_hop``, the closed form by
 scan over a dict graph given the same writes.  Every comparison is ``==``
 on floats: the same additions in the same order, not "close".
 """
@@ -18,22 +19,28 @@ from hypothesis import strategies as st
 from repro.core.node import BarterCastNode
 from repro.core.policies import BanPolicy
 from repro.core.reputation import ReputationMetric
-from repro.graph.batch import maxflow_two_hop_batch
-from repro.graph.columnar import ColumnarTransferGraph, two_hop_batch_arrays
+from repro.graph.columnar import ColumnarTransferGraph
 from repro.graph.maxflow import (
     KERNEL_INVOCATIONS,
     FlowPath,
     kernel_invocations_delta,
     maxflow_two_hop,
+    maxflow_two_hop_batch,
     maxflow_two_hop_pair,
     snapshot_kernel_invocations,
     two_hop_flow,
+    two_hop_paths,
 )
 from repro.graph.transfer_graph import TransferGraph
 from tests import model
 
-#: Every 2-hop example runs on each graph class that ships.
-GRAPHS = {"dict": TransferGraph, "columnar": ColumnarTransferGraph}
+#: Every 2-hop example runs on each graph class that ships, and on the
+#: columnar graph's snapshot: ``(node backend, class, build the CSR?)``.
+GRAPHS = {
+    "dict": ("dict", TransferGraph, False),
+    "columnar": ("columnar", ColumnarTransferGraph, False),
+    "columnar-csr": ("columnar", ColumnarTransferGraph, True),
+}
 #: Capacities whose sum depends on the order of addition (0.1 + 0.2 + 0.3
 #: != 0.3 + 0.2 + 0.1; 1e16 swallows a 1.0 added after it), repeated so
 #: that equal capacities meet in ``min``; 0.0 deletes the edge, and a
@@ -48,6 +55,16 @@ def build(writes, graph):
     for src, dst, nbytes in writes:
         if src != dst:
             graph.set_transfer(src, dst, nbytes)
+    return graph
+
+
+def build_variant(writes, variant, graph=None):
+    """``writes`` on a fresh graph of ``variant`` (or on ``graph``), with
+    the snapshot built after them when the variant asks for it."""
+    _, cls, csr = GRAPHS[variant]
+    graph = build(writes, cls() if graph is None else graph)
+    if csr:
+        graph.build_csr()
     return graph
 
 
@@ -68,51 +85,44 @@ def shape(graph, s, t):
 
 
 def check_every_route(writes):
-    """Every 2-hop route over each graph class against the model over a
+    """Every 2-hop route over each graph variant against the model over a
     dict graph given the same writes, and what each route counts: a scalar
-    call one ``maxflow_two_hop``, a pair or a reputation two, a batch one
-    call and its distinct targets other than the owner.  A node sends the
-    batch kernel only its targets inside the reach set (``model.reach``
-    of the graphs the writes passed through), and skips the call when
-    there are none."""
+    call or ``two_hop_paths`` one ``maxflow_two_hop``, a pair or a
+    reputation two, a batch one call and its distinct targets other than
+    the owner.  A node sends the batch kernel only its targets inside the
+    reach set (``model.reach`` of the graphs the writes passed through),
+    and skips the call when there are none."""
     ref = build(writes, TransferGraph())
-    graphs = {backend: build(writes, cls()) for backend, cls in GRAPHS.items()}
+    graphs = {variant: build_variant(writes, variant) for variant in GRAPHS}
     everyone = list(dict.fromkeys(p for w in writes for p in w[:2])) + ["ghost"]
-    metric, flows_of, counts = ReputationMetric(), {}, Counter()
+    metric, counts = ReputationMetric(), Counter()
     before = snapshot_kernel_invocations()
     for owner in everyone:
         targets = [t for t in everyone if t != owner]
         want = {j: (model.two_hop(ref, j, owner), model.two_hop(ref, owner, j)) for j in targets}
-        flows = flows_of[owner] = {j: (i[0], o[0]) for j, (i, o) in want.items()}
+        flows = {j: (i[0], o[0]) for j, (i, o) in want.items()}
         reps = {j: model.reputation(ref, owner, j) for j in targets}
         reach = model.reach(states(writes), owner)
         near = [j for j in targets if j in reach]
-        for backend, graph in graphs.items():
+        for variant, graph in graphs.items():
             for j, ((inflow, _), (outflow, paths)) in want.items():
                 assert maxflow_two_hop(graph, j, owner).value == inflow
-                got = maxflow_two_hop(graph, owner, j, record_paths=True)
+                got = two_hop_paths(graph, owner, j)
                 assert (got.value, got.paths, got.augmenting_paths) == (outflow, paths, len(paths))
                 assert maxflow_two_hop_pair(graph, owner, j) == (inflow, outflow)
                 assert metric.reputation(graph, owner, j) == reps[j]
             got = maxflow_two_hop_batch(graph, owner, targets + targets + [owner])
             assert got == flows and list(got) == targets
-            node = BarterCastNode(owner, graph_backend=backend)
-            build(writes, node.graph)
+            node = BarterCastNode(owner, graph_backend=GRAPHS[variant][0])
+            build_variant(writes, variant, node.graph)
             assert node.reputations_of(targets) == reps
             assert node.rank_by_reputation(targets) == model.rank(ref, owner, targets)
             assert BanPolicy(-0.5).allowed(node, targets) == model.ban(ref, owner, targets, -0.5)
             counts["maxflow_two_hop"] += 6 * len(targets)
             counts["maxflow_two_hop_batch"] += 1 + bool(near)  # the node asks once
             counts["maxflow_two_hop_batch_targets"] += len(targets) + len(near)
-    columnar = graphs["columnar"]
-    columnar.build_csr()  # a fresh CSR sends a present owner's batch to the array kernel
-    for owner, flows in flows_of.items():
-        assert maxflow_two_hop_batch(columnar, owner, list(flows)) == flows
-        counts["maxflow_two_hop_batch"] += 1
-        counts["maxflow_two_hop_batch_targets"] += len(flows)
-        if columnar.has_node(owner):
-            assert two_hop_batch_arrays(columnar, owner, list(flows)) == flows
-            counts["maxflow_two_hop_batch_columnar"] += 1
+    # Reads neither build nor drop a snapshot.
+    assert graphs["columnar"]._csr is None and graphs["columnar-csr"]._csr is not None
     assert kernel_invocations_delta(before) == dict(+counts)
 
 
@@ -166,7 +176,7 @@ def test_each_intersection_size_under_both_branch_orders(n_common, walk, direct,
     assert shape(graph, "s", "t") == (min(n_common, 2), walk, direct, equal and n_common > 0)
     want, want_paths = model.two_hop(graph, "s", "t")
     assert maxflow_two_hop(graph, "s", "t").value == want
-    recorded = maxflow_two_hop(graph, "s", "t", record_paths=True)
+    recorded = two_hop_paths(graph, "s", "t")
     assert (recorded.value, recorded.paths) == (want, want_paths)
     assert len(want_paths) == n_common + direct
     assert maxflow_two_hop_batch(graph, "s", ["t"])["t"][1] == want
@@ -181,7 +191,7 @@ def test_target_that_is_only_a_direct_neighbour():
     assert maxflow_two_hop(graph, "s", "t").value == 7.5
     assert maxflow_two_hop(graph, "t", "s").value == 0.0
     assert maxflow_two_hop_pair(graph, "t", "s") == (7.5, 0.0)
-    assert maxflow_two_hop(graph, "s", "t", record_paths=True).paths == (
+    assert two_hop_paths(graph, "s", "t").paths == (
         FlowPath(nodes=("s", "t"), flow=7.5, bottleneck=("s", "t"), residuals=(0.0,)),
     )
 
@@ -198,9 +208,7 @@ def test_kernel_invocation_deltas_per_call():
     graph = fan(1, 2, 3, direct=True)
     metric = ReputationMetric()
     assert delta(lambda: maxflow_two_hop(graph, "s", "t")) == {"maxflow_two_hop": 1}
-    assert delta(lambda: maxflow_two_hop(graph, "s", "t", record_paths=True)) == {
-        "maxflow_two_hop": 1
-    }
+    assert delta(lambda: two_hop_paths(graph, "s", "t")) == {"maxflow_two_hop": 1}
     assert delta(lambda: maxflow_two_hop_pair(graph, "s", "t")) == {"maxflow_two_hop": 2}
     assert delta(lambda: metric.reputation(graph, "s", "t")) == {"maxflow_two_hop": 2}
     assert delta(lambda: maxflow_two_hop_batch(graph, "s", ["t", "c0", "t", "s", "ghost"])) == {
@@ -218,21 +226,19 @@ def test_kernel_invocation_deltas_per_call():
 @pytest.mark.parametrize("cls", [TransferGraph, ColumnarTransferGraph])
 @pytest.mark.parametrize("removed", [False, True])
 def test_batch_counts_its_targets_when_the_owner_is_absent(cls, removed):
-    """Every exit of the batch kernel counts the results it returns, for
-    an owner never seen and for one whose edges were removed (the
-    columnar graph drops its node too; the dict graph keeps it)."""
+    """The batch kernel counts the results it returns, for an owner never
+    seen and for one whose edges were all written to zero (the node
+    stays), on a dict graph and on a columnar graph's snapshot."""
     graph = cls()
     graph.set_transfer("a", "b", 1.0)
     if removed:
         graph.set_transfer("ghost", "a", 2.0)
         graph.set_transfer("b", "ghost", 3.0)
-        if cls is ColumnarTransferGraph:
-            graph.remove_node("ghost")
-        else:
-            graph.set_transfer("ghost", "a", 0.0)
-            graph.set_transfer("b", "ghost", 0.0)
+        graph.set_transfer("ghost", "a", 0.0)
+        graph.set_transfer("b", "ghost", 0.0)
+        assert graph.has_node("ghost")
     if cls is ColumnarTransferGraph:
-        graph.build_csr()  # a fresh CSR must not send an absent owner to the array kernel
+        graph.build_csr()
     before = snapshot_kernel_invocations()
     got = maxflow_two_hop_batch(graph, "ghost", ["a", "b", "a", "ghost"])
     assert got == {"a": (0.0, 0.0), "b": (0.0, 0.0)}
