@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 __all__ = ["BitTorrentConfig"]
 
@@ -62,17 +63,21 @@ class BitTorrentConfig:
         )
 
     def validate(self) -> None:
-        """Check parameter sanity; raises ``ValueError``."""
-        if self.round_interval <= 0:
+        """Check parameter sanity; raises ``ValueError``.  Intervals must be
+        finite and positive, ``seed_time`` finite and non-negative (a NaN
+        passes every ``<=`` test, and a NaN ``seed_time`` would seed for
+        ever)."""
+        if not 0 < self.round_interval < inf:
             raise ValueError("round_interval must be positive")
         if self.regular_slots < 0:
             raise ValueError("regular_slots must be non-negative")
-        if self.optimistic_interval < self.round_interval:
+        if not self.round_interval <= self.optimistic_interval < inf:
             raise ValueError("optimistic_interval must be >= round_interval")
-        if self.gossip_interval <= 0:
+        if not 0 < self.gossip_interval < inf:
             raise ValueError("gossip_interval must be positive")
-        if self.seed_time < 0:
+        if not 0 <= self.seed_time < inf:
             raise ValueError("seed_time must be non-negative")
-        if self.sample_interval <= 0:
+        if self.pss_view_size < 1:
+            raise ValueError("pss_view_size must be >= 1")
+        if not 0 < self.sample_interval < inf:
             raise ValueError("sample_interval must be positive")
-

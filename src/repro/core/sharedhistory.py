@@ -58,34 +58,39 @@ PeerId = Hashable
 class _Report:
     """A reporter's latest record about one counterparty.
 
-    ``up_lineage`` / ``down_lineage`` are ``None`` unless provenance is
-    on; then each is the raw ``(msg_id, received_at, superseded_count)`` of
-    the message that delivered that direction's live value (they differ
-    only after an equal-timestamp tie one direction won).  The full
-    :class:`~repro.obs.provenance.ClaimLineage` is synthesized by
-    :meth:`SubjectiveSharedHistory.lineage_of`.
-
     ``wire`` is the exact, immutable :class:`HistoryRecord` both totals
     were last written from, or ``None``; a sender re-sends that very
     object until one of its totals moves (``select_records``), so seeing
     it again means neither total can move.
     """
 
-    __slots__ = (
-        "uploaded",
-        "downloaded",
-        "reported_at",
-        "up_lineage",
-        "down_lineage",
-        "wire",
-    )
+    __slots__ = ("uploaded", "downloaded", "reported_at", "wire")
 
-    def __init__(self, uploaded, downloaded, reported_at, lineage, wire) -> None:
+    def __init__(self, uploaded, downloaded, reported_at, wire) -> None:
         self.uploaded = uploaded
         self.downloaded = downloaded
         self.reported_at = reported_at
-        self.up_lineage = self.down_lineage = lineage
         self.wire = wire
+
+
+class _LineageReport(_Report):
+    """A :class:`_Report` that also carries lineage (provenance on).
+
+    Per direction: ``*_msg`` is the ``(msg_id, received_at)`` pair of the
+    message that delivered the live value — one pair per ingested message,
+    shared by every record it wrote — and ``*_superseded`` counts the
+    claims it replaced.  The directions differ only after an
+    equal-timestamp tie one direction won.  The full
+    :class:`~repro.obs.provenance.ClaimLineage` is synthesized by
+    :meth:`SubjectiveSharedHistory.lineage_of`.
+    """
+
+    __slots__ = ("up_msg", "down_msg", "up_superseded", "down_superseded")
+
+    def __init__(self, uploaded, downloaded, reported_at, wire, msg) -> None:
+        _Report.__init__(self, uploaded, downloaded, reported_at, wire)
+        self.up_msg = self.down_msg = msg
+        self.up_superseded = self.down_superseded = 0
 
 
 def _wire(record: HistoryRecord) -> Optional[HistoryRecord]:
@@ -201,8 +206,7 @@ class SubjectiveSharedHistory:
             msg_id = message.msg_id
             if msg_id is None:
                 msg_id = (reporter, created)
-            seen_at = rts if now is None else float(now)
-            fresh = (msg_id, seen_at, 0)
+            fresh = (msg_id, rts if now is None else float(now))
             trace_claim = self._prov.trace_claim
         else:
             fresh = None
@@ -236,8 +240,9 @@ class SubjectiveSharedHistory:
                     rec.reported_at = rts
                     superseded += 2
                     if prov_on:
-                        rec.up_lineage = (msg_id, seen_at, rec.up_lineage[2] + 1)
-                        rec.down_lineage = (msg_id, seen_at, rec.down_lineage[2] + 1)
+                        rec.up_msg = rec.down_msg = fresh
+                        rec.up_superseded += 1
+                        rec.down_superseded += 1
                 continue
             # The probe hashed ``c``; the totals are admitted here.
             totals = admitted_totals(record)
@@ -252,7 +257,11 @@ class SubjectiveSharedHistory:
                     continue
                 if not mine:
                     reports[reporter] = mine
-                rec = mine[c] = _Report(up, down, rts, fresh, _wire(record))
+                if prov_on:
+                    rec = _LineageReport(up, down, rts, _wire(record), fresh)
+                else:
+                    rec = _Report(up, down, rts, _wire(record))
+                mine[c] = rec
                 first += 1
                 up_moved = down_moved = True
             else:
@@ -280,9 +289,11 @@ class SubjectiveSharedHistory:
                     # Lineage moves to the replacing — or merely
                     # confirming — message and counts every predecessor.
                     if up_new:
-                        rec.up_lineage = (msg_id, seen_at, rec.up_lineage[2] + 1)
+                        rec.up_msg = fresh
+                        rec.up_superseded += 1
                     if down_new:
-                        rec.down_lineage = (msg_id, seen_at, rec.down_lineage[2] + 1)
+                        rec.down_msg = fresh
+                        rec.down_superseded += 1
                 up_moved = up_new and up != rec.uploaded
                 down_moved = down_new and down != rec.downloaded
                 if not (up_moved or down_moved):
@@ -299,14 +310,18 @@ class SubjectiveSharedHistory:
             counter = theirs.get(reporter) if theirs is not None else None
             if up_moved:
                 if prov_on:
-                    trace_claim(owner, reporter, c, reporter, rec.up_lineage)
+                    trace_claim(
+                        owner, reporter, c, reporter, rec.up_msg, rec.up_superseded
+                    )
                 value = rec.uploaded
                 if counter is not None and counter.downloaded > value:
                     value = counter.downloaded
                 g_set(reporter, c, value)
             if down_moved:
                 if prov_on:
-                    trace_claim(owner, c, reporter, reporter, rec.down_lineage)
+                    trace_claim(
+                        owner, c, reporter, reporter, rec.down_msg, rec.down_superseded
+                    )
                 value = rec.downloaded
                 if counter is not None and counter.uploaded > value:
                     value = counter.uploaded
@@ -392,23 +407,27 @@ class SubjectiveSharedHistory:
         known about the pair.
         """
         out: Dict[PeerId, ClaimLineage] = {}
+        if not self._prov_on:
+            return out
         for reporter, rec, is_up in (
             (src, self._report(src, dst), True),
             (dst, self._report(dst, src), False),
         ):
             if rec is None:
                 continue
-            lineage = rec.up_lineage if is_up else rec.down_lineage
-            if lineage is not None:
-                out[reporter] = ClaimLineage(
-                    reporter=reporter,
-                    msg_id=lineage[0],
-                    value=rec.uploaded if is_up else rec.downloaded,
-                    reported_at=rec.reported_at,
-                    received_at=lineage[1],
-                    hops=1,
-                    superseded=lineage[2],
-                )
+            if is_up:
+                (msg_id, received_at), n = rec.up_msg, rec.up_superseded
+            else:
+                (msg_id, received_at), n = rec.down_msg, rec.down_superseded
+            out[reporter] = ClaimLineage(
+                reporter=reporter,
+                msg_id=msg_id,
+                value=rec.uploaded if is_up else rec.downloaded,
+                reported_at=rec.reported_at,
+                received_at=received_at,
+                hops=1,
+                superseded=n,
+            )
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -84,6 +84,15 @@ def _claim_order(claim: ClaimKey) -> Tuple[str, str]:
     return (_sort_key(claim[0]), _sort_key(claim[1]))
 
 
+def _int_equal(value) -> int:
+    """The int ``value`` equals (``True`` -> 1, ``2.0`` -> 2), else 0."""
+    try:
+        k = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return 0
+    return k if k == value else 0
+
+
 #: Row kinds that expand to a delivered copy ("gossip" = send + deliver).
 _DELIVERED = ("deliver", "gossip")
 
@@ -137,14 +146,20 @@ class DisseminationRecorder:
         # subclass, a look-alike — either could change after the send) is
         # snapshotted at send time; see _extract.
         #
-        # Message registry: msg_id -> row index into the _msg_* columns;
-        # message i's records are _records[_rec_off[i]:_rec_off[i+1]].
+        # Message registry: msg_id -> row index into the _msg_* columns
+        # (_row); message i's records are _records[_rec_off[i]:_rec_off[i+1]].
+        # A sender-sequenced id — (sender, k), k an exact int and the next
+        # number in that sender's run, as create_message stamps every id —
+        # is filed as row _seq_rows[sender][k - 1], so neither the id nor
+        # its int outlives the message; every other id (None, foreign,
+        # gapped, repeated) is a key of _msg_index.
         # _msg_gdst holds the receiver of a fused-path ("gossip") message
         # — such messages carry their single send+deliver event *in the
         # registry* instead of paying an event row (None for messages
         # whose events are explicit); _msg_gseq is the explicit-row count
         # at registration time, letting _in_order re-interleave the
         # derived rows in exact hook order.
+        self._seq_rows: Dict[PeerId, array] = {}
         self._msg_index: Dict[Hashable, int] = {}
         self._msg_sender: List[PeerId] = []
         self._msg_created = array("d")
@@ -189,19 +204,45 @@ class DisseminationRecorder:
         """Declare the peer population (for coverage denominators)."""
         self._population = sorted(peers, key=_sort_key)
 
+    def _row(self, mid: Hashable) -> Optional[int]:
+        """The registry row of message ``mid``, or ``None``.  An id equal
+        to a filed one is the same message, as for a dict key:
+        ``(s, True)`` and ``(s, 1.0)`` find ``(s, 1)``."""
+        if isinstance(mid, tuple) and len(mid) == 2:
+            rows = self._seq_rows.get(mid[0])
+            if rows is not None:
+                k = mid[1] if type(mid[1]) is int else _int_equal(mid[1])
+                if 0 < k <= len(rows):
+                    return rows[k - 1]
+        return self._msg_index.get(mid)
+
+    def _file(self, message, mid: Hashable, gdst, gseq: int) -> None:
+        """Register unfiled message ``mid`` as the next row."""
+        row = len(self._msg_sender)
+        sender = message.sender
+        seq = self._seq_rows
+        k = None
+        if isinstance(mid, tuple) and len(mid) == 2 and mid[0] == sender:
+            k = mid[1]
+        if type(k) is int and k == len(seq.get(sender, ())) + 1:
+            if k == 1:
+                seq[sender] = array("l")
+            seq[sender].append(row)
+        else:
+            self._msg_index[mid] = row
+        self._put_sender(sender)
+        self._put_created(message.created_at)
+        self._put_hops(message.hops)
+        self._put_gdst(gdst)
+        self._put_gseq(gseq)
+        self._extract(message)
+
     def _register(self, message) -> Hashable:
         mid = message.msg_id
         if mid is None:
             mid = (message.sender, message.created_at)
-        index = self._msg_index
-        if mid not in index:
-            index[mid] = len(self._msg_sender)
-            self._put_sender(message.sender)
-            self._put_created(message.created_at)
-            self._put_hops(message.hops)
-            self._put_gdst(None)
-            self._put_gseq(0)
-            self._extract(message)
+        if self._row(mid) is None:
+            self._file(message, mid, None, 0)
         return mid
 
     def _extract(self, message) -> None:
@@ -287,7 +328,7 @@ class DisseminationRecorder:
         """``(message index, t, receiver)`` of every delivered copy, in
         sim order."""
         kinds = self._ev_kind
-        index = self._msg_index
+        row = self._row
         created = self._msg_created
         gdst = self._msg_gdst
         for code in self._in_order(range(len(kinds)), self._fused()):
@@ -295,7 +336,7 @@ class DisseminationRecorder:
                 i = ~code
                 yield i, created[i], gdst[i]
             elif kinds[code] in _DELIVERED:
-                yield index[self._ev_mid[code]], self._ev_t[code], self._ev_dst[code]
+                yield row(self._ev_mid[code]), self._ev_t[code], self._ev_dst[code]
 
     def _append_event(self, kind, t, mid, dst, detail) -> None:
         self._put_kind(kind)
@@ -327,15 +368,8 @@ class DisseminationRecorder:
         mid = message.msg_id
         if mid is None:
             mid = (message.sender, message.created_at)
-        index = self._msg_index
-        if mid not in index and t == message.created_at:
-            index[mid] = len(self._msg_sender)
-            self._put_sender(message.sender)
-            self._put_created(t)
-            self._put_hops(message.hops)
-            self._put_gdst(receiver)
-            self._put_gseq(len(self._ev_kind))
-            self._extract(message)
+        if t == message.created_at and self._row(mid) is None:
+            self._file(message, mid, receiver, len(self._ev_kind))
             return
         self._register(message)
         self._put_kind("gossip")
@@ -400,7 +434,7 @@ class DisseminationRecorder:
         heap, again and again) find nothing — a fifth of ``to_dict()`` on
         a faulted fig1 ``fast`` log.
         """
-        key = (len(self._msg_index), len(self._ev_kind), len(self._population))
+        key = (len(self._msg_sender), len(self._ev_kind), len(self._population))
         hit = self._memo.get(name)
         if hit is None or hit[0] != key:
             paused = gc.isenabled()
@@ -467,10 +501,10 @@ class DisseminationRecorder:
     def hop_histogram(self) -> Dict[str, int]:
         """Delivered-message counts by envelope hop count."""
         hops = self._msg_hops
-        index = self._msg_index
+        row = self._row
         counts = Counter(hops[i] for i in self._fused())
         counts.update(
-            hops[index[mid]]
+            hops[row(mid)]
             for kind, mid in zip(self._ev_kind, self._ev_mid)
             if kind in _DELIVERED
         )
@@ -521,7 +555,7 @@ class DisseminationRecorder:
     def _missing_at(self, p, rows, fused, only: Optional[ClaimKey]) -> Dict[ClaimKey, dict]:
         """claim -> attribution entry for receiver ``p``, from its rows."""
         kinds = self._ev_kind
-        index = self._msg_index
+        row = self._row
         senders = self._msg_sender
         created = self._msg_created
         # claim -> [attempts, cut_by, delivered_at, wipes seen at the last
@@ -538,7 +572,7 @@ class DisseminationRecorder:
                     continue
                 if kind not in ("send", "drop", "deliver", "gossip"):
                     continue
-                i = index[self._ev_mid[code]]
+                i = row(self._ev_mid[code])
             reporter = senders[i]
             if reporter == p:
                 continue
@@ -595,7 +629,7 @@ class DisseminationRecorder:
         out = {
             "label": self.label,
             "population": len(self._population),
-            "messages": len(self._msg_index),
+            "messages": len(self._msg_sender),
             "claims": len(stats),
             "claims_reached": len(reached),
             "events": self.event_counts(),

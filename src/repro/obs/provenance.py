@@ -27,8 +27,10 @@ compact lineage tuple
 * ``superseded`` — how many earlier claims by the same reporter about
   the same edge this entry replaced (a freshness/stability signal).
 
-Lineage is stored per direction on the store's (reporter, counterparty)
-record and maintained through every mutation path: newer messages
+Lineage is stored per direction in slots of the store's (reporter,
+counterparty) record — the delivering message's ``(msg_id, received_at)``
+pair, built once per message, and the ``superseded`` count — and
+maintained through every mutation path: newer messages
 supersede (``superseded`` increments), equal-timestamp redeliveries are
 ignored exactly like the value tie-break ignores them (the view — and
 its lineage — stays independent of arrival order), stale copies are
@@ -136,24 +138,26 @@ class ProvenanceRecorder:
         self.redeliveries_ignored += redelivered
         self.stale_dropped += stale
 
-    def trace_claim(self, owner: PeerId, src, dst, reporter: PeerId, lineage) -> None:
+    def trace_claim(
+        self, owner: PeerId, src, dst, reporter: PeerId, msg, superseded: int
+    ) -> None:
         """A claim about edge ``(src, dst)`` changed a value: offer it to
         the ``prov.claim`` sampler (a restated total never gets here).
 
-        ``lineage`` is the raw ``(msg_id, received_at, superseded_count)``
-        tuple the shared history stores for that direction.
+        ``msg`` is the ``(msg_id, received_at)`` pair and ``superseded``
+        the count the shared history stores for that direction.
         """
         cat = self._tr_claim
         if cat is not None and cat.sample():
             cat.emit_sampled(
-                "supersede" if lineage[2] else "record",
-                sim_time=lineage[1],
+                "supersede" if superseded else "record",
+                sim_time=msg[1],
                 attrs={
                     "owner": owner,
                     "edge": [src, dst],
                     "reporter": reporter,
-                    "msg_id": _json_safe(lineage[0]),
-                    "superseded": lineage[2],
+                    "msg_id": _json_safe(msg[0]),
+                    "superseded": superseded,
                 },
             )
 
@@ -184,7 +188,7 @@ class NullProvenanceRecorder(ProvenanceRecorder):
     def fold(self, recorded, superseded, redelivered, stale) -> None:
         pass
 
-    def trace_claim(self, owner, src, dst, reporter, lineage) -> None:
+    def trace_claim(self, owner, src, dst, reporter, msg, superseded) -> None:
         pass
 
     def record_forget(self, owner, reporter, removed) -> None:

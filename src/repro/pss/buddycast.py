@@ -90,6 +90,8 @@ class BuddyCastPSS(PeerSamplingService):
     ) -> None:
         if view_size < 1:
             raise ValueError("view_size must be >= 1")
+        if bootstrap_size < 0:
+            raise ValueError("bootstrap_size must be >= 0")
         self._is_online = is_online
         self._rng = rng
         self.view_size = int(view_size)
@@ -116,11 +118,12 @@ class BuddyCastPSS(PeerSamplingService):
         # newcomer and vice versa (stand-in for superpeer introduction).
         # Contacts are seeded at the join time ``now`` — not 0.0 — so a
         # late (re)joiner is the freshest entry, not everyone's first
-        # eviction candidate.
+        # eviction candidate.  Both sides insert through ``_insert``, so
+        # ``view_size`` bounds a view below ``bootstrap_size`` too.
         if self._all_peers:
             for contact in self._rng.sample(self._all_peers, self.bootstrap_size):
                 if contact != peer:
-                    self._views[peer][contact] = now
+                    self._insert(peer, contact, now)
                     self._insert(contact, peer, now)
         if peer not in self._known:
             self._known.add(peer)

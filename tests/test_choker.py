@@ -1,6 +1,7 @@
 """Unit tests for the choker."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -266,8 +267,26 @@ class TestOptimisticPeriod:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"round_interval": 0.0}, {"optimistic_interval": 5.0}, {"regular_slots": -1}],
+        [{"round_interval": 0.0}, {"optimistic_interval": 5.0}, {"regular_slots": -1}]
+        # A NaN passes every ``<= 0`` test: seed_time=nan would seed for
+        # ever, round_interval=nan fail deep in the build.
+        + [
+            {field: value}
+            for field in (
+                "round_interval",
+                "optimistic_interval",
+                "gossip_interval",
+                "seed_time",
+                "sample_interval",
+            )
+            for value in (math.nan, math.inf)
+        ]
+        + [{"pss_view_size": 0}, {"pss_view_size": -3}],
     )
     def test_invalid_config_rejected_when_built(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             BitTorrentConfig(**kwargs)
+
+    def test_zero_seed_time_and_single_entry_view_accepted(self):
+        cfg = BitTorrentConfig(seed_time=0.0, pss_view_size=1)
+        assert (cfg.seed_time, cfg.pss_view_size) == (0.0, 1)

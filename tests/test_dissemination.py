@@ -374,6 +374,72 @@ class TestModel:
         self._assert_equal(rec, model)
 
 
+#: Message ids that take each registry path, all sent by peer 1: its run
+#: 1, 2, 3 (filed by sender sequence), a gap (5 before 4, then 6), a
+#: repeated id, an id naming another sender, ids equal to a filed one that
+#: are not exact ints, a string id, and no id (filed as (sender, created_at)).
+REGISTRY_IDS = [
+    (1, 1), (1, 2), (1, 3), (1, 5), (1, 4), (1, 2), (2, 6), (1, True),
+    (1, 2.0), "m-9", None, (1, 6), (1, 5),
+]
+
+
+def registry_messages():
+    messages = [
+        _msg(
+            1, float(n),
+            [HistoryRecord((0, 2, 3, 4)[n % 4], 10.0 + n, 5.0), HistoryRecord(4, 1.0, n)],
+            msg_id=mid, hops=1 + n % 2,
+        )
+        for n, mid in enumerate(REGISTRY_IDS)
+    ]
+    # No id, and a created_at that makes (1, 3.0): equal to the filed (1, 3).
+    return messages + [_msg(1, 3.0, [HistoryRecord(0, 99.0, 99.0)], hops=2)]
+
+
+class TestRegistryPaths:
+    """Each message id form, through the fused hook and through the
+    send / plan / drop / deliver hooks, read back equal to the model."""
+
+    @staticmethod
+    def _fused(rec, m):
+        t = m.created_at
+        rec.record_gossip(m, 0, t)
+        rec.record_gossip(m, 2, t)
+        rec.record_gossip(m, 3, t + 0.5)  # not at created_at: an explicit row
+
+    @staticmethod
+    def _explicit(rec, m):
+        t = m.created_at
+        for to in (0, 2, 3):
+            rec.record_send(m, to, t)
+        rec.record_plan(m, 0, t, [t, t + 1.0])
+        rec.record_deliver(m, 0, t)
+        rec.record_deliver(m, 0, t + 1.0, copy=1)
+        rec.record_drop(m, 2, t, "loss")
+        rec.record_deliver(m, 3, t + 0.5)
+
+    @pytest.mark.parametrize("path", ["_fused", "_explicit"])
+    def test_every_id_form_equals_the_model(self, path):
+        rec = DisseminationRecorder()
+        rec.set_population(range(5))
+        model = Dissemination(range(5))
+        tee(rec, model)
+        for n, m in enumerate(registry_messages()):
+            getattr(self, path)(rec, m)
+            if n == 6:
+                rec.record_wipe(3, 6.5)
+        rec.record_wipe(0, 20.0)
+        # Sender 1's run 1-4 is filed by sequence, every other id by key.
+        assert len(rec._seq_rows[1]) == 4
+        assert rec.summary()["messages"] == len(model.messages) == 9
+        assert rec.summary() == model.summary()
+        assert rec.claim_stats() == model.claim_stats()
+        assert rec.hop_histogram() == model.summary()["hop_histogram"]
+        assert rec.explain_missing() == model.undelivered() != []
+        assert rec.to_dict() == model.to_dict()
+
+
 class TestMemory:
     def test_summary_allocates_less_than_the_recorder_retains(self):
         """The analytics stream over the log: ``summary()`` allocates less

@@ -119,6 +119,26 @@ class TestClaimLineage:
         assert rec.stale_dropped == 2
         assert rec.redeliveries_ignored == 2
 
+    def test_restatement_after_a_one_sided_tie_keeps_counts_apart(self):
+        """Each direction holds its own message and count: a tie the upload
+        won moves only the upload's, and a later restatement — general or
+        by wire identity — moves both messages and bumps each count."""
+        store, _ = make_store()
+
+        def directions():
+            up, down = store.lineage_of("a", "b")["a"], store.lineage_of("b", "a")["a"]
+            return [(e.msg_id, e.received_at, e.superseded) for e in (up, down)]
+
+        store.ingest(msg("a", 10.0, "b", 100.0, 40.0, msg_id=("a", 1)), now=11.0)
+        store.ingest(msg("a", 10.0, "b", 150.0, 40.0, msg_id=("a", 2)), now=12.0)
+        assert directions() == [(("a", 2), 12.0, 1), (("a", 1), 11.0, 0)]
+        record = HistoryRecord("b", 150.0, 40.0)
+        store.ingest(BarterCastMessage("a", 20.0, (record,), msg_id=("a", 3)), now=25.0)
+        assert directions() == [(("a", 3), 25.0, 2), (("a", 3), 25.0, 1)]
+        store.ingest(BarterCastMessage("a", 30.0, (record,), msg_id=("a", 4)), now=31.0)
+        assert directions() == [(("a", 4), 31.0, 3), (("a", 4), 31.0, 2)]
+        assert store.claim_of("a", "a", "b") == 150.0
+
     def test_churn_wipe_removes_lineage(self):
         store, rec = make_store()
         store.ingest(msg("a", 10.0, "b", 100.0, 40.0))
@@ -138,7 +158,7 @@ class TestClaimLineage:
         assert not NULL_PROVENANCE.enabled
         assert isinstance(NULL_PROVENANCE, NullProvenanceRecorder)
         NULL_PROVENANCE.fold(2, 1, 1, 1)
-        NULL_PROVENANCE.trace_claim("me", "a", "b", "a", (None, 0.0, 0))
+        NULL_PROVENANCE.trace_claim("me", "a", "b", "a", (None, 0.0), 0)
         NULL_PROVENANCE.record_forget("me", "a", 5)
         assert NULL_PROVENANCE.claims_recorded == 0
         assert NULL_PROVENANCE.claims_forgotten == 0

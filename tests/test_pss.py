@@ -88,6 +88,22 @@ class TestBuddyCast:
         with pytest.raises(ValueError):
             make_pss(set(), view_size=0)
 
+    def test_negative_bootstrap_size_rejected_at_construction(self):
+        rng = RngRegistry(3).stream("pss")
+        with pytest.raises(ValueError, match="bootstrap_size"):
+            BuddyCastPSS(is_online=lambda p: True, rng=rng, bootstrap_size=-1)
+
+    @pytest.mark.parametrize("view_size", [1, 2, 4])
+    def test_bootstrap_respects_a_view_size_below_bootstrap_size(self, view_size):
+        # Bootstrap contacts go through the same bounded insert as a
+        # merge: a newcomer's view never starts above view_size (it
+        # could never shrink back, since a merge evicts one per newcomer).
+        pss = make_pss(set(range(10)), view_size=view_size)
+        for p in range(10):
+            pss.register(p, now=float(p))
+            assert all(len(pss.view_of(q)) <= view_size for q in range(p + 1))
+        assert len(pss.view_of(9)) == view_size
+
     def test_eviction_prefers_stale_entries(self):
         online = set(range(5))
         pss = make_pss(online, view_size=2)
