@@ -14,6 +14,9 @@ import pytest
 from repro.bittorrent.simulator import CommunitySimulator
 from repro.core.policies import NoPolicy
 from repro.experiments import ScenarioConfig
+from repro.sim.rng import RngRegistry
+
+from model import OraclePSS
 
 
 def run_with_pss(kind: str, seed: int = 31):
@@ -27,8 +30,13 @@ def run_with_pss(kind: str, seed: int = 31):
         config=scenario.bt_config,
         bc_config=scenario.bc_config,
         seed=seed,
-        pss=kind,
     )
+    if kind == "oracle":
+        # The simulator's own stream names and registration order.
+        rngs = RngRegistry(seed)
+        sim.pss = OraclePSS(is_online=sim.live.__contains__, rng=rngs.stream("pss"))
+        for pid in rngs.stream("pss-bootstrap").shuffled(sorted(trace.peers)):
+            sim.pss.register(pid)
     sim.run()
     snap = sim.system_reputation_snapshot()
     sharer = float(np.mean([snap[p] for p in roles.sharers]))
@@ -44,11 +52,6 @@ def run_with_pss(kind: str, seed: int = 31):
 @pytest.fixture(scope="module")
 def outcomes():
     return {kind: run_with_pss(kind) for kind in ("buddycast", "oracle")}
-
-
-def test_bench_pss_buddycast(benchmark):
-    result = benchmark.pedantic(run_with_pss, args=("buddycast",), rounds=1, iterations=1)
-    assert result["messages"] > 0
 
 
 def test_pss_transparency(outcomes, capsys):

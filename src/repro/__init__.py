@@ -21,8 +21,7 @@ Subpackages
     BarterCast itself: private/shared histories, message protocol, the
     arctan maxflow reputation metric, rank/ban policies, adversaries.
 :mod:`repro.graph`
-    Transfer graphs and the maxflow kernels (Ford-Fulkerson, depth-bounded
-    variant, closed-form 2-hop).
+    Transfer graphs and the closed-form 2-hop maxflow kernel.
 :mod:`repro.sim`
     Deterministic discrete-event kernel and seeded RNG streams.
 :mod:`repro.pss`

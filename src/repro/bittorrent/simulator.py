@@ -45,7 +45,7 @@ from repro.faults import ChannelModel, ChurnInjector, FaultConfig
 from repro.graph import kernel_invocations_delta, snapshot_kernel_invocations
 from repro.obs import NULL_OBS, Observability
 from repro.obs.provenance import ProvenanceRecorder
-from repro.pss.buddycast import BuddyCastPSS, OraclePSS, PeerSamplingService
+from repro.pss.buddycast import BuddyCastPSS
 from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicProcess
 from repro.sim.rng import RngRegistry
@@ -75,9 +75,6 @@ class CommunitySimulator:
         BarterCast parameters (``Nh``, ``Nr``, metric).
     seed:
         Root seed for all stochastic components.
-    pss:
-        ``"buddycast"`` (epidemic partial views, default) or ``"oracle"``
-        (ideal global sampler, for ablations).
     faults:
         Optional :class:`~repro.faults.FaultConfig`.  A non-null config
         inserts the unreliable channel between ``create_message`` and
@@ -119,7 +116,6 @@ class CommunitySimulator:
         config: Optional[BitTorrentConfig] = None,
         bc_config: Optional[BarterCastConfig] = None,
         seed: int = 0,
-        pss: str = "buddycast",
         faults: Optional[FaultConfig] = None,
         obs: Optional[Observability] = None,
         provenance: bool = False,
@@ -204,18 +200,11 @@ class CommunitySimulator:
         self._gossip_rng = self.rngs.stream("gossip")
         self._samplers: List[Callable[[float], None]] = []
 
-        if pss == "buddycast":
-            self.pss: PeerSamplingService = BuddyCastPSS(
-                is_online=self.live.__contains__,
-                rng=self.rngs.stream("pss"),
-                view_size=self.config.pss_view_size,
-            )
-        elif pss == "oracle":
-            self.pss = OraclePSS(
-                is_online=self.live.__contains__, rng=self.rngs.stream("pss")
-            )
-        else:
-            raise ValueError(f"unknown pss kind {pss!r}")
+        self.pss = BuddyCastPSS(
+            is_online=self.live.__contains__,
+            rng=self.rngs.stream("pss"),
+            view_size=self.config.pss_view_size,
+        )
         for pid in self.rngs.stream("pss-bootstrap").shuffled(sorted(trace.peers)):
             self.pss.register(pid)
 

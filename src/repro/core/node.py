@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 from operator import itemgetter
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
@@ -118,6 +119,14 @@ class BarterCastConfig:
     n_highest: int = 10
     n_recent: int = 10
     metric: ReputationMetric = field(default_factory=ReputationMetric)
+
+    def __post_init__(self) -> None:
+        # ``Nh`` / ``Nr`` slice the ranked history, so each must be a
+        # non-negative integer (a bool is not a count).
+        for name in ("n_highest", "n_recent"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Integral) or v < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
 
 
 class BarterCastNode:

@@ -35,6 +35,7 @@ without the fault layer (pinned by ``tests/test_faults.py``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable, List, Optional
 
@@ -96,12 +97,16 @@ class FaultConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.delay_max < 0:
-            raise ValueError("delay_max must be non-negative")
-        if self.churn_rate < 0:
-            raise ValueError("churn_rate must be non-negative")
-        if self.churn_downtime <= 0:
-            raise ValueError("churn_downtime must be positive")
+        # ``not 0 <= v < inf`` rejects NaN too: every comparison with it
+        # is false.
+        for name in ("delay_max", "churn_rate"):
+            v = getattr(self, name)
+            if not 0.0 <= v < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {v}")
+        if not 0.0 < self.churn_downtime < math.inf:
+            raise ValueError(
+                f"churn_downtime must be finite and positive, got {self.churn_downtime}"
+            )
         if not 0.0 <= self.churn_wipe_prob <= 1.0:
             raise ValueError("churn_wipe_prob must be a probability")
 

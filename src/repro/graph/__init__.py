@@ -13,12 +13,11 @@ is written once there (:func:`~repro.graph.maxflow.two_hop_flow`):
   :func:`~repro.graph.maxflow.maxflow_two_hop_batch` gives both directed
   flows between one owner and many candidates, bit-identical to scalar
   calls, and :func:`~repro.graph.maxflow.two_hop_paths` the same value
-  with its path decomposition (what ``repro explain`` reads);
-* :func:`~repro.graph.maxflow.ford_fulkerson` — the paper's Algorithm 1,
-  classic Ford–Fulkerson with depth-first augmenting-path search;
-* :func:`~repro.graph.maxflow.bounded_ford_fulkerson` — the same algorithm
-  with augmenting paths restricted to at most ``max_hops`` edges; the two
-  are the reference the closed form is checked against.
+  with its path decomposition (what ``repro explain`` reads).
+
+The paper's Algorithm 1 itself (Ford–Fulkerson, exact and bounded to
+``max_hops`` edges) is the reference the closed form is checked against;
+it lives with the tests' reference model (``tests/model.py``).
 
 Two interchangeable graph backends with one API:
 
@@ -34,8 +33,6 @@ from repro.graph.columnar import ColumnarTransferGraph
 from repro.graph.maxflow import (
     FlowPath,
     FlowResult,
-    bounded_ford_fulkerson,
-    ford_fulkerson,
     kernel_invocations_delta,
     leave_one_out_values,
     maxflow_two_hop,
@@ -49,8 +46,6 @@ __all__ = [
     "ColumnarTransferGraph",
     "FlowPath",
     "FlowResult",
-    "ford_fulkerson",
-    "bounded_ford_fulkerson",
     "maxflow_two_hop",
     "leave_one_out_values",
     "maxflow_two_hop_batch",

@@ -1,44 +1,27 @@
-"""Maxflow kernels.
+"""The 2-hop maxflow kernel.
 
-Three implementations of maximum flow over a :class:`~repro.graph
-.transfer_graph.TransferGraph`, all taking edge weights (aggregated bytes)
-as capacities:
+The paper's Algorithm 1 is Ford–Fulkerson over the subjective
+:class:`~repro.graph.transfer_graph.TransferGraph` (edge weights are
+aggregated bytes, used as capacities), restricted to augmenting paths of
+at most two edges ("our implementation only regards paths with a maximum
+length of two").  That restriction has a closed form::
 
-``ford_fulkerson``
-    The paper's Algorithm 1: classic Ford–Fulkerson with depth-first
-    augmenting-path search on the residual network.  Exact maximum flow.
+    maxflow2(s, t) = c(s, t) + sum over v != s, t of min(c(s, v), c(v, t))
 
-``bounded_ford_fulkerson``
-    Ford–Fulkerson where the DFS only considers augmenting paths of at most
-    ``max_hops`` edges.  With ``max_hops=2`` this is the computation the
-    paper describes ("our implementation only regards paths with a maximum
-    length of two").
-
-``maxflow_two_hop``
-    Closed form for the 2-hop bounded flow::
-
-        maxflow2(s, t) = c(s, t) + sum over v != s, t of min(c(s, v), c(v, t))
-
-    Correctness argument: every augmenting path of length <= 2 is either the
-    direct edge ``s->t`` or ``s->v->t`` for a distinct intermediate ``v``.
-    Distinct 2-hop paths share no edges, and residual *reverse* edges can
-    never participate: a reverse edge into ``s`` or out of ``t`` cannot lie
-    on a simple s->t path, and a reverse edge ``s->v`` (created by flow
-    ``v->s``) would require an earlier augmenting path ending in ``s``,
-    which does not exist.  Hence the bounded problem decomposes per
-    intermediate node and the closed form is exact.  This is O(min in/out
-    degree) per query and is the kernel BarterCast uses online.  It is
-    written down once, in :func:`two_hop_flow`; the scalar kernel, the
-    pair, the batch kernel (:func:`maxflow_two_hop_batch`) and the path
-    attribution (:func:`two_hop_paths`) all call that one function.
-
-The online metric (:class:`~repro.core.reputation.ReputationMetric`)
-calls only the closed form; the two Ford–Fulkerson kernels are the
-reference it is checked against (the tests, the path-length ablation
-bench).
-
-All kernels return a :class:`FlowResult` carrying the flow value and, for
-the iterative kernels, the per-edge flow assignment for inspection.
+Correctness argument: every augmenting path of length <= 2 is either the
+direct edge ``s->t`` or ``s->v->t`` for a distinct intermediate ``v``.
+Distinct 2-hop paths share no edges, and residual *reverse* edges can
+never participate: a reverse edge into ``s`` or out of ``t`` cannot lie
+on a simple s->t path, and a reverse edge ``s->v`` (created by flow
+``v->s``) would require an earlier augmenting path ending in ``s``, which
+does not exist.  Hence the bounded problem decomposes per intermediate
+node and the closed form is exact.  It costs O(min in/out degree) per
+query and is written down once, in :func:`two_hop_flow`; the scalar
+kernel (:func:`maxflow_two_hop`), the pair, the batch kernel
+(:func:`maxflow_two_hop_batch`) and the path attribution
+(:func:`two_hop_paths`) all call that one function.  The iterative
+Ford–Fulkerson it is checked against (exact and hop-bounded) is the
+reference model of the tests (``tests/model.py``), not code a run calls.
 
 Path attribution (:func:`two_hop_paths`)
 ----------------------------------------
@@ -57,7 +40,7 @@ with or without paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 from repro.graph.transfer_graph import TransferGraph
@@ -65,8 +48,6 @@ from repro.graph.transfer_graph import TransferGraph
 __all__ = [
     "FlowPath",
     "FlowResult",
-    "ford_fulkerson",
-    "bounded_ford_fulkerson",
     "maxflow_two_hop",
     "maxflow_two_hop_pair",
     "maxflow_two_hop_batch",
@@ -87,8 +68,6 @@ Edge = Tuple[PeerId, PeerId]
 #: ``--jobs N``.  A batch counts one call and, apart, its targets.
 KERNEL_INVOCATIONS: Dict[str, int] = dict.fromkeys(
     (
-        "ford_fulkerson",
-        "bounded_ford_fulkerson",
         "maxflow_two_hop",
         "maxflow_two_hop_batch",
         "maxflow_two_hop_batch_targets",
@@ -165,11 +144,9 @@ class FlowResult:
         The maximum flow from source to sink (bytes).
     source, sink:
         The query endpoints.
-    flows:
-        Per-edge flow assignment ``{(i, j): f}`` with ``f > 0``; empty for
-        the closed-form kernel (which never materializes flows).
     augmenting_paths:
-        Number of augmenting paths applied (0 for the closed form).
+        Number of recorded paths (0 unless the result came from
+        :func:`two_hop_paths`).
     paths:
         The recorded path decomposition; empty unless the result came
         from :func:`two_hop_paths`.  The path flows sum to ``value``
@@ -179,7 +156,6 @@ class FlowResult:
     value: float
     source: PeerId
     sink: PeerId
-    flows: Dict[Edge, float] = field(default_factory=dict)
     augmenting_paths: int = 0
     paths: Tuple[FlowPath, ...] = ()
 
@@ -207,138 +183,6 @@ def leave_one_out_values(result: FlowResult) -> Dict[PeerId, float]:
         for v in path.nodes[1:-1]:
             through[v] = through.get(v, 0.0) + path.flow
     return {v: result.value - f for v, f in through.items()}
-
-
-class _Residual:
-    """Residual network for Ford–Fulkerson.
-
-    Stores residual capacities ``r[i][j]`` starting from the original
-    capacities; pushing flow ``f`` on ``(i, j)`` decrements ``r[i][j]`` and
-    increments ``r[j][i]`` (lines 8–9 of the paper's Algorithm 1).
-    """
-
-    def __init__(self, graph: TransferGraph) -> None:
-        self.r: Dict[PeerId, Dict[PeerId, float]] = {}
-        for i, j, w in graph.edges():
-            self.r.setdefault(i, {})[j] = self.r.get(i, {}).get(j, 0.0) + w
-            self.r.setdefault(j, {}).setdefault(i, 0.0)
-
-    def push(self, path: List[PeerId], amount: float) -> None:
-        for a, b in zip(path, path[1:]):
-            self.r[a][b] -= amount
-            self.r[b][a] = self.r[b].get(a, 0.0) + amount
-
-    def bottleneck(self, path: List[PeerId]) -> float:
-        return min(self.r[a][b] for a, b in zip(path, path[1:]))
-
-    def find_path_dfs(
-        self, source: PeerId, sink: PeerId, max_hops: Optional[int], eps: float
-    ) -> Optional[List[PeerId]]:
-        """Depth-first search for an augmenting path with residual > eps.
-
-        ``max_hops`` limits the number of edges on the path (None = no
-        limit).  Iterative DFS to avoid recursion limits on long chains.
-        """
-        if source not in self.r:
-            return None
-        # Stack of (node, path_so_far); visited set prevents cycles.
-        stack: List[Tuple[PeerId, List[PeerId]]] = [(source, [source])]
-        visited = {source}
-        while stack:
-            node, path = stack.pop()
-            if max_hops is not None and len(path) - 1 >= max_hops:
-                continue
-            for nbr, cap in self.r.get(node, {}).items():
-                if cap <= eps or nbr in visited:
-                    continue
-                new_path = path + [nbr]
-                if nbr == sink:
-                    return new_path
-                visited.add(nbr)
-                stack.append((nbr, new_path))
-        return None
-
-
-def _run_ford_fulkerson(
-    graph: TransferGraph,
-    source: PeerId,
-    sink: PeerId,
-    max_hops: Optional[int],
-    eps: float,
-) -> FlowResult:
-    if source == sink:
-        raise ValueError("source and sink must differ")
-    result = FlowResult(value=0.0, source=source, sink=sink)
-    if not graph.has_node(source) or not graph.has_node(sink):
-        return result
-    residual = _Residual(graph)
-    flows: Dict[Edge, float] = {}
-    while True:
-        path = residual.find_path_dfs(source, sink, max_hops, eps)
-        if path is None:
-            break
-        amount = residual.bottleneck(path)
-        residual.push(path, amount)
-        for a, b in zip(path, path[1:]):
-            # Net flow bookkeeping: pushing on (a, b) cancels flow on (b, a)
-            # first (the "reverse direction" decrease of Algorithm 1 line 9).
-            reverse = flows.get((b, a), 0.0)
-            if reverse >= amount:
-                flows[(b, a)] = reverse - amount
-                if flows[(b, a)] == 0.0:
-                    del flows[(b, a)]
-            else:
-                if reverse > 0:
-                    del flows[(b, a)]
-                flows[(a, b)] = flows.get((a, b), 0.0) + amount - reverse
-        result.value += amount
-        result.augmenting_paths += 1
-    result.flows = flows
-    return result
-
-
-def ford_fulkerson(
-    graph: TransferGraph,
-    source: PeerId,
-    sink: PeerId,
-    *,
-    eps: float = 1e-9,
-) -> FlowResult:
-    """Exact maximum flow via Ford–Fulkerson with DFS path search.
-
-    This is Algorithm 1 of the paper.  ``eps`` is the minimum residual
-    capacity an edge must have to be traversed; with byte-valued capacities
-    the default is effectively "any positive capacity".
-
-    Complexity: O(E * f / eps) in pathological real-valued cases, but
-    transfer graphs have integral byte weights in practice and the DFS
-    terminates quickly on the small local graphs BarterCast builds.
-    """
-    KERNEL_INVOCATIONS["ford_fulkerson"] += 1
-    return _run_ford_fulkerson(graph, source, sink, max_hops=None, eps=eps)
-
-
-def bounded_ford_fulkerson(
-    graph: TransferGraph,
-    source: PeerId,
-    sink: PeerId,
-    *,
-    max_hops: int = 2,
-    eps: float = 1e-9,
-) -> FlowResult:
-    """Maximum flow over augmenting paths of at most ``max_hops`` edges.
-
-    With ``max_hops=2`` this is the value the closed form
-    :func:`maxflow_two_hop` computes online; larger bounds trade accuracy
-    against cost (see the path-length ablation bench).  Note that for ``max_hops >= 3`` the greedy path-limited
-    Ford–Fulkerson is a heuristic — the length-bounded maxflow problem is
-    NP-hard in general — but for ``max_hops <= 2`` it is exact (see module
-    docstring).
-    """
-    if max_hops < 1:
-        raise ValueError(f"max_hops must be >= 1, got {max_hops}")
-    KERNEL_INVOCATIONS["bounded_ford_fulkerson"] += 1
-    return _run_ford_fulkerson(graph, source, sink, max_hops=max_hops, eps=eps)
 
 
 def two_hop_flow(

@@ -3,15 +3,13 @@
 BarterCast assumes peers can discover gossip partners through a PSS; the
 paper uses Tribler's decentralized BuddyCast epidemic protocol and treats
 the PSS implementation as transparent to BarterCast.  This subpackage
-provides:
-
-* :class:`~repro.pss.buddycast.BuddyCastPSS` — a faithful epidemic
-  partial-view protocol (bounded views, periodic view exchange with a
-  random live contact, churn handling);
-* :class:`~repro.pss.buddycast.OraclePSS` — a global-knowledge sampler
-  with the same interface, used as an upper-bound baseline in ablations.
+provides :class:`~repro.pss.buddycast.BuddyCastPSS`, a faithful epidemic
+partial-view protocol (bounded views, periodic view exchange with a
+random live contact, churn handling).  The global-knowledge sampler the
+PSS ablation compares it with is part of the tests' reference model
+(``tests/model.py``).
 """
 
-from repro.pss.buddycast import BuddyCastPSS, OraclePSS, PeerSamplingService
+from repro.pss.buddycast import BuddyCastPSS
 
-__all__ = ["PeerSamplingService", "BuddyCastPSS", "OraclePSS"]
+__all__ = ["BuddyCastPSS"]

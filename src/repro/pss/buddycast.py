@@ -24,46 +24,12 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tupl
 
 from repro.sim.rng import RngStream
 
-__all__ = ["PeerSamplingService", "BuddyCastPSS", "OraclePSS"]
+__all__ = ["BuddyCastPSS"]
 
 PeerId = Hashable
 
 
-class PeerSamplingService:
-    """Interface: supply gossip partners to BarterCast."""
-
-    def register(self, peer: PeerId, now: float = 0.0) -> None:
-        """Introduce ``peer`` to the service (bootstrap its view).
-
-        ``now`` is the join time: bootstrap contacts must be inserted at
-        the *current* freshness, or a peer that (re)joins late starts as
-        the stalest entry in every view and is evicted first — exactly
-        backwards for churn recovery.
-        """
-        raise NotImplementedError
-
-    def forget(self, peer: PeerId) -> None:
-        """Drop ``peer``'s own view (crash losing PSS state).
-
-        The peer stays known to the network; a subsequent
-        :meth:`register` re-bootstraps it.  Default: nothing to drop.
-        """
-        return None
-
-    def tick(self, peer: PeerId, now: float) -> None:
-        """Run one PSS round for ``peer`` at time ``now`` (view exchange)."""
-        raise NotImplementedError
-
-    def sample(self, peer: PeerId) -> Optional[PeerId]:
-        """A random live contact for ``peer``, or ``None``."""
-        raise NotImplementedError
-
-    def view_of(self, peer: PeerId) -> List[PeerId]:
-        """The peer's current partial view (for inspection/tests)."""
-        raise NotImplementedError
-
-
-class BuddyCastPSS(PeerSamplingService):
+class BuddyCastPSS:
     """Bounded-partial-view epidemic sampler.
 
     Parameters
@@ -111,6 +77,13 @@ class BuddyCastPSS(PeerSamplingService):
         return self._exchanges
 
     def register(self, peer: PeerId, now: float = 0.0) -> None:
+        """Introduce ``peer`` to the service (bootstrap its view).
+
+        ``now`` is the join time: bootstrap contacts must be inserted at
+        the *current* freshness, or a peer that (re)joins late starts as
+        the stalest entry in every view and is evicted first — exactly
+        backwards for churn recovery.
+        """
         if peer in self._views:
             return
         self._views[peer] = {}
@@ -130,7 +103,11 @@ class BuddyCastPSS(PeerSamplingService):
             self._all_peers.append(peer)
 
     def forget(self, peer: PeerId) -> None:
-        """Drop the peer's own partial view (it remains in others')."""
+        """Drop the peer's own partial view (crash losing PSS state).
+
+        The peer stays in others' views and among the bootstrap
+        candidates; a subsequent :meth:`register` re-bootstraps it.
+        """
         self._views.pop(peer, None)
 
     def tick(self, peer: PeerId, now: float) -> None:
@@ -143,6 +120,7 @@ class BuddyCastPSS(PeerSamplingService):
         self._exchange(peer, partner, now)
 
     def sample(self, peer: PeerId) -> Optional[PeerId]:
+        """A random live contact from ``peer``'s view, or ``None``."""
         view = self._views.get(peer)
         if not view:
             return None
@@ -155,6 +133,7 @@ class BuddyCastPSS(PeerSamplingService):
         return self._rng.choice(live)
 
     def view_of(self, peer: PeerId) -> List[PeerId]:
+        """The peer's current partial view (for inspection/tests)."""
         return list(self._views.get(peer, {}))
 
     # ------------------------------------------------------------------
@@ -204,34 +183,3 @@ class BuddyCastPSS(PeerSamplingService):
                         break
                 del view[victim]
             view[contact] = freshness
-
-
-class OraclePSS(PeerSamplingService):
-    """Global-knowledge sampler: returns a uniform random online peer.
-
-    Used in ablations as the ideal PSS; real deployments approximate it
-    with epidemics like BuddyCast.
-    """
-
-    def __init__(self, is_online: Callable[[PeerId], bool], rng: RngStream) -> None:
-        self._is_online = is_online
-        self._rng = rng
-        self._peers: List[PeerId] = []
-        self._known: Set[PeerId] = set()
-
-    def register(self, peer: PeerId, now: float = 0.0) -> None:
-        if peer not in self._known:
-            self._known.add(peer)
-            self._peers.append(peer)
-
-    def tick(self, peer: PeerId, now: float) -> None:
-        return  # nothing to maintain
-
-    def sample(self, peer: PeerId) -> Optional[PeerId]:
-        live = [p for p in self._peers if p != peer and self._is_online(p)]
-        if not live:
-            return None
-        return self._rng.choice(live)
-
-    def view_of(self, peer: PeerId) -> List[PeerId]:
-        return [p for p in self._peers if p != peer]

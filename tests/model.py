@@ -5,8 +5,10 @@ The oracle every hot path is checked against (``test_gossip_hot_path.py``,
 ``test_bt_round_hot_path.py``, ``test_dissemination.py``,
 ``test_sim_engine.py`` and ``test_model.py``): a dict private history
 whose selections are full sorts, sequential BuddyCast inserts, the
+global-knowledge sampler the PSS ablation sets against BuddyCast, the
 records a receiver admits, one record per (reporter, counterparty) whose
-edges are found by scan, the 2-hop closed form and the peers within two
+edges are found by scan, the paper's Algorithm 1 (Ford–Fulkerson,
+exact and hop-bounded), the 2-hop closed form and the peers within two
 hops by scan, Equation 2 as a plain mean, liveness as two sets, a
 BitTorrent round that scans every member, a dissemination log whose analytics scan every row, and an
 event queue that fires by scan.  Nothing here
@@ -15,7 +17,7 @@ Wherever the system's output depends on an order, that order is spec and
 is stated where it applies (DESIGN.md, "Reference model", lists them).
 """
 
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import replace
 from math import atan, isfinite, pi
 from numbers import Real
@@ -90,6 +92,36 @@ def live_contacts(view, owner, is_live):
     """What a peer samples from, drawn by position: its view's live
     contacts other than itself, in view order."""
     return [c for c in view if c != owner and is_live(c)]
+
+
+class OraclePSS:
+    """The ideal sampler: a uniform random live peer from everyone ever
+    registered, in registration order.  It drops into a built simulator
+    in place of ``sim.pss`` (same ``register`` / ``forget`` / ``tick`` /
+    ``sample`` calls); it keeps no views, so ``tick`` and ``forget`` do
+    nothing."""
+
+    def __init__(self, is_online, rng):
+        self._is_online = is_online
+        self._rng = rng
+        self._peers = []
+
+    def register(self, peer, now=0.0):
+        if peer not in self._peers:
+            self._peers.append(peer)
+
+    def forget(self, peer):
+        pass
+
+    def tick(self, peer, now):
+        pass
+
+    def sample(self, peer):
+        live = [p for p in self._peers if p != peer and self._is_online(p)]
+        return self._rng.choice(live) if live else None
+
+    def view_of(self, peer):
+        return [p for p in self._peers if p != peer]
 
 
 # --- Shared history: max-supersede ingest ------------------------------------
@@ -301,6 +333,90 @@ def ban(graph, i, peers, delta, unit=100 * MB):
     """The peers whose Equation 1 score is at least ``delta``, in the
     order given: a tie at ``delta`` is allowed."""
     return [p for p in peers if reputation(graph, i, p, unit) >= delta]
+
+
+# --- The paper's Algorithm 1: Ford–Fulkerson, exact and hop-bounded ----------
+
+#: A maxflow: its value and the net flow ``{(i, j): f > 0}`` per edge.
+Flow = namedtuple("Flow", "value flows")
+
+
+def ford_fulkerson(graph, source, sink, *, eps=1e-9):
+    """Exact maximum flow: the paper's Algorithm 1, Ford–Fulkerson with a
+    depth-first augmenting-path search on the residual network.  ``eps``
+    is the least residual capacity an edge needs to be traversed."""
+    return _run_ford_fulkerson(graph, source, sink, None, eps)
+
+
+def bounded_ford_fulkerson(graph, source, sink, *, max_hops=2, eps=1e-9):
+    """Maximum flow over augmenting paths of at most ``max_hops`` edges.
+    Exact for ``max_hops <= 2``, where it is what the closed form
+    computes; greedy for longer bounds (length-bounded maxflow is NP-hard
+    in general)."""
+    if max_hops < 1:
+        raise ValueError(f"max_hops must be >= 1, got {max_hops}")
+    return _run_ford_fulkerson(graph, source, sink, max_hops, eps)
+
+
+class _Residual:
+    """Residual capacities ``r[i][j]``, from the edge weights; pushing
+    ``f`` on ``(i, j)`` takes it from ``r[i][j]`` and gives it to
+    ``r[j][i]`` (lines 8–9 of Algorithm 1)."""
+
+    def __init__(self, graph):
+        self.r = {}
+        for i, j, w in graph.edges():
+            self.r.setdefault(i, {})[j] = self.r.get(i, {}).get(j, 0.0) + w
+            self.r.setdefault(j, {}).setdefault(i, 0.0)
+
+    def push(self, path, amount):
+        for a, b in zip(path, path[1:]):
+            self.r[a][b] -= amount
+            self.r[b][a] = self.r[b].get(a, 0.0) + amount
+
+    def bottleneck(self, path):
+        return min(self.r[a][b] for a, b in zip(path, path[1:]))
+
+    def find_path(self, source, sink, max_hops, eps):
+        """An augmenting path with residual > ``eps`` and at most
+        ``max_hops`` edges (``None``: any length), by iterative DFS."""
+        if source not in self.r:
+            return None
+        stack = [(source, [source])]
+        visited = {source}
+        while stack:
+            node, path = stack.pop()
+            if max_hops is not None and len(path) - 1 >= max_hops:
+                continue
+            for nbr, cap in self.r.get(node, {}).items():
+                if cap <= eps or nbr in visited:
+                    continue
+                if nbr == sink:
+                    return path + [nbr]
+                visited.add(nbr)
+                stack.append((nbr, path + [nbr]))
+        return None
+
+
+def _run_ford_fulkerson(graph, source, sink, max_hops, eps):
+    if source == sink:
+        raise ValueError("source and sink must differ")
+    if not graph.has_node(source) or not graph.has_node(sink):
+        return Flow(0.0, {})
+    residual = _Residual(graph)
+    value, flows = 0.0, {}
+    while (path := residual.find_path(source, sink, max_hops, eps)) is not None:
+        amount = residual.bottleneck(path)
+        residual.push(path, amount)
+        for a, b in zip(path, path[1:]):
+            # Net flow: a push on (a, b) first cancels flow on (b, a).
+            reverse = flows.pop((b, a), 0.0)
+            if reverse > amount:
+                flows[(b, a)] = reverse - amount
+            elif amount > reverse:
+                flows[(a, b)] = flows.get((a, b), 0.0) + amount - reverse
+        value += amount
+    return Flow(value, flows)
 
 
 # --- The BitTorrent round: patch ``bt_round`` in for ``_round_body`` -------

@@ -93,6 +93,34 @@ def test_bad_delta_is_a_usage_error_before_anything_runs(command, delta, capsys,
     assert "bartercast: error: delta must be in [-1, 0]" in err
 
 
+@pytest.mark.parametrize(
+    "command, rule",
+    [
+        ("faults --profile tiny --losses 0 --delay nan", "delay_max"),
+        ("faults --profile tiny --losses 0 --delay inf", "delay_max"),
+        ("faults --profile tiny --losses 0 --churn nan", "churn_rate"),
+        ("faults --profile tiny --losses 0 --churn inf", "churn_rate"),
+        ("fig1 --delay nan", "delay_max"),
+        ("fig2 --churn inf", "churn_rate"),
+    ],
+)
+def test_non_finite_fault_flag_is_a_usage_error(command, rule, capsys, monkeypatch):
+    """A NaN or infinite delay or churn rate exits 2 before the command's
+    handler runs (a NaN delay delivers nothing; an infinite churn rate
+    never ends the run)."""
+
+    def must_not_run(*_):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "_COMMANDS", dict.fromkeys(cli._COMMANDS, must_not_run))
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(f"{command} --seed 3".split())
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"bartercast: error: {rule} must be finite and non-negative" in err
+    assert "Traceback" not in err
+
+
 class TestNewSubcommands:
     def test_whitewash_runs(self, capsys):
         assert cli.main(["whitewash", "--seed", "3"]) == 0

@@ -88,6 +88,15 @@ class TestFaultConfig:
         with pytest.raises(ValueError):
             FaultConfig(**kwargs).validate()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["delay_max", "churn_rate", "churn_downtime"])
+    def test_validate_rejects_non_finite(self, name, value):
+        # Every comparison with NaN is false, so a bare ``< 0`` check
+        # passes it; a NaN delay delivers nothing, and an infinite churn
+        # rate never ends the run.
+        with pytest.raises(ValueError, match=name):
+            FaultConfig(**{name: value}).validate()
+
     @pytest.mark.parametrize("kwargs", [{"loss": 1.0}, {"duplicate": 1.0}])
     def test_validate_accepts_extreme_knobs(self, kwargs):
         # Regression: loss=1.0 (blackout) and duplicate=1.0 (geometric

@@ -1,23 +1,25 @@
-"""Unit and property tests for the maxflow kernels."""
+"""Unit and property tests for the 2-hop kernel and for the paper's
+Algorithm 1 it is checked against (``tests/model.py``)."""
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from networkx.algorithms.flow import edmonds_karp
 
-from repro.graph.maxflow import (
-    bounded_ford_fulkerson,
-    ford_fulkerson,
-    maxflow_two_hop,
-)
+from repro.graph.maxflow import maxflow_two_hop
 from repro.graph.transfer_graph import TransferGraph
 from tests.conftest import graph_of, random_graphs, to_networkx
+from tests.model import bounded_ford_fulkerson, ford_fulkerson
 
 
 def nx_maxflow(graph: TransferGraph, s, t) -> float:
+    # Edmonds–Karp: networkx's default preflow-push (and Dinitz) raise on
+    # some float-capacity graphs that random_graphs() draws.
     g = to_networkx(graph)
     if s not in g or t not in g:
         return 0.0
-    value, _ = nx.maximum_flow(g, s, t, capacity="capacity")
+    value, _ = nx.maximum_flow(g, s, t, capacity="capacity", flow_func=edmonds_karp)
     return float(value)
 
 
@@ -189,3 +191,18 @@ def test_two_hop_bounded_by_incident_capacity(g):
     out_cap = sum(g.successors(0).values())
     assert v <= in_cap + 1e-9
     assert v <= out_cap + 1e-9
+
+
+def test_two_hop_equals_bounded_on_a_mature_view():
+    """A view the size a peer's subjective graph reaches (300 peers, ~12
+    edges each, MB-to-GB lognormal totals): closed form ≡ bounded
+    Ford–Fulkerson at K = 2 toward sinks 1–19."""
+    rng = np.random.default_rng(7)
+    src = rng.integers(0, 300, size=3600).tolist()
+    dst = rng.integers(0, 300, size=3600).tolist()
+    weights = rng.lognormal(18.0, 1.5, size=3600).tolist()
+    g = graph_of([(s, d, w) for s, d, w in zip(src, dst, weights) if s != d])
+    for sink in range(1, 20):
+        a = maxflow_two_hop(g, 0, sink).value
+        b = bounded_ford_fulkerson(g, 0, sink, max_hops=2).value
+        assert a == pytest.approx(b, rel=1e-9, abs=1e-6)

@@ -1,5 +1,6 @@
 """Unit tests for the BarterCast node."""
 
+import numpy as np
 import pytest
 
 from repro.core.adversary import Ignorer, SelfishLiar
@@ -173,3 +174,22 @@ class TestBehaviors:
         # 1 top uploader (p4) + 1 most recent (p4, deduped) = 1 record.
         assert msg.num_records == 1
         assert msg.records[0].counterparty == "p4"
+
+
+class TestConfig:
+    @pytest.mark.parametrize("name", ["n_highest", "n_recent"])
+    @pytest.mark.parametrize("value", [float("nan"), 2.5, 10.0, -1, True, "10", None])
+    def test_selection_size_must_be_a_non_negative_integer(self, name, value):
+        # A float is no slice bound (TypeError at the first
+        # create_message), and a negative Nh would select no top uploader.
+        with pytest.raises(ValueError, match=name):
+            BarterCastConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [0, 3, np.int64(4)])
+    def test_integer_selection_sizes_build_nodes_that_gossip(self, value):
+        cfg = BarterCastConfig(n_highest=value, n_recent=value)
+        n = BarterCastNode("me", config=cfg)
+        for i in range(5):
+            n.record_download(f"p{i}", 100.0 * (i + 1), now=float(i))
+        msg = n.create_message(now=10.0)
+        assert (0 if msg is None else msg.num_records) == min(value, 5)

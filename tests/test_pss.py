@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.pss.buddycast import BuddyCastPSS, OraclePSS
+from repro.pss.buddycast import BuddyCastPSS
 from repro.sim.rng import RngRegistry
+from tests.model import OraclePSS
 
 
 def make_pss(online, view_size=10, seed=3, kind="buddycast"):

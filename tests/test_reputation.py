@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.reputation import DEFAULT_UNIT_BYTES, MB, ReputationMetric
-from repro.graph.maxflow import bounded_ford_fulkerson, ford_fulkerson
 from repro.graph.transfer_graph import TransferGraph
 from tests.conftest import graph_of
+from tests.model import bounded_ford_fulkerson, ford_fulkerson
 
 
 class TestScaling:

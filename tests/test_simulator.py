@@ -196,11 +196,6 @@ class TestHooks:
         sim.run(until=3600.0)
         assert sim.engine.now == 3600.0
 
-    def test_unknown_pss_kind_rejected(self, tiny_trace):
-        roles = RoleAssignment.split(tiny_trace, seed=1)
-        with pytest.raises(ValueError):
-            CommunitySimulator(tiny_trace, roles, pss="magic")
-
 
 class TestAdversaries:
     def test_ignorers_send_nothing(self):
