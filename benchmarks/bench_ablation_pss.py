@@ -41,7 +41,7 @@ def run_with_pss(kind: str, seed: int = 31):
     snap = sim.system_reputation_snapshot()
     sharer = float(np.mean([snap[p] for p in roles.sharers]))
     freerider = float(np.mean([snap[p] for p in roles.freeriders]))
-    knowledge = float(np.mean([sim.nodes[p].known_peers for p in roles.subjects]))
+    knowledge = float(np.mean([sim.nodes[p].graph.num_nodes for p in roles.subjects]))
     return {
         "separation": sharer - freerider,
         "knowledge": knowledge,

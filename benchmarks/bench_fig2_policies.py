@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from repro.core.policies import NoPolicy
-from repro.experiments import build_simulation, run_fig2
+from repro.experiments import assemble_fig2, build_simulation, fig2_tasks
 from repro.experiments.report import report_fig2
+from repro.parallel import run_sweep
 
 KB = 1024.0
 
@@ -27,7 +28,7 @@ def final_defined(series):
 
 @pytest.fixture(scope="module")
 def fig2_result(scenario):
-    return run_fig2(scenario)
+    return assemble_fig2(run_sweep(fig2_tasks(scenario)))
 
 
 @pytest.fixture(scope="module")
@@ -42,8 +43,10 @@ def baseline_speeds(scenario):
 
 
 def test_fig2a_rank(benchmark, scenario, fig2_result, capsys):
-    result = benchmark.pedantic(run_fig2, args=(scenario,), kwargs={"deltas": (-0.5,)},
-                                rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: assemble_fig2(run_sweep(fig2_tasks(scenario, (-0.5,))), (-0.5,)),
+        rounds=1, iterations=1,
+    )
     with capsys.disabled():
         print()
         print(report_fig2(fig2_result))

@@ -12,26 +12,26 @@ and checks the paper's claims:
 import numpy as np
 import pytest
 
-from repro.experiments import run_fig3
+from repro.experiments import assemble_fig3, fig3_tasks
 from repro.experiments.report import report_fig3
+from repro.parallel import run_sweep
 
 PCTS = (0, 20, 40)
 
 
 @pytest.fixture(scope="module")
 def fig3a(scenario):
-    return run_fig3(scenario, kind="ignore", percentages=PCTS)
+    return assemble_fig3(run_sweep(fig3_tasks(scenario, "ignore", PCTS)), "ignore", PCTS)
 
 
 @pytest.fixture(scope="module")
 def fig3b(scenario):
-    return run_fig3(scenario, kind="lie", percentages=PCTS)
+    return assemble_fig3(run_sweep(fig3_tasks(scenario, "lie", PCTS)), "lie", PCTS)
 
 
 def test_fig3a_ignore(benchmark, scenario, fig3a, capsys):
     result = benchmark.pedantic(
-        run_fig3, args=(scenario,),
-        kwargs={"kind": "ignore", "percentages": (0, 40)},
+        lambda: assemble_fig3(run_sweep(fig3_tasks(scenario, "ignore", (0, 40))), "ignore", (0, 40)),
         rounds=1, iterations=1,
     )
     with capsys.disabled():

@@ -14,7 +14,8 @@ Run:  python examples/liar_attack.py
 
 from repro.analysis.ascii_plot import render_table
 from repro.core import BarterCastNode, SelfishLiar, MB
-from repro.experiments import ScenarioConfig, run_fig3
+from repro.experiments import ScenarioConfig, assemble_fig3, fig3_tasks
+from repro.parallel import run_sweep
 
 
 def microcosm() -> None:
@@ -51,7 +52,8 @@ def microcosm() -> None:
 def community_sweep() -> None:
     print("== Community: Figure 3(b) in miniature (ban policy, delta=-0.5) ==\n")
     scenario = ScenarioConfig.tiny(seed=11)
-    result = run_fig3(scenario, kind="lie", percentages=(0, 25, 50))
+    pcts = (0, 25, 50)
+    result = assemble_fig3(run_sweep(fig3_tasks(scenario, "lie", pcts)), "lie", pcts)
     rows = [
         (f"{pct:.0f}%", s, f)
         for pct, s, f in zip(

@@ -1,27 +1,21 @@
 #!/usr/bin/env python
-"""Trace tooling: generate, inspect, persist, and reuse community traces.
+"""Trace tooling: generate and inspect community traces.
 
 The trace substrate replaces the paper's proprietary filelist.org scrape;
 this example shows the workload structure it produces (sessions, flash
-crowds, file sizes, connectability) and the JSON round-trip used to
-archive a workload next to its experiment results.
+crowds, file sizes, connectability).  A trace is a pure function of its
+parameters and seed, so re-running with the same ``--seed`` regenerates
+it exactly.
 
-Run:  python examples/trace_tooling.py [--seed N] [--out trace.json]
+Run:  python examples/trace_tooling.py [--seed N]
 """
 
 import argparse
-import tempfile
-from pathlib import Path
 
 import numpy as np
 
 from repro.analysis.ascii_plot import render_table
-from repro.traces import (
-    SyntheticTraceGenerator,
-    TraceParams,
-    load_trace,
-    save_trace,
-)
+from repro.traces import SyntheticTraceGenerator, TraceParams
 
 DAY = 86400.0
 MB = 1024.0**2
@@ -30,7 +24,6 @@ MB = 1024.0**2
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--out", default=None, help="where to write the JSON trace")
     args = parser.parse_args()
 
     params = TraceParams(num_peers=60, num_swarms=6, duration=4 * DAY)
@@ -62,14 +55,6 @@ def main() -> None:
     slots = np.arange(0.0, trace.duration, 6 * 3600.0)
     online = [sum(p.online_at(t) for p in trace.peers.values()) for t in slots]
     print("online peers per 6h slot:", online)
-
-    # Persist and reload — bit-identical workloads for later reruns.
-    out = Path(args.out) if args.out else Path(tempfile.gettempdir()) / "trace.json"
-    save_trace(trace, out)
-    reloaded = load_trace(out)
-    assert reloaded.num_peers == trace.num_peers
-    assert len(reloaded.requests) == len(trace.requests)
-    print(f"\ntrace archived to {out} ({out.stat().st_size} bytes) and verified.")
 
 
 if __name__ == "__main__":

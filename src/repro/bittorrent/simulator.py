@@ -171,7 +171,8 @@ class CommunitySimulator:
         #: reads.  Kept at the four places liveness changes (session
         #: start and end, churn crash and rejoin).
         self.live: Set[int] = set()
-        #: Whether each peer accepts incoming connections (fixed per trace).
+        #: Whether each peer accepts incoming connections (fixed per trace);
+        #: two peers can connect when at least one of them does.
         self._connectable: Dict[int, bool] = {
             pid: profile.connectable for pid, profile in trace.peers.items()
         }
@@ -327,12 +328,6 @@ class CommunitySimulator:
         self.online.discard(peer)
         self.live.discard(peer)
 
-    def can_connect(self, a: int, b: int) -> bool:
-        """Whether peers ``a`` and ``b`` can form a connection (at least one
-        must accept incoming connections).  The round applies this rule
-        through the two candidate pools of :mod:`repro.bittorrent.choker`."""
-        return self._connectable[a] or self._connectable[b]
-
     def _churn_down(self, peer: int, now: float) -> None:
         """Churn crash hook: the peer leaves the live set until it rejoins."""
         self.live.discard(peer)
@@ -380,6 +375,7 @@ class CommunitySimulator:
         from repro.obs.timeseries import TimeSeriesRecorder
 
         cfg = collector.config
+        cfg.validate(self.config.round_interval)
         recorder = TimeSeriesRecorder(
             label=collector.next_label(), capacity=cfg.capacity
         )
@@ -555,7 +551,7 @@ class CommunitySimulator:
                     if member.optimistic_peer is not None and member.peer_id in live:
                         member.optimistic_peer = None
                 continue
-            # ``can_connect`` once per leecher and round: a connectable
+            # The connection rule once per leecher and round: a connectable
             # uploader reaches every online leecher, any other one only
             # the connectable leechers.
             reachable = [pid for pid in online_leechers if connectable[pid]]

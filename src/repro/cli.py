@@ -60,8 +60,9 @@ Observability flags (available on every subcommand):
 ``--timeseries [SECONDS]``
     Record a convergence time-series per simulation (reputation
     coverage, rank-inversion rate, cache hit rate, ``net.*`` deltas) at
-    the given sim-time cadence; with no value, one row per stats
-    sample.  Exported as CSV + JSON beside the run manifest.
+    the given sim-time cadence (finite, and at least the scenario's
+    round interval); with no value, one row per stats sample.  Exported
+    as CSV + JSON beside the run manifest.
 ``--prof``
     Profile run phases, engine events and reputation evaluations (wall
     + CPU; evaluations timed per call at the node, labelled
@@ -121,12 +122,14 @@ from repro.experiments import (
 from repro.faults import FaultConfig
 from repro.obs import (
     ManifestBuilder,
+    TimeSeriesConfig,
     describe,
     make_observability,
     parse_sample_spec,
     render_attribution,
 )
 from repro.parallel import ParallelRunner, run_sweep
+from repro.sim.rng import RngRegistry
 
 __all__ = ["main"]
 
@@ -834,8 +837,14 @@ _COMMANDS = {
 def _check(args: argparse.Namespace) -> None:
     """Put every flag of a run through the validator that owns its rule,
     before anything runs; a bad flag raises ``ValueError``."""
+    RngRegistry(args.seed)
     if args.trace_sample is not None:
         parse_sample_spec(args.trace_sample)
+    if args.timeseries is not None:
+        # A run without a scenario has no round to bound the cadence by.
+        scenario = ScenarioConfig.named(args.profile) if hasattr(args, "profile") else None
+        rounds = scenario.bt_config.round_interval if scenario is not None else 0.0
+        TimeSeriesConfig.of(args.timeseries).validate(rounds)
     faults = []
     if args.command == "faults":
         losses, churns = _ladders(args)
@@ -859,6 +868,8 @@ def _check(args: argparse.Namespace) -> None:
         raise ValueError(f"--peers must be positive, got {args.peers}")
     if args.command == "explain" and args.subject == args.peer:
         raise ValueError("--subject must differ from --peer")
+    if getattr(args, "top_k", 0) < 0:
+        raise ValueError(f"--top-k must be non-negative, got {args.top_k}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

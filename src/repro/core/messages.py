@@ -25,30 +25,10 @@ __all__ = [
     "HistoryRecord",
     "BarterCastMessage",
     "admitted_totals",
-    "is_total",
     "select_records",
 ]
 
 PeerId = Hashable
-
-
-def is_total(value: object) -> bool:
-    """Whether ``value`` is a byte total a receiver admits: a real number
-    whose float value is finite and non-negative.
-
-    Never raises, whatever a peer sent.  An int too large for a float, a
-    numpy array, a string or ``None`` is not a total; ``True`` and numpy
-    real scalars are.
-    """
-    if value.__class__ is not float:
-        if not isinstance(value, Real):
-            return False
-        try:
-            value = float(value)
-        except (OverflowError, TypeError, ValueError):
-            return False
-    # The chained comparison is also false for NaN.
-    return 0.0 <= value < inf
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,23 +52,30 @@ class HistoryRecord:
 
 def admitted_totals(record: HistoryRecord) -> Optional[Tuple[float, float]]:
     """``(uploaded, downloaded)`` as floats when both totals of ``record``
-    pass :func:`is_total`, else ``None``: the receiver's admission rule
-    for a record's totals, written once for ingest and the dissemination
-    log.  The caller checks the rest of the rule — a hashable
-    counterparty that is neither the sender nor the receiver.
+    are byte totals a receiver admits — real numbers whose float values
+    are finite and non-negative — else ``None``: the receiver's admission
+    rule for a record's totals, written once for ingest and the
+    dissemination log.  The caller checks the rest of the rule — a
+    hashable counterparty that is neither the sender nor the receiver.
 
-    Never raises, whatever a peer sent.  The exact floats every simulated
-    sender writes are range-checked in place, with no further call.
+    Never raises, whatever a peer sent.  An int too large for a float, a
+    numpy array, a string or ``None`` is not a total; ``True`` and numpy
+    real scalars are.  The exact floats every simulated sender writes are
+    range-checked in place, with no conversion.
     """
     up = record.uploaded
     down = record.downloaded
-    if up.__class__ is float and down.__class__ is float:
-        # The chained comparisons are also false for NaN.
-        if 0.0 <= up < inf and 0.0 <= down < inf:
-            return up, down
-        return None
-    if is_total(up) and is_total(down):
-        return float(up), float(down)
+    if up.__class__ is not float or down.__class__ is not float:
+        if not (isinstance(up, Real) and isinstance(down, Real)):
+            return None
+        try:
+            up = float(up)
+            down = float(down)
+        except (OverflowError, TypeError, ValueError):
+            return None
+    # The chained comparisons are also false for NaN.
+    if 0.0 <= up < inf and 0.0 <= down < inf:
+        return up, down
     return None
 
 

@@ -608,13 +608,8 @@ class BarterCastNode:
             counts["choke.banned"] = self.choke_banned
         return counts
 
-    @property
-    def known_peers(self) -> int:
-        """Number of nodes in the subjective graph (including self)."""
-        return self.graph.num_nodes
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<BarterCastNode {self.peer_id!r} behavior={self.behavior.name} "
-            f"known={self.known_peers} sent={self.messages_sent} recv={self.messages_received}>"
+            f"known={self.graph.num_nodes} sent={self.messages_sent} recv={self.messages_received}>"
         )

@@ -27,9 +27,9 @@ Kernel
 Both flows come from the closed-form 2-hop maxflow
 (:func:`~repro.graph.maxflow.maxflow_two_hop_pair`), the computation the
 deployed BarterCast runs: the paper regards paths of at most two edges.
-The Ford–Fulkerson kernels of :mod:`repro.graph.maxflow` are the
-paper's Algorithm 1, which the tests and the path-length ablation bench
-call directly.
+The paper's Algorithm 1, Ford–Fulkerson exact and hop-bounded, lives
+in ``tests/model.py`` as the reference the tests and the path-length
+ablation bench check the closed form against.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ unreliable channel of :mod:`repro.faults` relies on this).
 from __future__ import annotations
 
 from math import inf
-from typing import Dict, Hashable, Iterator, Optional, Set, Tuple
+from typing import Dict, Hashable, Optional, Set
 
 from repro.core.messages import BarterCastMessage, HistoryRecord, admitted_totals
 from repro.graph.transfer_graph import TransferGraph
@@ -351,24 +351,6 @@ class SubjectiveSharedHistory:
         return None if mine is None else mine.get(counterparty)
 
     # ------------------------------------------------------------------
-    def claim_of(self, reporter: PeerId, src: PeerId, dst: PeerId) -> Optional[float]:
-        """``reporter``'s own live claim about edge ``(src, dst)``, if any."""
-        if reporter == src:
-            rec = self._report(src, dst)
-            return None if rec is None else rec.uploaded
-        rec = self._report(dst, src) if reporter == dst else None
-        return None if rec is None else rec.downloaded
-
-    def known_edges(self) -> Iterator[Tuple[PeerId, PeerId]]:
-        """Directed pairs for which at least one claim is stored."""
-        reports = self._reports
-        for reporter, mine in reports.items():
-            for c in mine:
-                yield (reporter, c)
-                # (c, reporter) is c's upload edge when c reported it too.
-                if c not in reports or reporter not in reports[c]:
-                    yield (c, reporter)
-
     def reporters(self) -> Set[PeerId]:
         """Every peer with at least one live claim in this view."""
         return set(self._reports)

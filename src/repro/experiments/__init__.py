@@ -18,14 +18,12 @@ from repro.experiments.fig2 import (
     Fig2Result,
     assemble_fig2,
     fig2_tasks,
-    run_fig2,
     run_fig2_policy,
 )
 from repro.experiments.fig3 import (
     Fig3Result,
     assemble_fig3,
     fig3_tasks,
-    run_fig3,
     run_fig3_point,
 )
 from repro.experiments.fig4 import Fig4Result, fig4_task, run_fig4
@@ -57,12 +55,10 @@ __all__ = [
     "run_fig1",
     "fig1_task",
     "Fig2Result",
-    "run_fig2",
     "run_fig2_policy",
     "fig2_tasks",
     "assemble_fig2",
     "Fig3Result",
-    "run_fig3",
     "run_fig3_point",
     "fig3_tasks",
     "assemble_fig3",

@@ -19,7 +19,7 @@ policy comparisons are paired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,7 +31,6 @@ from repro.obs import Observability
 
 __all__ = [
     "Fig2Result",
-    "run_fig2",
     "run_fig2_policy",
     "fig2_tasks",
     "assemble_fig2",
@@ -181,24 +180,3 @@ def assemble_fig2(
         delta_sweep=delta_sweep,
     )
 
-
-def run_fig2(
-    scenario: ScenarioConfig = None,
-    deltas: Sequence[float] = (-0.3, -0.5, -0.7),
-    ban_delta: float = -0.5,
-    obs: Optional[Observability] = None,
-    runner=None,
-) -> Fig2Result:
-    """Run all Figure 2 conditions (rank, ban, δ sweep) on one population.
-
-    With ``runner`` (a :class:`repro.parallel.ParallelRunner`) the policy
-    runs fan out across worker processes; the default executes them
-    serially in-process.  Both paths produce bit-identical results: each
-    condition is an independently seeded simulation.
-    """
-    if scenario is None:
-        scenario = ScenarioConfig.fast()
-    from repro.parallel import run_sweep
-
-    payloads = run_sweep(fig2_tasks(scenario, deltas, ban_delta), runner=runner, obs=obs)
-    return assemble_fig2(payloads, deltas, ban_delta)

@@ -17,7 +17,7 @@ below roughly 18 % liars.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from repro.obs import Observability
 
 __all__ = [
     "Fig3Result",
-    "run_fig3",
     "run_fig3_point",
     "fig3_tasks",
     "assemble_fig3",
@@ -110,9 +109,7 @@ def fig3_tasks(
 ) -> List[Any]:
     """The independent sweep tasks of one Figure 3 panel, in sweep order:
     :func:`run_fig3_point` and its arguments, one task per percentage."""
-    _validate_kind_and_percentages(
-        scenario if scenario is not None else ScenarioConfig.fast(), kind, percentages
-    )
+    _validate_kind_and_percentages(scenario, kind, percentages)
     from repro.parallel import SweepTask
 
     return [
@@ -142,27 +139,3 @@ def assemble_fig3(
         freerider_speed_kbps=np.asarray([p[1] for p in payloads]),
     )
 
-
-def run_fig3(
-    scenario: ScenarioConfig = None,
-    kind: str = "ignore",
-    percentages: Sequence[float] = (0, 10, 20, 30, 40, 50),
-    delta: float = -0.5,
-    obs: Optional[Observability] = None,
-    runner=None,
-) -> Fig3Result:
-    """Sweep the disobeying fraction for one manipulation kind.
-
-    With ``runner`` (a :class:`repro.parallel.ParallelRunner`) the sweep
-    points fan out across worker processes; the default runs them
-    serially in-process.  Both paths are bit-identical: every point is an
-    independently seeded simulation.
-    """
-    if scenario is None:
-        scenario = ScenarioConfig.fast()
-    from repro.parallel import run_sweep
-
-    payloads = run_sweep(
-        fig3_tasks(scenario, kind, percentages, delta), runner=runner, obs=obs
-    )
-    return assemble_fig3(payloads, kind, percentages)

@@ -224,10 +224,7 @@ def make_observability(
     elif isinstance(timeseries, TimeSeriesConfig):
         collector = TimeSeriesCollector(timeseries)
     else:
-        interval = float(timeseries)
-        collector = TimeSeriesCollector(
-            TimeSeriesConfig(interval_s=interval if interval > 0 else None)
-        )
+        collector = TimeSeriesCollector(TimeSeriesConfig.of(timeseries))
     diss: DisseminationCollector = NULL_DISSEMINATION
     if dissemination:
         config = dissemination if isinstance(dissemination, DisseminationConfig) else None

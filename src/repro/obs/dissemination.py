@@ -42,6 +42,8 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
+from math import inf, nan
+from numbers import Real
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.legs import LabelledCollector
@@ -82,15 +84,6 @@ def _sort_key(value) -> str:
 
 def _claim_order(claim: ClaimKey) -> Tuple[str, str]:
     return (_sort_key(claim[0]), _sort_key(claim[1]))
-
-
-def _int_equal(value) -> int:
-    """The int ``value`` equals (``True`` -> 1, ``2.0`` -> 2), else 0."""
-    try:
-        k = int(value)
-    except (TypeError, ValueError, OverflowError):
-        return 0
-    return k if k == value else 0
 
 
 #: Row kinds that expand to a delivered copy ("gossip" = send + deliver).
@@ -211,7 +204,13 @@ class DisseminationRecorder:
         if isinstance(mid, tuple) and len(mid) == 2:
             rows = self._seq_rows.get(mid[0])
             if rows is not None:
-                k = mid[1] if type(mid[1]) is int else _int_equal(mid[1])
+                k = mid[1]
+                if type(k) is not int:
+                    # The int it equals (True -> 1, 2.0 -> 2), else 0.
+                    try:
+                        k = int(k) if int(k) == k else 0
+                    except (TypeError, ValueError, OverflowError):
+                        k = 0
                 if 0 < k <= len(rows):
                     return rows[k - 1]
         return self._msg_index.get(mid)
@@ -230,17 +229,45 @@ class DisseminationRecorder:
             seq[sender].append(row)
         else:
             self._msg_index[mid] = row
+        created = message.created_at
+        if created.__class__ is not float:
+            # A forged envelope: a creation time that is not a finite
+            # real is stored as NaN.
+            try:
+                created = float(created) if isinstance(created, Real) else nan
+            except (OverflowError, TypeError, ValueError):
+                created = nan
+        hops = message.hops
         self._put_sender(sender)
-        self._put_created(message.created_at)
-        self._put_hops(message.hops)
+        self._put_created(created if -inf < created < inf else nan)
+        # A hop count that is not a non-negative int is kept as None.
+        self._put_hops(hops if hops.__class__ is int and hops >= 0 else None)
         self._put_gdst(gdst)
         self._put_gseq(gseq)
         self._extract(message)
 
-    def _register(self, message) -> Hashable:
+    @staticmethod
+    def _key(message) -> Hashable:
+        """The id ``message`` is filed under: its ``msg_id``, or — with
+        none, or one the registry cannot hash — ``(sender, created_at)``,
+        with the creation time as :meth:`_file` stores it (NaN) when even
+        that cannot be hashed."""
         mid = message.msg_id
-        if mid is None:
-            mid = (message.sender, message.created_at)
+        if mid is not None:
+            try:
+                hash(mid)
+                return mid
+            except (TypeError, ValueError):
+                pass
+        mid = (message.sender, message.created_at)
+        try:
+            hash(mid)
+        except (TypeError, ValueError):
+            mid = (message.sender, nan)
+        return mid
+
+    def _register(self, message) -> Hashable:
+        mid = self._key(message)
         if self._row(mid) is None:
             self._file(message, mid, None, 0)
         return mid
@@ -365,10 +392,10 @@ class DisseminationRecorder:
         holds when ``t == created_at`` and the message is new — any
         other call (foreign drivers, re-gossip) takes the explicit-row
         fallback."""
-        mid = message.msg_id
-        if mid is None:
-            mid = (message.sender, message.created_at)
-        if t == message.created_at and self._row(mid) is None:
+        mid = self._key(message)
+        created = message.created_at
+        real = created.__class__ is float or isinstance(created, Real)
+        if real and t == created and self._row(mid) is None:
             self._file(message, mid, receiver, len(self._ev_kind))
             return
         self._register(message)
@@ -508,11 +535,7 @@ class DisseminationRecorder:
             for kind, mid in zip(self._ev_kind, self._ev_mid)
             if kind in _DELIVERED
         )
-        hist: Dict[str, int] = {}
-        for h, n in counts.items():
-            key = str(int(h))
-            hist[key] = hist.get(key, 0) + n
-        return dict(sorted(hist.items()))
+        return dict(sorted(("invalid" if h is None else str(h), n) for h, n in counts.items()))
 
     def redundancy_factor(self) -> Optional[float]:
         """Copies delivered per unique (claim, receiver) delivery."""

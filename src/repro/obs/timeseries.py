@@ -26,6 +26,7 @@ cache, so ``rep.cache.*`` hit/miss counters include probe traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -63,6 +64,26 @@ class TimeSeriesConfig:
 
     interval_s: Optional[float] = None
     capacity: int = DEFAULT_CAPACITY
+
+    @classmethod
+    def of(cls, cadence: float) -> "TimeSeriesConfig":
+        """The config a ``--timeseries`` cadence describes: a value
+        ``<= 0`` (the bare flag stores ``-1.0``) rides the stats cadence."""
+        cadence = float(cadence)
+        return cls(interval_s=None if cadence <= 0 else cadence)
+
+    def validate(self, round_interval: float) -> None:
+        """Reject a cadence no run can honour: one that is not finite, or
+        one below ``round_interval``, so a run holds at most one probe per
+        round."""
+        interval = self.interval_s
+        if interval is not None and not interval < inf:  # NaN included
+            raise ValueError(f"time-series cadence must be finite, got {interval}")
+        if interval is not None and interval < round_interval:
+            raise ValueError(
+                f"time-series cadence {interval:g} s is below the round interval "
+                f"({round_interval:g} s)"
+            )
 
 
 class TimeSeriesRecorder:

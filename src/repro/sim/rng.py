@@ -13,6 +13,7 @@ generators are statistically independent by construction.
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Dict, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -101,6 +102,10 @@ class RngRegistry:
     """
 
     def __init__(self, root_seed: int) -> None:
+        # numpy's SeedSequence takes non-negative integers only; say so
+        # before any stream is drawn.
+        if not isinstance(root_seed, Integral) or root_seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {root_seed!r}")
         self.root_seed = int(root_seed)
         self._streams: Dict[str, RngStream] = {}
 

@@ -6,8 +6,7 @@ file requests).  Those traces are proprietary, so this subpackage provides
 a parametric synthetic generator
 (:class:`~repro.traces.synthetic.SyntheticTraceGenerator`) that reproduces
 the trace *structure* the simulator consumes — see DESIGN.md §4 for the
-substitution argument — plus the dataclasses and (de)serialization shared
-by every experiment.
+substitution argument — plus the dataclasses shared by every experiment.
 """
 
 from repro.traces.models import (
@@ -18,7 +17,6 @@ from repro.traces.models import (
     SwarmSpec,
 )
 from repro.traces.synthetic import SyntheticTraceGenerator, TraceParams
-from repro.traces.io import load_trace, save_trace
 
 __all__ = [
     "CommunityTrace",
@@ -28,6 +26,4 @@ __all__ = [
     "SwarmSpec",
     "SyntheticTraceGenerator",
     "TraceParams",
-    "load_trace",
-    "save_trace",
 ]

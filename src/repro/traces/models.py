@@ -13,7 +13,7 @@ All times are seconds from trace start; all sizes are bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 __all__ = [
     "PeerSession",
@@ -200,18 +200,8 @@ class CommunityTrace:
                     f"swarm {swarm.swarm_id} origin seeder {swarm.origin_seeder} unknown"
                 )
 
-    @property
-    def num_peers(self) -> int:
-        """Number of peers in the trace."""
-        return len(self.peers)
-
-    @property
-    def num_swarms(self) -> int:
-        """Number of swarms in the trace."""
-        return len(self.swarms)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<CommunityTrace peers={self.num_peers} swarms={self.num_swarms} "
+            f"<CommunityTrace peers={len(self.peers)} swarms={len(self.swarms)} "
             f"requests={len(self.requests)} days={self.duration / DAY:.1f}>"
         )

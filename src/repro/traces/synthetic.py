@@ -146,7 +146,7 @@ class SyntheticTraceGenerator:
     >>> gen = SyntheticTraceGenerator(TraceParams(num_peers=10, num_swarms=2), seed=1)
     >>> trace = gen.generate()
     >>> trace.validate()
-    >>> trace.num_peers >= 10
+    >>> len(trace.peers) >= 10
     True
     """
 

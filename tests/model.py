@@ -19,7 +19,7 @@ is stated where it applies (DESIGN.md, "Reference model", lists them).
 
 from collections import Counter, namedtuple
 from dataclasses import replace
-from math import atan, isfinite, pi
+from math import atan, isfinite, nan, pi
 from numbers import Real
 
 import numpy as np
@@ -138,6 +138,15 @@ def finite(v):
     return f if isfinite(f) else None
 
 
+def hashable(v):
+    """Whether ``v`` can be a dict key."""
+    try:
+        hash(v)
+    except TypeError:
+        return False
+    return True
+
+
 def is_total(v):
     """A byte total: a real whose float value is finite and non-negative."""
     f = finite(v)
@@ -149,11 +158,8 @@ def sane_records(message):
     :class:`HistoryRecord` whose counterparty is hashable and not the
     sender, and whose two totals pass :func:`is_total`."""
     def admitted(r):
-        try:
-            hash(r.counterparty)
-        except TypeError:
-            return False
-        return r.counterparty != message.sender and is_total(r.uploaded) and is_total(r.downloaded)
+        return (hashable(r.counterparty) and r.counterparty != message.sender
+                and is_total(r.uploaded) and is_total(r.downloaded))
 
     return [r for r in message.records if isinstance(r, HistoryRecord) and admitted(r)]
 
@@ -242,16 +248,6 @@ class Store:
     def reporters(self):
         return {r for r, _ in self.records}
 
-    def known_edges(self):
-        return {edge for r, c in self.records for edge in ((r, c), (c, r))}
-
-    def claim_of(self, reporter, src, dst):
-        if reporter == src and (src, dst) in self.records:
-            return self.records[(src, dst)][0]
-        if reporter == dst and (dst, src) in self.records:
-            return self.records[(dst, src)][1]
-        return None
-
     def lineage_of(self, src, dst):
         out = {}
         for reporter, key, i in ((src, (src, dst), 0), (dst, (dst, src), 1)):
@@ -262,6 +258,29 @@ class Store:
                     reporter, msg_id, rec[i], rec[2], received_at, 1, superseded
                 )
         return out
+
+
+def claims(store):
+    """``{(reporter, src, dst): value}``: every live claim a store holds,
+    a :class:`Store` or the system's ``SubjectiveSharedHistory`` (read
+    from its ``_reports``).  A reporter's record about ``c`` is two
+    claims: its upload edge ``(reporter, c)`` and its download edge
+    ``(c, reporter)``."""
+    if isinstance(store, Store):
+        rows = [(r, c, rec[0], rec[1]) for (r, c), rec in store.records.items()]
+    else:
+        rows = [(r, c, rec.uploaded, rec.downloaded)
+                for r, mine in store._reports.items() for c, rec in mine.items()]
+    out = {}
+    for r, c, up, down in rows:
+        out[r, r, c] = up
+        out[r, c, r] = down
+    return out
+
+
+def claimed_edges(store):
+    """The directed pairs at least one live claim is about."""
+    return {(src, dst) for _, src, dst in claims(store)}
 
 
 # --- Reputation: the 2-hop closed form, the arctan scale, rank and ban -------
@@ -444,7 +463,9 @@ def candidates(swarm, uploader, is_online, can_connect):
 def unchoke(sim, swarm, member):
     """Tit-for-tat regular slots plus the optimistic slot; the policy is
     asked once per call which candidates it allows."""
-    found = candidates(swarm, member, lambda p: is_live(sim, p), sim.can_connect)
+    peers = sim.trace.peers
+    found = candidates(swarm, member, lambda p: is_live(sim, p),
+                       lambda a, b: peers[a].connectable or peers[b].connectable)
     if not found:
         member.optimistic_peer = None
         return set()
@@ -601,11 +622,20 @@ class Dissemination:
         self.messages, self.rows = {}, []
 
     def file(self, m):
-        mid = (m.sender, m.created_at) if m.msg_id is None else m.msg_id
+        """A message is filed under its ``msg_id``; without one, or with
+        one no dict can hold, under ``(sender, created_at)``, and under
+        ``(sender, nan)`` if that cannot be hashed either.  A creation
+        time that is not a finite real is kept as NaN, a hop count that
+        is not a non-negative ``int`` as ``None``."""
+        mid = m.msg_id if hashable(m.msg_id) else None
+        if mid is None:
+            mid = (m.sender, m.created_at) if hashable(m.created_at) else (m.sender, nan)
         if mid not in self.messages:
             triples = [(r.counterparty, float(r.uploaded), float(r.downloaded))
                        for r in sane_records(m)]
-            self.messages[mid] = (m.sender, float(m.created_at), m.hops, triples)
+            created = finite(m.created_at)
+            hops = m.hops if type(m.hops) is int and m.hops >= 0 else None
+            self.messages[mid] = (m.sender, nan if created is None else created, hops, triples)
         return mid
 
     def row(self, kind, m, to, t, detail=None):
@@ -709,7 +739,8 @@ class Dissemination:
             events.update(("send", "deliver") if kind == "gossip" else (kind,))
             if kind == "drop" and detail["cause"]:
                 events["drop." + detail["cause"]] += 1
-        hops = Counter(str(int(self.messages[row[2]][2])) for row in self.rows if row[0] in DELIVERED)
+        hops = Counter("invalid" if h is None else str(h)
+                       for h in (self.messages[row[2]][2] for row in self.rows if row[0] in DELIVERED))
         out = {"label": self.label, "population": len(self.population),
                "messages": len(self.messages), "claims": len(stats),
                "claims_reached": len([s for s in stats if s["reached"]]),

@@ -121,6 +121,50 @@ def test_non_finite_fault_flag_is_a_usage_error(command, rule, capsys, monkeypat
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("fig1 --profile tiny --seed -1", "seed must be a non-negative integer, got -1"),
+        ("faults --profile tiny --seed -4 --losses 0", "seed must be a non-negative integer, got -4"),
+        ("faults --profile tiny --seed 3 --top-k -1", "--top-k must be non-negative, got -1"),
+        ("explain --profile tiny --seed 3 --peer 0 --top-k -3", "--top-k must be non-negative, got -3"),
+        ("fig1 --profile tiny --seed 3 --timeseries nan", "time-series cadence must be finite, got nan"),
+        ("fig2 --profile tiny --seed 3 --timeseries inf", "time-series cadence must be finite, got inf"),
+        ("fig1 --profile tiny --seed 3 --timeseries 1e-9",
+         "time-series cadence 1e-09 s is below the round interval (60 s)"),
+        ("whitewash --seed 3 --timeseries nan", "time-series cadence must be finite, got nan"),
+    ],
+)
+def test_bad_seed_top_k_or_cadence_is_a_usage_error(command, message, capsys, monkeypatch):
+    """A negative seed (numpy's seed sequence would raise once the run
+    started), a negative ``--top-k`` (which explained nobody) and a
+    cadence that is not finite or finer than a round exit 2 before the
+    command's handler runs."""
+
+    def must_not_run(*_):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "_COMMANDS", dict.fromkeys(cli._COMMANDS, must_not_run))
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(command.split())
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"bartercast: error: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cadence", [[], ["-1"], ["0"], ["60"], ["7200"]])
+def test_timeseries_cadence_at_or_above_a_round_is_accepted(cadence, monkeypatch):
+    """The bare flag (stored as -1.0) and values <= 0 ride the stats
+    cadence; a cadence of one round or more is taken as given."""
+    ran = []
+    monkeypatch.setattr(
+        cli, "_COMMANDS", dict.fromkeys(cli._COMMANDS, lambda args, *_: ran.append(args))
+    )
+    assert cli.main(["fig1", "--profile", "tiny", "--seed", "3", "--timeseries", *cadence]) == 0
+    assert ran[0].timeseries == (float(cadence[0]) if cadence else -1.0)
+
+
 class TestNewSubcommands:
     def test_whitewash_runs(self, capsys):
         assert cli.main(["whitewash", "--seed", "3"]) == 0

@@ -13,6 +13,7 @@ import gc
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,10 +22,13 @@ from hypothesis import strategies as st
 
 from repro.core.messages import BarterCastMessage, HistoryRecord
 from repro.core.node import BarterCastNode
+from repro.core.reputation import MB
 from repro.core.policies import RankPolicy
 from repro.experiments import ScenarioConfig, run_fig1
 from repro.experiments.scenario import build_simulation
 from repro.faults import ChannelModel, FaultConfig
+from repro.faults.audit import audit_simulation
+from repro.graph.transfer_graph import TransferGraph
 from repro.obs import (
     NULL_DISSEMINATION,
     NULL_OBS,
@@ -33,25 +37,20 @@ from repro.obs import (
     DisseminationRecorder,
     make_observability,
 )
+from repro.obs.provenance import ProvenanceRecorder
 import repro.obs.dissemination as dissemination_module
 from repro.obs.chrome_trace import trace_to_chrome_events
 from repro.obs.dissemination import DISSEMINATION_FILENAME, render_attribution
 from repro.obs.trace import read_trace
 from repro.sim.rng import RngRegistry
-from tests.model import Dissemination
+from tests.model import Dissemination, Store, claims
 
 FAULTS = FaultConfig(loss=0.2, duplicate=0.2, delay_max=7200.0, churn_rate=4.0)
 
 
 def _shared_view(node):
     """``(reporter, src, dst) -> value`` of every live claim ``node`` holds."""
-    view = {}
-    for src, dst in node.shared.known_edges():
-        for reporter in node.shared.reporters():
-            value = node.shared.claim_of(reporter, src, dst)
-            if value is not None:
-                view[(reporter, src, dst)] = value
-    return view
+    return claims(node.shared)
 
 
 HOOKS = ("send", "gossip", "deliver", "drop", "plan", "wipe")
@@ -301,6 +300,68 @@ class TestHostilePayloads:
             ([0, 3], 5),
         ]
         assert snap["summary"]["hop_histogram"] == {"1": 4}
+
+
+#: Forged envelopes: ids replayed and naming another sender, unhashable
+#: ids, creation times that are no finite real, junk ``parent_id`` and
+#: hop counts that are no non-negative int.
+FORGED_IDS = st.sampled_from(
+    [None, (0, 1), (0, 1), (2, 1), (2, 2), "m", [0, 1], (0, [1]), {"k": 1}]
+)
+FORGED_CREATED = st.sampled_from(
+    [5.0, 6.0, 6.0, None, "x", [1], math.nan, math.inf, 10**400, 10**30]
+)
+JUNK_PARENTS = st.sampled_from([None, (0, 1), [1], {"p": 2}, "p", math.nan])
+FORGED_HOPS = st.sampled_from([1, 0, -1, 10**30, "x", 1.5])
+
+
+@st.composite
+def forged_streams(draw):
+    """``(sender, created_at, repeat, msg_id, parent_id, hops, explicit,
+    t)`` per message: honest records of peer 0 or 2, ``repeat`` times
+    over (up to 10 000 records), under a forged envelope, delivered to
+    peer 1 through the fused or the explicit hooks."""
+    return draw(st.lists(st.tuples(
+        st.sampled_from([0, 2]), FORGED_CREATED, st.sampled_from([1, 3, 5000]),
+        FORGED_IDS, JUNK_PARENTS, FORGED_HOPS, st.booleans(), st.sampled_from([6.0, 7.0]),
+    ), min_size=1, max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(forged_streams())
+def test_forged_envelopes_never_break_a_recorded_run(stream):
+    """Messages under forged envelopes sent to a provenance-on node with
+    the recorder attached: ingest equals ``tests/model.py``, nothing
+    raises, the recorder's analytics complete and equal the model's, and
+    the auditor's invariants hold."""
+    nodes = {p: BarterCastNode(p, provenance=ProvenanceRecorder()) for p in range(3)}
+    for a, b, size in ((0, 1, 40.0), (1, 0, 15.0), (2, 0, 25.0), (2, 1, 7.0)):
+        nodes[a].record_upload(b, size * MB, now=1.0)
+        nodes[b].record_download(a, size * MB, now=1.0)
+    rec = DisseminationRecorder()
+    rec.set_population(range(3))
+    spec = Dissemination(range(3))
+    tee(rec, spec)
+    receiver, ref = nodes[1], Store(1, TransferGraph())
+    for sender, created, repeat, msg_id, parent_id, hops, explicit, t in stream:
+        honest = nodes[sender].create_message(now=5.0)
+        forged = BarterCastMessage(
+            sender, created, honest.records * repeat, msg_id=msg_id, parent_id=parent_id, hops=hops
+        )
+        assert receiver.receive_message(forged, now=t) == ref.ingest(forged, now=t)
+        if explicit:
+            rec.record_send(forged, 1, t)
+            rec.record_plan(forged, 1, t, [t])
+            rec.record_deliver(forged, 1, t)
+        else:
+            rec.record_gossip(forged, 1, t)
+    shared = receiver.shared
+    assert claims(shared) == claims(ref)
+    assert (shared.records_applied, shared.records_dropped) == (ref.records_applied, ref.records_dropped)
+    assert receiver.provenance.summary() == ref.counts
+    assert rec.summary() == spec.summary()
+    assert rec.to_dict() == spec.to_dict()
+    assert audit_simulation(SimpleNamespace(nodes=nodes)) == []
 
 
 PEERS = range(6)  # the population is 0-4; 5 is outside it

@@ -25,14 +25,25 @@ def test_quickstart_runs(capsys):
     assert "Maxflow bound" in out
 
 
-def test_trace_tooling_runs(capsys, tmp_path):
-    run_example("trace_tooling.py", ["--seed", "3", "--out", str(tmp_path / "t.json")])
+def test_trace_tooling_runs(capsys):
+    run_example("trace_tooling.py", ["--seed", "3"])
     out = capsys.readouterr().out
-    assert "trace archived" in out
-    assert (tmp_path / "t.json").exists()
+    assert "mean online fraction" in out
 
 
 def test_deployment_crawl_runs(capsys):
     run_example("deployment_crawl.py", ["--peers", "400", "--seed", "2"])
     out = capsys.readouterr().out
     assert "Figure 4(b)" in out
+
+
+def test_liar_attack_runs(capsys):
+    run_example("liar_attack.py", [])
+    out = capsys.readouterr().out
+    assert "hard cap from 80 MB real service" in out
+
+
+def test_whitewash_defense_runs(capsys):
+    run_example("whitewash_defense.py", [])
+    out = capsys.readouterr().out
+    assert "identities burned" in out

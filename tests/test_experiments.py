@@ -6,14 +6,17 @@ import pytest
 from repro.deployment.network import DeploymentParams
 from repro.experiments import (
     ScenarioConfig,
+    assemble_fig2,
+    assemble_fig3,
     build_simulation,
+    fig2_tasks,
+    fig3_tasks,
     report,
     run_fig1,
-    run_fig2,
-    run_fig3,
     run_fig4,
 )
 from repro.core.policies import BanPolicy, NoPolicy
+from repro.parallel import run_sweep
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +82,8 @@ class TestFig1:
 
 @pytest.fixture(scope="module")
 def fig2_result(tiny):
-    return run_fig2(tiny, deltas=(-0.3, -0.5), ban_delta=-0.5)
+    deltas = (-0.3, -0.5)
+    return assemble_fig2(run_sweep(fig2_tasks(tiny, deltas, -0.5)), deltas, -0.5)
 
 
 class TestFig2:
@@ -97,7 +101,7 @@ class TestFig2:
             assert (vals >= 0).all()
 
     def test_ban_delta_added_to_sweep_if_missing(self, tiny):
-        result = run_fig2(tiny, deltas=(-0.3,), ban_delta=-0.5)
+        result = assemble_fig2(run_sweep(fig2_tasks(tiny, (-0.3,), -0.5)), (-0.3,), -0.5)
         assert -0.5 in result.delta_sweep
 
     def test_final_ratio_finite(self, fig2_result):
@@ -112,7 +116,7 @@ class TestFig2:
 
 @pytest.fixture(scope="module")
 def fig3_result(tiny):
-    return run_fig3(tiny, kind="ignore", percentages=(0, 50))
+    return assemble_fig3(run_sweep(fig3_tasks(tiny, "ignore", (0, 50))), "ignore", (0, 50))
 
 
 class TestFig3:
@@ -126,18 +130,18 @@ class TestFig3:
 
     def test_unknown_kind_rejected(self, tiny):
         with pytest.raises(ValueError):
-            run_fig3(tiny, kind="sabotage")
+            fig3_tasks(tiny, "sabotage")
 
     def test_percentage_beyond_freeriders_rejected(self, tiny):
         with pytest.raises(ValueError):
-            run_fig3(tiny, kind="lie", percentages=(80,))
+            fig3_tasks(tiny, "lie", (80,))
 
     def test_report_renders(self, fig3_result):
         text = report.report_fig3(fig3_result)
         assert "Figure 3(a)" in text
 
     def test_lie_kind_runs(self, tiny):
-        result = run_fig3(tiny, kind="lie", percentages=(25,))
+        result = assemble_fig3(run_sweep(fig3_tasks(tiny, "lie", (25,))), "lie", (25,))
         assert result.kind == "lie"
         assert "Figure 3(b)" in report.report_fig3(result)
 

@@ -172,7 +172,6 @@ def test_selfish_liar_rewrites_instead_of_mutating_reused_records():
 #: Every store example runs on each graph class that ships.
 GRAPHS = {"dict": TransferGraph, "columnar": ColumnarTransferGraph}
 OWNER, REPORTERS = "me", ["r0", "r1"]
-PARTIES = REPORTERS + ["c0", OWNER]
 # Few peers, totals and timestamps, so one (reporter, counterparty) pair is
 # hit again and again: stale, equal-timestamp, confirming and superseding
 # deliveries, records about the owner and about the sender itself.
@@ -228,16 +227,13 @@ step = st.one_of(
 
 def state(store, graph):
     """Everything a store shows, lineage apart (a provenance-off one has none)."""
-    edges = list(store.known_edges())
-    assert len(edges) == len(set(edges))
-    claims = {(r, e): store.claim_of(r, *e) for e in edges for r in PARTIES}
     counters = (store.messages_seen, store.records_applied, store.records_dropped)
     graph_state = list(graph.edges()), list(graph.nodes())
-    return counters, set(edges), store.reporters(), claims, graph_state
+    return counters, store.reporters(), model.claims(store), graph_state
 
 
 def lineage(store):
-    return {edge: store.lineage_of(*edge) for edge in store.known_edges()}
+    return {edge: store.lineage_of(*edge) for edge in model.claimed_edges(store)}
 
 
 # One record re-sent newer, redelivered and stale: the receiver knows it by
@@ -281,9 +277,9 @@ def test_wipe_then_replay_equals_fresh_store(before, after, provenance):
     for msg, received_at in before:
         wiped.receive_message(msg, now=received_at)
     store = wiped.shared
-    claims = sum(store.claim_of(r, *edge) is not None for edge in store.known_edges() for r in PARTIES)
+    claims = len(model.claims(store))
     assert wiped.wipe_shared_history() == claims
-    assert store.reporters() == set() and list(store.known_edges()) == []
+    assert store.reporters() == set() and model.claims(store) == {}
     assert list(wiped.graph.edges()) == []
     if provenance:
         assert wiped.provenance.claims_forgotten == claims

@@ -69,9 +69,9 @@ def test_forged_timestamp_does_not_shadow_honest_messages(forged_at):
         claim = lambda total: (HistoryRecord("c0", total, 0.0),)
         assert node.receive_message(BarterCastMessage("r0", 1.0, claim(3.0)), now=1.0) == 1
         assert node.receive_message(BarterCastMessage("r0", forged_at, claim(5.0)), now=2.0) == 0
-        assert node.shared.claim_of("r0", "r0", "c0") == 3.0
+        assert model.claims(node.shared)["r0", "r0", "c0"] == 3.0
         assert node.receive_message(BarterCastMessage("r0", 3.0, claim(9.0)), now=3.0) == 1
-        assert node.shared.claim_of("r0", "r0", "c0") == node.graph.capacity("r0", "c0") == 9.0
+        assert model.claims(node.shared)["r0", "r0", "c0"] == node.graph.capacity("r0", "c0") == 9.0
 
 
 @pytest.mark.parametrize(

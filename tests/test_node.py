@@ -142,9 +142,9 @@ class TestReputation:
 
     def test_known_peers_counts_graph_nodes(self):
         n = BarterCastNode("me")
-        assert n.known_peers == 1  # self
+        assert n.graph.num_nodes == 1  # self
         n.record_upload("p", 1.0, now=0.0)
-        assert n.known_peers == 2
+        assert n.graph.num_nodes == 2
 
 
 class TestBehaviors:

@@ -195,11 +195,11 @@ class TestExperimentIdentity:
     """Serial vs parallel bit-identity on real (tiny) experiments."""
 
     def test_fig2_bit_identical(self):
-        from repro.experiments import run_fig2
+        from repro.experiments import assemble_fig2
 
         scenario = ScenarioConfig.tiny()
-        serial = run_fig2(scenario)
-        pooled = run_fig2(scenario, runner=ParallelRunner(jobs=2))
+        serial = assemble_fig2(run_sweep(fig2_tasks(scenario)))
+        pooled = assemble_fig2(run_sweep(fig2_tasks(scenario), runner=ParallelRunner(jobs=2)))
         assert (serial.days == pooled.days).all()
         for key in ("sharers", "freeriders"):
             assert np.array_equal(serial.rank[key], pooled.rank[key], equal_nan=True)
@@ -210,14 +210,13 @@ class TestExperimentIdentity:
             )
 
     def test_fig3_bit_identical(self):
-        from repro.experiments import run_fig3
+        from repro.experiments import assemble_fig3
 
         scenario = ScenarioConfig.tiny()
         pcts = (0, 25, 50)
-        serial = run_fig3(scenario, kind="ignore", percentages=pcts)
-        pooled = run_fig3(
-            scenario, kind="ignore", percentages=pcts, runner=ParallelRunner(jobs=2)
-        )
+        tasks = fig3_tasks(scenario, "ignore", pcts)
+        serial = assemble_fig3(run_sweep(tasks), "ignore", pcts)
+        pooled = assemble_fig3(run_sweep(tasks, runner=ParallelRunner(jobs=2)), "ignore", pcts)
         assert np.array_equal(
             serial.sharer_speed_kbps, pooled.sharer_speed_kbps, equal_nan=True
         )
@@ -239,19 +238,14 @@ class TestExperimentIdentity:
 
 class TestMetricsMerge:
     def test_kernel_and_metric_totals_match_serial(self):
-        from repro.experiments import run_fig3
-
-        scenario = ScenarioConfig.tiny()
-        pcts = (0, 50)
+        tasks = fig3_tasks(ScenarioConfig.tiny(), "ignore", (0, 50))
 
         serial_metrics = MetricsRegistry()
-        run_fig3(scenario, kind="ignore", percentages=pcts,
-                 obs=Observability(metrics=serial_metrics))
+        run_sweep(tasks, obs=Observability(metrics=serial_metrics))
 
         pooled_metrics = MetricsRegistry()
         pooled_obs = Observability(metrics=pooled_metrics)
-        run_fig3(scenario, kind="ignore", percentages=pcts, obs=pooled_obs,
-                 runner=ParallelRunner(jobs=2, obs=pooled_obs))
+        run_sweep(tasks, runner=ParallelRunner(jobs=2, obs=pooled_obs))
 
         def kernels(registry):
             return {

@@ -137,7 +137,7 @@ class TestClaimLineage:
         assert directions() == [(("a", 3), 25.0, 2), (("a", 3), 25.0, 1)]
         store.ingest(BarterCastMessage("a", 30.0, (record,), msg_id=("a", 4)), now=31.0)
         assert directions() == [(("a", 4), 31.0, 3), (("a", 4), 31.0, 2)]
-        assert store.claim_of("a", "a", "b") == 150.0
+        assert model.claims(store)["a", "a", "b"] == 150.0
 
     def test_churn_wipe_removes_lineage(self):
         store, rec = make_store()
@@ -152,7 +152,7 @@ class TestClaimLineage:
         store.ingest(msg("a", 10.0, "b", 100.0, 40.0, msg_id=("a", 1)))
         assert store.lineage_of("a", "b") == {}
         # ... while the view itself is identical to the provenance-on one.
-        assert store.claim_of("a", "a", "b") == 100.0
+        assert model.claims(store)["a", "a", "b"] == 100.0
 
     def test_null_recorder_is_inert(self):
         assert not NULL_PROVENANCE.enabled
@@ -181,7 +181,7 @@ class TestLineageReplay:
         for node in sim.nodes.values():
             shared = node.shared
             assert shared.provenance_enabled
-            for src, dst in shared.known_edges():
+            for src, dst in model.claimed_edges(shared):
                 lineage = shared.lineage_of(src, dst)
                 # Every live claim must carry lineage (provenance was on
                 # from t=0), and replaying the recorded claim values —
@@ -239,7 +239,7 @@ class TestLineageReplay:
         lags = [
             entry.received_at - entry.reported_at
             for node in sim.nodes.values()
-            for src, dst in node.shared.known_edges()
+            for src, dst in model.claimed_edges(node.shared)
             for entry in node.shared.lineage_of(src, dst).values()
         ]
         assert lags and max(lags) > 0.0
@@ -377,14 +377,15 @@ class TestExplain:
 class TestProvenanceBitIdentity:
     def test_fig2_export_byte_identical_with_provenance(self, tmp_path):
         from repro.analysis.export import export_fig2, write_series
-        from repro.experiments.fig2 import run_fig2
+        from repro.experiments.fig2 import assemble_fig2, fig2_tasks
+        from repro.parallel import run_sweep
 
         outs = []
         for tag, scenario in (
             ("off", ScenarioConfig.tiny()),
             ("on", ScenarioConfig.tiny().with_provenance()),
         ):
-            result = run_fig2(scenario, deltas=(-0.5,))
+            result = assemble_fig2(run_sweep(fig2_tasks(scenario, (-0.5,))), (-0.5,))
             paths = write_series(export_fig2(result), tmp_path / tag)
             outs.append({p.name: p.read_bytes() for p in paths})
         assert outs[0] == outs[1]

@@ -5,6 +5,7 @@ import pytest
 from repro.core.messages import BarterCastMessage, HistoryRecord
 from repro.core.sharedhistory import SubjectiveSharedHistory
 from repro.graph.transfer_graph import TransferGraph
+from tests import model
 
 
 def msg(sender, t, *records):
@@ -137,10 +138,11 @@ class TestClaimArbitration:
     def test_claim_of(self, store):
         shared, _ = store
         shared.ingest(msg("a", 1.0, HistoryRecord("b", 10.0, 2.0)))
-        assert shared.claim_of("a", "a", "b") == 10.0
-        assert shared.claim_of("a", "b", "a") == 2.0
-        assert shared.claim_of("zzz", "a", "b") is None
-        assert shared.claim_of("a", "x", "y") is None
+        claims = model.claims(shared)
+        assert claims["a", "a", "b"] == 10.0
+        assert claims["a", "b", "a"] == 2.0
+        assert ("zzz", "a", "b") not in claims
+        assert ("a", "x", "y") not in claims
 
     def test_claimed_reads_graph(self, store):
         """A claim is materialized as the graph's edge total; a zero claim

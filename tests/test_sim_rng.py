@@ -7,6 +7,11 @@ from repro.sim.rng import RngRegistry, RngStream
 
 
 class TestRngRegistry:
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            RngRegistry(seed)
+
     def test_same_name_returns_same_stream(self):
         reg = RngRegistry(1)
         assert reg.stream("a") is reg.stream("a")

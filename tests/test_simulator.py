@@ -119,7 +119,7 @@ class TestGossip:
         sim.run()
         # At least some node must know more peers than it transferred with.
         learned = [
-            n.known_peers - 1 - len(n.history)
+            n.graph.num_nodes - 1 - len(n.history)
             for n in sim.nodes.values()
         ]
         assert max(learned) > 0

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.experiments import ScenarioConfig, run_fig1
+from repro.experiments import ScenarioConfig, build_simulation, run_fig1
 from repro.obs import (
     NULL_OBS,
     NULL_PROFILER,
@@ -267,6 +267,18 @@ class TestObservabilityBundleLegs:
             timeseries=TimeSeriesConfig(interval_s=60.0, capacity=16)
         )
         assert explicit.timeseries.config.capacity == 16
+
+    @pytest.mark.parametrize("cadence", [math.nan, math.inf, 1e-9, 59.0])
+    def test_simulator_rejects_a_cadence_no_run_can_honour(self, cadence):
+        """Not finite, or below the tiny profile's 60 s round: rejected
+        when the simulator is built, before anything runs."""
+        with pytest.raises(ValueError, match="time-series cadence"):
+            build_simulation(ScenarioConfig.tiny(3), obs=make_observability(timeseries=cadence))
+
+    @pytest.mark.parametrize("cadence, interval", [(0, None), (-1.0, None), (60.0, 60.0)])
+    def test_simulator_takes_a_cadence_of_a_round_or_more(self, cadence, interval):
+        sim = build_simulation(ScenarioConfig.tiny(3), obs=make_observability(timeseries=cadence))
+        assert sim.obs.timeseries.config.interval_s == interval
 
     def test_profile_flag(self):
         obs = make_observability(profile=True)

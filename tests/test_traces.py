@@ -1,10 +1,9 @@
-"""Unit and property tests for trace models, generation, and I/O."""
+"""Unit and property tests for trace models and generation."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.traces.io import load_trace, save_trace, trace_from_dict, trace_to_dict
 from repro.traces.models import (
     DAY,
     CommunityTrace,
@@ -144,7 +143,7 @@ class TestSyntheticGenerator:
         trace.validate()  # does not raise
 
     def test_peer_count_includes_origin_seeders(self, trace):
-        assert trace.num_peers == 25 + 3
+        assert len(trace.peers) == 25 + 3
 
     def test_origin_seeders_always_online(self, trace):
         for spec in trace.swarms.values():
@@ -167,20 +166,20 @@ class TestSyntheticGenerator:
         params = TraceParams(num_peers=10, num_swarms=2, duration=DAY)
         t1 = SyntheticTraceGenerator(params, seed=5).generate()
         t2 = SyntheticTraceGenerator(params, seed=5).generate()
-        assert trace_to_dict(t1) == trace_to_dict(t2)
+        assert t1 == t2
 
     def test_seed_changes_output(self):
         params = TraceParams(num_peers=10, num_swarms=2, duration=DAY)
         t1 = SyntheticTraceGenerator(params, seed=5).generate()
         t2 = SyntheticTraceGenerator(params, seed=6).generate()
-        assert trace_to_dict(t1) != trace_to_dict(t2)
+        assert t1 != t2
 
     def test_no_origin_seeder_mode(self):
         params = TraceParams(
             num_peers=10, num_swarms=2, duration=DAY, include_origin_seeders=False
         )
         trace = SyntheticTraceGenerator(params, seed=5).generate()
-        assert trace.num_peers == 10
+        assert len(trace.peers) == 10
         for spec in trace.swarms.values():
             assert spec.origin_seeder in trace.peers
 
@@ -193,23 +192,6 @@ class TestSyntheticGenerator:
             TraceParams(min_file_size=100.0, max_file_size=10.0).validate()
         with pytest.raises(ValueError):
             TraceParams(day_active_prob=1.5).validate()
-
-
-class TestTraceIO:
-    def test_round_trip_file(self, tiny_trace, tmp_path):
-        path = tmp_path / "trace.json"
-        save_trace(tiny_trace, path)
-        loaded = load_trace(path)
-        assert trace_to_dict(loaded) == trace_to_dict(tiny_trace)
-
-    def test_round_trip_dict(self, tiny_trace):
-        assert trace_to_dict(trace_from_dict(trace_to_dict(tiny_trace))) == trace_to_dict(tiny_trace)
-
-    def test_unknown_schema_rejected(self, tiny_trace):
-        data = trace_to_dict(tiny_trace)
-        data["schema_version"] = 999
-        with pytest.raises(ValueError):
-            trace_from_dict(data)
 
 
 @settings(max_examples=30, deadline=None)
